@@ -31,8 +31,12 @@ zero simulation work; the footer line reports hits/misses/stale.
 from __future__ import annotations
 
 import argparse
+import inspect
+import json
+import os
 import sys
-from typing import Callable, Dict, List
+from dataclasses import replace
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
 
 from .experiments import RunSpec, figures
 from .experiments.ablations import (
@@ -45,21 +49,20 @@ from .experiments.cache import DEFAULT_CACHE_DIR, ResultCache
 from .experiments.harness import PCTPoint
 from .experiments.parallel import SweepReport, run_sweep
 from .experiments.report import format_dict_rows, format_pct_table, format_run_footer
+from .scale.scenarios import scenario_names
+from .traffic.models import model_names
 
 __all__ = ["main"]
 
 
-def _quick_spec(**overrides) -> RunSpec:
-    base = dict(procedures_target=600, min_duration_s=0.03, max_duration_s=0.15)
-    base.update(overrides)
-    return RunSpec(**base)
-
-
-def _smoke_spec(**overrides) -> RunSpec:
-    """Tiny spec for CI smoke runs: shape only, seconds not minutes."""
-    base = dict(procedures_target=150, min_duration_s=0.02, max_duration_s=0.06)
-    base.update(overrides)
-    return RunSpec(**base)
+def _reduced_spec(smoke: bool, **overrides) -> RunSpec:
+    """The default (benchmark-scale) spec, or the tiny one for CI smoke
+    runs: shape only, seconds not minutes."""
+    if smoke:
+        base = dict(procedures_target=150, min_duration_s=0.02, max_duration_s=0.06)
+    else:
+        base = dict(procedures_target=600, min_duration_s=0.03, max_duration_s=0.15)
+    return RunSpec(**{**base, **overrides})
 
 
 def _emit(result, title: str) -> None:
@@ -69,144 +72,110 @@ def _emit(result, title: str) -> None:
         print(format_dict_rows(result, title))
 
 
-_QUICK_RATES = {
-    "fig03": (180e3, 240e3, 300e3),
-    "fig07": (100e3, 140e3, 180e3, 220e3),
-    "fig08": (40e3, 60e3, 80e3, 100e3, 120e3, 140e3),
-    "fig10": (40e3, 60e3, 100e3),
-    "fig11": (40e3, 60e3, 100e3),
-    "fig15": (20e3, 60e3, 100e3),
-    "fig16": (20e3, 60e3, 100e3),
+class _Figure(NamedTuple):
+    """One row of the figure (or ablation) table that ``list``,
+    ``figure``, ``ablation`` and ``profile`` all read.
+
+    The paper-scale axes and specs are the figure functions' own
+    defaults; a row holds only what the other scales change.
+    """
+
+    title: str
+    fn: Callable
+    #: keyword overrides at the default (benchmark) scale, under
+    #: ``--smoke`` (on top of the chosen scale) and at ``--full`` scale
+    quick: Mapping[str, Any] = {}
+    smoke: Mapping[str, Any] = {}
+    full: Mapping[str, Any] = {}
+    #: procedure of the reduced RunSpec the default and smoke scales use
+    procedure: Optional[str] = None
+
+    @property
+    def params(self) -> Mapping[str, inspect.Parameter]:
+        return inspect.signature(self.fn).parameters
+
+
+_FIGURES: Dict[str, _Figure] = {
+    "fig03": _Figure(
+        "Fig. 3", figures.fig03_plt_and_video,
+        quick=dict(rates=(180e3, 240e3, 300e3)),
+    ),
+    "fig07": _Figure(
+        "Fig. 7 — service request PCT (median ms)", figures.fig07_service_request,
+        quick=dict(rates=(100e3, 140e3, 180e3, 220e3)), procedure="service_request",
+    ),
+    "fig08": _Figure(
+        "Fig. 8 — attach PCT (median ms)", figures.fig08_attach_uniform,
+        quick=dict(rates=(40e3, 60e3, 80e3, 100e3, 120e3, 140e3)), procedure="attach",
+    ),
+    "fig09": _Figure(
+        "Fig. 9 — bursty attach PCT", figures.fig09_attach_bursty,
+        quick=dict(users=(10e3, 100e3, 500e3, 2e6)), smoke=dict(users=(10e3, 100e3)),
+    ),
+    "fig10": _Figure(
+        "Fig. 10 — handover PCT under failure", figures.fig10_failure_handover,
+        quick=dict(rates=(40e3, 60e3, 100e3)),
+    ),
+    "fig11": _Figure(
+        "Fig. 11 — fast handover PCT", figures.fig11_fast_handover,
+        quick=dict(rates=(40e3, 60e3, 100e3)),
+    ),
+    "fig13": _Figure(
+        "Fig. 13 — self-driving missed deadlines", figures.fig13_self_driving
+    ),
+    "fig14": _Figure("Fig. 14 — VR missed deadlines", figures.fig14_vr),
+    "fig15": _Figure(
+        "Fig. 15 — sync schemes", figures.fig15_sync_schemes,
+        quick=dict(rates=(20e3, 60e3, 100e3)), procedure="attach",
+    ),
+    "fig16": _Figure(
+        "Fig. 16 — logging overhead", figures.fig16_logging_overhead,
+        quick=dict(rates=(20e3, 60e3, 100e3)), procedure="attach",
+    ),
+    "fig17": _Figure(
+        "Fig. 17 — max CTA log size", figures.fig17_log_size,
+        smoke=dict(users=(10e3, 50e3)),
+    ),
+    "fig18": _Figure(
+        "Fig. 18 — codec speedup vs ASN.1", figures.fig18_codec_speedup,
+        full=dict(measured_repeats=200),
+    ),
+    "fig19": _Figure(
+        "Fig. 19 — real message times (µs)", figures.fig19_real_message_times,
+        full=dict(measured_repeats=200),
+    ),
+    "fig20": _Figure("Fig. 20 — encoded sizes (bytes)", figures.fig20_encoded_sizes),
 }
 
-#: the figures whose points run through the parallel/cached sweep runner.
-_SWEEP_FIGURES = frozenset(
-    ("fig07", "fig08", "fig09", "fig10", "fig11", "fig15", "fig16", "fig17")
-)
+
+def _run_figure(row: _Figure, full: bool, jobs: int = 1, cache=None, smoke: bool = False) -> None:
+    params = row.params
+    kwargs = dict(row.full if full else row.quick)
+    if smoke:
+        kwargs.update(row.smoke)
+        if "rates" in params:  # every other rate of the chosen axis
+            kwargs["rates"] = kwargs.get("rates", params["rates"].default)[::2]
+    if row.procedure is not None and (smoke or not full):
+        kwargs["spec"] = _reduced_spec(smoke, procedure=row.procedure)
+    if "jobs" in params:  # points run through the parallel/cached sweep runner
+        kwargs.update(jobs=jobs, cache=cache)
+    _emit(row.fn(**kwargs), row.title)
 
 
-def _run_figure(fig: str, full: bool, jobs: int = 1, cache=None, smoke: bool = False) -> None:
-    quick = not full
-
-    def rates(default):
-        chosen = _QUICK_RATES.get(fig, default) if quick else default
-        return chosen[::2] if smoke else chosen  # smoke: every other rate
-
-    def spec(procedure):
-        if smoke:
-            return _smoke_spec(procedure=procedure)
-        return _quick_spec(procedure=procedure) if quick else None
-
-    if fig == "fig03":
-        _emit(figures.fig03_plt_and_video(rates=rates((180e3, 200e3, 220e3, 240e3, 260e3, 280e3, 300e3))), "Fig. 3")
-    elif fig == "fig07":
-        _emit(
-            figures.fig07_service_request(
-                rates=rates(figures.DEFAULT_FIG07_RATES),
-                spec=spec("service_request"),
-                jobs=jobs,
-                cache=cache,
-            ),
-            "Fig. 7 — service request PCT (median ms)",
-        )
-    elif fig == "fig08":
-        _emit(
-            figures.fig08_attach_uniform(
-                rates=rates(figures.DEFAULT_FIG08_RATES),
-                spec=spec("attach"),
-                jobs=jobs,
-                cache=cache,
-            ),
-            "Fig. 8 — attach PCT (median ms)",
-        )
-    elif fig == "fig09":
-        users = (10e3, 100e3, 500e3, 2e6) if quick else figures.DEFAULT_FIG09_USERS
-        if smoke:
-            users = (10e3, 100e3)
-        _emit(
-            figures.fig09_attach_bursty(users=users, jobs=jobs, cache=cache),
-            "Fig. 9 — bursty attach PCT",
-        )
-    elif fig == "fig10":
-        _emit(
-            figures.fig10_failure_handover(
-                rates=rates((40e3, 60e3, 80e3, 100e3, 120e3, 140e3, 160e3)),
-                jobs=jobs,
-                cache=cache,
-            ),
-            "Fig. 10 — handover PCT under failure",
-        )
-    elif fig == "fig11":
-        _emit(
-            figures.fig11_fast_handover(
-                rates=rates((40e3, 60e3, 80e3, 100e3, 120e3, 140e3, 160e3)),
-                jobs=jobs,
-                cache=cache,
-            ),
-            "Fig. 11 — fast handover PCT",
-        )
-    elif fig == "fig13":
-        _emit(figures.fig13_self_driving(), "Fig. 13 — self-driving missed deadlines")
-    elif fig == "fig14":
-        _emit(figures.fig14_vr(), "Fig. 14 — VR missed deadlines")
-    elif fig == "fig15":
-        _emit(
-            figures.fig15_sync_schemes(
-                rates=rates((20e3, 40e3, 60e3, 80e3, 100e3)),
-                spec=spec("attach"),
-                jobs=jobs,
-                cache=cache,
-            ),
-            "Fig. 15 — sync schemes",
-        )
-    elif fig == "fig16":
-        _emit(
-            figures.fig16_logging_overhead(
-                rates=rates((20e3, 40e3, 60e3, 80e3, 100e3, 120e3, 140e3)),
-                spec=spec("attach"),
-                jobs=jobs,
-                cache=cache,
-            ),
-            "Fig. 16 — logging overhead",
-        )
-    elif fig == "fig17":
-        users = (10e3, 50e3) if smoke else (10e3, 50e3, 100e3, 200e3)
-        _emit(
-            figures.fig17_log_size(users=users, jobs=jobs, cache=cache),
-            "Fig. 17 — max CTA log size",
-        )
-    elif fig == "fig18":
-        _emit(
-            figures.fig18_codec_speedup(measured_repeats=0 if quick else 200),
-            "Fig. 18 — codec speedup vs ASN.1",
-        )
-    elif fig == "fig19":
-        _emit(
-            figures.fig19_real_message_times(measured_repeats=0 if quick else 200),
-            "Fig. 19 — real message times (µs)",
-        )
-    elif fig == "fig20":
-        _emit(figures.fig20_encoded_sizes(), "Fig. 20 — encoded sizes (bytes)")
-    else:
-        raise SystemExit("unknown figure %r (try: python -m repro list)" % fig)
-
-
-#: ablations are (runner, uses_sweep_runner); only sweep-backed ones
-#: honour --jobs / the cache (the rest drive one deployment directly).
-_ABLATIONS: Dict[str, Callable] = {
-    "n_backups": lambda jobs, cache: ablate_n_backups(jobs=jobs, cache=cache),
-    "georep_level": lambda jobs, cache: ablate_georep_level(),
-    "ack_timeout": lambda jobs, cache: ablate_ack_timeout(),
-    "serialization_bandwidth": lambda jobs, cache: ablate_serialization_bandwidth(),
+#: only sweep-backed ablations honour --jobs / the cache (the rest drive
+#: one deployment directly).
+_ABLATIONS: Dict[str, _Figure] = {
+    name: _Figure("Ablation — %s" % name, fn)
+    for name, fn in (
+        ("n_backups", ablate_n_backups),
+        ("georep_level", ablate_georep_level),
+        ("ack_timeout", ablate_ack_timeout),
+        ("serialization_bandwidth", ablate_serialization_bandwidth),
+    )
 }
 
 #: presets selectable by name in ``python -m repro sweep --configs``.
 _SWEEP_CONFIGS = ("neutrino", "existing_epc", "skycore", "dpcm")
-
-_FIGURES = [
-    "fig03", "fig07", "fig08", "fig09", "fig10", "fig11",
-    "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20",
-]
 
 #: ``python -m repro obs`` figure points: one representative rate per
 #: PCT figure, run per-scheme with tracing on.  Cases are
@@ -215,17 +184,15 @@ _OBS_FIGURES: Dict[str, dict] = {
     "fig07": dict(
         rate=140e3,
         cases=[
-            ("existing_epc", ("existing_epc", {}), "service_request", {}),
-            ("dpcm", ("dpcm", {}), "service_request", {}),
-            ("skycore", ("skycore", {}), "service_request", {}),
-            ("neutrino", ("neutrino", {}), "service_request", {}),
+            (label, (label, {}), "service_request", {})
+            for label in ("existing_epc", "dpcm", "skycore", "neutrino")
         ],
     ),
     "fig08": dict(
         rate=80e3,
         cases=[
-            ("existing_epc", ("existing_epc", {}), "attach", {}),
-            ("neutrino", ("neutrino", {}), "attach", {}),
+            (label, (label, {}), "attach", {})
+            for label in ("existing_epc", "neutrino")
         ],
     ),
     "fig10": dict(
@@ -276,7 +243,8 @@ def main(argv: List[str] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command")
 
-    sub.add_parser("list", help="list available figures and ablations")
+    list_parser = sub.add_parser("list", help="list available figures and ablations")
+    list_parser.set_defaults(func=_run_list)
 
     def add_runner_flags(p):
         p.add_argument(
@@ -293,7 +261,7 @@ def main(argv: List[str] = None) -> int:
         )
 
     fig_parser = sub.add_parser("figure", help="regenerate one figure")
-    fig_parser.add_argument("id", choices=_FIGURES)
+    fig_parser.add_argument("id", choices=list(_FIGURES))
     fig_parser.add_argument(
         "--full", action="store_true", help="paper-scale sweep (slower)"
     )
@@ -302,10 +270,14 @@ def main(argv: List[str] = None) -> int:
         help="tiny reduced spec (CI smoke; overrides --full)",
     )
     add_runner_flags(fig_parser)
+    fig_parser.set_defaults(func=_run_figure_command, table=_FIGURES)
 
     abl_parser = sub.add_parser("ablation", help="run one extra ablation")
     abl_parser.add_argument("id", choices=sorted(_ABLATIONS))
     add_runner_flags(abl_parser)
+    abl_parser.set_defaults(
+        func=_run_figure_command, table=_ABLATIONS, full=False, smoke=False
+    )
 
     sweep_parser = sub.add_parser(
         "sweep", help="ad-hoc custom sweep over configs x rates"
@@ -330,6 +302,7 @@ def main(argv: List[str] = None) -> int:
     sweep_parser.add_argument("--regions", type=int, default=2)
     sweep_parser.add_argument("--cpfs-per-region", type=int, default=1)
     add_runner_flags(sweep_parser)
+    sweep_parser.set_defaults(func=_run_sweep_command)
 
     prof_parser = sub.add_parser(
         "profile",
@@ -340,7 +313,8 @@ def main(argv: List[str] = None) -> int:
             "cache hit would profile zero simulation work."
         ),
     )
-    prof_parser.add_argument("id", choices=_FIGURES)
+    prof_parser.add_argument("id", choices=list(_FIGURES))
+    prof_parser.set_defaults(func=_run_profile)
     prof_parser.add_argument(
         "--top", type=int, default=25, metavar="N",
         help="how many functions to report (default: %(default)s)",
@@ -373,6 +347,7 @@ def main(argv: List[str] = None) -> int:
         ),
     )
     obs_parser.add_argument("id", choices=sorted(_OBS_FIGURES))
+    obs_parser.set_defaults(func=_run_obs)
     obs_parser.add_argument(
         "--rate", type=float, default=None, metavar="R",
         help="override the point's system-wide procedures/s",
@@ -389,8 +364,6 @@ def main(argv: List[str] = None) -> int:
         "--timeline", action="store_true",
         help="also print the slowest procedures' span trees",
     )
-
-    from .scale.scenarios import scenario_names
 
     def add_scale_flags(p, seeds=True):
         p.add_argument("scenario", choices=scenario_names())
@@ -483,7 +456,7 @@ def main(argv: List[str] = None) -> int:
         ),
     )
     add_scale_flags(scale_parser)
-    scale_parser.set_defaults(policy=None, compare_baseline=False)
+    scale_parser.set_defaults(func=_run_scale, policy=None, compare_baseline=False)
 
     orch_parser = sub.add_parser(
         "orch",
@@ -515,7 +488,7 @@ def main(argv: List[str] = None) -> int:
         "(fixed capacity) and record both worst-region attach p99s, "
         "plus the verdict, under the ledger's orch.compare section",
     )
-    orch_parser.set_defaults(seeds=None)
+    orch_parser.set_defaults(func=_run_orch, seeds=None)
 
     cal_parser = sub.add_parser(
         "calibrate",
@@ -529,9 +502,8 @@ def main(argv: List[str] = None) -> int:
             "tests/traffic/test_calibration.py."
         ),
     )
-    from .traffic.models import model_names
-
     cal_parser.add_argument("model", choices=model_names())
+    cal_parser.set_defaults(func=_run_calibrate)
     cal_parser.add_argument(
         "--n-ue", type=int, default=20000, metavar="N",
         help="population the aggregate processes scale to (default: %(default)s)",
@@ -552,6 +524,7 @@ def main(argv: List[str] = None) -> int:
 
     trace_parser = sub.add_parser("trace", help="generate a synthetic trace")
     trace_parser.add_argument("output")
+    trace_parser.set_defaults(func=_run_trace)
     trace_parser.add_argument("--devices", type=int, default=100)
     trace_parser.add_argument("--duration", type=float, default=60.0)
     trace_parser.add_argument("--seed", type=int, default=0)
@@ -559,6 +532,7 @@ def main(argv: List[str] = None) -> int:
     chaos_parser = sub.add_parser(
         "chaos", help="deterministic fault-injection schedules"
     )
+    chaos_parser.set_defaults(func=_run_chaos)
     chaos_sub = chaos_parser.add_subparsers(dest="chaos_command")
     replay_parser = chaos_sub.add_parser(
         "replay", help="run a saved FaultPlan twice and verify bit-for-bit replay"
@@ -582,54 +556,42 @@ def main(argv: List[str] = None) -> int:
     example_parser.add_argument("--seed", type=int, default=7)
 
     args = parser.parse_args(argv)
-    if args.command == "list":
-        from .traffic.models import model_names as _model_names
+    if args.command is None:
+        parser.print_help()
+        return 1
+    return args.func(args)
 
-        print("figures  :", " ".join(_FIGURES))
-        print("ablations:", " ".join(sorted(_ABLATIONS)))
-        print("sweep    : custom config x rate sweeps (see sweep --help)")
-        print("scenarios:", " ".join(scenario_names()))
-        print("models   :", " ".join(_model_names()))
-        return 0
-    if args.command == "figure":
-        cache = _make_cache(args) if args.id in _SWEEP_FIGURES else None
-        _run_figure(args.id, args.full, jobs=args.jobs, cache=cache, smoke=args.smoke)
-        if cache is not None:
-            print(format_run_footer(cache=cache))
-        return 0
-    if args.command == "ablation":
-        cache = _make_cache(args) if args.id == "n_backups" else None
-        _emit(_ABLATIONS[args.id](args.jobs, cache), "Ablation — %s" % args.id)
-        if cache is not None:
-            print(format_run_footer(cache=cache))
-        return 0
-    if args.command == "profile":
-        return _run_profile(args)
-    if args.command == "sweep":
-        return _run_sweep_command(args)
-    if args.command == "trace":
-        from .traffic import TraceConfig, generate_trace, save_trace
 
-        config = TraceConfig(
-            n_devices=args.devices, duration_s=args.duration, seed=args.seed
-        )
-        records = generate_trace(config)
-        with open(args.output, "w") as fp:
-            count = save_trace(records, fp)
-        print("wrote %d records to %s" % (count, args.output))
-        return 0
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "obs":
-        return _run_obs(args)
-    if args.command == "scale":
-        return _run_scale(args)
-    if args.command == "orch":
-        return _run_orch(args)
-    if args.command == "calibrate":
-        return _run_calibrate(args)
-    parser.print_help()
-    return 1
+def _run_list(args) -> int:
+    print("figures  :", " ".join(_FIGURES))
+    print("ablations:", " ".join(sorted(_ABLATIONS)))
+    print("sweep    : custom config x rate sweeps (see sweep --help)")
+    print("scenarios:", " ".join(scenario_names()))
+    print("models   :", " ".join(model_names()))
+    return 0
+
+
+def _run_figure_command(args) -> int:
+    """``figure`` and ``ablation``: one row of ``args.table``."""
+    row = args.table[args.id]
+    cache = _make_cache(args) if "cache" in row.params else None
+    _run_figure(row, args.full, jobs=args.jobs, cache=cache, smoke=args.smoke)
+    if cache is not None:
+        print(format_run_footer(cache=cache))
+    return 0
+
+
+def _run_trace(args) -> int:
+    from .traffic import TraceConfig, generate_trace, save_trace
+
+    config = TraceConfig(
+        n_devices=args.devices, duration_s=args.duration, seed=args.seed
+    )
+    records = generate_trace(config)
+    with open(args.output, "w") as fp:
+        count = save_trace(records, fp)
+    print("wrote %d records to %s" % (count, args.output))
+    return 0
 
 
 def _make_cache(args):
@@ -661,11 +623,6 @@ def _run_orch(args) -> int:
     scenario's built-in one), validates it eagerly for a readable
     error, then delegates to the scale runner with the spec override —
     the exit code stays the auditor verdict."""
-    import json as json_mod
-    import os
-    import sys
-    from dataclasses import replace as dc_replace
-
     from .orch import OrchPolicy
     from .scale.scenarios import get_scenario
 
@@ -677,7 +634,7 @@ def _run_orch(args) -> int:
             with open(text) as fp:
                 text = fp.read()
         try:
-            policy_data = json_mod.loads(text)
+            policy_data = json.loads(text)
         except ValueError as err:
             print(
                 "error: --policy is neither a file nor valid JSON: %s"
@@ -696,14 +653,12 @@ def _run_orch(args) -> int:
     except (TypeError, ValueError) as err:
         print("error: bad --policy: %s" % err, file=sys.stderr)
         return 2
-    args._spec = dc_replace(spec, orch_policy=dict(policy_data))
-    return _run_scale(args)
+    return _run_scale(args, replace(spec, orch_policy=dict(policy_data)))
 
 
-def _run_scale(args) -> int:
-    import json as json_mod
-    import sys
-
+def _run_scale(args, spec=None) -> int:
+    """``python -m repro scale``; ``spec`` is ``orch``'s policy-carrying
+    override of the named scenario."""
     from .scale import ScaleResult, run_replicates, run_scenario
 
     if args.shards == "auto":
@@ -759,7 +714,7 @@ def _run_scale(args) -> int:
             report=report,
         )
         if args.json:
-            print(json_mod.dumps(
+            print(json.dumps(
                 [r.to_dict() for r in results], indent=2, sort_keys=True
             ))
         else:
@@ -784,21 +739,21 @@ def _run_scale(args) -> int:
         from .obs.stream import open_stream
 
         stream, closer = open_stream(args.obs_stream)
-    scenario = getattr(args, "_spec", None)
-    if scenario is None:
-        scenario = args.scenario
+    run_kwargs = dict(
+        n_ue=args.n_ue,
+        duration_s=args.duration,
+        seed=args.seed,
+        mode=args.mode,
+        shards=shards,
+        shard_backend=args.shard_backend,
+    )
     try:
         result = run_scenario(
-            scenario,
-            n_ue=args.n_ue,
-            duration_s=args.duration,
-            seed=args.seed,
-            mode=args.mode,
+            args.scenario if spec is None else spec,
             obs=obs,
             stream=stream,
             verbose_trace=args.verbose_trace,
-            shards=shards,
-            shard_backend=args.shard_backend,
+            **run_kwargs,
         )
     except ValueError as err:
         # e.g. more shards than level-2 regions
@@ -811,22 +766,10 @@ def _run_scale(args) -> int:
     if args.compare_baseline:
         # same scenario, controller off: the fixed-capacity control run
         # whose worst-region attach p99 the orchestrated one must beat
-        from dataclasses import replace as dc_replace
-
+        # (an ``orch``-only flag, so ``spec`` is set)
         from .orch import orch_compare
-        from .scale.scenarios import get_scenario
 
-        spec = getattr(args, "_spec", None) or get_scenario(args.scenario)
-        base_spec = dc_replace(spec, orch_policy=None)
-        baseline = run_scenario(
-            base_spec,
-            n_ue=args.n_ue,
-            duration_s=args.duration,
-            seed=args.seed,
-            mode=args.mode,
-            shards=shards,
-            shard_backend=args.shard_backend,
-        )
+        baseline = run_scenario(replace(spec, orch_policy=None), **run_kwargs)
         result.orch_compare = orch_compare(result, baseline)
 
     trace_path = None
@@ -847,7 +790,7 @@ def _run_scale(args) -> int:
             data = chrome_trace_events(obs.tracer)
         validate_chrome_trace(data)
         with open(trace_path, "w") as fp:
-            json_mod.dump(data, fp)
+            json.dump(data, fp)
             fp.write("\n")
     if args.ledger:
         from .obs.ledger import write_run_ledger
@@ -867,7 +810,7 @@ def _run_scale(args) -> int:
             value = getattr(result, attr, None)
             if value is not None:
                 payload[attr] = value
-        print(json_mod.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(result.format_report())
         orch_summary = getattr(result, "orch_summary", None)
@@ -933,7 +876,7 @@ def _run_profile(args) -> int:
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        _run_figure(args.id, args.full, jobs=1, cache=None, smoke=args.smoke)
+        _run_figure(_FIGURES[args.id], args.full, smoke=args.smoke)
     finally:
         profiler.disable()
     if args.output:
@@ -983,9 +926,6 @@ def _run_sweep_command(args) -> int:
 
 
 def _run_obs(args) -> int:
-    import json
-    import os
-
     from .core.config import ControlPlaneConfig
     from .experiments.harness import run_pct_point
     from .experiments.report import format_latency_breakdown
@@ -1003,8 +943,7 @@ def _run_obs(args) -> int:
     labeled = []
     for label, (preset, kwargs), procedure, overrides in table["cases"]:
         config = getattr(ControlPlaneConfig, preset)(**kwargs)
-        spec_kwargs = dict(procedure=procedure, **overrides)
-        spec = _smoke_spec(**spec_kwargs) if args.smoke else _quick_spec(**spec_kwargs)
+        spec = _reduced_spec(args.smoke, procedure=procedure, **overrides)
         obs = Observability("trace")
         point = run_pct_point(config, rate, spec, obs=obs)
         print(point.row())

@@ -36,6 +36,9 @@ class CohortDriver:
     """
 
     mode = "cohort"
+    #: True when population bootstrap is deferred per UE to first use
+    #: (only the batched driver ever defers).
+    lazy = False
 
     def __init__(self, dep, bs_names: List[str], n: int, prefix: str = "c"):
         self.dep = dep
@@ -94,7 +97,25 @@ class CohortDriver:
         self.bs_idx[i] = self.bs_index(ue.bs_name)
         self.dep.release_ue(ue.ue_id)
 
+    def mark_booted(self, i: int) -> None:
+        """UE ``i``'s state was installed from outside (an immigrant)."""
+
     # -- procedures --------------------------------------------------------
+
+    def start_procedure(
+        self, i: int, proc: str, target_bs: Optional[str] = None
+    ) -> None:
+        """Route one arrival: here, always a discrete kernel process."""
+        self.dep.sim.process(
+            self.run_procedure(i, proc, target_bs), name="scale." + proc
+        )
+
+    def lane_stats(self) -> Dict[str, int]:
+        """Batched-lane execution stats (none without a lane)."""
+        return {}
+
+    def flush_trace(self) -> None:
+        """Emit trace records a lane buffered (nothing to flush here)."""
 
     def run_procedure(
         self, i: int, proc: str, target_bs: Optional[str] = None
@@ -195,7 +216,6 @@ class BatchedDriver(CohortDriver):
             "walk_aborts": 0,
             "gate_misses": 0,
         }
-        self._lazy = False
         self._booted = bytearray(n)
         self._hazards: List[Tuple[float, float]] = []
 
@@ -206,16 +226,16 @@ class BatchedDriver(CohortDriver):
         dep, spec = self.dep, engine.spec
         cfg = dep.config
         plan = engine.injector.plan
-        self._lazy = (
+        self.lazy = (
             not dep.auditor.keep_history
             and not spec.fault_events
             and not spec.churn_events
             and cfg.heartbeat_interval_s == 0.0
             # a mutating orchestration policy re-places state mid-run;
             # lazy slots have no store entries to migrate
-            and not getattr(engine, "orch_mutating", False)
+            and not engine.orch_mutating
         )
-        if self._lazy:
+        if self.lazy:
             # Every bootstrap() call would set these same values; fill
             # them wholesale and pre-count the attach writes so
             # auditor.writes matches the eager path even for UEs never
@@ -238,7 +258,7 @@ class BatchedDriver(CohortDriver):
             and not (spec.traffic_model and plan.events)
             # controller actions (ring changes, drains, heals) can land
             # inside any batch window; mutating policies stay discrete
-            and not getattr(engine, "orch_mutating", False)
+            and not engine.orch_mutating
             and all(
                 not link.bandwidth_bps and not link.jitter_frac
                 for link in dep.links.values()
@@ -249,21 +269,10 @@ class BatchedDriver(CohortDriver):
             self.lane.driver = self
             self._hazards = hazard_windows(spec, plan.events)
 
-    def placement_sink(self):
-        """Population-loop fast path: ``(name_to_index, set_index)``.
-
-        Only in lazy mode, where ``bootstrap()`` degenerates to a bare
-        index write (everything else was prefilled in ``setup_lane``);
-        ``None`` tells callers to go through ``bootstrap()`` per UE.
-        """
-        if not self._lazy:
-            return None
-        return self.bs_index, self.bs_idx.__setitem__
-
     def lane_stats(self) -> Dict[str, int]:
         out = dict(self.stats)
         out["enabled"] = 1 if self.lane is not None else 0
-        out["lazy_bootstrap"] = 1 if self._lazy else 0
+        out["lazy_bootstrap"] = 1 if self.lazy else 0
         if self.lane is not None:
             out["spills"] = self.lane.spills
         return out
@@ -275,20 +284,21 @@ class BatchedDriver(CohortDriver):
     # -- lazy population bootstrap -----------------------------------------
 
     def bootstrap(self, i: int, bs_name: str) -> None:
-        if self._lazy:
-            # bs assignment only; version/attached/auditor.writes were
-            # prefilled wholesale in setup_lane, and CPF store entries,
-            # placement, and the per-UE clock materialise on first use
-            # via _ensure_boot.
-            self.bs_idx[i] = self.bs_index(bs_name)
-        else:
-            super().bootstrap(i, bs_name)
-            self._booted[i] = 1
+        # Eager runs only.  A lazy run is never bootstrapped per UE: the
+        # engine installs the placed ``bs_idx`` column wholesale,
+        # version/attached/auditor.writes were prefilled in setup_lane,
+        # and CPF store entries, placement and the per-UE clock
+        # materialise on first use via _ensure_boot.
+        super().bootstrap(i, bs_name)
+        self._booted[i] = 1
+
+    def mark_booted(self, i: int) -> None:
+        self._booted[i] = 1  # never lazy-boot over installed state
 
     def _ensure_boot(self, i: int) -> None:
         if self._booted[i]:
             return
-        # bootstrap_state re-counts the write that bootstrap() pre-counted
+        # bootstrap_state re-counts the write that setup_lane pre-counted
         self.dep.auditor.writes -= 1
         self.dep.bootstrap_state(self.ue_id(i), self.bs_of(i))
         self._booted[i] = 1
@@ -308,9 +318,7 @@ class BatchedDriver(CohortDriver):
         ):
             return
         self.stats["fallback"] += 1
-        self.dep.sim.process(
-            self.run_procedure(i, proc, target_bs), name="scale." + proc
-        )
+        super().start_procedure(i, proc, target_bs)
 
     def _in_hazard(self) -> bool:
         now = self.dep.sim.now

@@ -33,8 +33,10 @@ from __future__ import annotations
 import heapq
 import sys
 import time
+from array import array
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.deployment import Deployment
 from ..faults.injector import FaultInjector
@@ -50,7 +52,7 @@ from ..traffic.mobility import (
     MobilityModel,
     RandomWalkMobility,
 )
-from ..traffic.arrivals import modulated_arrivals
+from ..traffic.arrivals import modulated_arrivals, poisson_arrivals
 from ..traffic.models import (
     Exponential,
     class_ranges,
@@ -80,12 +82,6 @@ _BUSY_TRIES = 250
 _HISTORY_MAX_UES = 5000
 
 
-def _tag(times, idx: int):
-    """Tag a time stream with its index for a stable heapq.merge order."""
-    for t in times:
-        yield (t, idx)
-
-
 def peak_rss_kb() -> float:
     """Peak resident set size of this process in KiB (0.0 if unknown)."""
     try:
@@ -96,11 +92,6 @@ def peak_rss_kb() -> float:
     if sys.platform == "darwin":  # pragma: no cover - ru_maxrss is bytes there
         rss /= 1024.0
     return rss
-
-
-def _bounded_renewal(dist, duration_s: float, rng):
-    """Renewal arrival times of ``dist`` truncated to ``[0, duration)``."""
-    return modulated_arrivals(dist.sample, duration_s, rng)
 
 
 # --------------------------------------------------------------------------- result
@@ -247,11 +238,26 @@ class ScaleResult:
         return "\n".join(lines)
 
 
+def _at_any_time(fn, *args) -> Callable[[float], None]:
+    """Arrival handler ``fn(*args)`` that ignores the arrival instant."""
+    return lambda _t: fn(*args)
+
+
 def _fmt_ms(value: Optional[float]) -> str:
     return "-" if value is None else "%.3f" % value
 
 
 # --------------------------------------------------------------------------- engine
+
+
+def _city_for(spec: ScenarioSpec) -> CityTopology:
+    return build_city(
+        l2_regions=spec.l2_regions,
+        l1_per_l2=spec.l1_per_l2,
+        cpfs_per_region=spec.cpfs_per_region,
+        bss_per_region=spec.bss_per_region,
+        precision=spec.precision,
+    )
 
 
 def _mobility_for(spec: ScenarioSpec, topo: CityTopology) -> MobilityModel:
@@ -300,8 +306,90 @@ def _expand_fault_events(
     return events
 
 
+def place_population(
+    spec: ScenarioSpec, mobility: MobilityModel, to_index: Callable[[str], int]
+) -> array:
+    """Home every UE: ``out[i] = to_index(<initial BS name of UE i>)``.
+
+    The one consumer of the ``scale.place`` stream and a pure function
+    of (spec, mobility) — which is what makes placement execution-blind:
+    the unsharded engine and the shard partitioner replay the identical
+    draw sequence.  ``to_index`` is called once per distinct BS, in
+    first-appearance order.
+    """
+    rng = RngRegistry(spec.seed).stream("scale.place")
+    bss = spec.bss_per_region
+    idxs: Dict[Any, int] = {}
+    out = array("l")
+    add = out.append
+    if type(mobility).initial_tile is MobilityModel.initial_tile:
+        # Hot path for the base uniform pick: inline both
+        # ``Random.randrange`` rejection loops (bit-identical draw
+        # sequence to ``_randbelow_with_getrandbits``) and key the index
+        # cache by one int — this loop runs once per UE, 500k+ times.
+        tiles = mobility.tiles
+        nt, kt = len(tiles), len(tiles).bit_length()
+        kb = bss.bit_length()
+        grb = rng.getrandbits
+        for _ in range(spec.n_ue):
+            r = grb(kt)
+            while r >= nt:
+                r = grb(kt)
+            b = grb(kb)
+            while b >= bss:
+                b = grb(kb)
+            key = r * bss + b
+            idx = idxs.get(key)
+            if idx is None:
+                idx = idxs[key] = to_index("bs-%s-%d" % (tiles[r], b))
+            add(idx)
+        return out
+    initial_tile = mobility.initial_tile
+    randrange = rng.randrange
+    for _ in range(spec.n_ue):
+        key = (initial_tile(rng), randrange(bss))
+        idx = idxs.get(key)
+        if idx is None:
+            idx = idxs[key] = to_index("bs-%s-%d" % key)
+        add(idx)
+    return out
+
+
+def _region_pct_ms(
+    sketches: Dict[Tuple[str, str], QuantileSketch]
+) -> Dict[str, Dict[str, Dict[str, Optional[float]]]]:
+    """``(region, procedure)`` sketches -> the result's millisecond table."""
+    table: Dict[str, Dict[str, Dict[str, Optional[float]]]] = {}
+    for (region, proc), sketch in sorted(sketches.items()):
+        summary = sketch.summary()
+        out = {"count": summary.get("count", 0.0)}
+        for key, value in summary.items():
+            if key != "count":
+                out[key] = None if value is None else value * 1e3
+        table.setdefault(region, {})[proc] = out
+    return table
+
+
+def _check_mode(mode: str, modes: Tuple[str, ...]) -> None:
+    if mode not in modes:
+        raise ValueError(
+            "mode must be one of %s, got %r" % (", ".join(map(repr, modes)), mode)
+        )
+
+
+def _attach_orch(result: "ScaleResult", controller) -> None:
+    """Ad-hoc result attrs, like ``result.obs_snapshot``: the policy
+    echo, the full action log (the golden witness), and tick stats."""
+    result.orch_policy = controller.policy.to_dict()
+    result.orch_log = list(controller.log)
+    result.orch_summary = controller.summary()
+
+
 class _Engine:
     """One scenario run's mutable state (drivers, churn, sinks)."""
+
+    #: population models this engine can drive (the shard engine narrows it).
+    modes: Tuple[str, ...] = ("cohort", "individual", "batched")
 
     #: shard identity for health rows; the shard engine overrides both.
     shard_idx = 0
@@ -318,21 +406,14 @@ class _Engine:
         verbose_trace: bool = False,
         stream=None,
     ):
-        if mode not in ("cohort", "individual", "batched"):
-            raise ValueError("mode must be 'cohort', 'individual', or 'batched'")
+        _check_mode(mode, self.modes)
         self._wall0 = time.perf_counter()
         self.spec = spec
         self.mode = mode
         self.duration = spec.duration_s
         self.sim = Simulator()
         self.rngs = RngRegistry(spec.seed)
-        self.topo = build_city(
-            l2_regions=spec.l2_regions,
-            l1_per_l2=spec.l1_per_l2,
-            cpfs_per_region=spec.cpfs_per_region,
-            bss_per_region=spec.bss_per_region,
-            precision=spec.precision,
-        )
+        self.topo = _city_for(spec)
         self.dep = Deployment(
             self.sim,
             config_from_name(spec.config),
@@ -366,7 +447,7 @@ class _Engine:
         self._controller = None
         self.orch_policy = None
         self.orch_mutating = False
-        if getattr(spec, "orch_policy", None):
+        if spec.orch_policy:
             from ..orch import OrchPolicy
 
             self.orch_policy = OrchPolicy.from_dict(spec.orch_policy)
@@ -684,138 +765,93 @@ class _Engine:
     # -- population --------------------------------------------------------
 
     def _bootstrap_population(self) -> None:
-        rng = self.rngs.stream("scale.place")
-        bss = self.spec.bss_per_region
-        names: Dict[Tuple[str, int], str] = {}
-        bootstrap = self.driver.bootstrap
-        mobility = self.mobility
-        if type(mobility).initial_tile is MobilityModel.initial_tile:
-            # Hot path for the base uniform pick: inline both
-            # ``Random.randrange`` rejection loops (bit-identical draw
-            # sequence to ``_randbelow_with_getrandbits``) and cache the
-            # name strings — this loop runs once per UE.
-            tiles = mobility.tiles
-            nt, kt = len(tiles), len(tiles).bit_length()
-            kb = bss.bit_length()
-            grb = rng.getrandbits
-            sink = getattr(self.driver, "placement_sink", None)
-            sink = sink() if sink is not None else None
-            if sink is not None:
-                # Lazy drivers take the index directly: same names
-                # registered in the same first-appearance order, minus
-                # a method call and a string-keyed lookup per UE.
-                to_index, set_index = sink
-                idxs: Dict[int, int] = {}
-                for i in range(self.spec.n_ue):
-                    r = grb(kt)
-                    while r >= nt:
-                        r = grb(kt)
-                    b = grb(kb)
-                    while b >= bss:
-                        b = grb(kb)
-                    key = r * bss + b
-                    idx = idxs.get(key)
-                    if idx is None:
-                        idx = idxs[key] = to_index("bs-%s-%d" % (tiles[r], b))
-                    set_index(i, idx)
-                return
-            inames: Dict[int, str] = {}
-            for i in range(self.spec.n_ue):
-                r = grb(kt)
-                while r >= nt:
-                    r = grb(kt)
-                b = grb(kb)
-                while b >= bss:
-                    b = grb(kb)
-                key = r * bss + b
-                name = inames.get(key)
-                if name is None:
-                    name = inames[key] = "bs-%s-%d" % (tiles[r], b)
-                bootstrap(i, name)
+        driver = self.driver
+        placed = place_population(self.spec, self.mobility, driver.bs_index)
+        if driver.lazy:
+            # everything else was prefilled wholesale in setup_lane
+            driver.bs_idx = placed
             return
-        initial_tile = mobility.initial_tile
-        randrange = rng.randrange
-        for i in range(self.spec.n_ue):
-            key = (initial_tile(rng), randrange(bss))
-            name = names.get(key)
-            if name is None:
-                name = names[key] = "bs-%s-%d" % key
-            bootstrap(i, name)
+        names = driver.bs_names
+        for i, idx in enumerate(placed):
+            driver.bootstrap(i, names[idx])
 
     def _spawn(self, i: int, proc: str, target_bs: Optional[str]) -> None:
         self._count("procedures_started")
-        start = getattr(self.driver, "start_procedure", None)
-        if start is not None:
-            start(i, proc, target_bs)
-            return
-        self.sim.process(
-            self.driver.run_procedure(i, proc, target_bs), name="scale." + proc
-        )
+        self.driver.start_procedure(i, proc, target_bs)
 
-    # -- the merged aggregated-Poisson arrival driver ----------------------
-
-    def _population_n(self) -> int:
-        """Population driving the aggregate arrival rates (local, sharded)."""
-        return self.spec.n_ue
+    # -- the merged arrival driver ------------------------------------------
 
     def _traffic(self):
-        spec, sim, n = self.spec, self.sim, self._population_n()
-        svc_rng = self.rngs.stream("scale.svc")
-        move_rng = self.rngs.stream("scale.move")
-        tau_rng = self.rngs.stream("scale.tau")
+        """Play every ``(arrival times, handler)`` stream in time order.
+
+        The merge advances a stream only after its last arrival was
+        handled, so a handler sharing its stream's RNG (mobility) draws
+        before the next inter-arrival does.
+        """
+        sim = self.sim
+        streams = (
+            self._model_streams()
+            if self.spec.traffic_model
+            else self._poisson_streams()
+        )
+        handlers = [handler for _times, handler in streams]
+        for t, idx in heapq.merge(
+            *[zip(times, repeat(idx)) for idx, (times, _h) in enumerate(streams)]
+        ):
+            if t >= self.duration:
+                return
+            if t > sim.now:
+                yield sim.timeout(t - sim.now)
+            handlers[idx](t)
+
+    def _poisson_streams(self):
+        """Service / mobility / TAU as three aggregated Poisson streams.
+
+        Aggregate rates are the driven population times the per-UE
+        rates, the affected UE picked uniformly per arrival
+        (superposition of n independent Poisson processes).
+        """
+        spec, n = self.spec, self.driver.n
         pick_rng = self.rngs.stream("scale.pick")
-        svc_rate = n * spec.service_rate_per_ue
-        tau_rate = n * spec.tau_rate_per_ue
-        move_base = n * spec.mobility_rate_per_ue
+        move_rng = self.rngs.stream("scale.move")
         # mobility models with a wave window get a boosted rate inside
         # it; sample at the peak of the piecewise-constant intensity and
         # thin wherever the local rate sits below that peak (the
         # Lewis-Shedler candidate rate must dominate the true rate
         # everywhere — a boost < 1, a wave-window *lull*, therefore
-        # samples at the base rate and thins inside the window, where
-        # the old code under-sampled the whole run at base*boost).
+        # samples at the base rate and thins inside the window).
         windowed = spec.mobility_model in ("commute", "flash_crowd")
         boost = spec.wave_mobility_boost if windowed else 1.0
         peak_mult = max(boost, 1.0)
-        move_peak = move_base * peak_mult
         w0 = spec.wave_window[0] * self.duration
         w1 = spec.wave_window[1] * self.duration
 
-        inf = float("inf")
-
-        def draw(rng, rate: float) -> float:
-            return rng.expovariate(rate) if rate > 0.0 else inf
-
-        t_svc = draw(svc_rng, svc_rate)
-        t_move = draw(move_rng, move_peak)
-        t_tau = draw(tau_rng, tau_rate)
-        while True:
-            t = min(t_svc, t_move, t_tau)
-            if t >= self.duration:
-                return
-            if t > sim.now:
-                yield sim.timeout(t - sim.now)
-            if t == t_svc:
-                self._arrival_service(pick_rng)
-                t_svc = t + draw(svc_rng, svc_rate)
-            elif t == t_move:
-                mult = boost if w0 <= t < w1 else 1.0
-                # acceptance with probability mult/peak_mult; skip the
-                # draw entirely at probability 1 so the boost >= 1 RNG
-                # sequence (pinned by determinism witnesses) is
-                # untouched by the boost < 1 fix
-                accept = mult >= peak_mult or (
-                    move_rng.random() * peak_mult < mult
-                )
-                if accept:
-                    self._count("moves_accepted")
-                    self._arrival_move(pick_rng, move_rng)
-                else:
-                    self._count("moves_thinned")
-                t_move = t + draw(move_rng, move_peak)
+        def move(t: float) -> None:
+            # the window is decided on the arrival instant itself, not
+            # on sim.now (which reaches it through a float subtraction)
+            mult = boost if w0 <= t < w1 else 1.0
+            # acceptance with probability mult/peak_mult; skip the draw
+            # entirely at probability 1 so the boost >= 1 RNG sequence
+            # (pinned by determinism witnesses) is untouched by the
+            # boost < 1 fix
+            if mult >= peak_mult or move_rng.random() * peak_mult < mult:
+                self._count("moves_accepted")
+                self._arrival_move(pick_rng, move_rng)
             else:
-                self._arrival_tau(pick_rng)
-                t_tau = t + draw(tau_rng, tau_rate)
+                self._count("moves_thinned")
+
+        streams = [
+            ("scale.svc", n * spec.service_rate_per_ue,
+             _at_any_time(self._arrival_service, pick_rng)),
+            ("scale.move", n * spec.mobility_rate_per_ue * peak_mult, move),
+            ("scale.tau", n * spec.tau_rate_per_ue,
+             _at_any_time(self._arrival_tau, pick_rng)),
+        ]
+        return [
+            (poisson_arrivals(rate, self.duration, self.rngs.stream(name)), handler)
+            for name, rate, handler in streams
+            if rate > 0.0
+        ]
 
     def _class_count(self, lo: int, hi: int) -> int:
         """How many of the UEs in global slice [lo, hi) this engine drives."""
@@ -917,11 +953,12 @@ class _Engine:
                     proc, class_n, self.duration, rng,
                     model=model, rate_scale=scale,
                 )
-                if proc.procedure == "service_request":
-                    handler = self._handler_service(pick_rng, lo, hi)
-                else:
-                    handler = self._handler_tau(pick_rng, lo, hi)
-                streams.append((times, handler))
+                arrival = (
+                    self._arrival_service
+                    if proc.procedure == "service_request"
+                    else self._arrival_tau
+                )
+                streams.append((times, _at_any_time(arrival, pick_rng, lo, hi)))
             if cls.mobility_mean_s > 0:
                 move_rng = self.rngs.stream(
                     "traffic.%s.mobility" % cls.name
@@ -929,10 +966,13 @@ class _Engine:
                 move_dist = Exponential(
                     cls.mobility_mean_s / (class_n * scale)
                 )
-                times = _bounded_renewal(move_dist, self.duration, move_rng)
-                streams.append(
-                    (times, self._handler_move(pick_rng, move_rng, lo, hi))
+                times = modulated_arrivals(
+                    move_dist.sample, self.duration, move_rng
                 )
+                streams.append((
+                    times,
+                    _at_any_time(self._arrival_move, pick_rng, move_rng, lo, hi),
+                ))
         for storm in model.storms:
             lo, hi = ranges[storm.device_class]
             rng = self.rngs.stream("traffic.storm." + storm.name)
@@ -940,22 +980,11 @@ class _Engine:
                 storm_times(storm, self._class_count(lo, hi), self.duration, rng)
             )
             pick_rng = self.rngs.stream("traffic.pick." + storm.device_class)
-            streams.append(
-                (times, self._handler_storm(storm, pick_rng, lo, hi))
-            )
+            streams.append((
+                times,
+                _at_any_time(self._arrival_storm, storm, pick_rng, lo, hi),
+            ))
         return streams
-
-    def _handler_service(self, pick_rng, lo, hi):
-        return lambda: self._arrival_service(pick_rng, lo, hi)
-
-    def _handler_tau(self, pick_rng, lo, hi):
-        return lambda: self._arrival_tau(pick_rng, lo, hi)
-
-    def _handler_move(self, pick_rng, move_rng, lo, hi):
-        return lambda: self._arrival_move(pick_rng, move_rng, lo, hi)
-
-    def _handler_storm(self, storm, pick_rng, lo, hi):
-        return lambda: self._arrival_storm(storm, pick_rng, lo, hi)
 
     def _arrival_storm(self, storm, pick_rng, lo, hi) -> None:
         self._count("storm_arrivals")
@@ -980,21 +1009,6 @@ class _Engine:
             self._spawn(i, "attach", None)
             return
         self._spawn(i, proc, None)
-
-    def _traffic_modeled(self):
-        """Merged measured-model arrival process (replaces ``_traffic``)."""
-        sim = self.sim
-        streams = self._model_streams()
-        handlers = [h for _t, h in streams]
-        merged = heapq.merge(
-            *[_tag(times, idx) for idx, (times, _h) in enumerate(streams)]
-        )
-        for t, idx in merged:
-            if t >= self.duration:
-                break
-            if t > sim.now:
-                yield sim.timeout(t - sim.now)
-            handlers[idx]()
 
     # -- ring churn --------------------------------------------------------
 
@@ -1031,40 +1045,56 @@ class _Engine:
             else:
                 raise ValueError("unknown churn kind %r" % (kind,))
 
+    # Every engine applies every ring change (node state must flip
+    # identically in every ghost topology, and re-placing *local* UEs
+    # is per-shard work); only the owner of the tile counts the event
+    # and evacuates — the rule the ``_orch_*`` actions follow.
+
     def _churn_add(self, tile: str):
+        owns = self._owns_region(tile)
         if tile in self.dep.region_map.regions:
-            self._count("churn_add_skipped")
+            if owns:
+                self._count("churn_add_skipped")
             return
         self.dep.add_region(
             region_for_tile(
                 tile, self.spec.cpfs_per_region, self.spec.bss_per_region
             )
         )
-        self._count("regions_added")
+        if owns:
+            self._count("regions_added")
         self._refresh_mobility()
         yield from self._rebalance()
 
     def _churn_remove(self, tile: str):
-        if tile not in self.dep.region_map.regions:
-            self._count("churn_remove_skipped")
+        owns = self._owns_region(tile)
+        regions = self.dep.region_map.regions
+        if tile not in regions:
+            if owns:
+                self._count("churn_remove_skipped")
             return
         # Stop steering traffic into the tile before draining it.
-        remaining = [t for t in self.dep.region_map.regions if t != tile]
+        remaining = [t for t in regions if t != tile]
         self.mobility.set_adjacency(tile_adjacency(remaining))
-        exits = [t for t in remaining if t != tile] or remaining
-        full = tile_adjacency(sorted(self.dep.region_map.regions))
-        neighbours = [t for t in full.get(tile, ()) if t in set(remaining)]
-        if neighbours:
-            exits = neighbours
-        yield from self._evacuate(tile, exits)
+        if owns:
+            # no UE lives under a foreign parent (in-flight immigrants
+            # land under owned ones), so only the owner has evacuees
+            neighbours = [
+                t
+                for t in tile_adjacency(sorted(regions)).get(tile, ())
+                if t in remaining
+            ]
+            yield from self._evacuate(tile, neighbours or remaining)
         # Detached UEs have no serving region to hand over from; their
         # placements just dissolve (a later attach re-derives them).
         for ue_id, placement in list(self.dep.placements_items()):
             if placement.region == tile:
                 self.dep.drop_placement(ue_id)
-                self._count("placements_dropped")
+                if owns:
+                    self._count("placements_dropped")
         self.dep.retire_region(tile)
-        self._count("regions_removed")
+        if owns:
+            self._count("regions_removed")
         yield from self._rebalance()
 
     def _evacuees(self, tile: str) -> List[int]:
@@ -1095,18 +1125,25 @@ class _Engine:
         if leftovers:  # pragma: no cover - three passes always drain
             self._count("evacuation_incomplete", len(leftovers))
 
+    def _idle_after(self, i: int, delay: float, skipped: str):
+        """Stagger by ``delay``, then poll until UE ``i`` is idle.
+
+        Returns False — counting ``skipped`` — when the UE stayed
+        mid-procedure for all ``_BUSY_TRIES`` polls.
+        """
+        if delay > 0.0:
+            yield self.sim.timeout(delay)
+        for _ in range(_BUSY_TRIES):
+            if not self.driver.busy[i]:
+                return True
+            yield self.sim.timeout(_BUSY_POLL_S)
+        self._count(skipped)
+        return False
+
     def _rehome_one(self, i: int, tile: str, exits: List[str], delay: float):
         try:
-            if delay > 0.0:
-                yield self.sim.timeout(delay)
-            for _ in range(_BUSY_TRIES):
-                if not self.driver.busy[i]:
-                    break
-                yield self.sim.timeout(_BUSY_POLL_S)
-            else:
-                self._count("rehome_busy_skipped")
-                return
-            if not self.driver.attached[i]:
+            idle = yield from self._idle_after(i, delay, "rehome_busy_skipped")
+            if not idle or not self.driver.attached[i]:
                 return
             cur = self.driver.bs_of(i).split("-")[1]
             if cur != tile:  # wandered out on its own
@@ -1156,17 +1193,13 @@ class _Engine:
 
     def _replace_one(self, ue_id: str, delay: float):
         try:
-            if delay > 0.0:
-                yield self.sim.timeout(delay)
+            # slots are never deleted and a placement exists only for a
+            # UE that has one, so the lookup cannot change over the wait
             i = self._slot_for(ue_id)
             if i is None:
                 return
-            for _ in range(_BUSY_TRIES):
-                if not self.driver.busy[i]:
-                    break
-                yield self.sim.timeout(_BUSY_POLL_S)
-            else:
-                self._count("replace_busy_skipped")
+            idle = yield from self._idle_after(i, delay, "replace_busy_skipped")
+            if not idle:
                 return
             placement = self.dep.placement_of(ue_id)
             if placement is None:
@@ -1243,12 +1276,7 @@ class _Engine:
         """Install population, faults and arrival processes (no sim yet)."""
         self._bootstrap_population()
         self.injector.install()
-        traffic = (
-            self._traffic_modeled()
-            if self.spec.traffic_model
-            else self._traffic()
-        )
-        self.sim.process(traffic, name="scale.traffic")
+        self.sim.process(self._traffic(), name="scale.traffic")
         if self.spec.churn_events:
             self.sim.process(self._churn(), name="scale.churn")
         if self.orch_policy is not None:
@@ -1266,26 +1294,12 @@ class _Engine:
         end = self.sim.run()
         result = self.finish(end)
         if self._controller is not None:
-            # ad-hoc attrs, like result.obs_snapshot: the policy echo,
-            # the full action log (the golden witness), and tick stats
-            result.orch_policy = self._controller.policy.to_dict()
-            result.orch_log = list(self._controller.log)
-            result.orch_summary = self._controller.summary()
+            _attach_orch(result, self._controller)
         return result
 
     def finish(self, end: float) -> ScaleResult:
         """Flush the lane trace and assemble the result after the sim ran."""
-        flush = getattr(self.driver, "flush_trace", None)
-        if flush is not None:
-            flush()
-        region_pct_ms: Dict[str, Dict[str, Dict[str, Optional[float]]]] = {}
-        for (region, proc), sketch in sorted(self.sketches.items()):
-            summary = sketch.summary()
-            out = {"count": summary.get("count", 0.0)}
-            for key, value in summary.items():
-                if key != "count":
-                    out[key] = None if value is None else value * 1e3
-            region_pct_ms.setdefault(region, {})[proc] = out
+        self.driver.flush_trace()
         auditor = self.dep.auditor
         return ScaleResult(
             scenario=self.spec.name,
@@ -1304,14 +1318,10 @@ class _Engine:
             reattached=self.driver.reattached,
             counters=dict(self.counters),
             fault_counters=dict(self.injector.fault_counters()),
-            region_pct_ms=region_pct_ms,
+            region_pct_ms=_region_pct_ms(self.sketches),
             digest=self.trace.digest(),
             trace_events=len(self.trace),
-            lane=(
-                self.driver.lane_stats()
-                if hasattr(self.driver, "lane_stats")
-                else {}
-            ),
+            lane=self.driver.lane_stats(),
             perf={
                 "wall_s": time.perf_counter() - self._wall0,
                 "peak_rss_kb": peak_rss_kb(),

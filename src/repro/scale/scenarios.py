@@ -56,7 +56,7 @@ class ScenarioSpec:
     mobility_rate_per_ue: float = 1.0 / 120.0
     tau_rate_per_ue: float = 1.0 / 600.0
     #: measured traffic model (``repro.traffic.models`` name); None =
-    #: the legacy merged-Poisson superposition driver
+    #: the merged-Poisson superposition streams
     traffic_model: Optional[str] = None
     #: multiplier on every model process/mobility rate — lets small-N
     #: test runs keep realistic per-device means but enough arrivals

@@ -19,17 +19,18 @@ A full cross-parent handover executes *entirely inside the source
 shard* against its ghost copy of the destination region (every node
 exists in every shard; UE state lives only in the owning shard's
 deployment).  On completion the UE is torn down locally and a small
-migration record — ``(gid, version, runs, clock, serving bs, t)`` — is
-carried over the inter-process channel and installed in the destination
-shard at ``t + Δ`` via :meth:`~repro.core.deployment.Deployment.install_migrated`,
-preserving the RYW reader floor across the process boundary.
+migration record — a :class:`Migration` ``(dst, gid, version, runs,
+clock, bs, t)`` — is carried over the inter-process channel and
+installed in the destination shard at ``t + Δ`` via
+:meth:`~repro.core.deployment.Deployment.install_migrated`, preserving
+the RYW reader floor across the process boundary.
 
 **Observability channel.** When tracing is installed, a trace-link id
-rides *alongside* the migration record as an extra trailing element —
-the obs channel.  Sim-side consumers index only the first seven
-fields, the EventTrace records never include the link, and the link
-allocator draws no randomness, so the merged digest is bit-identical
-with or without tracing (the sharded obs witness pins this).  At merge
+rides *alongside* the migration record in its optional ``link`` field —
+the obs channel.  No sim-side consumer reads ``link``, the EventTrace
+records never include it, and the link allocator draws no randomness,
+so the merged digest is bit-identical with or without tracing (the
+sharded obs witness pins this).  At merge
 time each shard exports its bounded-retention span table plus the
 flow tables keyed by link id, and the coordinator stitches one
 Chrome/Perfetto trace with one process per shard and flow events
@@ -52,27 +53,32 @@ bit-deterministic: each shard is a pure function of (spec, shard index)
 — per-shard RNG registries are forked as ``shard:<k>`` — record routing
 and install order are fixed by (shard order, emission order), and the
 merged EventTrace orders records by ``(time, shard, seq)``
-(:func:`~repro.faults.trace.merge_traces`).  The serial inline backend
-and the multi-process backend run the identical engine call sequence,
-so they produce identical digests — which is how CI pins the witness on
-single-core runners.  A sharded trajectory is *not* identical to the
-unsharded one (ghost regions do not see other shards' load);
-``--shards 1`` bypasses all of this and is bit-identical to today.
+(:func:`~repro.faults.trace.merge_traces`).  A worker process *is* an
+:class:`_InlineHost` behind a pipe, so the serial inline backend and the
+multi-process backend run the identical engine call sequence by
+construction and produce identical digests — which is how CI pins the
+witness on single-core runners.  A sharded trajectory is *not*
+identical to the unsharded one (ghost regions do not see other shards'
+load); ``--shards 1`` bypasses all of this and is bit-identical to today.
 
 Fault plans are partitioned so region-attributable ops (``*_cpf`` /
 ``*_cta``) are *owned* (counted + traced) by the shard owning the
 target's parent and silently mirrored everywhere else — node state
 flips identically in every ghost topology.  Ring churn works the same
-way: every shard applies the ring change (placement rebalance is
-per-shard work); only the owner runs evacuation and counts the event.
+way (``_Engine._churn_add`` / ``_churn_remove``): every shard applies
+the ring change (placement rebalance is per-shard work); only the owner
+runs evacuation and counts the event.
 """
 
 from __future__ import annotations
 
 import time
+import traceback
+from contextlib import contextmanager
+from functools import partial
 from array import array
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..faults.injector import region_of
 from ..faults.trace import merge_traces
@@ -88,13 +94,19 @@ from .cohort import BatchedDriver, CohortDriver
 from .engine import (
     ScaleResult,
     _Engine,
+    _city_for,
     _mobility_for,
+    _attach_orch,
+    _check_mode,
     peak_rss_kb,
+    place_population,
+    _region_pct_ms,
+    run_scenario,
 )
 from .scenarios import ScenarioSpec, get_scenario
-from .topology import build_city, region_for_tile, tile_adjacency
 
 __all__ = [
+    "Migration",
     "ShardMap",
     "ShardEngine",
     "city_parents",
@@ -127,6 +139,21 @@ _DEFAULT_SPAN_KEEP = 32
 
 
 # ------------------------------------------------------------------ partition
+
+
+class Migration(NamedTuple):
+    """One emigrated UE on the inter-shard channel."""
+
+    dst: int  #: destination shard
+    gid: int
+    version: int
+    runs: int
+    clock: Any
+    bs: str  #: serving BS at the destination
+    t: float  #: completion instant at the source; installs at ``t + Δ``
+    #: obs channel: trace-link id joining the emigrating procedure to
+    #: its ``shard.install_migrated`` continuation (tracing only)
+    link: Optional[str] = None
 
 
 class ShardMap:
@@ -181,14 +208,7 @@ class ShardMap:
 
 def city_parents(spec: ScenarioSpec) -> List[str]:
     """Sorted level-2 parents of the spec's city (the shardable units)."""
-    topo = build_city(
-        l2_regions=spec.l2_regions,
-        l1_per_l2=spec.l1_per_l2,
-        cpfs_per_region=spec.cpfs_per_region,
-        bss_per_region=spec.bss_per_region,
-        precision=spec.precision,
-    )
-    return sorted({t[:-1] for t in topo.tiles})
+    return sorted({t[:-1] for t in _city_for(spec).tiles})
 
 
 def shard_lookahead(spec: ScenarioSpec) -> float:
@@ -210,40 +230,24 @@ def partition_population(
 ) -> Tuple[List[str], List[Tuple[array, array]]]:
     """Home every UE, replaying the global placement draw sequence once.
 
-    Runs the generic ``scale.place`` loop (initial tile + BS pick per
-    UE) exactly as the single-process engine would, then routes each
+    Places the population exactly as the single-process engine does
+    (:func:`~repro.scale.engine.place_population`), then routes each
     ``(gid, bs)`` to the owner of its tile's parent.  Returns the BS
     name table plus per-shard ``(gid array, bs-name-index array)`` —
     compact enough to ship 1M homes over a pipe.
     """
-    topo = build_city(
-        l2_regions=spec.l2_regions,
-        l1_per_l2=spec.l1_per_l2,
-        cpfs_per_region=spec.cpfs_per_region,
-        bss_per_region=spec.bss_per_region,
-        precision=spec.precision,
-    )
-    mobility = _mobility_for(spec, topo)
-    rng = RngRegistry(spec.seed).stream("scale.place")
-    bss = spec.bss_per_region
-    initial_tile = mobility.initial_tile
-    randrange = rng.randrange
     bs_names: List[str] = []
-    name_idx: Dict[Tuple[str, int], int] = {}
-    owner_cache: Dict[str, int] = {}
+
+    def to_index(name: str) -> int:
+        bs_names.append(name)
+        return len(bs_names) - 1
+
+    placed = place_population(spec, _mobility_for(spec, _city_for(spec)), to_index)
+    owners = [shard_map.owner_of_tile(name.split("-")[1]) for name in bs_names]
     gids = [array("l") for _ in range(shard_map.shards)]
     bsidx = [array("l") for _ in range(shard_map.shards)]
-    for gid in range(spec.n_ue):
-        tile = initial_tile(rng)
-        b = randrange(bss)
-        key = (tile, b)
-        idx = name_idx.get(key)
-        if idx is None:
-            idx = name_idx[key] = len(bs_names)
-            bs_names.append("bs-%s-%d" % key)
-        owner = owner_cache.get(tile)
-        if owner is None:
-            owner = owner_cache[tile] = shard_map.owner_of_tile(tile)
+    for gid, idx in enumerate(placed):
+        owner = owners[idx]
         gids[owner].append(gid)
         bsidx[owner].append(idx)
     return bs_names, list(zip(gids, bsidx))
@@ -263,7 +267,8 @@ class _ShardSlots:
     emigrated: state was torn down here and arrivals must skip it.
     """
 
-    def init_shard(self, engine) -> None:
+    def __init__(self, dep, bs_names: List[str], engine):
+        super().__init__(dep, bs_names, 0)
         self.engine = engine
         self.ids = array("l")
         self.slot_of: Dict[int, int] = {}
@@ -295,38 +300,16 @@ class _ShardSlots:
 
 
 class ShardCohortDriver(_ShardSlots, CohortDriver):
-    def __init__(self, dep, bs_names: List[str], engine):
-        CohortDriver.__init__(self, dep, bs_names, 0)
-        self.init_shard(engine)
+    pass
 
 
 class ShardBatchedDriver(_ShardSlots, BatchedDriver):
-    def __init__(self, dep, bs_names: List[str], engine):
-        BatchedDriver.__init__(self, dep, bs_names, 0)
-        self.init_shard(engine)
-
     def add_slot(self, gid: int) -> int:
         new = gid not in self.slot_of
         i = super().add_slot(gid)
         if new:
             self._booted.append(0)
         return i
-
-    def bootstrap(self, i: int, bs_name: str) -> None:
-        if self._lazy:
-            # per-slot version of BatchedDriver.setup_lane's wholesale
-            # prefill: the slot array grows one UE at a time here
-            self.version[i] = 1
-            self.attached[i] = 1
-            self.bs_idx[i] = self.bs_index(bs_name)
-            self.dep.auditor.writes += 1
-        else:
-            CohortDriver.bootstrap(self, i, bs_name)
-            self._booted[i] = 1
-
-    def placement_sink(self):
-        # the shard engine installs its precomputed population itself
-        return None
 
 
 # ------------------------------------------------------------------ engine
@@ -338,6 +321,8 @@ class ShardEngine(_Engine):
     #: sharded runs tick at the coordinator (actions arrive in step
     #: messages); the engine-side loop must stay dormant.
     _local_controller = False
+    #: the individual conformance driver is single-process by design
+    modes = ("cohort", "batched")
 
     def __init__(
         self,
@@ -351,17 +336,11 @@ class ShardEngine(_Engine):
         obs=None,
         verbose_trace: bool = False,
     ):
-        if mode not in ("cohort", "batched"):
-            raise ValueError(
-                "sharded runs support modes 'cohort' and 'batched', got %r"
-                % (mode,)
-            )
         self.shard_idx = shard_idx
         self.n_shards = shards
         self._pop_gids, self._pop_bsidx = population
         self._pop_bs_names = bs_name_list
         self.delta = delta
-        self._obs = obs
         super().__init__(spec, mode=mode, obs=obs, verbose_trace=verbose_trace)
         self.shard_map = ShardMap(
             sorted({t[:-1] for t in self.topo.tiles}), shards
@@ -372,8 +351,7 @@ class ShardEngine(_Engine):
         self.rngs = RngRegistry(spec.seed).fork("shard:%d" % shard_idx)
         self._sketch_spill = _SHARD_SKETCH_SPILL
         self._buckets: Dict[Tuple[int, Optional[int]], List[int]] = {}
-        self._outbox: List[tuple] = []
-        self._owner_cache: Dict[str, int] = {}
+        self._outbox: List[Migration] = []
         #: deterministic trace-link allocator for migration flow events.
         self._next_link = 0
         # Partition the fault plan *after* driver construction: lane
@@ -427,7 +405,7 @@ class ShardEngine(_Engine):
         repair legs); the wrapper makes that channel load observable.
         """
         inner = self.dep.hop
-        owner_of = self._owner_of_parent
+        owner_of = self.shard_map.owner_of_parent
         counters = self.counters
 
         def hop(hop_class, nbytes, src=None, dst=None, parent=None):
@@ -449,21 +427,10 @@ class ShardEngine(_Engine):
 
         self.dep.hop = hop
 
-    def _owner_of_parent(self, parent: str) -> int:
-        owner = self._owner_cache.get(parent)
-        if owner is None:
-            owner = self._owner_cache[parent] = self.shard_map.owner_of_parent(
-                parent
-            )
-        return owner
-
-    def _owns_tile(self, tile: str) -> bool:
-        return self._owner_of_parent(tile[:-1]) == self.shard_idx
-
     def _owns_region(self, tile: str) -> bool:
-        # orchestration-action ownership == tile ownership: counters and
-        # trace records for an applied action come from one shard only
-        return self._owns_tile(tile)
+        # counters and trace records for a churn event or an applied
+        # orchestration action come from one shard only
+        return self.shard_map.owner_of_tile(tile) == self.shard_idx
 
     # -- population --------------------------------------------------------
 
@@ -472,12 +439,11 @@ class ShardEngine(_Engine):
         names = self._pop_bs_names
         bsidx = self._pop_bsidx
         gids = self._pop_gids
-        if getattr(driver, "_lazy", False) and driver.n == 0:
-            # bulk equivalent of add_slot + lazy bootstrap per UE —
-            # pure array/dict fills (no RNG, no events, no trace), so
-            # the slot state is bit-identical to the loop below at a
-            # fraction of the cost; this is the shard-side analogue of
-            # BatchedDriver.setup_lane's wholesale prefill
+        if driver.lazy:
+            # the shard-side analogue of BatchedDriver.setup_lane's
+            # wholesale prefill (which saw an empty driver here) plus
+            # the engine's wholesale ``bs_idx`` install: pure array/dict
+            # fills — no RNG, no events, no trace
             n = len(gids)
             bsmap = [driver.bs_index(nm) for nm in names]
             driver.ids = array("l", gids)
@@ -485,23 +451,15 @@ class ShardEngine(_Engine):
             driver.attached = bytearray(b"\x01") * n
             driver.busy = bytearray(n)
             driver.version = array("q", [1]) * n
-            if bsmap == list(range(len(names))):
-                driver.bs_idx = array("l", bsidx)
-            else:
-                driver.bs_idx = array("l", map(bsmap.__getitem__, bsidx))
+            driver.bs_idx = array("l", map(bsmap.__getitem__, bsidx))
             driver.runs = array("l", [0]) * n
             driver.gone = bytearray(n)
             driver._booted = bytearray(n)
             driver.n = n
             driver.dep.auditor.writes += n
             return
-        add_slot = driver.add_slot
-        bootstrap = driver.bootstrap
-        for k, gid in enumerate(gids):
-            bootstrap(add_slot(gid), names[bsidx[k]])
-
-    def _population_n(self) -> int:
-        return self.driver.n
+        for gid, idx in zip(gids, bsidx):
+            driver.bootstrap(driver.add_slot(gid), names[idx])
 
     def _bucket(self, lo: int, hi: Optional[int]) -> List[int]:
         bucket = self._buckets.get((lo, hi))
@@ -546,41 +504,6 @@ class ShardEngine(_Engine):
             and driver.bs_of(i).split("-")[1] == tile
         ]
 
-    # -- churn mirroring ---------------------------------------------------
-
-    def _churn_add(self, tile: str):
-        if self._owns_tile(tile):
-            yield from super()._churn_add(tile)
-            return
-        if tile in self.dep.region_map.regions:
-            return
-        # mirror: same ring change, no ownership counters/evacuation —
-        # but re-placement of *local* UEs is this shard's own work
-        self.dep.add_region(
-            region_for_tile(
-                tile, self.spec.cpfs_per_region, self.spec.bss_per_region
-            )
-        )
-        self._refresh_mobility()
-        yield from self._rebalance()
-
-    def _churn_remove(self, tile: str):
-        if self._owns_tile(tile):
-            yield from super()._churn_remove(tile)
-            return
-        if tile not in self.dep.region_map.regions:
-            return
-        remaining = [t for t in self.dep.region_map.regions if t != tile]
-        self.mobility.set_adjacency(tile_adjacency(remaining))
-        # no local UEs live under a foreign parent (in-flight immigrants
-        # land under owned parents), so there is nothing to evacuate;
-        # drop any placement defensively and retire the ghost region
-        for ue_id, placement in list(self.dep.placements_items()):
-            if placement.region == tile:
-                self.dep.drop_placement(ue_id)
-        self.dep.retire_region(tile)
-        yield from self._rebalance()
-
     # -- migration protocol ------------------------------------------------
 
     def _after_procedure(self, i: int) -> None:
@@ -589,25 +512,15 @@ class ShardEngine(_Engine):
         if driver.gone[i] or not driver.attached[i]:
             return
         bs_name = driver.bs_of(i)
-        parent = bs_name.split("-")[1][:-1]
-        if self._owner_of_parent(parent) == self.shard_idx:
+        dst = self.shard_map.owner_of_tile(bs_name.split("-")[1])
+        if dst == self.shard_idx:
             return
-        gid = driver.ids[i]
         ue_id = driver.ue_id(i)
         now = self.sim.now
-        rec = (
-            self._owner_of_parent(parent),
-            gid,
-            driver.version[i],
-            driver.runs[i],
-            self.dep.clock_of(ue_id),
-            bs_name,
-            now,
-        )
+        link = None
         obs = self._obs
         if obs is not None and obs.mode == "trace":
-            # obs channel: a trace-link id rides past the sim record's
-            # seven fields.  Sim consumers index [:7] only; the trace
+            # obs channel: no sim consumer reads the link and the trace
             # records below never mention it — digest-transparent.
             link = "m%d:%d" % (self.shard_idx, self._next_link)
             self._next_link += 1
@@ -615,9 +528,13 @@ class ShardEngine(_Engine):
             span_id = (
                 last[0] if last is not None and last[1] == ue_id else None
             )
-            obs.note_migration_out(link, span_id, now, ue_id, rec[0])
-            rec = rec + (link,)
-        self._outbox.append(rec)
+            obs.note_migration_out(link, span_id, now, ue_id, dst)
+        self._outbox.append(
+            Migration(
+                dst, driver.ids[i], driver.version[i], driver.runs[i],
+                self.dep.clock_of(ue_id), bs_name, now, link,
+            )
+        )
         driver.gone[i] = 1
         driver.attached[i] = 0
         self.dep.drop_placement(ue_id)
@@ -628,36 +545,31 @@ class ShardEngine(_Engine):
             now,
             "shard_migrate_out",
             ue=ue_id,
-            to=self._owner_of_parent(parent),
+            to=dst,
             bs=bs_name,
             version=driver.version[i],
         )
 
-    def deliver(self, records: List[tuple]) -> None:
+    def deliver(self, records: List[Migration]) -> None:
         """Schedule immigrant installs at their conservative arrival times."""
         for rec in records:
-            self.sim.schedule_at(rec[6] + self.delta, self._install, rec)
+            self.sim.schedule_at(rec.t + self.delta, self._install, rec)
 
-    def _install(self, rec: tuple) -> None:
-        # indexed access: the record may carry a trailing obs-channel
-        # trace-link id past the seven sim fields
-        _dst, gid, version, runs, clock, bs_name, _t = rec[:7]
-        link = rec[7] if len(rec) > 7 else None
+    def _install(self, rec: Migration) -> None:
+        gid, version, bs_name = rec.gid, rec.version, rec.bs
         driver = self.driver
         new = gid not in driver.slot_of
         i = driver.add_slot(gid)
         driver.gone[i] = 0
         driver.busy[i] = 0
-        driver.runs[i] = runs
+        driver.runs[i] = rec.runs
         driver.version[i] = version
         driver.bs_idx[i] = driver.bs_index(bs_name)
-        booted = getattr(driver, "_booted", None)
-        if booted is not None:
-            booted[i] = 1  # state arrives installed; never lazy-boot it
+        driver.mark_booted(i)
         ue_id = driver.ue_id(i)
         self._count("migrations_in")
         try:
-            self.dep.install_migrated(ue_id, bs_name, version, clock)
+            self.dep.install_migrated(ue_id, bs_name, version, rec.clock)
         except LookupError:
             # destination region dark at arrival: the UE re-enters
             # detached, exactly like a procedure abort mid-recovery
@@ -680,7 +592,7 @@ class ShardEngine(_Engine):
             obs.tracer.finish(
                 span, status="ok" if driver.attached[i] else "detached"
             )
-            obs.note_migration_in(link, span.span_id, self.sim.now, ue_id)
+            obs.note_migration_in(rec.link, span.span_id, self.sim.now, ue_id)
         self.trace.record(
             self.sim.now,
             "shard_migrate_in",
@@ -698,34 +610,24 @@ class ShardEngine(_Engine):
     def advance(self, until: float) -> None:
         self.sim.run(until=until)
 
-    def pending(self) -> bool:
-        return bool(self.sim._heap or self.sim._immediate)
-
     def next_event_s(self) -> float:
         """Earliest instant this shard could execute (hence emit) anything.
 
         ``run(until)`` drains the immediate queue before returning, so
         after an epoch step the answer is simply the heap head (or +inf
         when drained).  The coordinator uses the minimum across shards
-        to fast-forward over event-free epochs — see ``_epoch_loop``.
+        to fast-forward over event-free epochs, and +inf everywhere as
+        its drained test — see ``_epoch_loop``.
         """
         if self.sim._immediate:
             return self.sim.now
         heap = self.sim._heap
         return heap[0][0] if heap else float("inf")
 
-    def take_outbox(self) -> List[tuple]:
+    def take_outbox(self) -> List[Migration]:
         out = self._outbox
         self._outbox = []
         return out
-
-    def owned_region_count(self) -> int:
-        return sum(
-            1 for t in self.dep.region_map.regions if self._owns_tile(t)
-        )
-
-    # health_row lives on _Engine now (the single-process orchestrator
-    # reads the identical row); this class only overrides ownership.
 
     def finish_payload(self) -> Dict[str, Any]:
         """Everything the coordinator needs to merge this shard's run."""
@@ -746,7 +648,9 @@ class ShardEngine(_Engine):
             "result": result,
             "records": list(self.trace.records),
             "sketches": dict(self.sketches),
-            "owned_regions": self.owned_region_count(),
+            "owned_regions": sum(
+                map(self._owns_region, self.dep.region_map.regions)
+            ),
             "parents": self.shard_map.owned_parents(self.shard_idx),
             "violations_sample": samples,
             "n_local": len(self._pop_gids),
@@ -763,31 +667,30 @@ class ShardEngine(_Engine):
 # ------------------------------------------------------------------ backends
 
 
-def _host_step(
-    engine: ShardEngine,
-    until: float,
-    inbox: List[tuple],
-    want_health: bool = False,
-    actions: Optional[List[dict]] = None,
-):
-    # orchestration actions apply at the epoch boundary, before this
-    # epoch's deliveries and advance — every shard sees the identical
-    # action list at the identical sim state, so ring/node mutations
-    # mirror deterministically
-    if actions:
-        engine.apply_actions(actions)
-    engine.deliver(inbox)
-    engine.advance(until)
-    health = engine.health_row() if want_health else None
-    return engine.take_outbox(), engine.pending(), engine.next_event_s(), health
+def _shard_engine(obs_mode, span_keep, verbose_trace, *where) -> ShardEngine:
+    """Build one shard's engine (the recipe of both backends).
+
+    ``where`` is :class:`ShardEngine`'s ``(spec, mode, shard_idx,
+    shards, population, bs_name_list, delta)``.  One Observability *per
+    shard*, whichever backend hosts it, so lane eligibility (and hence
+    the digest) cannot depend on the backend.
+    """
+    obs = None
+    if obs_mode:
+        from ..obs import Observability
+
+        obs = Observability(obs_mode, span_keep=span_keep)
+    return ShardEngine(*where, obs=obs, verbose_trace=verbose_trace)
 
 
 class _InlineHost:
-    """Serial in-process shard: the worker protocol without the worker.
+    """One shard engine plus its step/finish protocol and cost brackets.
 
-    Runs the identical engine call sequence as a process worker, so an
-    inline run's merged digest is bit-identical to a multi-process one —
-    the determinism witness holds on single-core machines.
+    The coordinator drives these directly on the inline backend; on the
+    process backend each worker hosts one behind its pipe
+    (:func:`_shard_worker`) — one implementation, so an inline run's
+    merged digest is bit-identical to a multi-process one and the
+    determinism witness holds on single-core machines.
     """
 
     def __init__(self, make_engine):
@@ -797,42 +700,51 @@ class _InlineHost:
         self.cpu = 0.0
         self._last = None
 
-    def start(self) -> None:
+    @contextmanager
+    def _timed(self):
         t0, c0 = time.perf_counter(), time.process_time()
-        self.engine = self._make_engine()
-        self.engine.prepare()
+        yield
         self.wall += time.perf_counter() - t0
         self.cpu += time.process_time() - c0
+
+    def start(self) -> None:
+        with self._timed():
+            self.engine = self._make_engine()
+            self.engine.prepare()
 
     def step_send(
         self,
         until: float,
-        inbox: List[tuple],
-        want_health: bool = False,
-        actions: Optional[List[dict]] = None,
+        inbox: List[Migration],
+        want_health: bool,
+        actions: List[dict],
     ) -> None:
-        t0, c0 = time.perf_counter(), time.process_time()
-        out, busy, nxt, health = _host_step(
-            self.engine, until, inbox, want_health, actions
-        )
-        self.wall += time.perf_counter() - t0
-        self.cpu += time.process_time() - c0
+        engine = self.engine
+        with self._timed():
+            # orchestration actions apply at the epoch boundary, before
+            # this epoch's deliveries and advance — every shard sees the
+            # identical action list at the identical sim state, so
+            # ring/node mutations mirror deterministically
+            if actions:
+                engine.apply_actions(actions)
+            engine.deliver(inbox)
+            engine.advance(until)
+            health = engine.health_row() if want_health else None
+            self._last = (engine.take_outbox(), engine.next_event_s(), health)
         if health is not None:
             health["wall_s"] = self.wall
-        self._last = (out, busy, nxt, health)
 
     def step_recv(self):
+        """``(outbox, next_event_s, health row or None)``."""
         return self._last
 
     def finish(self) -> Dict[str, Any]:
-        t0, c0 = time.perf_counter(), time.process_time()
-        payload = self.engine.finish_payload()
-        self.wall += time.perf_counter() - t0
-        self.cpu += time.process_time() - c0
+        with self._timed():
+            payload = self.engine.finish_payload()
         payload["wall_s"] = self.wall
         payload["cpu_s"] = self.cpu
-        # inline shards share the coordinator process; per-shard RSS is
-        # not separable, so report the engine's own process peak
+        # the hosting process's peak: inline shards share the
+        # coordinator's, where per-shard RSS is not separable
         payload["rss_kb"] = peak_rss_kb()
         return payload
 
@@ -852,15 +764,14 @@ class _ProcessHost:
     def step_send(
         self,
         until: float,
-        inbox: List[tuple],
-        want_health: bool = False,
-        actions: Optional[List[dict]] = None,
+        inbox: List[Migration],
+        want_health: bool,
+        actions: List[dict],
     ) -> None:
         self.handle.send(("step", until, inbox, want_health, actions))
 
     def step_recv(self):
-        msg = self._recv()
-        return msg[1], msg[2], msg[3], (msg[4] if len(msg) > 4 else None)
+        return self._recv()[1:]
 
     def finish(self) -> Dict[str, Any]:
         self.handle.send(("finish",))
@@ -872,80 +783,39 @@ class _ProcessHost:
         except EOFError:
             raise RuntimeError("shard worker died mid-run")
         if msg[0] == "error":
-            raise RuntimeError("shard worker failed: %s" % (msg[1],))
+            raise RuntimeError("shard worker failed:\n%s" % (msg[1],))
         return msg
 
     def close(self) -> None:
         self.handle.close()
 
 
-def _shard_worker(
-    conn,
-    spec,
-    mode,
-    shard_idx,
-    shards,
-    verbose_trace,
-    obs_mode,
-    span_keep,
-    bs_names,
-    gids,
-    bsidx,
-    delta,
-):
-    """Long-lived worker: build one shard engine, serve epoch messages."""
-    try:
-        obs = None
-        if obs_mode:
-            from ..obs import Observability
+def _shard_worker(conn, *engine_args):
+    """Long-lived worker: an :class:`_InlineHost` serving epoch messages.
 
-            obs = Observability(obs_mode, span_keep=span_keep)
-        engine = ShardEngine(
-            spec,
-            mode=mode,
-            shard_idx=shard_idx,
-            shards=shards,
-            population=(gids, bsidx),
-            bs_name_list=bs_names,
-            delta=delta,
-            obs=obs,
-            verbose_trace=verbose_trace,
-        )
-        wall, cpu = time.perf_counter(), time.process_time()
-        engine.prepare()
-        wall = time.perf_counter() - wall
-        cpu = time.process_time() - cpu
+    Messages have fixed arity: ``("step", until, inbox, want_health,
+    actions)`` -> ``("stepped", outbox, next_event_s, health)``
+    and ``("finish",)`` -> ``("done", payload)``.  Any failure is
+    ferried whole, as ``("error", <formatted traceback>)``.
+    """
+    try:
+        host = _InlineHost(partial(_shard_engine, *engine_args))
+        host.start()
         conn.send(("ready",))
         while True:
             msg = conn.recv()
             if msg[0] == "step":
-                want = msg[3] if len(msg) > 3 else False
-                acts = msg[4] if len(msg) > 4 else None
-                t0, c0 = time.perf_counter(), time.process_time()
-                out, busy, nxt, health = _host_step(
-                    engine, msg[1], msg[2], want, acts
-                )
-                wall += time.perf_counter() - t0
-                cpu += time.process_time() - c0
-                if health is not None:
-                    health["wall_s"] = wall
-                conn.send(("stepped", out, busy, nxt, health))
+                host.step_send(*msg[1:])
+                conn.send(("stepped",) + host.step_recv())
             elif msg[0] == "finish":
-                t0, c0 = time.perf_counter(), time.process_time()
-                payload = engine.finish_payload()
-                wall += time.perf_counter() - t0
-                cpu += time.process_time() - c0
-                payload["wall_s"] = wall
-                payload["cpu_s"] = cpu
-                payload["rss_kb"] = peak_rss_kb()
-                conn.send(("done", payload))
+                conn.send(("done", host.finish()))
                 conn.close()
                 return
             else:
                 raise ValueError("unknown shard message %r" % (msg[0],))
-    except BaseException as err:  # pragma: no cover - ferried to coordinator
+    except Exception:  # ferried to the coordinator, which raises it
         try:
-            conn.send(("error", "%s: %s" % (type(err).__name__, err)))
+            conn.send(("error", traceback.format_exc()))
         except Exception:
             pass
 
@@ -953,21 +823,14 @@ def _shard_worker(
 # ------------------------------------------------------------------ merge
 
 
-def _merge_sketch_tables(payloads) -> Dict[str, Dict[str, Dict[str, Optional[float]]]]:
-    keys = sorted({key for p in payloads for key in p["sketches"]})
-    region_pct_ms: Dict[str, Dict[str, Dict[str, Optional[float]]]] = {}
-    for key in keys:
-        merged = QuantileSketch.merge(
+def _merge_sketches(payloads) -> Dict[Tuple[str, str], QuantileSketch]:
+    keys = {key for p in payloads for key in p["sketches"]}
+    return {
+        key: QuantileSketch.merge(
             [p["sketches"].get(key) for p in payloads], name="%s/%s" % key
         )
-        summary = merged.summary()
-        out: Dict[str, Optional[float]] = {"count": summary.get("count", 0.0)}
-        for k, v in summary.items():
-            if k != "count":
-                out[k] = None if v is None else v * 1e3
-        region, proc = key
-        region_pct_ms.setdefault(region, {})[proc] = out
-    return region_pct_ms
+        for key in keys
+    }
 
 
 def _merge_payloads(
@@ -1042,7 +905,7 @@ def _merge_payloads(
         reattached=sum(r.reattached for r in results),
         counters=counters,
         fault_counters=fault_counters,
-        region_pct_ms=_merge_sketch_tables(payloads),
+        region_pct_ms=_region_pct_ms(_merge_sketches(payloads)),
         digest=merged_trace.digest(),
         trace_events=len(merged_trace),
         lane=lane,
@@ -1091,7 +954,7 @@ def _epoch_loop(hosts, duration: float, delta: float, stream=None, orch=None) ->
     """
     for host in hosts:
         host.start()
-    inboxes: List[List[tuple]] = [[] for _ in hosts]
+    inboxes: List[List[Migration]] = [[] for _ in hosts]
     t = 0.0
     epochs = 0
     last_mark = 0
@@ -1132,19 +995,17 @@ def _epoch_loop(hosts, duration: float, delta: float, stream=None, orch=None) ->
             host.step_send(t, inbox, want or tick, pending_actions)
         pending_actions = []
         inboxes = [[] for _ in hosts]
-        busy = False
         nxt = float("inf")
         healths: List[Dict[str, Any]] = []
         for host in hosts:
-            outbox, pending, head, health = host.step_recv()
-            busy = busy or pending
+            outbox, head, health = host.step_recv()
             if health is not None:
                 healths.append(health)
             if head < nxt:
                 nxt = head
             for rec in outbox:
-                inboxes[rec[0]].append(rec)
-                arrival = rec[6] + delta
+                inboxes[rec.dst].append(rec)
+                arrival = rec.t + delta
                 if arrival < nxt:
                     nxt = arrival
         if want and healths:
@@ -1152,12 +1013,8 @@ def _epoch_loop(hosts, duration: float, delta: float, stream=None, orch=None) ->
             stream.heartbeat(epochs, t, duration, healths)
         if tick:
             pending_actions = orch.observe(epochs, t, healths)
-        if (
-            t >= duration
-            and not busy
-            and not any(inboxes)
-            and not pending_actions
-        ):
+        # drained: no shard has anything queued and no record is in flight
+        if t >= duration and nxt == float("inf") and not pending_actions:
             return epochs
         if pending_actions:
             # actions must land at the very next boundary; skipping
@@ -1225,23 +1082,17 @@ def run_sharded(
     if shards < 0:
         raise ValueError("shards must be >= 0, got %d" % shards)
     if shards == 1:
-        result = _Engine(
-            spec, mode=mode, obs=obs, verbose_trace=verbose_trace, stream=stream
-        ).run()
-        if stream is not None:
-            stream.summary(result)
-        return result
-    if mode not in ("cohort", "batched"):
-        raise ValueError(
-            "sharded runs support modes 'cohort' and 'batched', got %r" % (mode,)
+        return run_scenario(
+            spec, mode=mode, obs=obs, stream=stream, verbose_trace=verbose_trace
         )
+    _check_mode(mode, ShardEngine.modes)
     wall0 = time.perf_counter()
     parents = city_parents(spec)
     shard_map = ShardMap(parents, shards)  # validates shards <= len(parents)
     bs_names, populations = partition_population(spec, shard_map)
     delta = shard_lookahead(spec)
     orch = None
-    if getattr(spec, "orch_policy", None):
+    if spec.orch_policy:
         from ..orch import Orchestrator, OrchPolicy
 
         orch = Orchestrator(
@@ -1257,27 +1108,19 @@ def run_sharded(
         # migration tree, so the merge payload stays pipe-sized
         span_keep = _DEFAULT_SPAN_KEEP
 
+    # the recipe of every shard's engine, for whichever backend hosts it
+    engine_args = [
+        (
+            obs_mode, span_keep, verbose_trace,
+            spec, mode, k, shards, populations[k], bs_names, delta,
+        )
+        for k in range(shards)
+    ]
     hosts = None
     backend_used = "inline"
     if backend == "process" or (backend == "auto" and default_jobs() > 1):
-        worker_args = [
-            (
-                spec,
-                mode,
-                k,
-                shards,
-                verbose_trace,
-                obs_mode,
-                span_keep,
-                bs_names,
-                populations[k][0],
-                populations[k][1],
-                delta,
-            )
-            for k in range(shards)
-        ]
         try:
-            handles = spawn_workers(_shard_worker, worker_args)
+            handles = spawn_workers(_shard_worker, engine_args)
         except WorkerSpawnError:
             if backend == "process":
                 raise
@@ -1289,7 +1132,7 @@ def run_sharded(
                     msg = handle.recv()
                     if msg[0] == "error":
                         raise RuntimeError(
-                            "shard worker failed during startup: %s" % (msg[1],)
+                            "shard worker failed during startup:\n%s" % (msg[1],)
                         )
                     hosts.append(_ProcessHost(handle))
                 backend_used = "process"
@@ -1301,30 +1144,7 @@ def run_sharded(
                 if backend == "process":
                     raise WorkerSpawnError("shard workers died during startup")
     if hosts is None:
-        # one Observability *per shard*, exactly like the process
-        # backend, so lane eligibility (and hence the digest) cannot
-        # depend on which backend ran
-        def _shard_obs():
-            if obs_mode is None:
-                return None
-            from ..obs import Observability
-
-            return Observability(obs_mode, span_keep=span_keep)
-
-        def _maker(k):
-            return lambda: ShardEngine(
-                spec,
-                mode=mode,
-                shard_idx=k,
-                shards=shards,
-                population=populations[k],
-                bs_name_list=bs_names,
-                delta=delta,
-                obs=_shard_obs(),
-                verbose_trace=verbose_trace,
-            )
-
-        hosts = [_InlineHost(_maker(k)) for k in range(shards)]
+        hosts = [_InlineHost(partial(_shard_engine, *args)) for args in engine_args]
 
     try:
         epochs = _epoch_loop(
@@ -1371,9 +1191,7 @@ def run_sharded(
         #: shard order — the stitcher's input
         result.obs_shards = snapshots
     if orch is not None:
-        result.orch_policy = orch.policy.to_dict()
-        result.orch_log = list(orch.log)
-        result.orch_summary = orch.summary()
+        _attach_orch(result, orch)
     if stream is not None:
         stream.summary(result)
     return result

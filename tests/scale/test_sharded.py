@@ -19,6 +19,7 @@ they may only change when engine semantics intentionally change.
 """
 
 import dataclasses
+import multiprocessing
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -26,7 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.experiments.parallel import WorkerSpawnError
 from repro.faults.runner import config_from_name
 from repro.scale import shard as sh
-from repro.scale.engine import run_scenario
+from repro.scale.engine import _Engine, run_scenario
 from repro.scale.scenarios import get_scenario
 from repro.scale.shard import ShardMap, run_sharded, shard_lookahead
 
@@ -37,6 +38,17 @@ SEED = 3
 #: merged verbose-trace digest of steady-city (N=400, 0.5s, seed=3) at
 #: shards=2, recorded when the sharded coordinator first shipped.
 PINNED_SHARDED_DIGEST = "64f1e6a8a5225f1808c05a847114f600"
+
+
+#: merged verbose-trace digests of ring-churn (N=2000, 1.0s, seed=1) per
+#: shard count, recorded on the commit *before* ring churn was collapsed
+#: from an engine copy plus a ShardEngine mirror into one
+#: ownership-guarded implementation.
+PINNED_CHURN_DIGESTS = {
+    1: "5447e14385d21b120679f2656f3b95f2",
+    2: "ca32e9b9e5d3eafb1e1ef0cd7bbd51c8",
+    4: "adbd8d386292de80d787438d37165094",
+}
 
 
 def run2(mode="cohort", backend="inline", shards=2, seed=SEED, **kw):
@@ -168,6 +180,111 @@ def test_four_shards_partition_and_merge():
     assert res.counters.get("migrations_out", 0) == res.counters.get(
         "migrations_in", 0
     )
+
+
+# --------------------------------------------------------- sharded ring churn
+
+
+def run_churn(shards, backend="inline"):
+    return run_scenario(
+        "ring-churn", n_ue=2000, duration_s=1.0, seed=1, verbose_trace=True,
+        shards=shards, shard_backend=backend,
+    )
+
+
+@pytest.mark.parametrize("shards", sorted(PINNED_CHURN_DIGESTS))
+def test_ring_churn_digest_is_pinned_per_shard_count(shards):
+    res = run_churn(shards)
+    assert res.digest == PINNED_CHURN_DIGESTS[shards]
+    assert res.violations == 0
+    # every shard applies the ring change; only the tile's owner counts it
+    assert res.regions_final == 12
+    assert res.counters["regions_added"] == 1
+    assert res.counters["regions_removed"] == 1
+    assert res.counters["replaced"] == res.counters["replacements_planned"] > 0
+
+
+def test_ring_churn_process_backend_matches_inline():
+    inline = run_churn(2)
+    try:
+        procs = run_churn(2, backend="process")
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    assert procs.perf["backend"] == "process"
+    assert procs == inline
+    assert procs.digest == inline.digest
+
+
+# ------------------------------------------------ placement is execution-blind
+
+
+@pytest.mark.parametrize("mode", ["cohort", "batched"])
+@pytest.mark.parametrize(
+    "scenario", ["steady-city", "commute-wave", "stadium-flash-crowd"]
+)
+def test_placement_is_execution_blind(scenario, mode):
+    """Every UE is homed at the same BS whether the population is
+    installed unsharded (eagerly per UE, or lazily as one column) or
+    partitioned across 2 or 4 shards — for the uniform fast path
+    (random walk, flash crowd) and the generic one (commute)."""
+    spec = get_scenario(scenario).with_overrides(
+        n_ue=700, seed=5, audit_history=False
+    )
+    engine = _Engine(spec, mode=mode)
+    engine._bootstrap_population()
+    assert engine.driver.lazy == (mode == "batched")
+    want = [engine.driver.bs_of(i) for i in range(spec.n_ue)]
+    assert len(set(want)) > 1
+    for shards in (2, 4):
+        smap = ShardMap(sh.city_parents(spec), shards)
+        names, pops = sh.partition_population(spec, smap)
+        got = {}
+        for k, (gids, bsidx) in enumerate(pops):
+            for gid, idx in zip(gids, bsidx):
+                got[gid] = names[idx]
+                assert smap.owner_of_tile(names[idx].split("-")[1]) == k
+        assert [got[gid] for gid in range(spec.n_ue)] == want
+
+
+# ------------------------------------------------------------ worker failures
+
+
+def test_worker_failure_arrives_whole_and_leaves_no_worker(monkeypatch):
+    """A worker that raises mid-run ferries its whole traceback to the
+    coordinator, which raises it and reaps every worker."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the patched engine reaches workers by fork only")
+    real_advance = sh.ShardEngine.advance
+    calls = []  # forked: every worker counts its own calls
+
+    def advance(self, until):
+        calls.append(until)
+        if len(calls) == 2:
+            raise ZeroDivisionError("epoch two exploded")
+        return real_advance(self, until)
+
+    monkeypatch.setattr(sh.ShardEngine, "advance", advance)
+    spawned = []
+    real_spawn = sh.spawn_workers
+
+    def spawn_workers(target, args_list):
+        spawned.extend(real_spawn(target, args_list))
+        return list(spawned)
+
+    monkeypatch.setattr(sh, "spawn_workers", spawn_workers)
+    try:
+        run2(backend="process")
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    except RuntimeError as err:
+        message = str(err)
+    else:
+        pytest.fail("the worker's exception never reached the coordinator")
+    assert "ZeroDivisionError" in message
+    assert "epoch two exploded" in message
+    assert "in advance" in message  # the raising frame, not just the text
+    assert len(spawned) == 2
+    assert not any(handle.process.is_alive() for handle in spawned)
 
 
 def test_rejects_individual_mode_and_oversharding():

@@ -12,8 +12,26 @@ class TestList:
         assert "fig08" in out and "fig20" in out
         assert "georep_level" in out
 
+    def test_list_output_is_byte_stable(self, capsys):
+        # figure ids in paper order (the table's), everything else sorted
+        assert main(["list"]) == 0
+        assert capsys.readouterr().out == (
+            "figures  : fig03 fig07 fig08 fig09 fig10 fig11 fig13 fig14 "
+            "fig15 fig16 fig17 fig18 fig19 fig20\n"
+            "ablations: ack_timeout georep_level n_backups "
+            "serialization_bandwidth\n"
+            "sweep    : custom config x rate sweeps (see sweep --help)\n"
+            "scenarios: autoscale-under-flash-crowd commute-wave "
+            "iot-reattach-storm midnight-tau-spike paging-storm "
+            "region-failover ring-churn stadium-flash-crowd steady-city "
+            "upgrade-under-commute-wave\n"
+            "models   : metro-iot-reattach metro-midnight-tau metro-mixed "
+            "metro-paging\n"
+        )
+
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 1
+        assert "usage: python -m repro" in capsys.readouterr().out
 
 
 class TestFigure:
