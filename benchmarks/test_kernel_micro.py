@@ -8,6 +8,8 @@ file isolates the primitives every figure point is built from:
   wakeups are zero-delay callbacks);
 * the timed-heap path (non-zero delays through the binary heap);
 * the process trampoline (generator yield → timeout → resume);
+* the FIFO ``Server`` (submit → completion → waiter resume), where every
+  queueing knee in Figs. 7–11 is spent;
 * codec encode/decode on real catalog messages (ASN.1 PER bit-level,
   FlatBuffers and protobuf byte-level) — the Fig. 18–20 hot loop;
 * ``Tally.observe`` — the per-sample measurement cost.
@@ -30,6 +32,7 @@ from repro.codec import get_codec
 from repro.messages.registry import CATALOG
 from repro.sim.core import Simulator
 from repro.sim.monitor import Tally
+from repro.sim.node import Server
 
 # -- kernel ----------------------------------------------------------------
 
@@ -116,6 +119,26 @@ def test_kernel_process_trampoline(benchmark):
         assert done[0] == n_procs
 
     benchmark(run, 200, 50)
+
+
+def test_kernel_server_fifo(benchmark):
+    """Guarded: jobs through a 1-core FIFO server, one waiter process each."""
+
+    def run(n_jobs):
+        sim = Simulator()
+        server = Server(sim, cores=1)
+        done = [0]
+
+        def waiter():
+            yield server.submit(1e-4)
+            done[0] += 1
+
+        for _ in range(n_jobs):
+            sim.process(waiter())
+        sim.run()
+        assert done[0] == n_jobs
+
+    benchmark(run, 10_000)
 
 
 def test_kernel_event_callback_fanout(benchmark):

@@ -54,6 +54,7 @@ class CPF:
         self.region = region
         self.server = Server(self.sim, cores=self.config.cpf_cores, name=name)
         self.sync_server = Server(self.sim, cores=1, name=name + ".sync")
+        self._handle_name = name + ".handle"
         self.store = StateStore(name)
         self.checkpoints_sent = 0
         self.snapshots_applied = 0
@@ -106,7 +107,7 @@ class CPF:
         used by the consistency auditor to check Read-your-Writes.
         """
         service = self.message_service_time(msg_name, resp_msg, extra_service)
-        done = self.sim.event("%s.handle" % self.name)
+        done = self.sim.event(self._handle_name)
         obs = self.dep.obs
         if obs is not None and obs_parent is not None:
             span = obs.tracer.begin(

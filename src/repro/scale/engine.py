@@ -550,7 +550,7 @@ class _Engine:
                     continue
                 if cpf.up:
                     up += 1
-                    q += len(cpf.server.queue) + cpf.server.busy
+                    q += cpf.server.in_system
                 else:
                     down.append(name)
             table[tile] = {

@@ -284,10 +284,7 @@ class LaneRuntime:
                     and (not heap or heap[0][0] > t)
                 ):
                     server = cmd[2]
-                    if server.up and (
-                        server._reserved_until > sim.now
-                        or len(server.queue._getters) == server.cores
-                    ):
+                    if server.up and server.can_reserve():
                         value = server.reserve(cmd[3], at=t)
                         continue
                 sim.schedule_at(t, self._dispatch, gen, cmd, on_abort)
@@ -309,18 +306,10 @@ class LaneRuntime:
             return _SUSPENDED
         if pre is not None:
             pre()
-        # Truly idle == every worker parked on queue.get().  Checking
-        # ``busy``/queue length instead would cut in line at a completion
-        # instant: the freed worker has already popped its next job but
-        # not yet resumed (busy == 0, queue empty), and the cohort path
-        # FIFOs behind that in-limbo job.
-        if (
-            server._reserved_until > self.sim.now
-            or len(server.queue._getters) == server.cores
-        ):
+        if server.can_reserve():
             return server.reserve(service)
-        # Real contention: fall onto the queued path and resume at the
-        # true completion instant.
+        # Real contention (submitted jobs ahead, not an express chain):
+        # submit too and resume at the true completion instant.
         self.spills += 1
         ev = server.submit(service)
 

@@ -4,8 +4,8 @@ Public surface:
 
 * :class:`Simulator`, :class:`Event`, :class:`Process`, :class:`Interrupt`
   — the event loop and coroutine model.
-* :class:`Server`, :class:`Store`, :class:`NodeFailed` — queued
-  processing nodes with failure injection.
+* :class:`Server`, :class:`NodeFailed` — queued processing nodes with
+  failure injection.
 * :class:`Link`, :class:`LatencyModel` — network hops, with per-link
   fault hooks (drop/dup/reorder/extra-delay, blackhole); :class:`LinkDown`
   signals a lost message on a reliable channel.
@@ -16,7 +16,7 @@ Public surface:
 from .core import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
 from .monitor import Counter, Tally, TimeWeighted, percentile, summarize
 from .network import LatencyModel, Link, LinkDown, Transit
-from .node import NodeFailed, Server, Store
+from .node import NodeFailed, Server
 from .rng import RngRegistry, stream_seed
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Server",
-    "Store",
     "NodeFailed",
     "Link",
     "LinkDown",

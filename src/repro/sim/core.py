@@ -149,7 +149,7 @@ class Timeout(Event):
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError("negative timeout delay: %r" % (delay,))
-        super().__init__(sim, name="timeout(%g)" % delay)
+        super().__init__(sim, "timeout")
         sim.schedule(delay, self._fire, value)
 
     def _fire(self, value: Any) -> None:
@@ -269,7 +269,7 @@ class Process(Event):
         self._gen = gen
         self._waiting_on: Optional[Event] = None
         self._interrupts: List[Interrupt] = []
-        sim._push_immediate(self._resume, None, None)
+        sim._push_immediate(self._wake, None)
 
     @property
     def alive(self) -> bool:
@@ -293,23 +293,21 @@ class Process(Event):
         waiting, self._waiting_on = self._waiting_on, None
         if waiting is not None:
             waiting.cancel()  # producers must not deliver into the void
-        self._step(None, exc)
+        self._wake(None, exc)
 
-    def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
-        self._step(value, exc)
+    def _wake(self, ev: Optional[Event], exc: Optional[BaseException] = None) -> None:
+        """Resume the generator: send ``ev``'s outcome, or throw ``exc``.
 
-    def _on_event(self, ev: Event) -> None:
+        ``ev`` is the event the process waits on — ``None`` on first
+        start and on interrupt delivery, the only caller passing ``exc``.
+        """
         if self._fired or self._waiting_on is not ev:
             return  # stale wakeup (e.g. after an interrupt re-targeted us)
-        self._waiting_on = None
-        if ev.ok:
-            self._step(ev.value, None)
-        else:
-            self._step(None, ev._exc)
-
-    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
-        if self._fired:
-            return
+        value = None
+        if ev is not None:
+            self._waiting_on = None
+            value = ev._value
+            exc = ev._exc
         try:
             if exc is not None:
                 target = self._gen.throw(exc)
@@ -330,16 +328,16 @@ class Process(Event):
             # dispatch (same waiter list, same wakeup ordering).
             self._waiting_on = target
             if target._fired:
-                self.sim._push_immediate(self._on_event, target)
+                self.sim._push_immediate(self._wake, target)
             else:
-                target._waiters.append(self._on_event)
+                target._waiters.append(self._wake)
             return
         if not isinstance(target, Event):
             self._gen.close()
             self.fail(TypeError("process yielded %r, expected an Event" % (target,)))
             return
         self._waiting_on = target
-        target.add_callback(self._on_event)
+        target.add_callback(self._wake)
 
 
 class Simulator:

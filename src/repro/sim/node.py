@@ -1,26 +1,30 @@
 """Queued-server model of a processing node.
 
 A :class:`Server` models one network function instance (a CPF worker
-core, a CTA forwarding core): jobs line up in a FIFO queue and ``cores``
-workers drain it, each job holding a worker for its service time.  This
+core, a CTA forwarding core): jobs are served first come, first served
+by ``cores`` cores, each job holding a core for its service time.  This
 is where the saturation knees in the paper's figures come from — when the
-offered load exceeds ``cores / E[service]`` the queue grows without bound
-and completion times explode, exactly as in Figs. 7-11.
+offered load exceeds ``cores / E[service]`` the backlog grows without
+bound and completion times explode, exactly as in Figs. 7-11.
 
-Failure injection (`fail()`) kills the workers and drops queued jobs,
+Service times are known at submission, so a FIFO server needs no queue
+to be simulated: every job is *booked* on arrival — it starts when the
+earliest core frees up (or now) and ends ``service`` later — and costs
+one scheduled callback at its completion instant.
+
+Failure injection (`fail()`) drops every job still in the system,
 failing their completion events with :class:`NodeFailed`, which is how a
 CPF crash becomes visible to the protocol layer.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .core import Event, Interrupt, Process, Simulator
+from .core import Event, Simulator
 from .monitor import TimeWeighted
 
-__all__ = ["NodeFailed", "Store", "Server"]
+__all__ = ["NodeFailed", "Server"]
 
 
 class NodeFailed(Exception):
@@ -31,68 +35,8 @@ class NodeFailed(Exception):
         self.node_name = node_name
 
 
-class Store:
-    """Unbounded FIFO queue with blocking ``get``.
-
-    ``put`` never blocks (the paper's CTA/CPF queues are memory-bounded
-    only by the log-pruning logic, modeled separately).
-    """
-
-    def __init__(self, sim: Simulator, name: str = ""):
-        self.sim = sim
-        self.name = name
-        self._items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        while self._getters:
-            getter = self._getters.popleft()
-            if not getter.fired and not getter.cancelled:
-                getter.succeed(item)
-                return
-        self._items.append(item)
-
-    def get(self) -> Event:
-        ev = self.sim.event("get:%s" % self.name)
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def drain(self) -> List[Any]:
-        """Remove and return all queued items (used on node failure)."""
-        items = list(self._items)
-        self._items.clear()
-        return items
-
-    def cancel_getters(self) -> None:
-        """Synchronously abandon all pending getters (node failure).
-
-        Must run before the getters' owners are interrupted: interrupt
-        delivery is asynchronous, and a ``put`` racing in between would
-        otherwise hand an item to a doomed waiter.
-        """
-        for getter in self._getters:
-            getter.cancel()
-        self._getters.clear()
-
-
-class _Job:
-    __slots__ = ("service", "done", "value", "enqueued_at")
-
-    def __init__(self, service: float, done: Event, value: Any, enqueued_at: float):
-        self.service = service
-        self.done = done
-        self.value = value
-        self.enqueued_at = enqueued_at
-
-
 class Server:
-    """FIFO multi-worker queueing server with failure injection."""
+    """FIFO multi-core queueing server with failure injection."""
 
     def __init__(self, sim: Simulator, cores: int = 1, name: str = "server"):
         if cores < 1:
@@ -101,33 +45,49 @@ class Server:
         self.name = name
         self.cores = cores
         self.up = True
-        self.queue = Store(sim, name + ".q")
         self.queue_depth = TimeWeighted(lambda: sim.now)
-        self.busy = 0
         self.jobs_done = 0
         self.jobs_dropped = 0
         self.busy_time = 0.0
-        # Express-reservation state (batched cohort lane): the end of the
-        # last analytically-reserved service chain, and the pending jobs
-        # that were rerouted onto it by submit().  A stale reservation
-        # (``_reserved_until <= now``) simply expires by comparison.
-        self._reserved_until = 0.0
-        self._analytic: List[_Job] = []
-        self._workers: List[Process] = []
-        self._generation = 0
-        self._start_workers()
+        self._job_name = name + ".job"
+        # Per core, the instant its last booking ends.
+        self._free_at: List[float] = [0.0] * cores
+        # Submitted jobs not yet completed, in FIFO order:
+        # completion event -> (value, time on a core).
+        self._pending: Dict[Event, Tuple[Any, float]] = {}
+        # End of the booking chain headed by the last reserve(); a chain
+        # whose end is not after ``now`` has simply expired.
+        self._chain_until = 0.0
 
-    def _start_workers(self) -> None:
-        # Workers carry a generation token: a worker from before a
-        # fail()/recover() cycle must never consume jobs submitted to
-        # the recovered server, even if its interrupt has not landed yet.
-        self._generation += 1
-        self._workers = [
-            self.sim.process(
-                self._worker(self._generation), name="%s.w%d" % (self.name, i)
-            )
-            for i in range(self.cores)
-        ]
+    @property
+    def in_system(self) -> int:
+        """Submitted jobs queued or in service (reservations excluded)."""
+        return len(self._pending)
+
+    def can_reserve(self) -> bool:
+        """True when :meth:`reserve` may stand in for :meth:`submit`.
+
+        That is when no submitted job is outstanding, or the server's
+        tail is an express chain: the last booking was a reservation or
+        a job submitted behind one.  Judged at the current clock, also
+        for a booking ``at`` a later quiet instant.
+        """
+        return self._chain_until > self.sim.now or not self._pending
+
+    def _book(self, now: float, service_time: float) -> Tuple[float, float]:
+        """Occupy the earliest-free core; returns ``(start, end)``.
+
+        Ties go to the lowest core index.  Start times never decrease
+        from one booking to the next, so service order is FIFO.
+        """
+        free = self._free_at
+        core = free.index(min(free))
+        start = free[core]
+        if start < now:
+            start = now
+        end = start + service_time
+        free[core] = end
+        return start, end
 
     def submit(
         self,
@@ -138,129 +98,77 @@ class Server:
         """Enqueue a job; the returned event fires with ``value`` once done.
 
         If the server is (or goes) down before completion the event fails
-        with :class:`NodeFailed`.
+        with :class:`NodeFailed`.  The completion callback's place among
+        same-instant events is fixed here, at submission.
         """
         if service_time < 0:
             raise ValueError("negative service time")
-        done = self.sim.event("%s.job" % self.name)
+        sim = self.sim
+        done = Event(sim, self._job_name)
         if callback is not None:
             done.add_callback(lambda ev: callback(ev.value) if ev.ok else None)
         if not self.up:
             done.fail(NodeFailed(self.name))
             return done
-        if self._reserved_until > self.sim.now:
-            # An express chain holds the server: a worker picking this
-            # job up would start exactly when the chain ends, so route it
-            # analytically behind the chain.  FIFO order and completion
-            # times match the queued path bit for bit (every reservation
-            # also computed ``start + service`` in floats).
-            start = self._reserved_until
-            end = start + service_time
-            self._reserved_until = end
-            job = _Job(service_time, done, value, self.sim.now)
-            self._analytic.append(job)
-            self.sim.schedule_at(end, self._finish_analytic, job)
-            return done
-        job = _Job(service_time, done, value, self.sim.now)
-        self.queue.put(job)
-        self.queue_depth.set(len(self.queue) + self.busy)
+        now = sim.now
+        start, end = self._book(now, service_time)
+        if self._chain_until > now:
+            self._chain_until = end
+        self._pending[done] = (value, end - start)
+        self.queue_depth.set(len(self._pending))
+        sim.schedule_at(end, self._finish, done)
         return done
 
     def reserve(self, service_time: float, at: Optional[float] = None) -> float:
-        """Occupy the server analytically; returns the completion time.
+        """Book a job without a completion event; returns its end time.
 
         The express path for pre-compiled timelines (the batched cohort
-        lane): instead of enqueueing a job and waking a worker, the
-        caller — who has already verified the server is ``up`` and
-        either idle or express-reserved — books the service interval
-        directly.  Accounting (``jobs_done``/``busy_time``) happens
-        immediately; there is no completion event, the caller resumes
-        its own timeline at the returned instant.  ``queue_depth`` is
-        deliberately not updated (it is a measurement probe the batched
-        lane does not report).
+        lane): the caller — who has already verified the server is ``up``
+        and :meth:`can_reserve` — resumes its own timeline at the
+        returned instant.  Accounting (``jobs_done``/``busy_time``)
+        happens immediately.  ``queue_depth`` is deliberately not
+        updated (it is a measurement probe the batched lane does not
+        report).
 
         ``at`` books the interval as of a *future* instant without
         advancing the clock — callers use it only when they have proven
         nothing else can run before ``at`` (see the lane's quiet-window
         fast path), so the booking is identical to one made at ``at``.
         """
-        now = self.sim.now if at is None else at
-        start = self._reserved_until if self._reserved_until > now else now
-        end = start + service_time
-        self._reserved_until = end
+        _start, end = self._book(self.sim.now if at is None else at, service_time)
+        self._chain_until = end
         self.jobs_done += 1
         self.busy_time += service_time
         return end
 
-    def _finish_analytic(self, job: _Job) -> None:
-        try:
-            self._analytic.remove(job)
-        except ValueError:
-            return  # failed and cleared by fail() before completion
+    def _finish(self, done: Event) -> None:
+        entry = self._pending.pop(done, None)
+        if entry is None:
+            return  # dropped by fail() before its completion instant
+        value, busy = entry
+        self.busy_time += busy
         self.jobs_done += 1
-        self.busy_time += job.service
-        if not job.done.fired:
-            job.done.succeed(job.value)
-
-    def _worker(self, generation: int):
-        while generation == self._generation and self.up:
-            getter = None
-            try:
-                getter = self.queue.get()
-                job = yield getter
-            except Interrupt:
-                # The get may already have popped a job that was never
-                # delivered to us; fail it rather than lose it silently.
-                if getter is not None and getter.fired and getter.ok:
-                    lost = getter.value
-                    self.jobs_dropped += 1
-                    if not lost.done.fired:
-                        lost.done.fail(NodeFailed(self.name))
-                return
-            self.busy += 1
-            self.queue_depth.set(len(self.queue) + self.busy)
-            started = self.sim.now
-            try:
-                yield self.sim.timeout(job.service)
-            except Interrupt:
-                self.busy -= 1
-                if not job.done.fired:
-                    job.done.fail(NodeFailed(self.name))
-                self.jobs_dropped += 1
-                return
-            self.busy -= 1
-            self.busy_time += self.sim.now - started
-            self.jobs_done += 1
-            self.queue_depth.set(len(self.queue) + self.busy)
-            if not job.done.fired:
-                job.done.succeed(job.value)
+        self.queue_depth.set(len(self._pending))
+        if not done.fired:
+            done.succeed(value)
 
     def fail(self) -> None:
-        """Crash the node: kill workers, drop all queued jobs."""
+        """Crash the node: drop every job in the system, in FIFO order."""
         if not self.up:
             return
         self.up = False
-        self.queue.cancel_getters()
-        for worker in self._workers:
-            worker.interrupt("node failure")
-        for job in self.queue.drain():
-            self.jobs_dropped += 1
-            if not job.done.fired:
-                job.done.fail(NodeFailed(self.name))
-        for job in self._analytic:
-            self.jobs_dropped += 1
-            if not job.done.fired:
-                job.done.fail(NodeFailed(self.name))
-        del self._analytic[:]
-        self._reserved_until = 0.0
+        dropped, self._pending = self._pending, {}
+        self._free_at = [0.0] * self.cores
+        self._chain_until = 0.0
+        self.jobs_dropped += len(dropped)
         self.queue_depth.set(0)
+        for done in dropped:
+            if not done.fired:
+                done.fail(NodeFailed(self.name))
 
     def recover(self) -> None:
         """Bring a failed node back with empty queues (state is gone)."""
-        if self.up:
-            return
         self.up = True
-        self._start_workers()
 
     def utilization(self, elapsed: Optional[float] = None) -> float:
         """Fraction of core-time spent serving jobs so far."""

@@ -1,8 +1,11 @@
 """Tests for the discrete-event simulation kernel."""
 
+import sys
+
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator
+from repro.sim import AllOf, AnyOf, Event, Interrupt, Process, Simulator
+from repro.sim import core as sim_core
 
 
 @pytest.fixture
@@ -476,6 +479,49 @@ class TestProcess:
         sim.run()
         assert done == sorted(done)
         assert len(done) == 100
+
+
+class TestWakeCost:
+    """What one wait costs the kernel.  Counts repeat exactly."""
+
+    def test_timeout_wait_is_one_heap_entry_and_one_wakeup(self, sim):
+        def body(n):
+            for _ in range(n):
+                yield sim.timeout(1.0)
+
+        def cost(n):
+            before = sim._seq
+            sim.process(body(n))
+            sim.run()
+            return sim._seq - before
+
+        assert cost(20) - cost(10) == 10 * 2
+
+    def test_resume_is_one_process_frame(self, sim):
+        # PR <= 12 took two per resume (_on_event -> _step).
+        def body():
+            yield sim.timeout(1.0)
+            yield sim.timeout(1.0)
+
+        sim.process(body())
+        frames = []
+
+        def profiler(frame, event, _arg):
+            code = frame.f_code
+            if (
+                event == "call"
+                and code.co_filename == sim_core.__file__
+                and code.co_name in vars(Process)
+                and isinstance(frame.f_locals.get("self"), Process)
+            ):
+                frames.append(code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            sim.run()
+        finally:
+            sys.setprofile(None)
+        assert frames == ["_wake"] * 3  # start + two timeouts
 
 
 class TestScheduleAt:
