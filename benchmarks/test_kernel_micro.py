@@ -7,7 +7,8 @@ file isolates the primitives every figure point is built from:
   operation of the DES kernel (``Event._dispatch`` and ``Process``
   wakeups are zero-delay callbacks);
 * the timed-heap path (non-zero delays through the binary heap);
-* the process trampoline (generator yield → timeout → resume);
+* the process trampoline (generator yield → timeout → resume) and the
+  pure-delay sleep (generator yield → ``float`` → resume);
 * the FIFO ``Server`` (submit → completion → waiter resume), where every
   queueing knee in Figs. 7–11 is spent;
 * codec encode/decode on real catalog messages (ASN.1 PER bit-level,
@@ -115,6 +116,27 @@ def test_kernel_process_trampoline(benchmark):
 
         for _ in range(n_procs):
             sim.process(proc())
+        sim.run()
+        assert done[0] == n_procs
+
+    benchmark(run, 200, 50)
+
+
+def test_kernel_process_sleep(benchmark):
+    """Guarded: processes sleeping on ``float`` delays — yield → one heap
+    entry → resume, what every clean hop and radio leg costs."""
+
+    def run(n_procs, n_waits):
+        sim = Simulator()
+        done = [0]
+
+        def proc(delay):
+            for _ in range(n_waits):
+                yield delay
+            done[0] += 1
+
+        for i in range(n_procs):
+            sim.process(proc(1e-6 * (1 + i % 7)))  # interleaved wake-ups
         sim.run()
         assert done[0] == n_procs
 

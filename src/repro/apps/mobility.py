@@ -116,7 +116,7 @@ def run_mobility_experiment(
         if rate <= 0:
             return
         while sim.now < spec.drive_duration_s:
-            yield sim.timeout(stream.expovariate(rate))
+            yield stream.expovariate(rate)
             if cpf.up:
                 cpf.server.submit(service)
 
@@ -136,12 +136,12 @@ def run_mobility_experiment(
 
     def drive():
         for i in range(spec.handovers):
-            yield sim.timeout(gap)
+            yield gap
             target = away if subject.bs_name == home else home
             yield from subject.execute(ho_proc, target_bs=target)
         remaining = spec.drive_duration_s - sim.now
         if remaining > 0:
-            yield sim.timeout(remaining)
+            yield remaining
 
     drive_proc = sim.process(drive(), name="drive")
     sim.run(until=spec.drive_duration_s + 1.0)

@@ -656,6 +656,11 @@ def _run_orch(args) -> int:
     return _run_scale(args, replace(spec, orch_policy=dict(policy_data)))
 
 
+def _ms_or_na(value: Optional[float]) -> str:
+    """A latency cell; a tiny run may have recorded no sample for it."""
+    return "n/a" if value is None else "%.3fms" % value
+
+
 def _run_scale(args, spec=None) -> int:
     """``python -m repro scale``; ``spec`` is ``orch``'s policy-carrying
     override of the named scenario."""
@@ -830,11 +835,11 @@ def _run_scale(args, spec=None) -> int:
         compare = getattr(result, "orch_compare", None)
         if compare is not None:
             print(
-                "orch-compare: attach p99 worst-region %.3fms orchestrated "
-                "vs %.3fms fixed-capacity -> %s (baseline violations=%d)"
+                "orch-compare: attach p99 worst-region %s orchestrated "
+                "vs %s fixed-capacity -> %s (baseline violations=%d)"
                 % (
-                    compare["orch_attach_p99_ms"],
-                    compare["baseline_attach_p99_ms"],
+                    _ms_or_na(compare["orch_attach_p99_ms"]),
+                    _ms_or_na(compare["baseline_attach_p99_ms"]),
                     "improved" if compare["improved"] else "NOT improved",
                     compare["baseline_violations"],
                 )

@@ -246,10 +246,10 @@ class CTA:
         over *proactively* — a synced backup is promoted (with log
         replay) before the UE's next request ever bounces.
         """
-        interval = self.config.heartbeat_interval_s
+        interval = float(self.config.heartbeat_interval_s)
         declared: set = set()
         while True:
-            yield self.sim.timeout(interval)
+            yield interval
             if not self.up:
                 continue
             # Re-read membership every tick: ring churn can grow, shrink,

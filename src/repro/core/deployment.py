@@ -20,7 +20,7 @@ Fast Handover, and multi-CTA behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..geo.regions import Region, RegionMap
 from ..messages.procedures import PROCEDURES, ProcedureSpec
@@ -304,30 +304,37 @@ class Deployment:
         src: Optional[str] = None,
         dst: Optional[str] = None,
         parent: Optional[Any] = None,
-    ) -> Event:
-        """One directed link traversal as a waitable event.
+    ) -> Union[float, Event]:
+        """One directed link traversal, as something a process yields.
 
         ``src``/``dst`` name the endpoints when the caller knows them
         (replication, repair, migration legs); the fault injector uses
-        them for partition decisions.  The returned event fails with
-        :class:`~repro.sim.network.LinkDown` when the message is lost
-        (blackholed link, partition, exhausted retransmissions) — which
-        the protocol layer handles exactly like a peer failure.
+        them for partition decisions.  A delivered message is its delay
+        in seconds (a ``float``: the cheapest wait the kernel has); a
+        lost one (blackholed link, partition, exhausted
+        retransmissions) is an event failed with
+        :class:`~repro.sim.network.LinkDown` — which the protocol layer
+        handles exactly like a peer failure.  Which of the two comes
+        back is decided from link and injector state at the send
+        instant.
 
         ``parent`` is the observability span this traversal belongs to
         (the procedure's root, a checkpoint ship, a replay); ignored
-        unless an :class:`~repro.obs.Observability` is installed.
+        unless an :class:`~repro.obs.Observability` is installed, in
+        which case the wait is always an event the hop span closes on.
         """
         link = self.links[hop_class]
         if self.faults is not None:
-            ev = self.faults.transit_event(link, nbytes, src, dst)
+            wait = self.faults.transit_event(link, nbytes, src, dst)
         else:
             link.messages_sent += 1
             link.bytes_sent += nbytes
-            ev = self.sim.timeout(link.delay(nbytes))
+            wait = link.delay(nbytes)
         if self.obs is not None:
-            self.obs.on_hop(hop_class, nbytes, ev, parent)
-        return ev
+            if type(wait) is float:
+                wait = self.sim.timeout(wait)
+            self.obs.on_hop(hop_class, nbytes, wait, parent)
+        return wait
 
     def cpf_hop(self, a: str, b: str) -> str:
         ra = self.region_map.region_of_cpf(a).geohash

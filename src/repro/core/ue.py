@@ -279,7 +279,7 @@ class UE:
         return bs, cta, cpf
 
     def _uplink_exchange(self, step, proc_name, target_bs, outcome, is_attach) -> Generator:
-        dep, sim = self.dep, self.sim
+        dep = self.dep
         bs, cta, cpf = self._context(step, proc_name, target_bs)
         msg, resp = step.request, step.response
         size = CATALOG.composed_wire_size(msg, step.request_nas, dep.config.codec)
@@ -288,7 +288,7 @@ class UE:
 
         yield dep.hop("ue_bs", size, parent=root)
         with span("bs.uplink", phase="radio", bs=bs.name, msg=msg):
-            yield sim.timeout(bs.uplink_delay(msg))
+            yield bs.uplink_delay(msg)
         yield dep.hop("bs_cta", size, parent=root)
         with span("cta.ingest", phase="cta", node=cta.name, msg=msg):
             clock = yield cta.ingest(self.ue_id, msg, size)
@@ -314,14 +314,14 @@ class UE:
                 yield cta.respond()
             yield dep.hop("bs_cta", resp_size, parent=root)
             with span("bs.downlink", phase="radio", bs=bs.name, msg=resp):
-                yield sim.timeout(bs.downlink_delay(resp))
+                yield bs.downlink_delay(resp)
             yield dep.hop("ue_bs", resp_size, parent=root)
         if step.ends_pct:
             self._mark_pct(outcome)
 
     def _cpf_bs(self, step, proc_name, target_bs, outcome, is_attach) -> Generator:
         """CPF-initiated downlink exchange (context setup, HO command)."""
-        dep, sim = self.dep, self.sim
+        dep = self.dep
         bs, cta, cpf = self._context(step, proc_name, target_bs)
         req, resp = step.request, step.response
         req_size = CATALOG.composed_wire_size(req, step.request_nas, dep.config.codec)
@@ -340,7 +340,7 @@ class UE:
             yield cta.respond()
         yield dep.hop("bs_cta", req_size, parent=root)
         with span("bs.downlink", phase="radio", bs=bs.name, msg=req):
-            yield sim.timeout(bs.downlink_delay(req))
+            yield bs.downlink_delay(req)
         yield dep.hop("ue_bs", req_size, parent=root)
         if step.ends_pct:
             # The accept/command reached the UE: the paper's client-side
@@ -352,7 +352,7 @@ class UE:
             # uplink control message.
             resp_size = CATALOG.wire_size(resp, dep.config.codec)
             with span("bs.uplink", phase="radio", bs=bs.name, msg=resp):
-                yield sim.timeout(bs.uplink_delay(resp))
+                yield bs.uplink_delay(resp)
             yield dep.hop("bs_cta", resp_size, parent=root)
             with span("cta.ingest", phase="cta", node=cta.name, msg=resp):
                 clock = yield cta.ingest(self.ue_id, resp, resp_size)

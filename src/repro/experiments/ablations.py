@@ -136,7 +136,7 @@ def ablate_georep_level(
                     else "bs-%s-0" % home_region
                 )
                 yield from ue.execute("fast_handover", target_bs=target)
-                yield sim.timeout(0.05)  # let checkpoints land
+                yield 0.05  # let checkpoints land
 
         sim.process(commute())
         sim.run(until=60.0)
@@ -185,7 +185,7 @@ def ablate_ack_timeout(
         def procedures():
             for _ in range(5):
                 yield from ue.execute("service_request")
-                yield sim.timeout(0.05)
+                yield 0.05
 
         sim.process(procedures())
         sim.run(until=observe_at_s)  # fixed observation point

@@ -5,8 +5,9 @@ deployment's single link choke point — :meth:`Deployment.hop` — routes
 every traversal through :meth:`transit_event`:
 
 * the link's seeded fault profile decides drop / duplicate / reorder /
-  extra delay (``Link.transit``); a message that exhausts its
-  retransmission budget is *lost* and the hop event fails with
+  extra delay (``Link.transit``); a delivered message is just its
+  delay, a message that exhausts its retransmission budget is *lost*
+  and the hop is an event failed with
   :class:`~repro.sim.network.LinkDown` — which subclasses
   ``NodeFailed``, so the §4.2.5 recovery machinery handles it without
   any protocol-layer changes;
@@ -21,7 +22,7 @@ the same plan produces the same faults whatever the workload seed is.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from ..sim.core import Event
 from ..sim.network import Link, LinkDown
@@ -95,8 +96,25 @@ class FaultInjector:
         nbytes: int,
         src: Optional[str] = None,
         dst: Optional[str] = None,
-    ) -> Event:
-        """The faulty replacement for ``sim.timeout(link.delay(n))``."""
+    ) -> Union[float, Event]:
+        """One message's fate on ``link``, decided at the send instant.
+
+        A delivered message is its delay in seconds — a ``float`` the
+        sending process yields as is; a lost one (partition, blackhole,
+        exhausted retransmissions) is an ``Event`` already failed with
+        :class:`~repro.sim.network.LinkDown`.
+        """
+        if (
+            link.up
+            and self._partition is None
+            and not self.trace.verbose
+            and not link.faulty
+        ):
+            # Nothing is wrong and nothing to record: Link.transit's
+            # clean path without the Transit in between.
+            link.messages_sent += 1
+            link.bytes_sent += nbytes
+            return link.delay(nbytes)
         sim = self.sim
         if self._partitioned(src, dst):
             link.messages_sent += 1
@@ -137,7 +155,7 @@ class FaultInjector:
             )
         elif self.trace.verbose:
             self.trace.record(sim.now, "msg", hop=link.name, nbytes=nbytes)
-        return sim.timeout(transit.delay)
+        return transit.delay
 
     def _partitioned(self, src: Optional[str], dst: Optional[str]) -> bool:
         if self._partition is None:

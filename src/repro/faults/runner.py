@@ -159,10 +159,10 @@ def run_plan(
     aborts: List[str] = []
 
     def driver():
-        yield sim.timeout(0.0)  # always a generator, even for empty plans
+        yield 0.0  # always a generator, even for empty plans
         for op in plan.steps:
             if op.op == "wait":
-                yield sim.timeout(op.dt)
+                yield float(op.dt)  # plans are outside input: JSON may say 1
             elif op.op == "proc":
                 ue = dep.ue(op.target or default_ue)
                 target_bs = op.target_bs or None

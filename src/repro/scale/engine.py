@@ -751,7 +751,7 @@ class _Engine:
         next_tick = tick
         while next_tick <= self.duration:
             if next_tick > self.sim.now:
-                yield self.sim.timeout(next_tick - self.sim.now)
+                yield next_tick - self.sim.now
             epoch += 1
             healths = [self.health_row()]
             actions = controller.observe(epoch, self.sim.now, healths)
@@ -801,7 +801,7 @@ class _Engine:
             if t >= self.duration:
                 return
             if t > sim.now:
-                yield sim.timeout(t - sim.now)
+                yield t - sim.now
             handlers[idx](t)
 
     def _poisson_streams(self):
@@ -1036,7 +1036,7 @@ class _Engine:
         for frac, kind, tile_spec in sorted(self.spec.churn_events):
             at = frac * self.duration
             if at > self.sim.now:
-                yield self.sim.timeout(at - self.sim.now)
+                yield at - self.sim.now
             tile = self._resolve_churn_tile(tile_spec)
             if kind == "add":
                 yield from self._churn_add(tile)
@@ -1132,11 +1132,11 @@ class _Engine:
         mid-procedure for all ``_BUSY_TRIES`` polls.
         """
         if delay > 0.0:
-            yield self.sim.timeout(delay)
+            yield delay
         for _ in range(_BUSY_TRIES):
             if not self.driver.busy[i]:
                 return True
-            yield self.sim.timeout(_BUSY_POLL_S)
+            yield _BUSY_POLL_S
         self._count(skipped)
         return False
 

@@ -15,7 +15,17 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Generator,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 __all__ = [
     "Simulator",
@@ -45,9 +55,13 @@ class Event:
 
     An event starts *pending*; it can be made to ``succeed(value)`` or
     ``fail(exception)`` exactly once.  Processes that yield a pending event
-    are resumed when it fires.  Yielding an already-fired event resumes the
-    process on the next scheduler step (never synchronously), keeping
-    process semantics uniform.
+    are resumed when it fires.  ``succeed``, ``fail`` and ``add_callback``
+    never run a waiter synchronously — waiters are queued for the current
+    instant, and yielding an already-fired event resumes the process on
+    the next scheduler step — so whoever fires an event is never
+    re-entered by its waiters.  The one exception is the kernel's own
+    timed completions, which nobody is in the middle of (see
+    :meth:`_succeed_inline`).
     """
 
     __slots__ = ("sim", "_value", "_exc", "_fired", "_waiters", "_cancelled", "name")
@@ -122,6 +136,25 @@ class Event:
         else:
             self._waiters.append(cb)
 
+    def _succeed_inline(self, value: Any) -> None:
+        """Kernel-only: succeed and run the waiters *now*, not re-queued.
+
+        Only a callback the run loop itself invoked for this very
+        completion may call this (``Timeout._fire``, ``Server._finish``):
+        there the loop is the caller's caller, so no process is
+        mid-resume and a waiter cannot re-enter anything.  The waiters
+        then run at the ``(time, seq)`` the completion was scheduled
+        with instead of a seq allocated at fire time.  Every other
+        producer goes through :meth:`succeed`/:meth:`fail`.
+        """
+        self._fired = True
+        self._value = value
+        waiters = self._waiters
+        if waiters:
+            self._waiters = []
+            for cb in waiters:
+                cb(self)
+
     def _dispatch(self) -> None:
         waiters = self._waiters
         if not waiters:
@@ -142,12 +175,16 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires ``delay`` seconds after creation."""
+    """An event that fires ``delay`` seconds after creation.
+
+    For races (:class:`AnyOf`) and callbacks; a process that only wants
+    to sleep yields the delay itself (see :class:`Process`).
+    """
 
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN
             raise ValueError("negative timeout delay: %r" % (delay,))
         super().__init__(sim, "timeout")
         sim.schedule(delay, self._fire, value)
@@ -159,25 +196,7 @@ class Timeout(Event):
         # event would blow up with "event already fired".
         if self._fired or self._cancelled:
             return
-        # Fast path: inline succeed() + _dispatch without the re-fire
-        # check (we just made it) or the generic callback indirection.
-        # Waiter wakeups still go through the immediate queue with
-        # freshly allocated seq numbers — bit-identical ordering to the
-        # generic path, one Python frame cheaper per timer pop.
-        self._fired = True
-        self._value = value
-        waiters = self._waiters
-        if not waiters:
-            return
-        self._waiters = []
-        sim = self.sim
-        seq = sim._seq
-        immediate = sim._immediate
-        arg = (self,)
-        for cb in waiters:
-            seq += 1
-            immediate.append((seq, cb, arg))
-        sim._seq = seq
+        self._succeed_inline(value)  # only the run loop calls _fire
 
 
 class AllOf(Event):
@@ -250,16 +269,26 @@ class AnyOf(Event):
         return cb
 
 
-ProcessGen = Generator[Event, Any, Any]
+ProcessGen = Generator[Union[Event, float], Any, Any]
 
 
 class Process(Event):
     """A coroutine driven by the simulator.
 
-    The generator yields :class:`Event` objects; it is resumed with the
-    event's value once the event fires.  The process itself is an event
-    that succeeds with the generator's return value, so processes can be
-    joined by yielding them.
+    The generator yields what it waits for:
+
+    * an :class:`Event` — it is resumed with the event's value once the
+      event fires (or the event's exception is thrown into it);
+    * a non-negative ``float`` — a pure delay: it is resumed with
+      ``None`` that many simulated seconds later.  The sleep costs one
+      scheduler entry and one resume, no ``Event``; ``0.0`` yields to
+      everything already queued for this instant, like
+      ``schedule(0.0, ...)``.  A negative or NaN delay fails the process
+      with ``ValueError``; any other type (``int`` and ``bool``
+      included) with ``TypeError``.
+
+    The process itself is an event that succeeds with the generator's
+    return value, so processes can be joined by yielding them.
     """
 
     __slots__ = ("_gen", "_waiting_on", "_interrupts")
@@ -267,7 +296,9 @@ class Process(Event):
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str = ""):
         super().__init__(sim, name=name or getattr(gen, "__name__", "proc"))
         self._gen = gen
-        self._waiting_on: Optional[Event] = None
+        # The Event waited on, or the sleep token (the ``_seq`` of the
+        # scheduler entry that ends the current pure delay).
+        self._waiting_on: Union[Event, int, None] = None
         self._interrupts: List[Interrupt] = []
         sim._push_immediate(self._wake, None)
 
@@ -291,23 +322,30 @@ class Process(Event):
             return
         exc = self._interrupts.pop(0)
         waiting, self._waiting_on = self._waiting_on, None
-        if waiting is not None:
+        if isinstance(waiting, Event):
             waiting.cancel()  # producers must not deliver into the void
         self._wake(None, exc)
 
-    def _wake(self, ev: Optional[Event], exc: Optional[BaseException] = None) -> None:
+    def _wake(
+        self, ev: Union[Event, int, None], exc: Optional[BaseException] = None
+    ) -> None:
         """Resume the generator: send ``ev``'s outcome, or throw ``exc``.
 
-        ``ev`` is the event the process waits on — ``None`` on first
-        start and on interrupt delivery, the only caller passing ``exc``.
+        ``ev`` is what the process waits on: an event, a sleep token,
+        or ``None`` on first start and on interrupt delivery (the only
+        caller passing ``exc``).  The only place that drives the
+        generator.
         """
+        # Identity also holds for sleep tokens: the scheduler entry
+        # carries the very int object stored in ``_waiting_on``.
         if self._fired or self._waiting_on is not ev:
             return  # stale wakeup (e.g. after an interrupt re-targeted us)
         value = None
         if ev is not None:
             self._waiting_on = None
-            value = ev._value
-            exc = ev._exc
+            if type(ev) is not int:
+                value = ev._value
+                exc = ev._exc
         try:
             if exc is not None:
                 target = self._gen.throw(exc)
@@ -322,22 +360,32 @@ class Process(Event):
         except Exception as err:  # propagate to joiners
             self.fail(err)
             return
-        if type(target) is Timeout:
-            # Fast path for the dominant yield: register the resume
-            # callback directly, skipping the generic add_callback
-            # dispatch (same waiter list, same wakeup ordering).
+        if type(target) is float:
+            # Pure delay: one scheduler entry that resumes us directly.
+            sim = self.sim
+            seq = sim._seq + 1
+            if target > 0.0:
+                sim._seq = self._waiting_on = seq
+                heapq.heappush(sim._heap, (sim._now + target, seq, self._wake, (seq,)))
+                return
+            if target == 0.0:
+                sim._seq = self._waiting_on = seq
+                sim._imm_append((seq, self._wake, (seq,)))
+                return
+            error = ValueError  # negative or NaN
+        elif isinstance(target, Event):
             self._waiting_on = target
-            if target._fired:
-                self.sim._push_immediate(self._wake, target)
-            else:
-                target._waiters.append(self._wake)
+            target.add_callback(self._wake)
             return
-        if not isinstance(target, Event):
-            self._gen.close()
-            self.fail(TypeError("process yielded %r, expected an Event" % (target,)))
-            return
-        self._waiting_on = target
-        target.add_callback(self._wake)
+        else:
+            error = TypeError
+        self._gen.close()
+        self.fail(
+            error(
+                "process yielded %r, expected an Event or a non-negative "
+                "float delay in seconds" % (target,)
+            )
+        )
 
 
 class Simulator:
@@ -348,10 +396,13 @@ class Simulator:
     callbacks therefore run in schedule order.  Two structures carry
     that order:
 
-    * a binary heap for timed callbacks (``delay > 0``);
+    * a binary heap for timed callbacks (``delay > 0``) — a process
+      sleeping on a yielded ``float``, a ``Timeout``, a ``Server`` job's
+      completion: one entry each, whose callback resumes the waiting
+      process directly;
     * an **immediate queue** (plain deque) for zero-delay callbacks —
-      the ``schedule(0.0, ...)`` pattern that event dispatch and
-      process wakeups produce dominates the loop, and those entries
+      the ``schedule(0.0, ...)`` pattern of ``Event.succeed``/``fail``
+      waiter dispatch and process starts — whose entries
       are always due *now*, already in seq order (appends allocate
       increasing seqs, and the queue fully drains before the clock can
       advance), so the heap's log-n push/pop is pure overhead for them.
@@ -386,7 +437,7 @@ class Simulator:
             self._seq = seq
             self._imm_append((seq, fn, args))
             return
-        if delay < 0:
+        if not delay >= 0:  # also rejects NaN, which would corrupt heap order
             raise ValueError("cannot schedule into the past (delay=%r)" % delay)
         self._seq += 1
         heapq.heappush(self._heap, (self._now + delay, self._seq, fn, args))
@@ -408,7 +459,7 @@ class Simulator:
             self._seq = seq
             self._imm_append((seq, fn, args))
             return
-        if time < self._now:
+        if not time >= self._now:  # also rejects NaN
             raise ValueError(
                 "cannot schedule into the past (time=%r < now=%r)"
                 % (time, self._now)

@@ -537,7 +537,10 @@ class TimeWeighted:
         return self._value
 
     def set(self, value: float) -> None:
-        t = self._now()
+        self.set_at(self._now(), value)
+
+    def set_at(self, t: float, value: float) -> None:
+        """``set`` for a caller that already holds the current time."""
         self._area += self._value * (t - self._last_t)
         self._last_t = t
         self._value = value

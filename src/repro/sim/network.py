@@ -84,7 +84,7 @@ class Link:
         if jitter_frac > 0 and rng is None:
             raise ValueError("jitter requires an rng stream")
         self.sim = sim
-        self.latency_s = latency_s
+        self.latency_s = float(latency_s)  # delay() feeds float-only process yields
         self.bandwidth_bps = bandwidth_bps
         self.jitter_frac = jitter_frac
         self.rng = rng

@@ -10,7 +10,8 @@ bound and completion times explode, exactly as in Figs. 7-11.
 Service times are known at submission, so a FIFO server needs no queue
 to be simulated: every job is *booked* on arrival — it starts when the
 earliest core frees up (or now) and ends ``service`` later — and costs
-one scheduled callback at its completion instant.
+one scheduled callback at its completion instant, which resumes the
+job's waiters inline.
 
 Failure injection (`fail()`) drops every job still in the system,
 failing their completion events with :class:`NodeFailed`, which is how a
@@ -115,8 +116,8 @@ class Server:
         if self._chain_until > now:
             self._chain_until = end
         self._pending[done] = (value, end - start)
-        self.queue_depth.set(len(self._pending))
-        sim.schedule_at(end, self._finish, done)
+        self.queue_depth.set_at(now, len(self._pending))
+        sim.schedule_at(end, self._finish, done, end)
         return done
 
     def reserve(self, service_time: float, at: Optional[float] = None) -> float:
@@ -141,16 +142,17 @@ class Server:
         self.busy_time += service_time
         return end
 
-    def _finish(self, done: Event) -> None:
+    def _finish(self, done: Event, now: float) -> None:
+        """Complete ``done`` at its booked end; only the run loop calls this."""
         entry = self._pending.pop(done, None)
         if entry is None:
             return  # dropped by fail() before its completion instant
         value, busy = entry
         self.busy_time += busy
         self.jobs_done += 1
-        self.queue_depth.set(len(self._pending))
-        if not done.fired:
-            done.succeed(value)
+        self.queue_depth.set_at(now, len(self._pending))
+        if not done._fired:
+            done._succeed_inline(value)
 
     def fail(self) -> None:
         """Crash the node: drop every job in the system, in FIFO order."""

@@ -4,8 +4,16 @@ retransmission exhaustion, blackholes, partitions, and the op guards."""
 import pytest
 
 from repro.core import ControlPlaneConfig, Deployment
-from repro.faults import FaultEvent, FaultInjector, FaultOp, FaultPlan, region_of
-from repro.sim import Link, LinkDown, Simulator
+from repro.faults import (
+    EventTrace,
+    FaultEvent,
+    FaultInjector,
+    FaultOp,
+    FaultPlan,
+    region_of,
+)
+from repro.obs import Observability
+from repro.sim import Event, Link, LinkDown, Simulator
 from repro.sim.node import NodeFailed
 from repro.sim.rng import RngRegistry
 
@@ -106,7 +114,52 @@ class TestLinkTransit:
         assert link.effective_rto() == 3e-3
 
 
+def assert_lost(wait):
+    """A lost message is an event already failed with LinkDown."""
+    assert isinstance(wait, Event) and wait.fired and not wait.ok
+    with pytest.raises(LinkDown):  # LinkDown IS-A NodeFailed: recovery applies
+        _ = wait.value
+
+
 class TestTransitEvent:
+    """Contract since PR 21: a delivered message is its ``float`` delay,
+    a lost one a fired failed ``Event``.  (PR <= 20: always an
+    ``Event`` — a pending ``Timeout`` for every delivered message.)"""
+
+    def test_clean_message_is_its_delay(self):
+        sim, dep = make_dep()
+        injector = FaultInjector(dep, FaultPlan(seed=0)).install()
+        link = dep.links["cta_cpf"]
+        wait = injector.transit_event(link, 64)
+        assert type(wait) is float and wait == link.delay(64)
+        assert (link.messages_sent, link.bytes_sent) == (1, 64)
+        assert len(injector.trace) == 0 and sim._seq == 0
+
+    def test_verbose_trace_records_msg_at_send_instant(self):
+        sim, dep = make_dep()
+        trace = EventTrace(verbose=True)
+        injector = FaultInjector(dep, FaultPlan(seed=0), trace=trace).install()
+        link = dep.links["cta_cpf"]
+        sim.run(until=0.25)
+        wait = injector.transit_event(link, 64)
+        assert type(wait) is float and wait == link.delay(64)
+        assert link.messages_sent == 1
+        (record,) = trace.records
+        assert (record.time, record.kind) == (0.25, "msg")
+        assert dict(record.detail) == {"hop": link.name, "nbytes": 64}
+
+    def test_perturbed_message_is_its_computed_delay(self):
+        sim, dep = make_dep()
+        injector = FaultInjector(dep, FaultPlan(seed=0)).install()
+        link = dep.links["cta_cpf"]
+        # one drop (0.0 < drop_p), then delivery
+        link.set_faults(drop_p=0.5, extra_delay_s=5e-4, rng=FixedRng(0.0))
+        wait = injector.transit_event(link, 0)
+        assert type(wait) is float
+        assert wait == pytest.approx(link.latency_s + link.effective_rto() + 5e-4)
+        assert injector.trace.kinds() == {"msg_perturbed": 1}
+        assert link.retransmits == 1 and injector.messages_lost == 0
+
     def test_lost_message_fails_event_with_linkdown(self):
         sim, dep = make_dep()
         plan = FaultPlan(seed=3)
@@ -115,41 +168,124 @@ class TestTransitEvent:
         link = dep.links["cta_cpf"]
         # drive until a loss occurs (seeded, so bounded and deterministic)
         for _ in range(50):
-            ev = injector.transit_event(link, 64)
-            if ev.fired and not ev.ok:
+            wait = injector.transit_event(link, 64)
+            if type(wait) is not float:
                 break
         else:
             pytest.fail("0.9 drop never exhausted a zero-retx budget in 50 tries")
-        with pytest.raises(LinkDown):  # LinkDown IS-A NodeFailed: recovery applies
-            _ = ev.value
+        assert_lost(wait)
         assert issubclass(LinkDown, NodeFailed)
         assert injector.messages_lost >= 1
         assert "msg_lost" in injector.trace.kinds()
+
+    def test_blackholed_link_loses_every_message(self):
+        _, dep = make_dep()
+        injector = FaultInjector(dep, FaultPlan(seed=0)).install()
+        injector.fire(FaultOp(op="blackhole", target="bs_cta"))
+        link = dep.links["bs_cta"]
+        assert_lost(injector.transit_event(link, 64))
+        assert (link.messages_sent, link.dropped, injector.messages_lost) == (1, 1, 1)
+        assert injector.trace.kinds()["msg_lost"] == 1
+        injector.fire(FaultOp(op="restore", target="bs_cta"))
+        assert type(injector.transit_event(link, 64)) is float
 
     def test_partition_drops_only_cross_group_messages(self):
         sim, dep = make_dep()
         injector = FaultInjector(dep, FaultPlan(seed=0)).install()
         injector.fire(FaultOp(op="partition", target="20|21"))
         link = dep.links["cpf_cpf_inter"]
-        ev = injector.transit_event(link, 64, src="cpf-20-0", dst="cpf-21-0")
-        assert ev.fired and not ev.ok
-        with pytest.raises(LinkDown):
-            _ = ev.value
+        assert_lost(injector.transit_event(link, 64, src="cpf-20-0", dst="cpf-21-0"))
         assert injector.partition_drops == 1
+        assert injector.trace.kinds()["partition_drop"] == 1
         # same-group and unknown endpoints pass
-        ok = injector.transit_event(link, 64, src="cpf-20-0", dst="cpf-20-1")
-        assert not ok.fired
-        anon = injector.transit_event(link, 64)
-        assert not anon.fired
+        delay = link.delay(64)
+        assert injector.transit_event(link, 64, src="cpf-20-0", dst="cpf-20-1") == delay
+        assert injector.transit_event(link, 64) == delay
         injector.fire(FaultOp(op="heal"))
-        healed = injector.transit_event(link, 64, src="cpf-20-0", dst="cpf-21-0")
-        assert not healed.fired
+        assert injector.transit_event(link, 64, src="cpf-20-0", dst="cpf-21-0") == delay
+        assert link.messages_sent == 4 and link.dropped == 1
 
     def test_bad_partition_target_rejected(self):
         _, dep = make_dep()
         injector = FaultInjector(dep, FaultPlan()).install()
         with pytest.raises(ValueError):
             injector.fire(FaultOp(op="partition", target="20"))
+
+
+def _clean(injector):
+    pass
+
+
+def _perturbed(injector):
+    injector.dep.links["cpf_cpf_inter"].set_faults(extra_delay_s=5e-4)
+
+
+def _blackholed(injector):
+    injector.fire(FaultOp(op="blackhole", target="cpf_cpf_inter"))
+
+
+def _partitioned(injector):
+    injector.fire(FaultOp(op="partition", target="20|21"))
+
+
+class TestDeploymentHop:
+    """obs off: the injector's answer as is; obs on: always an Event
+    the hop span closes on — at the same instant, with the same fate."""
+
+    ENDS = dict(src="cpf-20-0", dst="cpf-21-0")
+
+    def _hop(self, condition, observed):
+        sim, dep = make_dep()
+        if condition is not None:  # None: no injector installed at all
+            condition(FaultInjector(dep, FaultPlan(seed=0)).install())
+        root = None
+        if observed:
+            root = Observability("trace").install(dep).tracer.begin("proc.test")
+        sim.run(until=0.5)
+        wait = dep.hop("cpf_cpf_inter", 64, parent=root, **self.ENDS)
+        return sim, dep, root, wait
+
+    @pytest.mark.parametrize(
+        "condition, extra", [(None, 0.0), (_clean, 0.0), (_perturbed, 5e-4)]
+    )
+    def test_delivered(self, condition, extra):
+        _, dep, _, delay = self._hop(condition, observed=False)
+        assert type(delay) is float
+        assert delay == dep.links["cpf_cpf_inter"].latency_s + extra
+
+        sim, dep, root, ev = self._hop(condition, observed=True)
+        assert isinstance(ev, Event) and not ev.fired
+        (span,) = dep.obs.tracer.children_of(root)
+        sim.run()
+        assert ev.ok
+        assert (span.name, span.status) == ("hop.cpf_cpf_inter", "ok")
+        assert (span.start, span.end) == (0.5, 0.5 + delay)
+        assert dep.links["cpf_cpf_inter"].messages_sent == 1
+
+    @pytest.mark.parametrize("condition", [_blackholed, _partitioned])
+    def test_lost(self, condition):
+        _, dep, _, wait = self._hop(condition, observed=False)
+        assert_lost(wait)
+        assert dep.links["cpf_cpf_inter"].dropped == 1
+
+        sim, dep, root, ev = self._hop(condition, observed=True)
+        assert_lost(ev)
+        (span,) = dep.obs.tracer.children_of(root)
+        sim.run()
+        assert (span.status, span.start, span.end) == ("error", 0.5, 0.5)
+        assert dep.faults.messages_lost == 1
+
+    def test_process_waits_the_same_either_way(self):
+        woke = []
+        for observed in (False, True):
+            sim, _, _, wait = self._hop(_perturbed, observed)
+
+            def body():
+                yield wait
+                return sim.now
+
+            woke.append(sim.run_process(body()))
+        assert woke[0] == woke[1] > 0.5
 
 
 class TestOpGuards:

@@ -36,6 +36,18 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule(-0.1, lambda: None)
 
+    def test_nan_rejected_at_every_entry_point(self, sim):
+        # NaN passes both ``== 0.0`` and ``< 0``; as a heap key it
+        # compares false against everything and corrupts the order.
+        nan = float("nan")
+        with pytest.raises(ValueError):
+            sim.schedule(nan, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_at(nan, lambda: None)
+        with pytest.raises(ValueError):
+            sim.timeout(nan)
+        assert not sim.step() and sim._seq == 0  # nothing was queued
+
     def test_run_until_stops_clock_exactly(self, sim):
         sim.schedule(5.0, lambda: None)
         sim.run(until=2.5)
@@ -481,13 +493,98 @@ class TestProcess:
         assert len(done) == 100
 
 
+class TestSleep:
+    """A yielded ``float`` is a pure delay."""
+
+    def test_sleeps_that_long_and_resumes_with_none(self, sim):
+        seen = []
+
+        def proc():
+            got = yield 1.5
+            seen.append((sim.now, got))
+            got = yield 0.25
+            seen.append((sim.now, got))
+
+        sim.run_process(proc())
+        assert seen == [(1.5, None), (1.75, None)]
+
+    def test_zero_delay_queues_like_schedule_zero(self, sim):
+        seen = []
+
+        def proc():
+            sim.schedule(0.0, seen.append, "queued-before")
+            yield 0.0
+            seen.append("resumed")
+
+        sim.process(proc())
+        sim.schedule(0.0, seen.append, "outside")
+        sim.run()
+        assert seen == ["outside", "queued-before", "resumed"]
+        assert sim.now == 0.0
+
+    def test_interrupt_mid_sleep_leaves_a_stale_entry_that_is_ignored(self, sim):
+        seen = []
+
+        def proc():
+            try:
+                yield 1.0
+            except Interrupt as intr:
+                seen.append((sim.now, intr.cause))
+            yield 2.0  # the stale t=1.0 entry must not end this early
+            seen.append((sim.now, "slept"))
+
+        p = sim.process(proc())
+        sim.schedule(0.25, p.interrupt, "poke")
+        sim.run(until=1.0)  # the stale entry has been popped by now
+        assert seen == [(0.25, "poke")] and p.alive
+        sim.run()
+        assert seen == [(0.25, "poke"), (2.25, "slept")]
+
+    def test_interrupt_mid_sleep_can_end_the_process(self, sim):
+        def proc():
+            yield 1.0
+
+        p = sim.process(proc())
+        sim.schedule(0.5, p.interrupt)
+        sim.run()
+        assert p.fired and not p.ok
+        assert sim.now == 1.0  # the stale entry still advanced the clock
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (-1.0, ValueError),
+            (float("nan"), ValueError),
+            (1, TypeError),  # int: say 1.0
+            (True, TypeError),
+            (None, TypeError),
+        ],
+    )
+    def test_rejected_yields_name_the_accepted_types(self, sim, bad, error):
+        closed = []
+
+        def proc():
+            try:
+                yield bad
+            finally:
+                closed.append(True)
+
+        p = sim.process(proc())
+        sim.run()
+        assert p.fired and not p.ok and closed == [True]
+        with pytest.raises(error, match="an Event or a non-negative float"):
+            _ = p.value
+        assert sim._seq == 1  # the start; nothing was queued for the bad yield
+
+
 class TestWakeCost:
     """What one wait costs the kernel.  Counts repeat exactly."""
 
-    def test_timeout_wait_is_one_heap_entry_and_one_wakeup(self, sim):
+    @staticmethod
+    def _cost_per_wait(sim, wait):
         def body(n):
             for _ in range(n):
-                yield sim.timeout(1.0)
+                yield wait()
 
         def cost(n):
             before = sim._seq
@@ -495,13 +592,35 @@ class TestWakeCost:
             sim.run()
             return sim._seq - before
 
-        assert cost(20) - cost(10) == 10 * 2
+        return (cost(20) - cost(10)) / 10
+
+    def test_timeout_wait_is_one_heap_entry_and_one_wakeup(self, sim):
+        # PR <= 20: 2 ``_seq`` — the wake-up was re-queued, not inline.
+        assert self._cost_per_wait(sim, lambda: sim.timeout(1.0)) == 1
+
+    def test_float_wait_is_one_heap_entry_and_no_event(self, sim, monkeypatch):
+        assert self._cost_per_wait(sim, lambda: 1.0) == 1
+        made = []
+        init = Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+
+        def body():
+            for _ in range(5):
+                yield 0.5
+
+        sim.run_process(body())
+        assert made == ["Process"]
 
     def test_resume_is_one_process_frame(self, sim):
         # PR <= 12 took two per resume (_on_event -> _step).
         def body():
             yield sim.timeout(1.0)
-            yield sim.timeout(1.0)
+            yield 1.0
 
         sim.process(body())
         frames = []
@@ -521,7 +640,7 @@ class TestWakeCost:
             sim.run()
         finally:
             sys.setprofile(None)
-        assert frames == ["_wake"] * 3  # start + two timeouts
+        assert frames == ["_wake"] * 3  # start + a Timeout + a float
 
 
 class TestScheduleAt:

@@ -74,11 +74,13 @@ class TestServer:
 
 
 class TestServerCost:
-    def test_awaited_job_costs_three_kernel_entries(self, sim):
-        """One ``_seq`` per process start, per completion booking and per
-        waiter wake-up; the worker-process server of PR <= 12 took 5
-        (plus a ``Store.get`` wake-up and a ``Timeout``).  Counts repeat
-        exactly, so this holds the saving without a clock.
+    def test_awaited_job_costs_two_kernel_entries(self, sim):
+        """One ``_seq`` per process start and per completion booking,
+        whose ``_finish`` resumes the waiter inline.  PR 13-20 took 3
+        (the wake-up was re-queued); the worker-process server of
+        PR <= 12 took 5 (plus a ``Store.get`` wake-up and a
+        ``Timeout``).  Counts repeat exactly, so this holds the saving
+        without a clock.
         """
         server = Server(sim, cores=1)
 
@@ -92,8 +94,8 @@ class TestServerCost:
             sim.run()
             return sim._seq - before
 
-        assert cost(10) == 10 * 3
-        assert cost(20) == 20 * 3
+        assert cost(10) == 10 * 2
+        assert cost(20) == 20 * 2
 
 
 class TestServerFailure:

@@ -268,3 +268,17 @@ class TestScaleSharded:
         assert "mode=trace" in out
         assert "trace: wrote scale-steady-city.trace.json" in out
         assert (tmp_path / "scale-steady-city.trace.json").exists()
+
+
+class TestOrchCompareBaseline:
+    def test_run_with_no_attach_cell_prints_na(self, capsys):
+        # 20 UEs for 50 ms complete no attach on either side, so both
+        # p99s are None; PR <= 20 crashed in '"%.3fms" % None'.
+        argv = [
+            "orch", "steady-city", "--policy", '{"tick_s": 0.05}',
+            "--compare-baseline", "--n-ue", "20", "--duration", "0.05",
+        ]
+        assert main(argv) == 0  # still the auditor verdict
+        out = capsys.readouterr().out
+        assert "worst-region n/a orchestrated vs n/a fixed-capacity" in out
+        assert "-> NOT improved (baseline violations=0)" in out
