@@ -3,13 +3,12 @@
 Neutrino's only BS change is the serialization engine (§4.1, §7): the
 BS encodes uplink S1AP messages and decodes downlink ones with the
 configured codec.  BSs are plentiful and never the queueing bottleneck,
-so their codec work contributes latency (priced from the cost model)
-but is not queued.
+so their codec work contributes latency — each step's ``bs_encode`` /
+``bs_decode`` price in :mod:`repro.core.program` — but is not queued;
+the node itself only counts what it relays.
 """
 
 from __future__ import annotations
-
-from ..messages.registry import CATALOG
 
 __all__ = ["BaseStation"]
 
@@ -23,19 +22,3 @@ class BaseStation:
         self.region = region
         self.uplink_messages = 0
         self.downlink_messages = 0
-
-    def uplink_delay(self, msg_name: str) -> float:
-        """Time to build + encode an uplink S1AP message."""
-        self.uplink_messages += 1
-        cost = self.dep.config.cost_model
-        return cost.serialize_cost(
-            self.dep.config.codec, CATALOG.element_count(msg_name)
-        )
-
-    def downlink_delay(self, msg_name: str) -> float:
-        """Time to decode a downlink S1AP message toward the UE."""
-        self.downlink_messages += 1
-        cost = self.dep.config.cost_model
-        return cost.deserialize_cost(
-            self.dep.config.codec, CATALOG.element_count(msg_name)
-        )

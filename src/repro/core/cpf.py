@@ -15,15 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from ..messages.registry import CATALOG
 from ..sim.core import Event, Simulator
 from ..sim.node import NodeFailed, Server
-from .state import StateEntry, StateStore, UEState
+from .program import SNAPSHOT_WIRE_BYTES, replay_time, snapshot_encode_time
+from .state import StateStore, UEState
 
 __all__ = ["CPF", "HandleResult", "SNAPSHOT_WIRE_BYTES"]
-
-#: approximate wire size of a serialized UE state snapshot.
-SNAPSHOT_WIRE_BYTES = 1200
 
 
 class _ShipAbandoned(Exception):
@@ -55,58 +52,81 @@ class CPF:
         self.server = Server(self.sim, cores=self.config.cpf_cores, name=name)
         self.sync_server = Server(self.sim, cores=1, name=name + ".sync")
         self._handle_name = name + ".handle"
+        #: sync-core CPU to serialize one snapshot for shipping.
+        self.snapshot_encode_s = snapshot_encode_time(self.config)
         self.store = StateStore(name)
         self.checkpoints_sent = 0
         self.snapshots_applied = 0
         self.messages_handled = 0
         self.replays_applied = 0
 
-    # -- sizing helpers -------------------------------------------------------
-
     @property
     def up(self) -> bool:
         return self.server.up
 
-    def _cost(self):
-        return self.config.cost_model
-
-    def _codec(self) -> str:
-        return self.config.codec
-
-    def message_service_time(
-        self, req_msg: str, resp_msg: Optional[str], extra: float = 0.0
-    ) -> float:
-        """CPU to decode a request, handle it, and encode the response."""
-        cost = self._cost()
-        service = cost.base_process_s + extra
-        service += cost.deserialize_cost(self._codec(), CATALOG.element_count(req_msg))
-        if resp_msg is not None:
-            service += cost.serialize_cost(self._codec(), CATALOG.element_count(resp_msg))
-        if self.config.sync_mode == "per_message":
-            service += self.config.per_message_lock_s
-        return service
-
     # -- uplink message handling ----------------------------------------------
+
+    def serve(
+        self,
+        ue_id: str,
+        reader_version: int,
+        clock: int,
+        creates_state: bool,
+        span: Optional[Any] = None,
+    ) -> Optional[int]:
+        """Serve one logged uplink message — only from up-to-date state.
+
+        §4.2.4(3), synchronous and event-free: the discrete path calls
+        it when the processing core finishes the message's job, the
+        batched lane at the job's analytic instant.  Returns the write
+        version served, or ``None`` when the UE must Re-Attach.
+        ``reader_version`` is the UE's own count of completed writes,
+        which the consistency auditor checks Read-your-Writes against.
+        """
+        self.messages_handled += 1
+        entry = self.store.get(ue_id)
+        if creates_state:
+            if entry is None or not entry.is_primary:
+                entry = self.store.create(
+                    ue_id, self.dep.m_tmsi_of(ue_id), is_primary=True
+                )
+        else:
+            if (
+                entry is None
+                or not entry.up_to_date
+                or entry.state.version < reader_version
+            ):
+                # No up-to-date state -> force Re-Attach.  The version
+                # gate is how "up-to-date" is actually checked against
+                # the request: NAS security counters reveal a CPF
+                # operating behind the UE's last completed write,
+                # closing repair/checkpoint races.
+                self.dep.auditor.record_reattach_forced(ue_id, self.name)
+                return None
+            entry.is_primary = True
+        self.dep.auditor.record_serve(
+            ue_id, reader_version, entry.state.version, self.name, span=span
+        )
+        entry.state.apply_message()
+        entry.synced_clock = max(entry.synced_clock, clock)
+        return entry.state.version
 
     def handle_uplink(
         self,
         ue_id: str,
         msg_name: str,
         clock: int,
-        resp_msg: Optional[str] = None,
+        service: float,
         creates_state: bool = False,
         reader_version: int = 0,
-        extra_service: float = 0.0,
         obs_parent: Optional[Any] = None,
     ) -> Event:
-        """Process one logged uplink message for ``ue_id``.
+        """Queue one logged uplink message for ``service`` CPU seconds.
 
-        The returned event fires with a :class:`HandleResult`; it fails
-        with :class:`NodeFailed` if this CPF dies first.
-        ``reader_version`` is the UE's own count of completed writes,
-        used by the consistency auditor to check Read-your-Writes.
+        The returned event fires with a :class:`HandleResult` once
+        :meth:`serve` ran; it fails with :class:`NodeFailed` if this CPF
+        dies first.
         """
-        service = self.message_service_time(msg_name, resp_msg, extra_service)
         done = self.sim.event(self._handle_name)
         obs = self.dep.obs
         if obs is not None and obs_parent is not None:
@@ -130,57 +150,28 @@ class CPF:
                 phases=(("cpf_wait", wait), ("cpf_serve", total - wait)),
             )
 
-        def process(_value: Any) -> None:
-            self.messages_handled += 1
+        def _on_job(ev: Event) -> None:
+            if not ev.ok:
+                if not done.fired:
+                    finish_span("failed")
+                    done.fail(NodeFailed(self.name))
+                return
             if obs is not None:
                 obs.metrics.counter("cpf_messages", node=self.name).inc()
-            if creates_state:
-                entry = self.store.get(ue_id)
-                if entry is None or not entry.is_primary:
-                    entry = self.store.create(
-                        ue_id, self.dep.m_tmsi_of(ue_id), is_primary=True
-                    )
-            else:
-                entry = self.store.get(ue_id)
-                if (
-                    entry is None
-                    or not entry.up_to_date
-                    or entry.state.version < reader_version
-                ):
-                    # §4.2.4(3): no up-to-date state -> force Re-Attach.
-                    # The version gate is how "up-to-date" is actually
-                    # checked against the request: NAS security counters
-                    # reveal a CPF operating behind the UE's last
-                    # completed write, closing repair/checkpoint races.
-                    self.dep.auditor.record_reattach_forced(ue_id, self.name)
-                    finish_span("reattach_required")
-                    done.succeed(HandleResult("reattach_required", self.name))
-                    return
-                entry.is_primary = True
-            self.dep.auditor.record_serve(
-                ue_id, reader_version, entry.state.version, self.name, span=span
-            )
-            entry.state.apply_message()
-            entry.synced_clock = max(entry.synced_clock, clock)
+            version = self.serve(ue_id, reader_version, clock, creates_state, span)
+            if version is None:
+                finish_span("reattach_required")
+                done.succeed(HandleResult("reattach_required", self.name))
+                return
             if self.config.sync_mode == "per_message":
-                self._checkpoint(ue_id, clock, obs_parent=span)
+                replicas, snapshot = self._take_checkpoint(ue_id)
+                self._ship_all(ue_id, snapshot, clock, replicas, span)
             finish_span("ok")
-            done.succeed(HandleResult("ok", self.name, entry.state.version))
-
-        def _on_job(ev: Event) -> None:
-            if ev.ok:
-                process(ev.value)
-            elif not done.fired:
-                finish_span("failed")
-                done.fail(NodeFailed(self.name))
+            done.succeed(HandleResult("ok", self.name, version))
 
         job = self.server.submit(service)
         job.add_callback(_on_job)
         return done
-
-    def peer_service_time(self, req_msg: str, resp_msg: Optional[str]) -> float:
-        """CPU for a CPF<->CPF exchange leg (handover migration)."""
-        return self.message_service_time(req_msg, resp_msg)
 
     def handle_peer(self, service: float) -> Event:
         """Inter-CPF work (migration target, state fetch) on the core."""
@@ -188,51 +179,67 @@ class CPF:
 
     # -- procedure boundaries ----------------------------------------------------
 
+    def commit(
+        self, ue_id: str, proc_name: str, last_clock: int
+    ) -> Tuple[List[str], Optional[UEState]]:
+        """Commit a finished procedure (§4.2.3 step 2), event-free.
+
+        Bumps the write version, syncs the entry through ``last_clock``
+        and, where the sync mode checkpoints here, snapshots the state.
+        Returns ``(replicas, snapshot)``: the replica names the CTA
+        records ACK expectations against, and the snapshot to ship to
+        them (``None`` when nothing ships now).
+        """
+        entry = self.store.get(ue_id)
+        if entry is None:
+            return [], None
+        entry.state.complete_procedure(proc_name)
+        entry.synced_clock = max(entry.synced_clock, last_clock)
+        mode = self.config.sync_mode
+        if mode == "per_procedure" or (mode == "on_idle" and not entry.state.active):
+            return self._take_checkpoint(ue_id)
+        if mode == "per_message":
+            return self.dep.replicas_of(ue_id), None
+        return [], None
+
     def complete_procedure(
         self, ue_id: str, proc_name: str, last_clock: int,
         obs_parent: Optional[Any] = None,
     ) -> List[str]:
-        """Commit the procedure and (maybe) checkpoint; returns replicas.
+        """:meth:`commit`, then ship the checkpoint; returns the replicas.
 
         Called by the UE driver after the final message of a procedure
-        was processed here.  The list of replica names is what the CTA
-        records ACK expectations against.
+        was processed here.
         """
-        entry = self.store.get(ue_id)
-        if entry is None:
-            return []
-        entry.state.complete_procedure(proc_name)
-        entry.synced_clock = max(entry.synced_clock, last_clock)
-        if self.config.sync_mode == "per_procedure":
-            return self._checkpoint(ue_id, last_clock, obs_parent=obs_parent)
-        if self.config.sync_mode == "on_idle" and not entry.state.active:
-            return self._checkpoint(ue_id, last_clock, obs_parent=obs_parent)
-        if self.config.sync_mode == "per_message":
-            return self.dep.replicas_of(ue_id)
-        return []
+        replicas, snapshot = self.commit(ue_id, proc_name, last_clock)
+        self._ship_all(ue_id, snapshot, last_clock, replicas, obs_parent)
+        return replicas
 
     # -- replication (primary side) ------------------------------------------------
 
-    def _checkpoint(
-        self, ue_id: str, last_clock: int, obs_parent: Optional[Any] = None
-    ) -> List[str]:
-        """Asynchronously ship a state snapshot to the backups (§4.2.2).
-
-        Non-blocking: the snapshot is taken now (after the lock cost,
-        charged to the message that triggered this) and shipped by the
-        sync core; the primary continues immediately.
-        """
+    def _take_checkpoint(self, ue_id: str) -> Tuple[List[str], Optional[UEState]]:
+        """The replica set and a snapshot of ``ue_id``'s state (§4.2.2)."""
         entry = self.store.get(ue_id)
         if entry is None:
-            return []
+            return [], None
         if self.config.broadcast_replication:
             replicas = [c for c in self.dep.cpf_names() if c != self.name]
         else:
             replicas = [r for r in self.dep.replicas_of(ue_id) if r != self.name]
         if not replicas:
-            return []
-        snapshot = entry.state.copy()
+            return [], None
         self.checkpoints_sent += 1
+        return replicas, entry.state.copy()
+
+    def _ship_all(self, ue_id, snapshot, last_clock, replicas, obs_parent) -> None:
+        """Ship ``snapshot`` (if one was taken) to every replica.
+
+        Non-blocking: the snapshot was taken after the lock cost
+        (charged to the message that triggered this) and is shipped by
+        the sync core; the primary continues immediately.
+        """
+        if snapshot is None:
+            return
         obs = self.dep.obs
         for replica_name in replicas:
             if obs is not None and obs_parent is not None:
@@ -246,7 +253,6 @@ class CPF:
                 self._ship(ue_id, snapshot, last_clock, replica_name, span=span),
                 name="%s.ship.%s" % (self.name, ue_id),
             )
-        return replicas
 
     def _ship(
         self,
@@ -267,10 +273,8 @@ class CPF:
                 self.dep.obs.tracer.finish(span, status=status)
 
     def _ship_inner(self, ue_id, snapshot, last_clock, replica_name, span):
-        cost = self._cost()
-        serialize = cost.serialize_cost(self._codec(), 16)  # snapshot encode
         try:
-            yield self.sync_server.submit(serialize)
+            yield self.sync_server.submit(self.snapshot_encode_s)
         except NodeFailed:
             # we died mid-checkpoint; backups stay stale (scenario 2/3)
             raise _ShipAbandoned("primary_died")
@@ -310,9 +314,16 @@ class CPF:
             yield self.sync_server.submit(self.config.replica_apply_s)
         except NodeFailed:
             return False
-        self.store.install_snapshot(ue_id, snapshot, last_clock)
-        self.snapshots_applied += 1
+        self.install_checkpoint(ue_id, snapshot, last_clock)
         return True
+
+    def install_checkpoint(self, ue_id: str, snapshot: UEState, clock: int) -> None:
+        """Adopt a shipped or fetched snapshot (§4.2.3 step 3), event-free.
+
+        The store ignores a snapshot older than the copy it holds.
+        """
+        self.store.install_snapshot(ue_id, snapshot, clock)
+        self.snapshots_applied += 1
 
     def replay_message(self, ue_id: str, msg_name: str, clock: int) -> Event:
         """Re-execute one logged message during recovery (§4.2.5, S2).
@@ -320,11 +331,7 @@ class CPF:
         Replay consumes the same decode+handle CPU as the original on
         the *processing* core of the promoted backup.
         """
-        cost = self._cost()
-        service = cost.base_process_s + cost.deserialize_cost(
-            self._codec(), CATALOG.element_count(msg_name)
-        )
-        done = self.server.submit(service)
+        done = self.server.submit(replay_time(self.config, msg_name))
 
         def apply(ev: Event) -> None:
             if not ev.ok:

@@ -20,6 +20,7 @@ from typing import Generator, List, Optional, Tuple
 from ..sim.core import Event, Simulator
 from ..sim.node import NodeFailed, Server
 from .log import LogicalClock, MessageLog
+from .program import cta_ingest_time
 
 __all__ = ["CTA", "FailoverPlan"]
 
@@ -73,8 +74,22 @@ class CTA:
 
     # -- uplink path ------------------------------------------------------------
 
+    def log_uplink(self, ue_id: str, msg_name: str, size_bytes: int) -> int:
+        """Stamp and log one uplink message (§4.2.3 step 1), event-free.
+
+        Returns the assigned logical clock.  Clocks are monotone per UE
+        (the CTA only needs per-UE ordering), so a UE's clock domain
+        survives CTA handovers.  The discrete path calls this as the
+        message enters the CTA's queue, the batched lane at the same
+        analytic instant.
+        """
+        clock = self.dep.next_clock(ue_id)
+        self.clock.tick()
+        self.log.append(clock, ue_id, msg_name, size_bytes)
+        return clock
+
     def ingest(self, ue_id: str, msg_name: str, size_bytes: int) -> Event:
-        """Stamp, log, and forward one uplink message (§4.2.3 step 1).
+        """:meth:`log_uplink`, then queue the forwarding work.
 
         Returns an event whose value is the assigned logical clock; it
         fails with :class:`NodeFailed` if this CTA is down.
@@ -83,19 +98,12 @@ class CTA:
             ev = self.sim.event(self.name + ".ingest")
             ev.fail(NodeFailed(self.name))
             return ev
-        # Clocks are monotone per UE (the CTA only needs per-UE ordering,
-        # §4.2.3), so a UE's clock domain survives CTA handovers.
-        clock = self.dep.next_clock(ue_id)
-        self.clock.tick()
-        self.log.append(clock, ue_id, msg_name, size_bytes)
+        clock = self.log_uplink(ue_id, msg_name, size_bytes)
         obs = self.dep.obs
         if obs is not None:
             obs.metrics.counter("cta_messages", node=self.name).inc()
             obs.metrics.gauge("cta_log_bytes", node=self.name).set(self.log.size_bytes)
-        service = self.config.cta_forward_s
-        if self.config.message_logging:
-            service += self.config.log_append_s
-        return self.server.submit(service, value=clock)
+        return self.server.submit(cta_ingest_time(self.config), value=clock)
 
     def respond(self) -> Event:
         """Forwarding cost for routing a downlink response back to the BS."""

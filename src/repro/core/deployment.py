@@ -19,11 +19,12 @@ Fast Handover, and multi-CTA behaviour.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..geo.regions import Region, RegionMap
-from ..messages.procedures import PROCEDURES, ProcedureSpec
+from ..messages.procedures import ProcedureSpec
 from ..messages.registry import CATALOG
 from ..sim.core import Event, Simulator
 from ..sim.monitor import Tally
@@ -34,6 +35,7 @@ from .config import ControlPlaneConfig
 from .consistency import RYWAuditor
 from .cpf import CPF
 from .cta import CTA
+from .program import Program, compile_procedure, encode_time, procedure_spec
 from .ue import UE, ProcedureOutcome
 from .upf import UPF
 
@@ -110,6 +112,7 @@ class Deployment:
         self._placements: Dict[str, Placement] = {}
         self._clocks: Dict[str, int] = {}
         self._ues: Dict[str, UE] = {}
+        self._programs: Dict[str, Program] = {}
         self.pct: Dict[str, Tally] = {}
         self.outcomes: List[ProcedureOutcome] = []
         #: when set (a callable taking one ProcedureOutcome), every
@@ -361,7 +364,9 @@ class Deployment:
         return self._clocks.get(ue_id, 0)
 
     def m_tmsi_of(self, ue_id: str) -> int:
-        return (hash(ue_id) & 0xFFFFFFFF) or 1
+        # crc32, not hash(): str hashes differ per process, and shard
+        # workers must agree on a UE's M-TMSI
+        return zlib.crc32(ue_id.encode()) or 1
 
     # -- placement registry ----------------------------------------------------------
 
@@ -546,19 +551,19 @@ class Deployment:
     def cpf_names(self) -> List[str]:
         return sorted(self.cpfs)
 
-    # -- procedure specs (DPCM overrides) ---------------------------------------------------
+    # -- procedures -------------------------------------------------------------------------
 
     def spec(self, proc_name: str) -> ProcedureSpec:
-        if self.config.dpcm_mode:
-            from ..baselines.policies import DPCM_PROCEDURES
+        """The message flow of ``proc_name`` under this deployment's config."""
+        return procedure_spec(self.config, proc_name)
 
-            override = DPCM_PROCEDURES.get(proc_name)
-            if override is not None:
-                return override
-        try:
-            return PROCEDURES[proc_name]
-        except KeyError:
-            raise KeyError("unknown procedure %r" % proc_name)
+    def program(self, proc_name: str) -> Program:
+        """``proc_name`` priced for this deployment, compiled on first use."""
+        program = self._programs.get(proc_name)
+        if program is None:
+            program = compile_procedure(self.config, self.spec(proc_name))
+            self._programs[proc_name] = program
+        return program
 
     # -- UEs & bootstrap ------------------------------------------------------------------------
 
@@ -690,11 +695,7 @@ class Deployment:
 
         # Page through every BS in the UE's tracking area (its region).
         paging_size = CATALOG.wire_size("Paging", self.config.codec)
-        yield serving.handle_peer(
-            self.config.cost_model.serialize_cost(
-                self.config.codec, CATALOG.element_count("Paging")
-            )
-        )
+        yield serving.handle_peer(encode_time(self.config, "Paging"))
         yield self.hop("cta_cpf", paging_size)
         yield self.hop("bs_cta", paging_size)
         yield self.hop("ue_bs", paging_size)

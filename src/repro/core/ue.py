@@ -20,11 +20,9 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Generator, Optional
 
-from ..messages.procedures import ProcedureSpec, Step
-from ..messages.registry import CATALOG
 from ..sim.core import Simulator
 from ..sim.node import NodeFailed
-from .cpf import CPF, SNAPSHOT_WIRE_BYTES
+from .program import PricedStep
 
 __all__ = ["UE", "ProcedureOutcome", "ProcedureAborted"]
 
@@ -107,41 +105,36 @@ class UE:
         Returns the :class:`ProcedureOutcome`.  ``target_bs`` is required
         for handover procedures.
         """
-        dep = self.dep
-        spec = dep.spec(proc_name)
+        program = self.dep.program(proc_name)
         if outcome is None:
             outcome = ProcedureOutcome(proc_name, self.sim.now, self.ue_id)
         self.busy = True
         self.procedures_run += 1
         is_attach = proc_name in ("attach", "re_attach")
         try:
-            yield from self._run_steps(spec, proc_name, target_bs, outcome, is_attach)
+            yield from self._run_steps(program, target_bs, outcome, is_attach)
         finally:
             self.busy = False
         return outcome
 
     # ----------------------------------------------------------- procedure body
 
-    def _run_steps(self, spec, proc_name, target_bs, outcome, is_attach) -> Generator:
+    def _run_steps(self, program, target_bs, outcome, is_attach) -> Generator:
         obs = self.dep.obs
         if obs is None:
             self._obs_root = None
-            yield from self._run_steps_inner(
-                spec, proc_name, target_bs, outcome, is_attach
-            )
+            yield from self._run_steps_inner(program, target_bs, outcome, is_attach)
             return
         # Root span for the whole procedure; a nested Re-Attach (its own
         # execute() call) parents under the failed procedure's root, so
         # the recovery shows up inside the timeline that paid for it.
         prev_root = self._obs_root
         root = obs.tracer.begin(
-            "proc." + proc_name, parent=prev_root, proc=proc_name, ue=self.ue_id
+            "proc." + program.name, parent=prev_root, proc=program.name, ue=self.ue_id
         )
         self._obs_root = root
         try:
-            yield from self._run_steps_inner(
-                spec, proc_name, target_bs, outcome, is_attach
-            )
+            yield from self._run_steps_inner(program, target_bs, outcome, is_attach)
         finally:
             obs.tracer.finish(
                 root,
@@ -151,8 +144,9 @@ class UE:
             )
             self._obs_root = prev_root
 
-    def _run_steps_inner(self, spec, proc_name, target_bs, outcome, is_attach) -> Generator:
+    def _run_steps_inner(self, program, target_bs, outcome, is_attach) -> Generator:
         dep = self.dep
+        proc_name = program.name
         self._last_clock = 0
         self._migrated_to: Optional[str] = None
         recoveries = 0
@@ -162,9 +156,16 @@ class UE:
         if cta is not None and cta.up and not is_attach:
             cta.flag_concurrent_procedure(self.ue_id)  # §4.2.4(4)
 
+        steps = program.steps
+        run_step = {  # step kind -> the method that executes it
+            "uplink": self._uplink_exchange,
+            "cpf_bs": self._cpf_bs,
+            "cpf_upf": self._cpf_upf,
+            "cpf_cpf": self._cpf_cpf,
+        }
         step_idx = 0
-        while step_idx < len(spec.steps):
-            step = spec.steps[step_idx]
+        while step_idx < len(steps):
+            step = steps[step_idx]
             try:
                 if (
                     step.at_target
@@ -173,15 +174,15 @@ class UE:
                     and target_bs is not None
                 ):
                     yield from self._resolve_fast_target(target_bs)
-                yield from self._do_step(step, proc_name, target_bs, outcome, is_attach)
-            except NodeFailed as failure:
+                yield from run_step[step.kind](step, target_bs, outcome, is_attach)
+            except NodeFailed:
                 recoveries += 1
                 if recoveries > _MAX_RECOVERIES:
                     raise ProcedureAborted(
                         "%s for %s failed %d times" % (proc_name, self.ue_id, recoveries)
                     )
                 outcome.recovered = True
-                handled = yield from self._recover(failure, proc_name, outcome)
+                handled = yield from self._recover(outcome)
                 if handled == "reattached":
                     return
                 continue  # retry the same step at the promoted backup
@@ -194,8 +195,8 @@ class UE:
         # procedures (so the checkpoint targets the *new* backups and the
         # ACKs land at the new CTA), then commit state and checkpoint
         # (§4.2.3 steps 2-4).
-        serving_name = self._serving_cpf_name(proc_name, target_bs, spec.steps[-1])
-        if spec.changes_cpf and target_bs is not None:
+        serving_name = self._migrated_to or dep.primary_of(self.ue_id)
+        if program.changes_cpf and target_bs is not None:
             dep.switch_region(self.ue_id, self._migrated_to, target_bs)
             self.bs_name = target_bs
         serving = dep.cpfs.get(serving_name)
@@ -244,19 +245,7 @@ class UE:
                 raise NodeFailed(tgt_name)
         self._migrated_to = tgt_name
 
-    def _do_step(self, step: Step, proc_name, target_bs, outcome, is_attach) -> Generator:
-        if step.kind in ("ue_exchange", "ue_message"):
-            yield from self._uplink_exchange(step, proc_name, target_bs, outcome, is_attach)
-        elif step.kind == "cpf_bs":
-            yield from self._cpf_bs(step, proc_name, target_bs, outcome, is_attach)
-        elif step.kind == "cpf_upf":
-            yield from self._cpf_upf(step, proc_name, target_bs, outcome)
-        elif step.kind == "cpf_cpf":
-            yield from self._cpf_cpf(step, proc_name, target_bs)
-        else:  # pragma: no cover - Step validates kinds
-            raise ValueError("unknown step kind %r" % step.kind)
-
-    def _context(self, step: Step, proc_name, target_bs):
+    def _context(self, step: PricedStep, target_bs):
         """(bs, cta, cpf) the step runs through, honoring at_target.
 
         The *serving* CTA (the one holding the UE's log) handles all of
@@ -278,119 +267,93 @@ class UE:
         cpf = dep.cpfs[cpf_name]
         return bs, cta, cpf
 
-    def _uplink_exchange(self, step, proc_name, target_bs, outcome, is_attach) -> Generator:
+    def _uplink_leg(self, step, bs, cta, cpf, msg, size, creates, is_attach) -> Generator:
+        """BS encodes ``msg``; the CTA stamps + logs it; the CPF serves it."""
         dep = self.dep
-        bs, cta, cpf = self._context(step, proc_name, target_bs)
-        msg, resp = step.request, step.response
-        size = CATALOG.composed_wire_size(msg, step.request_nas, dep.config.codec)
         root = self._obs_root
         span = _span_factory(dep.obs, root)
-
-        yield dep.hop("ue_bs", size, parent=root)
         with span("bs.uplink", phase="radio", bs=bs.name, msg=msg):
-            yield bs.uplink_delay(msg)
+            bs.uplink_messages += 1
+            yield step.bs_encode
         yield dep.hop("bs_cta", size, parent=root)
         with span("cta.ingest", phase="cta", node=cta.name, msg=msg):
             clock = yield cta.ingest(self.ue_id, msg, size)
         self._last_clock = max(self._last_clock, clock)
         yield dep.hop("cta_cpf", size, parent=root)
-
-        creates = is_attach and msg == "InitialUEMessage"
         reader_version = 0 if is_attach else self.completed_version
         result = yield cpf.handle_uplink(
-            self.ue_id, msg, clock, resp, creates, reader_version, obs_parent=root
+            self.ue_id, msg, clock, step.cpf_serve, creates, reader_version,
+            obs_parent=root,
         )
         if result.status == "reattach_required":
             # §4.2.4(3): treat like a primary loss — the CTA will route
             # recovery (a synced backup or a Re-Attach).
             raise NodeFailed(cpf.name)
 
-        if resp is not None:
-            resp_size = CATALOG.composed_wire_size(
-                resp, step.response_nas, dep.config.codec
-            )
-            yield dep.hop("cta_cpf", resp_size, parent=root)
-            with span("cta.respond", phase="cta", node=cta.name):
-                yield cta.respond()
-            yield dep.hop("bs_cta", resp_size, parent=root)
-            with span("bs.downlink", phase="radio", bs=bs.name, msg=resp):
-                yield bs.downlink_delay(resp)
-            yield dep.hop("ue_bs", resp_size, parent=root)
+    def _downlink_leg(self, step, bs, cta, msg, size) -> Generator:
+        """CPF -> CTA (forward) -> BS (decode) -> UE for one message."""
+        dep = self.dep
+        root = self._obs_root
+        span = _span_factory(dep.obs, root)
+        yield dep.hop("cta_cpf", size, parent=root)
+        with span("cta.respond", phase="cta", node=cta.name):
+            yield cta.respond()
+        yield dep.hop("bs_cta", size, parent=root)
+        with span("bs.downlink", phase="radio", bs=bs.name, msg=msg):
+            bs.downlink_messages += 1
+            yield step.bs_decode
+        yield dep.hop("ue_bs", size, parent=root)
+
+    def _uplink_exchange(self, step, target_bs, outcome, is_attach) -> Generator:
+        bs, cta, cpf = self._context(step, target_bs)
+        msg = step.request
+        yield self.dep.hop("ue_bs", step.req_size, parent=self._obs_root)
+        creates = is_attach and msg == "InitialUEMessage"
+        yield from self._uplink_leg(
+            step, bs, cta, cpf, msg, step.req_size, creates, is_attach
+        )
+        if step.response is not None:
+            yield from self._downlink_leg(step, bs, cta, step.response, step.resp_size)
         if step.ends_pct:
             self._mark_pct(outcome)
 
-    def _cpf_bs(self, step, proc_name, target_bs, outcome, is_attach) -> Generator:
+    def _cpf_bs(self, step, target_bs, outcome, is_attach) -> Generator:
         """CPF-initiated downlink exchange (context setup, HO command)."""
-        dep = self.dep
-        bs, cta, cpf = self._context(step, proc_name, target_bs)
-        req, resp = step.request, step.response
-        req_size = CATALOG.composed_wire_size(req, step.request_nas, dep.config.codec)
-        cost = dep.config.cost_model
-        root = self._obs_root
-        span = _span_factory(dep.obs, root)
-
+        bs, cta, cpf = self._context(step, target_bs)
+        span = _span_factory(self.dep.obs, self._obs_root)
         # CPF encodes and emits the downlink request.
-        with span("cpf.encode", phase="cpf_serve", node=cpf.name, msg=req):
-            yield cpf.handle_peer(
-                cost.base_process_s * 0.5
-                + cost.serialize_cost(dep.config.codec, CATALOG.element_count(req))
-            )
-        yield dep.hop("cta_cpf", req_size, parent=root)
-        with span("cta.respond", phase="cta", node=cta.name):
-            yield cta.respond()
-        yield dep.hop("bs_cta", req_size, parent=root)
-        with span("bs.downlink", phase="radio", bs=bs.name, msg=req):
-            yield bs.downlink_delay(req)
-        yield dep.hop("ue_bs", req_size, parent=root)
+        with span("cpf.encode", phase="cpf_serve", node=cpf.name, msg=step.request):
+            yield cpf.handle_peer(step.cpf_encode)
+        yield from self._downlink_leg(step, bs, cta, step.request, step.req_size)
         if step.ends_pct:
             # The accept/command reached the UE: the paper's client-side
             # PCT clock stops here.
             self._mark_pct(outcome)
-
-        if resp is not None:
+        if step.response is not None:
             # BS answers uplink; it is logged and handled like any other
             # uplink control message.
-            resp_size = CATALOG.wire_size(resp, dep.config.codec)
-            with span("bs.uplink", phase="radio", bs=bs.name, msg=resp):
-                yield bs.uplink_delay(resp)
-            yield dep.hop("bs_cta", resp_size, parent=root)
-            with span("cta.ingest", phase="cta", node=cta.name, msg=resp):
-                clock = yield cta.ingest(self.ue_id, resp, resp_size)
-            self._last_clock = max(self._last_clock, clock)
-            yield dep.hop("cta_cpf", resp_size, parent=root)
-            reader_version = 0 if is_attach else self.completed_version
-            result = yield cpf.handle_uplink(
-                self.ue_id, resp, clock, None, False, reader_version, obs_parent=root
+            yield from self._uplink_leg(
+                step, bs, cta, cpf, step.response, step.resp_size, False, is_attach
             )
-            if result.status == "reattach_required":
-                raise NodeFailed(cpf.name)
 
-    def _cpf_upf(self, step, proc_name, target_bs, outcome) -> Generator:
+    def _cpf_upf(self, step, target_bs, outcome, is_attach) -> Generator:
         dep = self.dep
-        bs, _cta, cpf = self._context(step, proc_name, target_bs)
+        bs, _cta, cpf = self._context(step, target_bs)
         upf = dep.upf_for_region(bs.region)
         req, resp = step.request, step.response
-        req_size = CATALOG.wire_size(req, dep.config.codec)
-        resp_size = CATALOG.wire_size(resp, dep.config.codec) if resp else 0
-        cost = dep.config.cost_model
         root = self._obs_root
         span = _span_factory(dep.obs, root)
 
         def leg() -> Generator:
             with span("cpf.encode", phase="cpf_serve", node=cpf.name, msg=req):
-                yield cpf.handle_peer(
-                    cost.base_process_s * 0.5
-                    + cost.serialize_cost(dep.config.codec, CATALOG.element_count(req))
-                )
-            yield dep.hop("cpf_upf", req_size, parent=root)
+                yield cpf.handle_peer(step.cpf_encode)
+            yield dep.hop("cpf_upf", step.req_size, parent=root)
             with span("upf.program", phase="upf", upf=upf.name, msg=req):
                 yield upf.program(req, self.ue_id, bs.name)
             if resp:
-                yield dep.hop("cpf_upf", resp_size, parent=root)
+                yield dep.hop("cpf_upf", step.resp_size, parent=root)
                 with span("cpf.decode", phase="cpf_serve", node=cpf.name, msg=resp):
-                    yield cpf.handle_peer(
-                        cost.deserialize_cost(dep.config.codec, CATALOG.element_count(resp))
-                    )
+                    yield cpf.handle_peer(step.cpf_decode)
             if step.ends_pct:
                 self._mark_pct(outcome)
 
@@ -401,7 +364,7 @@ class UE:
         else:
             yield from leg()
 
-    def _cpf_cpf(self, step, proc_name, target_bs) -> Generator:
+    def _cpf_cpf(self, step, target_bs, outcome, is_attach) -> Generator:
         """State migration leg of a handover with CPF change."""
         dep = self.dep
         if target_bs is None:
@@ -418,34 +381,28 @@ class UE:
             if not alive:
                 raise NodeFailed("cpf:" + tgt_region)
             tgt_name, tgt = alive[0], dep.cpfs[alive[0]]
-        req, resp = step.request, step.response
-        codec = dep.config.codec
-        req_size = CATALOG.wire_size(req, codec) + SNAPSHOT_WIRE_BYTES
-        resp_size = CATALOG.wire_size(resp, codec) if resp else 64
         hop = dep.cpf_hop(src_name, tgt_name)
         root = self._obs_root
         span = _span_factory(dep.obs, root)
 
         with span("cpf.migrate", phase="migrate", src=src_name, dst=tgt_name):
             # Source: snapshot + encode the relocation request.
-            yield src.handle_peer(src.message_service_time(req, None))
+            yield src.handle_peer(step.cpf_serve)
             entry = src.store.get(self.ue_id)
             if entry is None or not entry.up_to_date:
                 raise NodeFailed(src_name)
             snapshot, clock = entry.state.copy(), entry.synced_clock
-            yield dep.hop(hop, req_size, parent=root)
+            yield dep.hop(hop, step.req_size, parent=root)
             # Target: decode, install migrated state, encode the ack.
-            yield tgt.handle_peer(tgt.message_service_time(req, resp))
+            yield tgt.handle_peer(step.tgt_serve)
             tgt.store.install_snapshot(self.ue_id, snapshot, clock)
-            yield dep.hop(hop, resp_size, parent=root)
-            yield src.handle_peer(
-                dep.config.cost_model.deserialize_cost(codec, CATALOG.element_count(resp or req))
-            )
+            yield dep.hop(hop, step.resp_size, parent=root)
+            yield src.handle_peer(step.cpf_decode)
         self._migrated_to = tgt_name
 
     # ---------------------------------------------------------------- recovery
 
-    def _recover(self, failure: NodeFailed, proc_name, outcome) -> Generator:
+    def _recover(self, outcome) -> Generator:
         """Consult the CTA, then resume or Re-Attach (§4.2.5)."""
         dep = self.dep
         bs = dep.bss[self.bs_name]
@@ -458,7 +415,7 @@ class UE:
                 raise ProcedureAborted("no CTA alive for %s" % self.ue_id)
             dep.adopt_region_cta(bs.region, cta.name)
             dep.reset_placement(self.ue_id, dep.pick_fresh_primary(self.ue_id))
-            yield from self._reattach(proc_name, outcome)
+            yield from self._reattach(outcome)
             return "reattached"
         obs, root = dep.obs, self._obs_root
         if obs is not None and root is not None:
@@ -471,10 +428,10 @@ class UE:
         if plan.action == "resume":
             self._migrated_to = None
             return "resumed"
-        yield from self._reattach(proc_name, outcome)
+        yield from self._reattach(outcome)
         return "reattached"
 
-    def _reattach(self, failed_proc, outcome) -> Generator:
+    def _reattach(self, outcome) -> Generator:
         """Run Re-Attach; the failed procedure's PCT ends at its completion."""
         outcome.reattached = True
         self.attached = False
@@ -487,8 +444,3 @@ class UE:
         if outcome.pct is None:
             outcome.pct = self.sim.now - outcome.started_at
             self.dep.record_pct(outcome)
-
-    def _serving_cpf_name(self, proc_name, target_bs, last_step) -> Optional[str]:
-        if self._migrated_to is not None:
-            return self._migrated_to
-        return self.dep.primary_of(self.ue_id)

@@ -43,32 +43,39 @@ class UPF:
         self._next_teid = 1
 
     def program(self, msg_name: str, ue_id: str, bs_id: str) -> Event:
-        """Apply one S11 message; the event fires when the UPF is done."""
+        """Queue one S11 message; :meth:`apply` runs when the UPF is done."""
         done = self.server.submit(self.service_s)
 
-        def apply(_ev: Event) -> None:
-            if not _ev.ok:
-                return
-            if msg_name == "CreateSessionRequest":
-                self._next_teid += 1
-                self.sessions[ue_id] = Session(ue_id, self._next_teid, bs_id)
-            elif msg_name == "ModifyBearerRequest":
-                session = self.sessions.get(ue_id)
-                if session is None:
-                    self._next_teid += 1
-                    session = Session(ue_id, self._next_teid, bs_id)
-                    self.sessions[ue_id] = session
-                session.bs_id = bs_id
-                session.active = True
-            elif msg_name == "ReleaseAccessBearersRequest":
-                session = self.sessions.get(ue_id)
-                if session is not None:
-                    session.active = False
-            elif msg_name == "DeleteSessionRequest":
-                self.sessions.pop(ue_id, None)
+        def on_done(ev: Event) -> None:
+            if ev.ok:
+                self.apply(msg_name, ue_id, bs_id)
 
-        done.add_callback(apply)
+        done.add_callback(on_done)
         return done
+
+    def apply(self, msg_name: str, ue_id: str, bs_id: str) -> None:
+        """One S11 message's effect on the session table, event-free.
+
+        Called when the message's job completes — or, by the batched
+        lane, at the job's analytic instant.
+        """
+        if msg_name == "CreateSessionRequest":
+            self._next_teid += 1
+            self.sessions[ue_id] = Session(ue_id, self._next_teid, bs_id)
+        elif msg_name == "ModifyBearerRequest":
+            session = self.sessions.get(ue_id)
+            if session is None:
+                self._next_teid += 1
+                session = Session(ue_id, self._next_teid, bs_id)
+                self.sessions[ue_id] = session
+            session.bs_id = bs_id
+            session.active = True
+        elif msg_name == "ReleaseAccessBearersRequest":
+            session = self.sessions.get(ue_id)
+            if session is not None:
+                session.active = False
+        elif msg_name == "DeleteSessionRequest":
+            self.sessions.pop(ue_id, None)
 
     def has_path(self, ue_id: str, bs_id: Optional[str] = None) -> bool:
         """Whether downlink/uplink data can flow for this UE right now."""

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.config import ControlPlaneConfig
 from ..core.deployment import Deployment
+from ..core.program import compile_procedure, procedure_spec
 from ..faults.injector import FaultInjector
 from ..faults.plan import FaultEvent, FaultPlan
 from ..obs import MODES as OBS_MODES, Observability
@@ -258,58 +259,19 @@ def run_pct_point(
 
 
 def estimate_procedure_cpu(config: ControlPlaneConfig, proc_name: str) -> float:
-    """Analytic CPU seconds one procedure costs its primary CPF.
+    """Analytic CPU seconds one procedure costs the CPF processing cores.
 
-    Sums the decode/handle/encode work of every step the CPF touches
-    (the same pricing the simulator charges), giving closed-form
-    saturation predictions: the knee on the paper's axis sits at
+    Folds the procedure's priced step program — the very numbers the
+    simulator charges (:mod:`repro.core.program`; a migration leg bills
+    its source and its target) — giving closed-form saturation
+    predictions: the knee on the paper's axis sits at
     ``TESTBED_CPFS / cpu`` procedures per second.
     """
-    from ..messages.registry import CATALOG
-
-    cost = config.cost_model
-    codec = config.codec
-    spec_steps = []
-    if config.dpcm_mode:
-        from ..baselines.policies import DPCM_PROCEDURES
-
-        spec_steps = list(DPCM_PROCEDURES.get(proc_name, _procedures()[proc_name]).steps)
-    else:
-        spec_steps = list(_procedures()[proc_name].steps)
-
-    def elements(msg):
-        return CATALOG.element_count(msg)
-
-    total = 0.0
-    for step in spec_steps:
-        if step.kind in ("ue_exchange", "ue_message"):
-            total += cost.base_process_s + cost.deserialize_cost(codec, elements(step.request))
-            if step.response:
-                total += cost.serialize_cost(codec, elements(step.response))
-            if config.sync_mode == "per_message":
-                total += config.per_message_lock_s
-        elif step.kind == "cpf_bs":
-            total += cost.base_process_s * 0.5 + cost.serialize_cost(codec, elements(step.request))
-            if step.response:
-                total += cost.base_process_s + cost.deserialize_cost(codec, elements(step.response))
-                if config.sync_mode == "per_message":
-                    total += config.per_message_lock_s
-        elif step.kind == "cpf_upf":
-            total += cost.base_process_s * 0.5 + cost.serialize_cost(codec, elements(step.request))
-            if step.response:
-                total += cost.deserialize_cost(codec, elements(step.response))
-        elif step.kind == "cpf_cpf":
-            total += cost.codec_cost(codec).total(elements(step.request))
-            total += cost.base_process_s
+    program = compile_procedure(config, procedure_spec(config, proc_name))
+    total = sum(step.cpf_cpu() for step in program.steps)
     if config.sync_mode == "per_procedure":
         total += config.checkpoint_lock_s
     return total
-
-
-def _procedures():
-    from ..messages.procedures import PROCEDURES
-
-    return PROCEDURES
 
 
 def estimated_utilization(

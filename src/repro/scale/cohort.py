@@ -310,13 +310,14 @@ class BatchedDriver(CohortDriver):
     ) -> None:
         """Route one arrival: lane when provably exact, discrete otherwise."""
         self._ensure_boot(i)
-        if (
-            self.lane is not None
-            and proc in self.lane.compiled
-            and not self._in_hazard()
-            and self._admit(i, proc, target_bs)
-        ):
-            return
+        if self.lane is not None:
+            program = self.dep.program(proc)
+            if (
+                program.steady_state
+                and not self._in_hazard()
+                and self._admit(i, program, target_bs)
+            ):
+                return
         self.stats["fallback"] += 1
         super().start_procedure(i, proc, target_bs)
 
@@ -329,8 +330,8 @@ class BatchedDriver(CohortDriver):
                 return True
         return False
 
-    def _admit(self, i: int, proc: str, target_bs: Optional[str]) -> bool:
-        """Try to start ``proc`` on the lane; False -> discrete fallback.
+    def _admit(self, i: int, program, target_bs: Optional[str]) -> bool:
+        """Try to walk ``program`` on the lane; False -> discrete fallback.
 
         The gates only need to be *sound* (admit nothing the lane cannot
         replay exactly); a False is never wrong, just slower.  A UE with
@@ -339,6 +340,7 @@ class BatchedDriver(CohortDriver):
         and the replica-state gates see the same store the walk will.
         """
         dep = self.dep
+        proc = program.name
         if self.busy[i] or not self.attached[i]:
             return False
         ue_id = self.ue_id(i)
@@ -369,7 +371,6 @@ class BatchedDriver(CohortDriver):
             or entry.state.version < self.version[i]
         ):
             return False
-        steps, changes_cpf = self.lane.compiled[proc]
         tgt_bs = None
         if proc == "fast_handover":
             if target_bs is None:
@@ -416,9 +417,7 @@ class BatchedDriver(CohortDriver):
         walk = _Walk(
             i,
             ue_id,
-            proc,
-            steps,
-            changes_cpf,
+            program,
             target_bs,
             bs,
             tgt_bs,
@@ -450,7 +449,7 @@ class BatchedDriver(CohortDriver):
         self.dep.auditor.record_write_completion(w.ue_id, version)
         w.outcome.completed = True
         self.completed += 1
-        if w.changes_cpf and w.target_bs is not None:
+        if w.program.changes_cpf and w.target_bs is not None:
             self.bs_idx[i] = self.bs_index(w.target_bs)
         self.busy[i] = 0
 

@@ -3,54 +3,47 @@
 At city scale the discrete-event path spends most of its wall-clock on
 the machinery of idle-load procedures whose timing is fully
 deterministic: with the Neutrino config every hop latency is a constant
-(no jitter, no bandwidth term), every service time is a pure function
-of ``(message, codec)``, and — whenever the servers involved are
-uncontended — completion instants can be computed in closed form.
+(no jitter, no bandwidth term), every service time is a price in the
+procedure's compiled program (:mod:`repro.core.program`), and —
+whenever the servers involved are uncontended — completion instants can
+be computed in closed form.
 
-The lane compiles the four steady-state procedures (``service_request``,
-``tau``, ``intra_handover``, ``fast_handover``) into *timed command
-streams*: plain generators that yield
+The lane is a second *scheduler* over the same program and the same
+component methods ``UE.execute`` drives.  It decides only **when**; what
+happens at each instant is the owning component's own method
+(``CTA.log_uplink``, ``CPF.serve``, ``UPF.apply``, ``CPF.commit``,
+``CPF.install_checkpoint``).  A walk of a steady-state program
+(:attr:`Program.steady_state <repro.core.program.Program.steady_state>`)
+is a plain generator that yields
 
 * ``("srv", t, server, service, pre)`` — at simulated time ``t`` run the
-  optional ``pre`` mutation hook, then either book the service interval
+  optional ``pre`` hook, then either book the service interval
   analytically (:meth:`~repro.sim.node.Server.reserve`, when the server
   is idle or already express-reserved) and resume the generator inline
   with the completion instant, or **spill** onto the ordinary queued
   path (``Server.submit``) and resume at the real completion — so
   contention, storm backlogs, and FIFO ordering behave exactly like the
   discrete path;
-* ``("at", t)`` — resume at exactly simulated time ``t`` (state
-  mutations that are externally observable at a precise instant: log
-  appends and pruning, snapshot installs, ACKs, PCT marks, the
-  completion commit).
+* ``("at", t)`` — resume at exactly simulated time ``t`` (effects that
+  are externally observable at a precise instant: log pruning, ACKs,
+  PCT marks, the completion commit).
 
-Exactness contract: a lane walk performs the same state mutations as
-``UE.execute`` at the same simulated instants, bumps the same counters,
-and buffers the same verbose-trace hop records (merged and time-sorted
-before the digest is taken).  Anything the lane cannot prove safe —
-arrivals near a fault/churn window, missing or outdated state, fast
-handovers that would need a fetch, every other procedure — is simply
-not admitted and runs through the unchanged discrete driver.  The
-cohort-vs-batched conformance tests pin full-result equality including
-the verbose EventTrace digest.
+Anything the lane cannot prove safe — arrivals near a fault/churn
+window, missing or outdated state, fast handovers whose fetch could
+fail, every non-steady-state procedure — is simply not admitted and
+runs through the discrete driver.  The cohort-vs-batched conformance
+tests pin full-result equality including the verbose EventTrace digest.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, List, Tuple
 
-from ..core.cpf import SNAPSHOT_WIRE_BYTES
-from ..core.ue import ProcedureOutcome
-from ..core.upf import Session
+from ..core.program import SNAPSHOT_WIRE_BYTES
 from ..faults.trace import TraceRecord
-from ..messages.registry import CATALOG
 
-__all__ = ["LaneRuntime", "LANE_PROCS"]
-
-#: procedures the lane knows how to compile (never attach/re_attach —
-#: those create state — and never the full cross-level-2 handover,
-#: whose migration leg negotiates target CPFs dynamically).
-LANE_PROCS = ("service_request", "tau", "intra_handover", "fast_handover")
+__all__ = ["LaneRuntime"]
 
 #: fault ops the lane can coexist with (admissions are hazard-gated
 #: around their firing times; every other op disables the lane).
@@ -78,9 +71,7 @@ class _Walk:
     __slots__ = (
         "i",
         "ue_id",
-        "proc",
-        "steps",
-        "changes_cpf",
+        "program",
         "target_bs",
         "bs",
         "tgt_bs",
@@ -96,13 +87,11 @@ class _Walk:
         "fetch_from",
     )
 
-    def __init__(self, i, ue_id, proc, steps, changes_cpf, target_bs,
+    def __init__(self, i, ue_id, program, target_bs,
                  bs, tgt_bs, cta, cpf, reader_version, outcome):
         self.i = i
         self.ue_id = ue_id
-        self.proc = proc
-        self.steps = steps
-        self.changes_cpf = changes_cpf
+        self.program = program
         self.target_bs = target_bs
         self.bs = bs
         self.tgt_bs = tgt_bs
@@ -117,35 +106,15 @@ class _Walk:
         self.fast_tgt = None
         self.fetch_from = None
 
-
-class _StepC:
-    """Per-step compile-time constants (sizes and service times)."""
-
-    __slots__ = (
-        "kind",
-        "at_target",
-        "ends_pct",
-        "req",
-        "resp",
-        "req_size",
-        "resp_size",
-        "up_req",
-        "dn_req",
-        "up_resp",
-        "dn_resp",
-        "svc_cpf",
-        "svc_cpf_resp",
-        "svc_encode",
-        "svc_decode",
-    )
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, None)
+    def stamp(self, msg: str, size: int) -> None:
+        """``srv`` pre-hook: the CTA logs ``msg`` at the submit instant."""
+        self.clock = self.cta.log_uplink(self.ue_id, msg, size)
+        if self.clock > self.last_clock:
+            self.last_clock = self.clock
 
 
 class LaneRuntime:
-    """Compiled timelines + the trampoline that drives lane generators."""
+    """The trampoline that drives lane walks, and the walks themselves."""
 
     def __init__(self, dep, trace):
         self.dep = dep
@@ -159,10 +128,6 @@ class LaneRuntime:
         # the auditor keeps no history (resolved on first walk; the
         # engine sets keep_history after deployment construction)
         cfg = dep.config
-        cost = cfg.cost_model
-        codec = cfg.codec
-        self._codec = codec
-        self._cost = cost
         self.links = dep.links
         lat = cfg.latency
         self.l_ue_bs = lat.ue_bs
@@ -172,67 +137,13 @@ class LaneRuntime:
         self._lat: Dict[str, float] = {
             name: link.latency_s for name, link in dep.links.items()
         }
-        self.svc_ingest = cfg.cta_forward_s + cfg.log_append_s
-        self.svc_respond = cfg.cta_forward_s
         self.checkpoint_lock = cfg.checkpoint_lock_s
         self.replica_apply = cfg.replica_apply_s
-        self.ship_serialize = cost.serialize_cost(codec, 16)
-        self.compiled: Dict[str, Tuple[Tuple[_StepC, ...], bool]] = {}
-        for name in LANE_PROCS:
-            compiled = self._compile(dep.spec(name))
-            if compiled is not None:
-                self.compiled[name] = compiled
-
-    # -- compile ------------------------------------------------------------
-
-    def _compile(self, spec) -> Optional[Tuple[Tuple[_StepC, ...], bool]]:
-        cost, codec = self._cost, self._codec
-        ser = lambda m: cost.serialize_cost(codec, CATALOG.element_count(m))
-        deser = lambda m: cost.deserialize_cost(codec, CATALOG.element_count(m))
-        out: List[_StepC] = []
-        for step in spec.steps:
-            c = _StepC()
-            c.at_target = step.at_target
-            c.ends_pct = step.ends_pct
-            c.req, c.resp = step.request, step.response
-            if step.kind in ("ue_message", "ue_exchange"):
-                c.kind = 0
-                c.req_size = CATALOG.composed_wire_size(
-                    c.req, step.request_nas, codec
-                )
-                c.up_req = ser(c.req)
-                # handle_uplink service (per_procedure mode: no lock term)
-                c.svc_cpf = cost.base_process_s + deser(c.req)
-                if c.resp is not None:
-                    c.svc_cpf += ser(c.resp)
-                    c.resp_size = CATALOG.composed_wire_size(
-                        c.resp, step.response_nas, codec
-                    )
-                    c.dn_resp = deser(c.resp)
-            elif step.kind == "cpf_bs":
-                c.kind = 1
-                c.req_size = CATALOG.composed_wire_size(
-                    c.req, step.request_nas, codec
-                )
-                c.svc_encode = cost.base_process_s * 0.5 + ser(c.req)
-                c.dn_req = deser(c.req)
-                if c.resp is not None:
-                    c.resp_size = CATALOG.wire_size(c.resp, codec)
-                    c.up_resp = ser(c.resp)
-                    c.svc_cpf_resp = cost.base_process_s + deser(c.resp)
-            elif step.kind == "cpf_upf":
-                if c.req != "ModifyBearerRequest":
-                    return None  # only bearer updates have a known effect
-                c.kind = 2
-                c.req_size = CATALOG.wire_size(c.req, codec)
-                c.svc_encode = cost.base_process_s * 0.5 + ser(c.req)
-                if c.resp is not None:
-                    c.resp_size = CATALOG.wire_size(c.resp, codec)
-                    c.svc_decode = deser(c.resp)
-            else:
-                return None  # cpf_cpf migration legs stay discrete
-            out.append(c)
-        return tuple(out), spec.changes_cpf
+        self._step = {
+            "uplink": self._step_uplink,
+            "cpf_bs": self._step_cpf_bs,
+            "cpf_upf": self._step_cpf_upf,
+        }
 
     # -- trampoline ---------------------------------------------------------
 
@@ -355,13 +266,17 @@ class LaneRuntime:
     # -- walk body ----------------------------------------------------------
 
     def walk(self, w: _Walk):
-        """Generator mirroring ``UE._run_steps_inner`` for one procedure."""
+        """One procedure's timeline: ``UE.execute``'s steps in closed form."""
         dep = self.dep
         if self._eh is None:
             self._eh = not dep.auditor.keep_history
         t = self.sim.now
-        for c in w.steps:
-            if c.at_target and w.migrated_to is None and w.proc == "fast_handover":
+        for c in w.program.steps:
+            if (
+                c.at_target
+                and w.migrated_to is None
+                and w.program.name == "fast_handover"
+            ):
                 # The Fast Handover target (§4.3) was resolved at
                 # admission; the answer cannot change by the time the
                 # discrete path would resolve it: the UE's own entries
@@ -374,27 +289,24 @@ class LaneRuntime:
                     t = yield from self._fetch_state(w, tgt_name, w.fetch_from, t)
                 w.migrated_to = tgt_name
                 w.serving = dep.cpfs[tgt_name]
-            if c.kind == 0:
-                t = yield from self._step_uplink(w, c, t)
-            elif c.kind == 1:
-                t = yield from self._step_cpf_bs(w, c, t)
-            else:
-                t = yield from self._step_cpf_upf(w, c, t)
+            bs = w.tgt_bs if c.at_target else w.bs
+            cpf = w.serving if c.at_target else w.cpf
+            t = yield from self._step[c.kind](w, c, bs, cpf, t)
         yield from self._tail(w, t)
 
     def _gate_miss(self, why: str):
+        """An admission gate lied; the witnesses pin this count at 0."""
         if self.driver is not None:
             self.driver.stats["gate_misses"] += 1
         raise _WalkAbort(why)
 
     def _fetch_state(self, w: _Walk, tgt_name: str, fetch_from: str, t: float):
-        """``CPF.fetch_state_from`` replayed analytically (§4.3 fetch leg).
+        """``CPF.fetch_state_from`` timed analytically (§4.3 fetch leg).
 
         Admission verified the source CPF held an up-to-date entry at
         least as new as the UE's last write, and only the UE's own
         (serialized) procedures mutate that entry — so the re-checks
-        below can only fail if a gate was unsound, which the witnesses
-        pin via ``gate_misses == 0``.
+        below can only fail if a gate was unsound.
         """
         dep = self.dep
         tgt = dep.cpfs.get(tgt_name)
@@ -423,182 +335,107 @@ class LaneRuntime:
             self._gate_miss("fetch target died")
         t = yield ("srv", t, tgt.sync_server, self.replica_apply, None, True)
         # Early at resume: the entry is per-UE and the UE is busy for
-        # the whole walk; install_snapshot ignores strictly-older clocks.
-        tgt.store.install_snapshot(w.ue_id, snapshot, clock)
-        tgt.snapshots_applied += 1
+        # the whole walk; the store ignores strictly-older clocks.
+        tgt.install_checkpoint(w.ue_id, snapshot, clock)
         return t
 
-    def _ingest_pre(self, w: _Walk, cta, msg: str, size: int):
-        """CTA ingest mutations, run at the exact submit instant."""
-        dep = self.dep
-
-        def pre():
-            clock = dep.next_clock(w.ue_id)
-            cta.clock.tick()
-            cta.log.append(clock, w.ue_id, msg, size)
-            w.clock = clock
-
-        return pre
-
-    def _serve(self, w: _Walk, cpf) -> None:
-        """CPF uplink-handling mutations (``CPF.handle_uplink``'s body).
-
-        Safe to run at the submit instant rather than job completion:
-        every touched field is per-UE and the UE is busy for the whole
-        walk, and ``install_snapshot`` ignores strictly-older clocks so
-        the early ``synced_clock`` bump cannot shadow a later one.
-        """
-        cpf.messages_handled += 1
-        entry = cpf.store.get(w.ue_id)
-        if (
-            entry is None
-            or not entry.up_to_date
-            or entry.state.version < w.reader_version
-        ):
-            # admission guaranteed this cannot happen; divergence is
-            # surfaced via the gate_misses stat the witnesses pin at 0.
-            self.dep.auditor.record_reattach_forced(w.ue_id, cpf.name)
-            if self.driver is not None:
-                self.driver.stats["gate_misses"] += 1
-            raise _WalkAbort("stale entry")
-        entry.is_primary = True
-        self.dep.auditor.record_serve(
-            w.ue_id, w.reader_version, entry.state.version, cpf.name
-        )
-        entry.state.apply_message()
-        if w.clock > entry.synced_clock:
-            entry.synced_clock = w.clock
-
-    def _mark_pct(self, w: _Walk, t: float) -> None:
+    def _mark_pct(self, w: _Walk, t: float):
+        """The UE's PCT clock stops at ``t``."""
+        # resume only feeds the quantile sketches (time-free)
+        yield ("at", t, True)
         outcome = w.outcome
         if outcome.pct is None:
             outcome.pct = t - outcome.started_at
             self.dep.record_pct(outcome)
 
-    def _step_uplink(self, w: _Walk, c: _StepC, t: float):
-        bs = w.tgt_bs if c.at_target else w.bs
-        cpf = w.serving if c.at_target else w.cpf
-        cta = w.cta
-        self._hop("ue_bs", c.req_size, t)
-        t += self.l_ue_bs
+    def _uplink_leg(self, w, c, bs, cpf, msg, size, t):
+        """BS encode -> CTA stamp + log -> CPF serve, from the BS on."""
         bs.uplink_messages += 1
-        t += c.up_req
-        self._hop("bs_cta", c.req_size, t)
+        t += c.bs_encode
+        self._hop("bs_cta", size, t)
         t += self.l_bs_cta
-        t = yield ("srv", t, cta.server, self.svc_ingest,
-                   self._ingest_pre(w, cta, c.req, c.req_size))
-        if w.clock > w.last_clock:
-            w.last_clock = w.clock
-        self._hop("cta_cpf", c.req_size, t)
+        t = yield ("srv", t, w.cta.server, c.cta_ingest,
+                   partial(w.stamp, msg, size))
+        self._hop("cta_cpf", size, t)
         t += self.l_cta_cpf
-        # _serve stamps wall clock only into the causal history; with
+        # CPF.serve stamps wall clock only into the causal history; with
         # history off the resume is time-free (quiet-window eligible)
-        t = yield ("srv", t, cpf.server, c.svc_cpf, None, self._eh)
-        self._serve(w, cpf)
-        if c.resp is not None:
-            self._hop("cta_cpf", c.resp_size, t)
-            t += self.l_cta_cpf
-            t = yield ("srv", t, cta.server, self.svc_respond, None, True)
-            self._hop("bs_cta", c.resp_size, t)
-            t += self.l_bs_cta
-            bs.downlink_messages += 1
-            t += c.dn_resp
-            self._hop("ue_bs", c.resp_size, t)
-            t += self.l_ue_bs
-        if c.ends_pct:
-            # resume only feeds the quantile sketches (time-free)
-            yield ("at", t, True)
-            self._mark_pct(w, t)
+        t = yield ("srv", t, cpf.server, c.cpf_serve, None, self._eh)
+        # Served at the job's submit instant, not its completion: every
+        # field CPF.serve touches is per-UE and the UE is busy for the
+        # whole walk, and the store ignores strictly-older clocks, so
+        # the early synced_clock bump cannot shadow a later one.
+        if cpf.serve(w.ue_id, w.reader_version, w.clock, False) is None:
+            self._gate_miss("stale entry")
         return t
 
-    def _step_cpf_bs(self, w: _Walk, c: _StepC, t: float):
-        bs = w.tgt_bs if c.at_target else w.bs
-        cpf = w.serving if c.at_target else w.cpf
-        cta = w.cta
-        t = yield ("srv", t, cpf.server, c.svc_encode, None, True)
-        self._hop("cta_cpf", c.req_size, t)
+    def _downlink_leg(self, w, c, bs, size, t):
+        """CPF -> CTA forward -> BS decode -> UE."""
+        self._hop("cta_cpf", size, t)
         t += self.l_cta_cpf
-        t = yield ("srv", t, cta.server, self.svc_respond, None, True)
-        self._hop("bs_cta", c.req_size, t)
+        t = yield ("srv", t, w.cta.server, c.cta_respond, None, True)
+        self._hop("bs_cta", size, t)
         t += self.l_bs_cta
         bs.downlink_messages += 1
-        t += c.dn_req
-        self._hop("ue_bs", c.req_size, t)
+        t += c.bs_decode
+        self._hop("ue_bs", size, t)
         t += self.l_ue_bs
-        if c.ends_pct:
-            # resume only feeds the quantile sketches (time-free)
-            yield ("at", t, True)
-            self._mark_pct(w, t)
-        if c.resp is not None:
-            bs.uplink_messages += 1
-            t += c.up_resp
-            self._hop("bs_cta", c.resp_size, t)
-            t += self.l_bs_cta
-            t = yield ("srv", t, cta.server, self.svc_ingest,
-                       self._ingest_pre(w, cta, c.resp, c.resp_size))
-            if w.clock > w.last_clock:
-                w.last_clock = w.clock
-            self._hop("cta_cpf", c.resp_size, t)
-            t += self.l_cta_cpf
-            t = yield ("srv", t, cpf.server, c.svc_cpf_resp, None, self._eh)
-            self._serve(w, cpf)
         return t
 
-    def _step_cpf_upf(self, w: _Walk, c: _StepC, t: float):
-        bs = w.tgt_bs if c.at_target else w.bs
-        cpf = w.serving if c.at_target else w.cpf
+    def _step_uplink(self, w: _Walk, c, bs, cpf, t: float):
+        self._hop("ue_bs", c.req_size, t)
+        t += self.l_ue_bs
+        t = yield from self._uplink_leg(w, c, bs, cpf, c.request, c.req_size, t)
+        if c.response is not None:
+            t = yield from self._downlink_leg(w, c, bs, c.resp_size, t)
+        if c.ends_pct:
+            yield from self._mark_pct(w, t)
+        return t
+
+    def _step_cpf_bs(self, w: _Walk, c, bs, cpf, t: float):
+        t = yield ("srv", t, cpf.server, c.cpf_encode, None, True)
+        t = yield from self._downlink_leg(w, c, bs, c.req_size, t)
+        if c.ends_pct:
+            yield from self._mark_pct(w, t)
+        if c.response is not None:
+            t = yield from self._uplink_leg(w, c, bs, cpf, c.response, c.resp_size, t)
+        return t
+
+    def _step_cpf_upf(self, w: _Walk, c, bs, cpf, t: float):
         upf = self.dep.upf_for_region(bs.region)
-        t = yield ("srv", t, cpf.server, c.svc_encode, None, True)
+        t = yield ("srv", t, cpf.server, c.cpf_encode, None, True)
         self._hop("cpf_upf", c.req_size, t)
         t += self.l_cpf_upf
         t = yield ("srv", t, upf.server, upf.service_s, None, True)
-        # ModifyBearerRequest effect (UPF.program); per-UE-private state,
-        # so applying it at the submit instant is unobservable.
-        session = upf.sessions.get(w.ue_id)
-        if session is None:
-            upf._next_teid += 1
-            session = Session(w.ue_id, upf._next_teid, bs.name)
-            upf.sessions[w.ue_id] = session
-        session.bs_id = bs.name
-        session.active = True
-        if c.resp is not None:
+        # A steady-state program only updates the UE's own bearer, so
+        # applying it at the submit instant is unobservable.
+        upf.apply(c.request, w.ue_id, bs.name)
+        if c.response is not None:
             self._hop("cpf_upf", c.resp_size, t)
             t += self.l_cpf_upf
-            t = yield ("srv", t, cpf.server, c.svc_decode, None, True)
+            t = yield ("srv", t, cpf.server, c.cpf_decode, None, True)
         if c.ends_pct:
-            # resume only feeds the quantile sketches (time-free)
-            yield ("at", t, True)
-            self._mark_pct(w, t)
+            yield from self._mark_pct(w, t)
         return t
 
     def _tail(self, w: _Walk, t: float):
-        """Completion commit: switch, lock, checkpoint, version, ACKs."""
+        """Completion: switch, lock, commit + checkpoint, version, ACKs."""
         dep = self.dep
         yield ("at", t)
         serving_name = w.migrated_to or dep.primary_of(w.ue_id)
-        if w.changes_cpf and w.target_bs is not None:
+        if w.program.changes_cpf and w.target_bs is not None:
             dep.switch_region(w.ue_id, w.migrated_to, w.target_bs)
         serving = dep.cpfs.get(serving_name) if serving_name else None
         if serving is not None and serving.up:
             t = yield ("srv", t, serving.server, self.checkpoint_lock, None)
             yield ("at", t)
-            replicas: List[str] = []
-            entry = serving.store.get(w.ue_id)
-            if entry is not None:
-                entry.state.complete_procedure(w.proc)
-                if w.last_clock > entry.synced_clock:
-                    entry.synced_clock = w.last_clock
-                replicas = [
-                    r for r in dep.replicas_of(w.ue_id) if r != serving.name
-                ]
-                if replicas:
-                    snapshot = entry.state.copy()
-                    serving.checkpoints_sent += 1
-                    for replica_name in replicas:
-                        self.launch(self._ship(
-                            serving, replica_name, w.ue_id, snapshot,
-                            w.last_clock, t,
-                        ))
+            replicas, snapshot = serving.commit(
+                w.ue_id, w.program.name, w.last_clock
+            )
+            for replica_name in replicas:
+                self.launch(self._ship(
+                    serving, replica_name, w.ue_id, snapshot, w.last_clock, t,
+                ))
             cta = dep.cta_of(w.ue_id)
             if cta is not None and cta.up:
                 cta.procedure_completed(w.ue_id, w.last_clock, replicas)
@@ -614,8 +451,8 @@ class LaneRuntime:
         re-samples the time-weighted log-size probe at the wall clock.
         """
         dep = self.dep
-        t = yield ("srv", t0, serving.sync_server, self.ship_serialize, None,
-                   True)
+        t = yield ("srv", t0, serving.sync_server, serving.snapshot_encode_s,
+                   None, True)
         hop = dep.cpf_hop(serving.name, replica_name)
         self._hop(hop, SNAPSHOT_WIRE_BYTES, t)
         t += self._lat[hop]
@@ -626,8 +463,7 @@ class LaneRuntime:
         t = yield ("srv", t, replica.sync_server, self.replica_apply, None,
                    True)
         yield ("at", t, True)
-        replica.store.install_snapshot(ue_id, snapshot, last_clock)
-        replica.snapshots_applied += 1
+        replica.install_checkpoint(ue_id, snapshot, last_clock)
         # ACK back to the UE's CTA, bound after the apply like the
         # discrete path (a concurrent switch_region retargets it).
         cta = dep.cta_of(ue_id)

@@ -9,6 +9,7 @@ counterpart of the paper's DPDK traffic generator (§5).
 from __future__ import annotations
 
 import itertools
+import zlib
 from typing import Callable, Iterable, List, Optional
 
 from ..core.deployment import Deployment
@@ -125,7 +126,8 @@ class WorkloadDriver:
             ue = dep.ue(record.ue)
         except KeyError:
             bs_names = sorted(dep.bss)
-            bs = bs_names[hash(record.ue) % len(bs_names)]
+            # crc32, not hash(): placement must not depend on PYTHONHASHSEED
+            bs = bs_names[zlib.crc32(record.ue.encode()) % len(bs_names)]
             ue = dep.new_ue(record.ue, bs)
         if ue.busy:
             self.arrivals_dropped += 1

@@ -5,7 +5,7 @@ import pytest
 from repro.core import ControlPlaneConfig, Deployment
 from repro.sim import NodeFailed, Simulator
 
-from .conftest import build
+from .conftest import build, run_proc
 
 
 class TestUPF:
@@ -57,14 +57,17 @@ class TestBaseStation:
     def test_codec_affects_relay_delay(self, sim):
         fast = build(Simulator(), ControlPlaneConfig.neutrino())
         slow = build(Simulator(), ControlPlaneConfig.existing_epc())
-        msg = "InitialUEMessage"
-        assert fast.bss["bs-20-0"].uplink_delay(msg) < slow.bss["bs-20-0"].uplink_delay(msg)
+        first = lambda dep: dep.program("attach").steps[0]
+        assert first(fast).request == "InitialUEMessage"
+        assert first(fast).bs_encode < first(slow).bs_encode
+        assert first(fast).bs_decode < first(slow).bs_decode
 
     def test_counters_increment(self, sim, neutrino):
+        ue = neutrino.bootstrap_ue("ue-1", "bs-20-0")
+        run_proc(neutrino, ue, "service_request")
         bs = neutrino.bss["bs-20-0"]
-        bs.uplink_delay("InitialUEMessage")
-        bs.downlink_delay("Paging")
-        assert bs.uplink_messages == 1
+        # InitialUEMessage + InitialContextSetupResponse up, the setup down
+        assert bs.uplink_messages == 2
         assert bs.downlink_messages == 1
 
 

@@ -52,15 +52,14 @@ class TestPerMessageSync:
     def test_per_message_costs_more_cpu(self, sim):
         per_msg = ControlPlaneConfig.neutrino(name="permsg", sync_mode="per_message")
         per_proc = ControlPlaneConfig.neutrino()
-        cpf_args = ("InitialUEMessage", "DownlinkNASTransport")
-        from repro.core.cpf import CPF
-        from repro.sim import Simulator
+        from repro.core.program import serve_time
 
-        costs = {}
-        for config in (per_msg, per_proc):
-            dep = build(Simulator(), config)
-            cpf = next(iter(dep.cpfs.values()))
-            costs[config.sync_mode] = cpf.message_service_time(*cpf_args)
+        costs = {
+            config.sync_mode: serve_time(
+                config, "InitialUEMessage", "DownlinkNASTransport"
+            )
+            for config in (per_msg, per_proc)
+        }
         assert costs["per_message"] > costs["per_procedure"]
 
 

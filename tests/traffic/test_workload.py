@@ -110,3 +110,52 @@ class TestTraceReplay:
         driver.schedule_trace([TraceRecord(0.0, "ue-z", "handover")])
         dep.sim.run(until=1.0)
         assert driver.arrivals_dropped == 1
+
+
+_REPLAY_SCRIPT = """
+import json
+from repro.core import ControlPlaneConfig, Deployment
+from repro.sim import RngRegistry, Simulator
+from repro.traffic import TraceConfig, WorkloadDriver, generate_trace
+
+dep = Deployment.build_grid(
+    Simulator(), ControlPlaneConfig.neutrino(), cpfs_per_region=2,
+    regions=2, rng=RngRegistry(21),
+)
+trace = generate_trace(
+    TraceConfig(n_devices=8, duration_s=2.0, session_interarrival_s=0.5,
+                handover_interarrival_s=None, power_cycle_fraction=0.0, seed=3)
+)[:20]
+assert len(trace) == 20
+WorkloadDriver(dep).schedule_trace(trace)
+dep.sim.run(until=5.0)
+rows = sorted(
+    (o.ue_id, dep.ue(o.ue_id).bs_name, o.name, o.pct) for o in dep.outcomes
+)
+tmsi = {ue.ue_id: dep.m_tmsi_of(ue.ue_id) for ue in dep.ues()}
+print(json.dumps({"rows": rows, "tmsi": tmsi}, sort_keys=True))
+"""
+
+
+def test_trace_replay_is_independent_of_pythonhashseed():
+    """Unknown UEs are homed — and M-TMSIs derived — by crc32, not
+    ``hash()``: str hashes are per-process, so with ``hash()`` two
+    replays of one trace placed UEs on different base stations."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    tables = []
+    for hashseed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _REPLAY_SCRIPT],
+            env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=120,
+        )
+        tables.append(json.loads(out.stdout))
+    assert tables[0]["rows"], "the replay completed nothing"
+    assert tables[0] == tables[1]
