@@ -420,7 +420,7 @@ def main(argv: List[str] = None) -> int:
             "--span-keep", type=int, default=None, metavar="K",
             help="bounded span retention for --obs trace: keep the slowest "
             "K roots per procedure plus every fault/recovery/migration "
-            "tree (default: unbounded single-process, 32 sharded)",
+            "tree (default: 32, sharded or not; 0 keeps every span)",
         )
         p.add_argument(
             "--trace-out", default=None, metavar="FILE",

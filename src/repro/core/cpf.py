@@ -20,7 +20,7 @@ from ..sim.node import NodeFailed, Server
 from .program import SNAPSHOT_WIRE_BYTES, replay_time, snapshot_encode_time
 from .state import StateStore, UEState
 
-__all__ = ["CPF", "HandleResult", "SNAPSHOT_WIRE_BYTES"]
+__all__ = ["CPF", "HandleResult", "SNAPSHOT_WIRE_BYTES", "handle_phases"]
 
 
 class _ShipAbandoned(Exception):
@@ -38,6 +38,16 @@ class HandleResult:
     status: str  # "ok" | "reattach_required"
     cpf_name: str
     version: int = 0
+
+
+def handle_phases(total: float, service: float):
+    """Fold of one ``cpf.handle`` span: queueing split from serving.
+
+    The job spent ``service`` seconds on a core; everything else of the
+    ``total`` seconds between submit and completion was the queue.
+    """
+    wait = max(0.0, total - service)
+    return ("cpf_wait", wait), ("cpf_serve", total - wait)
 
 
 class CPF:
@@ -78,12 +88,16 @@ class CPF:
 
         §4.2.4(3), synchronous and event-free: the discrete path calls
         it when the processing core finishes the message's job, the
-        batched lane at the job's analytic instant.  Returns the write
+        batched lane at the job's analytic instant (so the message is
+        counted here for obs, under either).  Returns the write
         version served, or ``None`` when the UE must Re-Attach.
         ``reader_version`` is the UE's own count of completed writes,
         which the consistency auditor checks Read-your-Writes against.
         """
         self.messages_handled += 1
+        obs = self.dep.obs
+        if obs is not None:
+            obs.metrics.counter("cpf_messages", node=self.name).inc()
         entry = self.store.get(ue_id)
         if creates_state:
             if entry is None or not entry.is_primary:
@@ -138,17 +152,12 @@ class CPF:
             span = None
 
         def finish_span(status: str) -> None:
-            if span is None:
-                return
-            # Split queueing from serving: the job spent `service`
-            # seconds on a core; everything else was the queue.
-            total = self.sim.now - span.start
-            wait = max(0.0, total - service)
-            obs.tracer.finish(
-                span,
-                status=status,
-                phases=(("cpf_wait", wait), ("cpf_serve", total - wait)),
-            )
+            if span is not None:
+                obs.tracer.finish(
+                    span,
+                    status=status,
+                    phases=handle_phases(self.sim.now - span.start, service),
+                )
 
         def _on_job(ev: Event) -> None:
             if not ev.ok:
@@ -156,8 +165,6 @@ class CPF:
                     finish_span("failed")
                     done.fail(NodeFailed(self.name))
                 return
-            if obs is not None:
-                obs.metrics.counter("cpf_messages", node=self.name).inc()
             version = self.serve(ue_id, reader_version, clock, creates_state, span)
             if version is None:
                 finish_span("reattach_required")

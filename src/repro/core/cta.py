@@ -81,11 +81,16 @@ class CTA:
         (the CTA only needs per-UE ordering), so a UE's clock domain
         survives CTA handovers.  The discrete path calls this as the
         message enters the CTA's queue, the batched lane at the same
-        analytic instant.
+        analytic instant — which is why the obs counters sit here and
+        not in :meth:`ingest`.
         """
         clock = self.dep.next_clock(ue_id)
         self.clock.tick()
         self.log.append(clock, ue_id, msg_name, size_bytes)
+        obs = self.dep.obs
+        if obs is not None:
+            obs.metrics.counter("cta_messages", node=self.name).inc()
+            obs.metrics.gauge("cta_log_bytes", node=self.name).set(self.log.size_bytes)
         return clock
 
     def ingest(self, ue_id: str, msg_name: str, size_bytes: int) -> Event:
@@ -99,10 +104,6 @@ class CTA:
             ev.fail(NodeFailed(self.name))
             return ev
         clock = self.log_uplink(ue_id, msg_name, size_bytes)
-        obs = self.dep.obs
-        if obs is not None:
-            obs.metrics.counter("cta_messages", node=self.name).inc()
-            obs.metrics.gauge("cta_log_bytes", node=self.name).set(self.log.size_bytes)
         return self.server.submit(cta_ingest_time(self.config), value=clock)
 
     def respond(self) -> Event:

@@ -322,9 +322,12 @@ class Deployment:
         instant.
 
         ``parent`` is the observability span this traversal belongs to
-        (the procedure's root, a checkpoint ship, a replay); ignored
-        unless an :class:`~repro.obs.Observability` is installed, in
-        which case the wait is always an event the hop span closes on.
+        (the procedure's root, a checkpoint ship, a replay).  With an
+        :class:`~repro.obs.Observability` installed the return value is
+        the very same — everything about the traversal is known at the
+        send instant (it arrives at ``now + delay``, or it was lost
+        now), so the hop span is recorded closed and nothing waits on
+        it.
         """
         link = self.links[hop_class]
         if self.faults is not None:
@@ -333,10 +336,13 @@ class Deployment:
             link.messages_sent += 1
             link.bytes_sent += nbytes
             wait = link.delay(nbytes)
-        if self.obs is not None:
+        obs = self.obs
+        if obs is not None:
+            now = self.sim.now
             if type(wait) is float:
-                wait = self.sim.timeout(wait)
-            self.obs.on_hop(hop_class, nbytes, wait, parent)
+                obs.on_hop(hop_class, nbytes, now, now + wait, "ok", parent)
+            else:
+                obs.on_hop(hop_class, nbytes, now, now, "error", parent)
         return wait
 
     def cpf_hop(self, a: str, b: str) -> str:

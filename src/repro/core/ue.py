@@ -18,6 +18,7 @@ the failed procedure's PCT when the Re-Attach completes.
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from typing import Generator, Optional
 
 from ..sim.core import Simulator
@@ -38,15 +39,13 @@ def _span_factory(obs, parent):
 
     Parenting is explicit (never an ambient stack): sim processes
     interleave at every yield, so only the procedure's own root may
-    adopt its spans.  With obs disabled this costs one lambda per
-    procedure step-helper call and a C-level nullcontext per site.
+    adopt its spans.  These bracket real waits (a queued job, a radio
+    leg), so they are ``begin``/``finish`` pairs; with obs disabled
+    every site is a lambda returning the shared nullcontext.
     """
     if obs is None or parent is None:
         return lambda name, phase=None, **attrs: _NULL_SPAN
-    tracer = obs.tracer
-    return lambda name, phase=None, **attrs: tracer.span(
-        name, parent=parent, phase=phase, **attrs
-    )
+    return partial(obs.tracer.span, parent=parent)
 
 
 class ProcedureAborted(Exception):

@@ -25,9 +25,14 @@ is a single attribute check — the disabled-mode overhead guarded by
 ``benchmarks/test_obs_overhead.py``.
 
 Determinism contract: enabling obs never changes simulation behaviour —
-no RNG draws, no clock advances, no scheduled work; witness tests pin
-that obs-enabled runs reproduce pre-obs EventTrace digests and PCT rows
-bit for bit (see :mod:`repro.obs.tracer`).
+no RNG draws, no clock advances, no scheduled work and no callback on
+any event, so an installed ``Observability`` leaves ``Simulator._seq``
+untouched; witness tests pin that obs-enabled runs reproduce pre-obs
+EventTrace digests and PCT rows bit for bit (see
+:mod:`repro.obs.tracer`).  Both executors emit through the same two
+doors — ``begin``/``finish`` around a real wait, ``record`` for a span
+whose end is known — so tracing never decides *how* a procedure runs
+(the batched lane stays on under either mode).
 """
 
 from __future__ import annotations
@@ -85,6 +90,9 @@ class Observability:
         #: matched by link id at stitch time.
         self.flows_out: List[dict] = []
         self.flows_in: List[dict] = []
+        #: hop class -> (span name, messages counter, bytes counter),
+        #: bound on the class's first message.
+        self._hops: Dict[str, tuple] = {}
 
     def install(self, dep) -> "Observability":
         """Bind to a deployment's sim clock and set ``dep.obs``.
@@ -112,19 +120,35 @@ class Observability:
 
     # -- instrumentation hooks -------------------------------------------------
 
-    def on_hop(self, hop_class: str, nbytes: int, event, parent) -> None:
-        """Per-link-traversal hook called by :meth:`Deployment.hop`."""
-        self.metrics.counter("hop_messages", hop=hop_class).inc()
-        self.metrics.counter("hop_bytes", hop=hop_class).inc(nbytes)
+    def on_hop(
+        self, hop_class: str, nbytes: int, start: float, end: float,
+        status: str, parent,
+    ) -> None:
+        """One link traversal, known whole at the send instant.
+
+        Called by :meth:`Deployment.hop` and by the batched lane with
+        the same arguments: the message left at ``start`` and arrives
+        (``"ok"``) or was lost (``"error"``, ``end == start``) at
+        ``end``.  The span is recorded closed; nothing waits on it.
+        """
+        bound = self._hops.get(hop_class)
+        if bound is None:
+            bound = self._hops[hop_class] = (
+                "hop." + hop_class,
+                self.metrics.counter("hop_messages", hop=hop_class),
+                self.metrics.counter("hop_bytes", hop=hop_class),
+            )
+        name, messages, volume = bound
+        messages.value += 1
+        volume.value += nbytes
         if parent is None:
             # Un-parented transits (call sites outside any procedure)
             # are counted but not traced: a bare hop root would pollute
             # the per-procedure timelines and phase histograms.
             return
-        span = self.tracer.begin(
-            "hop." + hop_class, parent=parent, phase="transit", nbytes=nbytes
+        self.tracer.record(
+            name, parent, "transit", start, end, status, {"nbytes": nbytes}
         )
-        self.tracer.end_on(span, event)
 
     def note_migration_out(
         self, link: str, span_id: Optional[int], t: float, ue: str, dst: int
@@ -170,7 +194,7 @@ class Observability:
             metrics.histogram("phase_s", proc=proc, phase="other").observe(other)
 
     def _fold_offpath(self, span: Span) -> None:
-        """Work finishing after its root closed (off the critical path)."""
+        """Work ending after its root closed (off the critical path)."""
         self.metrics.histogram(
             "offpath_s", phase=span.phase, span=span.name
         ).observe(span.duration)

@@ -19,6 +19,7 @@ to merging the serial loop's.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim.monitor import Tally, TimeWeighted, percentile
@@ -96,34 +97,43 @@ class Histogram(Tally):
 
 
 class MetricsRegistry:
-    """Creates-or-returns instruments by ``name`` + label set."""
+    """Creates-or-returns instruments by ``name`` + label set.
+
+    The identity of an instrument is ``(name, sorted str-ed labels)``;
+    sorting a label dict on every increment is most of what a labeled
+    lookup costs, so each table is fronted by a memo keyed on the
+    labels exactly as the call site spelled them (same keywords, same
+    order, same value objects) — a repeated call is one tuple and one
+    dict probe.  The hottest sites keep the instrument itself.
+    """
 
     def __init__(self, sim_now: Optional[Callable[[], float]] = None):
         self._now = sim_now or (lambda: 0.0)
         self._counters: Dict[_LabelKey, Counter] = {}
         self._gauges: Dict[_LabelKey, Gauge] = {}
         self._histograms: Dict[_LabelKey, Histogram] = {}
+        self._as_spelled: Dict[tuple, object] = {}
+        self._make_gauge = partial(Gauge, sim_now=self._now)
+
+    def _instrument(self, table: Dict, make, name: str, labels: Dict):
+        spelled = (make, name, *labels.items())
+        inst = self._as_spelled.get(spelled)
+        if inst is None:
+            key = _label_key(name, labels)
+            inst = table.get(key)
+            if inst is None:
+                inst = table[key] = make(name, dict(key[1]))
+            self._as_spelled[spelled] = inst
+        return inst
 
     def counter(self, name: str, **labels) -> Counter:
-        key = _label_key(name, labels)
-        inst = self._counters.get(key)
-        if inst is None:
-            inst = self._counters[key] = Counter(name, dict(key[1]))
-        return inst
+        return self._instrument(self._counters, Counter, name, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        key = _label_key(name, labels)
-        inst = self._gauges.get(key)
-        if inst is None:
-            inst = self._gauges[key] = Gauge(name, dict(key[1]), self._now)
-        return inst
+        return self._instrument(self._gauges, self._make_gauge, name, labels)
 
     def histogram(self, name: str, **labels) -> Histogram:
-        key = _label_key(name, labels)
-        inst = self._histograms.get(key)
-        if inst is None:
-            inst = self._histograms[key] = Histogram(name, dict(key[1]))
-        return inst
+        return self._instrument(self._histograms, Histogram, name, labels)
 
     # -- snapshots ------------------------------------------------------------
 

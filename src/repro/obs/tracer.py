@@ -9,15 +9,27 @@ from wall-clock tracers:
 * **Timestamps come from the sim clock** (a zero-arg callable), so a
   trace is bit-for-bit reproducible across runs and machines.
 
-* **Determinism contract**: the tracer must never perturb the
-  simulation schedule.  It draws no randomness, advances no clock,
-  and schedules no work.  :meth:`Tracer.end_on` attaches a finish
-  callback to an existing event; that allocates a callback seq, but
-  seq allocation order for *protocol* callbacks is unchanged (an
-  observer callback only shifts later seqs uniformly, preserving every
-  relative ``(time, seq)`` comparison), and the callback itself only
-  writes tracer state.  ``tests/obs/test_obs_witness.py`` pins this:
-  obs-enabled runs reproduce the pre-obs EventTrace digests exactly.
+* **Determinism contract**: the tracer cannot perturb the simulation
+  schedule, structurally: it draws no randomness, advances no clock,
+  schedules no work and — on every path the instrumented code takes —
+  attaches no callback.  A span whose end is already known when it is
+  written (a link traversal: ``now + delay`` is fixed at the send
+  instant; every span of a batched-lane walk) is **recorded closed**
+  with :meth:`Tracer.record`; a span that brackets a real wait is
+  opened with :meth:`Tracer.begin` (or the :meth:`Tracer.span` context
+  manager) and closed with :meth:`Tracer.finish` by the code that was
+  waiting.  :meth:`Tracer.end_on`, which does attach a callback to an
+  event, survives only as public API for callback-style callers
+  outside ``src/``.  ``tests/obs/test_obs_witness.py`` pins that
+  obs-enabled runs reproduce the pre-obs EventTrace digests *and* end
+  on the same ``Simulator._seq``.
+
+* **Fold rule**: a child span's seconds fold into its root's phase
+  decomposition iff the span *ends* no later than the root closes;
+  anything ending later is off the critical path.  Because a recorded
+  span may end in the future, the fold is evaluated when the root
+  closes, over the children in end order (ties: order written) — the
+  order their ``finish`` calls would have run in.
 
 Parenting is **explicit** (a ``parent=`` argument threaded through the
 instrumented call chain), never an ambient "current span" stack: sim
@@ -28,7 +40,7 @@ one UE's hops to whichever procedure yielded last.
 from __future__ import annotations
 
 import heapq
-from contextlib import contextmanager
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Span", "SpanRetention", "Tracer", "span_rows", "spans_from_rows"]
@@ -169,8 +181,30 @@ class SpanRetention:
         }
 
 
+_by_end = itemgetter(0)
+
+
+class _Bracket:
+    """``with`` form of one begun span (see :meth:`Tracer.span`)."""
+
+    __slots__ = ("_tracer", "_span")
+
+    def __init__(self, tracer: "Tracer", span: Span):
+        self._tracer = tracer
+        self._span = span
+
+    def __enter__(self) -> Span:
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._tracer.finish(
+            self._span, status="ok" if exc_type is None else "error"
+        )
+        return False
+
+
 class Tracer:
-    """Allocates, finishes, and (optionally) retains spans.
+    """Allocates, closes, and (optionally) retains spans.
 
     ``sim_now`` is a zero-arg callable returning the current sim time.
     ``retain=False`` keeps only counters and phase folds (the metrics
@@ -193,8 +227,10 @@ class Tracer:
         self.started = 0
         self.finished = 0
         self._next_id = 1
-        #: per-open-root phase accumulator: root span id -> {phase: seconds}.
-        self._open_roots: Dict[int, Dict[str, float]] = {}
+        #: per-open-root fold entries: root span id -> [(end, span,
+        #: phases override or None)], one per closed child (see the
+        #: module docstring's fold rule).
+        self._open_roots: Dict[int, List[tuple]] = {}
         self._on_root_finish = on_root_finish
         self._on_offpath_finish = on_offpath_finish
         #: bounded-retention policy; None = keep every span (legacy path).
@@ -232,26 +268,33 @@ class Tracer:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def begin(
-        self, name: str, parent: Optional[Span] = None,
-        phase: Optional[str] = None, **attrs
-    ) -> Span:
-        """Start a span now; link it under ``parent`` when given."""
+    def _open(self, name, parent, phase, start, attrs) -> Span:
+        """Allocate one span and hand it to retention."""
         span_id = self._next_id
-        self._next_id += 1
+        self._next_id = span_id + 1
         self.started += 1
+        if phase is None:
+            phase = name.split(".", 1)[0]
         if parent is not None:
             span = Span(span_id, parent.span_id, parent.root_id, name,
-                        phase or name.split(".", 1)[0], self._now(), attrs)
+                        phase, start, attrs)
         else:
-            span = Span(span_id, None, span_id, name,
-                        phase or name.split(".", 1)[0], self._now(), attrs)
-            self._open_roots[span_id] = {}
+            span = Span(span_id, None, span_id, name, phase, start, attrs)
         if self.retain:
             if self.retention is None:
                 self._spans.append(span)
             else:
                 self._buffer(span)
+        return span
+
+    def begin(
+        self, name: str, parent: Optional[Span] = None,
+        phase: Optional[str] = None, **attrs
+    ) -> Span:
+        """Start a span now; link it under ``parent`` when given."""
+        span = self._open(name, parent, phase, self._now(), attrs)
+        if parent is None:
+            self._open_roots[span.span_id] = []
         return span
 
     def _buffer(self, span: Span) -> None:
@@ -282,55 +325,107 @@ class Tracer:
         """
         if span.end is not None:
             return span  # idempotent: callback-style code may race a ctx exit
-        span.end = self._now()
-        span.status = status
         if attrs:
             span.attrs.update(attrs)
+        self._close(span, self._now(), status, phases)
+        return span
+
+    def finish_at(self, span: Span, end: float, status: str = "ok") -> None:
+        """Close a begun span at a known instant other than now.
+
+        For a walker that runs ahead of the clock (the batched lane's
+        checkpoint shipment): the span was begun at the real instant it
+        started, and the instant it ends is known in closed form.
+        """
+        self._close(span, end, status, None)
+
+    def record(
+        self,
+        name: str,
+        parent: Optional[Span],
+        phase: Optional[str],
+        start: float,
+        end: float,
+        status: str = "ok",
+        attrs: Optional[dict] = None,
+        phases: Optional[Iterable[Tuple[str, float]]] = None,
+    ) -> Span:
+        """Write one span already closed: ``[start, end]``, ``status``.
+
+        The only way a span whose end is known when it is written gets
+        recorded — one id, one row, the same fold and retention
+        bookkeeping as :meth:`begin` + :meth:`finish`, no event and no
+        callback.  ``end`` may lie in the future (a message in flight):
+        whether the span folds on the critical path is decided when its
+        root closes.  ``attrs`` is owned by the span afterwards.
+        """
+        span = self._open(name, parent, phase, start,
+                          {} if attrs is None else attrs)
+        self._close(span, end, status, phases)
+        return span
+
+    def _close(self, span: Span, end: float, status: str, phases) -> None:
+        span.end = end
+        span.status = status
         self.finished += 1
         if span.parent_id is None:
-            folds = self._open_roots.pop(span.root_id, {})
-            if self._on_root_finish is not None:
-                self._on_root_finish(span, folds)
-            if self.retention is not None:
-                self._decide_root(span)
-            return span
-        acc = self._open_roots.get(span.root_id)
-        if acc is not None:
-            for phase, seconds in (phases or ((span.phase, span.duration),)):
-                acc[phase] = acc.get(phase, 0.0) + seconds
+            self._close_root(span)
+            return
+        entries = self._open_roots.get(span.root_id)
+        if entries is not None:
+            entries.append((end, span, phases))
         elif self._on_offpath_finish is not None:
             # Root already closed: off-critical-path work (checkpoint
             # shipping after the UE's PCT clock stopped).
             self._on_offpath_finish(span)
-        return span
 
-    @contextmanager
+    def _close_root(self, root: Span) -> None:
+        """Evaluate the fold rule over the root's closed children."""
+        entries = self._open_roots.pop(root.span_id, None)
+        folds: Dict[str, float] = {}
+        if entries:
+            entries.sort(key=_by_end)  # stable: ties keep written order
+            cutoff = root.end
+            for end, span, phases in entries:
+                if end > cutoff:
+                    # recorded while in flight, still in flight now
+                    if self._on_offpath_finish is not None:
+                        self._on_offpath_finish(span)
+                elif phases is None:
+                    phase = span.phase
+                    folds[phase] = folds.get(phase, 0.0) + (end - span.start)
+                else:
+                    for phase, seconds in phases:
+                        folds[phase] = folds.get(phase, 0.0) + seconds
+        if self._on_root_finish is not None:
+            self._on_root_finish(root, folds)
+        if self.retention is not None:
+            self._decide_root(root)
+
     def span(
         self, name: str, parent: Optional[Span] = None,
         phase: Optional[str] = None, **attrs
-    ):
+    ) -> _Bracket:
         """Context manager form for straight-line (generator) code.
 
-        The span closes when the block exits — in a sim process that is
-        the moment the process resumes past the block, which is exactly
-        the fire time of whatever it yielded on.  An exception thrown
-        into the block (a :class:`~repro.sim.node.NodeFailed` delivered
-        at a yield) marks the span ``error`` and propagates.
+        The span begins here and closes when the block exits — in a sim
+        process that is the moment the process resumes past the block,
+        which is exactly the fire time of whatever it yielded on.  An
+        exception thrown into the block (a
+        :class:`~repro.sim.node.NodeFailed` delivered at a yield) marks
+        the span ``error`` and propagates.
         """
-        span = self.begin(name, parent=parent, phase=phase, **attrs)
-        try:
-            yield span
-        except BaseException:
-            self.finish(span, status="error")
-            raise
-        self.finish(span)
+        return _Bracket(self, self.begin(name, parent, phase, **attrs))
 
     def end_on(self, span: Span, event) -> "object":
         """Finish ``span`` when ``event`` fires (callback-style code).
 
-        Returns the event so call sites stay expressions.  The callback
-        only records time and status — never sim state — so it is
-        schedule-transparent (see the module docstring).
+        Returns the event so call sites stay expressions.  Nothing
+        under ``src/`` calls this any more (a span whose end is known
+        is :meth:`record`-ed; one that brackets a wait is finished by
+        the waiter): it attaches a callback, which allocates a
+        scheduler seq when the event fires.  The callback only records
+        time and status — never sim state.
         """
         event.add_callback(
             lambda ev: self.finish(span, status="ok" if ev.ok else "error")

@@ -249,7 +249,6 @@ class BatchedDriver(CohortDriver):
             and cfg.message_logging
             and not cfg.broadcast_replication
             and cfg.heartbeat_interval_s == 0.0
-            and dep.obs is None
             and not plan.perturbations
             and all(e.op in SAFE_FAULT_OPS for e in plan.events)
             # a storm backlog could still be draining when a fault
@@ -449,6 +448,7 @@ class BatchedDriver(CohortDriver):
         self.dep.auditor.record_write_completion(w.ue_id, version)
         w.outcome.completed = True
         self.completed += 1
+        self.lane.close_root(w, "completed")
         if w.program.changes_cpf and w.target_bs is not None:
             self.bs_idx[i] = self.bs_index(w.target_bs)
         self.busy[i] = 0
@@ -457,3 +457,4 @@ class BatchedDriver(CohortDriver):
         self.aborted += 1
         self.stats["walk_aborts"] += 1
         self.busy[w.i] = 0
+        self.lane.close_root(w, "failed")

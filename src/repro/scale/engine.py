@@ -81,6 +81,11 @@ _BUSY_TRIES = 250
 #: history (diagnostics); above it, detection-only mode (bounded memory).
 _HISTORY_MAX_UES = 5000
 
+#: bounded span retention (slowest-K roots per procedure, plus every
+#: fault/recovery/migration tree) of a traced scale run whose caller
+#: left ``Observability.span_keep`` unset; 0 keeps every span.
+DEFAULT_SPAN_KEEP = 32
+
 
 def peak_rss_kb() -> float:
     """Peak resident set size of this process in KiB (0.0 if unknown)."""
@@ -425,6 +430,10 @@ class _Engine:
             keep = spec.n_ue <= _HISTORY_MAX_UES
         self.dep.auditor.keep_history = keep
         if obs is not None:
+            if obs.mode == "trace" and obs.span_keep is None:
+                # one default for every way of running the scenario: what
+                # a trace keeps must not depend on the shard count
+                obs.span_keep = DEFAULT_SPAN_KEEP
             obs.install(self.dep)
 
         self.trace = EventTrace(verbose=verbose_trace)

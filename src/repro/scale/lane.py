@@ -28,6 +28,15 @@ is a plain generator that yields
   are externally observable at a precise instant: log pruning, ACKs,
   PCT marks, the completion commit).
 
+With an :class:`~repro.obs.Observability` installed a walk also writes
+the span tree ``UE.execute`` would have produced for the procedure —
+same names, phases, parents, attrs, statuses and instants; only span
+ids may differ — through :meth:`Tracer.record
+<repro.obs.tracer.Tracer.record>`: every instant of a walk is known in
+closed form (each ``srv`` resumes with the completion time, each hop
+has its send time and the link latency), so nothing is bracketed and
+nothing waits.  Tracing is therefore not an admission gate.
+
 Anything the lane cannot prove safe — arrivals near a fault/churn
 window, missing or outdated state, fast handovers whose fetch could
 fail, every non-steady-state procedure — is simply not admitted and
@@ -40,6 +49,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Dict, List, Tuple
 
+from ..core.cpf import handle_phases
 from ..core.program import SNAPSHOT_WIRE_BYTES
 from ..faults.trace import TraceRecord
 
@@ -85,6 +95,7 @@ class _Walk:
         "outcome",
         "fast_tgt",
         "fetch_from",
+        "root",
     )
 
     def __init__(self, i, ue_id, program, target_bs,
@@ -105,6 +116,8 @@ class _Walk:
         self.outcome = outcome
         self.fast_tgt = None
         self.fetch_from = None
+        #: the procedure's root span (obs installed only).
+        self.root = None
 
     def stamp(self, msg: str, size: int) -> None:
         """``srv`` pre-hook: the CTA logs ``msg`` at the submit instant."""
@@ -128,12 +141,9 @@ class LaneRuntime:
         # the auditor keeps no history (resolved on first walk; the
         # engine sets keep_history after deployment construction)
         cfg = dep.config
+        #: installed before the driver is built (``_Engine.__init__``).
+        self.obs = dep.obs
         self.links = dep.links
-        lat = cfg.latency
-        self.l_ue_bs = lat.ue_bs
-        self.l_bs_cta = lat.bs_cta
-        self.l_cta_cpf = lat.cta_cpf
-        self.l_cpf_upf = lat.cpf_upf
         self._lat: Dict[str, float] = {
             name: link.latency_s for name, link in dep.links.items()
         }
@@ -240,13 +250,16 @@ class LaneRuntime:
 
     # -- hop accounting -----------------------------------------------------
 
-    def _hop(self, name: str, nbytes: int, t: float) -> None:
-        """Clean-path link traversal: counters now, trace at send time.
+    def _hop(self, name: str, nbytes: int, t: float, parent=None) -> float:
+        """Clean-path link traversal sent at ``t``; returns the arrival.
 
-        Matches ``FaultInjector.transit_event``'s clean path exactly
-        (the lane is only enabled with no perturbations/partitions and
-        all links up); the record's *time* field is the logical send
-        instant, records are merged and time-sorted before digesting.
+        Matches ``Deployment.hop`` over ``FaultInjector.transit_event``'s
+        clean path exactly (the lane is only enabled with no
+        perturbations/partitions and all links up): counters now, the
+        trace record stamped with the logical send instant (records are
+        merged and time-sorted before digesting), and with obs
+        installed the same ``on_hop`` call, whose span goes under
+        ``parent`` (``None``: counted, not traced).
         """
         link = self.links[name]
         link.messages_sent += 1
@@ -254,6 +267,23 @@ class LaneRuntime:
         if self.verbose:
             self.buffered.append(
                 TraceRecord(t, "msg", (("hop", link.name), ("nbytes", nbytes)))
+            )
+        arrival = t + self._lat[name]
+        if self.obs is not None:
+            self.obs.on_hop(name, nbytes, t, arrival, "ok", parent)
+        return arrival
+
+    # -- span emission (obs installed only) ---------------------------------
+
+    def _span(self, root, name, phase, start, end, **attrs) -> None:
+        """One closed child of a walk's ``root``: ``[start, end]``, ok."""
+        self.obs.tracer.record(name, root, phase, start, end, "ok", attrs)
+
+    def close_root(self, w: "_Walk", status: str) -> None:
+        """The walk's procedure span ends now (called at its last instant)."""
+        if w.root is not None:
+            self.obs.tracer.finish(
+                w.root, status=status, recovered=False, reattached=False
             )
 
     def flush_trace(self) -> None:
@@ -271,6 +301,10 @@ class LaneRuntime:
         if self._eh is None:
             self._eh = not dep.auditor.keep_history
         t = self.sim.now
+        if self.obs is not None:
+            w.root = self.obs.tracer.begin(
+                "proc." + w.program.name, proc=w.program.name, ue=w.ue_id
+            )
         for c in w.program.steps:
             if (
                 c.at_target
@@ -314,9 +348,8 @@ class LaneRuntime:
         if tgt is None or not tgt.up or src is None or not src.up:
             self._gate_miss("fetch target regressed")
         hop = dep.cpf_hop(tgt_name, fetch_from)
-        lat = self._lat[hop]
-        self._hop(hop, 64, t)  # request
-        t += lat
+        t0 = t
+        t = self._hop(hop, 64, t)  # request
         # The source entry is read here, before the request's logical
         # arrival at ``t``; stable for the same reason the admission-time
         # fast-target resolution is (see walk()).
@@ -329,14 +362,16 @@ class LaneRuntime:
             self._gate_miss("fetch source stale")
         snapshot = entry.state.copy()
         clock = entry.synced_clock
-        self._hop(hop, SNAPSHOT_WIRE_BYTES, t)
-        t += lat
+        t = self._hop(hop, SNAPSHOT_WIRE_BYTES, t)
         if not tgt.up:
             self._gate_miss("fetch target died")
         t = yield ("srv", t, tgt.sync_server, self.replica_apply, None, True)
         # Early at resume: the entry is per-UE and the UE is busy for
         # the whole walk; the store ignores strictly-older clocks.
         tgt.install_checkpoint(w.ue_id, snapshot, clock)
+        if w.root is not None:
+            self._span(w.root, "cpf.fetch", "migrate", t0, t,
+                       src=fetch_from, dst=tgt_name)
         return t
 
     def _mark_pct(self, w: _Walk, t: float):
@@ -350,51 +385,67 @@ class LaneRuntime:
 
     def _uplink_leg(self, w, c, bs, cpf, msg, size, t):
         """BS encode -> CTA stamp + log -> CPF serve, from the BS on."""
+        root = w.root
         bs.uplink_messages += 1
-        t += c.bs_encode
-        self._hop("bs_cta", size, t)
-        t += self.l_bs_cta
+        t0, t = t, t + c.bs_encode
+        if root is not None:
+            self._span(root, "bs.uplink", "radio", t0, t, bs=bs.name, msg=msg)
+        t0 = t = self._hop("bs_cta", size, t, root)
         t = yield ("srv", t, w.cta.server, c.cta_ingest,
                    partial(w.stamp, msg, size))
-        self._hop("cta_cpf", size, t)
-        t += self.l_cta_cpf
+        if root is not None:
+            self._span(root, "cta.ingest", "cta", t0, t, node=w.cta.name, msg=msg)
+        t0 = t = self._hop("cta_cpf", size, t, root)
         # CPF.serve stamps wall clock only into the causal history; with
         # history off the resume is time-free (quiet-window eligible)
         t = yield ("srv", t, cpf.server, c.cpf_serve, None, self._eh)
+        span = None
+        if root is not None:
+            span = self.obs.tracer.record(
+                "cpf.handle", root, "cpf", t0, t, "ok",
+                {"node": cpf.name, "msg": msg},
+                handle_phases(t - t0, c.cpf_serve),
+            )
         # Served at the job's submit instant, not its completion: every
         # field CPF.serve touches is per-UE and the UE is busy for the
         # whole walk, and the store ignores strictly-older clocks, so
         # the early synced_clock bump cannot shadow a later one.
-        if cpf.serve(w.ue_id, w.reader_version, w.clock, False) is None:
+        if cpf.serve(w.ue_id, w.reader_version, w.clock, False, span) is None:
             self._gate_miss("stale entry")
         return t
 
-    def _downlink_leg(self, w, c, bs, size, t):
+    def _downlink_leg(self, w, c, bs, msg, size, t):
         """CPF -> CTA forward -> BS decode -> UE."""
-        self._hop("cta_cpf", size, t)
-        t += self.l_cta_cpf
+        root = w.root
+        t0 = t = self._hop("cta_cpf", size, t, root)
         t = yield ("srv", t, w.cta.server, c.cta_respond, None, True)
-        self._hop("bs_cta", size, t)
-        t += self.l_bs_cta
+        if root is not None:
+            self._span(root, "cta.respond", "cta", t0, t, node=w.cta.name)
+        t = self._hop("bs_cta", size, t, root)
         bs.downlink_messages += 1
-        t += c.bs_decode
-        self._hop("ue_bs", size, t)
-        t += self.l_ue_bs
-        return t
+        t0, t = t, t + c.bs_decode
+        if root is not None:
+            self._span(root, "bs.downlink", "radio", t0, t, bs=bs.name, msg=msg)
+        return self._hop("ue_bs", size, t, root)
 
     def _step_uplink(self, w: _Walk, c, bs, cpf, t: float):
-        self._hop("ue_bs", c.req_size, t)
-        t += self.l_ue_bs
+        t = self._hop("ue_bs", c.req_size, t, w.root)
         t = yield from self._uplink_leg(w, c, bs, cpf, c.request, c.req_size, t)
         if c.response is not None:
-            t = yield from self._downlink_leg(w, c, bs, c.resp_size, t)
+            t = yield from self._downlink_leg(
+                w, c, bs, c.response, c.resp_size, t
+            )
         if c.ends_pct:
             yield from self._mark_pct(w, t)
         return t
 
     def _step_cpf_bs(self, w: _Walk, c, bs, cpf, t: float):
+        t0 = t
         t = yield ("srv", t, cpf.server, c.cpf_encode, None, True)
-        t = yield from self._downlink_leg(w, c, bs, c.req_size, t)
+        if w.root is not None:
+            self._span(w.root, "cpf.encode", "cpf_serve", t0, t,
+                       node=cpf.name, msg=c.request)
+        t = yield from self._downlink_leg(w, c, bs, c.request, c.req_size, t)
         if c.ends_pct:
             yield from self._mark_pct(w, t)
         if c.response is not None:
@@ -403,17 +454,26 @@ class LaneRuntime:
 
     def _step_cpf_upf(self, w: _Walk, c, bs, cpf, t: float):
         upf = self.dep.upf_for_region(bs.region)
+        root = w.root
+        t0 = t
         t = yield ("srv", t, cpf.server, c.cpf_encode, None, True)
-        self._hop("cpf_upf", c.req_size, t)
-        t += self.l_cpf_upf
+        if root is not None:
+            self._span(root, "cpf.encode", "cpf_serve", t0, t,
+                       node=cpf.name, msg=c.request)
+        t0 = t = self._hop("cpf_upf", c.req_size, t, root)
         t = yield ("srv", t, upf.server, upf.service_s, None, True)
         # A steady-state program only updates the UE's own bearer, so
         # applying it at the submit instant is unobservable.
         upf.apply(c.request, w.ue_id, bs.name)
+        if root is not None:
+            self._span(root, "upf.program", "upf", t0, t,
+                       upf=upf.name, msg=c.request)
         if c.response is not None:
-            self._hop("cpf_upf", c.resp_size, t)
-            t += self.l_cpf_upf
+            t0 = t = self._hop("cpf_upf", c.resp_size, t, root)
             t = yield ("srv", t, cpf.server, c.cpf_decode, None, True)
+            if root is not None:
+                self._span(root, "cpf.decode", "cpf_serve", t0, t,
+                           node=cpf.name, msg=c.response)
         if c.ends_pct:
             yield from self._mark_pct(w, t)
         return t
@@ -427,21 +487,35 @@ class LaneRuntime:
             dep.switch_region(w.ue_id, w.migrated_to, w.target_bs)
         serving = dep.cpfs.get(serving_name) if serving_name else None
         if serving is not None and serving.up:
+            t0 = t
             t = yield ("srv", t, serving.server, self.checkpoint_lock, None)
             yield ("at", t)
+            if w.root is not None:
+                self._span(w.root, "checkpoint.lock", "lock", t0, t,
+                           node=serving.name)
             replicas, snapshot = serving.commit(
                 w.ue_id, w.program.name, w.last_clock
             )
             for replica_name in replicas:
+                span = None
+                if w.root is not None:
+                    # begun for real, like the discrete path's: it is in
+                    # the root's tree when the root closes a line below
+                    span = self.obs.tracer.begin(
+                        "checkpoint.ship", parent=w.root, phase="checkpoint",
+                        node=serving.name, replica=replica_name,
+                    )
                 self.launch(self._ship(
                     serving, replica_name, w.ue_id, snapshot, w.last_clock, t,
+                    span,
                 ))
             cta = dep.cta_of(w.ue_id)
             if cta is not None and cta.up:
                 cta.procedure_completed(w.ue_id, w.last_clock, replicas)
         self.driver._lane_finish(w)
 
-    def _ship(self, serving, replica_name, ue_id, snapshot, last_clock, t0):
+    def _ship(self, serving, replica_name, ue_id, snapshot, last_clock, t0,
+              span=None):
         """One checkpoint shipment (``CPF._ship_inner``); aborts silent.
 
         All legs except the final ACK are flagged time-free for the
@@ -454,12 +528,14 @@ class LaneRuntime:
         t = yield ("srv", t0, serving.sync_server, serving.snapshot_encode_s,
                    None, True)
         hop = dep.cpf_hop(serving.name, replica_name)
-        self._hop(hop, SNAPSHOT_WIRE_BYTES, t)
-        t += self._lat[hop]
+        t = self._hop(hop, SNAPSHOT_WIRE_BYTES, t, span)
         yield ("at", t, True)
         replica = dep.cpfs.get(replica_name)
         if replica is None or not replica.up:
-            return  # replica down; its ACK never arrives (§4.2.4)
+            # replica down; its ACK never arrives (§4.2.4)
+            if span is not None:
+                self.obs.tracer.finish_at(span, t, "replica_down")
+            return
         t = yield ("srv", t, replica.sync_server, self.replica_apply, None,
                    True)
         yield ("at", t, True)
@@ -467,11 +543,12 @@ class LaneRuntime:
         # ACK back to the UE's CTA, bound after the apply like the
         # discrete path (a concurrent switch_region retargets it).
         cta = dep.cta_of(ue_id)
-        self._hop("cta_cpf", 64, t)
-        t += self.l_cta_cpf
+        t = self._hop("cta_cpf", 64, t, span)
         yield ("at", t)
         if cta is not None and cta.up:
             cta.log.ack(ue_id, last_clock, replica_name)
+        if span is not None:
+            self.obs.tracer.finish_at(span, t, "acked")
 
 
 def hazard_windows(spec, plan_events) -> List[Tuple[float, float]]:

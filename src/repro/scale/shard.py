@@ -133,10 +133,6 @@ _VIOLATION_SAMPLES = 5
 #: a real deployment would ship out of band of the control plane.
 _MIGRATION_WIRE_BYTES = 64
 
-#: default bounded span retention (slowest-K roots per procedure) for
-#: traced sharded runs when the caller doesn't pick a --span-keep.
-_DEFAULT_SPAN_KEEP = 32
-
 
 # ------------------------------------------------------------------ partition
 
@@ -580,19 +576,14 @@ class ShardEngine(_Engine):
         obs = self._obs
         if obs is not None and obs.mode == "trace":
             # zero-duration continuation span: the destination-side
-            # anchor the stitched flow event lands on.  begin/finish
-            # touch only tracer state — schedule-transparent.
-            span = obs.tracer.begin(
-                "shard.install_migrated",
-                phase="migrate",
-                ue=ue_id,
-                bs=bs_name,
-                version=version,
+            # anchor the stitched flow event lands on
+            now = self.sim.now
+            span = obs.tracer.record(
+                "shard.install_migrated", None, "migrate", now, now,
+                "ok" if driver.attached[i] else "detached",
+                {"ue": ue_id, "bs": bs_name, "version": version},
             )
-            obs.tracer.finish(
-                span, status="ok" if driver.attached[i] else "detached"
-            )
-            obs.note_migration_in(rec.link, span.span_id, self.sim.now, ue_id)
+            obs.note_migration_in(rec.link, span.span_id, now, ue_id)
         self.trace.record(
             self.sim.now,
             "shard_migrate_in",
@@ -1067,7 +1058,8 @@ def run_sharded(
     ``obs`` (an :class:`~repro.obs.Observability` *template* — each
     shard builds its own instance from its mode/span_keep) enables
     per-shard tracing or metrics; trace mode runs under bounded span
-    retention (``obs.span_keep``, default ``_DEFAULT_SPAN_KEEP``) and
+    retention (``obs.span_keep``; unset, every engine applies
+    :data:`~repro.scale.engine.DEFAULT_SPAN_KEEP`, sharded or not) and
     attaches the per-shard snapshots as ``result.obs_shards`` for
     :func:`~repro.obs.export.stitch_chrome_trace`.  ``stream`` (a
     :class:`~repro.obs.stream.HeartbeatStream`) turns on the
@@ -1102,11 +1094,6 @@ def run_sharded(
             orch.attach_stream(stream)
     obs_mode = getattr(obs, "mode", None) if obs is not None else None
     span_keep = getattr(obs, "span_keep", None) if obs is not None else None
-    if obs_mode == "trace" and span_keep is None:
-        # sharded traces default to bounded retention: each shard keeps
-        # the slowest-K roots per procedure plus every fault/recovery/
-        # migration tree, so the merge payload stays pipe-sized
-        span_keep = _DEFAULT_SPAN_KEEP
 
     # the recipe of every shard's engine, for whichever backend hosts it
     engine_args = [
@@ -1178,7 +1165,7 @@ def run_sharded(
         retentions = [s.get("retention") for s in snapshots]
         if any(r is not None for r in retentions):
             summary["retention"] = {
-                "limit": span_keep,
+                "limit": next(r["limit"] for r in retentions if r),
                 "roots_kept": sum(
                     r.get("roots_kept", 0) for r in retentions if r
                 ),

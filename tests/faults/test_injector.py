@@ -229,8 +229,9 @@ def _partitioned(injector):
 
 
 class TestDeploymentHop:
-    """obs off: the injector's answer as is; obs on: always an Event
-    the hop span closes on — at the same instant, with the same fate."""
+    """The injector's answer as is, observed or not: everything about a
+    traversal is known at the send instant, so with obs installed the
+    hop span is already closed when ``hop`` returns."""
 
     ENDS = dict(src="cpf-20-0", dst="cpf-21-0")
 
@@ -253,13 +254,16 @@ class TestDeploymentHop:
         assert type(delay) is float
         assert delay == dep.links["cpf_cpf_inter"].latency_s + extra
 
-        sim, dep, root, ev = self._hop(condition, observed=True)
-        assert isinstance(ev, Event) and not ev.fired
+        sim, dep, root, observed = self._hop(condition, observed=True)
+        assert type(observed) is float and observed == delay
+        seq = sim._seq
+        # closed before the simulator runs another step
         (span,) = dep.obs.tracer.children_of(root)
-        sim.run()
-        assert ev.ok
         assert (span.name, span.status) == ("hop.cpf_cpf_inter", "ok")
         assert (span.start, span.end) == (0.5, 0.5 + delay)
+        sim.run()
+        assert sim._seq == seq  # obs queued nothing behind the hop
+        assert (span.start, span.end, span.status) == (0.5, 0.5 + delay, "ok")
         assert dep.links["cpf_cpf_inter"].messages_sent == 1
 
     @pytest.mark.parametrize("condition", [_blackholed, _partitioned])
@@ -271,6 +275,7 @@ class TestDeploymentHop:
         sim, dep, root, ev = self._hop(condition, observed=True)
         assert_lost(ev)
         (span,) = dep.obs.tracer.children_of(root)
+        assert (span.status, span.start, span.end) == ("error", 0.5, 0.5)
         sim.run()
         assert (span.status, span.start, span.end) == ("error", 0.5, 0.5)
         assert dep.faults.messages_lost == 1

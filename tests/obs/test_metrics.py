@@ -141,3 +141,14 @@ class TestParallelAggregation:
         )
         for s, p in zip(serial, parallel):
             assert s.obs == p.obs
+
+
+def test_repeated_lookup_returns_the_same_instrument_however_spelled():
+    from repro.obs import MetricsRegistry
+
+    reg = MetricsRegistry()
+    a = reg.histogram("phase_s", proc="sr", phase="cta")
+    assert reg.histogram("phase_s", proc="sr", phase="cta") is a
+    assert reg.histogram("phase_s", phase="cta", proc="sr") is a
+    assert reg.counter("phase_s", proc="sr", phase="cta") is not a
+    assert len(reg.snapshot()["histograms"]) == 1

@@ -7,7 +7,9 @@ with observability installed and require the exact pre-obs results:
 
 * every regression-schedule EventTrace digest unchanged;
 * the Fig. 7 / Fig. 10 PCT witness rows identical float-for-float in
-  every field except ``obs`` itself.
+  every field except ``obs`` itself;
+* ``Simulator._seq`` at the end of a run equal with and without
+  tracing: obs allocates no scheduler entry at all.
 """
 
 import dataclasses
@@ -81,3 +83,37 @@ def test_fig10_slice_row_identical_with_obs_enabled():
     _assert_identical_except_obs(point, expected, "fig10/neutrino")
     names = {s.name for s in obs.tracer.spans}
     assert "recovery.failover" in names  # the kill really was traced
+
+
+# -- obs schedules nothing ---------------------------------------------------
+#
+# Digest equality says the *protocol's* callbacks kept their order; the
+# stronger, structural property is that tracing allocates no scheduler
+# entry at all — every span is either closed by the code that was
+# waiting or recorded closed — so the kernel's seq counter ends equal.
+
+
+@pytest.mark.parametrize("stem", sorted(EXPECTED_DIGESTS), ids=str)
+def test_tracing_allocates_no_scheduler_entry_on_the_corpus(stem):
+    plan = FaultPlan.load(str(CORPUS_DIR / ("%s.json" % stem)))
+    plain = run_plan(plan, verbose_trace=True)
+    traced = run_plan(plan, verbose_trace=True, obs=Observability("trace"))
+    assert traced.dep.obs.tracer.started > 0
+    assert traced.dep.sim._seq == plain.dep.sim._seq
+
+
+def test_tracing_allocates_no_scheduler_entry_on_a_batched_city():
+    from repro.scale.engine import _Engine
+    from repro.scale.scenarios import get_scenario
+
+    spec = get_scenario("steady-city").with_overrides(
+        n_ue=20_000, duration_s=0.5, seed=3
+    )
+    seqs = {}
+    for label, obs in (("plain", None), ("traced", Observability("trace"))):
+        engine = _Engine(spec, mode="batched", obs=obs)
+        result = engine.run()
+        assert result.lane["admitted"] > 0
+        seqs[label] = (engine.sim._seq, result.lane["admitted"])
+    assert obs.tracer.started == obs.tracer.finished > 0
+    assert seqs["traced"] == seqs["plain"]

@@ -158,3 +158,107 @@ class TestPhaseFolding:
         tracer.finish(ship, status="acked")
         assert offpath == [ship]
         assert ship.status == "acked"
+
+
+class TestRecordedClosed:
+    """``record``: one id, one row, the bookkeeping of begin + finish."""
+
+    def test_record_equals_begin_plus_finish(self):
+        folds = []
+        now = [0.0]
+
+        def fresh():
+            return Tracer(lambda: now[0], on_root_finish=lambda r, p: folds.append(p))
+
+        bracketed, recorded = fresh(), fresh()
+        now[0] = 0.0
+        root_b = bracketed.begin("proc.sr", proc="sr")
+        child_b = bracketed.begin("hop.x", parent=root_b, phase="transit", nbytes=7)
+        now[0] = 0.25
+        bracketed.finish(child_b)
+        now[0] = 1.0
+        bracketed.finish(root_b)
+
+        now[0] = 0.0
+        root_r = recorded.begin("proc.sr", proc="sr")
+        child_r = recorded.record(
+            "hop.x", root_r, "transit", 0.0, 0.25, "ok", {"nbytes": 7}
+        )
+        now[0] = 1.0
+        recorded.finish(root_r)
+
+        assert child_r.to_row() == child_b.to_row()
+        assert folds[0] == folds[1] == {"transit": 0.25}
+        assert (recorded.started, recorded.finished) == (2, 2)
+        assert recorded.spans == [root_r, child_r]
+
+    def test_record_under_a_closed_root_goes_offpath(self):
+        offpath = []
+        tracer = Tracer(lambda: 0.0, on_offpath_finish=offpath.append)
+        root = tracer.begin("proc.sr")
+        tracer.finish(root)
+        late = tracer.record("hop.x", root, "transit", 0.0, 0.5)
+        assert offpath == [late]
+
+    def test_a_span_still_in_flight_at_root_close_is_off_path(self):
+        """The fold rule on the smallest case: recorded at send, folded late."""
+        folds, offpath = [], []
+        now = [0.0]
+        tracer = Tracer(
+            lambda: now[0],
+            on_root_finish=lambda root, phases: folds.append(phases),
+            on_offpath_finish=offpath.append,
+        )
+        root = tracer.begin("proc.x")
+        early = tracer.record("hop.a", root, "transit", 0.0, 0.25)
+        late = tracer.record("hop.b", root, "transit", 0.0, 0.75)
+        now[0] = 0.5
+        tracer.finish(root)
+        assert folds == [{"transit": 0.25}]
+        assert offpath == [late] and early.end == 0.25
+        assert (tracer.started, tracer.finished) == (3, 3)
+
+    def test_recorded_root_is_decided_by_retention(self):
+        from repro.obs.tracer import SpanRetention
+
+        tracer = Tracer(lambda: 0.0, retention=SpanRetention(1))
+        root = tracer.record("shard.install_migrated", None, "migrate", 0.0, 0.0)
+        assert root.is_root and tracer.spans == [root]
+        assert tracer.retention.roots_kept == 1
+
+    def test_phases_override_on_a_recorded_span(self):
+        folds = []
+        tracer = Tracer(lambda: 1.0, on_root_finish=lambda r, p: folds.append(p))
+        root = tracer.begin("proc.sr")
+        tracer.record(
+            "cpf.handle", root, "cpf", 0.0, 0.5,
+            phases=(("cpf_wait", 0.125), ("cpf_serve", 0.375)),
+        )
+        tracer.finish(root)
+        assert folds == [{"cpf_wait": 0.125, "cpf_serve": 0.375}]
+
+    def test_fold_runs_in_end_order_not_written_order(self):
+        """A long hop written first, a short span finished while it flies:
+        the root's phase dict is keyed in the order the spans *ended*."""
+        folds = []
+        now = [0.0]
+        tracer = Tracer(lambda: now[0], on_root_finish=lambda r, p: folds.append(p))
+        root = tracer.begin("proc.sr")
+        tracer.record("hop.long", root, "transit", 0.0, 0.5)
+        short = tracer.begin("cpf.encode", parent=root, phase="cpf_serve")
+        now[0] = 0.125
+        tracer.finish(short)
+        now[0] = 1.0
+        tracer.finish(root)
+        assert list(folds[0].items()) == [("cpf_serve", 0.125), ("transit", 0.5)]
+
+    def test_finish_at_closes_a_begun_span_at_a_known_instant(self):
+        offpath = []
+        now = [0.0]
+        tracer = Tracer(lambda: now[0], on_offpath_finish=offpath.append)
+        root = tracer.begin("proc.sr")
+        ship = tracer.begin("checkpoint.ship", parent=root, phase="checkpoint")
+        tracer.finish(root)
+        tracer.finish_at(ship, 0.75, "acked")  # the clock never moved
+        assert (ship.start, ship.end, ship.status) == (0.0, 0.75, "acked")
+        assert offpath == [ship]

@@ -6,11 +6,17 @@ the batched lane at the job's analytic instant — so a spy on the method
 must count the same calls under either driver, and breaking the method
 must break both.  The second half is the regression test for "the lane
 has its own audit hook", and the patch point protocol mutants use.
+
+The obs counters obey the same rule: ``cta_messages`` / ``cta_log_bytes``
+are bumped in ``CTA.log_uplink`` and ``cpf_messages`` in ``CPF.serve``,
+not in the event wrappers around them, so ``--obs metrics`` counts a
+message the lane served exactly like one the discrete path served.
 """
 
 from repro.core.cpf import CPF
 from repro.core.cta import CTA
 from repro.core.upf import UPF
+from repro.obs import Observability
 from repro.scale.engine import _Engine
 from repro.scale.scenarios import get_scenario
 
@@ -22,11 +28,11 @@ SITES = (
 )
 
 
-def run(mode):
+def run(mode, obs=None):
     spec = get_scenario("steady-city").with_overrides(
         n_ue=400, duration_s=0.5, seed=3
     )
-    engine = _Engine(spec, mode=mode)
+    engine = _Engine(spec, mode=mode, obs=obs)
     return engine, engine.run()
 
 
@@ -80,3 +86,31 @@ def test_skipping_the_audit_hook_blinds_both_executors(monkeypatch):
         assert engine.dep.auditor.serves == 0, mode
         if mode == "batched":
             assert result.lane["admitted"] > 0
+
+
+def test_obs_counters_see_lane_messages():
+    """Metrics mode keeps the lane, and the lane feeds every counter."""
+    per_mode = {}
+    for mode in ("cohort", "batched"):
+        obs = Observability("metrics")
+        engine, result = run(mode, obs=obs)
+        metrics = obs.metrics.snapshot()
+        counters = {
+            (c["name"], tuple(sorted(c["labels"].items()))): c["value"]
+            for c in metrics["counters"]
+        }
+        log_bytes = {
+            g["labels"]["node"]: g["last"]
+            for g in metrics["gauges"] if g["name"] == "cta_log_bytes"
+        }
+        per_mode[mode] = (counters, log_bytes)
+        names = {name for name, _ in counters}
+        assert {"hop_messages", "hop_bytes", "cta_messages", "cpf_messages"} <= names
+        assert log_bytes
+        hops = sum(v for (name, _), v in counters.items() if name == "hop_messages")
+        assert hops == sum(l.messages_sent for l in engine.dep.links.values())
+        served = sum(v for (name, _), v in counters.items() if name == "cpf_messages")
+        assert served == result.serves
+    assert per_mode["batched"] == per_mode["cohort"]
+    assert result.lane["admitted"] > 0, "nothing exercised the lane"
+    assert result.lane["gate_misses"] == 0

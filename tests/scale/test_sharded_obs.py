@@ -127,6 +127,27 @@ def test_span_keep_knob_is_digest_transparent():
     assert res.obs_snapshot["retention"]["limit"] == 2
 
 
+@pytest.mark.parametrize("span_keep, limit", [(None, 32), (5, 5), (0, None)])
+def test_span_keep_default_does_not_depend_on_the_shard_count(span_keep, limit):
+    """One default, applied where the engine installs obs; 0 keeps all."""
+    from repro.scale.engine import DEFAULT_SPAN_KEEP, run_scenario
+
+    assert DEFAULT_SPAN_KEEP == 32
+    limits = {}
+    for shards in (1, 2):
+        obs = Observability("trace", span_keep=span_keep)
+        res = run_scenario(
+            "steady-city", n_ue=400, duration_s=0.5, seed=3, obs=obs,
+            shards=shards, shard_backend="inline",
+        )
+        # single-process runs snapshot the installed instance; sharded
+        # runs merge the per-shard snapshots onto the result
+        snap = obs.snapshot() if shards == 1 else res.obs_snapshot
+        assert snap["spans_started"] > 0
+        limits[shards] = (snap.get("retention") or {}).get("limit")
+    assert limits == {1: limit, 2: limit}
+
+
 def test_bounded_retention_caps_kept_roots():
     keep = 2
     res = run_sharded(
