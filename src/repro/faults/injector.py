@@ -172,12 +172,21 @@ class FaultInjector:
         """Register a crash-detection hook (see ``_listeners``)."""
         self._listeners.append(fn)
 
-    def fire(self, op: FaultOp) -> None:
-        """Apply one control op (timed event or scripted step) now."""
+    def apply(self, op: FaultOp) -> bool:
+        """Flip the state ``op`` names and nothing else; False if skipped.
+
+        No counter, trace record or listener: :meth:`fire` adds those,
+        and a shard mirroring an op another shard owns calls this so
+        the op is counted once.
+        """
         handler = getattr(self, "_op_" + op.op, None)
         if handler is None:
             raise ValueError("op %r cannot be fired by the injector" % (op.op,))
-        if not handler(op):
+        return handler(op)
+
+    def fire(self, op: FaultOp) -> None:
+        """Apply one control op (timed event or scripted step) now."""
+        if not self.apply(op):
             self.ops_skipped += 1
             self.trace.record(self.sim.now, "op_skipped", op=op.op, target=op.target)
             return

@@ -229,11 +229,6 @@ class Orchestrator:
                     }
                 )
 
-    def upgrade_done(self) -> bool:
-        """Whether every planned upgrade reached the replace phase."""
-        plan = self._upgrade_plan
-        return plan is not None and all(item["phase"] == 2 for item in plan)
-
     # -- auto-heal ---------------------------------------------------------
 
     def _heal(self, epoch: int, load, actions) -> None:

@@ -4,9 +4,15 @@ Simulating 100k+ UEs as long-lived :class:`~repro.core.ue.UE` objects
 costs an object (plus dict) per UE for state that is four scalars.  The
 cohort keeps the whole population in flat arrays — attached flag,
 completed write version (the RYW reader version), serving-BS index,
-busy flag, procedures-run counter — and materialises a UE object only
-while one of its procedures is in flight, hydrating it from the arrays
-and writing the scalars back on completion.
+busy flag, procedures-run counter, emigrated flag — and materialises a
+UE object only while one of its procedures is in flight, hydrating it
+from the arrays and writing the scalars back on completion.
+
+Which slot holds which UE is decided here and nowhere else.  A driver is
+built from the **global ids it drives** — ``range(n)`` for a whole
+population (slot == id, nothing stored), an ``array`` for one shard's
+share — and answers ``ue_id`` / ``slot`` / ``bucket`` / ``add_slot``;
+the engine is written against those and never asks which ids it got.
 
 The hydrated shell runs the *identical* ``UE.execute`` code path, and
 neither hydration nor write-back touches the simulator, so a cohort run
@@ -18,7 +24,7 @@ conformance test can prove exactly that.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.ue import UE, ProcedureAborted, ProcedureOutcome
 from ..sim.node import NodeFailed
@@ -28,7 +34,15 @@ __all__ = ["CohortDriver", "IndividualDriver", "BatchedDriver"]
 
 
 class CohortDriver:
-    """Array-backed population of ``n`` UEs over a deployment.
+    """Array-backed population of the UEs whose global ids are ``ids``.
+
+    ``ids[i]`` is the id of the UE in slot ``i`` — ``ue_id(i)`` embeds
+    it, so a UE keeps one identity (auditor history, placements, trace)
+    in every shard it visits.  ``range(n)`` drives a whole population;
+    an ``array`` is one shard's share, which the driver then owns and
+    appends immigrants to, so per-shard memory is O(local population).
+    ``gone[i]`` marks a slot whose UE emigrated: state was torn down
+    here and arrivals must skip it.
 
     ``bs_names`` is the (growable) list of base stations UEs may be
     assigned to; per-UE state references it by index so 100k UEs don't
@@ -39,18 +53,29 @@ class CohortDriver:
     #: True when population bootstrap is deferred per UE to first use
     #: (only the batched driver ever defers).
     lazy = False
+    #: the per-slot columns :meth:`add_slot` extends
+    _columns = ("attached", "busy", "version", "bs_idx", "runs", "gone")
 
-    def __init__(self, dep, bs_names: List[str], n: int, prefix: str = "c"):
+    def __init__(self, dep, bs_names: List[str], ids, prefix: str = "c"):
         self.dep = dep
-        self.n = n
+        self.ids = ids
+        self.n = n = len(ids)
         self.prefix = prefix
         self.bs_names: List[str] = list(bs_names)
         self._bs_index: Dict[str, int] = {b: i for i, b in enumerate(self.bs_names)}
+        #: global id -> slot; a whole population needs none (slot == id)
+        self._slots: Optional[Dict[int, int]] = (
+            None if isinstance(ids, range) else {g: i for i, g in enumerate(ids)}
+        )
+        self._buckets: Dict[Tuple[int, Optional[int]], List[int]] = {}
         self.attached = bytearray(n)
         self.busy = bytearray(n)
         self.version = array("q", [0]) * n
         self.bs_idx = array("l", [0]) * n
         self.runs = array("l", [0]) * n
+        self.gone = bytearray(n)
+        #: called with the slot after each discrete procedure
+        self.procedure_done: Optional[Callable[[int], None]] = None
         # outcome counters (bounded; the per-outcome objects are not kept)
         self.completed = 0
         self.aborted = 0
@@ -60,7 +85,54 @@ class CohortDriver:
     # -- identity ----------------------------------------------------------
 
     def ue_id(self, i: int) -> str:
-        return "%s-%07d" % (self.prefix, i)
+        return "%s-%07d" % (self.prefix, self.ids[i])
+
+    def slot(self, gid: int) -> Optional[int]:
+        """Slot of the UE with global id ``gid`` (None: never driven here)."""
+        return gid if self._slots is None else self._slots.get(gid)
+
+    def bucket(self, lo: int = 0, hi: Optional[int] = None) -> Sequence[int]:
+        """The slots whose id is in ``[lo, hi)`` (``hi=None``: unbounded).
+
+        Over a whole population that is ``range(lo, hi)`` itself; a
+        shard's share is scanned once per distinct range and kept
+        current by :meth:`add_slot`.
+        """
+        if self._slots is None:
+            return range(lo, self.n if hi is None else hi)
+        bucket = self._buckets.get((lo, hi))
+        if bucket is None:
+            bucket = self._buckets[(lo, hi)] = [
+                i
+                for i, g in enumerate(self.ids)
+                if lo <= g and (hi is None or g < hi)
+            ]
+        return bucket
+
+    def add_slot(self, gid: int) -> int:
+        """Slot for immigrant ``gid``: its old one back, or a fresh one.
+
+        A fresh slot extends every column and every cached bucket
+        covering ``gid``, so the UE is pickable the moment it lands.
+        """
+        i = self.slot(gid)
+        if i is None:
+            i = self.n
+            self.n += 1
+            self.ids.append(gid)
+            self._slots[gid] = i
+            for name in self._columns:
+                getattr(self, name).append(0)
+            for (lo, hi), bucket in self._buckets.items():
+                if lo <= gid and (hi is None or gid < hi):
+                    bucket.append(i)
+        self.gone[i] = 0
+        return i
+
+    def tombstone(self, i: int) -> None:
+        """UE ``i`` emigrated: the slot stays (ids are stable) but is dead."""
+        self.gone[i] = 1
+        self.attached[i] = 0
 
     def bs_of(self, i: int) -> str:
         return self.bs_names[self.bs_idx[i]]
@@ -96,9 +168,6 @@ class CohortDriver:
         self.runs[i] = ue.procedures_run
         self.bs_idx[i] = self.bs_index(ue.bs_name)
         self.dep.release_ue(ue.ue_id)
-
-    def mark_booted(self, i: int) -> None:
-        """UE ``i``'s state was installed from outside (an immigrant)."""
 
     # -- procedures --------------------------------------------------------
 
@@ -142,6 +211,8 @@ class CohortDriver:
         finally:
             self._writeback(i, ue)
             self.busy[i] = 0
+        if self.procedure_done is not None:
+            self.procedure_done(i)
 
 
 class IndividualDriver(CohortDriver):
@@ -156,8 +227,8 @@ class IndividualDriver(CohortDriver):
 
     mode = "individual"
 
-    def __init__(self, dep, bs_names: List[str], n: int, prefix: str = "c"):
-        super().__init__(dep, bs_names, n, prefix)
+    def __init__(self, dep, bs_names: List[str], ids, prefix: str = "c"):
+        super().__init__(dep, bs_names, ids, prefix)
         self._ues: Dict[int, UE] = {}
 
     def bootstrap(self, i: int, bs_name: str) -> None:
@@ -206,9 +277,10 @@ class BatchedDriver(CohortDriver):
     """
 
     mode = "batched"
+    _columns = CohortDriver._columns + ("_booted",)
 
-    def __init__(self, dep, bs_names: List[str], n: int, prefix: str = "c"):
-        super().__init__(dep, bs_names, n, prefix)
+    def __init__(self, dep, bs_names: List[str], ids, prefix: str = "c"):
+        super().__init__(dep, bs_names, ids, prefix)
         self.lane: Optional[LaneRuntime] = None
         self.stats: Dict[str, int] = {
             "admitted": 0,
@@ -216,7 +288,7 @@ class BatchedDriver(CohortDriver):
             "walk_aborts": 0,
             "gate_misses": 0,
         }
-        self._booted = bytearray(n)
+        self._booted = bytearray(self.n)
         self._hazards: List[Tuple[float, float]] = []
 
     # -- wiring -------------------------------------------------------------
@@ -291,8 +363,10 @@ class BatchedDriver(CohortDriver):
         super().bootstrap(i, bs_name)
         self._booted[i] = 1
 
-    def mark_booted(self, i: int) -> None:
+    def add_slot(self, gid: int) -> int:
+        i = super().add_slot(gid)
         self._booted[i] = 1  # never lazy-boot over installed state
+        return i
 
     def _ensure_boot(self, i: int) -> None:
         if self._booted[i]:

@@ -410,6 +410,7 @@ class _Engine:
         obs=None,
         verbose_trace: bool = False,
         stream=None,
+        homes: Optional[Tuple[array, array, List[str]]] = None,
     ):
         _check_mode(mode, self.modes)
         self._wall0 = time.perf_counter()
@@ -463,24 +464,26 @@ class _Engine:
             self.orch_mutating = self.orch_policy.mutating
 
         self.mobility = _mobility_for(spec, self.topo)
-        bs_names = [b for r in self.topo.regions for b in r.bss]
-        self.driver = self._make_driver(mode, bs_names)
-        self.counters: Dict[str, int] = {}
-        self.sketches: Dict[Tuple[str, str], QuantileSketch] = {}
-        self._sketch_spill = 0
-        self.dep.outcome_sink = self._observe_outcome
-
-    def _make_driver(self, mode: str, bs_names: List[str]):
-        """Driver factory; the shard engine substitutes grow-able drivers."""
+        # ``homes`` is where the UEs this engine drives live: None places
+        # the whole population here; a shard is handed its share of
+        # ``partition_population`` — (ids, BS-index column, BS-name table)
+        self._homes = homes
         driver_cls = {
             "cohort": CohortDriver,
             "individual": IndividualDriver,
             "batched": BatchedDriver,
         }[mode]
-        driver = driver_cls(self.dep, bs_names, self.spec.n_ue)
+        ids = range(spec.n_ue) if homes is None else homes[0]
+        bs_names = [b for r in self.topo.regions for b in r.bss]
+        self.driver = driver_cls(self.dep, bs_names, ids)
         if mode == "batched":
-            driver.setup_lane(self)
-        return driver
+            self.driver.setup_lane(self)
+        #: the engine's own processes; ``finish`` re-raises what one died of
+        self._procs: List[Any] = []
+        self.counters: Dict[str, int] = {}
+        self.sketches: Dict[Tuple[str, str], QuantileSketch] = {}
+        self._sketch_spill = 0
+        self.dep.outcome_sink = self._observe_outcome
 
     # -- bounded-memory measurement ---------------------------------------
 
@@ -775,7 +778,12 @@ class _Engine:
 
     def _bootstrap_population(self) -> None:
         driver = self.driver
-        placed = place_population(self.spec, self.mobility, driver.bs_index)
+        if self._homes is None:
+            placed = place_population(self.spec, self.mobility, driver.bs_index)
+        else:
+            _ids, column, table = self._homes
+            index = [driver.bs_index(name) for name in table]
+            placed = array("l", map(index.__getitem__, column))
         if driver.lazy:
             # everything else was prefilled wholesale in setup_lane
             driver.bs_idx = placed
@@ -862,17 +870,22 @@ class _Engine:
             if rate > 0.0
         ]
 
-    def _class_count(self, lo: int, hi: int) -> int:
-        """How many of the UEs in global slice [lo, hi) this engine drives."""
-        return hi - lo
-
     def _pick_idle(
         self, pick_rng, lo: int = 0, hi: Optional[int] = None
     ) -> Optional[int]:
-        # randrange(0, n) consumes exactly the same draw as randrange(n),
-        # so class-ranged picks leave the legacy RNG sequence untouched
-        i = pick_rng.randrange(lo, self.spec.n_ue if hi is None else hi)
-        if self.driver.busy[i]:
+        driver = self.driver
+        bucket = driver.bucket(lo, hi)
+        if not bucket:
+            self._count("arrivals_no_local")
+            return None
+        # one draw per arrival whatever the ids: over a whole population
+        # the bucket is range(lo, hi) and this consumes exactly the draw
+        # randrange(lo, hi) does, so the pinned RNG sequences hold
+        i = bucket[pick_rng.randrange(len(bucket))]
+        if driver.gone[i]:
+            self._count("arrivals_skipped_remote")
+            return None
+        if driver.busy[i]:
             self._count("arrivals_skipped_busy")
             return None
         return i
@@ -950,7 +963,7 @@ class _Engine:
         streams = []
         for cls in model.classes:
             lo, hi = ranges[cls.name]
-            class_n = self._class_count(lo, hi)
+            class_n = len(self.driver.bucket(lo, hi))
             if class_n <= 0:
                 continue
             pick_rng = self.rngs.stream("traffic.pick." + cls.name)
@@ -985,9 +998,8 @@ class _Engine:
         for storm in model.storms:
             lo, hi = ranges[storm.device_class]
             rng = self.rngs.stream("traffic.storm." + storm.name)
-            times = iter(
-                storm_times(storm, self._class_count(lo, hi), self.duration, rng)
-            )
+            class_n = len(self.driver.bucket(lo, hi))
+            times = iter(storm_times(storm, class_n, self.duration, rng))
             pick_rng = self.rngs.stream("traffic.pick." + storm.device_class)
             streams.append((
                 times,
@@ -1107,6 +1119,7 @@ class _Engine:
         yield from self._rebalance()
 
     def _evacuees(self, tile: str) -> List[int]:
+        # an emigrated slot is detached, so ``attached`` alone excludes it
         return [
             i
             for i in range(self.driver.n)
@@ -1198,7 +1211,7 @@ class _Engine:
 
     def _slot_for(self, ue_id: str) -> Optional[int]:
         """Driver slot of a cohort UE id (None if not driven here)."""
-        return int(ue_id.split("-")[-1])
+        return self.driver.slot(int(ue_id.split("-")[-1]))
 
     def _replace_one(self, ue_id: str, delay: float):
         try:
@@ -1227,7 +1240,7 @@ class _Engine:
                 return  # already converged (re-checked after the stagger)
             self.driver.busy[i] = 1
             try:
-                ok = yield from self._copy_state(ue_id, placement, primary, backups)
+                ok = yield from self._copy_state(i, ue_id, placement, primary, backups)
                 if not ok:
                     self._count("replace_fetch_failed")
                     return  # keep the old placement; nothing was torn down
@@ -1244,12 +1257,9 @@ class _Engine:
         except Exception:  # pragma: no cover - re-placement must not wedge
             self._count("replace_errors")
 
-    def _copy_state(self, ue_id: str, placement, primary: str, backups: List[str]):
+    def _copy_state(self, i: int, ue_id: str, placement, primary: str, backups):
         """Repair-fetch up-to-date state onto every new holder."""
-        slot = self._slot_for(ue_id)
-        if slot is None:
-            return False
-        need_version = self.driver.version[slot]
+        need_version = self.driver.version[i]
         sources = [placement.primary] + list(placement.backups)
         for target in [primary] + list(backups):
             cpf = self.dep.cpfs.get(target)
@@ -1285,9 +1295,10 @@ class _Engine:
         """Install population, faults and arrival processes (no sim yet)."""
         self._bootstrap_population()
         self.injector.install()
-        self.sim.process(self._traffic(), name="scale.traffic")
+        procs = self._procs
+        procs.append(self.sim.process(self._traffic(), name="scale.traffic"))
         if self.spec.churn_events:
-            self.sim.process(self._churn(), name="scale.churn")
+            procs.append(self.sim.process(self._churn(), name="scale.churn"))
         if self.orch_policy is not None:
             self.injector.add_listener(self._on_fault_op)
             if self._local_controller:
@@ -1296,7 +1307,9 @@ class _Engine:
                 self._controller = Orchestrator(self.orch_policy, self.duration)
                 if self._stream is not None:
                     self._controller.attach_stream(self._stream)
-                self.sim.process(self._orch_loop(), name="orch.tick")
+                procs.append(
+                    self.sim.process(self._orch_loop(), name="orch.tick")
+                )
 
     def run(self) -> ScaleResult:
         self.prepare()
@@ -1307,7 +1320,14 @@ class _Engine:
         return result
 
     def finish(self, end: float) -> ScaleResult:
-        """Flush the lane trace and assemble the result after the sim ran."""
+        """Flush the lane trace and assemble the result after the sim ran.
+
+        Raises what the first of the engine's own processes to die
+        raised: a run whose arrival, churn or controller loop crashed
+        has no result.
+        """
+        for proc in self._procs:
+            proc.value  # re-raises a stored failure
         self.driver.flush_trace()
         auditor = self.dep.auditor
         return ScaleResult(

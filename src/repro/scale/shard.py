@@ -4,9 +4,11 @@ The single-process harness tops out around 100k UEs on one core.  This
 module partitions the city **by level-2 (CTA) parent** across shard
 engines — each shard runs its own :class:`~repro.sim.core.Simulator`
 with the unchanged cohort / batched-lane drivers over the *full* ghost
-topology, but drives traffic only for the UEs homed in its own level-2
-parents.  The level-2 parent is the natural shard unit because the
-topology makes it a consistency boundary:
+topology, but its driver is built from — and so drives traffic only
+for — the global ids of the UEs homed in its own level-2 parents
+(:func:`partition_population`; how ids map to slots is the driver's
+business, see :mod:`~repro.scale.cohort`).  The level-2 parent is the
+natural shard unit because the topology makes it a consistency boundary:
 
 * Fast Handover (§4.3) requires a shared level-2 parent, so it never
   crosses shards;
@@ -18,7 +20,8 @@ topology makes it a consistency boundary:
 A full cross-parent handover executes *entirely inside the source
 shard* against its ghost copy of the destination region (every node
 exists in every shard; UE state lives only in the owning shard's
-deployment).  On completion the UE is torn down locally and a small
+deployment).  On completion — the driver's ``procedure_done`` callback —
+the UE is torn down locally, its slot tombstoned, and a small
 migration record — a :class:`Migration` ``(dst, gid, version, runs,
 clock, bs, t)`` — is carried over the inter-process channel and
 installed in the destination shard at ``t + Δ`` via
@@ -90,7 +93,6 @@ from ..experiments.parallel import (
     spawn_workers,
 )
 from ..faults.runner import config_from_name
-from .cohort import BatchedDriver, CohortDriver
 from .engine import (
     ScaleResult,
     _Engine,
@@ -223,13 +225,13 @@ def shard_lookahead(spec: ScenarioSpec) -> float:
 
 def partition_population(
     spec: ScenarioSpec, shard_map: ShardMap
-) -> Tuple[List[str], List[Tuple[array, array]]]:
+) -> List[Tuple[array, array, List[str]]]:
     """Home every UE, replaying the global placement draw sequence once.
 
     Places the population exactly as the single-process engine does
     (:func:`~repro.scale.engine.place_population`), then routes each
-    ``(gid, bs)`` to the owner of its tile's parent.  Returns the BS
-    name table plus per-shard ``(gid array, bs-name-index array)`` —
+    ``(gid, bs)`` to the owner of its tile's parent.  Returns each
+    shard's homes — ``(gid array, bs-name-index array, BS name table)``,
     compact enough to ship 1M homes over a pipe.
     """
     bs_names: List[str] = []
@@ -246,66 +248,7 @@ def partition_population(
         owner = owners[idx]
         gids[owner].append(gid)
         bsidx[owner].append(idx)
-    return bs_names, list(zip(gids, bsidx))
-
-
-# ------------------------------------------------------------------ drivers
-
-
-class _ShardSlots:
-    """Mixin making a cohort driver grow-able and globally addressed.
-
-    Shard drivers start empty and add one slot per locally-homed UE (or
-    immigrant), so per-shard memory is O(local population), not O(n_ue)
-    × shards.  ``ids[i]`` is the UE's *global* id — ``ue_id(i)`` embeds
-    it, so a UE keeps one identity (auditor history, placements, trace)
-    across every shard it visits.  ``gone[i]`` marks a slot whose UE
-    emigrated: state was torn down here and arrivals must skip it.
-    """
-
-    def __init__(self, dep, bs_names: List[str], engine):
-        super().__init__(dep, bs_names, 0)
-        self.engine = engine
-        self.ids = array("l")
-        self.slot_of: Dict[int, int] = {}
-        self.gone = bytearray()
-
-    def ue_id(self, i: int) -> str:
-        return "%s-%07d" % (self.prefix, self.ids[i])
-
-    def add_slot(self, gid: int) -> int:
-        i = self.slot_of.get(gid)
-        if i is not None:
-            return i
-        i = self.n
-        self.n += 1
-        self.ids.append(gid)
-        self.slot_of[gid] = i
-        self.attached.append(0)
-        self.busy.append(0)
-        self.version.append(0)
-        self.bs_idx.append(0)
-        self.runs.append(0)
-        self.gone.append(0)
-        return i
-
-    def run_procedure(self, i, proc, target_bs=None):
-        yield from super().run_procedure(i, proc, target_bs)
-        # a completed full handover may have crossed the shard boundary
-        self.engine._after_procedure(i)
-
-
-class ShardCohortDriver(_ShardSlots, CohortDriver):
-    pass
-
-
-class ShardBatchedDriver(_ShardSlots, BatchedDriver):
-    def add_slot(self, gid: int) -> int:
-        new = gid not in self.slot_of
-        i = super().add_slot(gid)
-        if new:
-            self._booted.append(0)
-        return i
+    return [(g, b, bs_names) for g, b in zip(gids, bsidx)]
 
 
 # ------------------------------------------------------------------ engine
@@ -326,18 +269,19 @@ class ShardEngine(_Engine):
         mode: str,
         shard_idx: int,
         shards: int,
-        population: Tuple[array, array],
-        bs_name_list: List[str],
+        homes: Tuple[array, array, List[str]],
         delta: float,
         obs=None,
         verbose_trace: bool = False,
     ):
         self.shard_idx = shard_idx
         self.n_shards = shards
-        self._pop_gids, self._pop_bsidx = population
-        self._pop_bs_names = bs_name_list
         self.delta = delta
-        super().__init__(spec, mode=mode, obs=obs, verbose_trace=verbose_trace)
+        super().__init__(
+            spec, mode=mode, obs=obs, verbose_trace=verbose_trace, homes=homes
+        )
+        # a completed full handover may have crossed the shard boundary
+        self.driver.procedure_done = self._after_procedure
         self.shard_map = ShardMap(
             sorted({t[:-1] for t in self.topo.tiles}), shards
         )
@@ -346,7 +290,6 @@ class ShardEngine(_Engine):
         # registry above, so ghost topologies stay identical everywhere.
         self.rngs = RngRegistry(spec.seed).fork("shard:%d" % shard_idx)
         self._sketch_spill = _SHARD_SKETCH_SPILL
-        self._buckets: Dict[Tuple[int, Optional[int]], List[int]] = {}
         self._outbox: List[Migration] = []
         #: deterministic trace-link allocator for migration flow events.
         self._next_link = 0
@@ -367,31 +310,17 @@ class ShardEngine(_Engine):
 
     # -- wiring ------------------------------------------------------------
 
-    def _make_driver(self, mode: str, bs_names: List[str]):
-        if mode == "cohort":
-            return ShardCohortDriver(self.dep, bs_names, self)
-        driver = ShardBatchedDriver(self.dep, bs_names, self)
-        driver.setup_lane(self)
-        return driver
-
     def prepare(self) -> None:
         super().prepare()
+        # Node state must flip identically in every ghost topology, so a
+        # foreign-owned fault op is applied bare; the owning shard alone
+        # counts and records it, and the merged fault_counters and trace
+        # see it exactly once.
         for event in self._mirror_events:
             self.sim.schedule(
-                max(0.0, event.at - self.sim.now), self._mirror_fire, event
+                max(0.0, event.at - self.sim.now), self.injector.apply, event
             )
         self._wrap_hop()
-
-    def _mirror_fire(self, event) -> None:
-        """Apply a foreign-owned fault op silently (no counters/trace).
-
-        Node state must flip identically in every ghost topology; the
-        owning shard alone records and counts the op, so merged
-        fault_counters and the merged trace see it exactly once.
-        """
-        handler = getattr(self.injector, "_op_" + event.op, None)
-        if handler is not None:
-            handler(event)
 
     def _wrap_hop(self) -> None:
         """Count hops whose endpoints' parents live in different shards.
@@ -428,78 +357,6 @@ class ShardEngine(_Engine):
         # orchestration action come from one shard only
         return self.shard_map.owner_of_tile(tile) == self.shard_idx
 
-    # -- population --------------------------------------------------------
-
-    def _bootstrap_population(self) -> None:
-        driver = self.driver
-        names = self._pop_bs_names
-        bsidx = self._pop_bsidx
-        gids = self._pop_gids
-        if driver.lazy:
-            # the shard-side analogue of BatchedDriver.setup_lane's
-            # wholesale prefill (which saw an empty driver here) plus
-            # the engine's wholesale ``bs_idx`` install: pure array/dict
-            # fills — no RNG, no events, no trace
-            n = len(gids)
-            bsmap = [driver.bs_index(nm) for nm in names]
-            driver.ids = array("l", gids)
-            driver.slot_of = {g: k for k, g in enumerate(gids)}
-            driver.attached = bytearray(b"\x01") * n
-            driver.busy = bytearray(n)
-            driver.version = array("q", [1]) * n
-            driver.bs_idx = array("l", map(bsmap.__getitem__, bsidx))
-            driver.runs = array("l", [0]) * n
-            driver.gone = bytearray(n)
-            driver._booted = bytearray(n)
-            driver.n = n
-            driver.dep.auditor.writes += n
-            return
-        for gid, idx in zip(gids, bsidx):
-            driver.bootstrap(driver.add_slot(gid), names[idx])
-
-    def _bucket(self, lo: int, hi: Optional[int]) -> List[int]:
-        bucket = self._buckets.get((lo, hi))
-        if bucket is None:
-            ids = self.driver.ids
-            if hi is None:
-                bucket = list(range(len(ids)))
-            else:
-                bucket = [i for i, g in enumerate(ids) if lo <= g < hi]
-            self._buckets[(lo, hi)] = bucket
-        return bucket
-
-    def _class_count(self, lo: int, hi: int) -> int:
-        return len(self._bucket(lo, hi))
-
-    def _pick_idle(self, pick_rng, lo: int = 0, hi: Optional[int] = None):
-        bucket = self._bucket(lo, hi)
-        if not bucket:
-            self._count("arrivals_no_local")
-            return None
-        i = bucket[pick_rng.randrange(len(bucket))]
-        driver = self.driver
-        if driver.gone[i]:
-            self._count("arrivals_skipped_remote")
-            return None
-        if driver.busy[i]:
-            self._count("arrivals_skipped_busy")
-            return None
-        return i
-
-    def _slot_for(self, ue_id: str) -> Optional[int]:
-        return self.driver.slot_of.get(int(ue_id.split("-")[-1]))
-
-    def _evacuees(self, tile: str) -> List[int]:
-        driver = self.driver
-        gone = driver.gone
-        return [
-            i
-            for i in range(driver.n)
-            if driver.attached[i]
-            and not gone[i]
-            and driver.bs_of(i).split("-")[1] == tile
-        ]
-
     # -- migration protocol ------------------------------------------------
 
     def _after_procedure(self, i: int) -> None:
@@ -531,8 +388,7 @@ class ShardEngine(_Engine):
                 self.dep.clock_of(ue_id), bs_name, now, link,
             )
         )
-        driver.gone[i] = 1
-        driver.attached[i] = 0
+        driver.tombstone(i)
         self.dep.drop_placement(ue_id)
         self._count("migrations_out")
         self._count("channel_messages")
@@ -554,14 +410,11 @@ class ShardEngine(_Engine):
     def _install(self, rec: Migration) -> None:
         gid, version, bs_name = rec.gid, rec.version, rec.bs
         driver = self.driver
-        new = gid not in driver.slot_of
         i = driver.add_slot(gid)
-        driver.gone[i] = 0
         driver.busy[i] = 0
         driver.runs[i] = rec.runs
         driver.version[i] = version
         driver.bs_idx[i] = driver.bs_index(bs_name)
-        driver.mark_booted(i)
         ue_id = driver.ue_id(i)
         self._count("migrations_in")
         try:
@@ -591,10 +444,6 @@ class ShardEngine(_Engine):
             bs=bs_name,
             version=version,
         )
-        if new:
-            for (lo, hi), bucket in self._buckets.items():
-                if hi is None or lo <= gid < hi:
-                    bucket.append(i)
 
     # -- epoch stepping ----------------------------------------------------
 
@@ -644,7 +493,8 @@ class ShardEngine(_Engine):
             ),
             "parents": self.shard_map.owned_parents(self.shard_idx),
             "violations_sample": samples,
-            "n_local": len(self._pop_gids),
+            # the placement column: the ids grow with immigrants
+            "n_local": len(self._homes[1]),
             "end": self.sim.now,
             "health": self.health_row(),
             "obs": (
@@ -662,7 +512,7 @@ def _shard_engine(obs_mode, span_keep, verbose_trace, *where) -> ShardEngine:
     """Build one shard's engine (the recipe of both backends).
 
     ``where`` is :class:`ShardEngine`'s ``(spec, mode, shard_idx,
-    shards, population, bs_name_list, delta)``.  One Observability *per
+    shards, homes, delta)``.  One Observability *per
     shard*, whichever backend hosts it, so lane eligibility (and hence
     the digest) cannot depend on the backend.
     """
@@ -1081,7 +931,7 @@ def run_sharded(
     wall0 = time.perf_counter()
     parents = city_parents(spec)
     shard_map = ShardMap(parents, shards)  # validates shards <= len(parents)
-    bs_names, populations = partition_population(spec, shard_map)
+    homes = partition_population(spec, shard_map)
     delta = shard_lookahead(spec)
     orch = None
     if spec.orch_policy:
@@ -1092,14 +942,14 @@ def run_sharded(
         )
         if stream is not None:
             orch.attach_stream(stream)
-    obs_mode = getattr(obs, "mode", None) if obs is not None else None
-    span_keep = getattr(obs, "span_keep", None) if obs is not None else None
+    obs_mode = obs.mode if obs is not None else None
+    span_keep = obs.span_keep if obs is not None else None
 
     # the recipe of every shard's engine, for whichever backend hosts it
     engine_args = [
         (
             obs_mode, span_keep, verbose_trace,
-            spec, mode, k, shards, populations[k], bs_names, delta,
+            spec, mode, k, shards, homes[k], delta,
         )
         for k in range(shards)
     ]

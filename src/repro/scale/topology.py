@@ -102,11 +102,6 @@ class CityTopology:
     def region_map(self, vnodes: int = 64) -> RegionMap:
         return RegionMap(list(self.regions), vnodes=vnodes)
 
-    def spare_region(self) -> Region:
-        if self.spare_tile is None:
-            raise ValueError("topology has no spare tile")
-        return region_for_tile(self.spare_tile, self.cpfs_per_region, self.bss_per_region)
-
     def adjacency_with(self, extra_tiles: List[str]) -> Dict[str, List[str]]:
         """The tile graph including churned-in tiles (recomputed exact)."""
         return tile_adjacency(sorted(set(self.tiles) | set(extra_tiles)))

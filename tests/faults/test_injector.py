@@ -303,6 +303,29 @@ class TestOpGuards:
         injector.fire(FaultOp(op="fail_cpf", target="cpf-20-0"))  # already down
         assert injector.ops_applied == 1 and injector.ops_skipped == 2
 
+    def test_apply_is_the_bare_state_flip(self):
+        """What a shard mirrors: node state, and nothing the owner counts."""
+        _, dep = make_dep()
+        injector = FaultInjector(dep, FaultPlan()).install()
+        heard = []
+        injector.add_listener(lambda *args: heard.append(args))
+        assert injector.apply(FaultOp(op="fail_cpf", target="cpf-20-0")) is True
+        assert not dep.cpfs["cpf-20-0"].up
+        assert injector.apply(FaultOp(op="fail_cpf", target="cpf-20-0")) is False
+        assert (injector.ops_applied, injector.ops_skipped) == (0, 0)
+        assert len(injector.trace) == 0 and heard == []
+        # the same op through fire is counted, recorded and announced
+        injector.fire(FaultOp(op="recover_cpf", target="cpf-20-0"))
+        assert injector.ops_applied == 1 and len(injector.trace) == 1
+        assert [args[1:] for args in heard] == [("recover_cpf", "cpf-20-0")]
+
+    @pytest.mark.parametrize("how", ["apply", "fire"])
+    def test_an_op_with_no_handler_is_an_error_either_way(self, how):
+        _, dep = make_dep()
+        injector = FaultInjector(dep, FaultPlan()).install()
+        with pytest.raises(ValueError, match="cannot be fired"):
+            getattr(injector, how)(FaultOp(op="wait", dt=0.0))
+
     def test_last_alive_guard_spares_final_cpf(self):
         _, dep = make_dep()
         injector = FaultInjector(dep, FaultPlan(guard_last_alive=True)).install()

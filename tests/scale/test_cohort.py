@@ -1,13 +1,20 @@
 """Tests for the flyweight cohort driver (repro.scale.cohort)."""
 
+import random
+from array import array
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.deployment import Deployment
 from repro.faults.runner import config_from_name
-from repro.scale.cohort import CohortDriver, IndividualDriver
+from repro.scale.cohort import BatchedDriver, CohortDriver, IndividualDriver
+from repro.scale.engine import _Engine
+from repro.scale.scenarios import get_scenario
 from repro.scale.topology import build_city
 from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
+from repro.traffic.models import class_ranges, get_model
 
 
 def make_dep(seed=1, l2_regions=2, l1_per_l2=2):
@@ -22,10 +29,10 @@ def make_dep(seed=1, l2_regions=2, l1_per_l2=2):
     return sim, topo, dep
 
 
-def make_driver(cls=CohortDriver, n=4, seed=1):
+def make_driver(cls=CohortDriver, n=4, seed=1, ids=None):
     sim, topo, dep = make_dep(seed=seed)
     bs_names = [b for r in topo.regions for b in r.bss]
-    return sim, topo, dep, cls(dep, bs_names, n)
+    return sim, topo, dep, cls(dep, bs_names, range(n) if ids is None else ids)
 
 
 class TestBookkeeping:
@@ -135,3 +142,97 @@ class TestIndividualDriver:
                 driver.completed,
             )
         assert results["cohort"] == results["individual"]
+
+
+# ------------------------------------------------------ the addressing contract
+
+
+class TestAddressing:
+    """``ids`` decides slot <-> global id, and only the driver knows how."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sparse_buckets_partition_the_dense_bucket(self, data):
+        n = data.draw(st.integers(1, 60), label="n")
+        k = data.draw(st.integers(1, 4), label="k")
+        owner = data.draw(
+            st.lists(st.integers(0, k - 1), min_size=n, max_size=n), label="owner"
+        )
+        lo = data.draw(st.integers(0, n), label="lo")
+        hi = data.draw(st.one_of(st.none(), st.integers(lo, n)), label="hi")
+        _sim, _topo, dep = make_dep()
+        dense = CohortDriver(dep, [], range(n))
+        shares = [
+            CohortDriver(dep, [], array("l", (g for g in range(n) if owner[g] == j)))
+            for j in range(k)
+        ]
+        assert isinstance(dense.bucket(lo, hi), range)
+        got = []
+        for share in shares:
+            bucket = share.bucket(lo, hi)
+            assert share.bucket(lo, hi) is bucket  # scanned once, then kept
+            got.extend(share.ids[i] for i in bucket)
+            assert all(share.slot(share.ids[i]) == i for i in range(share.n))
+            assert share.slot(n) is None
+        assert sorted(got) == list(dense.bucket(lo, hi))  # each id exactly once
+        assert all(dense.slot(dense.ids[i]) == i for i in range(n))
+
+    def test_whole_population_pick_consumes_the_legacy_draw(self):
+        """``bucket[randrange(len(bucket))]`` over ``range(lo, hi)`` is
+        draw-for-draw ``randrange(lo, hi)``: no pinned RNG sequence moves."""
+        spec = get_scenario("iot-reattach-storm").with_overrides(n_ue=997, seed=2)
+        engine = _Engine(spec, mode="cohort")
+        ranges = sorted(class_ranges(get_model(spec.traffic_model), spec.n_ue).values())
+        assert len(ranges) > 1
+        ranges.append((0, None))
+        rng, ref = random.Random(11), random.Random(11)
+        for j in range(10_000):
+            lo, hi = ranges[j % len(ranges)]
+            assert engine._pick_idle(rng, lo, hi) == ref.randrange(
+                lo, spec.n_ue if hi is None else hi
+            )
+        assert rng.getstate() == ref.getstate()
+        assert "arrivals_no_local" not in engine.counters
+
+    def test_empty_bucket_draws_nothing(self):
+        spec = get_scenario("steady-city").with_overrides(n_ue=50, seed=2)
+        engine = _Engine(spec, mode="cohort")
+        rng = random.Random(5)
+        before = rng.getstate()
+        assert engine._pick_idle(rng, 20, 20) is None
+        assert rng.getstate() == before
+        assert engine.counters == {"arrivals_no_local": 1}
+
+    @pytest.mark.parametrize("cls", [CohortDriver, BatchedDriver])
+    def test_add_slot_extends_every_column_and_bucket(self, cls):
+        _sim, _topo, _dep, driver = make_driver(cls=cls, ids=array("l", [3, 10, 42]))
+        covering = [driver.bucket(0, None), driver.bucket(5, 20)]
+        other = driver.bucket(20, 50)
+        assert [list(b) for b in covering + [other]] == [[0, 1, 2], [1], [2]]
+        i = driver.add_slot(7)
+        assert i == 3 and driver.n == 4
+        assert driver.ue_id(i) == "c-0000007" and driver.slot(7) == i
+        columns = [getattr(driver, name) for name in driver._columns]
+        assert len(columns) == (7 if cls is BatchedDriver else 6)
+        assert all(len(column) == driver.n for column in columns)
+        assert [b.count(i) for b in covering] == [1, 1] and i not in other
+        assert list(driver.bucket(6, 8)) == [i]  # and in a bucket scanned later
+        if cls is BatchedDriver:
+            assert driver._booted[i] == 1  # never lazy-booted over installed state
+        # the UE leaves and comes back: same slot, tombstone cleared,
+        # nothing extended twice
+        driver.attached[i] = 1
+        driver.tombstone(i)
+        assert driver.gone[i] == 1 and driver.attached[i] == 0
+        assert driver.add_slot(7) == i and driver.gone[i] == 0
+        assert driver.n == 4 and len(driver.ids) == 4
+        assert [b.count(i) for b in covering] == [1, 1]
+
+    def test_procedure_done_fires_after_writeback(self):
+        sim, topo, _dep, driver = make_driver()
+        driver.bootstrap(2, topo.regions[0].bss[0])
+        seen = []
+        driver.procedure_done = lambda i: seen.append((i, driver.busy[i]))
+        sim.process(driver.run_procedure(2, "service_request"), name="t")
+        sim.run()
+        assert seen == [(2, 0)]

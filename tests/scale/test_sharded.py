@@ -225,8 +225,9 @@ def test_ring_churn_process_backend_matches_inline():
 def test_placement_is_execution_blind(scenario, mode):
     """Every UE is homed at the same BS whether the population is
     installed unsharded (eagerly per UE, or lazily as one column) or
-    partitioned across 2 or 4 shards — for the uniform fast path
-    (random walk, flash crowd) and the generic one (commute)."""
+    partitioned across 2 or 4 shards and installed there — for the
+    uniform fast path (random walk, flash crowd) and the generic one
+    (commute) — and the attach writes are counted once per UE."""
     spec = get_scenario(scenario).with_overrides(
         n_ue=700, seed=5, audit_history=False
     )
@@ -235,18 +236,43 @@ def test_placement_is_execution_blind(scenario, mode):
     assert engine.driver.lazy == (mode == "batched")
     want = [engine.driver.bs_of(i) for i in range(spec.n_ue)]
     assert len(set(want)) > 1
+    delta = shard_lookahead(spec)
     for shards in (2, 4):
         smap = ShardMap(sh.city_parents(spec), shards)
-        names, pops = sh.partition_population(spec, smap)
+        homes = sh.partition_population(spec, smap)
         got = {}
-        for k, (gids, bsidx) in enumerate(pops):
+        for k, (gids, bsidx, names) in enumerate(homes):
             for gid, idx in zip(gids, bsidx):
                 got[gid] = names[idx]
                 assert smap.owner_of_tile(names[idx].split("-")[1]) == k
         assert [got[gid] for gid in range(spec.n_ue)] == want
+        installed = {}
+        writes = 0
+        for k in range(shards):
+            shard = sh.ShardEngine(spec, mode, k, shards, homes[k], delta)
+            shard._bootstrap_population()
+            driver = shard.driver
+            assert driver.lazy == engine.driver.lazy
+            installed.update((driver.ids[i], driver.bs_of(i)) for i in range(driver.n))
+            writes += shard.dep.auditor.writes
+        assert [installed[gid] for gid in range(spec.n_ue)] == want
+        assert writes == engine.dep.auditor.writes == spec.n_ue
 
 
 # ------------------------------------------------------------ worker failures
+
+
+def _capture_workers(monkeypatch):
+    """The handles of every worker the run spawns, for the no-orphan checks."""
+    spawned = []
+    real_spawn = sh.spawn_workers
+
+    def spawn_workers(target, args_list):
+        spawned.extend(real_spawn(target, args_list))
+        return list(spawned)
+
+    monkeypatch.setattr(sh, "spawn_workers", spawn_workers)
+    return spawned
 
 
 def test_worker_failure_arrives_whole_and_leaves_no_worker(monkeypatch):
@@ -264,14 +290,7 @@ def test_worker_failure_arrives_whole_and_leaves_no_worker(monkeypatch):
         return real_advance(self, until)
 
     monkeypatch.setattr(sh.ShardEngine, "advance", advance)
-    spawned = []
-    real_spawn = sh.spawn_workers
-
-    def spawn_workers(target, args_list):
-        spawned.extend(real_spawn(target, args_list))
-        return list(spawned)
-
-    monkeypatch.setattr(sh, "spawn_workers", spawn_workers)
+    spawned = _capture_workers(monkeypatch)
     try:
         run2(backend="process")
     except WorkerSpawnError as err:  # pragma: no cover
@@ -285,6 +304,35 @@ def test_worker_failure_arrives_whole_and_leaves_no_worker(monkeypatch):
     assert "in advance" in message  # the raising frame, not just the text
     assert len(spawned) == 2
     assert not any(handle.process.is_alive() for handle in spawned)
+
+
+@pytest.mark.parametrize("backend", [None, "inline", "process"])
+def test_a_dead_engine_process_fails_the_run(monkeypatch, backend):
+    """The arrival loop dying must not pass for a quiet run: the engine
+    keeps its process handles and ``finish`` re-raises — unsharded,
+    inline, and from inside a worker over the error ferry."""
+    if backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the patched engine reaches workers by fork only")
+
+    def pick_idle(self, pick_rng, lo=0, hi=None):
+        raise IndexError("picked slot 12345 of 400")
+
+    monkeypatch.setattr(_Engine, "_pick_idle", pick_idle)
+    spawned = _capture_workers(monkeypatch)
+    if backend is None:
+        with pytest.raises(IndexError, match="slot 12345 of 400"):
+            run_scenario("steady-city", n_ue=N, duration_s=DURATION_S, seed=SEED)
+    elif backend == "inline":
+        with pytest.raises(IndexError, match="slot 12345 of 400"):
+            run2(backend="inline")
+    else:
+        try:
+            with pytest.raises(RuntimeError, match="IndexError: picked slot 12345 of 400"):
+                run2(backend="process")
+        except WorkerSpawnError as err:  # pragma: no cover
+            pytest.skip("no worker processes on this platform: %s" % err)
+        assert len(spawned) == 2
+        assert not any(handle.process.is_alive() for handle in spawned)
 
 
 def test_rejects_individual_mode_and_oversharding():
@@ -319,14 +367,13 @@ def test_cross_shard_handover_mid_fault_window_keeps_ryw():
     spec = _fault_window_spec()
     parents = sh.city_parents(spec)
     smap = sh.ShardMap(parents, 2)
-    bs_names, pops = sh.partition_population(spec, smap)
+    homes = sh.partition_population(spec, smap)
     delta = sh.shard_lookahead(spec)
 
     def maker(k):
         return lambda: sh.ShardEngine(
             spec, mode="cohort", shard_idx=k, shards=2,
-            population=pops[k], bs_name_list=bs_names, delta=delta,
-            verbose_trace=True,
+            homes=homes[k], delta=delta, verbose_trace=True,
         )
 
     hosts = [sh._InlineHost(maker(k)) for k in range(2)]
@@ -355,6 +402,31 @@ def test_cross_shard_handover_mid_fault_window_keeps_ryw():
     merged = run_sharded(spec, shards=2, backend="inline", verbose_trace=True)
     assert merged.violations == 0
     assert merged.counters.get("migrations_out", 0) == sent
+
+
+def test_foreign_fault_ops_are_mirrored_bare():
+    """Every shard flips the node; only the owner counts, records and
+    announces the op."""
+    spec = _fault_window_spec()
+    smap = sh.ShardMap(sh.city_parents(spec), 2)
+    homes = sh.partition_population(spec, smap)
+    delta = sh.shard_lookahead(spec)
+    engines = [sh.ShardEngine(spec, "cohort", k, 2, homes[k], delta) for k in range(2)]
+    now = 0.5 * spec.duration_s  # inside the blackout
+    events = engines[0].injector.plan.events + engines[0]._mirror_events
+    fired = [e for e in events if e.at <= now]
+    owner = smap.owner_of_tile(sorted(engines[0].topo.tiles)[4])
+    for k, engine in enumerate(engines):
+        assert bool(engine.injector.plan.events) == (k == owner)
+        heard = []
+        engine.injector.add_listener(lambda *args, heard=heard: heard.append(args))
+        engine.prepare()
+        engine.advance(now)
+        down = sorted(n for n, c in engine.dep.cpfs.items() if not c.up)
+        assert down == sorted(e.target for e in fired if e.op == "fail_cpf") != []
+        applied = engine.injector.ops_applied
+        assert applied == len(heard) == (len(fired) if k == owner else 0)
+        assert engine.trace.kinds().get("op", 0) == applied
 
 
 def test_migrated_ue_serves_again_at_destination():
