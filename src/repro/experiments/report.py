@@ -116,25 +116,27 @@ def format_latency_breakdown(
     procedure total — the decomposition behind the paper's latency
     claims (cheap serialization, checkpoints off the critical path).
     """
-    from ..obs import summarize_histogram
+    from ..obs import label_snapshot, merge_snapshots, summarize_histogram
 
-    # (proc, scheme) -> {phase: values}, plus the proc totals.
-    phases: Dict[tuple, Dict[str, list]] = defaultdict(dict)
-    totals: Dict[tuple, list] = {}
+    merged = merge_snapshots([
+        label_snapshot(_metrics_of(snapshot), scheme=scheme)
+        for scheme, snapshot in labeled_snapshots
+    ])
+    # (proc, scheme) -> {phase: row}, plus the proc totals.
+    phases: Dict[tuple, Dict[str, Dict]] = defaultdict(dict)
+    totals: Dict[tuple, Dict] = {}
     procs: List[str] = []
-    for scheme, snapshot in labeled_snapshots:
-        for row in _metrics_of(snapshot).get("histograms", ()):
-            if row["name"] == "phase_s":
-                proc = row["labels"].get("proc", "?")
-                phase = row["labels"].get("phase", "?")
-                phases[(proc, scheme)].setdefault(phase, []).extend(row["values"])
-                if proc not in procs:
-                    procs.append(proc)
-            elif row["name"] == "proc_total_s":
-                proc = row["labels"].get("proc", "?")
-                totals.setdefault((proc, scheme), []).extend(row["values"])
-                if proc not in procs:
-                    procs.append(proc)
+    for row in merged["histograms"]:
+        labels = row["labels"]
+        cell = (labels.get("proc", "?"), labels["scheme"])
+        if row["name"] == "phase_s":
+            phases[cell][labels.get("phase", "?")] = row
+        elif row["name"] == "proc_total_s":
+            totals[cell] = row
+        else:
+            continue
+        if cell[0] not in procs:
+            procs.append(cell[0])
 
     def phase_rank(phase: str):
         try:
@@ -155,17 +157,19 @@ def format_latency_breakdown(
         lines.append(header)
         lines.append("-" * len(header))
         for scheme, _snap in labeled_snapshots:
-            total = summarize_histogram(totals.get((proc, scheme), ()))
+            total_row = totals.get((proc, scheme))
+            total = summarize_histogram(total_row) if total_row else {}
             total_mean = total.get("mean", 0.0)
             by_phase = phases.get((proc, scheme), {})
             for phase in sorted(by_phase, key=phase_rank):
-                stats = summarize_histogram(by_phase[phase])
-                if not stats["count"]:
+                row = by_phase[phase]
+                if not row["count"]:
                     continue
+                stats = summarize_histogram(row)
                 # share of the mean end-to-end PCT attributed to this
                 # phase (phases can overlap 100% only if spans nest).
                 per_proc_mean = (
-                    sum(by_phase[phase]) / total["count"] if total.get("count") else 0.0
+                    row["sum"] / total["count"] if total.get("count") else 0.0
                 )
                 share = per_proc_mean / total_mean if total_mean else 0.0
                 lines.append(

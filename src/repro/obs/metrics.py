@@ -2,10 +2,11 @@
 
 A :class:`MetricsRegistry` hands out named :class:`Counter`,
 :class:`Gauge`, and :class:`Histogram` instruments keyed by
-``(name, sorted label items)``.  Histograms subclass
-:class:`~repro.sim.monitor.Tally` (keeping its bound-append fast path);
-gauges wrap :class:`~repro.sim.monitor.TimeWeighted` so they carry the
-time-average and peak, which is what queue/log-size probes need.
+``(name, sorted label items)``.  Histograms are log-bucketed
+:class:`~repro.sim.monitor.QuantileSketch` instances (bounded memory,
+merged by adding bin counts); gauges wrap
+:class:`~repro.sim.monitor.TimeWeighted` so they carry the time-average
+and peak, which is what queue/log-size probes need.
 
 Snapshots are plain JSON-able dicts in a deterministic order, so they
 ride inside :class:`~repro.experiments.harness.PCTPoint` results
@@ -20,9 +21,9 @@ to merging the serial loop's.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..sim.monitor import Tally, TimeWeighted, percentile
+from ..sim.monitor import QuantileSketch, TimeWeighted
 
 __all__ = [
     "Counter",
@@ -83,13 +84,10 @@ class Gauge:
         return self._probe.time_average()
 
 
-class Histogram(Tally):
-    """Labeled distribution; a :class:`Tally` with registry identity.
+class Histogram(QuantileSketch):
+    """Labeled distribution; a :class:`QuantileSketch` with registry identity."""
 
-    Calls ``super().__init__`` so it keeps the per-sample bound-append
-    fast path (and is the regression canary for the ``Tally.observe``
-    subclassing fix — see ``tests/obs/test_metrics.py``).
-    """
+    __slots__ = ("labels",)
 
     def __init__(self, name: str, labels: Dict[str, str]):
         super().__init__(name)
@@ -140,9 +138,11 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, list]:
         """JSON-able dump, callable mid-run; deterministic key order.
 
-        Histograms carry their raw sample lists (not just summaries) so
-        merged snapshots aggregate exactly — percentiles of a merge are
-        computed over all samples, never averaged averages.
+        Histograms carry their sketch rows (bin counts, not summaries),
+        so merged snapshots aggregate exactly — percentiles of a merge
+        come from the merged bins, never from averaged percentiles.  The
+        rows are bounded by the value range, which is why shard workers
+        ship this same snapshot on every heartbeat.
         """
         return {
             "counters": [
@@ -160,52 +160,10 @@ class MetricsRegistry:
                 for _k, g in sorted(self._gauges.items())
             ],
             "histograms": [
-                {
-                    "name": h.name,
-                    "labels": h.labels,
-                    "count": h.count,
-                    "values": list(h.values),
-                }
+                {"name": h.name, "labels": h.labels, **h.to_row()}
                 for _k, h in sorted(self._histograms.items())
             ],
         }
-
-
-    def compact_snapshot(self) -> Dict[str, list]:
-        """Snapshot without raw histogram samples — piggyback-sized.
-
-        Counters and gauges are exact; histograms carry only their
-        count and running mean.  This is what shard workers attach to
-        lockstep epoch replies (the heartbeat channel): a few hundred
-        bytes instead of every raw sample.  :func:`merge_snapshots`
-        folds these rows too (counts sum; the ``values`` list is simply
-        absent, so merged percentiles are not available — by design,
-        the end-of-run snapshot still carries the full samples).
-        """
-        snap = {
-            "counters": [
-                {"name": c.name, "labels": c.labels, "value": c.value}
-                for _k, c in sorted(self._counters.items())
-            ],
-            "gauges": [
-                {
-                    "name": g.name,
-                    "labels": g.labels,
-                    "last": g.value,
-                    "max": g.max_value,
-                    "time_average": g.time_average(),
-                }
-                for _k, g in sorted(self._gauges.items())
-            ],
-            "histograms": [],
-        }
-        for _k, h in sorted(self._histograms.items()):
-            n = h.count
-            row = {"name": h.name, "labels": h.labels, "count": n}
-            if n:
-                row["mean"] = sum(h.values) / n
-            snap["histograms"].append(row)
-        return snap
 
 
 def _merge_key(row: Dict) -> _LabelKey:
@@ -239,24 +197,17 @@ def label_snapshot(snap: Optional[Dict], **labels) -> Optional[Dict]:
 def merge_snapshots(snapshots: Sequence[Optional[Dict]]) -> Dict[str, list]:
     """Fold registry snapshots together, in input order.
 
-    Counters sum; histogram sample lists concatenate (so percentiles of
-    the merge are exact); gauges keep the global peak, the last value
-    seen, and the mean of per-source time-averages (sources don't carry
-    enough to time-weight across runs — documented approximation).
-    ``None`` entries (points run without obs) are skipped.
-
-    Rows from :meth:`MetricsRegistry.compact_snapshot` (no ``values``
-    list) merge too: counts sum, and the merged row carries a
-    count-weighted ``mean`` instead of raw samples.  A merged histogram
-    keeps its ``values`` only when *every* contributing row had them —
-    percentiles of a partially-sampled merge would silently lie.
+    Counters sum; histogram rows merge their sketches (bin counts add,
+    so percentiles of the merge are as exact as one sketch fed every
+    sample); gauges keep the global peak, the last value seen, and the
+    mean of per-source time-averages (sources don't carry enough to
+    time-weight across runs — documented approximation).  ``None``
+    entries (points run without obs) are skipped.
     """
     counters: Dict[_LabelKey, Dict] = {}
     gauges: Dict[_LabelKey, Dict] = {}
-    histograms: Dict[_LabelKey, Dict] = {}
+    histograms: Dict[_LabelKey, List[Dict]] = {}
     gauge_sources: Dict[_LabelKey, List[float]] = {}
-    hist_sums: Dict[_LabelKey, float] = {}
-    hist_exact: Dict[_LabelKey, bool] = {}
     for snap in snapshots:
         if not snap:
             continue
@@ -278,51 +229,23 @@ def merge_snapshots(snapshots: Sequence[Optional[Dict]]) -> Dict[str, list]:
                 out["last"] = row["last"]
                 gauge_sources[key].append(row["time_average"])
         for row in snap.get("histograms", ()):
-            key = _merge_key(row)
-            vals = row.get("values")
-            row_sum = (
-                sum(vals) if vals is not None
-                else row.get("mean", 0.0) * row["count"]
-            )
-            out = histograms.get(key)
-            if out is None:
-                out = histograms[key] = {
-                    "name": row["name"],
-                    "labels": row["labels"],
-                    "count": row["count"],
-                    "values": [] if vals is None else list(vals),
-                }
-                hist_exact[key] = vals is not None
-                hist_sums[key] = row_sum
-            else:
-                out["count"] += row["count"]
-                if vals is not None:
-                    out["values"].extend(vals)
-                else:
-                    hist_exact[key] = False
-                hist_sums[key] += row_sum
-    for key, out in histograms.items():
-        if not hist_exact[key]:
-            out.pop("values", None)
-            if out["count"]:
-                out["mean"] = hist_sums[key] / out["count"]
+            histograms.setdefault(_merge_key(row), []).append(row)
     for key, averages in gauge_sources.items():
         gauges[key]["time_average"] = sum(averages) / len(averages)
     return {
         "counters": [counters[k] for k in sorted(counters)],
         "gauges": [gauges[k] for k in sorted(gauges)],
-        "histograms": [histograms[k] for k in sorted(histograms)],
+        "histograms": [
+            {
+                "name": rows[0]["name"],
+                "labels": rows[0]["labels"],
+                **QuantileSketch.merge(map(QuantileSketch.from_row, rows)).to_row(),
+            }
+            for rows in (histograms[k] for k in sorted(histograms))
+        ],
     }
 
 
-def summarize_histogram(values: Iterable[float]) -> Dict[str, float]:
-    """count/mean/p50/p95/p99/max of one (possibly merged) sample list."""
-    ordered = sorted(values)
-    out = {"count": float(len(ordered))}
-    if ordered:
-        out["mean"] = sum(ordered) / len(ordered)
-        out["p50"] = percentile(ordered, 50)
-        out["p95"] = percentile(ordered, 95)
-        out["p99"] = percentile(ordered, 99)
-        out["max"] = ordered[-1]
-    return out
+def summarize_histogram(row: Dict[str, Any]) -> Dict[str, Optional[float]]:
+    """count/mean/min/max/p50/p95/p99 of one (possibly merged) histogram row."""
+    return QuantileSketch.from_row(row).summary()

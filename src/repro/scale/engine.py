@@ -482,7 +482,6 @@ class _Engine:
         self._procs: List[Any] = []
         self.counters: Dict[str, int] = {}
         self.sketches: Dict[Tuple[str, str], QuantileSketch] = {}
-        self._sketch_spill = 0
         self.dep.outcome_sink = self._observe_outcome
 
     # -- bounded-memory measurement ---------------------------------------
@@ -495,9 +494,7 @@ class _Engine:
         key = (region, outcome.name)
         sketch = self.sketches.get(key)
         if sketch is None:
-            sketch = self.sketches[key] = QuantileSketch(
-                "%s/%s" % key, qs=(0.50, 0.95, 0.99), spill=self._sketch_spill
-            )
+            sketch = self.sketches[key] = QuantileSketch("%s/%s" % key)
         sketch.observe(outcome.pct)
 
     def _count(self, name: str, delta: int = 1) -> None:
@@ -534,7 +531,7 @@ class _Engine:
             "violations": len(auditor.violations),
         }
         if self._obs is not None and self._obs.metrics is not None:
-            row["metrics"] = self._obs.metrics.compact_snapshot()
+            row["metrics"] = self._obs.metrics.snapshot()
         if self.orch_policy is not None:
             row["load"] = self._load_table()
         return row

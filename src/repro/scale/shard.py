@@ -117,10 +117,6 @@ __all__ = [
     "shard_lookahead",
 ]
 
-#: raw-sample spill per (region, procedure) sketch in sharded runs:
-#: lightly-loaded cells merge exactly; busy cells use the P² combine.
-_SHARD_SKETCH_SPILL = 64
-
 #: safety valve: epochs allowed past the traffic horizon before the
 #: coordinator declares the run wedged (busy-polls and in-flight
 #: procedures drain within a handful of epochs in practice).
@@ -289,7 +285,6 @@ class ShardEngine(_Engine):
         # The deployment already took its rng fork from the *global*
         # registry above, so ghost topologies stay identical everywhere.
         self.rngs = RngRegistry(spec.seed).fork("shard:%d" % shard_idx)
-        self._sketch_spill = _SHARD_SKETCH_SPILL
         self._outbox: List[Migration] = []
         #: deterministic trace-link allocator for migration flow events.
         self._next_link = 0

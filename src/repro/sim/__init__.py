@@ -14,7 +14,7 @@ Public surface:
 """
 
 from .core import AllOf, AnyOf, Event, Interrupt, Process, Simulator, Timeout
-from .monitor import Counter, Tally, TimeWeighted, percentile, summarize
+from .monitor import Counter, Tally, TimeWeighted, percentile
 from .network import LatencyModel, Link, LinkDown, Transit
 from .node import NodeFailed, Server
 from .rng import RngRegistry, stream_seed
@@ -37,7 +37,6 @@ __all__ = [
     "Counter",
     "TimeWeighted",
     "percentile",
-    "summarize",
     "RngRegistry",
     "stream_seed",
 ]

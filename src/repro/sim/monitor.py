@@ -1,4 +1,4 @@
-"""Measurement probes: tallies, counters, time-weighted series.
+"""Measurement probes: tallies, latency sketches, counters, time-weighted series.
 
 The experiment harness attaches these to the simulated network to collect
 procedure completion times (PCTs), queue depths, and log sizes, and to
@@ -8,17 +8,15 @@ summarize them as the percentiles the paper plots.
 from __future__ import annotations
 
 import math
-from bisect import insort as bisect_insort
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
     "Tally",
     "Counter",
     "TimeWeighted",
     "percentile",
-    "summarize",
     "imbalance",
-    "P2Quantile",
+    "ALPHA",
     "QuantileSketch",
 ]
 
@@ -140,243 +138,58 @@ class Tally:
         return out
 
 
-class P2Quantile:
-    """One streaming quantile via the P² algorithm (Jain & Chlamtac 1985).
-
-    Five markers track the running estimate in O(1) memory and O(1)
-    time per observation — no sample list ever exists, which is what
-    lets a city-scale run observe millions of procedure completions
-    without the per-UE :class:`Tally` lists the small sweeps use.  The
-    first five observations are stored exactly; afterwards marker
-    heights move by the piecewise-parabolic (P²) update.
-    """
-
-    __slots__ = ("q", "_n", "_heights", "_positions", "_desired", "_rate", "count")
-
-    def __init__(self, q: float):
-        if not 0.0 < q < 1.0:
-            raise ValueError("quantile must be in (0, 1), got %r" % (q,))
-        self.q = q
-        self.count = 0
-        self._heights: List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0]
-        self._rate = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            bisect_insort(heights, value)
-            return
-        positions = self._positions
-        # Locate the cell and clamp the extremes.
-        if value < heights[0]:
-            heights[0] = value
-            k = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            k = 3
-        else:
-            k = 0
-            while k < 3 and value >= heights[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        rate = self._rate
-        for i in range(5):
-            desired[i] += rate[i]
-        # Adjust the three interior markers toward their desired spots.
-        for i in (1, 2, 3):
-            d = desired[i] - positions[i]
-            below, above = positions[i] - positions[i - 1], positions[i + 1] - positions[i]
-            if (d >= 1.0 and above > 1.0) or (d <= -1.0 and below > 1.0):
-                step = 1.0 if d >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        return h[i] + step / (pos[i + 1] - pos[i - 1]) * (
-            (pos[i] - pos[i - 1] + step) * (h[i + 1] - h[i]) / (pos[i + 1] - pos[i])
-            + (pos[i + 1] - pos[i] - step) * (h[i] - h[i - 1]) / (pos[i] - pos[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, pos = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (pos[j] - pos[i])
-
-    def value(self) -> Optional[float]:
-        """The current estimate, or ``None`` before any observation."""
-        heights = self._heights
-        if not heights:
-            return None
-        if len(heights) < 5 or self.count <= 5:
-            # Exact while the sample fits in the marker buffer.
-            return percentile(heights, self.q * 100.0)
-        return heights[2]
-
-    def atoms(self) -> List[Tuple[float, float]]:
-        """The estimator's state as weighted sample atoms, for merging.
-
-        While the sample still fits in the marker buffer the atoms are
-        the exact observations (weight 1 each).  Afterwards each of the
-        five markers stands for the slice of the sorted stream it has
-        absorbed; splitting each inter-marker gap evenly between its two
-        endpoints gives marker ``i`` the weight
-        ``(pos[i+1] - pos[i-1]) / 2`` (the extremes keep their own
-        half-gap plus the sample they pin), which telescopes to exactly
-        ``count``.  A weighted percentile over the atoms of several
-        estimators is the deterministic cross-shard combine rule.
-        """
-        heights = self._heights
-        if not heights:
-            return []
-        if len(heights) < 5 or self.count <= 5:
-            return [(float(h), 1.0) for h in heights]
-        pos = self._positions
-        weights = (
-            (pos[1] - pos[0]) / 2.0 + 0.5,
-            (pos[2] - pos[0]) / 2.0,
-            (pos[3] - pos[1]) / 2.0,
-            (pos[4] - pos[2]) / 2.0,
-            (pos[4] - pos[3]) / 2.0 + 0.5,
-        )
-        return [(float(heights[i]), weights[i]) for i in range(5)]
-
-
-def _weighted_percentile(
-    atoms: Iterable[Tuple[float, float]], q: float
-) -> Optional[float]:
-    """Percentile ``q`` in (0,1) of weighted sample atoms.
-
-    Midpoint-cumulative rule: atom ``i`` sits at cumulative mass
-    ``(sum of weights before it) + w_i / 2``; the estimate linearly
-    interpolates between neighbouring atoms and clamps to the extreme
-    atom values outside their midpoints.  With unit weights and
-    ``n`` values this lands within half a rank of the exact
-    linear-interpolation percentile.  Pure float arithmetic over a
-    sorted list — deterministic for a fixed multiset of atoms.
-    """
-    ordered = sorted((float(v), float(w)) for v, w in atoms if w > 0.0)
-    if not ordered:
-        return None
-    total = sum(w for _, w in ordered)
-    target = q * total
-    points: List[Tuple[float, float]] = []
-    cum = 0.0
-    for v, w in ordered:
-        points.append((cum + w / 2.0, v))
-        cum += w
-    if target <= points[0][0]:
-        return points[0][1]
-    if target >= points[-1][0]:
-        return points[-1][1]
-    for j in range(1, len(points)):
-        c1, v1 = points[j]
-        if target <= c1:
-            c0, v0 = points[j - 1]
-            if c1 <= c0:
-                return v1
-            frac = (target - c0) / (c1 - c0)
-            return v0 + (v1 - v0) * frac
-    return points[-1][1]
-
-
-class _FrozenQuantile:
-    """Read-only stand-in estimator inside a merged sketch.
-
-    Holds the combined estimate for one quantile.  A merged sketch in
-    the mixture regime has no stream to keep observing, so ``observe``
-    refuses loudly instead of silently degrading the estimate.
-    """
-
-    __slots__ = ("q", "_value", "count")
-
-    def __init__(self, q: float, value: Optional[float], count: int):
-        self.q = q
-        self._value = value
-        self.count = count
-
-    def value(self) -> Optional[float]:
-        return self._value
-
-    def observe(self, value: float) -> None:
-        raise TypeError(
-            "merged QuantileSketch is read-only (mixture regime); "
-            "merge again instead of observing"
-        )
-
-    def atoms(self) -> List[Tuple[float, float]]:
-        # Re-merging a merged sketch: the whole mass collapses onto the
-        # estimate.  Coarse, but deterministic and mass-preserving.
-        if self._value is None:
-            return []
-        return [(self._value, float(self.count))]
+#: relative accuracy of every quantile a :class:`QuantileSketch` reports
+ALPHA = 0.01
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_LN_GAMMA = math.log(_GAMMA)
 
 
 class QuantileSketch:
-    """Bounded-memory replacement for :class:`Tally` at population scale.
+    """Mergeable log-bucketed latency histogram (DDSketch, Masson et al. 2019).
 
-    Tracks count/mean/min/max exactly and a fixed set of quantiles
-    approximately (one :class:`P2Quantile` each).  Memory is O(1) per
-    sketch regardless of how many observations stream through, so a
-    100k-UE scenario can keep one per (region, procedure) pair.
+    A positive observation ``x`` lands in bin ``ceil(ln x / ln γ)`` with
+    ``γ = (1 + ALPHA) / (1 - ALPHA)``; non-positive ones share one zero
+    bin.  Only counts are stored, so memory grows with the logarithm of
+    the value range, not with the number of observations.  ``count``,
+    ``min`` and ``max`` are exact and a running ``sum`` gives the mean.
 
-    ``spill`` bounds an optional raw-sample buffer: while the stream
-    fits (``count <= spill``) the raw values are retained in arrival
-    order and quantile reads are exact; the first observation past the
-    bound drops the buffer and reads fall back to the P² estimators
-    (which are eagerly fed from the start, so the fallback loses
-    nothing).  Sharded runs use a small spill so cross-shard merges of
-    lightly-loaded (region, procedure) cells stay exact.
+    ``quantile(q)`` is the midpoint ``2γ^k / (γ + 1)`` of the bin that
+    holds rank ``floor(q * (count - 1))`` of the sorted sample, clamped
+    to ``[min, max]``: within ``ALPHA`` relative of that rank's value,
+    and monotone in ``q``.  Bins merge by adding counts, so a quantile
+    table depends only on the multiset of observations — not on arrival
+    order, shard count or merge tree.
     """
 
-    __slots__ = ("name", "count", "_sum", "_min", "_max", "_quantiles", "spill", "_raw")
+    __slots__ = ("name", "count", "sum", "_min", "_max", "zero", "bins")
 
-    DEFAULT_QS = (0.50, 0.95, 0.99)
-
-    def __init__(
-        self, name: str = "", qs: Iterable[float] = DEFAULT_QS, spill: int = 0
-    ):
+    def __init__(self, name: str = ""):
         self.name = name
         self.count = 0
-        self._sum = 0.0
+        self.sum = 0.0
         self._min = math.inf
         self._max = -math.inf
-        self._quantiles = {q: P2Quantile(q) for q in qs}
-        self.spill = int(spill)
-        self._raw: Optional[List[float]] = [] if self.spill > 0 else None
+        self.zero = 0
+        self.bins: Dict[int, int] = {}
 
     def observe(self, value: float) -> None:
         value = float(value)
-        # feed the estimators first: a frozen (merged-mixture) sketch
-        # rejects the observation before any scalar is touched
-        for est in self._quantiles.values():
-            est.observe(value)
         self.count += 1
-        self._sum += value
+        self.sum += value
         if value < self._min:
             self._min = value
         if value > self._max:
             self._max = value
-        raw = self._raw
-        if raw is not None:
-            if self.count <= self.spill:
-                raw.append(value)
-            else:
-                self._raw = None  # overflow: sketch-only from here on
+        if value > 0.0:
+            k = math.ceil(math.log(value) / _LN_GAMMA)
+            bins = self.bins
+            bins[k] = bins.get(k, 0) + 1
+        else:
+            self.zero += 1
 
     @property
     def mean(self) -> Optional[float]:
-        return self._sum / self.count if self.count else None
+        return self.sum / self.count if self.count else None
 
     @property
     def min(self) -> Optional[float]:
@@ -387,41 +200,22 @@ class QuantileSketch:
         return self._max if self.count else None
 
     def quantile(self, q: float) -> Optional[float]:
-        """Estimate for ``q`` in (0,1); the sketch must track it.
-
-        Each tracked quantile runs its own independent P² estimator,
-        and independent approximations can cross on adversarial streams
-        (heavy duplicates punctuated by rare spikes drive the p95
-        marker above p99's).  Reads are therefore isotonically clamped:
-        the estimate for ``q`` is the running max of the raw estimates
-        over all tracked ``q' <= q``, so reported quantiles are always
-        monotone in ``q``.  Every raw estimate already lies in
-        ``[min, max]`` (the extreme markers track them exactly), so the
-        clamped value does too.
-        """
-        try:
-            est = self._quantiles[q]
-        except KeyError:
-            raise KeyError(
-                "sketch %r does not track q=%r (has: %s)"
-                % (self.name, q, sorted(self._quantiles))
-            )
-        if self._raw is not None:
-            # Spill regime: the raw sample still fits — read it exactly.
-            return percentile(sorted(self._raw), q * 100.0, default=None)
-        value = est.value()
-        if value is None:
+        """Value at rank ``floor(q * (count - 1))``, within ``ALPHA``; ``q`` in [0, 1]."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quantile must be in [0, 1], got %r" % (q,))
+        if not self.count:
             return None
-        for other_q, other in self._quantiles.items():
-            if other_q < q:
-                low = other.value()
-                if low is not None and low > value:
-                    value = low
-        return value
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Tally-compatible accessor; ``q`` in [0, 100]."""
-        return self.quantile(q / 100.0)
+        rank = int(q * (self.count - 1))
+        seen = self.zero
+        value = 0.0
+        if rank >= seen:
+            bins = self.bins
+            for k in sorted(bins):
+                seen += bins[k]
+                if rank < seen:
+                    value = 2.0 * _GAMMA ** k / (_GAMMA + 1.0)
+                    break
+        return min(max(value, self._min), self._max)
 
     def summary(self) -> Dict[str, Optional[float]]:
         out: Dict[str, Optional[float]] = {"count": float(self.count)}
@@ -429,73 +223,63 @@ class QuantileSketch:
             out["mean"] = self.mean
             out["min"] = self._min
             out["max"] = self._max
-            if self._raw is not None:
-                ordered = sorted(self._raw)
-                for q in sorted(self._quantiles):
-                    out["p%g" % (q * 100.0)] = percentile(ordered, q * 100.0)
-                return out
-            floor = -math.inf
-            for q, est in sorted(self._quantiles.items()):
-                value = est.value()
-                if value is not None:
-                    # same isotonic clamp as quantile(): running max
-                    if value < floor:
-                        value = floor
-                    floor = value
-                out["p%g" % (q * 100.0)] = value
+            for q in (0.50, 0.95, 0.99):
+                out["p%g" % (q * 100.0)] = self.quantile(q)
         return out
 
     @classmethod
-    def merge(cls, sketches: Iterable["QuantileSketch"], name: str = "") -> "QuantileSketch":
-        """Deterministically combine sketches of the same tracked quantiles.
+    def merge(
+        cls, sketches: Iterable[Optional["QuantileSketch"]], name: str = ""
+    ) -> "QuantileSketch":
+        """One sketch holding every input's observations; ``None`` inputs are skipped.
 
-        count/sum/min/max merge exactly.  If **every** input still holds
-        its raw spill buffer, the merge is exact: the concatenated raw
-        values are replayed (sorted, for input-order independence) into
-        a fresh sketch whose spill bound covers the merged sample, so
-        hierarchical merges stay exact too.  Otherwise the merge is a
-        mixture combine: per tracked quantile, each input contributes
-        its weighted sample atoms (raw values at weight 1, or the five
-        P² marker atoms) and the estimate is their weighted percentile,
-        clamped into the exact [min, max].  The mixture result is
-        read-only — its estimators cannot absorb new observations.
+        Counts add, so the merge is exact, associative and commutative
+        (``sum`` aside, which is float addition), and the result can be
+        observed into and merged again.
         """
-        inputs = [s for s in sketches if s is not None]
-        if not inputs:
-            return cls(name)
-        qs = sorted(inputs[0]._quantiles)
-        for s in inputs[1:]:
-            if sorted(s._quantiles) != qs:
-                raise ValueError(
-                    "cannot merge sketches tracking different quantiles: %s vs %s"
-                    % (qs, sorted(s._quantiles))
-                )
-        total = sum(s.count for s in inputs)
-        if all(s._raw is not None for s in inputs):
-            spill = max([total] + [s.spill for s in inputs])
-            merged = cls(name, qs=qs, spill=spill)
-            for value in sorted(v for s in inputs for v in s._raw):
-                merged.observe(value)
-            return merged
-        out = cls(name, qs=qs)
-        out.count = total
-        out._sum = sum(s._sum for s in inputs)
-        live = [s for s in inputs if s.count]
-        if live:
-            out._min = min(s._min for s in live)
-            out._max = max(s._max for s in live)
-        for q in qs:
-            atoms: List[Tuple[float, float]] = []
-            for s in live:
-                if s._raw is not None:
-                    atoms.extend((float(v), 1.0) for v in s._raw)
-                else:
-                    atoms.extend(s._quantiles[q].atoms())
-            estimate = _weighted_percentile(atoms, q)
-            if estimate is not None:
-                estimate = min(max(estimate, out._min), out._max)
-            out._quantiles[q] = _FrozenQuantile(q, estimate, total)
+        out = cls(name)
+        bins = out.bins
+        for s in sketches:
+            if s is None:
+                continue
+            out.count += s.count
+            out.sum += s.sum
+            out._min = min(out._min, s._min)
+            out._max = max(out._max, s._max)
+            out.zero += s.zero
+            for k, n in s.bins.items():
+                bins[k] = bins.get(k, 0) + n
         return out
+
+    # -- wire form: one row, bins sorted, so equal states give equal bytes --
+
+    def to_row(self) -> Dict[str, Any]:
+        return {
+            "count": self.count,
+            "sum": self.sum,
+            "min": self.min,
+            "max": self.max,
+            "zero": self.zero,
+            "bins": [[k, self.bins[k]] for k in sorted(self.bins)],
+        }
+
+    @classmethod
+    def from_row(cls, row: Dict[str, Any], name: str = "") -> "QuantileSketch":
+        out = cls.__new__(cls)
+        out.__setstate__((name, row))
+        return out
+
+    def __getstate__(self):
+        return self.name, self.to_row()
+
+    def __setstate__(self, state) -> None:
+        self.name, row = state
+        self.count = row["count"]
+        self.sum = row["sum"]
+        self._min = row["min"] if self.count else math.inf
+        self._max = row["max"] if self.count else -math.inf
+        self.zero = row["zero"]
+        self.bins = dict(row["bins"])
 
 
 class Counter:
@@ -558,9 +342,3 @@ class TimeWeighted:
             return self._value
         return (self._area + self._value * (t - self._last_t)) / elapsed
 
-
-def summarize(
-    tallies: Dict[str, Tally], qs: Iterable[float] = (50, 95, 99)
-) -> Dict[str, Dict[str, float]]:
-    """Summaries for a dict of tallies; empty tallies yield count=0 rows."""
-    return {name: tally.summary(qs) for name, tally in tallies.items()}

@@ -13,7 +13,14 @@ from repro.core.config import ControlPlaneConfig
 from repro.experiments.harness import RunSpec
 from repro.experiments.parallel import SweepJob, run_jobs
 from repro.obs import MetricsRegistry, merge_snapshots, summarize_histogram
-from repro.sim.monitor import Tally
+from repro.sim.monitor import QuantileSketch, Tally
+
+
+def row_of(values):
+    sketch = QuantileSketch()
+    for v in values:
+        sketch.observe(v)
+    return sketch.to_row()
 
 
 class TestRegistry:
@@ -47,20 +54,12 @@ class TestRegistry:
         reg.histogram("h", k="v").observe(1.5)
         snap = json.loads(json.dumps(reg.snapshot()))
         assert [c["name"] for c in snap["counters"]] == ["a_counter", "b_counter"]
-        assert snap["histograms"][0]["values"] == [1.5]
+        assert snap["histograms"][0] == {
+            "name": "h", "labels": {"k": "v"}, **row_of([1.5])
+        }
 
 
 class TestHistogramFastPath:
-    def test_histogram_keeps_bound_append(self):
-        """Regression canary for the Tally.observe shadowing fix:
-        Histogram calls super().__init__ and must keep the per-sample
-        bound-append fast path."""
-        reg = MetricsRegistry()
-        hist = reg.histogram("pct_s")
-        assert "observe" in hist.__dict__  # the bound list.append
-        hist.observe(0.25)
-        assert hist.values == [0.25]
-
     def test_subclass_overriding_observe_is_not_shadowed(self):
         class Doubling(Tally):
             def observe(self, value):
@@ -93,10 +92,7 @@ class TestMerge:
                 {"name": "g", "labels": {}, "last": avg, "max": peak,
                  "time_average": avg}
             ],
-            "histograms": [
-                {"name": "h", "labels": {}, "count": len(values),
-                 "values": list(values)}
-            ],
+            "histograms": [{"name": "h", "labels": {}, **row_of(values)}],
         }
 
     def test_counters_sum_histograms_concat_gauges_peak(self):
@@ -106,13 +102,14 @@ class TestMerge:
             self._snap(counter=3, values=[2.0, 3.0], peak=7.0, avg=6.0),
         ])
         assert merged["counters"][0]["value"] == 5
-        assert merged["histograms"][0]["values"] == [1.0, 2.0, 3.0]
-        assert merged["histograms"][0]["count"] == 3
+        assert merged["histograms"][0] == {
+            "name": "h", "labels": {}, **row_of([1.0, 2.0, 3.0])
+        }
         assert merged["gauges"][0]["max"] == 10.0
         assert merged["gauges"][0]["time_average"] == pytest.approx(5.0)
 
     def test_summarize_histogram(self):
-        stats = summarize_histogram([3.0, 1.0, 2.0, 4.0])
+        stats = summarize_histogram(row_of([3.0, 1.0, 2.0, 4.0]))
         assert stats["count"] == 4
         assert stats["mean"] == pytest.approx(2.5)
         assert stats["max"] == 4.0

@@ -72,7 +72,11 @@ def canonical_forest(tracer):
 
 
 def canonical_metrics(obs):
-    """Counters and gauges as they are; histogram cells as sorted samples."""
+    """Counters and gauges as they are; histogram cells as their bins.
+
+    Bins, count, min and max are order-free functions of the samples, so
+    they compare exactly across executors; the running sum does not.
+    """
     snap = obs.snapshot()
     metrics = snap["metrics"]
     return {
@@ -80,7 +84,7 @@ def canonical_metrics(obs):
         "counters": metrics["counters"],
         "gauges": metrics["gauges"],
         "histograms": [
-            (h["name"], h["labels"], h["count"], sorted(h["values"]))
+            (h["name"], h["labels"], h["count"], h["min"], h["max"], h["bins"])
             for h in metrics["histograms"]
         ],
     }

@@ -2,8 +2,8 @@
 
 Covers the pieces the sharded integration suite exercises end to end:
 bounded span retention (slowest-K heaps, always-keep exemptions, the
-migration-anchor pin/limbo rescue), compact + labeled metric snapshots
-and their tolerant merge, the heartbeat stream's folding, the stitcher
+migration-anchor pin/limbo rescue), labeled metric snapshots and their
+merge, the heartbeat stream's folding, the stitcher
 against hand-built snapshots, and the run-ledger schema helpers.
 """
 
@@ -143,22 +143,6 @@ def test_span_rows_round_trip():
 
 
 class TestCompactAndLabeledSnapshots:
-    def test_compact_snapshot_drops_raw_samples(self):
-        reg = MetricsRegistry()
-        reg.counter("hops", hop="radio").inc(3)
-        h = reg.histogram("lat", proc="attach")
-        h.observe(1.0)
-        h.observe(3.0)
-        reg.histogram("empty", proc="x")
-        snap = reg.compact_snapshot()
-        assert snap["counters"][0]["value"] == 3
-        rows = {r["name"]: r for r in snap["histograms"]}
-        assert rows["lat"] == {
-            "name": "lat", "labels": {"proc": "attach"},
-            "count": 2, "mean": 2.0,
-        }
-        assert "mean" not in rows["empty"] and rows["empty"]["count"] == 0
-
     def test_label_snapshot_stamps_every_row(self):
         reg = MetricsRegistry()
         reg.counter("hops", hop="radio").inc()
@@ -187,27 +171,15 @@ class TestCompactAndLabeledSnapshots:
         }
         assert values == {"0": 1, "1": 2}
 
-    def test_merge_tolerates_compact_rows(self):
-        full = MetricsRegistry()
-        for v in (1.0, 2.0):
-            full.histogram("lat").observe(v)
-        compact = MetricsRegistry()
-        for v in (4.0, 8.0):
-            compact.histogram("lat").observe(v)
-        merged = merge_snapshots(
-            [full.snapshot(), compact.compact_snapshot()]
-        )
-        row = merged["histograms"][0]
-        assert row["count"] == 4
-        assert row["mean"] == pytest.approx(3.75)  # count-weighted
-        assert "values" not in row  # partial samples would lie
-
     def test_merge_of_full_rows_keeps_exact_samples(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.histogram("lat").observe(1.0)
         b.histogram("lat").observe(2.0)
+        both = MetricsRegistry()
+        both.histogram("lat").observe(2.0)
+        both.histogram("lat").observe(1.0)
         merged = merge_snapshots([a.snapshot(), b.snapshot()])
-        assert merged["histograms"][0]["values"] == [1.0, 2.0]
+        assert merged["histograms"] == both.snapshot()["histograms"]
 
 
 def test_imbalance():
@@ -252,7 +224,7 @@ class TestHeartbeatStream:
         stream = HeartbeatStream(buf, progress=None)
         stream.heartbeat(
             1, 2.5, 2.0,
-            [_health(0, metrics=reg.compact_snapshot()), _health(1)],
+            [_health(0, metrics=reg.snapshot()), _health(1)],
         )
         row = json.loads(buf.getvalue())
         assert row["draining"] is True  # t past the horizon

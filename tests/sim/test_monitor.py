@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Counter, Simulator, Tally, TimeWeighted, percentile, summarize
+from repro.sim import Counter, Simulator, Tally, TimeWeighted, percentile
+from repro.sim.monitor import ALPHA, QuantileSketch
 
 
 class TestPercentile:
@@ -92,13 +93,6 @@ class TestTally:
         assert tally.median == pytest.approx(2.5)
         assert tally.percentile(100) == 4.0
 
-    def test_summarize_multiple(self):
-        tallies = {"a": Tally("a"), "b": Tally("b")}
-        tallies["a"].observe(1.0)
-        out = summarize(tallies, qs=(50,))
-        assert out["a"]["count"] == 1.0
-        assert out["b"]["count"] == 0.0
-
 
 class TestCounter:
     def test_incr_and_read(self):
@@ -183,48 +177,9 @@ class TestTallySubclassing:
         assert tally.values == [2.0]
 
 
-class TestP2Quantile:
-    def test_exact_while_buffer_fits(self):
-        from repro.sim.monitor import P2Quantile
-
-        est = P2Quantile(0.5)
-        for v in [9.0, 1.0, 5.0]:
-            est.observe(v)
-        assert est.value() == 5.0
-
-    def test_empty_is_none(self):
-        from repro.sim.monitor import P2Quantile
-
-        assert P2Quantile(0.9).value() is None
-
-    def test_tracks_exact_percentile_on_uniform_stream(self):
-        import random
-
-        from repro.sim.monitor import P2Quantile, percentile
-
-        rng = random.Random(7)
-        values = [rng.random() * 100.0 for _ in range(5000)]
-        for q in (0.5, 0.95, 0.99):
-            est = P2Quantile(q)
-            for v in values:
-                est.observe(v)
-            exact = percentile(sorted(values), q * 100.0)
-            assert abs(est.value() - exact) < 3.0, (q, est.value(), exact)
-
-    def test_monotone_stream(self):
-        from repro.sim.monitor import P2Quantile
-
-        est = P2Quantile(0.5)
-        for v in range(1, 1001):
-            est.observe(float(v))
-        assert abs(est.value() - 500.0) < 25.0
-
-
 class TestQuantileSketch:
     def test_exact_moments_and_bounded_memory(self):
         import random
-
-        from repro.sim.monitor import QuantileSketch
 
         rng = random.Random(3)
         sketch = QuantileSketch("lat")
@@ -235,34 +190,30 @@ class TestQuantileSketch:
         assert sketch.min == min(values)
         assert sketch.max == max(values)
         assert abs(sketch.mean - sum(values) / len(values)) < 1e-9
-        # O(1) state: slots only, no growing list of samples
+        # slots only, no growing list of samples: one count per 2% bin
         assert not hasattr(sketch, "__dict__")
+        assert len(sketch.bins) < 2000
 
     def test_summary_shape_matches_engine_expectations(self):
-        from repro.sim.monitor import QuantileSketch
-
-        sketch = QuantileSketch("x", qs=(0.50, 0.95, 0.99))
+        sketch = QuantileSketch("x")
         assert sketch.summary() == {"count": 0.0}
         for v in (1.0, 2.0, 3.0):
             sketch.observe(v)
         summary = sketch.summary()
         assert set(summary) == {"count", "mean", "min", "max", "p50", "p95", "p99"}
         assert summary["count"] == 3.0
-        assert summary["p50"] == 2.0
+        assert abs(summary["p50"] - 2.0) <= ALPHA * 2.0
 
     def test_untracked_quantile_raises(self):
-        from repro.sim.monitor import QuantileSketch
-
-        sketch = QuantileSketch("x", qs=(0.5,))
+        sketch = QuantileSketch("x")
         sketch.observe(1.0)
-        with pytest.raises(KeyError):
-            sketch.quantile(0.99)
-        assert sketch.percentile(50) == 1.0
+        for q in (-0.01, 1.5, 99.0):
+            with pytest.raises(ValueError):
+                sketch.quantile(q)
+        assert sketch.quantile(0.0) == sketch.quantile(1.0) == 1.0
 
     def test_accuracy_against_tally(self):
         import random
-
-        from repro.sim.monitor import QuantileSketch
 
         rng = random.Random(11)
         sketch = QuantileSketch("lat")
@@ -271,20 +222,19 @@ class TestQuantileSketch:
             v = rng.lognormvariate(0.0, 1.0)
             sketch.observe(v)
             tally.observe(v)
-        for q in (50, 95, 99):
-            exact = tally.percentile(q)
-            approx = sketch.percentile(q)
-            assert abs(approx - exact) <= max(0.15 * exact, 0.05), (q, approx, exact)
+        ordered = sorted(tally.values)
+        for q in (0.50, 0.95, 0.99):
+            exact = ordered[int(q * (len(ordered) - 1))]
+            approx = sketch.quantile(q)
+            assert abs(approx - exact) <= ALPHA * exact, (q, approx, exact)
 
 
 class TestQuantileMonotonicity:
-    """Regression pins for the PR-7 sketch audit: independent P² markers
-    can cross on adversarial streams; reads are isotonically clamped."""
+    """Reported quantiles are monotone in q and inside [min, max]."""
 
     # Heavy-duplicate stream (generated with random.Random(1): 60% exact
-    # 1.0, 30% 1.0+tiny jitter, 10% large spikes) on which the raw p95
-    # marker overtakes the raw p99 marker at observation 33.  Pinned so
-    # the clamp's trigger case can never silently regress.
+    # 1.0, 30% 1.0+tiny jitter, 10% large spikes) on which independent
+    # per-quantile streaming estimators read p95 above p99.
     CROSSING_STREAM = [
         1.0, 1.0000007637746189, 1.0, 1.0, 1.0, 1.000000788723351, 1.0,
         1.0, 1.000000432767068, 1.0000000021060533, 1.0,
@@ -295,26 +245,17 @@ class TestQuantileMonotonicity:
     ]
 
     def test_pinned_crossing_stream_reads_monotone(self):
-        from repro.sim.monitor import QuantileSketch
-
         sketch = QuantileSketch("pinned")
         for v in self.CROSSING_STREAM:
             sketch.observe(v)
-        # The defect is real on this stream: the raw estimators cross.
-        raw = {q: est.value() for q, est in sketch._quantiles.items()}
-        assert raw[0.95] > raw[0.99], "stream no longer triggers the defect"
-        # The read API must clamp it away.
         assert sketch.quantile(0.50) <= sketch.quantile(0.95) <= sketch.quantile(0.99)
         summary = sketch.summary()
         assert summary["p50"] <= summary["p95"] <= summary["p99"]
-        # quantile() and summary() agree on the clamped values.
         for q in (0.50, 0.95, 0.99):
             assert summary["p%g" % (q * 100.0)] == sketch.quantile(q)
 
     def test_reads_monotone_and_bounded_on_random_streams(self):
         import random
-
-        from repro.sim.monitor import QuantileSketch
 
         for seed in range(40):
             rng = random.Random(seed)
@@ -333,8 +274,6 @@ class TestQuantileMonotonicity:
                 assert sketch.min <= s["p50"] and s["p99"] <= sketch.max, (seed, i)
 
     def test_monotone_ramp_stays_ordered(self):
-        from repro.sim.monitor import QuantileSketch
-
         sketch = QuantileSketch("ramp")
         for i in range(500):
             sketch.observe(float(i))
@@ -342,35 +281,7 @@ class TestQuantileMonotonicity:
             assert s["p50"] <= s["p95"] <= s["p99"]
             assert 0.0 <= s["p50"] and s["p99"] <= float(i)
 
-    def test_exact_to_marker_transition_at_count_five(self):
-        from repro.sim.monitor import P2Quantile, QuantileSketch
-
-        values = [5.0, 1.0, 4.0, 2.0, 3.0]
-        est = P2Quantile(0.5)
-        for v in values:
-            est.observe(v)
-        # count == 5: still the exact path over the sorted buffer.
-        assert est.count == 5
-        assert est.value() == 3.0
-        # count == 6: first marker-path update; the estimate must stay
-        # inside the observed range and near the true median.
-        est.observe(3.5)
-        assert est.count == 6
-        assert 1.0 <= est.value() <= 5.0
-        assert abs(est.value() - 3.25) < 1.5
-        # The sketch-level read stays ordered across the transition.
-        sketch = QuantileSketch("transition")
-        for v in values:
-            sketch.observe(v)
-            s = sketch.summary()
-            assert s["p50"] <= s["p95"] <= s["p99"]
-        sketch.observe(3.5)
-        s = sketch.summary()
-        assert s["p50"] <= s["p95"] <= s["p99"]
-
     def test_all_duplicates_collapse_to_the_value(self):
-        from repro.sim.monitor import QuantileSketch
-
         sketch = QuantileSketch("dup")
         for _ in range(1000):
             sketch.observe(7.5)

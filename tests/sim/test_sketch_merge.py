@@ -1,180 +1,136 @@
-"""Deterministic QuantileSketch merge: the sharded-run combine rules.
+"""QuantileSketch properties: the rules the sharded merge and the obs rows lean on.
 
 The sharded engine (``repro.scale.shard``) measures per-(region,
-procedure) latency in each worker and combines the sketches in the
-coordinator, so the merged ``region_pct_ms`` table must be a
-deterministic function of the per-shard sketches:
+procedure) latency in each worker and merges the sketches in the
+coordinator; obs snapshots ship the same sketch as a JSON row.  A
+quantile table must therefore be a function of the multiset of
+observations alone.  Properties over positive floats spanning
+1e-7..1e2, with duplicates and zeros:
 
-* while every input still holds its raw spill buffer the merge is
-  **exact** — bit-equal to observing the concatenated stream — and
-  stays exact under hierarchical (merge-of-merges) combining;
-* once any input crossed its spill bound the merge is a weighted
-  **mixture** of P² marker atoms: count/sum/min/max stay exact, the
-  quantile estimates stay within P²-class error of the single-stream
-  estimator, and the result is read-only.
+* ``merge(h(a), h(b)) == h(a + b)`` bit for bit, and the merge stays
+  observable;
+* a permutation of the input and a merge of merges change nothing;
+* quantiles are monotone in q and inside [min, max];
+* every quantile is within ALPHA relative of the exact rank quantile;
+* the JSON row and the pickle round-trip.
 """
 
-import random
+import json
+import pickle
 
-import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.sim.monitor import (
-    P2Quantile,
-    QuantileSketch,
-    _weighted_percentile,
+from repro.sim.monitor import ALPHA, QuantileSketch
+from tests.sim import test_monitor
+
+Q_GRID = sorted([i / 20 for i in range(21)] + [0.99, 0.999])
+
+_VALUE = st.one_of(st.just(0.0), st.floats(min_value=1e-7, max_value=1e2))
+# draw from a small pool so streams carry heavy duplicates
+samples = st.lists(_VALUE, min_size=1, max_size=12).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=120)
 )
 
-QS = (0.5, 0.95, 0.99)
 
-
-def sketch_of(values, spill=0, name="s"):
-    s = QuantileSketch(name, qs=QS, spill=spill)
+def h(values, name="s"):
+    sketch = QuantileSketch(name)
     for v in values:
-        s.observe(v)
-    return s
+        sketch.observe(v)
+    return sketch
 
 
-def exact_pcts(values):
-    single = sketch_of(values, spill=len(values))
-    return {q: single.quantile(q) for q in QS}
-
-
-# ------------------------------------------------------------- exact regime
-
-
-def test_merge_in_spill_regime_equals_single_stream_exactly():
-    rng = random.Random(7)
-    parts = [[rng.expovariate(1.0) for _ in range(40)] for _ in range(4)]
-    merged = QuantileSketch.merge(
-        [sketch_of(p, spill=64) for p in parts], name="m"
+def state(sketch):
+    """Everything that must not depend on order or merge tree."""
+    return (
+        sketch.count, sketch.min, sketch.max, sketch.zero,
+        sorted(sketch.bins.items()),
+        [sketch.quantile(q) for q in Q_GRID],
     )
-    combined = [v for p in parts for v in p]
-    want = exact_pcts(combined)
-    assert merged.count == len(combined)
-    for q in QS:
-        assert merged.quantile(q) == want[q], "spill-regime merge not exact"
-    # still a live raw-buffer sketch: observing and re-merging stay legal
-    merged.observe(0.123)
-    assert merged.count == len(combined) + 1
 
 
-def test_merge_is_input_order_independent():
-    rng = random.Random(13)
-    parts = [[rng.random() for _ in range(30)] for _ in range(3)]
-    sketches = [sketch_of(p, spill=64) for p in parts]
-    forward = QuantileSketch.merge(sketches, name="m")
-    backward = QuantileSketch.merge(list(reversed(sketches)), name="m")
-    for q in QS:
-        assert forward.quantile(q) == backward.quantile(q)
-    assert forward.summary() == backward.summary()
+@settings(deadline=None)
+@given(samples, samples, samples)
+def test_merge_equals_single_stream_exactly(a, b, c):
+    merged = QuantileSketch.merge([h(a), h(b)])
+    assert state(merged) == state(h(a + b))
+    # a merged sketch is a live sketch: observing into it stays exact
+    for v in c:
+        merged.observe(v)
+    assert state(merged) == state(h(a + b + c))
 
 
-def test_hierarchical_merge_stays_exact_in_spill_regime():
-    rng = random.Random(23)
-    parts = [[rng.expovariate(2.0) for _ in range(25)] for _ in range(4)]
-    pairwise = [
-        QuantileSketch.merge([sketch_of(parts[0], 64), sketch_of(parts[1], 64)]),
-        QuantileSketch.merge([sketch_of(parts[2], 64), sketch_of(parts[3], 64)]),
-    ]
-    tree = QuantileSketch.merge(pairwise, name="root")
-    flat = exact_pcts([v for p in parts for v in p])
-    for q in QS:
-        assert tree.quantile(q) == flat[q], "merge-of-merges lost exactness"
+@settings(deadline=None)
+@given(samples, st.randoms(use_true_random=False))
+def test_merge_is_input_order_independent(values, rng):
+    shuffled = list(values)
+    rng.shuffle(shuffled)
+    assert state(h(shuffled)) == state(h(values))
+    parts = [values[i::3] for i in range(3)]
+    forward = QuantileSketch.merge([h(p) for p in parts])
+    backward = QuantileSketch.merge([h(p) for p in reversed(parts)])
+    assert state(forward) == state(backward) == state(h(values))
+
+
+@settings(deadline=None)
+@given(samples, samples, samples, samples)
+def test_merge_of_merges_equals_the_flat_merge(a, b, c, d):
+    tree = QuantileSketch.merge([
+        QuantileSketch.merge([h(a), h(b)]),
+        QuantileSketch.merge([h(c), QuantileSketch.merge([h(d)])]),
+    ])
+    assert state(tree) == state(QuantileSketch.merge([h(a), h(b), h(c), h(d)]))
+
+
+@settings(deadline=None)
+@given(samples)
+@example(test_monitor.TestQuantileMonotonicity.CROSSING_STREAM)
+def test_quantiles_are_monotone_and_inside_the_range(values):
+    sketch = h(values)
+    reads = [sketch.quantile(q) for q in Q_GRID]
+    if not values:
+        assert reads == [None] * len(Q_GRID)
+        return
+    assert reads == sorted(reads)
+    assert min(values) <= reads[0] and reads[-1] <= max(values)
+
+
+@settings(deadline=None)
+@given(samples)
+@example(test_monitor.TestQuantileMonotonicity.CROSSING_STREAM)
+def test_every_quantile_is_within_alpha_of_the_rank_quantile(values):
+    sketch = h(values)
+    ordered = sorted(values)
+    for q in Q_GRID:
+        got = sketch.quantile(q)
+        if not values:
+            assert got is None
+            continue
+        exact = ordered[int(q * (len(ordered) - 1))]
+        assert abs(got - exact) <= ALPHA * exact * (1 + 1e-9), (q, got, exact)
+
+
+@settings(deadline=None)
+@given(samples)
+def test_row_round_trips(values):
+    sketch = h(values, name="lat")
+    row = json.loads(json.dumps(sketch.to_row()))
+    assert row == sketch.to_row()
+    back = QuantileSketch.from_row(row)
+    assert state(back) == state(sketch) and back.sum == sketch.sum
+    unpickled = pickle.loads(pickle.dumps(sketch))
+    assert unpickled.name == "lat" and unpickled.to_row() == sketch.to_row()
 
 
 def test_merge_skips_none_inputs():
-    s = sketch_of([1.0, 2.0, 3.0], spill=8)
+    s = h([1.0, 2.0, 3.0])
     merged = QuantileSketch.merge([None, s, None])
-    assert merged.count == 3
-    assert merged.quantile(0.5) == 2.0
+    assert state(merged) == state(s)
 
 
 def test_merge_of_nothing_is_empty():
     merged = QuantileSketch.merge([None, None])
     assert merged.count == 0
     assert merged.quantile(0.5) is None
-
-
-# ----------------------------------------------------------- mixture regime
-
-
-def test_mixture_merge_scalars_exact_estimates_close():
-    rng = random.Random(42)
-    parts = [[rng.expovariate(1.0) for _ in range(400)] for _ in range(4)]
-    combined = [v for p in parts for v in p]
-    # spill=0: every input is pure-P2, forcing the mixture path
-    merged = QuantileSketch.merge([sketch_of(p, spill=0) for p in parts])
-    assert merged.count == len(combined)
-    assert merged.summary()["mean"] == pytest.approx(
-        sum(combined) / len(combined)
-    )
-    lo, hi = min(combined), max(combined)
-    truth = exact_pcts(combined)
-    for q in QS:
-        got = merged.quantile(q)
-        assert lo <= got <= hi
-        # P²-class accuracy: within 10% of the spread of the true value
-        assert abs(got - truth[q]) <= 0.10 * (hi - lo) + 1e-9, (
-            "q=%s: mixture %.4f vs exact %.4f" % (q, got, truth[q])
-        )
-
-
-def test_mixture_merge_is_read_only():
-    parts = [[float(i) for i in range(50)], [float(i) for i in range(50, 90)]]
-    merged = QuantileSketch.merge([sketch_of(p, spill=0) for p in parts])
-    with pytest.raises(TypeError):
-        merged.observe(1.0)
-    # but it can itself be merged again (atoms survive freezing)
-    again = QuantileSketch.merge([merged, sketch_of([7.0], spill=4)])
-    assert again.count == 91
-
-
-def test_mixed_raw_and_p2_inputs_use_mixture_path():
-    raw = sketch_of([5.0] * 10, spill=32)          # still raw
-    dense = sketch_of([1.0] * 990, spill=0)        # pure P2
-    merged = QuantileSketch.merge([raw, dense])
-    assert merged.count == 1000
-    # the tiny raw tail cannot drag the median off the dominant mass
-    assert merged.quantile(0.5) == pytest.approx(1.0, abs=0.05)
-    with pytest.raises(TypeError):
-        merged.observe(0.0)
-
-
-def test_merge_rejects_mismatched_quantile_sets():
-    a = QuantileSketch("a", qs=(0.5, 0.95))
-    b = QuantileSketch("b", qs=(0.5, 0.99))
-    a.observe(1.0)
-    b.observe(2.0)
-    with pytest.raises(ValueError):
-        QuantileSketch.merge([a, b])
-
-
-# ------------------------------------------------------------------- atoms
-
-
-def test_p2_atoms_weights_telescope_to_count():
-    est = P2Quantile(0.95)
-    rng = random.Random(3)
-    for _ in range(500):
-        est.observe(rng.random())
-    atoms = est.atoms()
-    assert len(atoms) == 5
-    assert sum(w for _v, w in atoms) == pytest.approx(500.0)
-
-
-def test_p2_atoms_small_buffer_is_exact_samples():
-    est = P2Quantile(0.5)
-    for v in (3.0, 1.0, 2.0):
-        est.observe(v)
-    # the P2 startup buffer is kept sorted; weights are all 1
-    assert est.atoms() == [(1.0, 1.0), (2.0, 1.0), (3.0, 1.0)]
-
-
-def test_weighted_percentile_interpolates_and_clamps():
-    atoms = [(10.0, 1.0), (20.0, 1.0)]
-    assert _weighted_percentile(atoms, 0.5) == pytest.approx(15.0)
-    assert _weighted_percentile(atoms, 0.0001) == 10.0  # clamp low
-    assert _weighted_percentile(atoms, 0.9999) == 20.0  # clamp high
-    assert _weighted_percentile([], 0.5) is None
-    # zero-weight atoms are ignored
-    assert _weighted_percentile([(99.0, 0.0), (4.0, 2.0)], 0.5) == 4.0
+    assert merged.summary() == {"count": 0.0}
+    assert QuantileSketch.from_row(merged.to_row()).quantile(0.99) is None
