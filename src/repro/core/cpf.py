@@ -17,7 +17,12 @@ from typing import Any, List, Optional, Tuple
 
 from ..sim.core import Event, Simulator
 from ..sim.node import NodeFailed, Server
-from .program import SNAPSHOT_WIRE_BYTES, replay_time, snapshot_encode_time
+from .program import (
+    CONTROL_WIRE_BYTES,
+    SNAPSHOT_WIRE_BYTES,
+    replay_time,
+    snapshot_encode_time,
+)
 from .state import StateStore, UEState
 
 __all__ = ["CPF", "HandleResult", "SNAPSHOT_WIRE_BYTES", "handle_phases"]
@@ -304,8 +309,8 @@ class CPF:
         cta = self.dep.cta_of(ue_id)
         try:
             yield self.dep.hop(
-                "cta_cpf", 64, src=replica_name, dst=cta.name if cta else None,
-                parent=span,
+                "cta_cpf", CONTROL_WIRE_BYTES, src=replica_name,
+                dst=cta.name if cta else None, parent=span,
             )
         except NodeFailed:
             # lost ACK looks like a laggard replica; scan repairs it
@@ -362,7 +367,9 @@ class CPF:
             return False
         hop = self.dep.cpf_hop(self.name, source_name)
         try:
-            yield self.dep.hop(hop, 64, src=self.name, dst=source_name)  # request
+            yield self.dep.hop(  # request
+                hop, CONTROL_WIRE_BYTES, src=self.name, dst=source_name
+            )
         except NodeFailed:
             return False
         entry = source.store.get(ue_id)

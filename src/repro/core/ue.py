@@ -1,11 +1,12 @@
 """The UE driver: executes control procedures end to end.
 
 Each procedure run is a simulated process that walks the procedure's
-steps through the real component chain — UE radio leg, BS serialization,
-CTA stamping/logging, CPF queueing/processing, UPF programming, inter-
-CPF migration — measuring the procedure completion time (PCT) the way
-the paper's traffic generator does: at the UE, from first request until
-the step marked ``ends_pct`` delivers.
+compiled legs (:mod:`repro.core.program`) through the real component
+chain — one generator frame, :meth:`UE.execute`, calling each leg's
+component event method (``CTA.ingest``, ``CPF.handle_uplink``,
+``UPF.program``, ...) — measuring the procedure completion time (PCT)
+the way the paper's traffic generator does: at the UE, from first
+request until the ``"pct"`` leg.
 
 Failure handling follows §4.2.5: if the serving CPF dies mid-procedure
 the UE asks the CTA for a recovery plan; a ``resume`` plan (scenarios
@@ -18,12 +19,11 @@ the failed procedure's PCT when the Re-Attach completes.
 from __future__ import annotations
 
 from contextlib import nullcontext
-from functools import partial
 from typing import Generator, Optional
 
 from ..sim.core import Simulator
 from ..sim.node import NodeFailed
-from .program import PricedStep
+from .program import REATTACH, leg_span
 
 __all__ = ["UE", "ProcedureOutcome", "ProcedureAborted"]
 
@@ -34,18 +34,17 @@ _MAX_RECOVERIES = 8
 _NULL_SPAN = nullcontext()
 
 
-def _span_factory(obs, parent):
-    """Per-step span context managers, parented under ``parent``.
+def _leg_span(tracer, root, leg, actor):
+    """The span bracketing timed ``leg`` performed by ``actor``.
 
     Parenting is explicit (never an ambient stack): sim processes
     interleave at every yield, so only the procedure's own root may
-    adopt its spans.  These bracket real waits (a queued job, a radio
-    leg), so they are ``begin``/``finish`` pairs; with obs disabled
-    every site is a lambda returning the shared nullcontext.
+    adopt its spans.  Untraced, the shared nullcontext.
     """
-    if obs is None or parent is None:
-        return lambda name, phase=None, **attrs: _NULL_SPAN
-    return partial(obs.tracer.span, parent=parent)
+    if root is None:
+        return _NULL_SPAN
+    phase, attrs = leg_span(leg, actor.name)
+    return tracer.span(leg.kind, root, phase, **attrs)
 
 
 class ProcedureAborted(Exception):
@@ -102,307 +101,242 @@ class UE:
         """Run one procedure (generator; spawn with ``sim.process``).
 
         Returns the :class:`ProcedureOutcome`.  ``target_bs`` is required
-        for handover procedures.
+        for procedures that change CPF; with one, the UE ends on it.
         """
-        program = self.dep.program(proc_name)
+        dep = self.dep
+        program = dep.program(proc_name)
+        if program.changes_cpf and target_bs is None:
+            raise ValueError("%s needs a target_bs" % proc_name)
         if outcome is None:
             outcome = ProcedureOutcome(proc_name, self.sim.now, self.ue_id)
         self.busy = True
         self.procedures_run += 1
-        is_attach = proc_name in ("attach", "re_attach")
+        ue_id = self.ue_id
+        creates = program.creates
+        obs = dep.obs
+        tracer = root = None
+        if obs is not None:
+            # A nested Re-Attach (its own execute() call) parents under
+            # the failed procedure's root, so the recovery shows up
+            # inside the timeline that paid for it.
+            tracer, prev_root = obs.tracer, self._obs_root
+            root = tracer.begin(
+                "proc." + proc_name, parent=prev_root, proc=proc_name, ue=ue_id
+            )
+            self._obs_root = root
+        dpcm = dep.config.dpcm_mode
+        last_clock = clock = recoveries = 0
+        migrated_to: Optional[str] = None
         try:
-            yield from self._run_steps(program, target_bs, outcome, is_attach)
+            dep.ensure_placement(ue_id, dep.bss[self.bs_name].region)
+            cta = dep.cta_of(ue_id)
+            if cta is not None and cta.up and creates is None:
+                cta.flag_concurrent_procedure(ue_id)  # §4.2.4(4)
+            steps = program.steps
+            step_idx = 0
+            while step_idx < len(steps):
+                step = steps[step_idx]
+                legs = program.legs[step_idx]
+                try:
+                    if step.kind == "cpf_cpf":
+                        # State migration to the target region's CPF,
+                        # negotiated now (discrete only: never steady).
+                        src_name = dep.primary_of(ue_id)
+                        if src_name is None:
+                            raise NodeFailed("cpf:none-alive")
+                        src = dep.cpfs[src_name]
+                        tgt_region = dep.bss[target_bs].region
+                        tgt_name = dep.region_map.primary_for(ue_id, tgt_region)
+                        tgt = dep.cpfs[tgt_name]
+                        if not tgt.up:
+                            alive = [
+                                c for c in dep.region_map.region(tgt_region).cpfs
+                                if dep.cpfs[c].up
+                            ]
+                            if not alive:
+                                raise NodeFailed("cpf:" + tgt_region)
+                            tgt_name, tgt = alive[0], dep.cpfs[alive[0]]
+                        hop = dep.cpf_hop(src_name, tgt_name)
+                        with _NULL_SPAN if root is None else tracer.span(
+                            "cpf.migrate", root, "migrate", src=src_name, dst=tgt_name
+                        ):
+                            # source: snapshot + encode the relocation request
+                            yield src.handle_peer(step.cpf_serve)
+                            entry = src.store.get(ue_id)
+                            if entry is None or not entry.up_to_date:
+                                raise NodeFailed(src_name)
+                            snapshot, synced = entry.state.copy(), entry.synced_clock
+                            yield dep.hop(hop, step.req_size, parent=root)
+                            # target: decode, install, encode the ack
+                            yield tgt.handle_peer(step.tgt_serve)
+                            tgt.store.install_snapshot(ue_id, snapshot, synced)
+                            yield dep.hop(hop, step.resp_size, parent=root)
+                            yield src.handle_peer(step.cpf_decode)
+                        migrated_to = tgt_name
+                    else:
+                        at_target = step.at_target and target_bs is not None
+                        if at_target and migrated_to is None and program.finds_target:
+                            # Fast Handover (§4.3): the proactive level-2
+                            # replica if its state is at least as new as
+                            # the UE's last write, else a current copy
+                            # fetched intra-level-2; if none is reachable,
+                            # NodeFailed hands over to recovery (§4.2.5).
+                            written = self.completed_version
+                            tgt_name, fetch_from = dep.fast_target(
+                                ue_id, dep.bss[target_bs].region, min_version=written
+                            )
+                            if fetch_from is not None:
+                                tgt = dep.cpfs[tgt_name]
+                                with _NULL_SPAN if root is None else tracer.span(
+                                    "cpf.fetch", root, "migrate",
+                                    src=fetch_from, dst=tgt_name,
+                                ):
+                                    yield from tgt.fetch_state_from(ue_id, fetch_from)
+                                entry = tgt.store.get(ue_id)
+                                if entry is None or entry.state.version < written:
+                                    raise NodeFailed(tgt_name)
+                            migrated_to = tgt_name
+                        bs = dep.bss[target_bs if at_target else self.bs_name]
+                        cpf_name = (at_target and migrated_to) or dep.primary_of(ue_id)
+                        # The *serving* CTA (the one holding the UE's log)
+                        # handles every message, target-side ones too,
+                        # until the placement switches at completion.
+                        cta = dep.cta_of(ue_id) or dep.cta_for_region(bs.region)
+                        if cta is None or not cta.up:
+                            raise NodeFailed("cta:" + bs.region)
+                        if cpf_name is None:
+                            raise NodeFailed("cpf:none-alive")
+                        cpf = dep.cpfs[cpf_name]
+                        if dpcm and step.kind == "cpf_upf" and not step.ends_pct:
+                            # DPCM programs the user plane in parallel with
+                            # the rest of the procedure (device-side state,
+                            # §6.2).
+                            dep.sim.process(
+                                self._detached(legs, bs, cpf, tracer, root),
+                                name="%s.dpcm_upf" % ue_id,
+                            )
+                            legs = ()
+                    for leg in legs:
+                        kind = leg.kind
+                        if kind == "hop":
+                            yield dep.hop(leg.link, leg.size, parent=root)
+                            continue
+                        if kind == "cpf.handle":
+                            result = yield cpf.handle_uplink(
+                                ue_id, leg.msg, clock, leg.price,
+                                step_idx == creates,
+                                0 if creates is not None else self.completed_version,
+                                obs_parent=root,
+                            )
+                            if result.status == "reattach_required":
+                                # §4.2.4(3): treat like a primary loss — the
+                                # CTA routes recovery (a synced backup or a
+                                # Re-Attach).
+                                raise NodeFailed(cpf.name)
+                            continue
+                        if kind == "pct":
+                            self._mark_pct(outcome)
+                            continue
+                        if kind == "bs.uplink":
+                            bs.uplink_messages += 1
+                            actor, wait = bs, leg.price
+                        elif kind == "bs.downlink":
+                            bs.downlink_messages += 1
+                            actor, wait = bs, leg.price
+                        elif kind == "cta.ingest":
+                            actor, wait = cta, cta.ingest(ue_id, leg.msg, leg.size)
+                        elif kind == "cta.respond":
+                            actor, wait = cta, cta.respond()
+                        elif kind == "upf.program":
+                            actor = dep.upf_for_region(bs.region)
+                            wait = actor.program(leg.msg, ue_id, bs.name)
+                        else:  # "cpf.encode", "cpf.decode"
+                            actor, wait = cpf, cpf.handle_peer(leg.price)
+                        with _leg_span(tracer, root, leg, actor):
+                            value = yield wait
+                        if kind == "cta.ingest":
+                            clock = value
+                            if clock > last_clock:
+                                last_clock = clock
+                except NodeFailed:
+                    recoveries += 1
+                    if recoveries > _MAX_RECOVERIES:
+                        raise ProcedureAborted(
+                            "%s for %s failed %d times" % (proc_name, ue_id, recoveries)
+                        )
+                    outcome.recovered = True
+                    if (yield from self._recover(outcome)):
+                        return outcome  # the Re-Attach ended this procedure
+                    migrated_to = None
+                    continue  # retry the same step at the promoted backup
+                if step_idx == creates:
+                    self.attached = True  # the CPF holds fresh state now
+                step_idx += 1
+
+            # Completed: switch placement first for CPF-changing
+            # procedures (so the checkpoint targets the *new* backups and
+            # the ACKs land at the new CTA), then commit state and
+            # checkpoint (§4.2.3 steps 2-4).
+            serving = dep.cpfs.get(migrated_to or dep.primary_of(ue_id))
+            if target_bs is not None:
+                if program.changes_cpf:
+                    dep.switch_region(ue_id, migrated_to, target_bs)
+                self.bs_name = target_bs
+            if serving is not None and serving.up:
+                if dep.config.sync_mode == "per_procedure":
+                    # brief state lock on the processing core (§6.7.1)
+                    with _NULL_SPAN if root is None else tracer.span(
+                        "checkpoint.lock", root, "lock", node=serving.name
+                    ):
+                        yield serving.server.submit(dep.config.checkpoint_lock_s)
+                replicas = serving.complete_procedure(
+                    ue_id, proc_name, last_clock, obs_parent=root
+                )
+                cta = dep.cta_of(ue_id)
+                if cta is not None and cta.up:
+                    cta.procedure_completed(ue_id, last_clock, replicas)
+            if creates is not None:
+                entry = serving.store.get(ue_id) if serving is not None else None
+                self.completed_version = entry.state.version if entry is not None else 1
+            else:
+                self.completed_version += 1
+            dep.auditor.record_write_completion(ue_id, self.completed_version)
+            outcome.completed = True
+            return outcome
         finally:
+            if obs is not None:
+                tracer.finish(
+                    root,
+                    status="completed" if outcome.completed else "failed",
+                    recovered=outcome.recovered,
+                    reattached=outcome.reattached,
+                )
+                self._obs_root = prev_root
             self.busy = False
-        return outcome
 
-    # ----------------------------------------------------------- procedure body
-
-    def _run_steps(self, program, target_bs, outcome, is_attach) -> Generator:
-        obs = self.dep.obs
-        if obs is None:
-            self._obs_root = None
-            yield from self._run_steps_inner(program, target_bs, outcome, is_attach)
-            return
-        # Root span for the whole procedure; a nested Re-Attach (its own
-        # execute() call) parents under the failed procedure's root, so
-        # the recovery shows up inside the timeline that paid for it.
-        prev_root = self._obs_root
-        root = obs.tracer.begin(
-            "proc." + program.name, parent=prev_root, proc=program.name, ue=self.ue_id
-        )
-        self._obs_root = root
-        try:
-            yield from self._run_steps_inner(program, target_bs, outcome, is_attach)
-        finally:
-            obs.tracer.finish(
-                root,
-                status="completed" if outcome.completed else "failed",
-                recovered=outcome.recovered,
-                reattached=outcome.reattached,
-            )
-            self._obs_root = prev_root
-
-    def _run_steps_inner(self, program, target_bs, outcome, is_attach) -> Generator:
+    def _detached(self, legs, bs, cpf, tracer, root) -> Generator:
+        """A user-plane step's legs as their own process (DPCM)."""
         dep = self.dep
-        proc_name = program.name
-        self._last_clock = 0
-        self._migrated_to: Optional[str] = None
-        recoveries = 0
-
-        dep.ensure_placement(self.ue_id, dep.bss[self.bs_name].region)
-        cta = dep.cta_of(self.ue_id)
-        if cta is not None and cta.up and not is_attach:
-            cta.flag_concurrent_procedure(self.ue_id)  # §4.2.4(4)
-
-        steps = program.steps
-        run_step = {  # step kind -> the method that executes it
-            "uplink": self._uplink_exchange,
-            "cpf_bs": self._cpf_bs,
-            "cpf_upf": self._cpf_upf,
-            "cpf_cpf": self._cpf_cpf,
-        }
-        step_idx = 0
-        while step_idx < len(steps):
-            step = steps[step_idx]
-            try:
-                if (
-                    step.at_target
-                    and self._migrated_to is None
-                    and proc_name == "fast_handover"
-                    and target_bs is not None
-                ):
-                    yield from self._resolve_fast_target(target_bs)
-                yield from run_step[step.kind](step, target_bs, outcome, is_attach)
-            except NodeFailed:
-                recoveries += 1
-                if recoveries > _MAX_RECOVERIES:
-                    raise ProcedureAborted(
-                        "%s for %s failed %d times" % (proc_name, self.ue_id, recoveries)
-                    )
-                outcome.recovered = True
-                handled = yield from self._recover(outcome)
-                if handled == "reattached":
-                    return
-                continue  # retry the same step at the promoted backup
-            if step_idx == 0 and is_attach:
-                # The first attach message created fresh state at the CPF.
-                self.attached = True
-            step_idx += 1
-
-        # Procedure completed: switch placement first for CPF-changing
-        # procedures (so the checkpoint targets the *new* backups and the
-        # ACKs land at the new CTA), then commit state and checkpoint
-        # (§4.2.3 steps 2-4).
-        serving_name = self._migrated_to or dep.primary_of(self.ue_id)
-        if program.changes_cpf and target_bs is not None:
-            dep.switch_region(self.ue_id, self._migrated_to, target_bs)
-            self.bs_name = target_bs
-        serving = dep.cpfs.get(serving_name)
-        if serving is not None and serving.up:
-            span = _span_factory(dep.obs, self._obs_root)
-            if dep.config.sync_mode == "per_procedure":
-                # brief state lock on the processing core (§6.7.1)
-                with span("checkpoint.lock", phase="lock", node=serving.name):
-                    yield serving.server.submit(dep.config.checkpoint_lock_s)
-            replicas = serving.complete_procedure(
-                self.ue_id, proc_name, self._last_clock, obs_parent=self._obs_root
-            )
-            cta = dep.cta_of(self.ue_id)
-            if cta is not None and cta.up:
-                cta.procedure_completed(self.ue_id, self._last_clock, replicas)
-        if is_attach:
-            entry = serving.store.get(self.ue_id) if serving is not None else None
-            self.completed_version = entry.state.version if entry is not None else 1
-        else:
-            self.completed_version += 1
-        dep.auditor.record_write_completion(self.ue_id, self.completed_version)
-        outcome.completed = True
-
-    # ------------------------------------------------------------------- steps
-
-    def _resolve_fast_target(self, target_bs: str) -> Generator:
-        """Pick the Fast Handover serving CPF in the target region (§4.3).
-
-        Prefers the proactive level-2 replica holding state at least as
-        new as this UE's last completed write; otherwise fetches a
-        current copy intra-level-2.  If no current copy is reachable,
-        raises :class:`NodeFailed` so the normal recovery machinery
-        (§4.2.5) takes over.
-        """
-        dep = self.dep
-        tgt_region = dep.bss[target_bs].region
-        tgt_name, fetch_from = dep.fast_target(
-            self.ue_id, tgt_region, min_version=self.completed_version
-        )
-        if fetch_from is not None:
-            span = _span_factory(dep.obs, self._obs_root)
-            with span("cpf.fetch", phase="migrate", src=fetch_from, dst=tgt_name):
-                yield from dep.cpfs[tgt_name].fetch_state_from(self.ue_id, fetch_from)
-            entry = dep.cpfs[tgt_name].store.get(self.ue_id)
-            if entry is None or entry.state.version < self.completed_version:
-                raise NodeFailed(tgt_name)
-        self._migrated_to = tgt_name
-
-    def _context(self, step: PricedStep, target_bs):
-        """(bs, cta, cpf) the step runs through, honoring at_target.
-
-        The *serving* CTA (the one holding the UE's log) handles all of
-        a procedure's messages, including target-side ones during a
-        handover, until the placement switches at completion.
-        """
-        dep = self.dep
-        if step.at_target and target_bs is not None:
-            bs = dep.bss[target_bs]
-            cpf_name = self._migrated_to or dep.primary_of(self.ue_id)
-        else:
-            bs = dep.bss[self.bs_name]
-            cpf_name = dep.primary_of(self.ue_id)
-        cta = dep.cta_of(self.ue_id) or dep.cta_for_region(bs.region)
-        if cta is None or not cta.up:
-            raise NodeFailed("cta:" + bs.region)
-        if cpf_name is None:
-            raise NodeFailed("cpf:none-alive")
-        cpf = dep.cpfs[cpf_name]
-        return bs, cta, cpf
-
-    def _uplink_leg(self, step, bs, cta, cpf, msg, size, creates, is_attach) -> Generator:
-        """BS encodes ``msg``; the CTA stamps + logs it; the CPF serves it."""
-        dep = self.dep
-        root = self._obs_root
-        span = _span_factory(dep.obs, root)
-        with span("bs.uplink", phase="radio", bs=bs.name, msg=msg):
-            bs.uplink_messages += 1
-            yield step.bs_encode
-        yield dep.hop("bs_cta", size, parent=root)
-        with span("cta.ingest", phase="cta", node=cta.name, msg=msg):
-            clock = yield cta.ingest(self.ue_id, msg, size)
-        self._last_clock = max(self._last_clock, clock)
-        yield dep.hop("cta_cpf", size, parent=root)
-        reader_version = 0 if is_attach else self.completed_version
-        result = yield cpf.handle_uplink(
-            self.ue_id, msg, clock, step.cpf_serve, creates, reader_version,
-            obs_parent=root,
-        )
-        if result.status == "reattach_required":
-            # §4.2.4(3): treat like a primary loss — the CTA will route
-            # recovery (a synced backup or a Re-Attach).
-            raise NodeFailed(cpf.name)
-
-    def _downlink_leg(self, step, bs, cta, msg, size) -> Generator:
-        """CPF -> CTA (forward) -> BS (decode) -> UE for one message."""
-        dep = self.dep
-        root = self._obs_root
-        span = _span_factory(dep.obs, root)
-        yield dep.hop("cta_cpf", size, parent=root)
-        with span("cta.respond", phase="cta", node=cta.name):
-            yield cta.respond()
-        yield dep.hop("bs_cta", size, parent=root)
-        with span("bs.downlink", phase="radio", bs=bs.name, msg=msg):
-            bs.downlink_messages += 1
-            yield step.bs_decode
-        yield dep.hop("ue_bs", size, parent=root)
-
-    def _uplink_exchange(self, step, target_bs, outcome, is_attach) -> Generator:
-        bs, cta, cpf = self._context(step, target_bs)
-        msg = step.request
-        yield self.dep.hop("ue_bs", step.req_size, parent=self._obs_root)
-        creates = is_attach and msg == "InitialUEMessage"
-        yield from self._uplink_leg(
-            step, bs, cta, cpf, msg, step.req_size, creates, is_attach
-        )
-        if step.response is not None:
-            yield from self._downlink_leg(step, bs, cta, step.response, step.resp_size)
-        if step.ends_pct:
-            self._mark_pct(outcome)
-
-    def _cpf_bs(self, step, target_bs, outcome, is_attach) -> Generator:
-        """CPF-initiated downlink exchange (context setup, HO command)."""
-        bs, cta, cpf = self._context(step, target_bs)
-        span = _span_factory(self.dep.obs, self._obs_root)
-        # CPF encodes and emits the downlink request.
-        with span("cpf.encode", phase="cpf_serve", node=cpf.name, msg=step.request):
-            yield cpf.handle_peer(step.cpf_encode)
-        yield from self._downlink_leg(step, bs, cta, step.request, step.req_size)
-        if step.ends_pct:
-            # The accept/command reached the UE: the paper's client-side
-            # PCT clock stops here.
-            self._mark_pct(outcome)
-        if step.response is not None:
-            # BS answers uplink; it is logged and handled like any other
-            # uplink control message.
-            yield from self._uplink_leg(
-                step, bs, cta, cpf, step.response, step.resp_size, False, is_attach
-            )
-
-    def _cpf_upf(self, step, target_bs, outcome, is_attach) -> Generator:
-        dep = self.dep
-        bs, _cta, cpf = self._context(step, target_bs)
-        upf = dep.upf_for_region(bs.region)
-        req, resp = step.request, step.response
-        root = self._obs_root
-        span = _span_factory(dep.obs, root)
-
-        def leg() -> Generator:
-            with span("cpf.encode", phase="cpf_serve", node=cpf.name, msg=req):
-                yield cpf.handle_peer(step.cpf_encode)
-            yield dep.hop("cpf_upf", step.req_size, parent=root)
-            with span("upf.program", phase="upf", upf=upf.name, msg=req):
-                yield upf.program(req, self.ue_id, bs.name)
-            if resp:
-                yield dep.hop("cpf_upf", step.resp_size, parent=root)
-                with span("cpf.decode", phase="cpf_serve", node=cpf.name, msg=resp):
-                    yield cpf.handle_peer(step.cpf_decode)
-            if step.ends_pct:
-                self._mark_pct(outcome)
-
-        if dep.config.dpcm_mode and not step.ends_pct:
-            # DPCM executes user-plane programming in parallel with the
-            # rest of the procedure (device-side state, §6.2 / DPCM [37]).
-            dep.sim.process(leg(), name="%s.dpcm_upf" % self.ue_id)
-        else:
-            yield from leg()
-
-    def _cpf_cpf(self, step, target_bs, outcome, is_attach) -> Generator:
-        """State migration leg of a handover with CPF change."""
-        dep = self.dep
-        if target_bs is None:
-            raise ValueError("handover needs a target_bs")
-        src_name = dep.primary_of(self.ue_id)
-        if src_name is None:
-            raise NodeFailed("cpf:none-alive")
-        src = dep.cpfs[src_name]
-        tgt_region = dep.bss[target_bs].region
-        tgt_name = dep.region_map.primary_for(self.ue_id, tgt_region)
-        tgt = dep.cpfs[tgt_name]
-        if not tgt.up:
-            alive = [c for c in dep.region_map.region(tgt_region).cpfs if dep.cpfs[c].up]
-            if not alive:
-                raise NodeFailed("cpf:" + tgt_region)
-            tgt_name, tgt = alive[0], dep.cpfs[alive[0]]
-        hop = dep.cpf_hop(src_name, tgt_name)
-        root = self._obs_root
-        span = _span_factory(dep.obs, root)
-
-        with span("cpf.migrate", phase="migrate", src=src_name, dst=tgt_name):
-            # Source: snapshot + encode the relocation request.
-            yield src.handle_peer(step.cpf_serve)
-            entry = src.store.get(self.ue_id)
-            if entry is None or not entry.up_to_date:
-                raise NodeFailed(src_name)
-            snapshot, clock = entry.state.copy(), entry.synced_clock
-            yield dep.hop(hop, step.req_size, parent=root)
-            # Target: decode, install migrated state, encode the ack.
-            yield tgt.handle_peer(step.tgt_serve)
-            tgt.store.install_snapshot(self.ue_id, snapshot, clock)
-            yield dep.hop(hop, step.resp_size, parent=root)
-            yield src.handle_peer(step.cpf_decode)
-        self._migrated_to = tgt_name
+        for leg in legs:
+            if leg.kind == "hop":
+                yield dep.hop(leg.link, leg.size, parent=root)
+                continue
+            if leg.kind == "upf.program":
+                actor = dep.upf_for_region(bs.region)
+                wait = actor.program(leg.msg, self.ue_id, bs.name)
+            else:  # "cpf.encode", "cpf.decode"
+                actor, wait = cpf, cpf.handle_peer(leg.price)
+            with _leg_span(tracer, root, leg, actor):
+                yield wait
 
     # ---------------------------------------------------------------- recovery
 
     def _recover(self, outcome) -> Generator:
-        """Consult the CTA, then resume or Re-Attach (§4.2.5)."""
+        """Consult the CTA, then resume or Re-Attach (§4.2.5).
+
+        Returns True when a Re-Attach ended the procedure: its PCT ends
+        when the Re-Attach completes.
+        """
         dep = self.dep
         bs = dep.bss[self.bs_name]
         cta = dep.cta_for_region(bs.region)
@@ -414,30 +348,21 @@ class UE:
                 raise ProcedureAborted("no CTA alive for %s" % self.ue_id)
             dep.adopt_region_cta(bs.region, cta.name)
             dep.reset_placement(self.ue_id, dep.pick_fresh_primary(self.ue_id))
-            yield from self._reattach(outcome)
-            return "reattached"
-        obs, root = dep.obs, self._obs_root
-        if obs is not None and root is not None:
-            with obs.tracer.span(
+        else:
+            root = self._obs_root
+            with _NULL_SPAN if root is None else dep.obs.tracer.span(
                 "recovery.failover", parent=root, phase="recovery", node=cta.name
             ) as rs:
                 plan = yield from cta.failover(self.ue_id, obs_parent=rs)
-        else:
-            plan = yield from cta.failover(self.ue_id)
-        if plan.action == "resume":
-            self._migrated_to = None
-            return "resumed"
-        yield from self._reattach(outcome)
-        return "reattached"
-
-    def _reattach(self, outcome) -> Generator:
-        """Run Re-Attach; the failed procedure's PCT ends at its completion."""
+            if plan.action == "resume":
+                return False
         outcome.reattached = True
         self.attached = False
         self.completed_version = 0
-        inner = ProcedureOutcome("re_attach", self.sim.now, self.ue_id)
-        yield from self.execute("re_attach", outcome=inner)
+        inner = ProcedureOutcome(REATTACH, self.sim.now, self.ue_id)
+        yield from self.execute(REATTACH, outcome=inner)
         self._mark_pct(outcome)
+        return True
 
     def _mark_pct(self, outcome: ProcedureOutcome) -> None:
         if outcome.pct is None:

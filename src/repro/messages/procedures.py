@@ -38,8 +38,8 @@ class Step:
     request_nas: Optional[str] = None
     response_nas: Optional[str] = None
     ends_pct: bool = False
-    #: for CPF-changing procedures: this step executes at the target CPF
-    #: (through the target region's BS/CTA) rather than the source.
+    #: this step runs through the target BS (and, for CPF-changing
+    #: procedures, the target CPF) rather than the UE's current ones.
     at_target: bool = False
 
     _KINDS = ("ue_exchange", "ue_message", "cpf_bs", "cpf_upf", "cpf_cpf")
@@ -177,11 +177,18 @@ _FAST_HANDOVER_STEPS = (
     ),
 )
 
-# Intra-region BS change: same CPF, path switch only.
+# Intra-region BS change: same CPF, path switch only.  The target BS
+# sends the Path Switch Request, and the bearer moves to it.
 _INTRA_HANDOVER_STEPS = (
-    Step("ue_message", "PathSwitchRequest"),
-    Step("cpf_upf", "ModifyBearerRequest", "ModifyBearerResponse"),
-    Step("cpf_bs", "PathSwitchRequestAcknowledge", None, ends_pct=True),
+    Step("ue_message", "PathSwitchRequest", at_target=True),
+    Step("cpf_upf", "ModifyBearerRequest", "ModifyBearerResponse", at_target=True),
+    Step(
+        "cpf_bs",
+        "PathSwitchRequestAcknowledge",
+        None,
+        ends_pct=True,
+        at_target=True,
+    ),
 )
 
 _TAU_STEPS = (

@@ -474,16 +474,16 @@ class BatchedDriver(CohortDriver):
                 ):
                     return False
         else:
-            if proc in ("service_request", "intra_handover") and not self._upf_up(
-                bs.region
-            ):
-                return False
             if proc == "intra_handover":
                 if target_bs is None:
                     return False
                 tgt_bs = dep.bss.get(target_bs)
                 if tgt_bs is None:
                     return False
+            if proc in ("service_request", "intra_handover") and not self._upf_up(
+                (tgt_bs or bs).region
+            ):
+                return False
         self.busy[i] = 1
         self.runs[i] += 1
         self.stats["admitted"] += 1
@@ -523,7 +523,7 @@ class BatchedDriver(CohortDriver):
         w.outcome.completed = True
         self.completed += 1
         self.lane.close_root(w, "completed")
-        if w.program.changes_cpf and w.target_bs is not None:
+        if w.target_bs is not None:
             self.bs_idx[i] = self.bs_index(w.target_bs)
         self.busy[i] = 0
 

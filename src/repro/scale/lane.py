@@ -9,12 +9,14 @@ whenever the servers involved are uncontended — completion instants can
 be computed in closed form.
 
 The lane is a second *scheduler* over the same program and the same
-component methods ``UE.execute`` drives.  It decides only **when**; what
-happens at each instant is the owning component's own method
+component methods ``UE.execute`` drives.  It decides only **when**; the
+order of the legs is the program's (``Program.legs``), and what happens
+at each instant is the owning component's own method
 (``CTA.log_uplink``, ``CPF.serve``, ``UPF.apply``, ``CPF.commit``,
 ``CPF.install_checkpoint``).  A walk of a steady-state program
 (:attr:`Program.steady_state <repro.core.program.Program.steady_state>`)
-is a plain generator that yields
+is one generator frame (:meth:`LaneRuntime.walk`: a hop is its latency,
+a BS leg its price) that yields
 
 * ``("srv", t, server, service, pre)`` — at simulated time ``t`` run the
   optional ``pre`` hook, then either book the service interval
@@ -50,7 +52,7 @@ from functools import partial
 from typing import Dict, List, Tuple
 
 from ..core.cpf import handle_phases
-from ..core.program import SNAPSHOT_WIRE_BYTES
+from ..core.program import CONTROL_WIRE_BYTES, SNAPSHOT_WIRE_BYTES, leg_span
 from ..faults.trace import TraceRecord
 
 __all__ = ["LaneRuntime"]
@@ -87,8 +89,6 @@ class _Walk:
         "tgt_bs",
         "cta",
         "cpf",
-        "serving",
-        "migrated_to",
         "last_clock",
         "clock",
         "reader_version",
@@ -108,8 +108,6 @@ class _Walk:
         self.tgt_bs = tgt_bs
         self.cta = cta
         self.cpf = cpf
-        self.serving = None
-        self.migrated_to = None
         self.last_clock = 0
         self.clock = 0
         self.reader_version = reader_version
@@ -149,11 +147,6 @@ class LaneRuntime:
         }
         self.checkpoint_lock = cfg.checkpoint_lock_s
         self.replica_apply = cfg.replica_apply_s
-        self._step = {
-            "uplink": self._step_uplink,
-            "cpf_bs": self._step_cpf_bs,
-            "cpf_upf": self._step_cpf_upf,
-        }
 
     # -- trampoline ---------------------------------------------------------
 
@@ -275,10 +268,6 @@ class LaneRuntime:
 
     # -- span emission (obs installed only) ---------------------------------
 
-    def _span(self, root, name, phase, start, end, **attrs) -> None:
-        """One closed child of a walk's ``root``: ``[start, end]``, ok."""
-        self.obs.tracer.record(name, root, phase, start, end, "ok", attrs)
-
     def close_root(self, w: "_Walk", status: str) -> None:
         """The walk's procedure span ends now (called at its last instant)."""
         if w.root is not None:
@@ -296,37 +285,133 @@ class LaneRuntime:
     # -- walk body ----------------------------------------------------------
 
     def walk(self, w: _Walk):
-        """One procedure's timeline: ``UE.execute``'s steps in closed form."""
+        """One procedure's timeline: the program's legs in closed form.
+
+        The legs ``UE.execute`` waits on, in one frame: a hop is its
+        latency, a BS leg its price, a server leg one ``srv`` command,
+        the PCT mark an ``at`` — then the completion tail.
+        """
         dep = self.dep
         if self._eh is None:
             self._eh = not dep.auditor.keep_history
-        t = self.sim.now
+        # CPF.serve stamps wall clock only into the causal history; with
+        # history off its resume is time-free (quiet-window eligible)
+        eh = self._eh
+        program, ue_id = w.program, w.ue_id
+        tracer = root = None
         if self.obs is not None:
-            w.root = self.obs.tracer.begin(
-                "proc." + w.program.name, proc=w.program.name, ue=w.ue_id
+            tracer = self.obs.tracer
+            root = w.root = tracer.begin(
+                "proc." + program.name, proc=program.name, ue=ue_id
             )
-        for c in w.program.steps:
-            if (
-                c.at_target
-                and w.migrated_to is None
-                and w.program.name == "fast_handover"
-            ):
-                # The Fast Handover target (§4.3) was resolved at
-                # admission; the answer cannot change by the time the
-                # discrete path would resolve it: the UE's own entries
-                # only move through its own (serialized) procedures and
-                # its fully-ACKed checkpoints — the unacked-record gate
-                # rules out in-flight ships and repairs — and node/ring
-                # state is pinned by the hazard windows.
-                tgt_name = w.fast_tgt
-                if w.fetch_from is not None:
-                    t = yield from self._fetch_state(w, tgt_name, w.fetch_from, t)
-                w.migrated_to = tgt_name
-                w.serving = dep.cpfs[tgt_name]
-            bs = w.tgt_bs if c.at_target else w.bs
-            cpf = w.serving if c.at_target else w.cpf
-            t = yield from self._step[c.kind](w, c, bs, cpf, t)
-        yield from self._tail(w, t)
+        t = self.sim.now
+        migrated_to = None
+        for c, legs in zip(program.steps, program.legs):
+            bs, cpf = w.bs, w.cpf
+            if c.at_target:
+                if migrated_to is None and program.finds_target:
+                    # The Fast Handover target (§4.3) was resolved at
+                    # admission; the answer cannot change by the time
+                    # the discrete path would resolve it: the UE's own
+                    # entries only move through its own (serialized)
+                    # procedures and its fully-ACKed checkpoints — the
+                    # unacked-record gate rules out in-flight ships and
+                    # repairs — and node/ring state is pinned by the
+                    # hazard windows.
+                    migrated_to = w.fast_tgt
+                    if w.fetch_from is not None:
+                        t = yield from self._fetch_state(
+                            w, migrated_to, w.fetch_from, t
+                        )
+                # without a fast target, the UE's own CPF serves
+                bs = w.tgt_bs
+                cpf = dep.cpfs[migrated_to] if migrated_to else w.cpf
+            for leg in legs:
+                kind = leg.kind
+                if kind == "hop":
+                    t = self._hop(leg.link, leg.size, t, root)
+                    continue
+                t0 = t
+                if kind == "cpf.handle":
+                    t = yield ("srv", t, cpf.server, leg.price, None, eh)
+                    span = None
+                    if root is not None:
+                        span = tracer.record(
+                            "cpf.handle", root, "cpf", t0, t, "ok",
+                            {"node": cpf.name, "msg": leg.msg},
+                            handle_phases(t - t0, leg.price),
+                        )
+                    # Served at the job's submit instant, not its
+                    # completion: every field CPF.serve touches is per-UE
+                    # and the UE is busy for the whole walk, and the
+                    # store ignores strictly-older clocks, so the early
+                    # synced_clock bump cannot shadow a later one.
+                    if cpf.serve(ue_id, w.reader_version, w.clock, False, span) is None:
+                        self._gate_miss("stale entry")
+                    continue
+                if kind == "pct":
+                    # the UE's PCT clock stops (once: a walk never
+                    # retries); the resume only feeds the quantile
+                    # sketches (time-free)
+                    yield ("at", t, True)
+                    w.outcome.pct = t - w.outcome.started_at
+                    dep.record_pct(w.outcome)
+                    continue
+                if kind == "bs.uplink":
+                    bs.uplink_messages += 1
+                    actor, t = bs, t + leg.price
+                elif kind == "bs.downlink":
+                    bs.downlink_messages += 1
+                    actor, t = bs, t + leg.price
+                elif kind == "cta.ingest":
+                    # the CTA logs at the submit instant (never time-free)
+                    actor = w.cta
+                    t = yield ("srv", t, actor.server, leg.price,
+                               partial(w.stamp, leg.msg, leg.size))
+                elif kind == "upf.program":
+                    actor = dep.upf_for_region(bs.region)
+                    t = yield ("srv", t, actor.server, actor.service_s, None, True)
+                    # A steady-state program only updates the UE's own
+                    # bearer, so applying it at the submit instant is
+                    # unobservable.
+                    actor.apply(leg.msg, ue_id, bs.name)
+                else:  # "cta.respond", "cpf.encode", "cpf.decode"
+                    actor = w.cta if kind == "cta.respond" else cpf
+                    t = yield ("srv", t, actor.server, leg.price, None, True)
+                if root is not None:
+                    phase, attrs = leg_span(leg, actor.name)
+                    tracer.record(kind, root, phase, t0, t, "ok", attrs)
+
+        # Completion: switch, lock, commit + checkpoint, version, ACKs.
+        yield ("at", t)
+        serving_name = migrated_to or dep.primary_of(ue_id)
+        if program.changes_cpf and w.target_bs is not None:
+            dep.switch_region(ue_id, migrated_to, w.target_bs)
+        serving = dep.cpfs.get(serving_name) if serving_name else None
+        if serving is not None and serving.up:
+            t0 = t
+            t = yield ("srv", t, serving.server, self.checkpoint_lock, None)
+            yield ("at", t)
+            if root is not None:
+                tracer.record("checkpoint.lock", root, "lock", t0, t, "ok",
+                              {"node": serving.name})
+            replicas, snapshot = serving.commit(ue_id, program.name, w.last_clock)
+            for replica_name in replicas:
+                span = None
+                if root is not None:
+                    # begun for real, like the discrete path's: it is in
+                    # the root's tree when the root closes a line below
+                    span = tracer.begin(
+                        "checkpoint.ship", parent=root, phase="checkpoint",
+                        node=serving.name, replica=replica_name,
+                    )
+                self.launch(self._ship(
+                    serving, replica_name, ue_id, snapshot, w.last_clock, t, span,
+                ))
+            cta = dep.cta_of(ue_id)
+            if cta is not None and cta.up:
+                cta.procedure_completed(ue_id, w.last_clock, replicas)
+        self.driver._lane_finish(w)
 
     def _gate_miss(self, why: str):
         """An admission gate lied; the witnesses pin this count at 0."""
@@ -349,7 +434,7 @@ class LaneRuntime:
             self._gate_miss("fetch target regressed")
         hop = dep.cpf_hop(tgt_name, fetch_from)
         t0 = t
-        t = self._hop(hop, 64, t)  # request
+        t = self._hop(hop, CONTROL_WIRE_BYTES, t)  # request
         # The source entry is read here, before the request's logical
         # arrival at ``t``; stable for the same reason the admission-time
         # fast-target resolution is (see walk()).
@@ -370,149 +455,9 @@ class LaneRuntime:
         # the whole walk; the store ignores strictly-older clocks.
         tgt.install_checkpoint(w.ue_id, snapshot, clock)
         if w.root is not None:
-            self._span(w.root, "cpf.fetch", "migrate", t0, t,
-                       src=fetch_from, dst=tgt_name)
+            self.obs.tracer.record("cpf.fetch", w.root, "migrate", t0, t, "ok",
+                                   {"src": fetch_from, "dst": tgt_name})
         return t
-
-    def _mark_pct(self, w: _Walk, t: float):
-        """The UE's PCT clock stops at ``t``."""
-        # resume only feeds the quantile sketches (time-free)
-        yield ("at", t, True)
-        outcome = w.outcome
-        if outcome.pct is None:
-            outcome.pct = t - outcome.started_at
-            self.dep.record_pct(outcome)
-
-    def _uplink_leg(self, w, c, bs, cpf, msg, size, t):
-        """BS encode -> CTA stamp + log -> CPF serve, from the BS on."""
-        root = w.root
-        bs.uplink_messages += 1
-        t0, t = t, t + c.bs_encode
-        if root is not None:
-            self._span(root, "bs.uplink", "radio", t0, t, bs=bs.name, msg=msg)
-        t0 = t = self._hop("bs_cta", size, t, root)
-        t = yield ("srv", t, w.cta.server, c.cta_ingest,
-                   partial(w.stamp, msg, size))
-        if root is not None:
-            self._span(root, "cta.ingest", "cta", t0, t, node=w.cta.name, msg=msg)
-        t0 = t = self._hop("cta_cpf", size, t, root)
-        # CPF.serve stamps wall clock only into the causal history; with
-        # history off the resume is time-free (quiet-window eligible)
-        t = yield ("srv", t, cpf.server, c.cpf_serve, None, self._eh)
-        span = None
-        if root is not None:
-            span = self.obs.tracer.record(
-                "cpf.handle", root, "cpf", t0, t, "ok",
-                {"node": cpf.name, "msg": msg},
-                handle_phases(t - t0, c.cpf_serve),
-            )
-        # Served at the job's submit instant, not its completion: every
-        # field CPF.serve touches is per-UE and the UE is busy for the
-        # whole walk, and the store ignores strictly-older clocks, so
-        # the early synced_clock bump cannot shadow a later one.
-        if cpf.serve(w.ue_id, w.reader_version, w.clock, False, span) is None:
-            self._gate_miss("stale entry")
-        return t
-
-    def _downlink_leg(self, w, c, bs, msg, size, t):
-        """CPF -> CTA forward -> BS decode -> UE."""
-        root = w.root
-        t0 = t = self._hop("cta_cpf", size, t, root)
-        t = yield ("srv", t, w.cta.server, c.cta_respond, None, True)
-        if root is not None:
-            self._span(root, "cta.respond", "cta", t0, t, node=w.cta.name)
-        t = self._hop("bs_cta", size, t, root)
-        bs.downlink_messages += 1
-        t0, t = t, t + c.bs_decode
-        if root is not None:
-            self._span(root, "bs.downlink", "radio", t0, t, bs=bs.name, msg=msg)
-        return self._hop("ue_bs", size, t, root)
-
-    def _step_uplink(self, w: _Walk, c, bs, cpf, t: float):
-        t = self._hop("ue_bs", c.req_size, t, w.root)
-        t = yield from self._uplink_leg(w, c, bs, cpf, c.request, c.req_size, t)
-        if c.response is not None:
-            t = yield from self._downlink_leg(
-                w, c, bs, c.response, c.resp_size, t
-            )
-        if c.ends_pct:
-            yield from self._mark_pct(w, t)
-        return t
-
-    def _step_cpf_bs(self, w: _Walk, c, bs, cpf, t: float):
-        t0 = t
-        t = yield ("srv", t, cpf.server, c.cpf_encode, None, True)
-        if w.root is not None:
-            self._span(w.root, "cpf.encode", "cpf_serve", t0, t,
-                       node=cpf.name, msg=c.request)
-        t = yield from self._downlink_leg(w, c, bs, c.request, c.req_size, t)
-        if c.ends_pct:
-            yield from self._mark_pct(w, t)
-        if c.response is not None:
-            t = yield from self._uplink_leg(w, c, bs, cpf, c.response, c.resp_size, t)
-        return t
-
-    def _step_cpf_upf(self, w: _Walk, c, bs, cpf, t: float):
-        upf = self.dep.upf_for_region(bs.region)
-        root = w.root
-        t0 = t
-        t = yield ("srv", t, cpf.server, c.cpf_encode, None, True)
-        if root is not None:
-            self._span(root, "cpf.encode", "cpf_serve", t0, t,
-                       node=cpf.name, msg=c.request)
-        t0 = t = self._hop("cpf_upf", c.req_size, t, root)
-        t = yield ("srv", t, upf.server, upf.service_s, None, True)
-        # A steady-state program only updates the UE's own bearer, so
-        # applying it at the submit instant is unobservable.
-        upf.apply(c.request, w.ue_id, bs.name)
-        if root is not None:
-            self._span(root, "upf.program", "upf", t0, t,
-                       upf=upf.name, msg=c.request)
-        if c.response is not None:
-            t0 = t = self._hop("cpf_upf", c.resp_size, t, root)
-            t = yield ("srv", t, cpf.server, c.cpf_decode, None, True)
-            if root is not None:
-                self._span(root, "cpf.decode", "cpf_serve", t0, t,
-                           node=cpf.name, msg=c.response)
-        if c.ends_pct:
-            yield from self._mark_pct(w, t)
-        return t
-
-    def _tail(self, w: _Walk, t: float):
-        """Completion: switch, lock, commit + checkpoint, version, ACKs."""
-        dep = self.dep
-        yield ("at", t)
-        serving_name = w.migrated_to or dep.primary_of(w.ue_id)
-        if w.program.changes_cpf and w.target_bs is not None:
-            dep.switch_region(w.ue_id, w.migrated_to, w.target_bs)
-        serving = dep.cpfs.get(serving_name) if serving_name else None
-        if serving is not None and serving.up:
-            t0 = t
-            t = yield ("srv", t, serving.server, self.checkpoint_lock, None)
-            yield ("at", t)
-            if w.root is not None:
-                self._span(w.root, "checkpoint.lock", "lock", t0, t,
-                           node=serving.name)
-            replicas, snapshot = serving.commit(
-                w.ue_id, w.program.name, w.last_clock
-            )
-            for replica_name in replicas:
-                span = None
-                if w.root is not None:
-                    # begun for real, like the discrete path's: it is in
-                    # the root's tree when the root closes a line below
-                    span = self.obs.tracer.begin(
-                        "checkpoint.ship", parent=w.root, phase="checkpoint",
-                        node=serving.name, replica=replica_name,
-                    )
-                self.launch(self._ship(
-                    serving, replica_name, w.ue_id, snapshot, w.last_clock, t,
-                    span,
-                ))
-            cta = dep.cta_of(w.ue_id)
-            if cta is not None and cta.up:
-                cta.procedure_completed(w.ue_id, w.last_clock, replicas)
-        self.driver._lane_finish(w)
 
     def _ship(self, serving, replica_name, ue_id, snapshot, last_clock, t0,
               span=None):
@@ -543,7 +488,7 @@ class LaneRuntime:
         # ACK back to the UE's CTA, bound after the apply like the
         # discrete path (a concurrent switch_region retargets it).
         cta = dep.cta_of(ue_id)
-        t = self._hop("cta_cpf", 64, t, span)
+        t = self._hop("cta_cpf", CONTROL_WIRE_BYTES, t, span)
         yield ("at", t)
         if cta is not None and cta.up:
             cta.log.ack(ue_id, last_clock, replica_name)

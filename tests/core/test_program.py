@@ -127,6 +127,22 @@ def test_lane_tables_equal_the_program(config_name):
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+def test_the_legs_bill_what_the_step_bills(config_name):
+    """Each step's CPF legs carry its CPF charges, nothing more or less."""
+    config = CONFIGS[config_name]
+    for proc in sorted(PROCEDURES):
+        program = compile_procedure(config, procedure_spec(config, proc))
+        assert len(program.legs) == len(program.steps)
+        for step, legs in zip(program.steps, program.legs):
+            if step.kind == "cpf_cpf":  # negotiated while it runs
+                assert legs == ()
+                continue
+            billed = [leg.price for leg in legs
+                      if leg.kind in ("cpf.handle", "cpf.encode", "cpf.decode")]
+            assert sum(billed) == step.cpf_cpu(), (proc, step.kind)
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
 def test_checkpoint_and_replay_prices(config_name):
     config = CONFIGS[config_name]
     assert snapshot_encode_time(config) == ref.snapshot_serialize(config)
@@ -142,7 +158,8 @@ def test_cpu_estimate_bills_what_the_simulator_bills(config_name, proc):
     estimate = estimate_procedure_cpu(config, proc)
     parent = ref.estimate_procedure_cpu(config, spec)
     # the parent billed a migration leg `base + total(request)`; the
-    # simulator (UE._cpf_cpf) bills its source twice and its target once
+    # simulator (UE.execute's cpf_cpf step) bills its source twice and
+    # its target once
     cost = config.cost_model
     for step in spec.steps:
         if step.kind == "cpf_cpf":
