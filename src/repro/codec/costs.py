@@ -18,10 +18,11 @@ whose coefficients are set to reproduce the paper's *relative* numbers:
   implies ~7 µs with FlatBuffers, fixing the non-serialization base
   cost near 4 µs/message.
 
-``measure`` also offers endogenous calibration: time the *real* Python
-codecs in this repository and derive coefficients from those
-measurements (used by the benchmarks to cross-check that the modeled
-ordering matches the implemented codecs' actual ordering).
+``measure`` / ``measure_interleaved`` also offer endogenous
+calibration: time the *real* Python codecs in this repository and
+derive coefficients from those measurements (used by the benchmarks to
+cross-check that the modeled ordering matches the implemented codecs'
+actual ordering).
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from .base import get_codec
 from .schema import Type, count_elements
 
-__all__ = ["LinearCost", "CostModel", "measure", "fit_linear"]
+__all__ = [
+    "LinearCost", "CostModel", "measure", "measure_interleaved", "fit_linear",
+]
 
 
 @dataclass(frozen=True)
@@ -112,49 +115,72 @@ def measure(
 ) -> Tuple[float, float]:
     """Measured (encode_s, decode_s) per operation for the real codec.
 
-    Runs the actual Python implementation; used by the Fig. 18/19
-    benchmarks to show that the implemented codecs' ordering matches the
-    calibrated model's ordering.
+    Runs the actual Python implementation (see
+    :func:`measure_interleaved`, which this is for one codec).
+    """
+    return measure_interleaved((codec_name,), type_, value, repeats, timer)[
+        codec_name
+    ]
 
-    Each time is the *best* per-operation time over a few equal chunks
-    of ``repeats`` (the ``timeit`` convention): the minimum estimates
-    the codec's true cost, where a single mean would absorb whatever
-    scheduler preemption or GC pause happened to land in the window —
-    enough, under load, to flip the measured ordering of two codecs.
+
+def measure_interleaved(
+    codec_names: Sequence[str],
+    type_: Type,
+    value: Any,
+    repeats: int = 200,
+    timer=time.perf_counter,
+) -> Dict[str, Tuple[float, float]]:
+    """Measured (encode_s, decode_s) per operation of several codecs.
+
+    Used by the Fig. 18/19 benchmarks to show that the implemented
+    codecs' ordering matches the calibrated model's ordering, so the
+    codecs are timed together: ``repeats`` is cut into up to 24 equal
+    chunks, and chunk ``i`` of every codec (encode, then decode) runs
+    before chunk ``i + 1`` of any.  Each time is the *best*
+    per-operation time over its chunks (the ``timeit`` convention): the
+    minimum estimates the codec's true cost, where a single mean would
+    absorb whatever scheduler preemption or GC pause happened to land
+    in the window.  Interleaving puts a slow spell of a shared host on
+    every codec's chunks instead of on whichever codec was being timed
+    — enough, under load, to flip the measured ordering of two codecs.
+    A codec that cannot express ``type_`` raises
+    :class:`~repro.codec.base.UnsupportedSchema`.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    codec = get_codec(codec_name)
-    data = codec.encode(type_, value)  # warm caches, validate once
+    runs = []
+    for name in codec_names:
+        codec = get_codec(name)
+        data = codec.encode(type_, value)  # warm caches, validate once
+        runs.append((name, codec.encode, codec.decode, data))
 
-    n_chunks = min(8, repeats)
+    n_chunks = min(24, repeats)
     base, extra = divmod(repeats, n_chunks)
     chunks = [base + (1 if i < extra else 0) for i in range(n_chunks)]
 
+    best = {name: [None, None] for name in codec_names}
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        encode_s = None
         for chunk in chunks:
-            start = timer()
-            for _ in range(chunk):
-                codec.encode(type_, value)
-            per_op = (timer() - start) / chunk
-            if encode_s is None or per_op < encode_s:
-                encode_s = per_op
-
-        decode_s = None
-        for chunk in chunks:
-            start = timer()
-            for _ in range(chunk):
-                codec.decode(type_, data)
-            per_op = (timer() - start) / chunk
-            if decode_s is None or per_op < decode_s:
-                decode_s = per_op
+            for name, encode, decode, data in runs:
+                times = best[name]
+                start = timer()
+                for _ in range(chunk):
+                    encode(type_, value)
+                per_op = (timer() - start) / chunk
+                if times[0] is None or per_op < times[0]:
+                    times[0] = per_op
+                start = timer()
+                for _ in range(chunk):
+                    decode(type_, data)
+                per_op = (timer() - start) / chunk
+                if times[1] is None or per_op < times[1]:
+                    times[1] = per_op
     finally:
         if gc_was_enabled:
             gc.enable()
-    return encode_s, decode_s
+    return {name: (enc, dec) for name, (enc, dec) in best.items()}
 
 
 def fit_linear(

@@ -70,7 +70,7 @@ class RYWAuditor:
 
     Counts serves/writes/violations/forced re-attaches/masked failovers
     and keeps a bounded per-UE causal trace.  Installed by the
-    deployment on construction; every ``CPF.handle_uplink`` serve and
+    deployment on construction; every ``CPF.serve`` and
     every UE write completion reports here.
     """
 

@@ -143,47 +143,74 @@ class CPF:
         """Queue one logged uplink message for ``service`` CPU seconds.
 
         The returned event fires with a :class:`HandleResult` once
-        :meth:`serve` ran; it fails with :class:`NodeFailed` if this CPF
-        dies first.
+        :meth:`handled` ran; it fails with :class:`NodeFailed` if this
+        CPF dies first.  (``UE.execute`` books the job itself and calls
+        :meth:`handled` on its completion wake.)
         """
         done = self.sim.event(self._handle_name)
-        obs = self.dep.obs
-        if obs is not None and obs_parent is not None:
-            span = obs.tracer.begin(
-                "cpf.handle", parent=obs_parent, phase="cpf",
-                node=self.name, msg=msg_name,
-            )
-        else:
-            span = None
-
-        def finish_span(status: str) -> None:
-            if span is not None:
-                obs.tracer.finish(
-                    span,
-                    status=status,
-                    phases=handle_phases(self.sim.now - span.start, service),
-                )
+        span = self.begin_handle(msg_name, obs_parent)
 
         def _on_job(ev: Event) -> None:
             if not ev.ok:
                 if not done.fired:
-                    finish_span("failed")
+                    self.finish_handle(span, "failed", service)
                     done.fail(NodeFailed(self.name))
                 return
-            version = self.serve(ue_id, reader_version, clock, creates_state, span)
+            version = self.handled(
+                ue_id, reader_version, clock, creates_state, service, span
+            )
             if version is None:
-                finish_span("reattach_required")
                 done.succeed(HandleResult("reattach_required", self.name))
-                return
-            if self.config.sync_mode == "per_message":
-                replicas, snapshot = self._take_checkpoint(ue_id)
-                self._ship_all(ue_id, snapshot, clock, replicas, span)
-            finish_span("ok")
-            done.succeed(HandleResult("ok", self.name, version))
+            else:
+                done.succeed(HandleResult("ok", self.name, version))
 
         job = self.server.submit(service)
         job.add_callback(_on_job)
         return done
+
+    def begin_handle(self, msg_name: str, obs_parent: Optional[Any]):
+        """The ``cpf.handle`` span of a message queued now (traced only)."""
+        obs = self.dep.obs
+        if obs is None or obs_parent is None:
+            return None
+        return obs.tracer.begin(
+            "cpf.handle", parent=obs_parent, phase="cpf",
+            node=self.name, msg=msg_name,
+        )
+
+    def finish_handle(self, span, status: str, service: float) -> None:
+        """Close a ``cpf.handle`` span now, split by :func:`handle_phases`."""
+        if span is not None:
+            self.dep.obs.tracer.finish(
+                span,
+                status=status,
+                phases=handle_phases(self.sim.now - span.start, service),
+            )
+
+    def handled(
+        self,
+        ue_id: str,
+        reader_version: int,
+        clock: int,
+        creates_state: bool,
+        service: float,
+        span: Optional[Any] = None,
+    ) -> Optional[int]:
+        """What happens when an uplink message's job completes, event-free.
+
+        :meth:`serve`, then (``per_message`` sync) the checkpoint, then
+        the span closes.  Returns the served version, or ``None`` when
+        the UE must Re-Attach.
+        """
+        version = self.serve(ue_id, reader_version, clock, creates_state, span)
+        if version is None:
+            self.finish_handle(span, "reattach_required", service)
+            return None
+        if self.config.sync_mode == "per_message":
+            replicas, snapshot = self._take_checkpoint(ue_id)
+            self._ship_all(ue_id, snapshot, clock, replicas, span)
+        self.finish_handle(span, "ok", service)
+        return version
 
     def handle_peer(self, service: float) -> Event:
         """Inter-CPF work (migration target, state fetch) on the core."""

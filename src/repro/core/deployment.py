@@ -307,6 +307,7 @@ class Deployment:
         src: Optional[str] = None,
         dst: Optional[str] = None,
         parent: Optional[Any] = None,
+        at: Optional[float] = None,
     ) -> Union[float, Event]:
         """One directed link traversal, as something a process yields.
 
@@ -328,6 +329,12 @@ class Deployment:
         send instant (it arrives at ``now + delay``, or it was lost
         now), so the hop span is recorded closed and nothing waits on
         it.
+
+        ``at`` is a later send instant, for a process that sums a run of
+        pure delays into one wake: only where :meth:`hop_decided` says
+        the traversal's fate is already fixed, which makes it the
+        delay.  The counters and the hop span are those of a message
+        sent at ``at``.
         """
         link = self.links[hop_class]
         if self.faults is not None:
@@ -338,12 +345,26 @@ class Deployment:
             wait = link.delay(nbytes)
         obs = self.obs
         if obs is not None:
-            now = self.sim.now
+            now = self.sim.now if at is None else at
             if type(wait) is float:
                 obs.on_hop(hop_class, nbytes, now, now + wait, "ok", parent)
             else:
                 obs.on_hop(hop_class, nbytes, now, now, "error", parent)
         return wait
+
+    def hop_decided(self, hop_class: str, at: float) -> bool:
+        """Whether a traversal sent at the later instant ``at`` is decided now.
+
+        It is when sending it now draws what sending it then would: no
+        jitter draw, and — with a fault injector installed — a link that
+        is up and clean, no partition, no verbose trace record, and no
+        fault op due before ``at`` that could change any of that.
+        """
+        link = self.links[hop_class]
+        if link.jitter_frac:
+            return False
+        faults = self.faults
+        return faults is None or faults.clean_until(link, at)
 
     def cpf_hop(self, a: str, b: str) -> str:
         ra = self.region_map.region_of_cpf(a).geohash
@@ -563,7 +584,7 @@ class Deployment:
         """The message flow of ``proc_name`` under this deployment's config."""
         return procedure_spec(self.config, proc_name)
 
-    def program(self, proc_name: str) -> Program:
+    def program_of(self, proc_name: str) -> Program:
         """``proc_name`` priced for this deployment, compiled on first use."""
         program = self._programs.get(proc_name)
         if program is None:

@@ -7,7 +7,7 @@ from the real encodings in the message catalog, service times from the
 calibrated cost model — into a tuple of :class:`PricedStep`, each laid
 out as the :class:`Leg`\\ s it crosses the network in.  Prices never
 change during a run, so a deployment compiles each procedure once
-(:meth:`Deployment.program <repro.core.deployment.Deployment.program>`)
+(:meth:`Deployment.program_of <repro.core.deployment.Deployment.program_of>`)
 and every executor reads the same program: ``UE.execute`` walks the
 legs event by event, the batched lane (:mod:`repro.scale.lane`) in
 closed form, and :func:`~repro.experiments.harness.estimate_procedure_cpu`

@@ -2,11 +2,16 @@
 
 Each procedure run is a simulated process that walks the procedure's
 compiled legs (:mod:`repro.core.program`) through the real component
-chain — one generator frame, :meth:`UE.execute`, calling each leg's
-component event method (``CTA.ingest``, ``CPF.handle_uplink``,
-``UPF.program``, ...) — measuring the procedure completion time (PCT)
-the way the paper's traffic generator does: at the UE, from first
-request until the ``"pct"`` leg.
+chain — one generator frame, :meth:`UE.execute` — measuring the
+procedure completion time (PCT) the way the paper's traffic generator
+does: at the UE, from first request until the ``"pct"`` leg.
+
+A server leg is a booking: the interpreter books the job on the
+component's :class:`~repro.sim.node.Server` and yields it, and the
+component's event-free rule (``CTA.log_uplink`` at the submit instant,
+``CPF.handled`` and ``UPF.apply`` on the completion wake) runs in this
+frame.  A run of pure delays — hops and the BS's radio legs — is one
+wake at the run's end.
 
 Failure handling follows §4.2.5: if the serving CPF dies mid-procedure
 the UE asks the CTA for a recovery plan; a ``resume`` plan (scenarios
@@ -21,7 +26,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Generator, Optional
 
-from ..sim.core import Simulator
+from ..sim.core import Instant, Simulator
 from ..sim.node import NodeFailed
 from .program import REATTACH, leg_span
 
@@ -32,6 +37,9 @@ _MAX_RECOVERIES = 8
 #: reusable no-op context manager (nullcontext is stateless/reentrant):
 #: the whole per-span cost when observability is disabled.
 _NULL_SPAN = nullcontext()
+
+#: leg kinds that only take time; a run of them is one wake.
+_DELAYS = frozenset(("hop", "bs.uplink", "bs.downlink"))
 
 
 def _leg_span(tracer, root, leg, actor):
@@ -104,7 +112,8 @@ class UE:
         for procedures that change CPF; with one, the UE ends on it.
         """
         dep = self.dep
-        program = dep.program(proc_name)
+        sim = self.sim
+        program = dep.program_of(proc_name)
         if program.changes_cpf and target_bs is None:
             raise ValueError("%s needs a target_bs" % proc_name)
         if outcome is None:
@@ -161,17 +170,17 @@ class UE:
                             "cpf.migrate", root, "migrate", src=src_name, dst=tgt_name
                         ):
                             # source: snapshot + encode the relocation request
-                            yield src.handle_peer(step.cpf_serve)
+                            yield src.server.book(step.cpf_serve)
                             entry = src.store.get(ue_id)
                             if entry is None or not entry.up_to_date:
                                 raise NodeFailed(src_name)
                             snapshot, synced = entry.state.copy(), entry.synced_clock
                             yield dep.hop(hop, step.req_size, parent=root)
                             # target: decode, install, encode the ack
-                            yield tgt.handle_peer(step.tgt_serve)
+                            yield tgt.server.book(step.tgt_serve)
                             tgt.store.install_snapshot(ue_id, snapshot, synced)
                             yield dep.hop(hop, step.resp_size, parent=root)
-                            yield src.handle_peer(step.cpf_decode)
+                            yield src.server.book(step.cpf_decode)
                         migrated_to = tgt_name
                     else:
                         at_target = step.at_target and target_bs is not None
@@ -216,19 +225,68 @@ class UE:
                                 name="%s.dpcm_upf" % ue_id,
                             )
                             legs = ()
-                    for leg in legs:
+                    i, n = 0, len(legs)
+                    while i < n:
+                        leg = legs[i]
+                        i += 1
                         kind = leg.kind
-                        if kind == "hop":
-                            yield dep.hop(leg.link, leg.size, parent=root)
+                        if kind in _DELAYS:
+                            # One wake at the end of the run.  Its first
+                            # hop is sent now; a later one joins only when
+                            # its fate is already decided, and goes out
+                            # ahead, stamped with its own send instant.
+                            t, first, lost = sim.now, i, None
+                            while True:
+                                if kind != "hop":
+                                    if kind == "bs.uplink":
+                                        bs.uplink_messages += 1
+                                    else:
+                                        bs.downlink_messages += 1
+                                    if root is not None:
+                                        phase, attrs = leg_span(leg, bs.name)
+                                        tracer.record(
+                                            kind, root, phase, t, t + leg.price,
+                                            "ok", attrs,
+                                        )
+                                    t += leg.price
+                                elif i == first:
+                                    wait = dep.hop(leg.link, leg.size, parent=root)
+                                    if type(wait) is not float:
+                                        lost = wait  # NodeFailed at the yield
+                                        break
+                                    t += wait
+                                elif dep.hop_decided(leg.link, t):
+                                    t += dep.hop(leg.link, leg.size, parent=root, at=t)
+                                else:
+                                    i -= 1  # sent on its own, after the wake
+                                    break
+                                if i == n or legs[i].kind not in _DELAYS:
+                                    break
+                                leg = legs[i]
+                                i += 1
+                                kind = leg.kind
+                            yield Instant(t) if lost is None else lost
                             continue
                         if kind == "cpf.handle":
-                            result = yield cpf.handle_uplink(
-                                ue_id, leg.msg, clock, leg.price,
-                                step_idx == creates,
-                                0 if creates is not None else self.completed_version,
-                                obs_parent=root,
+                            # The UE acts on the serve's outcome, ok or
+                            # failed, one step after the job ends: where
+                            # CPF.handle_uplink's own event put it.
+                            span = None if root is None else cpf.begin_handle(
+                                leg.msg, root
                             )
-                            if result.status == "reattach_required":
+                            try:
+                                yield cpf.server.book(leg.price)
+                            except NodeFailed:
+                                cpf.finish_handle(span, "failed", leg.price)
+                                yield 0.0
+                                raise
+                            version = cpf.handled(
+                                ue_id,
+                                0 if creates is not None else self.completed_version,
+                                clock, step_idx == creates, leg.price, span,
+                            )
+                            yield 0.0
+                            if version is None:
                                 # §4.2.4(3): treat like a primary loss — the
                                 # CTA routes recovery (a synced backup or a
                                 # Re-Attach).
@@ -237,27 +295,31 @@ class UE:
                         if kind == "pct":
                             self._mark_pct(outcome)
                             continue
-                        if kind == "bs.uplink":
-                            bs.uplink_messages += 1
-                            actor, wait = bs, leg.price
-                        elif kind == "bs.downlink":
-                            bs.downlink_messages += 1
-                            actor, wait = bs, leg.price
-                        elif kind == "cta.ingest":
-                            actor, wait = cta, cta.ingest(ue_id, leg.msg, leg.size)
+                        if kind == "cta.ingest":
+                            actor = cta
+                            stamp = (
+                                cta.log_uplink(ue_id, leg.msg, leg.size)
+                                if cta.up else 0
+                            )
+                            job = cta.server.book(leg.price)
                         elif kind == "cta.respond":
-                            actor, wait = cta, cta.respond()
+                            actor, job = cta, cta.server.book(leg.price)
                         elif kind == "upf.program":
                             actor = dep.upf_for_region(bs.region)
-                            wait = actor.program(leg.msg, ue_id, bs.name)
+                            job = actor.server.book(actor.service_s)
                         else:  # "cpf.encode", "cpf.decode"
-                            actor, wait = cpf, cpf.handle_peer(leg.price)
-                        with _leg_span(tracer, root, leg, actor):
-                            value = yield wait
+                            actor, job = cpf, cpf.server.book(leg.price)
+                        if root is None:
+                            yield job
+                        else:
+                            with _leg_span(tracer, root, leg, actor):
+                                yield job
                         if kind == "cta.ingest":
-                            clock = value
+                            clock = stamp
                             if clock > last_clock:
                                 last_clock = clock
+                        elif kind == "upf.program":
+                            actor.apply(leg.msg, ue_id, bs.name)
                 except NodeFailed:
                     recoveries += 1
                     if recoveries > _MAX_RECOVERIES:
@@ -288,7 +350,7 @@ class UE:
                     with _NULL_SPAN if root is None else tracer.span(
                         "checkpoint.lock", root, "lock", node=serving.name
                     ):
-                        yield serving.server.submit(dep.config.checkpoint_lock_s)
+                        yield serving.server.book(dep.config.checkpoint_lock_s)
                 replicas = serving.complete_procedure(
                     ue_id, proc_name, last_clock, obs_parent=root
                 )
@@ -318,16 +380,19 @@ class UE:
         """A user-plane step's legs as their own process (DPCM)."""
         dep = self.dep
         for leg in legs:
-            if leg.kind == "hop":
+            kind = leg.kind
+            if kind == "hop":
                 yield dep.hop(leg.link, leg.size, parent=root)
                 continue
-            if leg.kind == "upf.program":
+            if kind == "upf.program":
                 actor = dep.upf_for_region(bs.region)
-                wait = actor.program(leg.msg, self.ue_id, bs.name)
+                job = actor.server.book(actor.service_s)
             else:  # "cpf.encode", "cpf.decode"
-                actor, wait = cpf, cpf.handle_peer(leg.price)
+                actor, job = cpf, cpf.server.book(leg.price)
             with _leg_span(tracer, root, leg, actor):
-                yield wait
+                yield job
+            if kind == "upf.program":
+                actor.apply(leg.msg, self.ue_id, bs.name)
 
     # ---------------------------------------------------------------- recovery
 

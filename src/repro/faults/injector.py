@@ -22,7 +22,8 @@ the same plan produces the same faults whatever the workload seed is.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from bisect import bisect_left, insort
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ..sim.core import Event
 from ..sim.network import Link, LinkDown
@@ -65,6 +66,8 @@ class FaultInjector:
         #: observers (counters, detection latches) — scheduling sim work
         #: from one would perturb runs that differ only in listeners.
         self._listeners: list = []
+        #: the instant of every op scheduled to fire, sorted.
+        self._op_times: List[float] = []
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -75,10 +78,17 @@ class FaultInjector:
         self.dep.faults = self
         for perturbation in self.plan.perturbations:
             self._apply_perturbation(perturbation)
-        for event in self.plan.events:
-            delay = max(0.0, event.at - self.sim.now)
-            self.sim.schedule(delay, self.fire, event)
+        self._arm(self.plan.events, self.fire)
         return self
+
+    def mirror(self, events: Iterable[FaultEvent]) -> None:
+        """Apply ``events`` bare at their instants (see :meth:`apply`)."""
+        self._arm(events, self.apply)
+
+    def _arm(self, events: Iterable[FaultEvent], fn) -> None:
+        for event in events:
+            self.sim.schedule(max(0.0, event.at - self.sim.now), fn, event)
+            insort(self._op_times, event.at)
 
     def uninstall(self) -> None:
         if self.dep.faults is self:
@@ -156,6 +166,23 @@ class FaultInjector:
         elif self.trace.verbose:
             self.trace.record(sim.now, "msg", hop=link.name, nbytes=nbytes)
         return transit.delay
+
+    def clean_until(self, link: Link, at: float) -> bool:
+        """Whether a message sent on ``link`` at ``at`` takes the clean path.
+
+        Judged now for a later send instant: the link is up and clean,
+        there is no partition and no verbose trace, and no scheduled op
+        falls before ``at`` (ops at the current instant count as still
+        due).  Scripted ops fired by a plan driver between its own
+        procedures are not scheduled, and need not be.
+        """
+        if not link.up or link.faulty or self._partition is not None:
+            return False
+        if self.trace.verbose:
+            return False
+        times = self._op_times
+        i = bisect_left(times, self.sim.now)
+        return i == len(times) or at < times[i]
 
     def _partitioned(self, src: Optional[str], dst: Optional[str]) -> bool:
         if self._partition is None:

@@ -384,7 +384,7 @@ class BatchedDriver(CohortDriver):
         """Route one arrival: lane when provably exact, discrete otherwise."""
         self._ensure_boot(i)
         if self.lane is not None:
-            program = self.dep.program(proc)
+            program = self.dep.program_of(proc)
             if (
                 program.steady_state
                 and not self._in_hazard()

@@ -311,10 +311,7 @@ class ShardEngine(_Engine):
         # foreign-owned fault op is applied bare; the owning shard alone
         # counts and records it, and the merged fault_counters and trace
         # see it exactly once.
-        for event in self._mirror_events:
-            self.sim.schedule(
-                max(0.0, event.at - self.sim.now), self.injector.apply, event
-            )
+        self.injector.mirror(self._mirror_events)
         self._wrap_hop()
 
     def _wrap_hop(self) -> None:
@@ -328,7 +325,7 @@ class ShardEngine(_Engine):
         owner_of = self.shard_map.owner_of_parent
         counters = self.counters
 
-        def hop(hop_class, nbytes, src=None, dst=None, parent=None):
+        def hop(hop_class, nbytes, src=None, dst=None, parent=None, at=None):
             if src is not None and dst is not None:
                 rs, rd = region_of(src), region_of(dst)
                 if (
@@ -343,7 +340,7 @@ class ShardEngine(_Engine):
                     counters["channel_bytes"] = (
                         counters.get("channel_bytes", 0) + nbytes
                     )
-            return inner(hop_class, nbytes, src, dst, parent)
+            return inner(hop_class, nbytes, src, dst, parent, at)
 
         self.dep.hop = hop
 

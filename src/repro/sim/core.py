@@ -35,6 +35,8 @@ __all__ = [
     "Interrupt",
     "AllOf",
     "AnyOf",
+    "Instant",
+    "Booking",
 ]
 
 
@@ -269,7 +271,49 @@ class AnyOf(Event):
         return cb
 
 
-ProcessGen = Generator[Union[Event, float], Any, Any]
+class Instant(float):
+    """An absolute instant a process wakes at: ``yield Instant(t)``.
+
+    A run of pure delays is one wake at the end of the run.  The caller
+    computes that end as the running sum of the delays, in order, since
+    ``now + (t - now) != t`` in floats (see :meth:`Simulator.schedule_at`),
+    and yields the sum itself.
+    """
+
+    __slots__ = ()
+
+
+class Booking:
+    """A job whose end its producer already scheduled; one process waits.
+
+    A :class:`~repro.sim.node.Server` books the job when it is submitted
+    and makes one completion entry at its booked end.  A process that
+    yields the booking is resumed inline from that entry, with no
+    ``Event``, waiter list or callback.  A dropped booking (the server
+    failed) resumes its waiter one immediate-queue step after the
+    failure, with the exception thrown in, as an ``Event`` job's waiter
+    would be.  If the booking had already ended when it was yielded, the
+    waiter resumes on the next scheduler step.
+    """
+
+    __slots__ = ("_proc", "_done", "_value", "_exc")
+
+    def __init__(self):
+        self._proc: Optional["Process"] = None
+        self._done = False
+        self._value: Any = None
+        self._exc: Optional[BaseException] = None
+
+    def _drop(self, exc: BaseException, sim: "Simulator") -> None:
+        """Fail the booking now; its waiter hears it one step later."""
+        self._done = True
+        self._exc = exc
+        proc = self._proc
+        if proc is not None:
+            sim._push_immediate(proc._wake, self)
+
+
+ProcessGen = Generator[Union[Event, float, Booking], Any, Any]
 
 
 class Process(Event):
@@ -284,8 +328,16 @@ class Process(Event):
       scheduler entry and one resume, no ``Event``; ``0.0`` yields to
       everything already queued for this instant, like
       ``schedule(0.0, ...)``.  A negative or NaN delay fails the process
-      with ``ValueError``; any other type (``int`` and ``bool``
-      included) with ``TypeError``.
+      with ``ValueError``;
+    * an :class:`Instant` — the same sleep, to an absolute instant:
+      ``Instant(now)`` queues for this instant like ``schedule_at``,
+      and a past or NaN instant fails the process with ``ValueError``;
+    * a :class:`Booking` — a server job: it is resumed inline when the
+      job's booked end comes up, or thrown the job's
+      :class:`~repro.sim.node.NodeFailed`.
+
+    Any other type (``int`` and ``bool`` included) fails the process
+    with ``TypeError``.
 
     The process itself is an event that succeeds with the generator's
     return value, so processes can be joined by yielding them.
@@ -331,10 +383,10 @@ class Process(Event):
     ) -> None:
         """Resume the generator: send ``ev``'s outcome, or throw ``exc``.
 
-        ``ev`` is what the process waits on: an event, a sleep token,
-        or ``None`` on first start and on interrupt delivery (the only
-        caller passing ``exc``).  The only place that drives the
-        generator.
+        ``ev`` is what the process waits on: an event, a booking, a
+        sleep token, or ``None`` on first start and on interrupt
+        delivery (the only caller passing ``exc``).  The only place
+        that drives the generator.
         """
         # Identity also holds for sleep tokens: the scheduler entry
         # carries the very int object stored in ``_waiting_on``.
@@ -360,7 +412,8 @@ class Process(Event):
         except Exception as err:  # propagate to joiners
             self.fail(err)
             return
-        if type(target) is float:
+        kind = type(target)
+        if kind is float:
             # Pure delay: one scheduler entry that resumes us directly.
             sim = self.sim
             seq = sim._seq + 1
@@ -373,6 +426,29 @@ class Process(Event):
                 sim._imm_append((seq, self._wake, (seq,)))
                 return
             error = ValueError  # negative or NaN
+        elif kind is Booking:
+            self._waiting_on = target
+            if target._done:
+                self.sim._push_immediate(self._wake, target)
+            else:
+                target._proc = self
+            return
+        elif kind is Instant:
+            # The same sleep to an absolute instant (no subtraction);
+            # the clock itself stays a plain float.
+            sim = self.sim
+            seq = sim._seq + 1
+            if target > sim._now:
+                sim._seq = self._waiting_on = seq
+                heapq.heappush(
+                    sim._heap, (float(target), seq, self._wake, (seq,))
+                )
+                return
+            if target == sim._now:
+                sim._seq = self._waiting_on = seq
+                sim._imm_append((seq, self._wake, (seq,)))
+                return
+            error = ValueError  # past or NaN
         elif isinstance(target, Event):
             self._waiting_on = target
             target.add_callback(self._wake)
@@ -383,7 +459,8 @@ class Process(Event):
         self.fail(
             error(
                 "process yielded %r, expected an Event or a non-negative "
-                "float delay in seconds" % (target,)
+                "float delay in seconds (or a Booking, or an Instant not "
+                "in the past)" % (target,)
             )
         )
 

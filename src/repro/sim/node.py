@@ -10,20 +10,22 @@ bound and completion times explode, exactly as in Figs. 7-11.
 Service times are known at submission, so a FIFO server needs no queue
 to be simulated: every job is *booked* on arrival — it starts when the
 earliest core frees up (or now) and ends ``service`` later — and costs
-one scheduled callback at its completion instant, which resumes the
-job's waiters inline.
+one scheduled callback at its completion instant, which resumes whoever
+waits on the job inline.  A job is an :class:`~repro.sim.core.Event`
+(:meth:`Server.submit`, any number of waiters and callbacks) or a
+:class:`~repro.sim.core.Booking` (:meth:`Server.book`, the one process
+that yields it).
 
 Failure injection (`fail()`) drops every job still in the system,
-failing their completion events with :class:`NodeFailed`, which is how a
-CPF crash becomes visible to the protocol layer.
+failing each with :class:`NodeFailed`, which is how a CPF crash becomes
+visible to the protocol layer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from .core import Event, Simulator
-from .monitor import TimeWeighted
+from .core import Booking, Event, Simulator
 
 __all__ = ["NodeFailed", "Server"]
 
@@ -36,6 +38,15 @@ class NodeFailed(Exception):
         self.node_name = node_name
 
 
+class QueuePeak:
+    """The most jobs a server has held at once (``max_value``)."""
+
+    __slots__ = ("max_value",)
+
+    def __init__(self):
+        self.max_value = 0
+
+
 class Server:
     """FIFO multi-core queueing server with failure injection."""
 
@@ -46,23 +57,24 @@ class Server:
         self.name = name
         self.cores = cores
         self.up = True
-        self.queue_depth = TimeWeighted(lambda: sim.now)
+        #: peak of :attr:`in_system` (reservations excluded).
+        self.queue_depth = QueuePeak()
         self.jobs_done = 0
         self.jobs_dropped = 0
         self.busy_time = 0.0
         self._job_name = name + ".job"
         # Per core, the instant its last booking ends.
         self._free_at: List[float] = [0.0] * cores
-        # Submitted jobs not yet completed, in FIFO order:
-        # completion event -> (value, time on a core).
-        self._pending: Dict[Event, Tuple[Any, float]] = {}
+        # Jobs not yet completed, in FIFO order:
+        # completion event or booking -> (value, time on a core).
+        self._pending: Dict[Union[Event, Booking], Tuple[Any, float]] = {}
         # End of the booking chain headed by the last reserve(); a chain
         # whose end is not after ``now`` has simply expired.
         self._chain_until = 0.0
 
     @property
     def in_system(self) -> int:
-        """Submitted jobs queued or in service (reservations excluded)."""
+        """Jobs queued or in service (reservations excluded)."""
         return len(self._pending)
 
     def can_reserve(self) -> bool:
@@ -82,7 +94,7 @@ class Server:
         from one booking to the next, so service order is FIFO.
         """
         free = self._free_at
-        core = free.index(min(free))
+        core = 0 if self.cores == 1 else free.index(min(free))
         start = free[core]
         if start < now:
             start = now
@@ -111,14 +123,38 @@ class Server:
         if not self.up:
             done.fail(NodeFailed(self.name))
             return done
-        now = sim.now
+        self._enter(done, value, service_time)
+        return done
+
+    def book(self, service_time: float) -> Booking:
+        """Enqueue a job for the process that yields the returned booking.
+
+        The job is booked, counted and failed exactly like a
+        :meth:`submit` job; its completion resumes the waiting process
+        inline instead of firing an event.  On a server that is down the
+        booking fails at once.
+        """
+        if service_time < 0:
+            raise ValueError("negative service time")
+        job = Booking()
+        if not self.up:
+            job._drop(NodeFailed(self.name), self.sim)
+            return job
+        self._enter(job, None, service_time)
+        return job
+
+    def _enter(self, job, value: Any, service_time: float) -> None:
+        """Book ``job`` now and schedule its completion at its end."""
+        sim = self.sim
+        now = sim._now
         start, end = self._book(now, service_time)
         if self._chain_until > now:
             self._chain_until = end
-        self._pending[done] = (value, end - start)
-        self.queue_depth.set_at(now, len(self._pending))
-        sim.schedule_at(end, self._finish, done, end)
-        return done
+        pending = self._pending
+        pending[job] = (value, end - start)
+        if len(pending) > self.queue_depth.max_value:
+            self.queue_depth.max_value = len(pending)
+        sim.schedule_at(end, self._finish, job)
 
     def reserve(self, service_time: float, at: Optional[float] = None) -> float:
         """Book a job without a completion event; returns its end time.
@@ -128,7 +164,7 @@ class Server:
         and :meth:`can_reserve` — resumes its own timeline at the
         returned instant.  Accounting (``jobs_done``/``busy_time``)
         happens immediately.  ``queue_depth`` is deliberately not
-        updated (it is a measurement probe the batched lane does not
+        raised (it is a measurement probe the batched lane does not
         report).
 
         ``at`` books the interval as of a *future* instant without
@@ -142,17 +178,23 @@ class Server:
         self.busy_time += service_time
         return end
 
-    def _finish(self, done: Event, now: float) -> None:
-        """Complete ``done`` at its booked end; only the run loop calls this."""
-        entry = self._pending.pop(done, None)
+    def _finish(self, job: Union[Event, Booking]) -> None:
+        """Complete ``job`` at its booked end; only the run loop calls this."""
+        entry = self._pending.pop(job, None)
         if entry is None:
             return  # dropped by fail() before its completion instant
         value, busy = entry
         self.busy_time += busy
         self.jobs_done += 1
-        self.queue_depth.set_at(now, len(self._pending))
-        if not done._fired:
-            done._succeed_inline(value)
+        if type(job) is Booking:
+            # the booking's one waiter resumes inline, as an Event's do
+            job._done = True
+            job._value = value
+            proc = job._proc
+            if proc is not None:
+                proc._wake(job)
+        elif not job._fired:
+            job._succeed_inline(value)
 
     def fail(self) -> None:
         """Crash the node: drop every job in the system, in FIFO order."""
@@ -163,10 +205,12 @@ class Server:
         self._free_at = [0.0] * self.cores
         self._chain_until = 0.0
         self.jobs_dropped += len(dropped)
-        self.queue_depth.set(0)
-        for done in dropped:
-            if not done.fired:
-                done.fail(NodeFailed(self.name))
+        sim = self.sim
+        for job in dropped:
+            if type(job) is Booking:
+                job._drop(NodeFailed(self.name), sim)
+            elif not job._fired:
+                job.fail(NodeFailed(self.name))
 
     def recover(self) -> None:
         """Bring a failed node back with empty queues (state is gone)."""

@@ -57,7 +57,7 @@ class TestBaseStation:
     def test_codec_affects_relay_delay(self, sim):
         fast = build(Simulator(), ControlPlaneConfig.neutrino())
         slow = build(Simulator(), ControlPlaneConfig.existing_epc())
-        first = lambda dep: dep.program("attach").steps[0]
+        first = lambda dep: dep.program_of("attach").steps[0]
         assert first(fast).request == "InitialUEMessage"
         assert first(fast).bs_encode < first(slow).bs_encode
         assert first(fast).bs_decode < first(slow).bs_decode

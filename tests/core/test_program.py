@@ -177,16 +177,16 @@ def test_cpu_estimate_bills_what_the_simulator_bills(config_name, proc):
 class TestDeploymentProgram:
     def test_compiled_once_per_deployment(self):
         dep = Deployment.build_grid(Simulator(), ControlPlaneConfig.neutrino())
-        assert dep.program("attach") is dep.program("attach")
-        assert dep.program("attach") == compile_procedure(
+        assert dep.program_of("attach") is dep.program_of("attach")
+        assert dep.program_of("attach") == compile_procedure(
             dep.config, PROCEDURES["attach"]
         )
 
     def test_dpcm_deployment_runs_the_short_flow(self):
         dep = Deployment.build_grid(Simulator(), ControlPlaneConfig.dpcm())
-        assert len(dep.program("attach").steps) == len(DPCM_PROCEDURES["attach"].steps)
+        assert len(dep.program_of("attach").steps) == len(DPCM_PROCEDURES["attach"].steps)
 
     def test_unknown_procedure(self):
         dep = Deployment.build_grid(Simulator(), ControlPlaneConfig.neutrino())
         with pytest.raises(KeyError):
-            dep.program("teleport")
+            dep.program_of("teleport")

@@ -21,13 +21,28 @@ STEADY = sorted(
     name
     for name in PROCEDURES
     if Deployment.build_grid(Simulator(), ControlPlaneConfig.neutrino())
-    .program(name)
+    .program_of(name)
     .steady_state
 )
 TARGETS = {
     "intra_handover": "bs-20-1",
     "fast_handover": "bs-21-0",
     "handover": "bs-21-0",
+}
+#: Suspensions of a clean run with no fault injector: one per leg, but
+#: a run of pure delays (hop, bs.uplink, bs.downlink) is one wake, the
+#: ``pct`` mark is none, and a CPF serve is two (the booking, then the
+#: re-queue before the UE hears the outcome); a migration step is five
+#: (three bookings, two hops); the per-procedure checkpoint lock is one
+#: more.  ``tau``: [hop bs hop] ingest [hop] serve(2) [hop] respond
+#: [hop bs hop] pct, lock = 9.
+SUSPENSIONS = {
+    "attach": 41,
+    "fast_handover": 20,
+    "handover": 25,
+    "intra_handover": 15,
+    "service_request": 20,
+    "tau": 9,
 }
 
 
@@ -59,7 +74,7 @@ def test_execute_runs_in_one_frame(proc):
     gen = ue.execute(proc, target_bs=TARGETS.get(proc))
     outcome = sim.run_process(probe(gen, frames))
     assert outcome.completed and not outcome.recovered
-    assert len(frames) > 10
+    assert len(frames) == SUSPENSIONS[proc]
     assert all(frame is None for frame in frames)
 
 

@@ -10,7 +10,11 @@
     particular the fold rule: a span counts toward its root's phase
     decomposition iff it ends no later than the root closes, so a hop
     still in flight when its root closes (a DPCM parallel leg, a
-    checkpoint ship) must stay off-path exactly as before.
+    checkpoint ship) must stay off-path exactly as before.  The
+    reference side also runs the parent's interpreter
+    (``tests/core/reference_ue.py``: every leg an event, every delay its
+    own sleep, no hop sent ahead), so the live side's bookings and fused
+    runs of delays must write the same forest too.
 
 (b) **Discrete vs lane emitter.**  The same scenario under
     ``mode="cohort"`` (every procedure through ``UE.execute``) and
@@ -31,6 +35,7 @@ from repro.faults import FaultPlan, run_plan
 from repro.obs import Observability
 from repro.scale.lane import LaneRuntime
 
+from tests.core.reference_ue import event_path
 from tests.core.test_kernel_witnesses import (
     _FIG07_SPEC,
     _FIG10_SPEC,
@@ -110,6 +115,7 @@ def _both(run, monkeypatch):
     reference = ReferenceObservability("trace")
     with monkeypatch.context() as patch:
         patch.setattr(Deployment, "hop", reference_hop)
+        event_path(patch)
         reference_result = run(reference)
     return live, live_result, reference, reference_result
 

@@ -4,8 +4,18 @@ import sys
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Process, Simulator
+from repro.sim import (
+    AllOf,
+    AnyOf,
+    Event,
+    Interrupt,
+    NodeFailed,
+    Process,
+    Server,
+    Simulator,
+)
 from repro.sim import core as sim_core
+from repro.sim.core import Booking, Instant
 
 
 @pytest.fixture
@@ -691,3 +701,170 @@ class TestScheduleAt:
             sim.schedule_at(1.0, seen.append, tag)
         sim.run()
         assert seen == ["a", "b", "c"]
+
+
+class TestInstant:
+    """``yield Instant(t)``: one wake at an absolute instant."""
+
+    def test_wakes_at_exactly_the_precomputed_instant(self, sim):
+        t = 0.1 + 0.2 + 0.3  # 0.6000000000000001
+        seen = []
+
+        def body():
+            yield 0.1
+            yield Instant(t)
+            seen.append(sim.now)
+
+        sim.run_process(body())
+        assert seen == [t] and type(sim.now) is float
+
+    def test_at_now_orders_like_schedule_at(self, sim):
+        seen = []
+
+        def body():
+            sim.schedule_at(sim.now, seen.append, "before")
+            yield Instant(sim.now)
+            seen.append("woke")
+
+        def fire():
+            sim.process(body())
+            sim.schedule_at(sim.now, seen.append, "queued-after-start")
+
+        sim.schedule(1.0, fire)
+        sim.run()
+        # the start runs after what fire() queued; the wake queues behind
+        # what the body queued before yielding
+        assert seen == ["queued-after-start", "before", "woke"]
+
+    @pytest.mark.parametrize("bad", [0.5, float("nan")])
+    def test_past_or_nan_instant_fails_the_process(self, sim, bad):
+        def body():
+            yield 1.0
+            yield Instant(bad)
+
+        p = sim.process(body())
+        sim.run()
+        assert p.fired and not p.ok
+        with pytest.raises(ValueError, match="an Event or a non-negative float"):
+            _ = p.value
+
+    def test_is_one_heap_entry_and_no_event(self, sim):
+        seqs = []
+
+        def body():
+            seqs.append(sim._seq)
+            yield Instant(2.0)
+            seqs.append(sim._seq)
+
+        sim.run_process(body())
+        assert seqs[1] - seqs[0] == 1
+
+
+class TestBooking:
+    """``yield server.book(s)``: a server job is the wait itself."""
+
+    def test_resumes_inline_at_the_booked_end(self, sim):
+        server = Server(sim, cores=1)
+        seen = []
+
+        def body(tag, service):
+            job = server.book(service)
+            assert type(job) is Booking and not job._done
+            value = yield job
+            seen.append((tag, sim.now, value))
+
+        sim.process(body("a", 1.0))
+        sim.process(body("b", 0.5))
+        sim.run()
+        assert seen == [("a", 1.0, None), ("b", 1.5, None)]
+        assert server.jobs_done == 2 and server.busy_time == 1.5
+
+    def test_counts_like_a_submitted_job(self, sim):
+        server = Server(sim, cores=1)
+
+        def body():
+            yield server.book(1.0)
+
+        for _ in range(3):
+            sim.process(body())
+        server.submit(1.0)
+        sim.run(until=0.5)
+        assert server.in_system == 4
+        assert server.queue_depth.max_value == 4
+        sim.run()
+        assert server.in_system == 0 and server.jobs_done == 4
+
+    def test_on_a_failed_server_fails_at_once(self, sim):
+        server = Server(sim, cores=1)
+        server.fail()
+        job = server.book(1.0)
+        assert job._done
+        seen = []
+
+        def body():
+            try:
+                yield job
+            except NodeFailed as exc:
+                seen.append((sim.now, exc.node_name))
+
+        sim.run_process(body())
+        assert seen == [(0.0, "server")]
+        assert server.jobs_dropped == 0  # never entered, as with submit
+
+    def test_dropped_booking_fails_its_waiter_one_step_later(self, sim):
+        server = Server(sim, cores=1)
+        order = []
+
+        def booked():
+            try:
+                yield server.book(1.0)
+            except NodeFailed:
+                order.append(("booked", sim.now))
+
+        def crash():
+            server.fail()
+            # queued by fail() for the Event job, before the waiter runs
+            order.append(("crash", sim.now))
+
+        sim.process(booked())
+        sim.run(until=0.0)  # the booking is made
+        ev = server.submit(1.0)
+        ev.add_callback(lambda e: order.append(("event", sim.now)))
+        sim.schedule(0.25, crash)
+        sim.run()
+        # FIFO order: the booking was in the system first
+        assert order == [("crash", 0.25), ("booked", 0.25), ("event", 0.25)]
+        assert server.jobs_dropped == 2 and server.jobs_done == 0
+
+    def test_yielded_after_its_end_resumes_next_step(self, sim):
+        server = Server(sim, cores=1)
+        job = server.book(0.5)
+        seen = []
+
+        def body():
+            yield 1.0
+            assert job._done
+            yield job
+            seen.append(sim.now)
+
+        sim.run_process(body())
+        assert seen == [1.0]
+
+    def test_makes_no_event(self, sim, monkeypatch):
+        server = Server(sim, cores=2)
+        made = []
+        init = Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+
+        def body():
+            for _ in range(5):
+                yield server.book(0.5)
+
+        sim.run_process(body())
+        assert made == ["Process"]
+        assert sim._seq == 1 + 5  # the start, then one completion entry each

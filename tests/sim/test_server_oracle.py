@@ -3,13 +3,15 @@
 ``reference_server.Server`` simulates the queue (worker generators, a
 ``Store``, a ``Timeout`` per job); ``repro.sim.Server`` computes each
 completion instant in closed form.  Driven by the same schedule they
-must agree on everything a caller can observe.
+must agree on everything a caller can observe.  A ``book`` op is a
+process that books a job and waits on it: ``Server.book`` (no event) on
+the booked server, ``submit`` on the reference.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import Server, Simulator
+from repro.sim import NodeFailed, Server, Simulator
 
 from . import reference_server
 
@@ -22,6 +24,7 @@ ADVANCES = (0.0, 0.25, 0.5, 0.75, 1.5)
 OPS = st.lists(
     st.one_of(
         st.tuples(st.just("submit"), st.sampled_from(SERVICES)),
+        st.tuples(st.just("book"), st.sampled_from(SERVICES)),
         st.tuples(st.just("advance"), st.sampled_from(ADVANCES)),
         st.just(("fail",)),
         st.just(("recover",)),
@@ -34,6 +37,16 @@ def drive(server_cls, cores, schedule):
     sim = Simulator()
     server = server_cls(sim, cores=cores)
     log = []  # (instant, job, ok) in the order completions are delivered
+    book = getattr(server, "book", server.submit)
+
+    def waiter(service, job):
+        try:
+            yield book(service)
+        except NodeFailed:
+            log.append((sim.now, job, False))
+        else:
+            log.append((sim.now, job, True))
+
     jobs = 0
     for op in schedule:
         if op[0] == "submit":
@@ -41,6 +54,14 @@ def drive(server_cls, cores, schedule):
             done.add_callback(
                 lambda ev, job=jobs: log.append((sim.now, job, ev.ok))
             )
+            jobs += 1
+        elif op[0] == "book":
+            # The waiter books at a settled instant: a zero-service
+            # reference job stays in the system for a few steps of its
+            # instant after the booked server's one has ended.
+            sim.run(until=sim.now)
+            sim.process(waiter(op[1], jobs))
+            sim.run(until=sim.now)
             jobs += 1
         elif op[0] == "advance":
             sim.run(until=sim.now + op[1])
