@@ -48,13 +48,14 @@ from .metrics import (
     merge_snapshots,
     summarize_histogram,
 )
-from .tracer import Span, SpanRetention, Tracer, span_rows
+from .tracer import Span, SpanRetention, SpanTable, Tracer
 
 __all__ = [
     "Observability",
     "Tracer",
     "Span",
     "SpanRetention",
+    "SpanTable",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -205,8 +206,9 @@ class Observability:
         """JSON-able state: metric dump + span accounting.  Mid-run safe.
 
         ``include_spans=True`` (trace mode) additionally exports the
-        retained span table and the migration flow tables — the wire
-        form shard workers ship to the coordinator for stitching.
+        retained spans as one :class:`SpanTable` (``spans``) and the
+        migration flow tables — the wire form shard workers ship to the
+        coordinator for stitching.  The table pickles; it is not JSON.
         """
         snap: Dict[str, object] = {
             "mode": self.mode,
@@ -218,7 +220,7 @@ class Observability:
         if tracer is not None and tracer.retention is not None:
             snap["retention"] = tracer.retention.stats()
         if include_spans and tracer is not None and tracer.retain:
-            snap["spans"] = span_rows(tracer.spans)
+            snap["spans"] = tracer.table()
             snap["flows_out"] = list(self.flows_out)
             snap["flows_in"] = list(self.flows_in)
         return snap

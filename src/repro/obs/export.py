@@ -19,9 +19,9 @@ emigrating procedure's span to the destination shard's
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
 
-from .tracer import Span, Tracer, spans_from_rows
+from .tracer import Span, SpanTable, Tracer
 
 __all__ = [
     "chrome_trace_events",
@@ -37,23 +37,37 @@ _PID = 1
 def _spans_of(tracer_or_spans) -> List[Span]:
     if isinstance(tracer_or_spans, Tracer):
         return list(tracer_or_spans.spans)
-    return list(tracer_or_spans)
+    return list(tracer_or_spans)  # a SpanTable iterates as Spans
+
+
+def _table_of(spans) -> SpanTable:
+    if isinstance(spans, SpanTable):
+        return spans
+    if isinstance(spans, Tracer):
+        return spans.table()
+    return SpanTable(spans)
 
 
 def _append_span_events(
-    events: List[Dict[str, object]], spans: Sequence[Span], pid: int
+    events: List[Dict[str, object]], table: SpanTable, pid: int,
+    anchors: Collection[int] = (),
 ) -> Dict[int, int]:
-    """Emit metadata + ``"X"`` events for ``spans`` under ``pid``.
+    """Emit metadata + ``"X"`` events for ``table``'s rows under ``pid``.
 
-    Returns the root-id -> tid map so callers (the stitcher) can anchor
-    flow events on a specific span's track.
+    Returns the tid of each span id in ``anchors`` that the table holds,
+    so the stitcher can anchor flow events on that span's track.
     """
-    tids: Dict[int, int] = {}
-    for span in spans:
-        tid = tids.get(span.root_id)
+    tids: Dict[int, int] = {}  # root id -> tid
+    anchored: Dict[int, int] = {}
+    for span_id, parent, root, name, phase, start, end, status, attrs in (
+        table.rows()
+    ):
+        tid = tids.get(root)
         if tid is None:
-            tid = tids[span.root_id] = len(tids) + 1
-        if span.parent_id is None:
+            tid = tids[root] = len(tids) + 1
+        if span_id in anchors:
+            anchored[span_id] = tid
+        if parent is None:
             events.append(
                 {
                     "name": "thread_name",
@@ -62,40 +76,41 @@ def _append_span_events(
                     "tid": tid,
                     "args": {
                         "name": ("%s #%d %s" % (
-                            span.name, span.root_id, span.attrs.get("ue", "")
+                            name, root, attrs.get("ue", "")
                         )).strip()
                     },
                 }
             )
-        args = {"span_id": span.span_id, "trace_id": span.root_id,
-                "status": span.status}
-        if span.parent_id is not None:
-            args["parent_id"] = span.parent_id
-        for key, value in span.attrs.items():
+        args = {"span_id": span_id, "trace_id": root, "status": status}
+        if parent is not None:
+            args["parent_id"] = parent
+        for key, value in attrs.items():
             args[key] = value if isinstance(value, (int, float, bool)) else str(value)
-        unfinished = span.end is None
+        unfinished = end is None
         if unfinished:
             args["unfinished"] = True
         events.append(
             {
-                "name": span.name,
-                "cat": span.phase,
+                "name": name,
+                "cat": phase,
                 "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": 0.0 if unfinished else max(0.0, span.duration) * 1e6,
+                "ts": start * 1e6,
+                "dur": 0.0 if unfinished else max(0.0, end - start) * 1e6,
                 "pid": pid,
                 "tid": tid,
                 "args": args,
             }
         )
-    return tids
+    return anchored
 
 
 def chrome_trace_events(
     tracer_or_spans, process_name: str = "repro-sim"
 ) -> Dict[str, object]:
-    """Spans -> a ``{"traceEvents": [...]}`` dict (Perfetto-loadable)."""
-    spans = _spans_of(tracer_or_spans)
+    """Spans -> a ``{"traceEvents": [...]}`` dict (Perfetto-loadable).
+
+    Accepts a :class:`Tracer`, a :class:`SpanTable` or a span sequence.
+    """
     events: List[Dict[str, object]] = [
         {
             "name": "process_name",
@@ -105,7 +120,7 @@ def chrome_trace_events(
             "args": {"name": process_name},
         }
     ]
-    _append_span_events(events, spans, _PID)
+    _append_span_events(events, _table_of(tracer_or_spans), _PID)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -116,7 +131,8 @@ def stitch_chrome_trace(
     """Per-shard obs snapshots -> one multi-process Chrome trace.
 
     Input is the ``obs`` entry of each shard's finish payload *in shard
-    order*: span tables (``spans`` rows) plus the migration flow tables
+    order*: its :class:`SpanTable` (``spans``), read row by row without
+    building a :class:`Span`, plus the migration flow tables
     (``flows_out`` / ``flows_in``).  Shard ``k`` becomes pid ``k+1``
     with its own ``process_name`` metadata, so the Perfetto UI shows
     one process track group per shard.
@@ -145,14 +161,18 @@ def stitch_chrome_trace(
         )
         if not snap:
             continue
-        spans = spans_from_rows(snap.get("spans", ()))
-        tids = _append_span_events(events, spans, pid)
-        for span in spans:
-            span_tid[(k, span.span_id)] = tids[span.root_id]
-        for row in snap.get("flows_out", ()):
+        outs, ins = snap.get("flows_out", ()), snap.get("flows_in", ())
+        for row in outs:
             flows_out[row["link"]] = (k, row)
-        for row in snap.get("flows_in", ()):
+        for row in ins:
             flows_in[row["link"]] = (k, row)
+        anchors = {row.get("span") for row in outs}
+        anchors.update(row.get("span") for row in ins)
+        table = _table_of(snap.get("spans", ()))
+        for span_id, tid in _append_span_events(
+            events, table, pid, anchors
+        ).items():
+            span_tid[(k, span_id)] = tid
     flow_id = 0
     stitched = 0
     for link in sorted(set(flows_out) & set(flows_in)):

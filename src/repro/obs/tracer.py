@@ -40,10 +40,11 @@ one UE's hops to whichever procedure yielded last.
 from __future__ import annotations
 
 import heapq
+from array import array
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
-__all__ = ["Span", "SpanRetention", "Tracer", "span_rows", "spans_from_rows"]
+__all__ = ["Span", "SpanRetention", "SpanTable", "Tracer"]
 
 
 class Span:
@@ -81,37 +82,193 @@ class Span:
             self.start, self.duration, self.status,
         )
 
-    def to_row(self) -> dict:
-        """JSON-able wire form — what shard workers ship at merge time."""
-        return {
-            "id": self.span_id,
-            "parent": self.parent_id,
-            "root": self.root_id,
-            "name": self.name,
-            "phase": self.phase,
-            "start": self.start,
-            "end": self.end,
-            "status": self.status,
-            "attrs": dict(self.attrs),
-        }
-
-    @classmethod
-    def from_row(cls, row: dict) -> "Span":
-        span = cls(
-            row["id"], row["parent"], row["root"], row["name"],
-            row["phase"], row["start"], dict(row.get("attrs", ())),
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Span):
+            return NotImplemented
+        return (
+            self.span_id, self.parent_id, self.root_id, self.name,
+            self.phase, self.start, self.end, self.status, self.attrs,
+        ) == (
+            other.span_id, other.parent_id, other.root_id, other.name,
+            other.phase, other.start, other.end, other.status, other.attrs,
         )
-        span.end = row.get("end")
-        span.status = row.get("status", "open")
-        return span
+
+    def __hash__(self) -> int:
+        return hash(self.span_id)
 
 
-def span_rows(spans: Iterable[Span]) -> List[dict]:
-    return [s.to_row() for s in spans]
+#: ``SpanTable.parents`` of a root; ``SpanTable.ends`` of an open span.
+_NO_PARENT = -1
+_OPEN = float("nan")
+_by_id = itemgetter(0)
 
 
-def spans_from_rows(rows: Iterable[dict]) -> List[Span]:
-    return [Span.from_row(r) for r in rows]
+class SpanTable:
+    """Spans as columns: the retained-span store and its wire form.
+
+    One row per span.  ``ids``, ``parents`` (-1 at a root), ``roots``,
+    ``starts`` and ``ends`` (NaN while open) are typed arrays.  Each
+    row's ``(name, phase, status, attr keys)`` is its *kind*, interned
+    once per table (``kinds`` holds the index), and the attr values of
+    every row sit in one flat list, ``values``, in row order.  Rows keep
+    the order they were appended in (a compaction sorts them by span
+    id); a span's attrs keep their key order and value types, so a row
+    reads back as the span it was.
+
+    The tracer keeps retained trees here (a few dozen bytes a span,
+    where a :class:`Span` with its attrs dict costs several hundred),
+    and the same table is what a shard worker ships and the stitcher
+    reads.  :meth:`drop_root` retires a whole tree: its rows become
+    tombstones until they outnumber the live ones, then the columns
+    compact — a table never holds more than twice its live rows.
+    """
+
+    __slots__ = (
+        "ids", "parents", "roots", "starts", "ends", "kinds", "values",
+        "_kinds", "_kind_index", "_dead", "_dead_roots",
+    )
+
+    def __init__(self, spans: Iterable[Span] = ()):
+        self.ids = array("q")
+        self.parents = array("q")
+        self.roots = array("q")
+        self.starts = array("d")
+        self.ends = array("d")
+        self.kinds = array("I")
+        self.values: list = []
+        #: kind index -> (name, phase, status, attr keys)
+        self._kinds: List[tuple] = []
+        self._kind_index: Dict[tuple, int] = {}
+        #: tombstoned rows, and the roots whose rows they are
+        self._dead = 0
+        self._dead_roots: set = set()
+        for span in spans:
+            self.append(span)
+
+    def __len__(self) -> int:
+        return len(self.ids) - self._dead
+
+    def append(self, span: Span) -> None:
+        """Add ``span`` as one row, in the state it has now."""
+        attrs = span.attrs
+        kind = (span.name, span.phase, span.status, tuple(attrs))
+        code = self._kind_index.get(kind)
+        if code is None:
+            code = self._kind_index[kind] = len(self._kinds)
+            self._kinds.append(kind)
+        self.ids.append(span.span_id)
+        parent = span.parent_id
+        self.parents.append(_NO_PARENT if parent is None else parent)
+        self.roots.append(span.root_id)
+        self.starts.append(span.start)
+        end = span.end
+        self.ends.append(_OPEN if end is None else end)
+        self.kinds.append(code)
+        if attrs:
+            self.values.extend(attrs.values())
+
+    def drop_root(self, root_id: int, rows: int) -> None:
+        """Retire the ``rows`` rows of ``root_id``'s tree."""
+        self._dead_roots.add(root_id)
+        self._dead += rows
+        if self._dead > len(self):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop the tombstoned rows (the rest come out in span-id order)."""
+        live = self.merged()
+        self.ids, self.parents, self.roots = live.ids, live.parents, live.roots
+        self.starts, self.ends, self.kinds = live.starts, live.ends, live.kinds
+        self.values = live.values
+        self._dead = 0
+        self._dead_roots.clear()
+
+    def merged(self, spans: Iterable[Span] = ()) -> "SpanTable":
+        """A new table: the live rows plus ``spans``, in span-id order."""
+        out = SpanTable()
+        out._kinds = list(self._kinds)
+        out._kind_index = dict(self._kind_index)
+        widths = [len(kind[3]) for kind in self._kinds]
+        offsets, off = [], 0  # row -> where its attr values start
+        for code in self.kinds:
+            offsets.append(off)
+            off += widths[code]
+        dead = self._dead_roots
+        order: List[tuple] = [
+            (span_id, i)
+            for i, (span_id, root) in enumerate(zip(self.ids, self.roots))
+            if root not in dead
+        ]
+        order.extend((span.span_id, span) for span in spans)
+        order.sort(key=_by_id)
+        parents, roots, starts, ends, kinds = (
+            self.parents, self.roots, self.starts, self.ends, self.kinds
+        )
+        values = self.values
+        for span_id, src in order:
+            if type(src) is not int:
+                out.append(src)
+                continue
+            code = kinds[src]
+            out.ids.append(span_id)
+            out.parents.append(parents[src])
+            out.roots.append(roots[src])
+            out.starts.append(starts[src])
+            out.ends.append(ends[src])
+            out.kinds.append(code)
+            width = widths[code]
+            if width:
+                off = offsets[src]
+                out.values.extend(values[off:off + width])
+        return out
+
+    def rows(self) -> Iterator[tuple]:
+        """Live rows in table order: ``(span_id, parent_id, root_id, name,
+        phase, start, end, status, attrs)``, ``None`` for a root's parent
+        and an open span's end."""
+        kinds, values, dead = self._kinds, self.values, self._dead_roots
+        off = 0
+        for span_id, parent, root, start, end, code in zip(
+            self.ids, self.parents, self.roots, self.starts, self.ends,
+            self.kinds,
+        ):
+            name, phase, status, keys = kinds[code]
+            width = len(keys)
+            if root in dead:
+                off += width
+                continue
+            attrs = dict(zip(keys, values[off:off + width])) if width else {}
+            off += width
+            yield (
+                span_id, None if parent == _NO_PARENT else parent, root,
+                name, phase, start, None if end != end else end, status,
+                attrs,
+            )
+
+    def __iter__(self) -> Iterator[Span]:
+        """Each live row as a fresh :class:`Span` (export-time use)."""
+        for span_id, parent, root, name, phase, start, end, status, attrs in (
+            self.rows()
+        ):
+            span = Span(span_id, parent, root, name, phase, start, attrs)
+            span.end = end
+            span.status = status
+            yield span
+
+    def __getstate__(self):
+        if self._dead:
+            self._compact()
+        return (
+            self.ids, self.parents, self.roots, self.starts, self.ends,
+            self.kinds, self._kinds, self.values,
+        )
+
+    def __setstate__(self, state) -> None:
+        (self.ids, self.parents, self.roots, self.starts, self.ends,
+         self.kinds, self._kinds, self.values) = state
+        self._kind_index = {kind: i for i, kind in enumerate(self._kinds)}
+        self._dead = 0
+        self._dead_roots = set()
 
 
 class SpanRetention:
@@ -235,10 +392,15 @@ class Tracer:
         self._on_offpath_finish = on_offpath_finish
         #: bounded-retention policy; None = keep every span (legacy path).
         self.retention = retention if retain else None
-        # under retention, spans buffer per open root and move to _kept
-        # (or are dropped) when the root closes and the policy decides.
+        # under retention, spans buffer per open root; when the root
+        # closes and the policy keeps the tree, its closed spans become
+        # rows of _table (an open one waits in _late until it closes).
         self._trees: Dict[int, List[Span]] = {}
-        self._kept: Dict[int, List[Span]] = {}
+        self._table = SpanTable()
+        #: kept root id -> how many rows of _table its tree holds
+        self._kept: Dict[int, int] = {}
+        #: span id -> still-open span under a kept (or evicted) root
+        self._late: Dict[int, Span] = {}
         #: the most recently dropped root's tree, held one decision long
         #: so a caller learning *after* the fact that the root matters
         #: (it anchored a cross-shard migration) can rescue it via
@@ -253,18 +415,23 @@ class Tracer:
         """Every retained span, in span-id order.
 
         Without a retention policy this is the live append list (zero
-        cost).  With one, it materialises kept trees plus still-open
-        trees — export-time use only, not a hot path.
+        cost).  With one, it materialises :meth:`table` — export-time
+        use only, not a hot path.
         """
         if self.retention is None:
             return self._spans
-        out: List[Span] = []
-        for tree in self._kept.values():
-            out.extend(tree)
-        for tree in self._trees.values():
-            out.extend(tree)
-        out.sort(key=lambda s: s.span_id)
-        return out
+        return list(self.table())
+
+    def table(self) -> SpanTable:
+        """Every retained span as a new :class:`SpanTable`, in span-id
+        order: kept trees, and the still-open trees and late spans as
+        they stand (an open span reads ``end`` None, status ``open``)."""
+        if self.retention is None:
+            return SpanTable(self._spans)
+        kept = self._kept
+        pending = [span for tree in self._trees.values() for span in tree]
+        pending.extend(s for s in self._late.values() if s.root_id in kept)
+        return self._table.merged(pending)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -306,11 +473,10 @@ class Tracer:
         if tree is not None:
             tree.append(span)
             return
-        kept = self._kept.get(span.root_id)
-        if kept is not None:
+        if span.root_id in self._kept:
             # late off-path work (checkpoint ship after the root closed)
             # under a kept root: the tree grows, it was already admitted
-            kept.append(span)
+            self._late[span.span_id] = span
         # else: the root was dropped — so is its late work
 
     def finish(
@@ -374,9 +540,15 @@ class Tracer:
         entries = self._open_roots.get(span.root_id)
         if entries is not None:
             entries.append((end, span, phases))
-        elif self._on_offpath_finish is not None:
-            # Root already closed: off-critical-path work (checkpoint
-            # shipping after the UE's PCT clock stopped).
+            return
+        # Root already closed: off-critical-path work (checkpoint
+        # shipping after the UE's PCT clock stopped).
+        if self._late and self._late.pop(span.span_id, None) is not None:
+            root_id = span.root_id
+            if root_id in self._kept:  # else evicted while it was open
+                self._table.append(span)
+                self._kept[root_id] += 1
+        if self._on_offpath_finish is not None:
             self._on_offpath_finish(span)
 
     def _close_root(self, root: Span) -> None:
@@ -439,7 +611,7 @@ class Tracer:
             return
         policy = self.retention
         if policy.always_keep(root, tree):
-            self._kept[root.span_id] = tree
+            self._keep(root.span_id, tree)
             policy.roots_kept += 1
             return
         proc = str(root.attrs.get("proc", root.name))
@@ -449,12 +621,26 @@ class Tracer:
             self._limbo = (root.span_id, tree)
             policy.roots_dropped += 1
             return
-        self._kept[root.span_id] = tree
+        self._keep(root.span_id, tree)
         policy.roots_kept += 1
         if evicted is not None and evicted not in self._pinned:
-            self._kept.pop(evicted, None)
+            rows = self._kept.pop(evicted, None)
+            if rows is not None:
+                self._table.drop_root(evicted, rows)
             policy.roots_kept -= 1
             policy.roots_dropped += 1
+
+    def _keep(self, root_id: int, tree: List[Span]) -> None:
+        """The tree's closed spans become rows; open ones wait in _late."""
+        table, late = self._table, self._late
+        rows = 0
+        for span in tree:
+            if span.end is None:
+                late[span.span_id] = span
+            else:
+                table.append(span)
+                rows += 1
+        self._kept[root_id] = rows
 
     def pin(self, root_id: int) -> bool:
         """Exempt a kept (or just-dropped) root tree from eviction.
@@ -472,7 +658,7 @@ class Tracer:
             return True
         limbo = self._limbo
         if limbo is not None and limbo[0] == root_id:
-            self._kept[root_id] = limbo[1]
+            self._keep(root_id, limbo[1])
             self._pinned.add(root_id)
             self._limbo = None
             policy = self.retention

@@ -324,38 +324,28 @@ def place_population(
     """
     rng = RngRegistry(spec.seed).stream("scale.place")
     bss = spec.bss_per_region
-    idxs: Dict[Any, int] = {}
+    idxs: Dict[int, int] = {}
     out = array("l")
     add = out.append
-    if type(mobility).initial_tile is MobilityModel.initial_tile:
-        # Hot path for the base uniform pick: inline both
-        # ``Random.randrange`` rejection loops (bit-identical draw
-        # sequence to ``_randbelow_with_getrandbits``) and key the index
-        # cache by one int — this loop runs once per UE, 500k+ times.
-        tiles = mobility.tiles
-        nt, kt = len(tiles), len(tiles).bit_length()
-        kb = bss.bit_length()
-        grb = rng.getrandbits
-        for _ in range(spec.n_ue):
-            r = grb(kt)
-            while r >= nt:
-                r = grb(kt)
-            b = grb(kb)
-            while b >= bss:
-                b = grb(kb)
-            key = r * bss + b
-            idx = idxs.get(key)
-            if idx is None:
-                idx = idxs[key] = to_index("bs-%s-%d" % (tiles[r], b))
-            add(idx)
-        return out
-    initial_tile = mobility.initial_tile
-    randrange = rng.randrange
+    # ``MobilityModel.initial_tile`` and ``randrange(bss)`` with both
+    # ``Random.randrange`` rejection loops inlined (bit-identical draw
+    # sequence to ``_randbelow_with_getrandbits``), the index cache keyed
+    # by one int: this loop runs once per UE, 500k+ times.
+    tiles = mobility.initial_pool
+    nt, kt = len(tiles), len(tiles).bit_length()
+    kb = bss.bit_length()
+    grb = rng.getrandbits
     for _ in range(spec.n_ue):
-        key = (initial_tile(rng), randrange(bss))
+        r = grb(kt)
+        while r >= nt:
+            r = grb(kt)
+        b = grb(kb)
+        while b >= bss:
+            b = grb(kb)
+        key = r * bss + b
         idx = idxs.get(key)
         if idx is None:
-            idx = idxs[key] = to_index("bs-%s-%d" % key)
+            idx = idxs[key] = to_index("bs-%s-%d" % (tiles[r], b))
         add(idx)
     return out
 

@@ -67,8 +67,10 @@ class MobilityModel:
         self._tiles = sorted(self._adjacency)
         self._rebuild()
 
-    def _rebuild(self) -> None:  # hook for models keeping derived maps
-        pass
+    def _rebuild(self) -> None:
+        """Derive per-graph state; models keeping more extend this."""
+        #: where :meth:`initial_tile` draws from (uniform over it)
+        self._pool = self._tiles
 
     @property
     def tiles(self) -> List[str]:
@@ -77,8 +79,13 @@ class MobilityModel:
     def neighbors(self, tile: str) -> List[str]:
         return self._adjacency.get(tile, [])
 
+    @property
+    def initial_pool(self) -> List[str]:
+        """The tiles initial placement draws from, uniformly."""
+        return list(self._pool)
+
     def initial_tile(self, rng) -> str:
-        return self._tiles[rng.randrange(len(self._tiles))]
+        return self._pool[rng.randrange(len(self._pool))]
 
     def next_tile(self, rng, tile: str, now: float) -> Optional[str]:
         """The next tile for a UE in ``tile`` at ``now`` (None = stay)."""
@@ -139,11 +146,8 @@ class CommuteWaveMobility(MobilityModel):
 
     def _rebuild(self) -> None:
         self._dist = bfs_distances(self._adjacency, self.downtown)
-
-    def initial_tile(self, rng) -> str:
         residential = [t for t in self._tiles if self._dist.get(t, 1) > 0]
-        pool = residential or self._tiles
-        return pool[rng.randrange(len(pool))]
+        self._pool = residential or self._tiles
 
     def next_tile(self, rng, tile: str, now: float) -> Optional[str]:
         if self.wave_start <= now < self.wave_end:
@@ -175,6 +179,7 @@ class FlashCrowdMobility(MobilityModel):
         super().__init__(adjacency)
 
     def _rebuild(self) -> None:
+        super()._rebuild()
         self._dist = bfs_distances(self._adjacency, [self.venue])
 
     def next_tile(self, rng, tile: str, now: float) -> Optional[str]:

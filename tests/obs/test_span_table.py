@@ -1,0 +1,249 @@
+"""The columnar span store is exact: what goes in as spans reads back.
+
+A retained span is a row of one :class:`~repro.obs.tracer.SpanTable`
+— in the tracer's kept trees, in the snapshot a shard worker ships, at
+the coordinator and in the stitcher.  These tests pin that the table
+changes nothing a reader of the trace sees:
+
+* the stitched Chrome trace of a sharded run hashes to the value the
+  row-dict wire form produced, on both backends (the table crosses the
+  pipe unchanged);
+* a table round-trips through pickle, counts its live rows, and a
+  tracer exports in span-id order with still-open spans included;
+* under a synthetic slowest-K campaign with heavy eviction the tracer's
+  retained forest equals the reference tracer's (the parent's list-of-
+  spans retention), and the rows a table holds never exceed twice the
+  live kept spans;
+* a shipped table costs at most 150 B per span once unpickled — one
+  dict per span (616 B) does not come back.
+
+The pinned hashes must NEVER be regenerated to make a refactor pass.
+"""
+
+import hashlib
+import json
+import pickle
+import random
+import tracemalloc
+
+import pytest
+
+from repro.obs import Observability
+from repro.obs.export import stitch_chrome_trace
+from repro.obs.tracer import Span, SpanRetention, SpanTable, Tracer
+from repro.scale.shard import run_sharded
+
+from tests.scale.test_sharded import _fault_window_spec, run2
+
+from .reference_obs import ReferenceTracer
+
+#: ``sha256(json.dumps(stitched))[:16]``, computed when each shard still
+#: shipped one dict per span.
+RUN2_TRACE = "0d44d22fbfab9bef"
+FAULT_WINDOW_TRACE = "797c0f0fac11416a"
+
+
+def trace_hash(result):
+    data = stitch_chrome_trace(result.obs_shards)
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16], data
+
+
+def fields(span):
+    return (
+        span.span_id, span.parent_id, span.root_id, span.name, span.phase,
+        span.start, span.end, span.status, list(span.attrs.items()),
+    )
+
+
+# ----------------------------------------------------------- stitched traces
+
+
+@pytest.mark.parametrize("backend", ["inline", "process"])
+def test_stitched_trace_is_byte_identical(backend):
+    digest, _ = trace_hash(run2(obs=Observability("trace"), backend=backend))
+    assert digest == RUN2_TRACE
+
+
+@pytest.mark.parametrize("backend", ["inline", "process"])
+def test_migration_bearing_stitched_trace_is_byte_identical(backend):
+    res = run_sharded(
+        _fault_window_spec(), shards=2, backend=backend,
+        obs=Observability("trace"), verbose_trace=True,
+    )
+    digest, data = trace_hash(res)
+    assert data["metadata"]["flow_events"] == 32
+    assert digest == FAULT_WINDOW_TRACE
+
+
+# ------------------------------------------------------------------ the table
+
+
+def test_pickle_round_trip():
+    clock = {"t": 0.0}
+    tracer = Tracer(lambda: clock["t"], retention=SpanRetention(4))
+    root = tracer.begin("proc.attach", proc="attach", ue="ue-1")
+    child = tracer.begin("hop.radio", parent=root, nbytes=64)
+    clock["t"] += 0.25
+    tracer.finish(child)
+    tracer.finish(root, status="completed")
+    table = tracer.table()
+    back = pickle.loads(pickle.dumps(table))
+    assert len(back) == len(table) == 2
+    spans = list(back)
+    assert spans == [root, child] == tracer.spans
+    assert [s.span_id for s in spans] == [root.span_id, child.span_id]
+    assert spans[0].status == "completed"
+    assert spans[1].parent_id == root.span_id
+    assert spans[1].duration == pytest.approx(0.25)
+    assert spans[1].attrs == {"nbytes": 64}
+    assert list(back.rows()) == list(table.rows())
+
+
+def test_rows_keep_attr_order_and_value_types():
+    span = Span(7, 3, 1, "cpf.handle", "cpf", 0.5, {
+        "z": 1, "a": True, "m": 1.0, "s": "x", "n": None, "t": (1, 2),
+    })
+    span.end, span.status = 0.75, "error"
+    (back,) = pickle.loads(pickle.dumps(SpanTable([span])))
+    assert back == span
+    assert list(back.attrs) == ["z", "a", "m", "s", "n", "t"]
+    assert [type(v) for v in back.attrs.values()] == [
+        int, bool, float, str, type(None), tuple,
+    ]
+
+
+def test_names_and_key_tuples_are_interned_once():
+    spans = []
+    for i in range(1, 101):
+        span = Span(i, None if i == 1 else 1, 1, "hop.radio", "transit",
+                    float(i), {"nbytes": i})
+        span.end, span.status = float(i) + 0.5, "ok"
+        spans.append(span)
+    table = SpanTable(spans)
+    assert len(table) == 100
+    assert len(table._kinds) == 1  # one (name, phase, status, keys) for all
+    assert len(table.values) == 100
+
+
+def test_export_is_in_span_id_order_with_open_spans():
+    clock = {"t": 0.0}
+    tracer = Tracer(lambda: clock["t"], retention=SpanRetention(4))
+    first = tracer.begin("proc.attach", proc="attach")
+    second = tracer.begin("proc.tau", proc="tau")
+    hop = tracer.begin("hop.radio", parent=first)
+    clock["t"] = 1.0
+    tracer.finish(second, status="completed")  # kept before `first` closes
+    ship = tracer.begin("checkpoint.ship", parent=second)  # late, open
+    tracer.finish(hop)
+    table = tracer.table()
+    assert list(table.ids) == sorted(table.ids) == [
+        first.span_id, second.span_id, hop.span_id, ship.span_id,
+    ]
+    by_id = {s.span_id: s for s in table}
+    assert by_id[first.span_id].end is None  # its root is still open
+    assert by_id[first.span_id].status == "open"
+    assert by_id[ship.span_id].end is None
+    assert by_id[ship.span_id].status == "open"
+    assert by_id[hop.span_id].end == 1.0
+    clock["t"] = 2.0
+    tracer.finish(ship, status="acked")  # the late span becomes a row
+    tracer.finish(first, status="completed")
+    assert [fields(s) for s in tracer.spans] == [
+        fields(s) for s in (first, second, hop, ship)
+    ]
+    assert len(tracer._table) == 4 and not tracer._late
+
+
+# --------------------------------------------------- eviction vs the reference
+
+
+def _campaign(tracer, seed, steps=3000):
+    """Drive ``tracer`` through one seeded begin/finish/pin script.
+
+    Durations drift upward, so most admissions evict an earlier root:
+    slowest-K churn is the common case, not the corner.
+    """
+    rng = random.Random(seed)
+    clock = {"t": 0.0}
+    tracer._now = lambda: clock["t"]
+    open_roots, open_children, closed_roots = [], [], []
+    for step in range(steps):
+        clock["t"] += rng.random() * 1e-3
+        op = rng.random()
+        if op < 0.2 or not open_roots:
+            proc = rng.choice(("attach", "tau", "service_request"))
+            open_roots.append(tracer.begin("proc." + proc, proc=proc, ue="ue-%d" % step))
+        elif op < 0.55:
+            parent = rng.choice(open_roots)
+            if closed_roots and rng.random() < 0.15:
+                parent = rng.choice(closed_roots[-8:])  # late, off-path work
+            open_children.append(tracer.begin(
+                rng.choice(("hop.radio", "cpf.handle", "checkpoint.ship")),
+                parent=parent, nbytes=rng.randrange(40, 2000),
+            ))
+        elif op < 0.8 and open_children:
+            child = open_children.pop(rng.randrange(len(open_children)))
+            status = "error" if rng.random() < 0.01 else "ok"
+            tracer.finish(child, status=status)
+        else:
+            root = open_roots.pop(rng.randrange(len(open_roots)))
+            clock["t"] += step * 1e-5  # later roots run longer
+            tracer.finish(root, status="completed")
+            closed_roots.append(root)
+            if rng.random() < 0.05:
+                tracer.pin(root.span_id)
+        yield
+    for child in open_children:  # some roots of these are long gone
+        tracer.finish(child)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_slowest_k_campaign_matches_reference_and_stays_bounded(seed):
+    live = Tracer(lambda: 0.0, retention=SpanRetention(3))
+    ref = ReferenceTracer(lambda: 0.0, retention=SpanRetention(3))
+    held_max_ratio, tombstones_seen = 0.0, False
+    ref_steps = _campaign(ref, seed)
+    for _ in _campaign(live, seed):
+        next(ref_steps)
+        table = live._table
+        held = len(table.ids)
+        kept_spans = len(table) + sum(
+            1 for s in live._late.values() if s.root_id in live._kept
+        )
+        assert held <= 2 * kept_spans
+        tombstones_seen |= held > len(table)
+        if kept_spans:
+            held_max_ratio = max(held_max_ratio, held / kept_spans)
+    for _ in ref_steps:  # its trailing finishes
+        pass
+    assert tombstones_seen and held_max_ratio <= 2.0
+    assert live.retention.roots_dropped > 20 * live.retention.slowest_k
+    assert live.retention.stats() == ref.retention.stats()
+    assert [fields(s) for s in live.spans] == [fields(s) for s in ref.spans]
+
+
+# ------------------------------------------------------------ memory guard
+
+
+def test_shipped_table_costs_under_150_bytes_a_span():
+    """~70 B a span here, against 616 B for one dict per span.
+
+    A commute wave rather than ``run2``: ``run2`` retains 114 and 59
+    spans per shard, where the few kilobytes of interned names a table
+    carries whatever its length would dominate the per-span figure.
+    """
+    res = run_sharded(
+        "commute-wave", n_ue=2000, duration_s=1.0, seed=1, mode="batched",
+        shards=2, backend="inline", obs=Observability("trace"),
+    )
+    for snap in res.obs_shards:
+        blob = pickle.dumps(snap["spans"])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = pickle.loads(blob)
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(table) > 1000
+        assert size / len(table) <= 150, size / len(table)

@@ -64,7 +64,7 @@ def test_design_span_table_equals_what_the_emitters_produce(lane_runs):
     )
     assert sharded.counters.get("migrations_out", 0) > 0
     for shard in sharded.obs_shards:
-        seen |= {(generic(r["name"]), r["phase"]) for r in shard["spans"]}
+        seen |= {(generic(s.name), s.phase) for s in shard["spans"]}
 
     pairs, written = documented_pairs()
     assert pairs == seen, (

@@ -16,7 +16,7 @@ from repro.obs import Observability
 from repro.obs.export import stitch_chrome_trace, validate_chrome_trace
 from repro.obs.metrics import MetricsRegistry, label_snapshot, merge_snapshots
 from repro.obs.stream import HeartbeatStream, open_stream
-from repro.obs.tracer import SpanRetention, Tracer, span_rows, spans_from_rows
+from repro.obs.tracer import SpanRetention, Tracer
 from repro.sim.monitor import imbalance
 
 
@@ -121,22 +121,6 @@ class TestSpanRetention:
     def test_validation(self):
         with pytest.raises(ValueError):
             SpanRetention(0)
-
-
-def test_span_rows_round_trip():
-    tracer, clock = make_tracer(keep=4)
-    root = tracer.begin("proc.attach", proc="attach", ue="ue-1")
-    child = tracer.begin("hop.radio", parent=root, nbytes=64)
-    clock["t"] += 0.25
-    tracer.finish(child)
-    tracer.finish(root, status="completed")
-    rows = span_rows(tracer.spans)
-    back = spans_from_rows(json.loads(json.dumps(rows)))
-    assert [s.span_id for s in back] == [root.span_id, child.span_id]
-    assert back[0].status == "completed"
-    assert back[1].parent_id == root.span_id
-    assert back[1].duration == pytest.approx(0.25)
-    assert back[1].attrs == {"nbytes": 64}
 
 
 # ------------------------------------------------------------------ metrics

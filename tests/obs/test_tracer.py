@@ -187,7 +187,7 @@ class TestRecordedClosed:
         now[0] = 1.0
         recorded.finish(root_r)
 
-        assert child_r.to_row() == child_b.to_row()
+        assert child_r == child_b  # every field: ids, times, status, attrs
         assert folds[0] == folds[1] == {"transit": 0.25}
         assert (recorded.started, recorded.finished) == (2, 2)
         assert recorded.spans == [root_r, child_r]

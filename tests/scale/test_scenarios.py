@@ -7,9 +7,19 @@ applies its fault ops, windowed mobility really thins off-window
 arrivals.
 """
 
+import dataclasses
+import hashlib
+
 import pytest
 
-from repro.scale.engine import ScaleResult, run_replicates, run_scenario
+from repro.scale.engine import (
+    ScaleResult,
+    _city_for,
+    _mobility_for,
+    place_population,
+    run_replicates,
+    run_scenario,
+)
 from repro.scale.scenarios import SCENARIOS, get_scenario, scenario_names
 
 _SMALL = dict(n_ue=300, duration_s=1.0, seed=11)
@@ -209,3 +219,35 @@ class TestReplicates:
     def test_engine_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             run_scenario("steady-city", n_ue=10, duration_s=0.1, mode="bogus")
+
+
+#: ``sha256("<BS names, first-appearance order>|<placement column>")[:16]``
+#: of ``place_population`` at n=20k, computed before every model's initial
+#: placement moved onto one inlined draw loop over a cached pool.
+#: Never regenerate these to make a refactor pass.
+PINNED_PLACEMENTS = {
+    ("steady-city", 1): "dbcdac532244f949",
+    ("steady-city", 2): "216c697aba70881a",
+    ("steady-city", 3): "778d97d352d175ae",
+    ("commute-wave", 1): "0a7081dd5fec2d15",
+    ("commute-wave", 2): "aaf43d7554f07ae2",
+    ("commute-wave", 3): "d25cc94f2986b1a2",
+    ("stadium-flash-crowd", 1): "dbcdac532244f949",
+    ("stadium-flash-crowd", 2): "216c697aba70881a",
+    ("stadium-flash-crowd", 3): "778d97d352d175ae",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(PINNED_PLACEMENTS))
+def test_initial_placement_is_pinned(name, seed):
+    spec = dataclasses.replace(get_scenario(name), n_ue=20_000, seed=seed)
+    names = []
+
+    def to_index(bs):
+        names.append(bs)
+        return len(names) - 1
+
+    placed = place_population(spec, _mobility_for(spec, _city_for(spec)), to_index)
+    text = "%s|%s" % (",".join(names), ",".join(map(str, placed)))
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == PINNED_PLACEMENTS[name, seed]

@@ -162,23 +162,23 @@ def test_bounded_retention_caps_kept_roots():
     ok = SpanRetention.OK_STATUSES
     for snap in res.obs_shards:
         trees = {}
-        for r in snap["spans"]:
-            trees.setdefault(r["root"], []).append(r)
+        for span in snap["spans"]:
+            trees.setdefault(span.root_id, []).append(span)
         anchors = {f["span"] for f in snap["flows_out"]}
         per_proc = {}
         for root_id, tree in trees.items():
-            root = next(r for r in tree if r["id"] == root_id)
+            root = next(s for s in tree if s.span_id == root_id)
             # fault-touched, recovered, and migration-anchor trees are
             # exempt; the slowest-K cap binds the clean steady traffic
             if (
-                not root["name"].startswith("proc.")
+                not root.name.startswith("proc.")
                 or root_id in anchors
-                or root["attrs"].get("recovered")
-                or root["attrs"].get("reattached")
-                or any(r["status"] not in ok for r in tree)
+                or root.attrs.get("recovered")
+                or root.attrs.get("reattached")
+                or any(s.status not in ok for s in tree)
             ):
                 continue
-            per_proc[root["name"]] = per_proc.get(root["name"], 0) + 1
+            per_proc[root.name] = per_proc.get(root.name, 0) + 1
         assert per_proc
         assert max(per_proc.values()) <= keep
 
