@@ -20,7 +20,6 @@ Fast Handover, and multi-CTA behaviour.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..geo.regions import Region, RegionMap
@@ -36,19 +35,27 @@ from .consistency import RYWAuditor
 from .cpf import CPF
 from .cta import CTA
 from .program import Program, compile_procedure, encode_time, procedure_spec
+from .state import Record
 from .ue import UE, ProcedureOutcome
 from .upf import UPF
 
 __all__ = ["Placement", "Deployment"]
 
 
-@dataclass
-class Placement:
-    """Where one UE's state lives."""
+class Placement(Record):
+    """Where one UE's state lives.
 
-    region: str
-    primary: str
-    backups: List[str] = field(default_factory=list)
+    ``backups`` stays a list: :meth:`Deployment.promote` removes from it.
+    """
+
+    __slots__ = ("region", "primary", "backups")
+
+    def __init__(
+        self, region: str, primary: str, backups: Optional[List[str]] = None
+    ):
+        self.region = region
+        self.primary = primary
+        self.backups = [] if backups is None else backups
 
 
 class Deployment:

@@ -10,10 +10,9 @@ entry is known up-to-date (§4.2.4's *outdated* marking).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["UEState", "StateEntry", "StateStore", "StaleStateError"]
+__all__ = ["Record", "UEState", "StateEntry", "StateStore", "StaleStateError"]
 
 
 class StaleStateError(Exception):
@@ -29,31 +28,79 @@ class StaleStateError(Exception):
         self.cpf_name = cpf_name
 
 
-@dataclass
-class UEState:
-    """Control state for one UE as held by its serving CPF."""
+class Record:
+    """Field-wise ``__eq__`` and ``__repr__`` over ``__slots__``.
 
-    ue_id: str
-    m_tmsi: int
-    attached: bool = False
-    #: number of completed control procedures — the write version the
-    #: Read-your-Writes property is stated over.
-    version: int = 0
-    #: messages applied since the last completed procedure (mid-procedure
-    #: progress; replayed from the CTA log after a failure).
-    ops_in_procedure: int = 0
-    bs_id: str = ""
-    region: str = ""
-    tracking_area: int = 0
-    bearer_teid: int = 0
-    active: bool = False  # ECM-CONNECTED vs idle
+    What ``@dataclass`` would generate, for the per-UE records a city
+    holds (1 + N) copies of: a slotted instance has no ``__dict__``.
+    Python 3.9 has no ``dataclass(slots=True)``, so subclasses write
+    their slots by hand.  As with an ``eq`` dataclass, only records of
+    the same class compare, and a record is mutable and unhashable.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _values(self) -> Tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__),
+        )
+
+
+class UEState(Record):
+    """Control state for one UE as held by its serving CPF.
+
+    ``version`` is the number of completed control procedures — the
+    write version the Read-your-Writes property is stated over.
+    ``ops_in_procedure`` counts messages applied since the last
+    completed procedure (mid-procedure progress; replayed from the CTA
+    log after a failure).  ``active`` is ECM-CONNECTED vs idle.
+    """
+
+    __slots__ = (
+        "ue_id", "m_tmsi", "attached", "version", "ops_in_procedure",
+        "bs_id", "region", "tracking_area", "bearer_teid", "active",
+    )
+
+    def __init__(
+        self,
+        ue_id: str,
+        m_tmsi: int,
+        attached: bool = False,
+        version: int = 0,
+        ops_in_procedure: int = 0,
+        bs_id: str = "",
+        region: str = "",
+        tracking_area: int = 0,
+        bearer_teid: int = 0,
+        active: bool = False,
+    ):
+        self.ue_id = ue_id
+        self.m_tmsi = m_tmsi
+        self.attached = attached
+        self.version = version
+        self.ops_in_procedure = ops_in_procedure
+        self.bs_id = bs_id
+        self.region = region
+        self.tracking_area = tracking_area
+        self.bearer_teid = bearer_teid
+        self.active = active
 
     def copy(self) -> "UEState":
-        # dataclasses.replace() re-runs __init__ field by field; a dict
-        # copy is ~4x cheaper and this runs once per checkpoint shipped.
-        new = UEState.__new__(UEState)
-        new.__dict__.update(self.__dict__)
-        return new
+        return UEState(
+            self.ue_id, self.m_tmsi, self.attached, self.version,
+            self.ops_in_procedure, self.bs_id, self.region,
+            self.tracking_area, self.bearer_teid, self.active,
+        )
 
     def apply_message(self) -> None:
         """One control message's worth of state mutation."""
@@ -75,17 +122,28 @@ class UEState:
             self.active = False
 
 
-@dataclass
-class StateEntry:
-    """A CPF's copy of one UE's state plus replication metadata."""
+class StateEntry(Record):
+    """A CPF's copy of one UE's state plus replication metadata.
 
-    state: UEState
-    #: logical clock of the last CTA message folded into this copy.
-    synced_clock: int = 0
-    #: False once the CTA has marked this replica outdated (§4.2.4).
-    up_to_date: bool = True
-    #: True on the CPF currently serving the UE.
-    is_primary: bool = False
+    ``synced_clock`` is the logical clock of the last CTA message folded
+    into this copy; ``up_to_date`` turns False once the CTA has marked
+    this replica outdated (§4.2.4); ``is_primary`` is True on the CPF
+    currently serving the UE.
+    """
+
+    __slots__ = ("state", "synced_clock", "up_to_date", "is_primary")
+
+    def __init__(
+        self,
+        state: UEState,
+        synced_clock: int = 0,
+        up_to_date: bool = True,
+        is_primary: bool = False,
+    ):
+        self.state = state
+        self.synced_clock = synced_clock
+        self.up_to_date = up_to_date
+        self.is_primary = is_primary
 
     @property
     def version(self) -> int:

@@ -53,6 +53,12 @@ class PCTPoint:
     violations: int = 0
     max_log_bytes: float = 0.0
     completed: int = 0
+    #: the busiest CPF's busy share of the *whole* simulated horizon,
+    #: warm-up and drain included (``Server.utilization(sim.now)``), not
+    #: of the arrival window.  The drain dilutes it: Neutrino attach on
+    #: 2 CPFs at 110K reads 0.484 here, while its busy time over the
+    #: arrival window (0.839) matches :func:`estimated_utilization`'s
+    #: 0.846.  Pinned by the kernel witnesses, so it keeps its name.
     utilization: float = 0.0
     #: Observability snapshot (counters + phase histograms) when the run
     #: had obs installed, else None.  Rides through the parallel sweep's

@@ -10,25 +10,25 @@ balancing scheme within the CTA").
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["HashRing"]
 
 
-_hash_cache: Dict[str, int] = {}
+#: entries the ring-hash memo keeps.  Placing a UE hashes its id a few
+#: times in a row (level-1 primary, then level-2 replicas), and vnode
+#: labels are hashed once per ring build, so a small LRU keeps that hit
+#: pattern while its memory stays O(1) in the number of UEs placed.
+HASH_MEMO_SIZE = 4096
 
 
+@functools.lru_cache(maxsize=HASH_MEMO_SIZE)
 def _hash64(data: str) -> int:
-    # Pure function over strings that repeat heavily (UE ids, member
-    # vnode labels) — memoised; at city scale the cache tops out at one
-    # entry per UE plus one per vnode.
-    h = _hash_cache.get(data)
-    if h is None:
-        h = _hash_cache[data] = int.from_bytes(
-            hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest(), "big"
-        )
-    return h
+    return int.from_bytes(
+        hashlib.blake2b(data.encode("utf-8"), digest_size=8).digest(), "big"
+    )
 
 
 class HashRing:

@@ -70,9 +70,11 @@ class CohortDriver:
         self._buckets: Dict[Tuple[int, Optional[int]], List[int]] = {}
         self.attached = bytearray(n)
         self.busy = bytearray(n)
-        self.version = array("q", [0]) * n
-        self.bs_idx = array("l", [0]) * n
-        self.runs = array("l", [0]) * n
+        # 4-byte columns: a value past 2**32 - 1 raises OverflowError,
+        # it never wraps
+        self.version = array("I", [0]) * n
+        self.bs_idx = array("I", [0]) * n
+        self.runs = array("I", [0]) * n
         self.gone = bytearray(n)
         #: called with the slot after each discrete procedure
         self.procedure_done: Optional[Callable[[int], None]] = None
@@ -312,7 +314,7 @@ class BatchedDriver(CohortDriver):
             # them wholesale and pre-count the attach writes so
             # auditor.writes matches the eager path even for UEs never
             # touched by traffic.
-            self.version[:] = array("q", [1]) * self.n
+            self.version[:] = array("I", [1]) * self.n
             self.attached[:] = b"\x01" * self.n
             dep.auditor.writes += self.n
         eligible = (

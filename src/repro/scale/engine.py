@@ -325,7 +325,7 @@ def place_population(
     rng = RngRegistry(spec.seed).stream("scale.place")
     bss = spec.bss_per_region
     idxs: Dict[int, int] = {}
-    out = array("l")
+    out = array("I")
     add = out.append
     # ``MobilityModel.initial_tile`` and ``randrange(bss)`` with both
     # ``Random.randrange`` rejection loops inlined (bit-identical draw
@@ -770,7 +770,7 @@ class _Engine:
         else:
             _ids, column, table = self._homes
             index = [driver.bs_index(name) for name in table]
-            placed = array("l", map(index.__getitem__, column))
+            placed = array("I", map(index.__getitem__, column))
         if driver.lazy:
             # everything else was prefilled wholesale in setup_lane
             driver.bs_idx = placed

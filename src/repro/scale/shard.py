@@ -75,6 +75,8 @@ runs evacuation and counts the event.
 
 from __future__ import annotations
 
+import socket
+import struct
 import time
 import traceback
 from contextlib import contextmanager
@@ -130,6 +132,11 @@ _VIOLATION_SAMPLES = 5
 #: The trace-link id is *not* counted: it rides the obs channel, which
 #: a real deployment would ship out of band of the control plane.
 _MIGRATION_WIRE_BYTES = 64
+
+#: longest the coordinator waits for one answer from a running shard
+#: worker (an epoch step, the finish payload) before it declares the
+#: worker hung and fails the run.
+WORKER_DEADLINE_S = 600.0
 
 
 # ------------------------------------------------------------------ partition
@@ -238,8 +245,8 @@ def partition_population(
 
     placed = place_population(spec, _mobility_for(spec, _city_for(spec)), to_index)
     owners = [shard_map.owner_of_tile(name.split("-")[1]) for name in bs_names]
-    gids = [array("l") for _ in range(shard_map.shards)]
-    bsidx = [array("l") for _ in range(shard_map.shards)]
+    gids = [array("I") for _ in range(shard_map.shards)]
+    bsidx = [array("I") for _ in range(shard_map.shards)]
     for gid, idx in enumerate(placed):
         owner = owners[idx]
         gids[owner].append(gid)
@@ -586,10 +593,33 @@ class _InlineHost:
 
 
 class _ProcessHost:
-    """Coordinator-side proxy for one long-lived shard worker process."""
+    """Coordinator-side proxy for one long-lived shard worker process.
 
-    def __init__(self, handle):
+    A worker that dies (its pipe closes) or stays silent for
+    :data:`WORKER_DEADLINE_S` fails the run with a ``RuntimeError``
+    naming its shard; :meth:`close` then kills it rather than waiting.
+
+    The deadline is a receive timeout on the pipe's socket, so a read
+    blocks as before and a silent worker's read raises
+    ``BlockingIOError``.  Polling the pipe before every read puts an
+    extra wake-up on the epoch critical path: it cost
+    ``commute_sharded`` ~20% wall on the 2-core reference host.
+    """
+
+    def __init__(self, handle, shard_idx: int):
         self.handle = handle
+        self.shard_idx = shard_idx
+        self._failed = False
+        sock = socket.socket(fileno=handle.conn.fileno())
+        try:
+            whole = int(WORKER_DEADLINE_S)
+            sock.setsockopt(
+                socket.SOL_SOCKET,
+                socket.SO_RCVTIMEO,
+                struct.pack("ll", whole, int((WORKER_DEADLINE_S - whole) * 1e6)),
+            )
+        finally:
+            sock.detach()  # the pipe keeps its descriptor
 
     def start(self) -> None:
         pass  # prepared during spawn handshake
@@ -601,25 +631,41 @@ class _ProcessHost:
         want_health: bool,
         actions: List[dict],
     ) -> None:
-        self.handle.send(("step", until, inbox, want_health, actions))
+        self._send(("step", until, inbox, want_health, actions))
 
     def step_recv(self):
         return self._recv()[1:]
 
     def finish(self) -> Dict[str, Any]:
-        self.handle.send(("finish",))
+        self._send(("finish",))
         return self._recv()[1]
+
+    def _fail(self, what: str) -> RuntimeError:
+        self._failed = True
+        return RuntimeError("shard %d worker %s" % (self.shard_idx, what))
+
+    def _send(self, msg) -> None:
+        try:
+            self.handle.send(msg)
+        except OSError:  # the worker's end is gone
+            raise self._fail("died mid-run")
 
     def _recv(self):
         try:
             msg = self.handle.recv()
-        except EOFError:
-            raise RuntimeError("shard worker died mid-run")
+        except BlockingIOError:
+            raise self._fail("sent nothing for %g s" % WORKER_DEADLINE_S)
+        except (EOFError, OSError):
+            raise self._fail("died mid-run")
         if msg[0] == "error":
-            raise RuntimeError("shard worker failed:\n%s" % (msg[1],))
+            raise RuntimeError(
+                "shard %d worker failed:\n%s" % (self.shard_idx, msg[1])
+            )
         return msg
 
     def close(self) -> None:
+        if self._failed:
+            self.handle.process.kill()
         self.handle.close()
 
 
@@ -957,13 +1003,13 @@ def run_sharded(
         if handles is not None:
             hosts = []
             try:
-                for handle in handles:
+                for k, handle in enumerate(handles):
                     msg = handle.recv()
                     if msg[0] == "error":
                         raise RuntimeError(
                             "shard worker failed during startup:\n%s" % (msg[1],)
                         )
-                    hosts.append(_ProcessHost(handle))
+                    hosts.append(_ProcessHost(handle, k))
                 backend_used = "process"
             except EOFError:
                 # the platform forked but killed the children: fall back

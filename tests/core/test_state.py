@@ -1,8 +1,11 @@
 """Tests for UE state and the per-CPF state store."""
 
+import pickle
+
 import pytest
 
 from repro.core import StateEntry, StateStore, StaleStateError, UEState
+from repro.core.deployment import Placement
 
 
 class TestUEState:
@@ -135,3 +138,88 @@ class TestStateStore:
         for ue in ("c", "a", "b"):
             store.create(ue, 1, False)
         assert store.ue_ids() == ["a", "b", "c"]
+
+
+class TestRecords:
+    """The slotted per-UE records behave as the dataclasses they replace."""
+
+    def _state(self):
+        return UEState(
+            "ue-1", 42, attached=True, version=3, ops_in_procedure=1,
+            bs_id="bs-a", region="ab", tracking_area=7, bearer_teid=9,
+            active=True,
+        )
+
+    def test_copy_equals_source_and_mutates_independently(self):
+        state = self._state()
+        copy = state.copy()
+        assert copy == state and copy is not state
+        copy.apply_message()
+        copy.complete_procedure("detach")
+        assert copy != state
+        assert (state.version, state.ops_in_procedure, state.attached) == (3, 1, True)
+
+    def test_equality_is_field_wise_and_class_strict(self):
+        assert UEState("ue-1", 42) == UEState("ue-1", 42)
+        assert UEState("ue-1", 42) != UEState("ue-1", 43)
+        assert StateEntry(UEState("a", 1), 5) == StateEntry(UEState("a", 1), 5)
+        assert StateEntry(UEState("a", 1), 5) != StateEntry(UEState("a", 1), 6)
+        assert Placement("r", "p", ["b"]) == Placement("r", "p", ["b"])
+        assert Placement("r", "p") != ("r", "p", [])
+        with pytest.raises(TypeError):
+            hash(UEState("ue-1", 42))
+
+    def test_repr_names_every_field_in_order(self):
+        assert repr(UEState("ue-1", 42)) == (
+            "UEState(ue_id='ue-1', m_tmsi=42, attached=False, version=0, "
+            "ops_in_procedure=0, bs_id='', region='', tracking_area=0, "
+            "bearer_teid=0, active=False)"
+        )
+        assert repr(StateEntry(UEState("a", 1), 2, False, True)).startswith(
+            "StateEntry(state=UEState(ue_id='a', m_tmsi=1, "
+        )
+        assert repr(Placement("r", "p", ["b"])) == (
+            "Placement(region='r', primary='p', backups=['b'])"
+        )
+
+    def test_defaults(self):
+        entry = StateEntry(UEState("a", 1))
+        assert (entry.synced_clock, entry.up_to_date, entry.is_primary) == (0, True, False)
+        first, second = Placement("r", "p"), Placement("r", "p")
+        assert first.backups == [] and first.backups is not second.backups
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_and_repr_round_trip(self, protocol):
+        state = self._state()
+        for record in (state, StateEntry(state, 4, False, True), Placement("r", "p", ["b", "c"])):
+            back = pickle.loads(pickle.dumps(record, protocol))
+            assert back == record and type(back) is type(record)
+            assert eval(repr(record)) == record
+
+
+class TestFourByteColumns:
+    def test_a_value_past_a_cohort_column_raises_and_never_wraps(self):
+        from repro.scale.cohort import CohortDriver
+
+        driver = CohortDriver(None, [], range(1))
+        for name in ("version", "bs_idx", "runs"):
+            column = getattr(driver, name)
+            assert column.itemsize == 4
+            column[0] = 2**32 - 1
+            with pytest.raises(OverflowError):
+                column[0] = 2**32
+            with pytest.raises(OverflowError):
+                column[0] = -1
+            assert column[0] == 2**32 - 1
+
+    def test_population_homes_are_four_byte_columns(self):
+        from repro.scale.scenarios import get_scenario
+        from repro.scale.shard import ShardMap, city_parents, partition_population
+
+        spec = get_scenario("steady-city").with_overrides(n_ue=200)
+        homes = partition_population(spec, ShardMap(city_parents(spec), 2))
+        for gids, bsidx, _names in homes:
+            assert gids.itemsize == bsidx.itemsize == 4
+            with pytest.raises(OverflowError):
+                gids.append(2**32)
+        assert sorted(g for gids, _b, _n in homes for g in gids) == list(range(200))

@@ -20,6 +20,9 @@ they may only change when engine semantics intentionally change.
 
 import dataclasses
 import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -302,6 +305,60 @@ def test_worker_failure_arrives_whole_and_leaves_no_worker(monkeypatch):
     assert "ZeroDivisionError" in message
     assert "epoch two exploded" in message
     assert "in advance" in message  # the raising frame, not just the text
+    assert len(spawned) == 2
+    assert not any(handle.process.is_alive() for handle in spawned)
+
+
+def test_a_killed_worker_fails_the_run_naming_its_shard(monkeypatch):
+    """A worker SIGKILLed mid-run fails the run loudly: the coordinator
+    raises naming the shard and reaps every worker."""
+    real_step_recv = sh._ProcessHost.step_recv
+    calls = []
+
+    def step_recv(self):
+        calls.append(self.shard_idx)
+        if calls.count(1) == 2 and self.shard_idx == 1:
+            os.kill(self.handle.process.pid, signal.SIGKILL)
+            self.handle.process.join(10.0)
+        return real_step_recv(self)
+
+    monkeypatch.setattr(sh._ProcessHost, "step_recv", step_recv)
+    spawned = _capture_workers(monkeypatch)
+    try:
+        with pytest.raises(RuntimeError, match="shard 1 worker died mid-run"):
+            run2(backend="process")
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    assert len(spawned) == 2
+    assert spawned[1].process.exitcode == -signal.SIGKILL
+    assert not any(handle.process.is_alive() for handle in spawned)
+
+
+def test_a_hung_worker_fails_the_run_at_the_deadline(monkeypatch):
+    """A worker that stops answering fails the run once
+    ``WORKER_DEADLINE_S`` passes, instead of hanging the coordinator;
+    closing the run kills the hung worker."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the patched engine reaches workers by fork only")
+    real_advance = sh.ShardEngine.advance
+    calls = []  # forked: every worker counts its own calls
+
+    def advance(self, until):
+        calls.append(until)
+        if len(calls) == 2 and self.shard_idx == 1:
+            time.sleep(120.0)
+        return real_advance(self, until)
+
+    monkeypatch.setattr(sh.ShardEngine, "advance", advance)
+    monkeypatch.setattr(sh, "WORKER_DEADLINE_S", 1.0)
+    spawned = _capture_workers(monkeypatch)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="shard 1 worker sent nothing for 1 s"):
+            run2(backend="process")
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    assert time.monotonic() - t0 < 60.0
     assert len(spawned) == 2
     assert not any(handle.process.is_alive() for handle in spawned)
 
