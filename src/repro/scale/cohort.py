@@ -10,9 +10,10 @@ from the arrays and writing the scalars back on completion.
 
 Which slot holds which UE is decided here and nowhere else.  A driver is
 built from the **global ids it drives** — ``range(n)`` for a whole
-population (slot == id, nothing stored), an ``array`` for one shard's
-share — and answers ``ue_id`` / ``slot`` / ``bucket`` / ``add_slot``;
-the engine is written against those and never asks which ids it got.
+population (slot == id, nothing stored), an ascending ``array`` for one
+shard's share — and answers ``ue_id`` / ``slot`` / ``bucket`` /
+``add_slot``; the engine is written against those and never asks which
+ids it got.
 
 The hydrated shell runs the *identical* ``UE.execute`` code path, and
 neither hydration nor write-back touches the simulator, so a cohort run
@@ -24,6 +25,8 @@ conformance test can prove exactly that.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
+from itertools import islice
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.ue import UE, ProcedureAborted, ProcedureOutcome
@@ -33,14 +36,43 @@ from .lane import SAFE_FAULT_OPS, LaneRuntime, _Walk, hazard_windows
 __all__ = ["CohortDriver", "IndividualDriver", "BatchedDriver"]
 
 
+class _Bucket(Sequence):
+    """A shard's slots in one id range: ``initial`` then ``extra``.
+
+    ``initial`` is the range of initial slots whose ids fall in the id
+    range; ``extra`` lists the immigrant slots that do, in slot order.
+    Every immigrant slot follows every initial one, so the whole is in
+    slot order, and ``bucket[k]`` is one index either way.
+    """
+
+    __slots__ = ("initial", "extra")
+
+    def __init__(self, initial: range, extra: List[int]):
+        self.initial = initial
+        self.extra = extra
+
+    def __len__(self) -> int:
+        return len(self.initial) + len(self.extra)
+
+    def __getitem__(self, k: int) -> int:
+        if k < 0:
+            k += len(self)
+            if k < 0:
+                raise IndexError("bucket index out of range")
+        n = len(self.initial)
+        return self.initial[k] if k < n else self.extra[k - n]
+
+
 class CohortDriver:
     """Array-backed population of the UEs whose global ids are ``ids``.
 
     ``ids[i]`` is the id of the UE in slot ``i`` — ``ue_id(i)`` embeds
     it, so a UE keeps one identity (auditor history, placements, trace)
     in every shard it visits.  ``range(n)`` drives a whole population;
-    an ``array`` is one shard's share, which the driver then owns and
-    appends immigrants to, so per-shard memory is O(local population).
+    an ascending ``array`` is one shard's share, which the driver then
+    owns and appends immigrants to.  Slots are found by bisecting the
+    initial ids, so a shard holds no per-UE index: only immigrants are
+    kept in a dict.
     ``gone[i]`` marks a slot whose UE emigrated: state was torn down
     here and arrivals must skip it.
 
@@ -63,11 +95,15 @@ class CohortDriver:
         self.prefix = prefix
         self.bs_names: List[str] = list(bs_names)
         self._bs_index: Dict[str, int] = {b: i for i, b in enumerate(self.bs_names)}
-        #: global id -> slot; a whole population needs none (slot == id)
-        self._slots: Optional[Dict[int, int]] = (
-            None if isinstance(ids, range) else {g: i for i, g in enumerate(ids)}
-        )
-        self._buckets: Dict[Tuple[int, Optional[int]], List[int]] = {}
+        #: a shard's initial ids ascend, so their slots are found by
+        #: bisection; only immigrants (:meth:`add_slot`) are indexed
+        self._n0 = n
+        self._immigrants: Dict[int, int] = {}
+        self._buckets: Dict[Tuple[int, Optional[int]], _Bucket] = {}
+        if not isinstance(ids, range) and any(
+            a >= b for a, b in zip(ids, islice(ids, 1, None))
+        ):
+            raise ValueError("a shard's initial global ids must ascend")
         self.attached = bytearray(n)
         self.busy = bytearray(n)
         # 4-byte columns: a value past 2**32 - 1 raises OverflowError,
@@ -91,24 +127,39 @@ class CohortDriver:
 
     def slot(self, gid: int) -> Optional[int]:
         """Slot of the UE with global id ``gid`` (None: never driven here)."""
-        return gid if self._slots is None else self._slots.get(gid)
+        ids = self.ids
+        if isinstance(ids, range):
+            return gid
+        i = bisect_left(ids, gid, 0, self._n0)
+        if i < self._n0 and ids[i] == gid:
+            return i
+        return self._immigrants.get(gid)
 
     def bucket(self, lo: int = 0, hi: Optional[int] = None) -> Sequence[int]:
-        """The slots whose id is in ``[lo, hi)`` (``hi=None``: unbounded).
+        """The slots whose id is in ``[lo, hi)`` (``hi=None``: unbounded),
+        in slot order.
 
         Over a whole population that is ``range(lo, hi)`` itself; a
-        shard's share is scanned once per distinct range and kept
-        current by :meth:`add_slot`.
+        shard's share is the bisected range of its initial slots followed
+        by the immigrant slots in range, kept current by :meth:`add_slot`.
         """
-        if self._slots is None:
+        ids = self.ids
+        if isinstance(ids, range):
             return range(lo, self.n if hi is None else hi)
         bucket = self._buckets.get((lo, hi))
         if bucket is None:
-            bucket = self._buckets[(lo, hi)] = [
-                i
-                for i, g in enumerate(self.ids)
-                if lo <= g and (hi is None or g < hi)
-            ]
+            n0 = self._n0
+            bucket = self._buckets[(lo, hi)] = _Bucket(
+                range(
+                    bisect_left(ids, lo, 0, n0),
+                    n0 if hi is None else bisect_left(ids, hi, 0, n0),
+                ),
+                [
+                    i
+                    for i in range(n0, self.n)  # the immigrant slots
+                    if lo <= ids[i] and (hi is None or ids[i] < hi)
+                ],
+            )
         return bucket
 
     def add_slot(self, gid: int) -> int:
@@ -122,12 +173,12 @@ class CohortDriver:
             i = self.n
             self.n += 1
             self.ids.append(gid)
-            self._slots[gid] = i
+            self._immigrants[gid] = i
             for name in self._columns:
                 getattr(self, name).append(0)
             for (lo, hi), bucket in self._buckets.items():
                 if lo <= gid and (hi is None or gid < hi):
-                    bucket.append(i)
+                    bucket.extra.append(i)
         self.gone[i] = 0
         return i
 

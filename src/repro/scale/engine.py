@@ -134,13 +134,18 @@ class ScaleResult:
     lane: Dict[str, int] = field(default_factory=dict, compare=False)
     #: shard count the run was partitioned into (1 = single process).
     n_shards: int = 1
-    #: measured execution cost — total wall-clock seconds and peak RSS
-    #: (and, sharded, the critical-path shard wall).  compare=False:
-    #: wall-clock is machine-dependent, never part of the result contract.
+    #: measured execution cost — total wall-clock seconds and
+    #: ``peak_rss_kb``, the peak RSS of this process (and, sharded, the
+    #: critical-path shard wall and ``total_rss_kb``, the summed peak RSS
+    #: of the worker processes: 0 when every shard runs in this
+    #: process, so ``peak_rss_kb + total_rss_kb`` counts each process
+    #: once).  compare=False: wall-clock is machine-dependent, never
+    #: part of the result contract.
     perf: Dict[str, float] = field(default_factory=dict, compare=False)
     #: per-shard breakdown (owned parents, local UEs, migrations, wall,
-    #: RSS, violations sample, final health row) — empty for
-    #: single-process runs.
+    #: ``rss_kb`` — the peak RSS of the process hosting the shard —,
+    #: violations sample, final health row) — empty for single-process
+    #: runs.
     shards: List[Dict[str, Any]] = field(default_factory=list, compare=False)
     #: path of the run ledger written for this run ("" = none) — see
     #: :mod:`repro.obs.ledger`.  compare=False: an artifact pointer,
@@ -179,9 +184,11 @@ class ScaleResult:
                 self.perf.get("peak_rss_kb", 0.0) / 1024.0,
             )
             if "max_shard_wall_s" in self.perf:
-                perf += "  max_shard_wall=%.3fs total_rss=%.1fMB" % (
+                workers = self.perf.get("total_rss_kb", 0.0)
+                perf += "  workers_rss=%.1fMB sum=%.1fMB  max_shard_wall=%.3fs" % (
+                    workers / 1024.0,
+                    (self.perf.get("peak_rss_kb", 0.0) + workers) / 1024.0,
                     self.perf["max_shard_wall_s"],
-                    self.perf.get("total_rss_kb", 0.0) / 1024.0,
                 )
             lines.append(perf)
         for shard in self.shards:

@@ -56,13 +56,16 @@ bit-deterministic: each shard is a pure function of (spec, shard index)
 — per-shard RNG registries are forked as ``shard:<k>`` — record routing
 and install order are fixed by (shard order, emission order), and the
 merged EventTrace orders records by ``(time, shard, seq)``
-(:func:`~repro.faults.trace.merge_traces`).  A worker process *is* an
-:class:`_InlineHost` behind a pipe, so the serial inline backend and the
-multi-process backend run the identical engine call sequence by
-construction and produce identical digests — which is how CI pins the
-witness on single-core runners.  A sharded trajectory is *not*
-identical to the unsharded one (ghost regions do not see other shards'
-load); ``--shards 1`` bypasses all of this and is bit-identical to today.
+(:func:`~repro.faults.trace.merge_traces`).  The process backend runs
+k shards in k processes: the coordinator hosts shard 0 itself and one
+worker process hosts each of shards 1..k−1.  Every shard, wherever it
+runs, *is* an :class:`_InlineHost` (a worker's sits behind a pipe), so
+the serial inline backend and the process backend run the identical
+engine call sequence by construction and produce identical digests —
+which is how CI pins the witness on single-core runners.  A sharded
+trajectory is *not* identical to the unsharded one (ghost regions do
+not see other shards' load); ``--shards 1`` bypasses all of this and is
+bit-identical to today.
 
 Fault plans are partitioned so region-attributable ops (``*_cpf`` /
 ``*_cta``) are *owned* (counted + traced) by the shard owning the
@@ -133,9 +136,9 @@ _VIOLATION_SAMPLES = 5
 #: a real deployment would ship out of band of the control plane.
 _MIGRATION_WIRE_BYTES = 64
 
-#: longest the coordinator waits for one answer from a running shard
-#: worker (an epoch step, the finish payload) before it declares the
-#: worker hung and fails the run.
+#: longest the coordinator waits for one answer from a shard worker
+#: (its ready handshake, an epoch step, the finish payload) before it
+#: declares the worker hung and fails the run.
 WORKER_DEADLINE_S = 600.0
 
 
@@ -526,11 +529,15 @@ def _shard_engine(obs_mode, span_keep, verbose_trace, *where) -> ShardEngine:
 class _InlineHost:
     """One shard engine plus its step/finish protocol and cost brackets.
 
-    The coordinator drives these directly on the inline backend; on the
-    process backend each worker hosts one behind its pipe
-    (:func:`_shard_worker`) — one implementation, so an inline run's
-    merged digest is bit-identical to a multi-process one and the
-    determinism witness holds on single-core machines.
+    The coordinator drives these directly: every shard on the inline
+    backend, shard 0 on the process backend, where each worker hosts one
+    behind its pipe (:func:`_shard_worker`) — one implementation, so an
+    inline run's merged digest is bit-identical to a multi-process one
+    and the determinism witness holds on single-core machines.
+
+    :meth:`step_send` only takes the step; :meth:`step_recv` runs it.
+    The coordinator sends every shard its step before it collects any
+    reply, so the workers advance while this process advances its own.
     """
 
     def __init__(self, make_engine):
@@ -538,7 +545,7 @@ class _InlineHost:
         self.engine: Optional[ShardEngine] = None
         self.wall = 0.0
         self.cpu = 0.0
-        self._last = None
+        self._step = None
 
     @contextmanager
     def _timed(self):
@@ -559,6 +566,12 @@ class _InlineHost:
         want_health: bool,
         actions: List[dict],
     ) -> None:
+        self._step = (until, inbox, want_health, actions)
+
+    def step_recv(self):
+        """Run the step sent last: ``(outbox, next_event_s, health row or None)``."""
+        until, inbox, want_health, actions = self._step
+        self._step = None
         engine = self.engine
         with self._timed():
             # orchestration actions apply at the epoch boundary, before
@@ -570,21 +583,19 @@ class _InlineHost:
             engine.deliver(inbox)
             engine.advance(until)
             health = engine.health_row() if want_health else None
-            self._last = (engine.take_outbox(), engine.next_event_s(), health)
+            out = (engine.take_outbox(), engine.next_event_s(), health)
         if health is not None:
             health["wall_s"] = self.wall
-
-    def step_recv(self):
-        """``(outbox, next_event_s, health row or None)``."""
-        return self._last
+        return out
 
     def finish(self) -> Dict[str, Any]:
         with self._timed():
             payload = self.engine.finish_payload()
         payload["wall_s"] = self.wall
         payload["cpu_s"] = self.cpu
-        # the hosting process's peak: inline shards share the
-        # coordinator's, where per-shard RSS is not separable
+        # the peak of the process hosting this shard: shards hosted by
+        # the coordinator share its peak, where per-shard RSS is not
+        # separable
         payload["rss_kb"] = peak_rss_kb()
         return payload
 
@@ -596,8 +607,10 @@ class _ProcessHost:
     """Coordinator-side proxy for one long-lived shard worker process.
 
     A worker that dies (its pipe closes) or stays silent for
-    :data:`WORKER_DEADLINE_S` fails the run with a ``RuntimeError``
-    naming its shard; :meth:`close` then kills it rather than waiting.
+    :data:`WORKER_DEADLINE_S` — during its ready handshake or mid-run —
+    fails the run with a ``RuntimeError`` naming its shard.  :meth:`close`
+    kills a worker that has not delivered its finish payload (it failed,
+    or the run failed elsewhere) rather than waiting for it.
 
     The deadline is a receive timeout on the pipe's socket, so a read
     blocks as before and a silent worker's read raises
@@ -609,7 +622,7 @@ class _ProcessHost:
     def __init__(self, handle, shard_idx: int):
         self.handle = handle
         self.shard_idx = shard_idx
-        self._failed = False
+        self._finished = False
         sock = socket.socket(fileno=handle.conn.fileno())
         try:
             whole = int(WORKER_DEADLINE_S)
@@ -622,7 +635,8 @@ class _ProcessHost:
             sock.detach()  # the pipe keeps its descriptor
 
     def start(self) -> None:
-        pass  # prepared during spawn handshake
+        """Wait for the worker to report its engine built and prepared."""
+        self._recv("during startup")
 
     def step_send(
         self,
@@ -638,10 +652,11 @@ class _ProcessHost:
 
     def finish(self) -> Dict[str, Any]:
         self._send(("finish",))
-        return self._recv()[1]
+        payload = self._recv()[1]
+        self._finished = True
+        return payload
 
     def _fail(self, what: str) -> RuntimeError:
-        self._failed = True
         return RuntimeError("shard %d worker %s" % (self.shard_idx, what))
 
     def _send(self, msg) -> None:
@@ -650,21 +665,19 @@ class _ProcessHost:
         except OSError:  # the worker's end is gone
             raise self._fail("died mid-run")
 
-    def _recv(self):
+    def _recv(self, when: str = "mid-run"):
         try:
             msg = self.handle.recv()
         except BlockingIOError:
             raise self._fail("sent nothing for %g s" % WORKER_DEADLINE_S)
         except (EOFError, OSError):
-            raise self._fail("died mid-run")
+            raise self._fail("died " + when)
         if msg[0] == "error":
-            raise RuntimeError(
-                "shard %d worker failed:\n%s" % (self.shard_idx, msg[1])
-            )
+            raise self._fail("failed %s:\n%s" % (when, msg[1]))
         return msg
 
     def close(self) -> None:
-        if self._failed:
+        if not self._finished:
             self.handle.process.kill()
         self.handle.close()
 
@@ -721,6 +734,7 @@ def _merge_payloads(
     epochs: int,
     backend: str,
     wall0: float,
+    workers_rss_kb: float,
 ) -> ScaleResult:
     results: List[ScaleResult] = [p["result"] for p in payloads]
     counters: Dict[str, int] = {}
@@ -756,7 +770,7 @@ def _merge_payloads(
     perf: Dict[str, Any] = {
         "wall_s": time.perf_counter() - wall0,
         "peak_rss_kb": peak_rss_kb(),
-        "total_rss_kb": sum(p["rss_kb"] for p in payloads),
+        "total_rss_kb": workers_rss_kb,
         # on a single-CPU host the workers time-slice, so a worker's
         # *elapsed* wall includes time spent descheduled while its
         # siblings ran; max_shard_cpu_s is the honest critical path —
@@ -869,7 +883,9 @@ def _epoch_loop(hosts, duration: float, delta: float, stream=None, orch=None) ->
                 )
                 if want:
                     last_mark = stream.marks
-        # send every step first: process workers advance concurrently
+        # send every step first, then collect in shard order: the
+        # workers advance while this process runs the shard it hosts
+        # (an inline host runs its step when its reply is collected)
         for host, inbox in zip(hosts, inboxes):
             host.step_send(t, inbox, want or tick, pending_actions)
         pending_actions = []
@@ -938,10 +954,14 @@ def run_sharded(
 
     ``shards=0`` means one per core (:func:`default_jobs`); ``shards=1``
     is exactly the single-process engine.  ``backend`` selects the
-    execution vehicle: ``"process"`` forks one long-lived worker per
-    shard, ``"inline"`` runs the same engines round-robin in-process
-    (bit-identical results — the CI witness path), and ``"auto"`` picks
-    processes when more than one core is available.
+    execution vehicle: ``"process"`` runs shard 0 in this process and
+    forks one long-lived worker for each other shard, ``"inline"`` runs
+    every engine round-robin in-process (bit-identical results — the CI
+    witness path), and ``"auto"`` picks processes when more than one
+    core is available.  A worker that dies or stays silent for
+    :data:`WORKER_DEADLINE_S`, at startup or mid-run, fails the run with
+    a ``RuntimeError`` naming its shard; whatever fails, every worker is
+    reaped before the exception propagates.
 
     ``obs`` (an :class:`~repro.obs.Observability` *template* — each
     shard builds its own instance from its mode/span_keep) enables
@@ -991,37 +1011,26 @@ def run_sharded(
         )
         for k in range(shards)
     ]
-    hosts = None
+    # this process always hosts shard 0; the process backend gives each
+    # other shard a worker of its own (k shards in k processes)
+    hosts: List[Any] = [_InlineHost(partial(_shard_engine, *engine_args[0]))]
     backend_used = "inline"
     if backend == "process" or (backend == "auto" and default_jobs() > 1):
         try:
-            handles = spawn_workers(_shard_worker, engine_args)
+            handles = spawn_workers(_shard_worker, engine_args[1:])
         except WorkerSpawnError:
             if backend == "process":
                 raise
-            handles = None
-        if handles is not None:
-            hosts = []
-            try:
-                for k, handle in enumerate(handles):
-                    msg = handle.recv()
-                    if msg[0] == "error":
-                        raise RuntimeError(
-                            "shard worker failed during startup:\n%s" % (msg[1],)
-                        )
-                    hosts.append(_ProcessHost(handle, k))
-                backend_used = "process"
-            except EOFError:
-                # the platform forked but killed the children: fall back
-                for handle in handles:
-                    handle.close(timeout=1.0)
-                hosts = None
-                if backend == "process":
-                    raise WorkerSpawnError("shard workers died during startup")
-    if hosts is None:
-        hosts = [_InlineHost(partial(_shard_engine, *args)) for args in engine_args]
+        else:
+            hosts += [_ProcessHost(h, k) for k, h in enumerate(handles, 1)]
+            backend_used = "process"
+    if backend_used == "inline":
+        hosts += [_InlineHost(partial(_shard_engine, *a)) for a in engine_args[1:]]
 
     try:
+        # _epoch_loop starts the hosts in shard order: shard 0 is built
+        # here while the workers build theirs, then each worker's ready
+        # is awaited under the deadline
         epochs = _epoch_loop(
             hosts, spec.duration_s, delta, stream=stream, orch=orch
         )
@@ -1031,7 +1040,12 @@ def run_sharded(
             host.close()
 
     result = _merge_payloads(
-        spec, mode, shards, payloads, delta, epochs, backend_used, wall0
+        spec, mode, shards, payloads, delta, epochs, backend_used, wall0,
+        workers_rss_kb=sum(
+            p["rss_kb"]
+            for host, p in zip(hosts, payloads)
+            if isinstance(host, _ProcessHost)
+        ),
     )
     snapshots = [p["obs"] for p in payloads if p["obs"] is not None]
     if snapshots:

@@ -16,6 +16,8 @@ from repro.sim.core import Simulator
 from repro.sim.rng import RngRegistry
 from repro.traffic.models import class_ranges, get_model
 
+from .reference_addressing import ReferenceAddressing
+
 
 def make_dep(seed=1, l2_regions=2, l1_per_l2=2):
     sim = Simulator()
@@ -176,6 +178,56 @@ class TestAddressing:
             assert share.slot(n) is None
         assert sorted(got) == list(dense.bucket(lo, hi))  # each id exactly once
         assert all(dense.slot(dense.ids[i]) == i for i in range(n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_slots_and_buckets_match_the_reference_index(self, data):
+        """Over seeded shard shares and immigrate / emigrate / return
+        sequences, the bisected addressing answers exactly what the old
+        per-UE index did — so ``bucket[randrange(len(bucket))]`` picks
+        the same slot on every draw."""
+        space = data.draw(st.integers(1, 80), label="space")
+        share = sorted(
+            data.draw(st.sets(st.integers(0, space - 1)), label="share")
+        )
+        gid = st.integers(0, space + 20)
+        ops = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.just("bucket"), gid, st.one_of(st.none(), gid)),
+                    st.tuples(st.just("arrive"), gid),
+                    st.tuples(st.just("leave"), st.integers(0, 10_000)),
+                ),
+                max_size=40,
+            ),
+            label="ops",
+        )
+        driver = CohortDriver(None, [], array("I", share))
+        ref = ReferenceAddressing(share)
+        driver.bucket(0, None), ref.bucket(0, None)
+        for op in ops:
+            if op[0] == "bucket":
+                lo, hi = op[1], op[2]
+                hi = hi if hi is None or hi >= lo else lo
+                driver.bucket(lo, hi), ref.bucket(lo, hi)
+            elif op[0] == "arrive":  # an immigrant, new or returning
+                assert driver.add_slot(op[1]) == ref.add_slot(op[1])
+            elif driver.n:  # an emigrant: its slot stays, tombstoned
+                driver.tombstone(op[1] % driver.n)
+            assert driver.n == ref.n and list(driver.ids) == ref.ids
+            for g in range(space + 21):
+                assert driver.slot(g) == ref.slot(g)
+            for (lo, hi), want in ref._buckets.items():
+                bucket = driver.bucket(lo, hi)
+                assert len(bucket) == len(want)
+                assert [bucket[k] for k in range(len(bucket))] == want
+                if want:
+                    assert bucket[-1] == want[-1]
+
+    def test_a_share_whose_ids_do_not_ascend_is_refused(self):
+        for ids in ([3, 1, 7], [2, 2, 5]):
+            with pytest.raises(ValueError, match="ascend"):
+                CohortDriver(None, [], array("I", ids))
 
     def test_whole_population_pick_consumes_the_legacy_draw(self):
         """``bucket[randrange(len(bucket))]`` over ``range(lo, hi)`` is

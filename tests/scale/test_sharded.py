@@ -146,13 +146,15 @@ def test_shards_one_is_exactly_the_single_process_engine():
     assert one == plain
 
 
-def test_process_backend_matches_inline_bit_for_bit():
+def test_process_backend_matches_inline_bit_for_bit(monkeypatch):
     inline = run2(backend="inline")
+    spawned = _capture_workers(monkeypatch)
     try:
         procs = run2(backend="process")
     except (WorkerSpawnError, RuntimeError) as err:  # pragma: no cover
         pytest.skip("no worker processes on this platform: %s" % err)
     assert procs.perf["backend"] == "process"
+    assert len(spawned) == 1  # shard 0 runs in the coordinator
     assert procs == inline
     assert procs.digest == inline.digest
 
@@ -284,11 +286,12 @@ def test_worker_failure_arrives_whole_and_leaves_no_worker(monkeypatch):
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the patched engine reaches workers by fork only")
     real_advance = sh.ShardEngine.advance
-    calls = []  # forked: every worker counts its own calls
+    calls = []  # forked: every process counts its own calls
 
     def advance(self, until):
         calls.append(until)
-        if len(calls) == 2:
+        # shard 1 runs in a worker: its error crosses the ferry
+        if len(calls) == 2 and self.shard_idx == 1:
             raise ZeroDivisionError("epoch two exploded")
         return real_advance(self, until)
 
@@ -302,10 +305,11 @@ def test_worker_failure_arrives_whole_and_leaves_no_worker(monkeypatch):
         message = str(err)
     else:
         pytest.fail("the worker's exception never reached the coordinator")
+    assert "shard 1 worker failed mid-run" in message
     assert "ZeroDivisionError" in message
     assert "epoch two exploded" in message
     assert "in advance" in message  # the raising frame, not just the text
-    assert len(spawned) == 2
+    assert len(spawned) == 1  # shard 0 runs in the coordinator
     assert not any(handle.process.is_alive() for handle in spawned)
 
 
@@ -329,8 +333,8 @@ def test_a_killed_worker_fails_the_run_naming_its_shard(monkeypatch):
             run2(backend="process")
     except WorkerSpawnError as err:  # pragma: no cover
         pytest.skip("no worker processes on this platform: %s" % err)
-    assert len(spawned) == 2
-    assert spawned[1].process.exitcode == -signal.SIGKILL
+    assert len(spawned) == 1  # shard 0 runs in the coordinator
+    assert spawned[0].process.exitcode == -signal.SIGKILL
     assert not any(handle.process.is_alive() for handle in spawned)
 
 
@@ -359,7 +363,7 @@ def test_a_hung_worker_fails_the_run_at_the_deadline(monkeypatch):
     except WorkerSpawnError as err:  # pragma: no cover
         pytest.skip("no worker processes on this platform: %s" % err)
     assert time.monotonic() - t0 < 60.0
-    assert len(spawned) == 2
+    assert len(spawned) == 1  # shard 0 runs in the coordinator
     assert not any(handle.process.is_alive() for handle in spawned)
 
 
@@ -370,8 +374,13 @@ def test_a_dead_engine_process_fails_the_run(monkeypatch, backend):
     inline, and from inside a worker over the error ferry."""
     if backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the patched engine reaches workers by fork only")
+    real_pick_idle = _Engine._pick_idle
 
     def pick_idle(self, pick_rng, lo=0, hi=None):
+        # on the process backend shard 0 runs in the coordinator: the
+        # failing shard is a worker's, so its error crosses the ferry
+        if backend == "process" and self.shard_idx != 1:
+            return real_pick_idle(self, pick_rng, lo, hi)
         raise IndexError("picked slot 12345 of 400")
 
     monkeypatch.setattr(_Engine, "_pick_idle", pick_idle)
@@ -388,8 +397,140 @@ def test_a_dead_engine_process_fails_the_run(monkeypatch, backend):
                 run2(backend="process")
         except WorkerSpawnError as err:  # pragma: no cover
             pytest.skip("no worker processes on this platform: %s" % err)
-        assert len(spawned) == 2
+        assert len(spawned) == 1  # shard 0 runs in the coordinator
         assert not any(handle.process.is_alive() for handle in spawned)
+
+
+def test_a_hosted_shard_failure_propagates_and_reaps_every_worker(monkeypatch):
+    """Shard 0 runs in the coordinator: its exception propagates as it
+    does on the inline backend, once every worker is reaped."""
+    real_advance = sh.ShardEngine.advance
+    calls = []
+
+    def advance(self, until):
+        calls.append(until)
+        if len(calls) == 2 and self.shard_idx == 0:
+            raise ZeroDivisionError("hosted epoch exploded")
+        return real_advance(self, until)
+
+    monkeypatch.setattr(sh.ShardEngine, "advance", advance)
+    spawned = _capture_workers(monkeypatch)
+    try:
+        with pytest.raises(ZeroDivisionError, match="hosted epoch exploded"):
+            run2(backend="process", shards=3)
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    assert len(spawned) == 2
+    assert not any(handle.process.is_alive() for handle in spawned)
+
+
+# ------------------------------------------------------ k shards in k processes
+
+
+def test_four_shards_run_in_four_processes(monkeypatch):
+    """The coordinator hosts shard 0 and spawns a worker for each other
+    shard; the merged result is the inline backend's."""
+    spawned = _capture_workers(monkeypatch)
+    try:
+        procs = run2(backend="process", shards=4)
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    assert procs.perf["backend"] == "process"
+    assert len(spawned) == 3
+    assert not any(handle.process.is_alive() for handle in spawned)
+    inline = run2(backend="inline", shards=4)
+    assert procs == inline
+    assert procs.digest == inline.digest
+
+
+def test_rss_is_counted_once_per_process(monkeypatch):
+    """``total_rss_kb`` sums the worker processes' peaks; a shard row's
+    ``rss_kb`` is the peak of the process hosting it."""
+    inline = run2(backend="inline", shards=3)
+    assert inline.perf["total_rss_kb"] == 0
+    assert all(
+        0 < row["rss_kb"] <= inline.perf["peak_rss_kb"] for row in inline.shards
+    )
+    try:
+        procs = run2(backend="process", shards=3)
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    rows = procs.shards
+    assert procs.perf["total_rss_kb"] == sum(row["rss_kb"] for row in rows[1:])
+    assert all(row["rss_kb"] > 0 for row in rows)
+    # the hosted shard's row is the coordinator's peak when it finished
+    assert 0 < rows[0]["rss_kb"] <= procs.perf["peak_rss_kb"]
+
+
+def test_a_silent_worker_fails_the_run_at_startup(monkeypatch):
+    """The ready handshake has a deadline: a worker that never reports
+    ready fails the run naming its shard, and nothing is left alive."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the patched engine reaches workers by fork only")
+    real_prepare = sh.ShardEngine.prepare
+
+    def prepare(self):
+        if self.shard_idx == 1:
+            time.sleep(120.0)
+        return real_prepare(self)
+
+    monkeypatch.setattr(sh.ShardEngine, "prepare", prepare)
+    monkeypatch.setattr(sh, "WORKER_DEADLINE_S", 1.0)
+    spawned = _capture_workers(monkeypatch)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="shard 1 worker sent nothing for 1 s"):
+            run2(backend="process", shards=3)
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    assert time.monotonic() - t0 < 60.0
+    assert len(spawned) == 2
+    assert not any(handle.process.is_alive() for handle in spawned)
+
+
+def test_a_worker_dead_at_startup_fails_the_run(monkeypatch):
+    """A worker that exits before its ready fails the run naming its
+    shard, and every other worker is reaped."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the patched engine reaches workers by fork only")
+    real_prepare = sh.ShardEngine.prepare
+
+    def prepare(self):
+        if self.shard_idx == 2:
+            os._exit(3)
+        return real_prepare(self)
+
+    monkeypatch.setattr(sh.ShardEngine, "prepare", prepare)
+    spawned = _capture_workers(monkeypatch)
+    try:
+        with pytest.raises(RuntimeError, match="shard 2 worker died during startup"):
+            run2(backend="process", shards=3)
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    assert len(spawned) == 2
+    assert spawned[1].process.exitcode == 3
+    assert not any(handle.process.is_alive() for handle in spawned)
+
+
+def test_a_failed_hosted_build_reaps_the_spawned_workers(monkeypatch):
+    """Shard 0 is built in the coordinator after the workers are
+    spawned; if that build raises, every worker is reaped."""
+    real_prepare = sh.ShardEngine.prepare
+
+    def prepare(self):
+        if self.shard_idx == 0:
+            raise ZeroDivisionError("hosted build exploded")
+        return real_prepare(self)
+
+    monkeypatch.setattr(sh.ShardEngine, "prepare", prepare)
+    spawned = _capture_workers(monkeypatch)
+    try:
+        with pytest.raises(ZeroDivisionError, match="hosted build exploded"):
+            run2(backend="process", shards=3)
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    assert len(spawned) == 2
+    assert not any(handle.process.is_alive() for handle in spawned)
 
 
 def test_rejects_individual_mode_and_oversharding():
