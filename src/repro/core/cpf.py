@@ -87,14 +87,16 @@ class CPF:
         reader_version: int,
         clock: int,
         creates_state: bool,
+        now: float,
         span: Optional[Any] = None,
     ) -> Optional[int]:
         """Serve one logged uplink message — only from up-to-date state.
 
         §4.2.4(3), synchronous and event-free: the discrete path calls
         it when the processing core finishes the message's job, the
-        batched lane at the job's analytic instant (so the message is
-        counted here for obs, under either).  Returns the write
+        batched lane with the job's analytic completion instant (so the
+        message is counted here for obs, under either).  ``now`` is that
+        completion instant, which the auditor stamps.  Returns the write
         version served, or ``None`` when the UE must Re-Attach.
         ``reader_version`` is the UE's own count of completed writes,
         which the consistency auditor checks Read-your-Writes against.
@@ -120,11 +122,11 @@ class CPF:
                 # the request: NAS security counters reveal a CPF
                 # operating behind the UE's last completed write,
                 # closing repair/checkpoint races.
-                self.dep.auditor.record_reattach_forced(ue_id, self.name)
+                self.dep.auditor.record_reattach_forced(ue_id, self.name, now)
                 return None
             entry.is_primary = True
         self.dep.auditor.record_serve(
-            ue_id, reader_version, entry.state.version, self.name, span=span
+            ue_id, reader_version, entry.state.version, self.name, span, now
         )
         entry.state.apply_message()
         entry.synced_clock = max(entry.synced_clock, clock)
@@ -202,7 +204,9 @@ class CPF:
         the span closes.  Returns the served version, or ``None`` when
         the UE must Re-Attach.
         """
-        version = self.serve(ue_id, reader_version, clock, creates_state, span)
+        version = self.serve(
+            ue_id, reader_version, clock, creates_state, self.sim.now, span
+        )
         if version is None:
             self.finish_handle(span, "reattach_required", service)
             return None

@@ -26,6 +26,7 @@ Usage::
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import multiprocessing
 import os
 from dataclasses import dataclass
@@ -103,7 +104,11 @@ def _run_job(job: SweepJob) -> PCTPoint:
     # Top-level so every start method (fork/spawn/forkserver) can import
     # it; the point re-seeds from its spec, so placement in a worker
     # process cannot change the result.
-    return run_pct_point(job.config, job.axis_rate, job.spec)
+    point = run_pct_point(job.config, job.axis_rate, job.spec)
+    # The point's deployment is a cyclic graph that would otherwise
+    # live until a rare full collection, beside the next point's.
+    gc.collect()
+    return point
 
 
 def _pool_context():

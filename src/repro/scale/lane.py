@@ -135,9 +135,6 @@ class LaneRuntime:
         self.buffered: List[TraceRecord] = []
         self.spills = 0
         self.driver = None  # set by BatchedDriver
-        self._eh = None  # lazily: CPF-serve steps are time-free iff
-        # the auditor keeps no history (resolved on first walk; the
-        # engine sets keep_history after deployment construction)
         cfg = dep.config
         #: installed before the driver is built (``_Engine.__init__``).
         self.obs = dep.obs
@@ -292,11 +289,6 @@ class LaneRuntime:
         the PCT mark an ``at`` — then the completion tail.
         """
         dep = self.dep
-        if self._eh is None:
-            self._eh = not dep.auditor.keep_history
-        # CPF.serve stamps wall clock only into the causal history; with
-        # history off its resume is time-free (quiet-window eligible)
-        eh = self._eh
         program, ue_id = w.program, w.ue_id
         tracer = root = None
         if self.obs is not None:
@@ -333,7 +325,7 @@ class LaneRuntime:
                     continue
                 t0 = t
                 if kind == "cpf.handle":
-                    t = yield ("srv", t, cpf.server, leg.price, None, eh)
+                    t = yield ("srv", t, cpf.server, leg.price, None, True)
                     span = None
                     if root is not None:
                         span = tracer.record(
@@ -341,12 +333,15 @@ class LaneRuntime:
                             {"node": cpf.name, "msg": leg.msg},
                             handle_phases(t - t0, leg.price),
                         )
-                    # Served at the job's submit instant, not its
-                    # completion: every field CPF.serve touches is per-UE
-                    # and the UE is busy for the whole walk, and the
-                    # store ignores strictly-older clocks, so the early
-                    # synced_clock bump cannot shadow a later one.
-                    if cpf.serve(ue_id, w.reader_version, w.clock, False, span) is None:
+                    # Served before the job's completion ``t`` (at its
+                    # submit instant, or earlier in a quiet window) and
+                    # stamped with ``t``, so the step is time-free: every
+                    # field CPF.serve touches is per-UE and the UE is
+                    # busy for the whole walk, and the store ignores
+                    # strictly-older clocks, so the early synced_clock
+                    # bump cannot shadow a later one.
+                    served = cpf.serve(ue_id, w.reader_version, w.clock, False, t, span)
+                    if served is None:
                         self._gate_miss("stale entry")
                     continue
                 if kind == "pct":

@@ -340,7 +340,9 @@ class Process(Event):
     with ``TypeError``.
 
     The process itself is an event that succeeds with the generator's
-    return value, so processes can be joined by yielding them.
+    return value, so processes can be joined by yielding them.  A
+    finished process drops its generator (and so its frame): harnesses
+    keep every process they spawn to read its outcome.
     """
 
     __slots__ = ("_gen", "_waiting_on", "_interrupts")
@@ -351,7 +353,8 @@ class Process(Event):
         # The Event waited on, or the sleep token (the ``_seq`` of the
         # scheduler entry that ends the current pure delay).
         self._waiting_on: Union[Event, int, None] = None
-        self._interrupts: List[Interrupt] = []
+        # pending interrupts; the list is made by the first interrupt()
+        self._interrupts: Optional[List[Interrupt]] = None
         sim._push_immediate(self._wake, None)
 
     @property
@@ -366,6 +369,8 @@ class Process(Event):
         """
         if self._fired:
             return
+        if self._interrupts is None:
+            self._interrupts = []
         self._interrupts.append(Interrupt(cause))
         self.sim._push_immediate(self._deliver_interrupt)
 
@@ -404,12 +409,11 @@ class Process(Event):
             else:
                 target = self._gen.send(value)
         except StopIteration as stop:
+            self._gen = None
             self.succeed(stop.value)
             return
-        except Interrupt as unhandled:
-            self.fail(unhandled)
-            return
-        except Exception as err:  # propagate to joiners
+        except Exception as err:  # an unhandled Interrupt too; to joiners
+            self._gen = None
             self.fail(err)
             return
         kind = type(target)
@@ -456,6 +460,7 @@ class Process(Event):
         else:
             error = TypeError
         self._gen.close()
+        self._gen = None
         self.fail(
             error(
                 "process yielded %r, expected an Event or a non-negative "

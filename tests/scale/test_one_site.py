@@ -71,7 +71,7 @@ def test_same_calls_under_cohort_and_batched(monkeypatch):
 def test_skipping_the_audit_hook_blinds_both_executors(monkeypatch):
     """A ``CPF.serve`` that never tells the auditor: no executor may."""
 
-    def deaf_serve(self, ue_id, reader_version, clock, creates_state, span=None):
+    def deaf_serve(self, ue_id, reader_version, clock, creates_state, now, span=None):
         self.messages_handled += 1
         entry = self.store.get(ue_id)
         assert entry is not None and not creates_state  # warm steady city

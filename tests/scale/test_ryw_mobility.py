@@ -17,7 +17,7 @@ serve the auditor observes, under *any* combination of the above —
 ``violations == 0`` with no exceptions tolerated.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.scale.engine import run_scenario
 from repro.scale.scenarios import ScenarioSpec
@@ -63,28 +63,41 @@ def mobile_city_specs(draw):
         remove_at = draw(st.floats(0.55, 0.85))
         churn_events = [(add_at, "add", "fill:0"), (remove_at, "remove", "fill:0")]
 
+    return mobile_city_spec(
+        seed, draw(st.integers(30, 80)), l2_regions, l1_per_l2,
+        fault_events, link_faults, churn_events,
+    )
+
+
+def mobile_city_spec(
+    seed, n_ue, l2_regions, l1_per_l2, fault_events=(), link_faults=(),
+    churn_events=(),
+):
     return ScenarioSpec(
         name="ryw-mobility-property",
         description="randomized RYW-under-mobility case",
-        n_ue=draw(st.integers(30, 80)),
+        n_ue=n_ue,
         duration_s=1.5,
         seed=seed,
         l2_regions=l2_regions,
         l1_per_l2=l1_per_l2,
         cpfs_per_region=2,
         bss_per_region=2,
-        # roam hard: every UE moves ~15x/run, most moves cross regions
-        mobility_rate_per_ue=1.0 / 10.0,
+        # roam hard: every UE moves ~15x/run (10 moves/s for 1.5 s),
+        # most moves cross regions
+        mobility_rate_per_ue=10.0,
         service_rate_per_ue=1.0 / 5.0,
         tau_rate_per_ue=1.0 / 30.0,
-        fault_events=fault_events,
-        link_faults=link_faults,
-        churn_events=churn_events,
+        fault_events=list(fault_events),
+        link_faults=list(link_faults),
+        churn_events=list(churn_events),
         audit_history=True,
     )
 
 
 @given(spec=mobile_city_specs())
+# at 1/10 moves/s per UE this draw made no move at all
+@example(spec=mobile_city_spec(seed=72, n_ue=30, l2_regions=2, l1_per_l2=2))
 @settings(**_SETTINGS)
 def test_ryw_holds_under_mobility_and_faults(spec):
     res = run_scenario(spec)

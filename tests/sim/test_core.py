@@ -1,6 +1,7 @@
 """Tests for the discrete-event simulation kernel."""
 
 import sys
+import weakref
 
 import pytest
 
@@ -501,6 +502,60 @@ class TestProcess:
         sim.run()
         assert done == sorted(done)
         assert len(done) == 100
+
+
+class TestFinishedProcess:
+    """A finished process releases its generator and keeps its outcome."""
+
+    @pytest.mark.parametrize("end, error", [
+        ("returns", None),
+        ("raises", KeyError),
+        ("interrupted", Interrupt),
+        ("bad_yield", TypeError),
+    ])
+    def test_generator_is_released(self, sim, end, error):
+        def body():
+            yield 100.0 if end == "interrupted" else 1.0
+            if end == "raises":
+                raise KeyError("oops")
+            if end == "bad_yield":
+                yield 42
+            return "done"
+
+        gen = body()
+        ref = weakref.ref(gen)
+        p = sim.process(gen)
+        if end == "interrupted":
+            sim.schedule(1.0, p.interrupt, "down")
+        del gen
+        assert ref() is not None  # the live process holds its frame
+        sim.run()
+        assert ref() is None
+        assert p.fired and not p.alive
+        if error is None:
+            assert p.ok and p.value == "done"
+        else:
+            assert not p.ok
+            with pytest.raises(error):
+                _ = p.value
+
+    def test_interrupts_are_made_lazily_and_still_delivered(self, sim):
+        seen = []
+
+        def proc():
+            try:
+                yield 100.0
+            except Interrupt as intr:
+                seen.append((sim.now, intr.cause))
+            yield 1.0
+            return "after"
+
+        p = sim.process(proc())
+        assert p._interrupts is None
+        sim.schedule(2.0, p.interrupt, "first")
+        sim.run()
+        assert seen == [(2.0, "first")]
+        assert p.value == "after"
 
 
 class TestSleep:
