@@ -37,7 +37,7 @@ def main() -> None:
             placement = dep.placement_of(ue.ue_id)
             print(
                 "%-16s pct=%7.3f ms   primary=%-10s backups=%s"
-                % (proc, outcome.pct * 1e3, placement.primary, placement.backups)
+                % (proc, outcome.pct * 1e3, placement.primary, list(placement.backups))
             )
 
     sim.process(session())

@@ -20,7 +20,7 @@ Fast Handover, and multi-CTA behaviour.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..geo.regions import Region, RegionMap
 from ..messages.procedures import ProcedureSpec
@@ -45,17 +45,17 @@ __all__ = ["Placement", "Deployment"]
 class Placement(Record):
     """Where one UE's state lives.
 
-    ``backups`` stays a list: :meth:`Deployment.promote` removes from it.
+    ``backups`` is a tuple that a :class:`Deployment` interns, so every
+    UE with one replica set shares one; :meth:`Deployment.promote`
+    replaces it rather than editing it.
     """
 
     __slots__ = ("region", "primary", "backups")
 
-    def __init__(
-        self, region: str, primary: str, backups: Optional[List[str]] = None
-    ):
+    def __init__(self, region: str, primary: str, backups: Sequence[str] = ()):
         self.region = region
         self.primary = primary
-        self.backups = [] if backups is None else backups
+        self.backups = backups
 
 
 class Deployment:
@@ -117,6 +117,8 @@ class Deployment:
         }
 
         self._placements: Dict[str, Placement] = {}
+        #: replica set -> the one tuple every placement with it shares
+        self._replica_sets: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._clocks: Dict[str, int] = {}
         self._ues: Dict[str, UE] = {}
         self._programs: Dict[str, Program] = {}
@@ -259,7 +261,9 @@ class Deployment:
         self._region_cta.pop(region_hash, None)
         return region
 
-    def stale_placements(self) -> List[Tuple[str, "Placement", str, List[str]]]:
+    def stale_placements(
+        self,
+    ) -> List[Tuple[str, "Placement", str, Tuple[str, ...]]]:
         """UEs whose stored placement disagrees with the current rings.
 
         Returns ``(ue_id, placement, desired_primary, desired_backups)``
@@ -277,15 +281,15 @@ class Deployment:
                 desired_primary = self.region_map.primary_for(ue_id, placement.region)
             except KeyError:
                 continue
-            desired_backups = self.region_map.replicas_for(
+            desired_backups = tuple(self.region_map.replicas_for(
                 ue_id, placement.region, self.config.n_backups, self.config.georep_level
-            )
+            ))
             if desired_primary != placement.primary or desired_backups != placement.backups:
                 out.append((ue_id, placement, desired_primary, desired_backups))
         return out
 
     def apply_placement(
-        self, ue_id: str, region: str, primary: str, backups: List[str]
+        self, ue_id: str, region: str, primary: str, backups: Sequence[str]
     ) -> Placement:
         """Commit a re-placement; mark state at dropped holders outdated.
 
@@ -301,7 +305,7 @@ class Deployment:
                 cpf = self.cpfs.get(name)
                 if cpf is not None:
                     cpf.store.mark_outdated(ue_id)
-        placement = Placement(region, primary, list(backups))
+        placement = Placement(region, primary, self._replica_set(backups))
         self._placements[ue_id] = placement
         return placement
 
@@ -430,12 +434,17 @@ class Deployment:
             placement = Placement(
                 region,
                 primary,
-                self.region_map.replicas_for(
+                self._replica_set(self.region_map.replicas_for(
                     ue_id, region, self.config.n_backups, self.config.georep_level
-                ),
+                )),
             )
             self._placements[ue_id] = placement
         return placement
+
+    def _replica_set(self, backups: Iterable[str]) -> Tuple[str, ...]:
+        """``backups`` as the tuple every placement with that replica set shares."""
+        key = tuple(backups)
+        return self._replica_sets.setdefault(key, key)
 
     def _alive_primary(self, ue_id: str, region: str) -> str:
         ring = self.region_map.level1_ring(region)
@@ -475,9 +484,9 @@ class Deployment:
         self._placements[ue_id] = Placement(
             region,
             new_primary,
-            self.region_map.replicas_for(
+            self._replica_set(self.region_map.replicas_for(
                 ue_id, region, self.config.n_backups, self.config.georep_level
-            ),
+            )),
         )
 
     def promote(self, ue_id: str, backup_name: str) -> None:
@@ -487,7 +496,9 @@ class Deployment:
             self.reset_placement(ue_id, backup_name)
             return
         if backup_name in placement.backups:
-            placement.backups.remove(backup_name)
+            placement.backups = self._replica_set(
+                b for b in placement.backups if b != backup_name
+            )
         placement.primary = backup_name
 
     def switch_region(
@@ -499,9 +510,9 @@ class Deployment:
         if new_primary is None:
             new_primary = self._alive_primary(ue_id, new_region)
         old_placement = self._placements.get(ue_id)
-        new_backups = self.region_map.replicas_for(
+        new_backups = self._replica_set(self.region_map.replicas_for(
             ue_id, new_region, self.config.n_backups, self.config.georep_level
-        )
+        ))
         # Every copy except the new primary's is now from an old epoch:
         # mark them outdated until the post-handover checkpoint (or a
         # repair fetch) refreshes them.  This is what prevents a Fast

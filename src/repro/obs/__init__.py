@@ -224,3 +224,18 @@ class Observability:
             snap["flows_out"] = list(self.flows_out)
             snap["flows_in"] = list(self.flows_in)
         return snap
+
+    def hand_over(self) -> Dict[str, object]:
+        """The end-of-run :meth:`snapshot`, spans included, handed over.
+
+        The span table and the flow tables are this instance's own
+        (:meth:`~repro.obs.tracer.Tracer.take_table`), not copies, so
+        the process holds one of each; the tracer keeps no span after.
+        """
+        snap = self.snapshot()
+        tracer = self.tracer
+        if tracer is not None and tracer.retain:
+            snap["spans"] = tracer.take_table()
+            snap["flows_out"], self.flows_out = self.flows_out, []
+            snap["flows_in"], self.flows_in = self.flows_in, []
+        return snap

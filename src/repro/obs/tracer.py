@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = ["Span", "SpanRetention", "SpanTable", "Tracer"]
@@ -100,7 +100,9 @@ class Span:
 #: ``SpanTable.parents`` of a root; ``SpanTable.ends`` of an open span.
 _NO_PARENT = -1
 _OPEN = float("nan")
-_by_id = itemgetter(0)
+_span_id = attrgetter("span_id")
+#: the low half of a compaction sort key: ``span_id << 32 | row``
+_ROW_MASK = 0xFFFFFFFF
 
 
 class SpanTable:
@@ -111,21 +113,24 @@ class SpanTable:
     row's ``(name, phase, status, attr keys)`` is its *kind*, interned
     once per table (``kinds`` holds the index), and the attr values of
     every row sit in one flat list, ``values``, in row order.  Rows keep
-    the order they were appended in (a compaction sorts them by span
-    id); a span's attrs keep their key order and value types, so a row
-    reads back as the span it was.
+    the order they were appended in until a compaction sorts them by
+    span id; a span's attrs keep their key order and value types, so a
+    row reads back as the span it was.
 
     The tracer keeps retained trees here (a few dozen bytes a span,
     where a :class:`Span` with its attrs dict costs several hundred),
     and the same table is what a shard worker ships and the stitcher
     reads.  :meth:`drop_root` retires a whole tree: its rows become
     tombstones until they outnumber the live ones, then the columns
-    compact — a table never holds more than twice its live rows.
+    compact — a table never holds more than twice its live rows.  A
+    table that holds tombstones, or took rows out of order
+    (:meth:`absorb`), compacts on its first read: :meth:`rows`,
+    iteration or pickling.
     """
 
     __slots__ = (
         "ids", "parents", "roots", "starts", "ends", "kinds", "values",
-        "_kinds", "_kind_index", "_dead", "_dead_roots",
+        "_kinds", "_kind_index", "_dead", "_dead_roots", "_unsorted",
     )
 
     def __init__(self, spans: Iterable[Span] = ()):
@@ -142,6 +147,8 @@ class SpanTable:
         #: tombstoned rows, and the roots whose rows they are
         self._dead = 0
         self._dead_roots: set = set()
+        #: rows were absorbed out of span-id order
+        self._unsorted = False
         for span in spans:
             self.append(span)
 
@@ -167,6 +174,18 @@ class SpanTable:
         if attrs:
             self.values.extend(attrs.values())
 
+    def absorb(self, spans: Iterable[Span]) -> "SpanTable":
+        """Append ``spans`` as rows; from the next read on every row
+        comes out in span-id order.
+
+        The spans are appended in span-id order, so a kind first seen
+        among them gets the code a span-id-ordered build would give it.
+        """
+        for span in sorted(spans, key=_span_id):
+            self.append(span)
+        self._unsorted = True
+        return self
+
     def drop_root(self, root_id: int, rows: int) -> None:
         """Retire the ``rows`` rows of ``root_id``'s tree."""
         self._dead_roots.add(root_id)
@@ -175,58 +194,74 @@ class SpanTable:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop the tombstoned rows (the rest come out in span-id order)."""
-        live = self.merged()
-        self.ids, self.parents, self.roots = live.ids, live.parents, live.roots
-        self.starts, self.ends, self.kinds = live.starts, live.ends, live.kinds
-        self.values = live.values
+        """Drop the tombstoned rows and order the rest by span id.
+
+        In place, one column at a time, through a row order held in a
+        typed array: the sort runs over packed ``span_id << 32 | row``
+        ints, so no per-row tuple is built and the peak stays about one
+        column set above the table.
+        """
+        dead = self._dead_roots
+        keys = [
+            span_id << 32 | row
+            for row, (span_id, root) in enumerate(zip(self.ids, self.roots))
+            if root not in dead
+        ]
+        keys.sort()
+        order = array("I", [0]) * len(keys)
+        for j, key in enumerate(keys):
+            order[j] = key & _ROW_MASK
+        del keys
+        kinds, values = self.kinds, self.values
+        widths = [len(kind[3]) for kind in self._kinds]
+        offsets = array("I", [0]) * len(kinds)  # row -> its first value
+        off = 0
+        for row, code in enumerate(kinds):
+            offsets[row] = off
+            off += widths[code]
+        kept: list = []
+        for row in order:
+            width = widths[kinds[row]]
+            if width:
+                off = offsets[row]
+                kept.extend(values[off:off + width])
+        self.values = kept
+        del offsets, values
+        for name in ("ids", "parents", "roots", "starts", "ends", "kinds"):
+            column = getattr(self, name)
+            setattr(
+                self, name, array(column.typecode, map(column.__getitem__, order))
+            )
         self._dead = 0
-        self._dead_roots.clear()
+        self._dead_roots = set()
+        self._unsorted = False
+
+    def copy(self) -> "SpanTable":
+        """An independent table with the same rows (tombstones too)."""
+        out = SpanTable()
+        out.ids, out.parents, out.roots = self.ids[:], self.parents[:], self.roots[:]
+        out.starts, out.ends, out.kinds = self.starts[:], self.ends[:], self.kinds[:]
+        out.values = self.values[:]
+        out._kinds = list(self._kinds)
+        out._kind_index = dict(self._kind_index)
+        out._dead = self._dead
+        out._dead_roots = set(self._dead_roots)
+        out._unsorted = self._unsorted
+        return out
 
     def merged(self, spans: Iterable[Span] = ()) -> "SpanTable":
         """A new table: the live rows plus ``spans``, in span-id order."""
-        out = SpanTable()
-        out._kinds = list(self._kinds)
-        out._kind_index = dict(self._kind_index)
-        widths = [len(kind[3]) for kind in self._kinds]
-        offsets, off = [], 0  # row -> where its attr values start
-        for code in self.kinds:
-            offsets.append(off)
-            off += widths[code]
-        dead = self._dead_roots
-        order: List[tuple] = [
-            (span_id, i)
-            for i, (span_id, root) in enumerate(zip(self.ids, self.roots))
-            if root not in dead
-        ]
-        order.extend((span.span_id, span) for span in spans)
-        order.sort(key=_by_id)
-        parents, roots, starts, ends, kinds = (
-            self.parents, self.roots, self.starts, self.ends, self.kinds
-        )
-        values = self.values
-        for span_id, src in order:
-            if type(src) is not int:
-                out.append(src)
-                continue
-            code = kinds[src]
-            out.ids.append(span_id)
-            out.parents.append(parents[src])
-            out.roots.append(roots[src])
-            out.starts.append(starts[src])
-            out.ends.append(ends[src])
-            out.kinds.append(code)
-            width = widths[code]
-            if width:
-                off = offsets[src]
-                out.values.extend(values[off:off + width])
+        out = self.copy().absorb(spans)
+        out._compact()
         return out
 
     def rows(self) -> Iterator[tuple]:
         """Live rows in table order: ``(span_id, parent_id, root_id, name,
         phase, start, end, status, attrs)``, ``None`` for a root's parent
         and an open span's end."""
-        kinds, values, dead = self._kinds, self.values, self._dead_roots
+        if self._dead or self._unsorted:
+            self._compact()
+        kinds, values = self._kinds, self.values
         off = 0
         for span_id, parent, root, start, end, code in zip(
             self.ids, self.parents, self.roots, self.starts, self.ends,
@@ -234,9 +269,6 @@ class SpanTable:
         ):
             name, phase, status, keys = kinds[code]
             width = len(keys)
-            if root in dead:
-                off += width
-                continue
             attrs = dict(zip(keys, values[off:off + width])) if width else {}
             off += width
             yield (
@@ -256,7 +288,7 @@ class SpanTable:
             yield span
 
     def __getstate__(self):
-        if self._dead:
+        if self._dead or self._unsorted:
             self._compact()
         return (
             self.ids, self.parents, self.roots, self.starts, self.ends,
@@ -269,6 +301,7 @@ class SpanTable:
         self._kind_index = {kind: i for i, kind in enumerate(self._kinds)}
         self._dead = 0
         self._dead_roots = set()
+        self._unsorted = False
 
 
 class SpanRetention:
@@ -428,10 +461,34 @@ class Tracer:
         they stand (an open span reads ``end`` None, status ``open``)."""
         if self.retention is None:
             return SpanTable(self._spans)
+        return self._table.merged(self._pending())
+
+    def take_table(self) -> SpanTable:
+        """Hand every retained span over as the tracer's own table.
+
+        The end-of-run form of :meth:`table`: the kept rows are not
+        copied, the still-open trees and late spans are appended to them
+        as they stand, and the tracer keeps nothing retained afterwards.
+        The rows come out in :meth:`table`'s order, sorted on the
+        table's first read — after the caller has freed what it no
+        longer needs.
+        """
+        if self.retention is None:
+            table, self._spans = SpanTable(self._spans), []
+            return table
+        table = self._table.absorb(self._pending())
+        self._table = SpanTable()
+        self._trees, self._late, self._kept = {}, {}, {}
+        self._limbo = None
+        self._pinned = set()
+        return table
+
+    def _pending(self) -> List[Span]:
+        """Spans not yet rows: open trees, and late spans of kept roots."""
         kept = self._kept
         pending = [span for tree in self._trees.values() for span in tree]
         pending.extend(s for s in self._late.values() if s.root_id in kept)
-        return self._table.merged(pending)
+        return pending
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import islice
+from sys import intern
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
 from ..core.ue import UE, ProcedureAborted, ProcedureOutcome
@@ -123,7 +124,9 @@ class CohortDriver:
     # -- identity ----------------------------------------------------------
 
     def ue_id(self, i: int) -> str:
-        return "%s-%07d" % (self.prefix, self.ids[i])
+        """UE ``i``'s id: one string object per UE (interned), so the
+        store, placement and auditor entries made for it share one key."""
+        return intern("%s-%07d" % (self.prefix, self.ids[i]))
 
     def slot(self, gid: int) -> Optional[int]:
         """Slot of the UE with global id ``gid`` (None: never driven here)."""

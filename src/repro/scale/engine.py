@@ -1224,12 +1224,12 @@ class _Engine:
                 primary = self.dep.region_map.primary_for(ue_id, placement.region)
             except KeyError:
                 return  # region itself went away; evacuation owns this UE
-            backups = self.dep.region_map.replicas_for(
+            backups = tuple(self.dep.region_map.replicas_for(
                 ue_id,
                 placement.region,
                 self.dep.config.n_backups,
                 self.dep.config.georep_level,
-            )
+            ))
             if primary == placement.primary and backups == placement.backups:
                 return  # already converged (re-checked after the stagger)
             self.driver.busy[i] = 1

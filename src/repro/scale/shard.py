@@ -78,6 +78,7 @@ runs evacuation and counts the event.
 
 from __future__ import annotations
 
+import gc
 import socket
 import struct
 import time
@@ -499,11 +500,8 @@ class ShardEngine(_Engine):
             "n_local": len(self._homes[1]),
             "end": self.sim.now,
             "health": self.health_row(),
-            "obs": (
-                self._obs.snapshot(include_spans=True)
-                if self._obs is not None
-                else None
-            ),
+            # handed over, not copied: the engine is freed next
+            "obs": self._obs.hand_over() if self._obs is not None else None,
         }
 
 
@@ -557,6 +555,7 @@ class _InlineHost:
     def start(self) -> None:
         with self._timed():
             self.engine = self._make_engine()
+            self._make_engine = None  # the engine holds its homes now
             self.engine.prepare()
 
     def step_send(
@@ -588,9 +587,16 @@ class _InlineHost:
             health["wall_s"] = self.wall
         return out
 
+    def finish_send(self) -> None:
+        """Nothing to send: :meth:`finish` builds the payload here."""
+
     def finish(self) -> Dict[str, Any]:
+        """The shard's payload, with its engine freed before anything
+        copies, ships or merges it."""
         with self._timed():
             payload = self.engine.finish_payload()
+            self.engine = None
+            gc.collect()  # an engine is a web of cycles
         payload["wall_s"] = self.wall
         payload["cpu_s"] = self.cpu
         # the peak of the process hosting this shard: shards hosted by
@@ -650,8 +656,10 @@ class _ProcessHost:
     def step_recv(self):
         return self._recv()[1:]
 
-    def finish(self) -> Dict[str, Any]:
+    def finish_send(self) -> None:
         self._send(("finish",))
+
+    def finish(self) -> Dict[str, Any]:
         payload = self._recv()[1]
         self._finished = True
         return payload
@@ -1026,6 +1034,9 @@ def run_sharded(
             backend_used = "process"
     if backend_used == "inline":
         hosts += [_InlineHost(partial(_shard_engine, *a)) for a in engine_args[1:]]
+    # a worker holds its own homes, and a host's recipe holds the rest
+    # until its engine is built
+    del engine_args, homes
 
     try:
         # _epoch_loop starts the hosts in shard order: shard 0 is built
@@ -1034,6 +1045,10 @@ def run_sharded(
         epochs = _epoch_loop(
             hosts, spec.duration_s, delta, stream=stream, orch=orch
         )
+        # the workers finish while this process finishes shard 0, and
+        # each host frees its engine before the next payload arrives
+        for host in hosts:
+            host.finish_send()
         payloads = [host.finish() for host in hosts]
     finally:
         for host in hosts:

@@ -141,7 +141,7 @@ class TestDeploymentHelpers:
         ue = neutrino.bootstrap_ue("ue-1", "bs-20-0")
         assert ue.attached and ue.completed_version == 1
         placement = neutrino.placement_of("ue-1")
-        for name in [placement.primary] + placement.backups:
+        for name in [placement.primary, *placement.backups]:
             assert neutrino.cpfs[name].store.get("ue-1") is not None
 
     def test_grid_regions_validated(self, sim):

@@ -186,7 +186,7 @@ class TestRecords:
         entry = StateEntry(UEState("a", 1))
         assert (entry.synced_clock, entry.up_to_date, entry.is_primary) == (0, True, False)
         first, second = Placement("r", "p"), Placement("r", "p")
-        assert first.backups == [] and first.backups is not second.backups
+        assert first.backups == () == second.backups  # a tuple: nothing to share
 
     @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_and_repr_round_trip(self, protocol):

@@ -15,7 +15,11 @@ changes nothing a reader of the trace sees:
   spans retention), and the rows a table holds never exceed twice the
   live kept spans;
 * a shipped table costs at most 150 B per span once unpickled — one
-  dict per span (616 B) does not come back.
+  dict per span (616 B) does not come back;
+* the table a tracer hands over at the end of a run reads back row for
+  row as :meth:`Tracer.table` would have copied it, before and after
+  pickle, and compacting it in place peaks at ≤ 1.5x its column bytes
+  (sorting one ``(span_id, row)`` tuple per row took ~3.8x).
 
 The pinned hashes must NEVER be regenerated to make a refactor pass.
 """
@@ -247,3 +251,92 @@ def test_shipped_table_costs_under_150_bytes_a_span():
             tracemalloc.stop()
         assert len(table) > 1000
         assert size / len(table) <= 150, size / len(table)
+
+
+# ------------------------------------------------------------ the hand-over
+
+
+def _columns(table):
+    """Every column as bytes (an open span's end is NaN, never equal)."""
+    arrays = (table.ids, table.parents, table.roots, table.starts,
+              table.ends, table.kinds)
+    return [c.tobytes() for c in arrays] + [table.values, table._kinds]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_handed_over_table_reads_back_as_the_copy(seed):
+    """Cut the campaign at several points: tombstones, open trees and
+    late spans all stand when the table is handed over."""
+    seen = {"tombstones": 0, "open": 0, "late": 0}
+    for cut in (400, 1100, 1900, 2600):
+        tracers = [Tracer(lambda: 0.0, retention=SpanRetention(3)) for _ in range(3)]
+        for steps in zip(*(_campaign(t, seed) for t in tracers)):
+            if not cut:
+                break
+            cut -= 1
+        copy_of, handed, shipped = tracers
+        seen["tombstones"] += handed._table._dead > 0
+        seen["open"] += bool(handed._trees)
+        seen["late"] += any(s.root_id in handed._kept for s in handed._late.values())
+        expected = copy_of.table()
+        table = handed.take_table()
+        assert list(table.rows()) == list(expected.rows())
+        assert _columns(table) == _columns(expected)
+        back = pickle.loads(pickle.dumps(shipped.take_table()))
+        assert list(back.rows()) == list(expected.rows())
+        assert _columns(back) == _columns(expected)
+        # the tracer keeps none
+        assert len(handed.table()) == 0 and not handed._kept
+    assert all(seen.values()), seen
+
+
+def test_take_table_without_retention_hands_over_the_span_list():
+    clock = {"t": 0.0}
+    tracer = Tracer(lambda: clock["t"])
+    root = tracer.begin("proc.attach", proc="attach")
+    tracer.finish(tracer.begin("hop.radio", parent=root, nbytes=64))
+    expected = list(tracer.table().rows())
+    table = tracer.take_table()
+    assert list(table.rows()) == expected and len(expected) == 2
+    assert tracer.spans == []
+
+
+def _column_bytes(table):
+    arrays = (table.ids, table.parents, table.roots, table.starts,
+              table.ends, table.kinds)
+    return sum(c.itemsize * len(c) for c in arrays) + 8 * len(table.values)
+
+
+def test_compaction_peaks_under_one_and_a_half_column_sets():
+    """50k rows in shuffled span-id order, one tree in seven retired."""
+    rng = random.Random(7)
+    ids = list(range(1, 50_001))
+    rng.shuffle(ids)
+    spans = []
+    for span_id in ids:
+        root = span_id - span_id % 10 or 10
+        span = Span(
+            span_id, None if span_id == root else root, root,
+            "hop.radio" if span_id % 3 else "cpf.handle", "transit",
+            float(span_id), {"nbytes": 40 + span_id % 100} if span_id % 5 else {},
+        )
+        span.end, span.status = span_id + 0.5, "ok"
+        spans.append(span)
+    table = SpanTable(spans)
+    for root in range(10, 50_001, 70):
+        table.drop_root(root, 0)  # tombstones without an early compaction
+    table._dead = sum(root in table._dead_roots for root in table.roots)
+    live = len(table)
+    budget = 1.5 * _column_bytes(table)
+    table.absorb(())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        first = next(table.rows())  # the first read compacts
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table.ids) == live == len(table)
+    assert [first[0]] + list(table.ids)[1:] == sorted(s.span_id for s in spans
+                                     if s.root_id not in range(10, 50_001, 70))
+    assert peak <= budget, (peak, budget)

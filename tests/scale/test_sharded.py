@@ -576,24 +576,25 @@ def test_cross_shard_handover_mid_fault_window_keeps_ryw():
 
     hosts = [sh._InlineHost(maker(k)) for k in range(2)]
     sh._epoch_loop(hosts, spec.duration_s, delta)
+    # a finished host has freed its engine: read what it shipped
     payloads = [h.finish() for h in hosts]
+    counters = [p["result"].counters for p in payloads]
 
     lo, hi = 0.35 * spec.duration_s, 0.70 * spec.duration_s
-    for k, host in enumerate(hosts):
-        records = host.engine.trace.records
-        out = [r for r in records if r.kind == "shard_migrate_out"]
+    for k, payload in enumerate(payloads):
+        out = [r for r in payload["records"] if r.kind == "shard_migrate_out"]
         in_window = [r for r in out if lo <= r.time <= hi]
         assert in_window, "shard %d: no cross-shard handover in the window" % k
         # the full cross-level-2 handover is never lane-admitted: the
         # emigrating UE took the discrete path by construction
-        assert host.engine.counters.get("moves_handover", 0) > 0
-        assert payloads[k]["result"].violations == 0
+        assert counters[k].get("moves_handover", 0) > 0
+        assert payload["result"].violations == 0
         # the emigrant's state version crossed the channel intact
         assert all(dict(r.detail).get("version") is not None for r in in_window)
 
     # conservation: every record sent was installed somewhere
-    sent = sum(h.engine.counters.get("migrations_out", 0) for h in hosts)
-    received = sum(h.engine.counters.get("migrations_in", 0) for h in hosts)
+    sent = sum(c.get("migrations_out", 0) for c in counters)
+    received = sum(c.get("migrations_in", 0) for c in counters)
     assert sent == received > 0
 
     # and the merged run is clean end to end

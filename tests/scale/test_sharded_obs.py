@@ -21,6 +21,7 @@ The pinned digest must NEVER be regenerated to make a refactor pass.
 
 import io
 import json
+import weakref
 
 import pytest
 
@@ -28,6 +29,7 @@ from repro.obs import Observability
 from repro.obs.export import stitch_chrome_trace, validate_chrome_trace
 from repro.obs.ledger import LEDGER_SCHEMA, build_run_ledger, write_run_ledger
 from repro.obs.stream import HeartbeatStream
+from repro.scale import shard as sh
 from repro.scale.shard import run_sharded
 
 from .test_sharded import PINNED_SHARDED_DIGEST, _fault_window_spec, run2
@@ -119,6 +121,50 @@ def test_migration_bearing_run_has_cross_shard_flow_events():
         if ev["ph"] == "X" and ev["name"] == "shard.install_migrated"
     ]
     assert len(install) >= len(ends)
+
+
+# ------------------------------------------------------------- the finish
+
+
+def test_each_host_frees_its_engine_before_the_next_payload(monkeypatch):
+    """Shard 0's engine is gone before shard 1's payload is built (the
+    coordinator receives a worker's only after that), and the run still
+    lands on the pinned witness."""
+    finish = sh._InlineHost.finish
+    engines = []
+
+    def watched(host):
+        assert all(ref() is None for ref in engines)  # earlier shards freed
+        engines.append(weakref.ref(host.engine))
+        payload = finish(host)
+        assert host.engine is None and engines[-1]() is None
+        return payload
+
+    monkeypatch.setattr(sh._InlineHost, "finish", watched)
+    res = run2(obs=Observability("trace"))
+    assert len(engines) == 2
+    assert res.digest == PINNED_SHARDED_DIGEST
+
+
+def test_a_worker_that_frees_its_engine_ships_the_inline_payload():
+    """The worker drops its engine before it pickles: its span table,
+    flow tables and counts arrive equal to the inline host's."""
+    inline, proc = (
+        run_sharded(
+            _fault_window_spec(), shards=2, backend=backend,
+            obs=Observability("trace"), verbose_trace=True,
+        )
+        for backend in ("inline", "process")
+    )
+    assert proc.perf["backend"] == "process"
+    assert proc.digest == inline.digest
+    assert proc.counters == inline.counters
+    for a, b in zip(inline.obs_shards, proc.obs_shards):
+        assert list(a["spans"].rows()) == list(b["spans"].rows())
+        assert {k: v for k, v in a.items() if k != "spans"} == {
+            k: v for k, v in b.items() if k != "spans"
+        }
+    assert sum(len(snap["flows_out"]) for snap in proc.obs_shards) > 0
 
 
 def test_span_keep_knob_is_digest_transparent():

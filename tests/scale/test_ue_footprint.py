@@ -4,7 +4,8 @@ Neutrino keeps each UE's state on a primary CPF and N backups (§4.2–4.3),
 so whatever one copy of that state costs, a city pays it (1 + N) times
 per UE.  These guards pin the per-UE records as slotted (no instance
 ``__dict__``), the cost of an eager cohort bootstrap, the ring-hash
-memo as bounded rather than one entry per UE ever placed, and a shard's
+memo as bounded rather than one entry per UE ever placed, a UE's id
+string and replica set as objects its entries share, and a shard's
 driver as holding its columns and no per-UE id index.
 """
 
@@ -24,8 +25,10 @@ N = 20_000
 
 #: traced bytes per UE an eager bootstrap may leave live: every UE's
 #: state entry on its primary and backups, its placement and its id.
-#: Dict-backed records with an unbounded hash memo took ~1 110 B/UE.
-BOOTSTRAP_BYTES_PER_UE_MAX = 800
+#: Dict-backed records with an unbounded hash memo took ~1 110 B/UE,
+#: and a list of backups per placement with one id string per entry
+#: ~705 B/UE.
+BOOTSTRAP_BYTES_PER_UE_MAX = 720
 
 #: traced bytes per UE that building one shard's driver and three id
 #: buckets may allocate, its columns included.  A gid -> slot dict over
@@ -67,6 +70,23 @@ def test_per_ue_records_have_no_instance_dict(bootstrapped):
         assert not hasattr(record, "__dict__")
     for record in (UEState("u", 1), StateEntry(UEState("u", 1)), Placement("r", "p")):
         assert not hasattr(record, "__dict__")
+
+
+def test_a_ue_id_and_a_replica_set_are_held_once(bootstrapped):
+    engine, _live = bootstrapped
+    driver, dep = engine.driver, engine.dep
+    assert driver.ue_id(7) is driver.ue_id(7)
+    by_set = {}
+    for ue_id, placement in dep.placements_items():
+        assert type(placement.backups) is tuple
+        by_set.setdefault(placement.backups, []).append(placement.backups)
+    assert len(by_set) < N // 100  # a few replica sets for N UEs
+    for backups in by_set.values():
+        assert all(b is backups[0] for b in backups)
+    ue_id = driver.ue_id(7)
+    placement = dep.placement_of(ue_id)
+    stored = next(k for k in dep.cpfs[placement.primary].store._entries if k == ue_id)
+    assert stored is ue_id
 
 
 @pytest.mark.parametrize("cls", [CohortDriver, BatchedDriver])
