@@ -202,13 +202,11 @@ class Observability:
 
     # -- results ---------------------------------------------------------------
 
-    def snapshot(self, include_spans: bool = False) -> Dict[str, object]:
+    def snapshot(self) -> Dict[str, object]:
         """JSON-able state: metric dump + span accounting.  Mid-run safe.
 
-        ``include_spans=True`` (trace mode) additionally exports the
-        retained spans as one :class:`SpanTable` (``spans``) and the
-        migration flow tables — the wire form shard workers ship to the
-        coordinator for stitching.  The table pickles; it is not JSON.
+        The retained spans leave only at the end of a run, through
+        :meth:`hand_over`.
         """
         snap: Dict[str, object] = {
             "mode": self.mode,
@@ -219,16 +217,16 @@ class Observability:
         tracer = self.tracer
         if tracer is not None and tracer.retention is not None:
             snap["retention"] = tracer.retention.stats()
-        if include_spans and tracer is not None and tracer.retain:
-            snap["spans"] = tracer.table()
-            snap["flows_out"] = list(self.flows_out)
-            snap["flows_in"] = list(self.flows_in)
         return snap
 
     def hand_over(self) -> Dict[str, object]:
         """The end-of-run :meth:`snapshot`, spans included, handed over.
 
-        The span table and the flow tables are this instance's own
+        In trace mode it adds the retained spans as one
+        :class:`SpanTable` (``spans``) and the migration flow tables —
+        the wire form shard workers ship to the coordinator for
+        stitching.  The table pickles; it is not JSON.  The table and
+        the flow tables are this instance's own
         (:meth:`~repro.obs.tracer.Tracer.take_table`), not copies, so
         the process holds one of each; the tracer keeps no span after.
         """

@@ -125,7 +125,13 @@ class CohortDriver:
 
     def ue_id(self, i: int) -> str:
         """UE ``i``'s id: one string object per UE (interned), so the
-        store, placement and auditor entries made for it share one key."""
+        store, placement and auditor entries made for it share one key.
+
+        A UE that runs a procedure has its id made again, and a
+        handover keys new store entries on it.  The intern table is
+        process-wide, and CPython 3.12 never frees an interned string,
+        so a process keeps at most one string per UE id it ever made.
+        """
         return intern("%s-%07d" % (self.prefix, self.ids[i]))
 
     def slot(self, gid: int) -> Optional[int]:

@@ -587,9 +587,6 @@ class _InlineHost:
             health["wall_s"] = self.wall
         return out
 
-    def finish_send(self) -> None:
-        """Nothing to send: :meth:`finish` builds the payload here."""
-
     def finish(self) -> Dict[str, Any]:
         """The shard's payload, with its engine freed before anything
         copies, ships or merges it."""
@@ -656,10 +653,8 @@ class _ProcessHost:
     def step_recv(self):
         return self._recv()[1:]
 
-    def finish_send(self) -> None:
-        self._send(("finish",))
-
     def finish(self) -> Dict[str, Any]:
+        self._send(("finish",))
         payload = self._recv()[1]
         self._finished = True
         return payload
@@ -1045,10 +1040,9 @@ def run_sharded(
         epochs = _epoch_loop(
             hosts, spec.duration_s, delta, stream=stream, orch=orch
         )
-        # the workers finish while this process finishes shard 0, and
-        # each host frees its engine before the next payload arrives
-        for host in hosts:
-            host.finish_send()
+        # shard 0 finishes first, so its engine is freed before any
+        # worker payload arrives; each worker frees its own before it
+        # sends
         payloads = [host.finish() for host in hosts]
     finally:
         for host in hosts:

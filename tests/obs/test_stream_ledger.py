@@ -260,9 +260,7 @@ def test_stitch_links_flows_across_hand_built_shards():
     dst.tracer.finish(cont)
     dst.note_migration_in("m0:0", cont.span_id, 1.5, "ue-9")
 
-    data = stitch_chrome_trace(
-        [src.snapshot(include_spans=True), dst.snapshot(include_spans=True)]
-    )
+    data = stitch_chrome_trace([src.hand_over(), dst.hand_over()])
     validate_chrome_trace(data)
     assert data["metadata"]["flow_events"] == 1
     start = next(e for e in data["traceEvents"] if e["ph"] == "s")
