@@ -27,7 +27,7 @@ pytest.importorskip("pytest_benchmark")
 
 from repro.core.config import ControlPlaneConfig
 from repro.experiments.harness import RunSpec, run_pct_point
-from repro.obs import Observability, Tracer
+from repro.obs import Observability, SpanRetention, Tracer
 from repro.obs.export import chrome_trace_events
 
 #: one small but full measurement point (procedures, checkpoints, ACKs).
@@ -64,9 +64,9 @@ def test_obs_point_trace_export(benchmark):
     """Full span retention plus the Chrome/Perfetto export walk."""
 
     def run():
-        obs = Observability("trace")
+        obs = Observability("trace", span_keep=0)
         run_pct_point(ControlPlaneConfig.neutrino(), _RATE, RunSpec(**_SPEC), obs=obs)
-        return chrome_trace_events(obs.tracer)
+        return chrome_trace_events(obs.tracer.table())
 
     data = benchmark(run)
     assert len(data["traceEvents"]) > 100
@@ -77,7 +77,7 @@ def test_obs_tracer_span_loop(benchmark):
     N = 20_000
 
     def loop():
-        tracer = Tracer(lambda: 0.0, retain=False)
+        tracer = Tracer(lambda: 0.0, retention=SpanRetention.nothing())
         root = tracer.begin("proc.x")
         for _ in range(N):
             tracer.finish(tracer.begin("hop.y", parent=root))

@@ -418,9 +418,9 @@ def main(argv: List[str] = None) -> int:
         )
         p.add_argument(
             "--span-keep", type=int, default=None, metavar="K",
-            help="bounded span retention for --obs trace: keep the slowest "
-            "K roots per procedure plus every fault/recovery/migration "
-            "tree (default: 32, sharded or not; 0 keeps every span)",
+            help="span retention for --obs trace: keep the slowest K roots "
+            "per procedure plus every fault/recovery/migration tree "
+            "(default: 32, sharded or not; 0 keeps every tree)",
         )
         p.add_argument(
             "--trace-out", default=None, metavar="FILE",
@@ -792,7 +792,7 @@ def _run_scale(args, spec=None) -> int:
             data = stitch_chrome_trace(obs_shards)
             flow_events = data["metadata"]["flow_events"]
         else:
-            data = chrome_trace_events(obs.tracer)
+            data = chrome_trace_events(obs.tracer.take_table())
         validate_chrome_trace(data)
         with open(trace_path, "w") as fp:
             json.dump(data, fp)
@@ -845,8 +845,6 @@ def _run_scale(args, spec=None) -> int:
                 )
             )
     snapshot = getattr(result, "obs_snapshot", None)
-    if snapshot is None and obs is not None and obs.metrics is not None:
-        snapshot = obs.snapshot()
     if snapshot is not None:
         counters = (snapshot.get("metrics") or {}).get("counters", [])
         hop_messages = sum(
@@ -949,17 +947,18 @@ def _run_obs(args) -> int:
     for label, (preset, kwargs), procedure, overrides in table["cases"]:
         config = getattr(ControlPlaneConfig, preset)(**kwargs)
         spec = _reduced_spec(args.smoke, procedure=procedure, **overrides)
-        obs = Observability("trace")
+        obs = Observability("trace", span_keep=0)
         point = run_pct_point(config, rate, spec, obs=obs)
         print(point.row())
         trace_path = os.path.join(args.out, "%s-%s.trace.json" % (args.id, label))
+        table = obs.tracer.take_table()
         data = write_chrome_trace(
-            trace_path, obs.tracer, process_name="repro %s %s" % (args.id, label)
+            trace_path, table, process_name="repro %s %s" % (args.id, label)
         )
         n_events = validate_chrome_trace(data)
         print("  trace ok (%d events) -> %s" % (n_events, trace_path))
         if args.timeline:
-            print(timeline_summary(obs.tracer, limit=2))
+            print(timeline_summary(table, limit=2))
         labeled.append((label, obs.snapshot()))
 
     metrics_path = os.path.join(args.out, "%s-metrics.json" % args.id)

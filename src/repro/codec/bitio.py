@@ -216,10 +216,6 @@ class ByteWriter:
         else:
             self._buf[offset : offset + nbytes] = value.to_bytes(nbytes, self.endian)
 
-    def patch_bytes(self, offset: int, raw: bytes) -> None:
-        """Overwrite ``len(raw)`` bytes in place (pre-encoded scalar)."""
-        self._buf[offset : offset + len(raw)] = raw
-
     def getvalue(self) -> bytes:
         return bytes(self._buf)
 
@@ -247,10 +243,6 @@ class ByteReader:
             4: _PACK_S[(endian, 4)].unpack_from,
             8: _PACK_S[(endian, 8)].unpack_from,
         }
-
-    @property
-    def remaining(self) -> int:
-        return len(self.data) - self.pos
 
     def read(self, nbytes: int) -> bytes:
         end = self.pos + nbytes

@@ -6,13 +6,12 @@ Public surface:
 * :class:`Deployment` — wires a RegionMap into live simulated nodes.
 * :class:`UE` — the procedure driver (the paper's traffic generator role).
 * :class:`CTA`, :class:`CPF`, :class:`UPF`, :class:`BaseStation` — nodes.
-* :class:`RYWAuditor` — always-on Read-your-Writes verification
-  (``ConsistencyAuditor`` is its historic alias).
+* :class:`RYWAuditor` — always-on Read-your-Writes verification.
 """
 
 from .bs import BaseStation
 from .config import ControlPlaneConfig
-from .consistency import CausalEvent, ConsistencyAuditor, RYWAuditor, Violation
+from .consistency import CausalEvent, RYWAuditor, Violation
 from .cpf import CPF, HandleResult
 from .cta import CTA, FailoverPlan
 from .deployment import Deployment, Placement
@@ -35,7 +34,6 @@ __all__ = [
     "UPF",
     "Session",
     "BaseStation",
-    "ConsistencyAuditor",
     "RYWAuditor",
     "CausalEvent",
     "Violation",

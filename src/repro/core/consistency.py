@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-__all__ = ["RYWAuditor", "ConsistencyAuditor", "Violation", "CausalEvent"]
+__all__ = ["RYWAuditor", "Violation", "CausalEvent"]
 
 #: events one UE's history shows; enough to show the failure context.
 _HISTORY_LIMIT = 32
@@ -250,7 +250,3 @@ class RYWAuditor:
     @property
     def read_your_writes_held(self) -> bool:
         return not self.violations
-
-
-#: historic name, kept for compatibility with earlier call sites/tests.
-ConsistencyAuditor = RYWAuditor

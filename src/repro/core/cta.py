@@ -114,12 +114,6 @@ class CTA:
             return ev
         return self.server.submit(self.config.cta_forward_s)
 
-    # -- routing ------------------------------------------------------------------
-
-    def route(self, ue_id: str) -> Optional[str]:
-        """The CPF that should serve this UE right now (alive primaries only)."""
-        return self.dep.primary_of(ue_id)
-
     # -- recovery (§4.2.5) -----------------------------------------------------------
 
     def failover(self, ue_id: str, obs_parent=None) -> Generator:

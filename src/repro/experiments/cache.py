@@ -134,10 +134,6 @@ class CacheStats:
     misses: int = 0
     stale: int = 0
 
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses + self.stale
-
     def summary(self) -> str:
         return "cache: hits=%d misses=%d stale=%d" % (
             self.hits,

@@ -145,9 +145,10 @@ def run_pct_point(
 ) -> PCTPoint:
     """Run one measurement point and summarize its PCT distribution.
 
-    ``obs`` (or ``spec.obs_mode != "off"``) installs observability on
-    the point's deployment; passing an :class:`Observability` directly
-    lets the caller keep the tracer for span export afterwards.
+    ``obs`` (or ``spec.obs_mode != "off"``, which traces every span
+    tree) installs observability on the point's deployment; passing an
+    :class:`Observability` directly lets the caller keep the tracer for
+    span export afterwards.
     """
     spec = spec or RunSpec()
     if axis_rate <= 0 and spec.bursty_users is None:
@@ -166,7 +167,7 @@ def run_pct_point(
         rng=rng,
     )
     if obs is None and spec.obs_mode != "off":
-        obs = Observability(spec.obs_mode)
+        obs = Observability(spec.obs_mode, span_keep=0)
     if obs is not None:
         obs.install(dep)
     driver = WorkloadDriver(dep)

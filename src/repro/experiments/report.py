@@ -18,7 +18,6 @@ __all__ = [
     "format_run_footer",
     "median_ratio",
     "best_ratio",
-    "print_pct_table",
 ]
 
 
@@ -52,10 +51,6 @@ def format_pct_table(points: Sequence[PCTPoint], title: str = "") -> str:
         lines.append("%-20s" % scheme + "".join(cells))
     lines.append("(cells: median PCT in ms)")
     return "\n".join(lines)
-
-
-def print_pct_table(points: Sequence[PCTPoint], title: str = "") -> None:
-    print(format_pct_table(points, title))
 
 
 def format_dict_rows(rows: Sequence[Dict[str, Any]], title: str = "") -> str:

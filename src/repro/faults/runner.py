@@ -241,8 +241,8 @@ def replay(
 ) -> ReplayReport:
     """Run the plan ``runs`` times; equal digests == deterministic.
 
-    ``obs_mode`` ("metrics" or "trace") installs a fresh
-    :class:`repro.obs.Observability` per run, so violation reports carry
+    ``obs_mode`` ("metrics" or "trace", every span tree kept) installs a
+    fresh :class:`repro.obs.Observability` per run, so violation reports carry
     span ids while the digest comparison still proves obs changed
     nothing.
     """
@@ -254,7 +254,7 @@ def replay(
             return None
         from ..obs import Observability  # deferred: keep faults obs-optional
 
-        return Observability(obs_mode)
+        return Observability(obs_mode, span_keep=0)
 
     results = [
         run_plan(plan, config=config, verbose_trace=verbose_trace, obs=_obs())

@@ -14,7 +14,6 @@ __all__ = [
     "encode",
     "decode_bounds",
     "parent",
-    "children",
     "neighbors_at_level",
     "covers",
 ]
@@ -84,18 +83,6 @@ def parent(geohash: str) -> str:
     if len(geohash) < 2:
         raise ValueError("geo-hash %r has no parent" % geohash)
     return geohash[:-1]
-
-
-def children(geohash: str) -> List[str]:
-    """The four cells one level finer, in alphabet order.
-
-    Deriving child tiles by string extension (rather than re-encoding
-    coordinates near a cell edge) sidesteps the float boundary cases
-    where a point on a shared edge encodes into the neighbouring cell.
-    """
-    if not geohash:
-        raise ValueError("empty geo-hash")
-    return [geohash + c for c in _ALPHABET]
 
 
 def covers(prefix: str, geohash: str) -> bool:

@@ -16,8 +16,9 @@ its end-to-end PCT.  This package provides:
   plain-text timelines (``python -m repro obs fig07``).
 
 The facade is :class:`Observability`: construct one (mode ``"trace"``
-retains spans for export; ``"metrics"`` keeps only phase histograms and
-counters), :meth:`~Observability.install` it on a
+retains spans for export under one :class:`SpanRetention` policy;
+``"metrics"`` keeps only phase histograms and counters),
+:meth:`~Observability.install` it on a
 :class:`~repro.core.deployment.Deployment`, run, then
 :meth:`~Observability.snapshot` or export.  When no observability is
 installed (``dep.obs is None``, the default) every instrumentation site
@@ -37,7 +38,7 @@ whose end is known — so tracing never decides *how* a procedure runs
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .metrics import (
     Counter,
@@ -51,7 +52,9 @@ from .metrics import (
 from .tracer import Span, SpanRetention, SpanTable, Tracer
 
 __all__ = [
+    "DEFAULT_SPAN_KEEP",
     "Observability",
+    "fold_snapshots",
     "Tracer",
     "Span",
     "SpanRetention",
@@ -68,6 +71,10 @@ __all__ = [
 #: valid Observability modes (RunSpec.obs_mode adds "off" = don't install).
 MODES = ("metrics", "trace")
 
+#: the slowest-K bound of a trace whose caller leaves ``span_keep`` unset
+#: (sharded or not, scale run or figure point); 0 keeps every tree.
+DEFAULT_SPAN_KEEP = 32
+
 
 class Observability:
     """Tracer + metrics registry bound to one deployment run."""
@@ -76,9 +83,10 @@ class Observability:
         if mode not in MODES:
             raise ValueError("obs mode must be one of %r, got %r" % (MODES, mode))
         self.mode = mode
-        #: bounded span retention (trace mode): keep the slowest-K roots
-        #: per procedure plus every fault/recovery/migration tree.
-        #: None = retain everything (figure-scale runs).
+        #: span retention in trace mode: keep the slowest ``span_keep``
+        #: roots per procedure plus every fault/recovery/migration tree;
+        #: None = :data:`DEFAULT_SPAN_KEEP`, 0 = every tree.  Metrics
+        #: mode keeps no span whatever it says.
         self.span_keep = span_keep
         self.tracer: Optional[Tracer] = None
         self.metrics: Optional[MetricsRegistry] = None
@@ -104,20 +112,23 @@ class Observability:
         if self._dep is not None:
             raise RuntimeError("Observability is already installed on a deployment")
         sim_now = lambda: dep.sim.now  # noqa: E731 — tiny clock closure
-        retention = None
-        if self.mode == "trace" and self.span_keep:
-            retention = SpanRetention(self.span_keep)
         self.tracer = Tracer(
             sim_now,
-            retain=(self.mode == "trace"),
+            retention=self._retention(),
             on_root_finish=self._fold_root,
             on_offpath_finish=self._fold_offpath,
-            retention=retention,
         )
         self.metrics = MetricsRegistry(sim_now)
         self._dep = dep
         dep.obs = self
         return self
+
+    def _retention(self) -> SpanRetention:
+        """A fresh policy for one install, from the mode and ``span_keep``."""
+        if self.mode == "metrics":
+            return SpanRetention.nothing()
+        keep = DEFAULT_SPAN_KEEP if self.span_keep is None else self.span_keep
+        return SpanRetention(keep) if keep else SpanRetention.every()
 
     # -- instrumentation hooks -------------------------------------------------
 
@@ -160,7 +171,7 @@ class Observability:
         id never enters the sim-side migration record, so the sharded
         digest is identical with or without tracing installed.
         """
-        if span_id is not None and self.tracer.retention is not None:
+        if span_id is not None:
             # the anchor must survive bounded retention or the stitched
             # flow event loses its source track; resurrects a root that
             # slowest-K admission just rejected
@@ -178,8 +189,7 @@ class Observability:
 
     def _fold_root(self, root: Span, phases: Dict[str, float]) -> None:
         """A procedure root closed: record its per-phase decomposition."""
-        if self.tracer.retain:
-            self.last_root = (root.span_id, str(root.attrs.get("ue", "")))
+        self.last_root = (root.span_id, str(root.attrs.get("ue", "")))
         proc = str(root.attrs.get("proc", root.name))
         metrics = self.metrics
         metrics.histogram("proc_total_s", proc=proc).observe(root.duration)
@@ -203,7 +213,8 @@ class Observability:
     # -- results ---------------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
-        """JSON-able state: metric dump + span accounting.  Mid-run safe.
+        """JSON-able state: metric dump, span accounting and the retention
+        policy's stats.  Mid-run safe.
 
         The retained spans leave only at the end of a run, through
         :meth:`hand_over`.
@@ -215,25 +226,52 @@ class Observability:
             "metrics": self.metrics.snapshot() if self.metrics else None,
         }
         tracer = self.tracer
-        if tracer is not None and tracer.retention is not None:
+        if tracer is not None:
             snap["retention"] = tracer.retention.stats()
         return snap
 
     def hand_over(self) -> Dict[str, object]:
         """The end-of-run :meth:`snapshot`, spans included, handed over.
 
-        In trace mode it adds the retained spans as one
-        :class:`SpanTable` (``spans``) and the migration flow tables —
-        the wire form shard workers ship to the coordinator for
-        stitching.  The table pickles; it is not JSON.  The table and
-        the flow tables are this instance's own
+        It adds the retained spans as one :class:`SpanTable` (``spans``;
+        empty in metrics mode) and the migration flow tables — the wire
+        form shard workers ship to the coordinator for stitching.  The
+        table pickles; it is not JSON.  The table and the flow tables
+        are this instance's own
         (:meth:`~repro.obs.tracer.Tracer.take_table`), not copies, so
         the process holds one of each; the tracer keeps no span after.
         """
         snap = self.snapshot()
         tracer = self.tracer
-        if tracer is not None and tracer.retain:
+        if tracer is not None:
             snap["spans"] = tracer.take_table()
             snap["flows_out"], self.flows_out = self.flows_out, []
             snap["flows_in"], self.flows_in = self.flows_in, []
         return snap
+
+
+def fold_snapshots(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """One run's obs summary from its shards' snapshots, in shard order.
+
+    The same fold for one shard (an unsharded run) and for k: span
+    counts and retention tallies add up, every metric row is labeled
+    with its ``shard`` and the rows merge — so a run's summary, and the
+    ledger's ``obs`` section built from it, has the same keys however
+    the run was executed.
+    """
+    retentions = [s["retention"] for s in snapshots]
+    return {
+        "mode": snapshots[0]["mode"],
+        "shards": len(snapshots),
+        "spans_started": sum(s["spans_started"] for s in snapshots),
+        "spans_finished": sum(s["spans_finished"] for s in snapshots),
+        "metrics": merge_snapshots([
+            label_snapshot(s["metrics"], shard=k)
+            for k, s in enumerate(snapshots)
+        ]),
+        "retention": {
+            "limit": retentions[0]["limit"],
+            "roots_kept": sum(r["roots_kept"] for r in retentions),
+            "roots_dropped": sum(r["roots_dropped"] for r in retentions),
+        },
+    }

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Collection, Dict, List, Optional, Sequence
 
-from .tracer import Span, SpanTable, Tracer
+from .tracer import Span, SpanTable
 
 __all__ = [
     "chrome_trace_events",
@@ -32,20 +32,6 @@ __all__ = [
 ]
 
 _PID = 1
-
-
-def _spans_of(tracer_or_spans) -> List[Span]:
-    if isinstance(tracer_or_spans, Tracer):
-        return list(tracer_or_spans.spans)
-    return list(tracer_or_spans)  # a SpanTable iterates as Spans
-
-
-def _table_of(spans) -> SpanTable:
-    if isinstance(spans, SpanTable):
-        return spans
-    if isinstance(spans, Tracer):
-        return spans.table()
-    return SpanTable(spans)
 
 
 def _append_span_events(
@@ -105,11 +91,12 @@ def _append_span_events(
 
 
 def chrome_trace_events(
-    tracer_or_spans, process_name: str = "repro-sim"
+    table: SpanTable, process_name: str = "repro-sim"
 ) -> Dict[str, object]:
-    """Spans -> a ``{"traceEvents": [...]}`` dict (Perfetto-loadable).
+    """A span table -> a ``{"traceEvents": [...]}`` dict (Perfetto-loadable).
 
-    Accepts a :class:`Tracer`, a :class:`SpanTable` or a span sequence.
+    ``table`` is a tracer's :meth:`~repro.obs.tracer.Tracer.table` (or
+    the hand-over form, :meth:`~repro.obs.tracer.Tracer.take_table`).
     """
     events: List[Dict[str, object]] = [
         {
@@ -120,7 +107,7 @@ def chrome_trace_events(
             "args": {"name": process_name},
         }
     ]
-    _append_span_events(events, _table_of(tracer_or_spans), _PID)
+    _append_span_events(events, table, _PID)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
@@ -159,18 +146,15 @@ def stitch_chrome_trace(
                 "args": {"name": "%s shard %d" % (process_name, k)},
             }
         )
-        if not snap:
-            continue
-        outs, ins = snap.get("flows_out", ()), snap.get("flows_in", ())
+        outs, ins = snap["flows_out"], snap["flows_in"]
         for row in outs:
             flows_out[row["link"]] = (k, row)
         for row in ins:
             flows_in[row["link"]] = (k, row)
         anchors = {row.get("span") for row in outs}
         anchors.update(row.get("span") for row in ins)
-        table = _table_of(snap.get("spans", ()))
         for span_id, tid in _append_span_events(
-            events, table, pid, anchors
+            events, snap["spans"], pid, anchors
         ).items():
             span_tid[(k, span_id)] = tid
     flow_id = 0
@@ -217,10 +201,10 @@ def stitch_chrome_trace(
 
 
 def write_chrome_trace(
-    path: str, tracer_or_spans, process_name: str = "repro-sim"
+    path: str, table: SpanTable, process_name: str = "repro-sim"
 ) -> Dict[str, object]:
-    """Write the Chrome trace JSON to ``path``; returns the dict."""
-    data = chrome_trace_events(tracer_or_spans, process_name=process_name)
+    """Write ``table``'s Chrome trace JSON to ``path``; returns the dict."""
+    data = chrome_trace_events(table, process_name=process_name)
     with open(path, "w") as fp:
         json.dump(data, fp)
         fp.write("\n")
@@ -267,12 +251,11 @@ def validate_chrome_trace(data: Dict[str, object]) -> int:
 
 
 def timeline_summary(
-    tracer_or_spans, limit: int = 3, slowest: bool = True
+    table: SpanTable, limit: int = 3, slowest: bool = True
 ) -> str:
     """Indented text timeline of the ``limit`` slowest (or first) roots."""
-    spans = _spans_of(tracer_or_spans)
     children: Dict[Optional[int], List[Span]] = {}
-    for span in spans:
+    for span in table:
         children.setdefault(span.parent_id, []).append(span)
     roots = children.get(None, [])
     if slowest:

@@ -305,16 +305,21 @@ class SpanTable:
 
 
 class SpanRetention:
-    """Bounded span retention for traced scale runs.
+    """What a tracer keeps of each closed root tree: the one decision.
 
-    Keeps the slowest ``slowest_k`` root trees per procedure plus
-    *every* tree touching a fault, recovery, or migration (those are
-    the runs worth a post-mortem), so ``--obs trace`` stays memory-safe
-    at 100k+ UEs: retained spans are O(procedures-kinds x K + faults),
-    not O(total procedures).
+    ``slowest_k`` takes one of three values:
+
+    * ``K >= 1`` (``SpanRetention(K)``): the slowest ``K`` root trees per
+      procedure plus *every* tree touching a fault, recovery, or
+      migration (those are the runs worth a post-mortem), so ``--obs
+      trace`` stays memory-safe at 100k+ UEs: retained spans are
+      O(procedure kinds x K + faults), not O(total procedures);
+    * ``None`` (:meth:`every`): every tree — a :class:`Tracer`'s default;
+    * ``0`` (:meth:`nothing`): no span at all — metrics mode, where the
+      tracer buffers no tree and only counters and phase folds remain.
 
     The policy only sees *closed* roots — the tracer buffers each open
-    root's tree and asks :meth:`admit` at root finish.  The slowest-K
+    root's tree and asks :meth:`decide` at root finish.  The slowest-K
     heap is a per-procedure min-heap of ``(duration, root_id)``; ties
     break on root id, so retention is deterministic.
     """
@@ -330,10 +335,32 @@ class SpanRetention:
     def __init__(self, slowest_k: int = 32):
         if slowest_k < 1:
             raise ValueError("slowest_k must be >= 1, got %d" % slowest_k)
-        self.slowest_k = slowest_k
+        self.slowest_k: Optional[int] = slowest_k
         self.roots_kept = 0
         self.roots_dropped = 0
         self._heaps: Dict[str, List[Tuple[float, int]]] = {}
+
+    @classmethod
+    def every(cls) -> "SpanRetention":
+        """Keep every tree."""
+        policy = cls()
+        policy.slowest_k = None
+        return policy
+
+    @classmethod
+    def nothing(cls) -> "SpanRetention":
+        """Keep no span (metrics mode)."""
+        policy = cls()
+        policy.slowest_k = 0
+        return policy
+
+    def decide(self, root: Span, tree: List[Span]):
+        """Keep a closed root's tree?  ``(keep, evicted_root_id)``, as
+        :meth:`admit` returns it."""
+        if self.slowest_k is None or self.always_keep(root, tree):
+            return True, None
+        proc = str(root.attrs.get("proc", root.name))
+        return self.admit(proc, root.duration, root.span_id)
 
     def always_keep(self, root: Span, tree: List[Span]) -> bool:
         if not root.name.startswith("proc."):
@@ -394,26 +421,32 @@ class _Bracket:
 
 
 class Tracer:
-    """Allocates, closes, and (optionally) retains spans.
+    """Allocates and closes spans; one retention policy decides which stay.
 
     ``sim_now`` is a zero-arg callable returning the current sim time.
-    ``retain=False`` keeps only counters and phase folds (the metrics
-    mode: span objects live just long enough to be timed).  Span ids
-    are sequential ints — deterministic, and stable enough for the
-    RYW auditor to reference a violation's serving span.
+    ``retention`` (default :meth:`SpanRetention.every`) is the only
+    knob over what is kept.  Each span is buffered with its root's tree
+    while the root is open; when the root closes and the policy keeps
+    the tree, its spans become rows of one :class:`SpanTable`.  Under
+    :meth:`SpanRetention.nothing` (the metrics mode) no tree is
+    buffered: span objects live just long enough to be timed and
+    folded.  Span ids are sequential ints — deterministic, and stable
+    enough for the RYW auditor to reference a violation's serving span.
     """
 
     def __init__(
         self,
         sim_now: Callable[[], float],
-        retain: bool = True,
+        retention: Optional[SpanRetention] = None,
         on_root_finish: Optional[Callable[[Span, Dict[str, float]], None]] = None,
         on_offpath_finish: Optional[Callable[[Span], None]] = None,
-        retention: Optional[SpanRetention] = None,
     ):
         self._now = sim_now
-        self.retain = retain
-        self._spans: List[Span] = []
+        self.retention = (
+            SpanRetention.every() if retention is None else retention
+        )
+        #: whether spans are buffered at all (the policy keeps something)
+        self._buffering = self.retention.slowest_k != 0
         self.started = 0
         self.finished = 0
         self._next_id = 1
@@ -423,11 +456,9 @@ class Tracer:
         self._open_roots: Dict[int, List[tuple]] = {}
         self._on_root_finish = on_root_finish
         self._on_offpath_finish = on_offpath_finish
-        #: bounded-retention policy; None = keep every span (legacy path).
-        self.retention = retention if retain else None
-        # under retention, spans buffer per open root; when the root
-        # closes and the policy keeps the tree, its closed spans become
-        # rows of _table (an open one waits in _late until it closes).
+        # spans buffer per open root; when the root closes and the
+        # policy keeps the tree, its closed spans become rows of _table
+        # (an open one waits in _late until it closes).
         self._trees: Dict[int, List[Span]] = {}
         self._table = SpanTable()
         #: kept root id -> how many rows of _table its tree holds
@@ -445,22 +476,14 @@ class Tracer:
 
     @property
     def spans(self) -> List[Span]:
-        """Every retained span, in span-id order.
-
-        Without a retention policy this is the live append list (zero
-        cost).  With one, it materialises :meth:`table` — export-time
-        use only, not a hot path.
-        """
-        if self.retention is None:
-            return self._spans
+        """Every retained span, in span-id order: :meth:`table`
+        materialised — export-time use only, not a hot path."""
         return list(self.table())
 
     def table(self) -> SpanTable:
         """Every retained span as a new :class:`SpanTable`, in span-id
         order: kept trees, and the still-open trees and late spans as
         they stand (an open span reads ``end`` None, status ``open``)."""
-        if self.retention is None:
-            return SpanTable(self._spans)
         return self._table.merged(self._pending())
 
     def take_table(self) -> SpanTable:
@@ -473,9 +496,6 @@ class Tracer:
         table's first read — after the caller has freed what it no
         longer needs.
         """
-        if self.retention is None:
-            table, self._spans = SpanTable(self._spans), []
-            return table
         table = self._table.absorb(self._pending())
         self._table = SpanTable()
         self._trees, self._late, self._kept = {}, {}, {}
@@ -504,11 +524,8 @@ class Tracer:
                         phase, start, attrs)
         else:
             span = Span(span_id, None, span_id, name, phase, start, attrs)
-        if self.retain:
-            if self.retention is None:
-                self._spans.append(span)
-            else:
-                self._buffer(span)
+        if self._buffering:
+            self._buffer(span)
         return span
 
     def begin(
@@ -522,7 +539,7 @@ class Tracer:
         return span
 
     def _buffer(self, span: Span) -> None:
-        """Retention path: park the span with its root's tree."""
+        """Park the span with its root's tree."""
         if span.parent_id is None:
             self._trees[span.span_id] = [span]
             return
@@ -628,8 +645,7 @@ class Tracer:
                         folds[phase] = folds.get(phase, 0.0) + seconds
         if self._on_root_finish is not None:
             self._on_root_finish(root, folds)
-        if self.retention is not None:
-            self._decide_root(root)
+        self._decide_root(root)
 
     def span(
         self, name: str, parent: Optional[Span] = None,
@@ -662,17 +678,13 @@ class Tracer:
         return event
 
     def _decide_root(self, root: Span) -> None:
-        """A root closed under retention: keep its tree or drop it."""
+        """A root closed: keep its tree or drop it."""
         tree = self._trees.pop(root.span_id, None)
-        if tree is None:  # pragma: no cover - defensive (double finish)
-            return
         policy = self.retention
-        if policy.always_keep(root, tree):
-            self._keep(root.span_id, tree)
-            policy.roots_kept += 1
+        if tree is None:  # nothing buffered: the policy keeps nothing
+            policy.roots_dropped += 1
             return
-        proc = str(root.attrs.get("proc", root.name))
-        keep, evicted = policy.admit(proc, root.duration, root.span_id)
+        keep, evicted = policy.decide(root, tree)
         if not keep:
             # hold in limbo one decision long: pin() may resurrect it
             self._limbo = (root.span_id, tree)
@@ -718,10 +730,8 @@ class Tracer:
             self._keep(root_id, limbo[1])
             self._pinned.add(root_id)
             self._limbo = None
-            policy = self.retention
-            if policy is not None:
-                policy.roots_kept += 1
-                policy.roots_dropped -= 1
+            self.retention.roots_kept += 1
+            self.retention.roots_dropped -= 1
             return True
         return False
 

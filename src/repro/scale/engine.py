@@ -81,11 +81,6 @@ _BUSY_TRIES = 250
 #: history (diagnostics); above it, detection-only mode (bounded memory).
 _HISTORY_MAX_UES = 5000
 
-#: bounded span retention (slowest-K roots per procedure, plus every
-#: fault/recovery/migration tree) of a traced scale run whose caller
-#: left ``Observability.span_keep`` unset; 0 keeps every span.
-DEFAULT_SPAN_KEEP = 32
-
 
 def peak_rss_kb() -> float:
     """Peak resident set size of this process in KiB (0.0 if unknown)."""
@@ -428,10 +423,6 @@ class _Engine:
             keep = spec.n_ue <= _HISTORY_MAX_UES
         self.dep.auditor.keep_history = keep
         if obs is not None:
-            if obs.mode == "trace" and obs.span_keep is None:
-                # one default for every way of running the scenario: what
-                # a trace keeps must not depend on the shard count
-                obs.span_keep = DEFAULT_SPAN_KEEP
             obs.install(self.dep)
 
         self.trace = EventTrace(verbose=verbose_trace)
@@ -1309,6 +1300,11 @@ class _Engine:
         self.prepare()
         end = self.sim.run()
         result = self.finish(end)
+        if self._obs is not None:
+            from ..obs import fold_snapshots
+
+            # the same fold a sharded run applies to its k shards
+            result.obs_snapshot = fold_snapshots([self._obs.snapshot()])
         if self._controller is not None:
             _attach_orch(result, self._controller)
         return result

@@ -969,8 +969,8 @@ def run_sharded(
     ``obs`` (an :class:`~repro.obs.Observability` *template* — each
     shard builds its own instance from its mode/span_keep) enables
     per-shard tracing or metrics; trace mode runs under bounded span
-    retention (``obs.span_keep``; unset, every engine applies
-    :data:`~repro.scale.engine.DEFAULT_SPAN_KEEP`, sharded or not) and
+    retention (``obs.span_keep``; unset,
+    :data:`~repro.obs.DEFAULT_SPAN_KEEP`, sharded or not) and
     attaches the per-shard snapshots as ``result.obs_shards`` for
     :func:`~repro.obs.export.stitch_chrome_trace`.  ``stream`` (a
     :class:`~repro.obs.stream.HeartbeatStream`) turns on the
@@ -1058,33 +1058,9 @@ def run_sharded(
     )
     snapshots = [p["obs"] for p in payloads if p["obs"] is not None]
     if snapshots:
-        from ..obs.metrics import label_snapshot, merge_snapshots
+        from ..obs import fold_snapshots
 
-        metrics = [
-            label_snapshot(s.get("metrics"), shard=k)
-            for k, s in enumerate(snapshots)
-        ]
-        summary: Dict[str, Any] = {
-            "mode": obs_mode,
-            "shards": len(snapshots),
-            "spans_started": sum(s.get("spans_started", 0) for s in snapshots),
-            "spans_finished": sum(
-                s.get("spans_finished", 0) for s in snapshots
-            ),
-            "metrics": merge_snapshots([m for m in metrics if m is not None]),
-        }
-        retentions = [s.get("retention") for s in snapshots]
-        if any(r is not None for r in retentions):
-            summary["retention"] = {
-                "limit": next(r["limit"] for r in retentions if r),
-                "roots_kept": sum(
-                    r.get("roots_kept", 0) for r in retentions if r
-                ),
-                "roots_dropped": sum(
-                    r.get("roots_dropped", 0) for r in retentions if r
-                ),
-            }
-        result.obs_snapshot = summary
+        result.obs_snapshot = fold_snapshots(snapshots)
         #: per-shard wire snapshots (span tables + flow tables), in
         #: shard order — the stitcher's input
         result.obs_shards = snapshots

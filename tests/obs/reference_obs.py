@@ -9,7 +9,8 @@ of "Tracing you can leave on"):
   generator-based ``@contextmanager`` and ``end_on`` hangs the finish on
   an event callback;
 * :meth:`ReferenceObservability.on_hop` — the old hook: two labeled
-  counter lookups, ``begin`` and ``end_on`` on the hop's event;
+  counter lookups, ``begin`` and ``end_on`` on the hop's event (and
+  the old ``snapshot``, which had no retention stats without a bound);
 * :func:`reference_hop` — the old ``Deployment.hop``, whose obs branch
   wraps every delivered delay in a ``Timeout`` so the span has an event
   to close on.
@@ -262,14 +263,27 @@ class ReferenceObservability(Observability):
     def install(self, dep) -> "ReferenceObservability":
         super().install(dep)
         live = self.tracer
+        policy = live.retention  # the parent spelled keep-all as None
         self.tracer = ReferenceTracer(
             live._now,
-            retain=live.retain,
+            retain=policy.slowest_k != 0,
             on_root_finish=self._fold_root,
             on_offpath_finish=self._fold_offpath,
-            retention=live.retention,
+            retention=None if policy.slowest_k is None else policy,
         )
         return self
+
+    def snapshot(self) -> Dict[str, object]:
+        """The parent's snapshot: retention stats only under a bound."""
+        snap: Dict[str, object] = {
+            "mode": self.mode,
+            "spans_started": self.tracer.started,
+            "spans_finished": self.tracer.finished,
+            "metrics": self.metrics.snapshot(),
+        }
+        if self.tracer.retention is not None:
+            snap["retention"] = self.tracer.retention.stats()
+        return snap
 
     def on_hop(self, hop_class: str, nbytes: int, event, parent) -> None:
         """Per-link-traversal hook called by :meth:`Deployment.hop`."""

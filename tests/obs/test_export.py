@@ -16,7 +16,7 @@ from repro.obs.export import (
 
 
 def _traced_run():
-    obs = Observability("trace")
+    obs = Observability("trace", span_keep=0)
     spec = RunSpec(
         procedure="service_request",
         procedures_target=120,
@@ -30,7 +30,7 @@ def _traced_run():
 class TestChromeTrace:
     def test_real_run_exports_valid_trace(self):
         obs = _traced_run()
-        data = chrome_trace_events(obs.tracer)
+        data = chrome_trace_events(obs.tracer.table())
         count = validate_chrome_trace(data)
         assert count > 100
         # one "X" slice per retained span, plus metadata events
@@ -39,7 +39,7 @@ class TestChromeTrace:
 
     def test_every_root_gets_its_own_named_track(self):
         obs = _traced_run()
-        data = chrome_trace_events(obs.tracer)
+        data = chrome_trace_events(obs.tracer.table())
         thread_names = [
             e for e in data["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"
@@ -55,7 +55,7 @@ class TestChromeTrace:
         child = tracer.begin("hop.x", parent=root)
         tracer.finish(child)
         tracer.finish(root)
-        data = chrome_trace_events(tracer)
+        data = chrome_trace_events(tracer.table())
         slices = {e["args"]["span_id"]: e for e in data["traceEvents"] if e["ph"] == "X"}
         assert slices[child.span_id]["args"]["parent_id"] == root.span_id
         assert slices[child.span_id]["args"]["trace_id"] == root.root_id
@@ -63,7 +63,7 @@ class TestChromeTrace:
     def test_unfinished_span_exports_zero_duration(self):
         tracer = Tracer(lambda: 2.0)
         tracer.begin("proc.open")
-        data = chrome_trace_events(tracer)
+        data = chrome_trace_events(tracer.table())
         slice_ev = [e for e in data["traceEvents"] if e["ph"] == "X"][0]
         assert slice_ev["dur"] == 0.0
         assert slice_ev["args"]["unfinished"] is True
@@ -72,7 +72,7 @@ class TestChromeTrace:
     def test_write_round_trip(self, tmp_path):
         obs = _traced_run()
         path = tmp_path / "out.trace.json"
-        write_chrome_trace(str(path), obs.tracer)
+        write_chrome_trace(str(path), obs.tracer.table())
         with open(path) as fp:
             reloaded = json.load(fp)
         assert validate_chrome_trace(reloaded) == len(reloaded["traceEvents"])
@@ -103,10 +103,11 @@ class TestChromeTrace:
 class TestTimeline:
     def test_timeline_lists_roots_with_children(self):
         obs = _traced_run()
-        text = timeline_summary(obs.tracer, limit=2)
+        text = timeline_summary(obs.tracer.table(), limit=2)
         assert "proc.service_request" in text
         assert "cpf.handle" in text
         assert text.count("-- trace") == 2
 
     def test_empty_tracer_has_placeholder(self):
-        assert "(no spans recorded)" in timeline_summary(Tracer(lambda: 0.0))
+        empty = Tracer(lambda: 0.0).table()
+        assert "(no spans recorded)" in timeline_summary(empty)

@@ -109,10 +109,12 @@ def assert_same_observation(got, want, label):
 
 
 def _both(run, monkeypatch):
-    """``run(obs)`` under the live emitters, then under the parent's."""
-    live = Observability("trace")
+    """``run(obs)`` under the live emitters, then under the parent's,
+    every tree kept (the default bound would leave 32 of a Fig. 7
+    slice's 807 trees to compare)."""
+    live = Observability("trace", span_keep=0)
     live_result = run(live)
-    reference = ReferenceObservability("trace")
+    reference = ReferenceObservability("trace", span_keep=0)
     with monkeypatch.context() as patch:
         patch.setattr(Deployment, "hop", reference_hop)
         event_path(patch)

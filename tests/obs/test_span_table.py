@@ -290,9 +290,9 @@ def test_handed_over_table_reads_back_as_the_copy(seed):
     assert all(seen.values()), seen
 
 
-def test_take_table_without_retention_hands_over_the_span_list():
+def test_take_table_under_the_default_policy_hands_over_every_span():
     clock = {"t": 0.0}
-    tracer = Tracer(lambda: clock["t"])
+    tracer = Tracer(lambda: clock["t"])  # keeps every tree
     root = tracer.begin("proc.attach", proc="attach")
     tracer.finish(tracer.begin("hop.radio", parent=root, nbytes=64))
     expected = list(tracer.table().rows())

@@ -52,7 +52,7 @@ def test_design_span_table_equals_what_the_emitters_produce(lane_runs):
         for obs, _ in by_mode.values():
             seen |= {(generic(s.name), s.phase) for s in obs.tracer.spans}
 
-    obs = Observability("trace")
+    obs = Observability("trace", span_keep=0)
     run_pct_point(
         ControlPlaneConfig.neutrino(), 60e3, RunSpec(**_FIG10_SPEC), obs=obs
     )

@@ -16,7 +16,7 @@ from repro.obs import Observability
 from repro.obs.export import stitch_chrome_trace, validate_chrome_trace
 from repro.obs.metrics import MetricsRegistry, label_snapshot, merge_snapshots
 from repro.obs.stream import HeartbeatStream, open_stream
-from repro.obs.tracer import SpanRetention, Tracer
+from repro.obs.tracer import SpanRetention, SpanTable, Tracer
 from repro.sim.monitor import imbalance
 
 
@@ -273,14 +273,14 @@ def test_stitch_links_flows_across_hand_built_shards():
 def test_stitch_skips_flows_whose_anchor_was_dropped():
     snapshots = [
         {
-            "spans": [],
+            "spans": SpanTable(),
             "flows_out": [
                 {"link": "m0:0", "span": 99, "t": 1.0, "ue": "u", "dst": 1}
             ],
             "flows_in": [],
         },
         {
-            "spans": [],
+            "spans": SpanTable(),
             "flows_out": [],
             "flows_in": [{"link": "m0:0", "span": 1, "t": 1.5, "ue": "u"}],
         },

@@ -36,11 +36,16 @@ class TestSpanBasics:
         assert span.status == "ok"
         assert tracer.finished == 1
 
-    def test_retain_false_keeps_counters_only(self):
-        tracer = Tracer(lambda: 0.0, retain=False)
+    def test_keep_nothing_keeps_counters_only(self):
+        from repro.obs.tracer import SpanRetention
+
+        tracer = Tracer(lambda: 0.0, retention=SpanRetention.nothing())
         tracer.finish(tracer.begin("s"))
-        assert tracer.spans == []
+        assert tracer.spans == [] and not tracer._trees
         assert (tracer.started, tracer.finished) == (1, 1)
+        assert tracer.retention.stats() == {
+            "limit": 0, "roots_kept": 0, "roots_dropped": 1,
+        }
 
 
 class TestSimIntegration:

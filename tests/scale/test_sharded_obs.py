@@ -175,8 +175,9 @@ def test_span_keep_knob_is_digest_transparent():
 
 @pytest.mark.parametrize("span_keep, limit", [(None, 32), (5, 5), (0, None)])
 def test_span_keep_default_does_not_depend_on_the_shard_count(span_keep, limit):
-    """One default, applied where the engine installs obs; 0 keeps all."""
-    from repro.scale.engine import DEFAULT_SPAN_KEEP, run_scenario
+    """One default, kept in repro.obs; 0 keeps every tree."""
+    from repro.obs import DEFAULT_SPAN_KEEP
+    from repro.scale.engine import run_scenario
 
     assert DEFAULT_SPAN_KEEP == 32
     limits = {}
@@ -186,12 +187,31 @@ def test_span_keep_default_does_not_depend_on_the_shard_count(span_keep, limit):
             "steady-city", n_ue=400, duration_s=0.5, seed=3, obs=obs,
             shards=shards, shard_backend="inline",
         )
-        # single-process runs snapshot the installed instance; sharded
-        # runs merge the per-shard snapshots onto the result
-        snap = obs.snapshot() if shards == 1 else res.obs_snapshot
+        snap = res.obs_snapshot  # one fold over 1 or 2 shard snapshots
         assert snap["spans_started"] > 0
         limits[shards] = (snap.get("retention") or {}).get("limit")
     assert limits == {1: limit, 2: limit}
+
+
+@pytest.mark.parametrize("mode", ["metrics", "trace"])
+def test_ledger_obs_section_is_the_same_at_one_and_two_shards(mode):
+    """One fold summarises 1 or k shard snapshots, so an unsharded run's
+    ledger carries the same ``obs`` section a sharded one does."""
+    from repro.scale.engine import run_scenario
+
+    sections = {}
+    for shards in (1, 2):
+        res = run_scenario(
+            "steady-city", n_ue=400, duration_s=0.5, seed=3,
+            obs=Observability(mode), shards=shards, shard_backend="inline",
+        )
+        sections[shards] = build_run_ledger(res, argv=["scale"])["obs"]
+    assert sections[1].keys() == sections[2].keys() == {
+        "mode", "spans_started", "spans_finished", "retention",
+    }
+    assert sections[1]["retention"].keys() == sections[2]["retention"].keys()
+    assert sections[1]["mode"] == sections[2]["mode"] == mode
+    assert sections[1]["spans_started"] > 0
 
 
 def test_bounded_retention_caps_kept_roots():
