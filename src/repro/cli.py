@@ -419,8 +419,9 @@ def main(argv: List[str] = None) -> int:
         p.add_argument(
             "--span-keep", type=int, default=None, metavar="K",
             help="span retention for --obs trace: keep the slowest K roots "
-            "per procedure plus every fault/recovery/migration tree "
-            "(default: 32, sharded or not; 0 keeps every tree)",
+            "per procedure plus every fault/recovery tree and each "
+            "migration anchor's root span (default: 32, sharded or not; "
+            "0 keeps every tree)",
         )
         p.add_argument(
             "--trace-out", default=None, metavar="FILE",

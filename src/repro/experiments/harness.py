@@ -241,6 +241,9 @@ def run_pct_point(
     # outcome in deep overload: report count=0 with NaN percentiles
     # rather than fabricating a sample (count=1, NaN-poisoned means).
     ordered = sorted(pcts)
+    total = 0.0
+    for pct in ordered:  # plain adds in order: 3.12's sum() compensates
+        total += pct
     nan = float("nan")
     util = max(
         (cpf.server.utilization(sim.now) for cpf in dep.cpfs.values()), default=0.0
@@ -253,7 +256,7 @@ def run_pct_point(
         count=len(ordered),
         p50_ms=percentile(ordered, 50, default=nan) * 1e3,
         p95_ms=percentile(ordered, 95, default=nan) * 1e3,
-        mean_ms=sum(ordered) / len(ordered) * 1e3 if ordered else nan,
+        mean_ms=total / len(ordered) * 1e3 if ordered else nan,
         max_ms=ordered[-1] * 1e3 if ordered else nan,
         recovered=recovered,
         reattached=reattached,

@@ -84,7 +84,8 @@ class Observability:
             raise ValueError("obs mode must be one of %r, got %r" % (MODES, mode))
         self.mode = mode
         #: span retention in trace mode: keep the slowest ``span_keep``
-        #: roots per procedure plus every fault/recovery/migration tree;
+        #: roots per procedure plus every fault/recovery tree, and the
+        #: root row of each migration anchor;
         #: None = :data:`DEFAULT_SPAN_KEEP`, 0 = every tree.  Metrics
         #: mode keeps no span whatever it says.
         self.span_keep = span_keep
@@ -167,14 +168,15 @@ class Observability:
     ) -> None:
         """A UE emigrated: anchor the flow start on its last root span.
 
-        Called by the shard engine on the *obs channel only* — the link
+        Called by the shard engine on the *obs channel only*, right
+        after the procedure whose root is ``span_id`` returns — the link
         id never enters the sim-side migration record, so the sharded
-        digest is identical with or without tracing installed.
+        digest is identical with or without tracing installed.  The
+        anchor's root row is pinned (:meth:`Tracer.pin`): the stitched
+        flow event starts on it, and the rest of its tree follows the
+        retention policy like any other.
         """
         if span_id is not None:
-            # the anchor must survive bounded retention or the stitched
-            # flow event loses its source track; resurrects a root that
-            # slowest-K admission just rejected
             self.tracer.pin(span_id)
         self.flows_out.append(
             {"link": link, "span": span_id, "t": t, "ue": ue, "dst": dst}

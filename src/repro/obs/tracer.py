@@ -120,7 +120,7 @@ class SpanTable:
     The tracer keeps retained trees here (a few dozen bytes a span,
     where a :class:`Span` with its attrs dict costs several hundred),
     and the same table is what a shard worker ships and the stitcher
-    reads.  :meth:`drop_root` retires a whole tree: its rows become
+    reads.  :meth:`drop_root` retires the rows a tree holds: they become
     tombstones until they outnumber the live ones, then the columns
     compact — a table never holds more than twice its live rows.  A
     table that holds tombstones, or took rows out of order
@@ -144,9 +144,9 @@ class SpanTable:
         #: kind index -> (name, phase, status, attr keys)
         self._kinds: List[tuple] = []
         self._kind_index: Dict[tuple, int] = {}
-        #: tombstoned rows, and the roots whose rows they are
+        #: tombstoned rows; dropped root -> rows held when it was dropped
         self._dead = 0
-        self._dead_roots: set = set()
+        self._dead_roots: Dict[int, int] = {}
         #: rows were absorbed out of span-id order
         self._unsorted = False
         for span in spans:
@@ -187,8 +187,9 @@ class SpanTable:
         return self
 
     def drop_root(self, root_id: int, rows: int) -> None:
-        """Retire the ``rows`` rows of ``root_id``'s tree."""
-        self._dead_roots.add(root_id)
+        """Retire the ``rows`` rows ``root_id``'s tree holds now; a row
+        of that root appended later stays."""
+        self._dead_roots[root_id] = len(self.ids)
         self._dead += rows
         if self._dead > len(self):
             self._compact()
@@ -205,7 +206,7 @@ class SpanTable:
         keys = [
             span_id << 32 | row
             for row, (span_id, root) in enumerate(zip(self.ids, self.roots))
-            if root not in dead
+            if dead.get(root, 0) <= row
         ]
         keys.sort()
         order = array("I", [0]) * len(keys)
@@ -233,7 +234,7 @@ class SpanTable:
                 self, name, array(column.typecode, map(column.__getitem__, order))
             )
         self._dead = 0
-        self._dead_roots = set()
+        self._dead_roots = {}
         self._unsorted = False
 
     def copy(self) -> "SpanTable":
@@ -245,7 +246,7 @@ class SpanTable:
         out._kinds = list(self._kinds)
         out._kind_index = dict(self._kind_index)
         out._dead = self._dead
-        out._dead_roots = set(self._dead_roots)
+        out._dead_roots = dict(self._dead_roots)
         out._unsorted = self._unsorted
         return out
 
@@ -300,7 +301,7 @@ class SpanTable:
          self.kinds, self._kinds, self.values) = state
         self._kind_index = {kind: i for i, kind in enumerate(self._kinds)}
         self._dead = 0
-        self._dead_roots = set()
+        self._dead_roots = {}
         self._unsorted = False
 
 
@@ -310,10 +311,11 @@ class SpanRetention:
     ``slowest_k`` takes one of three values:
 
     * ``K >= 1`` (``SpanRetention(K)``): the slowest ``K`` root trees per
-      procedure plus *every* tree touching a fault, recovery, or
-      migration (those are the runs worth a post-mortem), so ``--obs
-      trace`` stays memory-safe at 100k+ UEs: retained spans are
-      O(procedure kinds x K + faults), not O(total procedures);
+      procedure plus *every* tree touching a fault or recovery (those
+      are the runs worth a post-mortem), so ``--obs trace`` stays
+      memory-safe at 100k+ UEs: retained spans are O(procedure kinds x
+      K + faults), not O(total procedures).  A migration anchor adds
+      its root row alone (:meth:`Tracer.pin`), not its tree;
     * ``None`` (:meth:`every`): every tree — a :class:`Tracer`'s default;
     * ``0`` (:meth:`nothing`): no span at all — metrics mode, where the
       tracer buffers no tree and only counters and phase folds remain.
@@ -391,6 +393,7 @@ class SpanRetention:
         return True, evicted[1]
 
     def stats(self) -> dict:
+        """Trees kept and dropped; a pinned root row moves neither."""
         return {
             "limit": self.slowest_k,
             "roots_kept": self.roots_kept,
@@ -465,14 +468,11 @@ class Tracer:
         self._kept: Dict[int, int] = {}
         #: span id -> still-open span under a kept (or evicted) root
         self._late: Dict[int, Span] = {}
-        #: the most recently dropped root's tree, held one decision long
-        #: so a caller learning *after* the fact that the root matters
-        #: (it anchored a cross-shard migration) can rescue it via
-        #: :meth:`pin` — the shard engine only discovers emigration
-        #: synchronously after the root finishes.
-        self._limbo: Optional[Tuple[int, List[Span]]] = None
-        #: root ids exempt from slowest-K eviction (migration anchors).
-        self._pinned: set = set()
+        #: the root the policy decided last: the one :meth:`pin` takes
+        self._last_root: Optional[Span] = None
+        #: pinned root id -> its root span, while its tree is kept and
+        #: may still be evicted
+        self._anchors: Dict[int, Span] = {}
 
     @property
     def spans(self) -> List[Span]:
@@ -499,8 +499,7 @@ class Tracer:
         table = self._table.absorb(self._pending())
         self._table = SpanTable()
         self._trees, self._late, self._kept = {}, {}, {}
-        self._limbo = None
-        self._pinned = set()
+        self._last_root, self._anchors = None, {}
         return table
 
     def _pending(self) -> List[Span]:
@@ -684,18 +683,20 @@ class Tracer:
         if tree is None:  # nothing buffered: the policy keeps nothing
             policy.roots_dropped += 1
             return
+        self._last_root = root
         keep, evicted = policy.decide(root, tree)
         if not keep:
-            # hold in limbo one decision long: pin() may resurrect it
-            self._limbo = (root.span_id, tree)
             policy.roots_dropped += 1
             return
         self._keep(root.span_id, tree)
         policy.roots_kept += 1
-        if evicted is not None and evicted not in self._pinned:
+        if evicted is not None:
             rows = self._kept.pop(evicted, None)
             if rows is not None:
                 self._table.drop_root(evicted, rows)
+                anchor = self._anchors.pop(evicted, None)
+                if anchor is not None:  # its root row outlives the tree
+                    self._table.append(anchor)
             policy.roots_kept -= 1
             policy.roots_dropped += 1
 
@@ -712,28 +713,25 @@ class Tracer:
         self._kept[root_id] = rows
 
     def pin(self, root_id: int) -> bool:
-        """Exempt a kept (or just-dropped) root tree from eviction.
+        """Keep the just-decided root's row, whatever becomes of its tree.
 
-        The cross-shard migration anchor: the shard engine learns a
-        procedure emigrated its UE only after the root span finished —
-        and possibly after slowest-K admission already rejected it.  A
-        pinned root survives in ``_kept`` regardless of later
-        evictions; a root sitting in limbo (the immediately preceding
-        drop decision) is resurrected.  Returns whether the tree is
-        retained.
+        The cross-shard migration anchor: the shard engine learns that a
+        procedure emigrated its UE only after its root closed, and calls
+        this before another root closes.  The flow event needs the root
+        row alone: a dropped tree leaves that one row, a kept tree's
+        root row outlives a later eviction of the rest.  The policy's
+        tallies do not move.  Returns False, keeping nothing, unless
+        ``root_id`` is the root decided last.
         """
-        if root_id in self._kept:
-            self._pinned.add(root_id)
-            return True
-        limbo = self._limbo
-        if limbo is not None and limbo[0] == root_id:
-            self._keep(root_id, limbo[1])
-            self._pinned.add(root_id)
-            self._limbo = None
-            self.retention.roots_kept += 1
-            self.retention.roots_dropped -= 1
-            return True
-        return False
+        root = self._last_root
+        if root is None or root.span_id != root_id:
+            return False
+        self._last_root = None
+        if root_id not in self._kept:
+            self._table.append(root)
+        elif self.retention.slowest_k is not None:  # may yet be evicted
+            self._anchors[root_id] = root
+        return True
 
     # -- queries --------------------------------------------------------------
 

@@ -598,7 +598,7 @@ class _InlineHost:
         payload["cpu_s"] = self.cpu
         # the peak of the process hosting this shard: shards hosted by
         # the coordinator share its peak, where per-shard RSS is not
-        # separable
+        # separable (a worker sends its peak again after the payload)
         payload["rss_kb"] = peak_rss_kb()
         return payload
 
@@ -656,6 +656,8 @@ class _ProcessHost:
     def finish(self) -> Dict[str, Any]:
         self._send(("finish",))
         payload = self._recv()[1]
+        # the worker's peak read after it pickled and sent the payload
+        payload["rss_kb"] = self._recv("at its finish")[1]
         self._finished = True
         return payload
 
@@ -690,8 +692,11 @@ def _shard_worker(conn, *engine_args):
 
     Messages have fixed arity: ``("step", until, inbox, want_health,
     actions)`` -> ``("stepped", outbox, next_event_s, health)``
-    and ``("finish",)`` -> ``("done", payload)``.  Any failure is
-    ferried whole, as ``("error", <formatted traceback>)``.
+    and ``("finish",)`` -> ``("done", payload)``, then ``("rss",
+    peak_rss_kb)``: the worker's peak once the payload is sent, which
+    the payload's own ``rss_kb``, read before the send, leaves out.
+    Any failure is ferried whole, as ``("error", <formatted
+    traceback>)``.
     """
     try:
         host = _InlineHost(partial(_shard_engine, *engine_args))
@@ -704,6 +709,7 @@ def _shard_worker(conn, *engine_args):
                 conn.send(("stepped",) + host.step_recv())
             elif msg[0] == "finish":
                 conn.send(("done", host.finish()))
+                conn.send(("rss", peak_rss_kb()))
                 conn.close()
                 return
             else:

@@ -5,15 +5,18 @@ A retained span is a row of one :class:`~repro.obs.tracer.SpanTable`
 the coordinator and in the stitcher.  These tests pin that the table
 changes nothing a reader of the trace sees:
 
-* the stitched Chrome trace of a sharded run hashes to the value the
-  row-dict wire form produced, on both backends (the table crosses the
-  pipe unchanged);
+* the stitched Chrome trace of a sharded run hashes to a pinned value
+  on both backends (the table crosses the pipe unchanged), and the
+  bounded trace of a migration-bearing run is a subset of its
+  keep-everything trace with the same flow events;
 * a table round-trips through pickle, counts its live rows, and a
   tracer exports in span-id order with still-open spans included;
 * under a synthetic slowest-K campaign with heavy eviction the tracer's
   retained forest equals the reference tracer's (the parent's list-of-
   spans retention), and the rows a table holds never exceed twice the
-  live kept spans;
+  live kept spans; a pinned migration anchor adds its root row alone,
+  and at the finish of a commute wave each anchor whose tree was not
+  kept holds exactly one row, however many migrations the run makes;
 * a shipped table costs at most 150 B per span once unpickled — one
   dict per span (616 B) does not come back;
 * the table a tracer hands over at the end of a run reads back row for
@@ -21,7 +24,10 @@ changes nothing a reader of the trace sees:
   pickle, and compacting it in place peaks at ≤ 1.5x its column bytes
   (sorting one ``(span_id, row)`` tuple per row took ~3.8x).
 
-The pinned hashes must NEVER be regenerated to make a refactor pass.
+A pinned hash never moves for a refactor.  It moves only with a change
+to what retention keeps, and then only beside an oracle that shows the
+new trace is what the policy says it is (for the fault-window run:
+``test_bounded_trace_is_a_subset_of_the_full_one``).
 """
 
 import hashlib
@@ -29,10 +35,11 @@ import json
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
-from repro.obs import Observability
+from repro.obs import DEFAULT_SPAN_KEEP, Observability
 from repro.obs.export import stitch_chrome_trace
 from repro.obs.tracer import Span, SpanRetention, SpanTable, Tracer
 from repro.scale.shard import run_sharded
@@ -41,10 +48,12 @@ from tests.scale.test_sharded import _fault_window_spec, run2
 
 from .reference_obs import ReferenceTracer
 
-#: ``sha256(json.dumps(stitched))[:16]``, computed when each shard still
-#: shipped one dict per span.
+#: ``sha256(json.dumps(stitched))[:16]``.  ``RUN2_TRACE`` was computed
+#: when each shard still shipped one dict per span.  ``FAULT_WINDOW_TRACE``
+#: moved once (from ``797c0f0fac11416a``) when a pinned migration anchor
+#: stopped keeping its whole tree and kept its root row alone.
 RUN2_TRACE = "0d44d22fbfab9bef"
-FAULT_WINDOW_TRACE = "797c0f0fac11416a"
+FAULT_WINDOW_TRACE = "719f722cb3f7d9fa"
 
 
 def trace_hash(result):
@@ -77,6 +86,29 @@ def test_migration_bearing_stitched_trace_is_byte_identical(backend):
     digest, data = trace_hash(res)
     assert data["metadata"]["flow_events"] == 32
     assert digest == FAULT_WINDOW_TRACE
+
+
+def _span_keys(data):
+    return {
+        (ev["pid"], ev["args"]["span_id"], ev["name"], ev["ts"], ev["dur"])
+        for ev in data["traceEvents"] if ev["ph"] == "X"
+    }
+
+
+def test_bounded_trace_is_a_subset_of_the_full_one():
+    """The default-K stitched trace holds only spans of the
+    keep-everything trace, each as it was in the run, and every one of
+    its flow events."""
+    traces = [
+        trace_hash(run_sharded(
+            _fault_window_spec(), shards=2, backend="inline",
+            obs=Observability("trace", span_keep=keep), verbose_trace=True,
+        ))[1]
+        for keep in (None, 0)
+    ]
+    bounded, full = (_span_keys(data) for data in traces)
+    assert bounded < full
+    assert [d["metadata"]["flow_events"] for d in traces] == [32, 32]
 
 
 # ------------------------------------------------------------------ the table
@@ -161,11 +193,13 @@ def test_export_is_in_span_id_order_with_open_spans():
 # --------------------------------------------------- eviction vs the reference
 
 
-def _campaign(tracer, seed, steps=3000):
+def _campaign(tracer, seed, steps=3000, pinned=None):
     """Drive ``tracer`` through one seeded begin/finish/pin script.
 
     Durations drift upward, so most admissions evict an earlier root:
-    slowest-K churn is the common case, not the corner.
+    slowest-K churn is the common case, not the corner.  About one
+    closed root in twenty is pinned as it closes and appended to
+    ``pinned``; with ``pinned`` None the same script pins nothing.
     """
     rng = random.Random(seed)
     clock = {"t": 0.0}
@@ -194,8 +228,9 @@ def _campaign(tracer, seed, steps=3000):
             clock["t"] += step * 1e-5  # later roots run longer
             tracer.finish(root, status="completed")
             closed_roots.append(root)
-            if rng.random() < 0.05:
-                tracer.pin(root.span_id)
+            if rng.random() < 0.05 and pinned is not None:
+                assert tracer.pin(root.span_id)
+                pinned.append(root)
         yield
     for child in open_children:  # some roots of these are long gone
         tracer.finish(child)
@@ -203,12 +238,17 @@ def _campaign(tracer, seed, steps=3000):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_slowest_k_campaign_matches_reference_and_stays_bounded(seed):
+    """The reference runs the script unpinned: a pin adds the root row
+    alone to what the policy keeps, and moves no tally."""
     live = Tracer(lambda: 0.0, retention=SpanRetention(3))
     ref = ReferenceTracer(lambda: 0.0, retention=SpanRetention(3))
     held_max_ratio, tombstones_seen = 0.0, False
+    pinned, pinned_kept = [], set()
     ref_steps = _campaign(ref, seed)
-    for _ in _campaign(live, seed):
+    for _ in _campaign(live, seed, pinned=pinned):
         next(ref_steps)
+        if pinned and pinned[-1].span_id in live._kept:
+            pinned_kept.add(pinned[-1].span_id)
         table = live._table
         held = len(table.ids)
         kept_spans = len(table) + sum(
@@ -223,7 +263,58 @@ def test_slowest_k_campaign_matches_reference_and_stays_bounded(seed):
     assert tombstones_seen and held_max_ratio <= 2.0
     assert live.retention.roots_dropped > 20 * live.retention.slowest_k
     assert live.retention.stats() == ref.retention.stats()
-    assert [fields(s) for s in live.spans] == [fields(s) for s in ref.spans]
+    forest = ref.spans
+    ref_ids = {s.span_id for s in forest}
+    anchors = [root for root in pinned if root.span_id not in ref_ids]
+    # anchors of trees dropped at once, and of trees kept, then evicted
+    anchor_ids = {root.span_id for root in anchors}
+    assert len(anchor_ids - pinned_kept) >= 15
+    assert len(anchor_ids & pinned_kept) >= 5
+    expected = sorted(forest + anchors, key=lambda s: s.span_id)
+    assert [fields(s) for s in live.spans] == [fields(s) for s in expected]
+
+
+# ------------------------------------------------------------ growth guard
+
+
+def test_an_anchor_costs_one_row_as_migrations_grow(monkeypatch):
+    """A commute wave, run twice as long, makes about twice the
+    migrations: each anchor whose tree the policy did not keep is still
+    one root row, and every other procedure root heads one of the
+    slowest K trees of its kind — the kept set does not grow with the
+    run."""
+    kept_at_finish = []
+    take_table = Tracer.take_table
+
+    def spy(tracer):
+        kept_at_finish.append(set(tracer._kept))
+        return take_table(tracer)
+
+    monkeypatch.setattr(Tracer, "take_table", spy)
+    lone_anchors = []
+    for duration in (1.0, 2.0):
+        del kept_at_finish[:]
+        res = run_sharded(
+            "commute-wave", n_ue=8000, duration_s=duration, seed=1,
+            mode="batched", shards=2, backend="inline",
+            obs=Observability("trace"),
+        )
+        lone_total = 0
+        for snap, kept in zip(res.obs_shards, kept_at_finish):
+            rows = list(snap["spans"].rows())
+            per_root = Counter(row[2] for row in rows)
+            lone = {flow["span"] for flow in snap["flows_out"]} - kept - {None}
+            assert {a: per_root[a] for a in lone} == dict.fromkeys(lone, 1)
+            trees = Counter(
+                attrs["proc"]
+                for span_id, parent, _, name, _, _, _, _, attrs in rows
+                if parent is None and name.startswith("proc.")
+                and span_id not in lone
+            )
+            assert max(trees.values()) <= DEFAULT_SPAN_KEEP, trees
+            lone_total += len(lone)
+        lone_anchors.append(lone_total)
+    assert 0 < lone_anchors[0] < lone_anchors[1], lone_anchors
 
 
 # ------------------------------------------------------------ memory guard
@@ -270,7 +361,7 @@ def test_handed_over_table_reads_back_as_the_copy(seed):
     seen = {"tombstones": 0, "open": 0, "late": 0}
     for cut in (400, 1100, 1900, 2600):
         tracers = [Tracer(lambda: 0.0, retention=SpanRetention(3)) for _ in range(3)]
-        for steps in zip(*(_campaign(t, seed) for t in tracers)):
+        for steps in zip(*(_campaign(t, seed, pinned=[]) for t in tracers)):
             if not cut:
                 break
             cut -= 1

@@ -2,7 +2,7 @@
 
 Covers the pieces the sharded integration suite exercises end to end:
 bounded span retention (slowest-K heaps, always-keep exemptions, the
-migration-anchor pin/limbo rescue), labeled metric snapshots and their
+migration anchor's pinned root row), labeled metric snapshots and their
 merge, the heartbeat stream's folding, the stitcher
 against hand-built snapshots, and the run-ledger schema helpers.
 """
@@ -94,29 +94,52 @@ class TestSpanRetention:
         tracer.finish(root, status="completed")
         assert root.span_id not in {s.span_id for s in tracer.spans}
 
-    def test_pin_rescues_the_just_dropped_root(self):
+    def test_pin_keeps_a_dropped_roots_row_alone(self):
         tracer, clock = make_tracer(keep=1)
         run_root(tracer, clock, dur=9.0)
-        fast = run_root(tracer, clock, dur=0.1)  # rejected -> limbo
+        fast = tracer.begin("proc.attach", proc="attach")
+        child = tracer.begin("hop.radio", parent=fast)
+        clock["t"] += 0.1
+        tracer.finish(child)
+        tracer.finish(fast, status="completed")  # rejected by slowest-K
+        before = tracer.retention.stats()
         assert tracer.pin(fast.span_id) is True
-        assert fast.span_id in {s.span_id for s in tracer.spans}
-        # a pinned root survives later evictions of its heap slot
-        assert tracer.pin(fast.span_id) is True  # idempotent (now kept)
+        rows = [s for s in tracer.spans if s.root_id == fast.span_id]
+        assert rows == [fast]  # the root row, without its child
+        assert tracer.retention.stats() == before  # a pin moves no tally
 
-    def test_pin_protects_kept_roots_from_eviction(self):
+    def test_pinned_kept_root_keeps_its_row_past_eviction(self):
         tracer, clock = make_tracer(keep=1)
-        first = run_root(tracer, clock, dur=1.0)
-        assert tracer.pin(first.span_id)
-        slower = run_root(tracer, clock, dur=5.0)  # would evict first
-        kept = {s.span_id for s in tracer.spans}
-        assert first.span_id in kept and slower.span_id in kept
+        other = tracer.begin("proc.tau", proc="tau")
+        for _ in range(3):  # live rows enough that the eviction tombstones
+            tracer.finish(tracer.begin("hop.radio", parent=other))
+        tracer.finish(other, status="completed")
+        first = tracer.begin("proc.attach", proc="attach")
+        child = tracer.begin("hop.radio", parent=first)
+        clock["t"] += 0.5
+        tracer.finish(child)
+        clock["t"] += 0.5
+        tracer.finish(first, status="completed")
+        assert tracer.pin(first.span_id) is True
+        assert {first.span_id, child.span_id} <= {s.span_id for s in tracer.spans}
+        slower = run_root(tracer, clock, dur=5.0)  # evicts first's tree
+        assert tracer._table._dead == 2  # first's rows: tombstones
+        kept = {s.span_id for s in tracer.spans if s.root_id != other.span_id}
+        assert kept == {first.span_id, slower.span_id}  # child is gone
+        assert tracer.retention.stats() == {
+            "limit": 1, "roots_kept": 2, "roots_dropped": 1,
+        }
+        handed = [s.span_id for s in tracer.take_table()]
+        assert handed[-2:] == [first.span_id, slower.span_id]
+        assert len(handed) == 6
 
     def test_pin_misses_older_drops(self):
         tracer, clock = make_tracer(keep=1)
         run_root(tracer, clock, dur=9.0)
         old = run_root(tracer, clock, dur=0.1)
-        run_root(tracer, clock, dur=0.2)  # overwrites limbo
+        run_root(tracer, clock, dur=0.2)  # decided after old
         assert tracer.pin(old.span_id) is False
+        assert old.span_id not in {s.span_id for s in tracer.spans}
 
     def test_validation(self):
         with pytest.raises(ValueError):

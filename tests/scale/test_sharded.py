@@ -462,6 +462,41 @@ def test_rss_is_counted_once_per_process(monkeypatch):
     assert 0 < rows[0]["rss_kb"] <= procs.perf["peak_rss_kb"]
 
 
+def test_a_workers_peak_covers_its_payload_send(monkeypatch):
+    """A worker reads its peak again once its payload is sent: a payload
+    32 MB larger than the run's own reads at least 32 MB above the peak
+    the worker read before pickling it."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the patched host reaches workers by fork only")
+    ballast = 32 << 20
+    real_finish = sh._InlineHost.finish
+
+    def finish(host):
+        payload = real_finish(host)
+        payload["rss_before_send_kb"] = payload["rss_kb"]
+        payload["ballast"] = bytes(range(256)) * (ballast // 256)
+        return payload
+
+    monkeypatch.setattr(sh._InlineHost, "finish", finish)
+    received = []
+    real_recv = sh._ProcessHost.finish
+
+    def recv(host):
+        payload = real_recv(host)
+        received.append((payload["rss_before_send_kb"], payload["rss_kb"]))
+        del payload["ballast"]
+        return payload
+
+    monkeypatch.setattr(sh._ProcessHost, "finish", recv)
+    try:
+        procs = run2(backend="process", shards=2)
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    ((before, after),) = received
+    assert after >= before + ballast / 1024, (before, after)
+    assert procs.perf["total_rss_kb"] == after == procs.shards[1]["rss_kb"]
+
+
 def test_a_silent_worker_fails_the_run_at_startup(monkeypatch):
     """The ready handshake has a deadline: a worker that never reports
     ready fails the run naming its shard, and nothing is left alive."""
