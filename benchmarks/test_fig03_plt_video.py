@@ -7,7 +7,6 @@ to reproduce: the EPC's startup/PLT explode once saturated while
 Neutrino's stay flat at the app-constant floor.
 """
 
-from repro.apps import VideoAppSpec, WebAppSpec
 from repro.experiments import figures
 from repro.experiments.report import format_dict_rows
 
@@ -17,11 +16,8 @@ RATES = (180e3, 240e3, 300e3)
 
 
 def run_fig03():
-    run = quick_spec(procedure="service_request")
     return figures.fig03_plt_and_video(
-        rates=RATES,
-        video_spec=VideoAppSpec(run=run),
-        web_spec=WebAppSpec(run=run),
+        rates=RATES, spec=quick_spec(procedure="service_request")
     )
 
 

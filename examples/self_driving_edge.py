@@ -10,7 +10,7 @@ handovers, per control-plane design.
 Run:  python examples/self_driving_edge.py
 """
 
-from repro.apps import run_self_driving, self_driving_spec
+from repro.apps import run_mobility_experiment, self_driving_spec
 from repro.core import ControlPlaneConfig
 
 
@@ -26,8 +26,8 @@ def main() -> None:
     for config in (ControlPlaneConfig.existing_epc(), ControlPlaneConfig.neutrino()):
         missed = []
         for users in users_axis:
-            result = run_self_driving(
-                config, users, spec=self_driving_spec(handovers=2, **spec_kwargs)
+            result = run_mobility_experiment(
+                config, users, self_driving_spec(handovers=2, **spec_kwargs)
             )
             missed.append(result.missed)
         rows[config.name] = missed

@@ -1,12 +1,16 @@
 """Edge applications driven by the simulated control plane (§6.6):
-self-driving car, VR, DASH video startup, and web page loads."""
+self-driving car and VR.  Fig. 3's DASH video startup and web page
+loads are service-request PCT plus a constant, so they live with the
+figure (:func:`repro.experiments.figures.fig03_plt_and_video`)."""
 
 from .datapath import StallInterval, count_missed_deadlines, stalls_from_outcomes
-from .mobility import MobilityAppSpec, MobilityResult, run_mobility_experiment
-from .selfdriving import run_self_driving, self_driving_spec
-from .video import VideoAppSpec, VideoResult, run_video_startup
-from .vr import run_vr, vr_spec
-from .web import WebAppSpec, WebResult, run_page_load
+from .mobility import (
+    MobilityAppSpec,
+    MobilityResult,
+    run_mobility_experiment,
+    self_driving_spec,
+    vr_spec,
+)
 
 __all__ = [
     "StallInterval",
@@ -15,14 +19,6 @@ __all__ = [
     "MobilityAppSpec",
     "MobilityResult",
     "run_mobility_experiment",
-    "run_self_driving",
     "self_driving_spec",
-    "run_vr",
     "vr_spec",
-    "VideoAppSpec",
-    "VideoResult",
-    "run_video_startup",
-    "WebAppSpec",
-    "WebResult",
-    "run_page_load",
 ]

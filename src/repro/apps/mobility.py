@@ -1,5 +1,15 @@
 """Mobility application experiments (paper §6.6, Figs. 12-14).
 
+Two applications, one experiment with two presets:
+
+* the self-driving car (Figs. 12-13, :func:`self_driving_spec`), a
+  CARLA substitute: the car streams 1 kHz sensor data to an edge
+  application that must act within a ~100 ms decision budget (Lin et
+  al., ASPLOS'18, cited as [55]);
+* head-tracked VR (Fig. 14, :func:`vr_spec`), which needs sub-16 ms
+  motion-to-photon latency (§2.3: 60-90 Hz displays give 11.1-16.7 ms
+  budgets) and offloads pose/graphics traffic to the wireless edge.
+
 A *subject UE* streams deadline-tagged sensor/pose packets uplink while
 driving across base stations (Fig. 12's geometry), executing one or
 several handovers, while a population of background users loads the
@@ -18,7 +28,7 @@ handover incurs regardless of core design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 from ..core.config import ControlPlaneConfig
@@ -27,10 +37,21 @@ from ..sim.core import Simulator
 from ..sim.rng import RngRegistry
 from .datapath import StallInterval, count_missed_deadlines, stalls_from_outcomes
 
-__all__ = ["MobilityAppSpec", "MobilityResult", "run_mobility_experiment"]
+__all__ = [
+    "MobilityAppSpec",
+    "MobilityResult",
+    "run_mobility_experiment",
+    "self_driving_spec",
+    "vr_spec",
+]
 
 #: testbed CPF count, for slice scaling (see experiments.harness).
 _TESTBED_CPFS = 5
+
+#: decision budget for an autonomous vehicle (order of 100 ms, §6.6).
+SELF_DRIVING_DEADLINE_S = 0.100
+#: motion-to-photon budget for head-tracked VR (§6.6).
+VR_DEADLINE_S = 0.016
 
 
 @dataclass
@@ -66,6 +87,27 @@ class MobilityAppSpec:
             raise ValueError("handovers must be non-negative")
         if self.drive_duration_s <= 0:
             raise ValueError("drive duration must be positive")
+
+
+def self_driving_spec(handovers: int = 1, **overrides) -> MobilityAppSpec:
+    """The Fig. 13 configuration (LHS: handovers=1; RHS: several)."""
+    spec = MobilityAppSpec(
+        packet_rate_hz=1000.0,
+        deadline_s=SELF_DRIVING_DEADLINE_S,
+        handovers=handovers,
+    )
+    return replace(spec, **overrides) if overrides else spec
+
+
+def vr_spec(handovers: int = 1, **overrides) -> MobilityAppSpec:
+    """The Fig. 14 configuration."""
+    spec = MobilityAppSpec(
+        packet_rate_hz=1000.0,
+        deadline_s=VR_DEADLINE_S,
+        base_latency_s=0.004,
+        handovers=handovers,
+    )
+    return replace(spec, **overrides) if overrides else spec
 
 
 @dataclass

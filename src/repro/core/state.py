@@ -2,7 +2,10 @@
 
 The UE state a CPF keeps (paper §4.2: "BS ID, data plane endpoint
 identifiers, and user tracking area") is modeled by :class:`UEState`,
-versioned by completed procedure.  Each CPF holds a :class:`StateStore`
+versioned by completed procedure.  It holds only what the simulation
+reads: the serving BS lives with the UE and the bearer with the UPF
+(:mod:`repro.core.upf`), and what state costs on the wire is priced by
+message size, not by these fields.  Each CPF holds a :class:`StateStore`
 of :class:`StateEntry` records that additionally track replication
 metadata: the logical clock the entry is synced through and whether the
 entry is known up-to-date (§4.2.4's *outdated* marking).
@@ -67,8 +70,7 @@ class UEState(Record):
     """
 
     __slots__ = (
-        "ue_id", "m_tmsi", "attached", "version", "ops_in_procedure",
-        "bs_id", "region", "tracking_area", "bearer_teid", "active",
+        "ue_id", "m_tmsi", "attached", "version", "ops_in_procedure", "active",
     )
 
     def __init__(
@@ -78,10 +80,6 @@ class UEState(Record):
         attached: bool = False,
         version: int = 0,
         ops_in_procedure: int = 0,
-        bs_id: str = "",
-        region: str = "",
-        tracking_area: int = 0,
-        bearer_teid: int = 0,
         active: bool = False,
     ):
         self.ue_id = ue_id
@@ -89,17 +87,12 @@ class UEState(Record):
         self.attached = attached
         self.version = version
         self.ops_in_procedure = ops_in_procedure
-        self.bs_id = bs_id
-        self.region = region
-        self.tracking_area = tracking_area
-        self.bearer_teid = bearer_teid
         self.active = active
 
     def copy(self) -> "UEState":
         return UEState(
             self.ue_id, self.m_tmsi, self.attached, self.version,
-            self.ops_in_procedure, self.bs_id, self.region,
-            self.tracking_area, self.bearer_teid, self.active,
+            self.ops_in_procedure, self.active,
         )
 
     def apply_message(self) -> None:

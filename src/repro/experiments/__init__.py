@@ -1,21 +1,20 @@
 """Experiment harness and per-figure reproduction definitions."""
 
-from .harness import PCTPoint, RunSpec, run_pct_point, sweep
+from .harness import PCTPoint, RunSpec, run_pct_point
 from .cache import CacheStats, ResultCache
-from .parallel import SweepJob, SweepReport, run_jobs, run_sweep
+from .parallel import SweepJob, SweepReport, run_sweep, run_tasks
 from . import figures, report
 
 __all__ = [
     "PCTPoint",
     "RunSpec",
     "run_pct_point",
-    "sweep",
     "CacheStats",
     "ResultCache",
     "SweepJob",
     "SweepReport",
-    "run_jobs",
     "run_sweep",
+    "run_tasks",
     "figures",
     "report",
 ]

@@ -23,7 +23,7 @@ from ..core.deployment import Deployment
 from ..sim.core import Simulator
 from ..sim.rng import RngRegistry
 from .harness import RunSpec
-from .parallel import SweepJob, run_jobs
+from .parallel import expand_grid, run_tasks
 
 __all__ = [
     "ablate_n_backups",
@@ -58,9 +58,7 @@ def ablate_n_backups(
     configs = [
         ControlPlaneConfig.neutrino(name="n%d" % n, n_backups=n) for n in backups
     ]
-    points = run_jobs(
-        [SweepJob(c, rate, base_spec) for c in configs], jobs=jobs, cache=cache
-    )
+    points = run_tasks(expand_grid(configs, [rate], base_spec), jobs=jobs, cache=cache)
     for n, point in zip(backups, points):
         rows.append(
             {

@@ -3,10 +3,12 @@
 Every measurement point is a pure function of its inputs — the
 :class:`~repro.core.config.ControlPlaneConfig`, the axis rate, and the
 :class:`~repro.experiments.harness.RunSpec` (including its seed and any
-fault plan); PR 1 made that determinism a tested invariant.  A point can
-therefore be cached forever under a digest of those inputs, and a figure
-regeneration whose inputs have not changed performs zero simulation
-work.
+fault plan), which its :class:`~repro.experiments.parallel.SweepJob`
+holds; that determinism is a tested invariant.  A point can therefore
+be cached forever under :func:`task_key`'s digest of its job, and a
+figure regeneration whose inputs have not changed performs zero
+simulation work.  A scale replicate is keyed the same way, in its own
+``kind`` namespace.
 
 Layout (``.repro-cache/`` by default)::
 
@@ -14,11 +16,12 @@ Layout (``.repro-cache/`` by default)::
       ab/abcdef0123...json      # one entry per point, sharded by prefix
 
 Each entry records the code-version fingerprint of ``src/repro`` at
-write time.  An entry whose fingerprint no longer matches the running
-code is *stale*: it is ignored (and overwritten after the rerun), since
-a simulator change may legitimately move every number.  The
-:class:`CacheStats` counters (hits / misses / stale) are surfaced in the
-report output so a cached figure run is auditable.
+write time (:func:`repro.obs.ledger.code_fingerprint`).  An entry whose
+fingerprint no longer matches the running code is *stale*: it is
+ignored (and overwritten after the rerun), since a simulator change may
+legitimately move every number.  The :class:`CacheStats` counters
+(hits / misses / stale) are surfaced in the report output so a cached
+figure run is auditable.
 
 Entries are JSON, so a cache round-trips points bit-for-bit: Python's
 ``repr``-based float serialization is exact for finite doubles, and the
@@ -33,44 +36,15 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
-from .harness import PCTPoint, RunSpec
+from ..obs.ledger import code_fingerprint
+from .harness import PCTPoint
 
-__all__ = [
-    "CacheStats",
-    "ResultCache",
-    "code_fingerprint",
-    "describe_point_inputs",
-    "point_key",
-    "task_key",
-]
+__all__ = ["CacheStats", "ResultCache", "task_key"]
 
 #: default cache directory (relative to the current working directory).
 DEFAULT_CACHE_DIR = ".repro-cache"
-
-_FINGERPRINT: Optional[str] = None
-
-
-def code_fingerprint() -> str:
-    """Digest of every ``.py`` file under ``src/repro`` (cached per process).
-
-    Any source change — simulator, codecs, harness — invalidates every
-    cached point; re-validating stale entries would require knowing
-    which module can influence which figure, and being wrong silently
-    corrupts a reproduction.
-    """
-    global _FINGERPRINT
-    if _FINGERPRINT is None:
-        pkg_root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for path in sorted(pkg_root.rglob("*.py")):
-            digest.update(str(path.relative_to(pkg_root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-            digest.update(b"\0")
-        _FINGERPRINT = digest.hexdigest()
-    return _FINGERPRINT
 
 
 def _stable(value: Any) -> Any:
@@ -91,29 +65,11 @@ def _stable(value: Any) -> Any:
     raise TypeError("cannot digest %r in a cache key" % (type(value).__name__,))
 
 
-def describe_point_inputs(
-    config, axis_rate: float, spec: Optional[RunSpec]
-) -> Dict[str, Any]:
-    """The full input record one point is keyed by (debuggable JSON)."""
-    return {
-        "config": _stable(config),
-        "axis_rate": repr(float(axis_rate)),
-        "spec": _stable(spec if spec is not None else RunSpec()),
-    }
-
-
-def point_key(config, axis_rate: float, spec: Optional[RunSpec]) -> str:
-    """Content address of one ``(config, rate, spec)`` measurement point."""
-    inputs = describe_point_inputs(config, axis_rate, spec)
-    blob = json.dumps(inputs, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def task_key(kind: str, payload: Any) -> str:
-    """Content address of an arbitrary task (generic runner entries).
+    """Content address of one :func:`~repro.experiments.parallel.run_tasks` task.
 
     ``kind`` namespaces the key so two task families whose payloads
-    happen to collide (e.g. a scale replicate and a future sweep both
+    happen to collide (e.g. a scale replicate and a sweep point both
     keyed by a bare seed) can never alias each other's cache entries.
     ``payload`` must be digestible by :func:`_stable` — dataclasses,
     dicts, lists/tuples, and scalars.
@@ -145,10 +101,9 @@ class CacheStats:
 class ResultCache:
     """Content-addressed store of measurement results.
 
-    ``get``/``put`` take the key from :func:`point_key` (or
-    :func:`task_key` for generic tasks); entries from a different code
-    version count as *stale* and are treated as absent (the rerun's
-    ``put`` overwrites them).
+    ``get``/``put`` take the key from :func:`task_key`; entries from a
+    different code version count as *stale* and are treated as absent
+    (the rerun's ``put`` overwrites them).
 
     By default entries are :class:`PCTPoint` objects.  Other result
     types plug in through the ``encode``/``decode`` codec pair —
@@ -175,7 +130,7 @@ class ResultCache:
         """Code fingerprint, computed lazily and exactly once per cache.
 
         The hash walks every ``.py`` file under ``src/repro``, so it must
-        not run per point lookup; a whole ``run_jobs`` sweep performs a
+        not run per point lookup; a whole ``run_tasks`` sweep performs a
         single computation (see the regression test in
         ``tests/experiments/test_cache.py``).
         """
@@ -186,9 +141,6 @@ class ResultCache:
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / (key + ".json")
-
-    def key(self, config, axis_rate: float, spec: Optional[RunSpec]) -> str:
-        return point_key(config, axis_rate, spec)
 
     def get(self, key: str) -> Optional[Any]:
         path = self._path(key)

@@ -1,4 +1,4 @@
-"""Experiment harness: sweeps, measurement windows, and scaling rules.
+"""Experiment harness: measurement points, windows, and scaling rules.
 
 Scaling (documented in DESIGN.md §4): the paper's testbed runs five CPF
 instances; its figure x-axes are *system-wide* procedures per second.
@@ -15,7 +15,7 @@ regions are.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
 from ..core.config import ControlPlaneConfig
 from ..core.deployment import Deployment
@@ -26,10 +26,10 @@ from ..obs import MODES as OBS_MODES, Observability
 from ..sim.core import Simulator
 from ..sim.monitor import percentile
 from ..sim.rng import RngRegistry
-from ..traffic.arrivals import bursty_arrivals, poisson_arrivals, uniform_arrivals
+from ..traffic.arrivals import bursty_arrivals, poisson_arrivals
 from ..traffic.workload import WorkloadDriver
 
-__all__ = ["PCTPoint", "RunSpec", "run_pct_point", "sweep"]
+__all__ = ["PCTPoint", "RunSpec", "run_pct_point"]
 
 #: CPF instances in the paper's testbed (§5).
 TESTBED_CPFS = 5
@@ -103,17 +103,12 @@ class RunSpec:
     warmup_frac: float = 0.25
     drain_s: float = 0.05
     seed: int = 1
-    #: "poisson" (open-loop, default) or "uniform" (deterministic gaps;
-    #: lockstep phase effects make it unrealistic near saturation).
-    arrival_process: str = "poisson"
     #: kill this CPF index (deployment order) at this fraction of the run.
     failure_cpf_index: Optional[int] = None
     failure_at_frac: float = 0.5
     #: bursty mode: this many procedures arrive inside burst_window_s.
     bursty_users: Optional[int] = None
     burst_window_s: float = 0.02
-    #: pool size for warm-UE procedures (defaults to an adaptive value).
-    pool_size: Optional[int] = None
     #: restrict arrivals to BSs in the first region (handover sweeps).
     first_region_only: bool = False
     #: extra chaos (message perturbations / timed events) applied via
@@ -186,16 +181,14 @@ def run_pct_point(
                 spec.bursty_users, spec.burst_window_s, rng.stream("burst")
             )
         )
-    elif spec.arrival_process == "poisson":
-        arrivals = list(poisson_arrivals(offered, duration, rng.stream("arrivals")))
     else:
-        arrivals = list(uniform_arrivals(offered, duration))
+        arrivals = list(poisson_arrivals(offered, duration, rng.stream("arrivals")))
 
     procedure = spec.procedure
     if procedure in ("attach", "re_attach"):
         driver.schedule_attaches(arrivals, bs_names)
     else:
-        pool = spec.pool_size or max(64, min(4096, int(offered * 0.02) + 64))
+        pool = max(64, min(4096, int(offered * 0.02) + 64))
         driver.build_pool(pool, bs_names)
         picker = None
         if procedure in ("handover", "fast_handover"):
@@ -301,22 +294,3 @@ def overload_pct_at_horizon(rho: float, horizon_s: float) -> float:
     if rho <= 1.0:
         return 0.0
     return (1.0 - 1.0 / rho) * horizon_s
-
-
-def sweep(
-    configs: Sequence[ControlPlaneConfig],
-    axis_rates: Sequence[float],
-    spec: Optional[RunSpec] = None,
-    jobs: int = 1,
-    cache=None,
-) -> Dict[str, List[PCTPoint]]:
-    """Run every (config, rate) pair; returns points grouped by scheme.
-
-    ``jobs > 1`` fans the points out over a worker pool and ``cache``
-    (a :class:`repro.experiments.cache.ResultCache`) skips points whose
-    inputs were already run — both produce bit-identical points to the
-    serial path (see :mod:`repro.experiments.parallel`).
-    """
-    from .parallel import run_sweep  # deferred: parallel imports this module
-
-    return run_sweep(configs, axis_rates, spec, jobs=jobs, cache=cache)

@@ -14,13 +14,19 @@ or a platform whose multiprocessing primitives are unavailable (no
 ``fork``/semaphores in some sandboxes) all fall back to the in-process
 serial loop, which shares the exact code path the workers run.
 
+:func:`run_tasks` is the one runner: a figure's points, a scale
+replicate sweep and anything else shaped "pure function over a list"
+go through its cache pass and pool.  Its default task is a sweep point
+(a :class:`SweepJob` in, a :class:`~repro.experiments.harness.PCTPoint`
+out).
+
 Usage::
 
     from repro.experiments.cache import ResultCache
-    from repro.experiments.parallel import SweepJob, run_jobs
+    from repro.experiments.parallel import expand_grid, run_tasks
 
-    jobs = [SweepJob(config, rate, spec) for config in configs for rate in rates]
-    points = run_jobs(jobs, jobs=8, cache=ResultCache())
+    points = run_tasks(expand_grid(configs, rates, spec), jobs=8,
+                       cache=ResultCache())
 """
 
 from __future__ import annotations
@@ -33,34 +39,42 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..core.config import ControlPlaneConfig
+from .cache import task_key
 from .harness import PCTPoint, RunSpec, run_pct_point
 
 __all__ = [
     "SweepJob",
     "SweepReport",
-    "WorkerHandle",
-    "WorkerSpawnError",
     "default_jobs",
     "expand_grid",
-    "run_jobs",
+    "pool_context",
     "run_sweep",
     "run_tasks",
-    "spawn_workers",
 ]
 
 
 @dataclass
 class SweepJob:
-    """One measurement point: everything a worker needs, picklable."""
+    """One measurement point: everything a worker needs, picklable.
+
+    The job is also the point's cache key, so it is normalised on
+    construction: ``spec=None`` is the default :class:`RunSpec` and the
+    rate is a float, and a point keys the same however it is spelled.
+    """
 
     config: ControlPlaneConfig
     axis_rate: float
     spec: Optional[RunSpec] = None
 
+    def __post_init__(self):
+        self.axis_rate = float(self.axis_rate)
+        if self.spec is None:
+            self.spec = RunSpec()
+
 
 @dataclass
 class SweepReport:
-    """What one :func:`run_jobs` invocation actually did."""
+    """What one :func:`run_tasks` invocation actually did."""
 
     total: int = 0
     executed: int = 0
@@ -111,7 +125,8 @@ def _run_job(job: SweepJob) -> PCTPoint:
     return point
 
 
-def _pool_context():
+def pool_context():
+    """The multiprocessing context for sweep pools and shard workers."""
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         # cheapest, and immune to import-path differences in children
@@ -123,7 +138,7 @@ def _run_pool(
     jobs_list: List,
     workers: int,
     report: SweepReport,
-    fn=_run_job,
+    fn,
     keys: Optional[List] = None,
     cache=None,
 ) -> List:
@@ -143,7 +158,7 @@ def _run_pool(
     delivered = 0
     try:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(jobs_list)), mp_context=_pool_context()
+            max_workers=min(workers, len(jobs_list)), mp_context=pool_context()
         ) as pool:
             for result in pool.map(fn, jobs_list):
                 results[delivered] = result
@@ -168,95 +183,29 @@ def _run_pool(
     return results
 
 
-class WorkerSpawnError(RuntimeError):
-    """Worker processes could not be started on this platform.
-
-    Raised by :func:`spawn_workers` so callers with an in-process
-    equivalent (the shard coordinator) can fall back instead of failing
-    the run — the same degradation contract as :func:`_run_pool`.
-    """
-
-
-class WorkerHandle:
-    """One long-lived worker process plus its duplex message pipe.
-
-    One-shot pool tasks (:func:`run_tasks`) re-ship their whole input per
-    call; a *shard* worker instead holds a simulator for the entire run
-    and exchanges small epoch messages, which is what the pipe is for.
-    """
-
-    def __init__(self, process, conn):
-        self.process = process
-        self.conn = conn
-
-    def send(self, msg) -> None:
-        self.conn.send(msg)
-
-    def recv(self):
-        """Next message from the worker; raises EOFError if it died."""
-        return self.conn.recv()
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Drop the pipe and reap the process (terminate if wedged)."""
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover - already torn down
-            pass
-        self.process.join(timeout)
-        if self.process.is_alive():  # pragma: no cover - wedged worker
-            self.process.terminate()
-            self.process.join(timeout)
-
-
-def spawn_workers(target, args_list) -> List[WorkerHandle]:
-    """Start one long-lived ``target`` process per args tuple.
-
-    ``target`` must be a top-level callable whose first parameter is the
-    worker end of a duplex pipe; the remaining parameters come from the
-    args tuple.  Either every worker starts or none does: a platform
-    refusal (sandboxes without fork/semaphores) tears down any partial
-    set and raises :class:`WorkerSpawnError`.
-    """
-    handles: List[WorkerHandle] = []
-    try:
-        ctx = _pool_context()
-        for args in args_list:
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=target, args=(child_conn,) + tuple(args), daemon=True
-            )
-            proc.start()
-            child_conn.close()
-            handles.append(WorkerHandle(proc, parent_conn))
-    except (OSError, PermissionError, ImportError) as err:
-        for handle in handles:
-            handle.close(timeout=1.0)
-        raise WorkerSpawnError("%s: %s" % (type(err).__name__, err))
-    return handles
-
-
 def run_tasks(
     tasks: Sequence,
-    fn,
+    fn=_run_job,
     jobs: int = 1,
     cache=None,
     key_fn=None,
-    kind: str = "task",
+    kind: str = "point",
     report: Optional[SweepReport] = None,
 ) -> List:
-    """Generic fan-out: run ``fn`` over ``tasks`` with cache + pool.
+    """Run ``fn`` over ``tasks``, in input order, using cache and pool.
 
-    The task-shaped sibling of :func:`run_jobs` (which stays the sweep
-    entry point): ``fn`` must be a top-level picklable callable and each
-    task a pure function of its own value, so pool placement cannot
-    change results.  ``cache`` entries are addressed by
-    :func:`repro.experiments.cache.task_key` over ``key_fn(task)``
-    (default: the task itself), namespaced by ``kind``; the cache must
-    be constructed with an ``encode``/``decode`` codec matching ``fn``'s
-    result type.  Returns results positionally aligned with ``tasks``.
+    ``fn`` must be a top-level picklable callable and each task a pure
+    function of its own value, so pool placement cannot change results;
+    the default runs one :class:`SweepJob` into a :class:`PCTPoint`.
+    ``jobs`` is the worker-process count (``<= 1`` means in-process
+    serial; ``0`` means one per core).  ``cache`` (a
+    :class:`repro.experiments.cache.ResultCache` or ``None``) entries
+    are addressed by :func:`repro.experiments.cache.task_key` over
+    ``key_fn(task)`` (default: the task itself), namespaced by
+    ``kind``; the cache must be constructed with an ``encode``/``decode``
+    codec matching ``fn``'s result type.  Returns results positionally
+    aligned with ``tasks`` and bit-identical to the serial loop's.
     """
-    from .cache import task_key
-
     tasks = list(tasks)
     if jobs == 0:
         jobs = default_jobs()
@@ -296,59 +245,6 @@ def run_tasks(
     return results
 
 
-def run_jobs(
-    jobs_list: Sequence[SweepJob],
-    jobs: int = 1,
-    cache=None,
-    report: Optional[SweepReport] = None,
-) -> List[PCTPoint]:
-    """Run every job, in input order, using cache and worker pool.
-
-    ``jobs`` is the worker-process count (``<= 1`` means in-process
-    serial; ``0`` means one per core).  ``cache`` is a
-    :class:`repro.experiments.cache.ResultCache` or ``None``.  The
-    returned list is positionally aligned with ``jobs_list`` and
-    bit-identical to what the serial loop would produce.
-    """
-    jobs_list = list(jobs_list)
-    if jobs == 0:
-        jobs = default_jobs()
-    if report is None:
-        report = SweepReport()
-    report.total = len(jobs_list)
-
-    points: List[Optional[PCTPoint]] = [None] * len(jobs_list)
-    pending: List[tuple] = []  # (index, cache key or None, job)
-    for i, job in enumerate(jobs_list):
-        if cache is not None:
-            key = cache.key(job.config, job.axis_rate, job.spec)
-            hit = cache.get(key)
-            if hit is not None:
-                points[i] = hit
-                continue
-        else:
-            key = None
-        pending.append((i, key, job))
-    report.cached = report.total - len(pending)
-    report.executed = len(pending)
-
-    if pending:
-        run_list = [job for _i, _key, job in pending]
-        if jobs > 1 and len(run_list) > 1:
-            results = _run_pool(
-                run_list, jobs, report,
-                keys=[key for _i, key, _job in pending], cache=cache,
-            )
-        else:
-            report.fallback_reason = "jobs=1" if jobs <= 1 else "single point"
-            results = [_run_job(job) for job in run_list]
-        for (i, key, _job), point in zip(pending, results):
-            points[i] = point
-            if cache is not None and key is not None:
-                cache.put(key, point)
-    return points  # type: ignore[return-value]
-
-
 def run_sweep(
     configs: Sequence[ControlPlaneConfig],
     axis_rates: Sequence[float],
@@ -357,9 +253,9 @@ def run_sweep(
     cache=None,
     report: Optional[SweepReport] = None,
 ) -> Dict[str, List[PCTPoint]]:
-    """Parallel/cached equivalent of :func:`repro.experiments.harness.sweep`."""
-    points = run_jobs(expand_grid(configs, axis_rates, spec), jobs=jobs,
-                      cache=cache, report=report)
+    """Run every (config, rate) point; returns points grouped by scheme."""
+    points = run_tasks(expand_grid(configs, axis_rates, spec), jobs=jobs,
+                       cache=cache, report=report)
     results: Dict[str, List[PCTPoint]] = {}
     for point in points:
         results.setdefault(point.scheme, []).append(point)

@@ -20,12 +20,42 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from pathlib import Path
 from typing import Any, Dict, Optional
 
-__all__ = ["LEDGER_SCHEMA", "build_run_ledger", "write_run_ledger"]
+__all__ = [
+    "LEDGER_SCHEMA",
+    "build_run_ledger",
+    "code_fingerprint",
+    "write_run_ledger",
+]
 
 #: bump only on breaking layout changes.
 LEDGER_SCHEMA = "repro.run_ledger/v1"
+
+_FINGERPRINT: Optional[str] = None
+
+
+def code_fingerprint() -> str:
+    """Digest of every ``.py`` file under ``src/repro`` (cached per process).
+
+    A ledger records it, and the result cache stamps every entry with
+    it: any source change — simulator, codecs, harness — invalidates
+    every cached point, since re-validating stale entries would require
+    knowing which module can influence which figure, and being wrong
+    silently corrupts a reproduction.
+    """
+    global _FINGERPRINT
+    if _FINGERPRINT is None:
+        pkg_root = Path(__file__).resolve().parent.parent
+        digest = hashlib.sha256()
+        for path in sorted(pkg_root.rglob("*.py")):
+            digest.update(str(path.relative_to(pkg_root)).encode())
+            digest.update(b"\0")
+            digest.update(path.read_bytes())
+            digest.update(b"\0")
+        _FINGERPRINT = digest.hexdigest()
+    return _FINGERPRINT
 
 
 def _config_fingerprint(config: Dict[str, Any]) -> str:
@@ -49,8 +79,6 @@ def build_run_ledger(
         "n_shards": result.n_shards,
     }
     try:
-        from ..experiments.cache import code_fingerprint
-
         code_fp = code_fingerprint()
     except Exception:  # pragma: no cover - fingerprint walk must not wedge
         code_fp = ""

@@ -13,7 +13,7 @@ ride inside :class:`~repro.experiments.harness.PCTPoint` results
 through pickling (parallel sweep workers) and the result cache's JSON
 round trip unchanged.  :func:`merge_snapshots` folds per-point
 snapshots together *in input order*; because
-:func:`repro.experiments.parallel.run_jobs` returns points positionally
+:func:`repro.experiments.parallel.run_tasks` returns points positionally
 aligned with its job list, merging parallel results is bit-identical
 to merging the serial loop's.
 """

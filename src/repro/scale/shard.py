@@ -93,11 +93,7 @@ from ..faults.injector import region_of
 from ..faults.trace import merge_traces
 from ..sim.monitor import QuantileSketch
 from ..sim.rng import RngRegistry
-from ..experiments.parallel import (
-    WorkerSpawnError,
-    default_jobs,
-    spawn_workers,
-)
+from ..experiments.parallel import default_jobs, pool_context
 from ..faults.runner import config_from_name
 from .engine import (
     ScaleResult,
@@ -117,6 +113,7 @@ __all__ = [
     "Migration",
     "ShardMap",
     "ShardEngine",
+    "WorkerSpawnError",
     "city_parents",
     "partition_population",
     "run_sharded",
@@ -508,20 +505,26 @@ class ShardEngine(_Engine):
 # ------------------------------------------------------------------ backends
 
 
-def _shard_engine(obs_mode, span_keep, verbose_trace, *where) -> ShardEngine:
+def _shard_engine(
+    obs_mode, span_keep, verbose_trace, spec, mode, shard_idx, shards, delta, homes
+) -> ShardEngine:
     """Build one shard's engine (the recipe of both backends).
 
-    ``where`` is :class:`ShardEngine`'s ``(spec, mode, shard_idx,
-    shards, homes, delta)``.  One Observability *per
-    shard*, whichever backend hosts it, so lane eligibility (and hence
-    the digest) cannot depend on the backend.
+    Everything before ``homes`` is the shard's recipe, known before the
+    population is placed; a worker is forked with it and is sent its
+    ``homes`` afterwards.  One Observability *per shard*, whichever
+    backend hosts it, so lane eligibility (and hence the digest) cannot
+    depend on the backend.
     """
     obs = None
     if obs_mode:
         from ..obs import Observability
 
         obs = Observability(obs_mode, span_keep=span_keep)
-    return ShardEngine(*where, obs=obs, verbose_trace=verbose_trace)
+    return ShardEngine(
+        spec, mode, shard_idx, shards, homes, delta,
+        obs=obs, verbose_trace=verbose_trace,
+    )
 
 
 class _InlineHost:
@@ -606,10 +609,20 @@ class _InlineHost:
         pass
 
 
+class WorkerSpawnError(RuntimeError):
+    """Shard worker processes could not be started on this platform.
+
+    Raised by :func:`spawn_workers` so that the ``auto`` backend can
+    fall back to running every shard in-process instead of failing the
+    run (sandboxes without fork/semaphores).
+    """
+
+
 class _ProcessHost:
     """Coordinator-side proxy for one long-lived shard worker process.
 
-    A worker that dies (its pipe closes) or stays silent for
+    It owns the worker's process and its end of their duplex pipe.  A
+    worker that dies (its pipe closes) or stays silent for
     :data:`WORKER_DEADLINE_S` — during its ready handshake or mid-run —
     fails the run with a ``RuntimeError`` naming its shard.  :meth:`close`
     kills a worker that has not delivered its finish payload (it failed,
@@ -622,11 +635,12 @@ class _ProcessHost:
     ``commute_sharded`` ~20% wall on the 2-core reference host.
     """
 
-    def __init__(self, handle, shard_idx: int):
-        self.handle = handle
+    def __init__(self, process, conn, shard_idx: int):
+        self.process = process
+        self.conn = conn
         self.shard_idx = shard_idx
         self._finished = False
-        sock = socket.socket(fileno=handle.conn.fileno())
+        sock = socket.socket(fileno=conn.fileno())
         try:
             whole = int(WORKER_DEADLINE_S)
             sock.setsockopt(
@@ -636,6 +650,10 @@ class _ProcessHost:
             )
         finally:
             sock.detach()  # the pipe keeps its descriptor
+
+    def send_homes(self, homes) -> None:
+        """Hand the worker its shard's homes, its first message."""
+        self._send(("homes", homes), "during startup")
 
     def start(self) -> None:
         """Wait for the worker to report its engine built and prepared."""
@@ -664,15 +682,15 @@ class _ProcessHost:
     def _fail(self, what: str) -> RuntimeError:
         return RuntimeError("shard %d worker %s" % (self.shard_idx, what))
 
-    def _send(self, msg) -> None:
+    def _send(self, msg, when: str = "mid-run") -> None:
         try:
-            self.handle.send(msg)
+            self.conn.send(msg)
         except OSError:  # the worker's end is gone
-            raise self._fail("died mid-run")
+            raise self._fail("died " + when)
 
     def _recv(self, when: str = "mid-run"):
         try:
-            msg = self.handle.recv()
+            msg = self.conn.recv()
         except BlockingIOError:
             raise self._fail("sent nothing for %g s" % WORKER_DEADLINE_S)
         except (EOFError, OSError):
@@ -682,15 +700,55 @@ class _ProcessHost:
         return msg
 
     def close(self) -> None:
+        """Drop the pipe and reap the process (terminate if wedged)."""
         if not self._finished:
-            self.handle.process.kill()
-        self.handle.close()
+            self.process.kill()
+        try:
+            self.conn.close()
+        except OSError:  # pragma: no cover - already torn down
+            pass
+        self.process.join(5.0)
+        if self.process.is_alive():  # pragma: no cover - wedged worker
+            self.process.terminate()
+            self.process.join(5.0)
 
 
-def _shard_worker(conn, *engine_args):
+def spawn_workers(target, args_list) -> List[_ProcessHost]:
+    """Start one long-lived ``target`` process per args tuple.
+
+    The ``i``-th tuple is shard ``i + 1``'s (the coordinator hosts shard
+    0).  ``target`` must be a top-level callable whose first parameter
+    is the worker end of a duplex pipe; the remaining parameters come
+    from the args tuple.  Either every worker starts or none does: a
+    platform refusal tears down any partial set and raises
+    :class:`WorkerSpawnError`.
+    """
+    hosts: List[_ProcessHost] = []
+    try:
+        ctx = pool_context()
+        for k, args in enumerate(args_list, 1):
+            parent_conn, child_conn = ctx.Pipe(duplex=True)
+            proc = ctx.Process(
+                target=target, args=(child_conn,) + tuple(args), daemon=True
+            )
+            proc.start()
+            child_conn.close()
+            hosts.append(_ProcessHost(proc, parent_conn, k))
+    except (OSError, PermissionError, ImportError) as err:
+        for host in hosts:
+            host.close()
+        raise WorkerSpawnError("%s: %s" % (type(err).__name__, err))
+    return hosts
+
+
+def _shard_worker(conn, *recipe):
     """Long-lived worker: an :class:`_InlineHost` serving epoch messages.
 
-    Messages have fixed arity: ``("step", until, inbox, want_health,
+    The worker is forked before the population is placed, so it
+    inherits no shard's homes: its first message is ``("homes",
+    homes)``, its own shard's.  It then builds its engine from
+    ``recipe`` and those homes and answers ``("ready",)``.  Messages
+    have fixed arity: ``("step", until, inbox, want_health,
     actions)`` -> ``("stepped", outbox, next_event_s, health)``
     and ``("finish",)`` -> ``("done", payload)``, then ``("rss",
     peak_rss_kb)``: the worker's peak once the payload is sent, which
@@ -699,7 +757,9 @@ def _shard_worker(conn, *engine_args):
     traceback>)``.
     """
     try:
-        host = _InlineHost(partial(_shard_engine, *engine_args))
+        _tag, homes = conn.recv()
+        host = _InlineHost(partial(_shard_engine, *recipe, homes))
+        del homes  # the engine holds them once it is built
         host.start()
         conn.send(("ready",))
         while True:
@@ -998,7 +1058,6 @@ def run_sharded(
     wall0 = time.perf_counter()
     parents = city_parents(spec)
     shard_map = ShardMap(parents, shards)  # validates shards <= len(parents)
-    homes = partition_population(spec, shard_map)
     delta = shard_lookahead(spec)
     orch = None
     if spec.orch_policy:
@@ -1011,35 +1070,34 @@ def run_sharded(
             orch.attach_stream(stream)
     obs_mode = obs.mode if obs is not None else None
     span_keep = obs.span_keep if obs is not None else None
-
-    # the recipe of every shard's engine, for whichever backend hosts it
-    engine_args = [
-        (
-            obs_mode, span_keep, verbose_trace,
-            spec, mode, k, shards, homes[k], delta,
-        )
+    # the recipe of every shard's engine, bar its homes, for whichever
+    # backend hosts it
+    recipes = [
+        (obs_mode, span_keep, verbose_trace, spec, mode, k, shards, delta)
         for k in range(shards)
     ]
     # this process always hosts shard 0; the process backend gives each
-    # other shard a worker of its own (k shards in k processes)
-    hosts: List[Any] = [_InlineHost(partial(_shard_engine, *engine_args[0]))]
-    backend_used = "inline"
+    # other shard a worker of its own (k shards in k processes), forked
+    # before the population is placed so that none inherits its homes
+    workers: List[_ProcessHost] = []
     if backend == "process" or (backend == "auto" and default_jobs() > 1):
         try:
-            handles = spawn_workers(_shard_worker, engine_args[1:])
+            workers = spawn_workers(_shard_worker, recipes[1:])
         except WorkerSpawnError:
             if backend == "process":
                 raise
-        else:
-            hosts += [_ProcessHost(h, k) for k, h in enumerate(handles, 1)]
-            backend_used = "process"
-    if backend_used == "inline":
-        hosts += [_InlineHost(partial(_shard_engine, *a)) for a in engine_args[1:]]
-    # a worker holds its own homes, and a host's recipe holds the rest
-    # until its engine is built
-    del engine_args, homes
-
+    hosts: List[Any] = list(workers)
     try:
+        homes = partition_population(spec, shard_map)
+        for worker in workers:
+            worker.send_homes(homes[worker.shard_idx])
+        # a host's recipe holds its homes until its engine is built
+        hosts = [_InlineHost(partial(_shard_engine, *recipes[0], homes[0]))]
+        hosts += workers or [
+            _InlineHost(partial(_shard_engine, *recipe, shard_homes))
+            for recipe, shard_homes in zip(recipes[1:], homes[1:])
+        ]
+        del homes
         # _epoch_loop starts the hosts in shard order: shard 0 is built
         # here while the workers build theirs, then each worker's ready
         # is awaited under the deadline
@@ -1054,6 +1112,7 @@ def run_sharded(
         for host in hosts:
             host.close()
 
+    backend_used = "process" if workers else "inline"
     result = _merge_payloads(
         spec, mode, shards, payloads, delta, epochs, backend_used, wall0,
         workers_rss_kb=sum(

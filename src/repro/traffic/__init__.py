@@ -9,7 +9,6 @@ from .arrivals import (
     compound_arrivals,
     modulated_arrivals,
     poisson_arrivals,
-    uniform_arrivals,
 )
 from .calibration import CalibrationCheck, CalibrationReport, calibrate_model
 from .mobility import (
@@ -35,7 +34,6 @@ from .traces import TraceConfig, TraceRecord, generate_trace, load_trace, save_t
 from .workload import WorkloadDriver
 
 __all__ = [
-    "uniform_arrivals",
     "poisson_arrivals",
     "bursty_arrivals",
     "modulated_arrivals",

@@ -1,10 +1,11 @@
-"""Arrival processes: uniform-rate, bursty, modulated, and compound.
+"""Arrival processes: Poisson, bursty, modulated, and compound.
 
 The paper drives its testbed with two patterns: (i) uniform traffic at a
 pre-specified number of control procedures per second, and (ii) bursty
 traffic emulating a large number of IoT devices sending requests in a
 synchronized pattern.  Both are reproduced here as deterministic-seed
-generators of arrival timestamps.
+generators of arrival timestamps: (i) as an open-loop Poisson process
+at that rate.
 
 The measured traffic models (``traffic.models``, after Meng et al.,
 *Characterizing and Modeling Control-Plane Traffic for Mobile Core
@@ -24,25 +25,12 @@ import random
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "uniform_arrivals",
     "poisson_arrivals",
     "bursty_arrivals",
     "RateEnvelope",
     "modulated_arrivals",
     "compound_arrivals",
 ]
-
-
-def uniform_arrivals(rate_per_s: float, duration_s: float, start_s: float = 0.0) -> Iterator[float]:
-    """Evenly spaced arrivals at ``rate_per_s`` for ``duration_s``."""
-    if rate_per_s <= 0:
-        raise ValueError("rate must be positive")
-    if duration_s < 0:
-        raise ValueError("duration must be non-negative")
-    interval = 1.0 / rate_per_s
-    n = int(duration_s * rate_per_s)
-    for i in range(n):
-        yield start_s + i * interval
 
 
 def poisson_arrivals(

@@ -1,21 +1,16 @@
-"""Tests for the mobility/VR/video/web application experiments."""
+"""Tests for the application experiments: the mobility apps (self-driving
+car, VR) and Fig. 3's video startup and page load rows."""
 
 import pytest
 
 from repro.apps import (
     MobilityAppSpec,
-    VideoAppSpec,
-    WebAppSpec,
     run_mobility_experiment,
-    run_page_load,
-    run_self_driving,
-    run_video_startup,
-    run_vr,
     self_driving_spec,
     vr_spec,
 )
 from repro.core import ControlPlaneConfig
-from repro.experiments import RunSpec
+from repro.experiments import ResultCache, RunSpec, SweepReport, figures, run_pct_point
 
 FAST = dict(drive_duration_s=1.0, radio_interruption_s=0.2)
 
@@ -51,59 +46,50 @@ class TestMobilityExperiment:
         assert result.handovers_executed == 0
 
     def test_handover_executed_and_counted(self):
-        result = run_self_driving(
-            ControlPlaneConfig.neutrino(), 10e3,
-            spec=self_driving_spec(handovers=1, **FAST),
+        result = run_mobility_experiment(
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=1, **FAST)
         )
         assert result.handovers_executed == 1
         assert result.total == 1000
 
     def test_radio_interruption_causes_baseline_misses(self):
         # 200 ms interruption with 100 ms budget: ~100 ms of misses/HO.
-        result = run_self_driving(
-            ControlPlaneConfig.neutrino(), 10e3,
-            spec=self_driving_spec(handovers=1, **FAST),
+        result = run_mobility_experiment(
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=1, **FAST)
         )
         assert 50 <= result.missed <= 250
 
     def test_vr_misses_more_than_car(self):
-        car = run_self_driving(
-            ControlPlaneConfig.neutrino(), 10e3,
-            spec=self_driving_spec(handovers=1, **FAST),
+        car = run_mobility_experiment(
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=1, **FAST)
         )
-        vr = run_vr(
-            ControlPlaneConfig.neutrino(), 10e3,
-            spec=vr_spec(handovers=1, **FAST),
+        vr = run_mobility_experiment(
+            ControlPlaneConfig.neutrino(), 10e3, vr_spec(handovers=1, **FAST)
         )
         assert vr.missed > car.missed  # tighter budget
 
     def test_epc_worse_under_heavy_load(self):
         users = 500e3
-        epc = run_self_driving(
-            ControlPlaneConfig.existing_epc(), users,
-            spec=self_driving_spec(handovers=1, **FAST),
+        epc = run_mobility_experiment(
+            ControlPlaneConfig.existing_epc(), users, self_driving_spec(handovers=1, **FAST)
         )
-        neutrino = run_self_driving(
-            ControlPlaneConfig.neutrino(), users,
-            spec=self_driving_spec(handovers=1, **FAST),
+        neutrino = run_mobility_experiment(
+            ControlPlaneConfig.neutrino(), users, self_driving_spec(handovers=1, **FAST)
         )
         assert epc.missed > neutrino.missed
 
     def test_multiple_handovers_scale_misses(self):
-        single = run_self_driving(
-            ControlPlaneConfig.neutrino(), 10e3,
-            spec=self_driving_spec(handovers=1, **FAST),
+        single = run_mobility_experiment(
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=1, **FAST)
         )
-        multiple = run_self_driving(
-            ControlPlaneConfig.neutrino(), 10e3,
-            spec=self_driving_spec(handovers=3, **FAST),
+        multiple = run_mobility_experiment(
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=3, **FAST)
         )
         assert multiple.missed > 2 * single.missed
 
     def test_miss_fraction_property(self):
-        result = run_self_driving(
-            ControlPlaneConfig.neutrino(), 10e3,
-            spec=self_driving_spec(handovers=1, **FAST),
+        result = run_mobility_experiment(
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=1, **FAST)
         )
         assert 0 <= result.miss_fraction <= 1
 
@@ -111,21 +97,40 @@ class TestMobilityExperiment:
 SMALL_RUN = RunSpec(procedure="service_request", procedures_target=150, max_duration_s=0.1)
 
 
-class TestVideoAndWeb:
-    def test_video_startup_includes_player_constant(self):
-        spec = VideoAppSpec(player_startup_s=0.45, run=SMALL_RUN)
-        result = run_video_startup(ControlPlaneConfig.neutrino(), 60e3, spec)
-        assert result.startup_p50_s > 0.45
-        assert result.startup_p95_s >= result.startup_p50_s
+def test_fig03_rows_are_one_service_request_point_plus_app_constants(
+    monkeypatch, tmp_path
+):
+    """Both app rows come from one service-request point per (scheme,
+    rate): 2 x len(rates) points run, and a cached rerun runs none."""
+    reports = []
+    real_run_tasks = figures.run_tasks
 
-    def test_plt_includes_page_constant(self):
-        spec = WebAppSpec(page_fetch_s=1.9, run=SMALL_RUN)
-        result = run_page_load(ControlPlaneConfig.neutrino(), 60e3, spec)
-        assert result.plt_p50_s > 1.9
+    def run_tasks(tasks, **kwargs):
+        reports.append(kwargs.setdefault("report", SweepReport()))
+        return real_run_tasks(tasks, **kwargs)
 
-    def test_epc_startup_worse_when_saturated(self):
-        video_spec = VideoAppSpec(run=SMALL_RUN)
-        epc = run_video_startup(ControlPlaneConfig.existing_epc(), 260e3, video_spec)
-        neutrino = run_video_startup(ControlPlaneConfig.neutrino(), 260e3, video_spec)
-        assert epc.startup_p50_s > neutrino.startup_p50_s
-        assert epc.sr_pct_p50_ms > 5 * neutrino.sr_pct_p50_ms
+    monkeypatch.setattr(figures, "run_tasks", run_tasks)
+    rates = (60e3, 160e3, 260e3)
+    cache = ResultCache(str(tmp_path / "cache"))
+    rows = figures.fig03_plt_and_video(rates=rates, spec=SMALL_RUN, cache=cache)
+    assert figures.fig03_plt_and_video(rates=rates, spec=SMALL_RUN, cache=cache) == rows
+    assert [(r.total, r.executed, r.cached) for r in reports] == [(6, 6, 0), (6, 0, 6)]
+
+    schemes = (ControlPlaneConfig.existing_epc(), ControlPlaneConfig.neutrino())
+    assert [(r["scheme"], r["rate"]) for r in rows] == [
+        (config.name, rate) for config in schemes for rate in rates
+    ]
+    for config in schemes:
+        for rate in rates:
+            point = run_pct_point(config, rate, SMALL_RUN)
+            (row,) = [r for r in rows if (r["scheme"], r["rate"]) == (config.name, rate)]
+            assert row["sr_pct_p50_ms"] == point.p50_ms
+            assert row["video_startup_p50_s"] == point.p50_ms / 1e3 + figures.PLAYER_STARTUP_S
+            assert row["plt_p50_s"] == point.p50_ms / 1e3 + figures.PAGE_FETCH_S
+    epc, neutrino = (
+        next(r for r in rows if r["scheme"] == name and r["rate"] == 260e3)
+        for name in ("existing_epc", "neutrino")
+    )
+    assert epc["video_startup_p50_s"] > neutrino["video_startup_p50_s"]
+    assert epc["plt_p50_s"] > neutrino["plt_p50_s"]
+    assert epc["sr_pct_p50_ms"] > 5 * neutrino["sr_pct_p50_ms"]

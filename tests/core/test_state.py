@@ -146,7 +146,6 @@ class TestRecords:
     def _state(self):
         return UEState(
             "ue-1", 42, attached=True, version=3, ops_in_procedure=1,
-            bs_id="bs-a", region="ab", tracking_area=7, bearer_teid=9,
             active=True,
         )
 
@@ -172,8 +171,7 @@ class TestRecords:
     def test_repr_names_every_field_in_order(self):
         assert repr(UEState("ue-1", 42)) == (
             "UEState(ue_id='ue-1', m_tmsi=42, attached=False, version=0, "
-            "ops_in_procedure=0, bs_id='', region='', tracking_area=0, "
-            "bearer_teid=0, active=False)"
+            "ops_in_procedure=0, active=False)"
         )
         assert repr(StateEntry(UEState("a", 1), 2, False, True)).startswith(
             "StateEntry(state=UEState(ue_id='a', m_tmsi=1, "

@@ -5,14 +5,16 @@ import math
 
 from repro.core import ControlPlaneConfig
 from repro.experiments import RunSpec
-from repro.experiments.cache import (
-    ResultCache,
-    code_fingerprint,
-    describe_point_inputs,
-    point_key,
-)
+from repro.experiments.cache import ResultCache, _stable, task_key
 from repro.experiments.harness import PCTPoint
+from repro.experiments.parallel import SweepJob
 from repro.faults.plan import FaultPlan
+from repro.obs.ledger import code_fingerprint
+
+
+def key_of(config, axis_rate, spec):
+    """A sweep point's cache key, as :func:`run_tasks` computes it."""
+    return task_key("point", SweepJob(config, axis_rate, spec))
 
 
 def sample_point(**overrides) -> PCTPoint:
@@ -34,34 +36,39 @@ def sample_point(**overrides) -> PCTPoint:
 
 class TestPointKey:
     def test_stable_across_equal_inputs(self):
-        a = point_key(ControlPlaneConfig.neutrino(), 40e3, RunSpec(seed=3))
-        b = point_key(ControlPlaneConfig.neutrino(), 40e3, RunSpec(seed=3))
+        a = key_of(ControlPlaneConfig.neutrino(), 40e3, RunSpec(seed=3))
+        b = key_of(ControlPlaneConfig.neutrino(), 40e3, RunSpec(seed=3))
         assert a == b and len(a) == 64
 
     def test_none_spec_means_default_spec(self):
         config = ControlPlaneConfig.neutrino()
-        assert point_key(config, 40e3, None) == point_key(config, 40e3, RunSpec())
+        assert key_of(config, 40e3, None) == key_of(config, 40e3, RunSpec())
+        # an int rate is the same point as its float
+        assert key_of(config, 40000, None) == key_of(config, 40e3, None)
 
     def test_any_knob_changes_the_key(self):
         config = ControlPlaneConfig.neutrino()
-        base = point_key(config, 40e3, RunSpec())
-        assert point_key(config, 40e3 + 1, RunSpec()) != base
-        assert point_key(config, 40e3, RunSpec(seed=2)) != base
-        assert point_key(config.variant("v", n_backups=2), 40e3, RunSpec()) != base
-        assert point_key(config, 40e3, RunSpec(procedure="handover")) != base
+        base = key_of(config, 40e3, RunSpec())
+        assert key_of(config, 40e3 + 1, RunSpec()) != base
+        assert key_of(config, 40e3, RunSpec(seed=2)) != base
+        assert key_of(config.variant("v", n_backups=2), 40e3, RunSpec()) != base
+        assert key_of(config, 40e3, RunSpec(procedure="handover")) != base
+        job = SweepJob(config, 40e3, RunSpec())
+        assert task_key("scale.replicate", job) != base  # kinds never alias
 
     def test_fault_plan_is_part_of_the_key(self):
         config = ControlPlaneConfig.neutrino()
         plan = FaultPlan(seed=7).perturb("cta_cpf", drop_p=0.1)
-        with_plan = point_key(config, 40e3, RunSpec(fault_plan=plan))
-        assert with_plan != point_key(config, 40e3, RunSpec())
+        with_plan = key_of(config, 40e3, RunSpec(fault_plan=plan))
+        assert with_plan != key_of(config, 40e3, RunSpec())
         hotter = FaultPlan(seed=7).perturb("cta_cpf", drop_p=0.2)
-        assert with_plan != point_key(config, 40e3, RunSpec(fault_plan=hotter))
+        assert with_plan != key_of(config, 40e3, RunSpec(fault_plan=hotter))
 
     def test_inputs_record_is_debuggable_json(self):
-        inputs = describe_point_inputs(ControlPlaneConfig.neutrino(), 40e3, None)
+        inputs = _stable(SweepJob(ControlPlaneConfig.neutrino(), 40e3, None))
         assert inputs["config"]["name"] == "neutrino"
         assert inputs["axis_rate"] == repr(40e3)
+        assert inputs["spec"]["procedure"] == RunSpec().procedure
 
     def test_fingerprint_is_cached_and_hex(self):
         assert code_fingerprint() == code_fingerprint()
@@ -71,7 +78,7 @@ class TestPointKey:
 class TestResultCache:
     def test_miss_then_hit_round_trip(self, tmp_path):
         cache = ResultCache(str(tmp_path / "c"))
-        key = point_key(ControlPlaneConfig.neutrino(), 40e3, RunSpec())
+        key = key_of(ControlPlaneConfig.neutrino(), 40e3, RunSpec())
         assert cache.get(key) is None
         point = sample_point()
         cache.put(key, point)
@@ -126,10 +133,10 @@ class TestResultCache:
 class TestFingerprintOncePerRun:
     def test_run_jobs_computes_fingerprint_once(self, tmp_path, monkeypatch):
         # Regression: the code fingerprint hashes every .py file under
-        # src/repro, so it must be computed once per run, not once per
-        # point lookup (or eagerly for caches that are never used).
+        # src/repro, so a run of sweep jobs must compute it once, not
+        # once per point lookup (or eagerly for caches never used).
         from repro.experiments import cache as cache_mod
-        from repro.experiments.parallel import SweepJob, run_jobs
+        from repro.experiments.parallel import run_tasks
 
         calls = []
 
@@ -146,13 +153,13 @@ class TestFingerprintOncePerRun:
 
         seed_cache = ResultCache(root, fingerprint="test-fp")
         for job in jobs:
-            key = seed_cache.key(job.config, job.axis_rate, job.spec)
+            key = task_key("point", job)
             seed_cache.put(key, sample_point(axis_rate=job.axis_rate))
         assert calls == []  # explicit fingerprint: no computation at all
 
         cache = ResultCache(root)
         assert calls == []  # lazy: constructing a cache hashes nothing
-        points = run_jobs(jobs, jobs=1, cache=cache)
+        points = run_tasks(jobs, jobs=1, cache=cache)
         assert len(points) == len(jobs)
         assert cache.stats.hits == len(jobs)
         assert len(calls) == 1, "fingerprint must be computed once per run"

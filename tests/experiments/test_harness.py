@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.core import ControlPlaneConfig
-from repro.experiments import PCTPoint, RunSpec, run_pct_point, sweep
+from repro.experiments import PCTPoint, RunSpec, run_pct_point, run_sweep
+from repro.experiments import harness
 from repro.experiments.harness import TESTBED_CPFS
 
 QUICK = dict(procedures_target=150, min_duration_s=0.02, max_duration_s=0.08)
@@ -15,8 +16,18 @@ class TestRunSpec:
     def test_n_sim_cpfs(self):
         assert RunSpec(regions=2, cpfs_per_region=2).n_sim_cpfs == 4
 
-    def test_defaults_are_poisson(self):
-        assert RunSpec().arrival_process == "poisson"
+    def test_defaults_are_poisson(self, monkeypatch):
+        # every non-bursty point draws open-loop Poisson arrivals
+        drawn = []
+        real = harness.poisson_arrivals
+
+        def poisson_arrivals(rate, duration, rng):
+            drawn.append(rate)
+            return real(rate, duration, rng)
+
+        monkeypatch.setattr(harness, "poisson_arrivals", poisson_arrivals)
+        run_pct_point(ControlPlaneConfig.neutrino(), 20e3, RunSpec(**QUICK))
+        assert drawn == [20e3 / TESTBED_CPFS * RunSpec().n_sim_cpfs]
 
 
 class TestRunPctPoint:
@@ -47,14 +58,6 @@ class TestRunPctPoint:
         )
         assert point.count > 50
         assert point.violations == 0
-
-    def test_uniform_arrival_process_option(self):
-        point = run_pct_point(
-            ControlPlaneConfig.neutrino(),
-            20e3,
-            RunSpec(procedure="attach", arrival_process="uniform", **QUICK),
-        )
-        assert point.count > 20
 
     def test_bursty_mode_reports_users_axis(self):
         spec = RunSpec(
@@ -123,7 +126,7 @@ class TestRunPctPoint:
 class TestSweep:
     def test_sweep_groups_by_scheme(self):
         spec = RunSpec(procedure="attach", **QUICK)
-        results = sweep(
+        results = run_sweep(
             [ControlPlaneConfig.neutrino(), ControlPlaneConfig.existing_epc()],
             [20e3, 40e3],
             spec,
@@ -133,6 +136,6 @@ class TestSweep:
 
     def test_saturation_shows_in_sweep(self):
         spec = RunSpec(procedure="attach", **QUICK)
-        results = sweep([ControlPlaneConfig.existing_epc()], [40e3, 140e3], spec)
+        results = run_sweep([ControlPlaneConfig.existing_epc()], [40e3, 140e3], spec)
         points = results["existing_epc"]
         assert points[1].p50_ms > 5 * points[0].p50_ms  # deep saturation

@@ -8,14 +8,12 @@ from repro.core import ControlPlaneConfig
 from repro.experiments import RunSpec
 from repro.experiments.cache import ResultCache, task_key
 from repro.experiments.figures import fig07_service_request
-from repro.experiments.harness import sweep
 from repro.experiments.parallel import (
     SweepJob,
     SweepReport,
     _run_pool,
     default_jobs,
     expand_grid,
-    run_jobs,
     run_sweep,
     run_tasks,
 )
@@ -47,9 +45,9 @@ class TestSerialParallelEquality:
         spec = quick_spec(procedure="attach")
         configs = [ControlPlaneConfig.neutrino(), ControlPlaneConfig.existing_epc()]
         grid = expand_grid(configs, [20e3, 40e3], spec)
-        serial = run_jobs(grid, jobs=1)
+        serial = run_tasks(grid, jobs=1)
         report = SweepReport()
-        parallel = run_jobs(grid, jobs=2, report=report)
+        parallel = run_tasks(grid, jobs=2, report=report)
         # PCTPoint is a dataclass of floats/ints: == is exact, so this
         # asserts byte-identical rows, not approximate agreement.
         assert serial == parallel
@@ -63,19 +61,24 @@ class TestSerialParallelEquality:
         assert serial == parallel
 
     def test_harness_sweep_delegates(self):
+        """The grid entry point runs its points through the pool."""
         spec = quick_spec(procedure="attach")
         configs = [ControlPlaneConfig.neutrino()]
-        assert sweep(configs, [30e3], spec) == sweep(configs, [30e3], spec, jobs=2)
+        assert run_sweep(configs, [30e3], spec) == run_sweep(
+            configs, [30e3], spec, jobs=2
+        )
 
 
 class TestRunJobs:
+    """Sweep jobs through :func:`run_tasks`, whose default task is a point."""
+
     def test_results_positionally_aligned(self):
         spec = quick_spec(procedure="attach")
         grid = [
             SweepJob(ControlPlaneConfig.existing_epc(), 40e3, spec),
             SweepJob(ControlPlaneConfig.neutrino(), 20e3, spec),
         ]
-        points = run_jobs(grid, jobs=2)
+        points = run_tasks(grid, jobs=2)
         assert [(p.scheme, p.axis_rate) for p in points] == [
             ("existing_epc", 40e3),
             ("neutrino", 20e3),
@@ -86,17 +89,17 @@ class TestRunJobs:
         grid = expand_grid([ControlPlaneConfig.neutrino()], [20e3, 40e3], spec)
         cache = ResultCache(str(tmp_path / "cache"))
         first = SweepReport()
-        run_jobs(grid, jobs=1, cache=cache, report=first)
+        run_tasks(grid, jobs=1, cache=cache, report=first)
         assert (first.total, first.executed, first.cached) == (2, 2, 0)
         second = SweepReport()
-        run_jobs(grid, jobs=1, cache=cache, report=second)
+        run_tasks(grid, jobs=1, cache=cache, report=second)
         assert (second.total, second.executed, second.cached) == (2, 0, 2)
 
     def test_cached_rerun_does_zero_simulation_work(self, tmp_path, monkeypatch):
         spec = quick_spec(procedure="attach")
         grid = expand_grid([ControlPlaneConfig.neutrino()], [20e3, 40e3], spec)
         cache = ResultCache(str(tmp_path / "cache"))
-        warm = run_jobs(grid, jobs=1, cache=cache)
+        warm = run_tasks(grid, jobs=1, cache=cache)
 
         def boom(*_args, **_kwargs):
             raise AssertionError("simulation ran on a fully cached sweep")
@@ -104,13 +107,13 @@ class TestRunJobs:
         import repro.experiments.parallel as parallel_mod
 
         monkeypatch.setattr(parallel_mod, "run_pct_point", boom)
-        cached = run_jobs(grid, jobs=1, cache=cache)
+        cached = run_tasks(grid, jobs=1, cache=cache)
         assert cached == warm
 
     def test_worker_error_propagates(self):
         bad = SweepJob(ControlPlaneConfig.neutrino(), -5.0, quick_spec())
         with pytest.raises(ValueError):
-            run_jobs([bad], jobs=2)
+            run_tasks([bad], jobs=2)
 
 
 class TestDefaultJobs:

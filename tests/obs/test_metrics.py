@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.config import ControlPlaneConfig
 from repro.experiments.harness import RunSpec
-from repro.experiments.parallel import SweepJob, run_jobs
+from repro.experiments.parallel import SweepJob, run_tasks
 from repro.obs import MetricsRegistry, merge_snapshots, summarize_histogram
 from repro.sim.monitor import QuantileSketch, Tally
 
@@ -128,8 +128,8 @@ class TestParallelAggregation:
         return [SweepJob(config, rate, spec) for rate in (60e3, 100e3)]
 
     def test_parallel_merge_is_bit_identical_to_serial(self):
-        serial = run_jobs(self._jobs(), jobs=1)
-        parallel = run_jobs(self._jobs(), jobs=2)
+        serial = run_tasks(self._jobs(), jobs=1)
+        parallel = run_tasks(self._jobs(), jobs=2)
         merged_serial = merge_snapshots([p.obs["metrics"] for p in serial])
         merged_parallel = merge_snapshots([p.obs["metrics"] for p in parallel])
         # Bit-identical, not approximately equal: same JSON bytes.

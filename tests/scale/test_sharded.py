@@ -19,20 +19,21 @@ they may only change when engine semantics intentionally change.
 """
 
 import dataclasses
+import gc
 import multiprocessing
 import os
 import signal
 import time
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.experiments.parallel import WorkerSpawnError
 from repro.faults.runner import config_from_name
 from repro.scale import shard as sh
 from repro.scale.engine import _Engine, run_scenario
 from repro.scale.scenarios import get_scenario
-from repro.scale.shard import ShardMap, run_sharded, shard_lookahead
+from repro.scale.shard import ShardMap, WorkerSpawnError, run_sharded, shard_lookahead
 
 N = 400
 DURATION_S = 0.5
@@ -268,7 +269,7 @@ def test_placement_is_execution_blind(scenario, mode):
 
 
 def _capture_workers(monkeypatch):
-    """The handles of every worker the run spawns, for the no-orphan checks."""
+    """The host of every worker the run spawns, for the no-orphan checks."""
     spawned = []
     real_spawn = sh.spawn_workers
 
@@ -322,8 +323,8 @@ def test_a_killed_worker_fails_the_run_naming_its_shard(monkeypatch):
     def step_recv(self):
         calls.append(self.shard_idx)
         if calls.count(1) == 2 and self.shard_idx == 1:
-            os.kill(self.handle.process.pid, signal.SIGKILL)
-            self.handle.process.join(10.0)
+            os.kill(self.process.pid, signal.SIGKILL)
+            self.process.join(10.0)
         return real_step_recv(self)
 
     monkeypatch.setattr(sh._ProcessHost, "step_recv", step_recv)
@@ -441,6 +442,57 @@ def test_four_shards_run_in_four_processes(monkeypatch):
     inline = run2(backend="inline", shards=4)
     assert procs == inline
     assert procs.digest == inline.digest
+
+
+#: the bytes of the run's per-shard gid arrays, the real worker, and
+#: where a forked scanning worker writes what it found (set per test)
+_HOMES_SCAN = {}
+
+
+def _homes_scanning_worker(conn, *recipe):
+    """The shard worker, writing once its engine is built which shards'
+    gid arrays anything in its process still references."""
+    real_start = sh._InlineHost.start
+
+    def start(host):
+        real_start(host)
+        gc.collect()
+        held = set()
+        for obj in gc.get_objects():
+            for ref in gc.get_referents(obj):
+                if type(ref) is array:
+                    raw = ref.tobytes()
+                    held.update(
+                        k for k, gids in enumerate(_HOMES_SCAN["gids"]) if raw == gids
+                    )
+        out = _HOMES_SCAN["dir"] / ("shard%d.txt" % host.engine.shard_idx)
+        out.write_text(" ".join(map(str, sorted(held))))
+
+    sh._InlineHost.start = start  # forked: patches this worker only
+    _HOMES_SCAN["worker"](conn, *recipe)
+
+
+def test_a_worker_holds_only_its_own_homes(monkeypatch, tmp_path):
+    """Workers are forked before the population is placed and each is
+    sent its own shard's homes: once its engine is built, nothing in a
+    worker references another shard's gid array."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the scanning worker reaches workers by fork only")
+    spec = get_scenario("steady-city").with_overrides(n_ue=N, seed=SEED)
+    homes = sh.partition_population(spec, ShardMap(sh.city_parents(spec), 3))
+    gids = [shard_gids.tobytes() for shard_gids, _bs, _names in homes]
+    del homes  # this process's copies must not be what a worker finds
+    monkeypatch.setitem(_HOMES_SCAN, "gids", gids)
+    monkeypatch.setitem(_HOMES_SCAN, "worker", sh._shard_worker)
+    monkeypatch.setitem(_HOMES_SCAN, "dir", tmp_path)
+    monkeypatch.setattr(sh, "_shard_worker", _homes_scanning_worker)
+    try:
+        procs = run2(backend="process", shards=3)
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    assert procs == run2(backend="inline", shards=3)
+    held = [(tmp_path / ("shard%d.txt" % k)).read_text() for k in (1, 2)]
+    assert held == ["1", "2"]
 
 
 def test_rss_is_counted_once_per_process(monkeypatch):

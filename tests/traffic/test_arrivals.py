@@ -4,31 +4,7 @@ import random
 
 import pytest
 
-from repro.traffic import bursty_arrivals, poisson_arrivals, uniform_arrivals
-
-
-class TestUniform:
-    def test_count_matches_rate_times_duration(self):
-        times = list(uniform_arrivals(100.0, 1.0))
-        assert len(times) == 100
-
-    def test_evenly_spaced(self):
-        times = list(uniform_arrivals(10.0, 1.0))
-        gaps = [b - a for a, b in zip(times, times[1:])]
-        assert all(g == pytest.approx(0.1) for g in gaps)
-
-    def test_start_offset(self):
-        times = list(uniform_arrivals(10.0, 0.5, start_s=2.0))
-        assert times[0] == pytest.approx(2.0)
-
-    def test_invalid_args(self):
-        with pytest.raises(ValueError):
-            list(uniform_arrivals(0, 1.0))
-        with pytest.raises(ValueError):
-            list(uniform_arrivals(10, -1.0))
-
-    def test_zero_duration_empty(self):
-        assert list(uniform_arrivals(10.0, 0.0)) == []
+from repro.traffic import bursty_arrivals, poisson_arrivals
 
 
 class TestPoisson:
