@@ -21,11 +21,12 @@ Usage::
 
 Figure ids follow the paper's numbering (fig03, fig07-fig11, fig13-fig20).
 
-Sweep-backed subcommands (``figure`` on PCT figures, ``sweep``, the
-``n_backups`` ablation) accept ``--jobs N`` (worker processes; 0 = one
-per core), ``--cache-dir PATH`` (content-addressed result cache,
-default ``.repro-cache/``), and ``--no-cache``.  Cached reruns perform
-zero simulation work; the footer line reports hits/misses/stale.
+Sweep-backed subcommands (``figure`` on the PCT figures and Fig. 3,
+``sweep``, the ``n_backups`` ablation) accept ``--jobs N`` (worker
+processes; 0 = one per core), ``--cache-dir PATH`` (content-addressed
+result cache, default ``.repro-cache/``), and ``--no-cache``.  Cached
+reruns perform zero simulation work; the footer line reports
+hits/misses/stale.
 """
 
 from __future__ import annotations

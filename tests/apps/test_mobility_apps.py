@@ -47,7 +47,7 @@ class TestMobilityExperiment:
 
     def test_handover_executed_and_counted(self):
         result = run_mobility_experiment(
-            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=1, **FAST)
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(1, **FAST)
         )
         assert result.handovers_executed == 1
         assert result.total == 1000
@@ -55,41 +55,41 @@ class TestMobilityExperiment:
     def test_radio_interruption_causes_baseline_misses(self):
         # 200 ms interruption with 100 ms budget: ~100 ms of misses/HO.
         result = run_mobility_experiment(
-            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=1, **FAST)
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(1, **FAST)
         )
         assert 50 <= result.missed <= 250
 
     def test_vr_misses_more_than_car(self):
         car = run_mobility_experiment(
-            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=1, **FAST)
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(1, **FAST)
         )
         vr = run_mobility_experiment(
-            ControlPlaneConfig.neutrino(), 10e3, vr_spec(handovers=1, **FAST)
+            ControlPlaneConfig.neutrino(), 10e3, vr_spec(1, **FAST)
         )
         assert vr.missed > car.missed  # tighter budget
 
     def test_epc_worse_under_heavy_load(self):
         users = 500e3
         epc = run_mobility_experiment(
-            ControlPlaneConfig.existing_epc(), users, self_driving_spec(handovers=1, **FAST)
+            ControlPlaneConfig.existing_epc(), users, self_driving_spec(1, **FAST)
         )
         neutrino = run_mobility_experiment(
-            ControlPlaneConfig.neutrino(), users, self_driving_spec(handovers=1, **FAST)
+            ControlPlaneConfig.neutrino(), users, self_driving_spec(1, **FAST)
         )
         assert epc.missed > neutrino.missed
 
     def test_multiple_handovers_scale_misses(self):
         single = run_mobility_experiment(
-            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=1, **FAST)
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(1, **FAST)
         )
         multiple = run_mobility_experiment(
-            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=3, **FAST)
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(3, **FAST)
         )
         assert multiple.missed > 2 * single.missed
 
     def test_miss_fraction_property(self):
         result = run_mobility_experiment(
-            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(handovers=1, **FAST)
+            ControlPlaneConfig.neutrino(), 10e3, self_driving_spec(1, **FAST)
         )
         assert 0 <= result.miss_fraction <= 1
 
@@ -113,24 +113,22 @@ def test_fig03_rows_are_one_service_request_point_plus_app_constants(
     rates = (60e3, 160e3, 260e3)
     cache = ResultCache(str(tmp_path / "cache"))
     rows = figures.fig03_plt_and_video(rates=rates, spec=SMALL_RUN, cache=cache)
-    assert figures.fig03_plt_and_video(rates=rates, spec=SMALL_RUN, cache=cache) == rows
+    again = figures.fig03_plt_and_video(rates=rates, spec=SMALL_RUN, cache=cache)
+    assert again == rows
     assert [(r.total, r.executed, r.cached) for r in reports] == [(6, 6, 0), (6, 0, 6)]
 
     schemes = (ControlPlaneConfig.existing_epc(), ControlPlaneConfig.neutrino())
-    assert [(r["scheme"], r["rate"]) for r in rows] == [
-        (config.name, rate) for config in schemes for rate in rates
-    ]
-    for config in schemes:
-        for rate in rates:
-            point = run_pct_point(config, rate, SMALL_RUN)
-            (row,) = [r for r in rows if (r["scheme"], r["rate"]) == (config.name, rate)]
-            assert row["sr_pct_p50_ms"] == point.p50_ms
-            assert row["video_startup_p50_s"] == point.p50_ms / 1e3 + figures.PLAYER_STARTUP_S
-            assert row["plt_p50_s"] == point.p50_ms / 1e3 + figures.PAGE_FETCH_S
-    epc, neutrino = (
-        next(r for r in rows if r["scheme"] == name and r["rate"] == 260e3)
-        for name in ("existing_epc", "neutrino")
-    )
+    grid = [(config, rate) for config in schemes for rate in rates]
+    assert len(rows) == len(grid)
+    for row, (config, rate) in zip(rows, grid):
+        assert (row["scheme"], row["rate"]) == (config.name, rate)
+        point = run_pct_point(config, rate, SMALL_RUN)
+        assert row["sr_pct_p50_ms"] == point.p50_ms
+        sr_s = point.p50_ms / 1e3
+        assert row["video_startup_p50_s"] == sr_s + figures.PLAYER_STARTUP_S
+        assert row["plt_p50_s"] == sr_s + figures.PAGE_FETCH_S
+    by = {(row["scheme"], row["rate"]): row for row in rows}
+    epc, neutrino = by[("existing_epc", 260e3)], by[("neutrino", 260e3)]
     assert epc["video_startup_p50_s"] > neutrino["video_startup_p50_s"]
     assert epc["plt_p50_s"] > neutrino["plt_p50_s"]
     assert epc["sr_pct_p50_ms"] > 5 * neutrino["sr_pct_p50_ms"]

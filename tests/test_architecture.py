@@ -58,7 +58,9 @@ def violations(root: Path = SRC) -> list:
         banned = FORBIDDEN.get(rel.parts[0], ()) if len(rel.parts) > 1 else ()
         if banned:
             used = imported_packages(ast.parse(path.read_text()), ".".join(rel.parts))
-            out += ["%s imports repro.%s" % (rel, name) for name in banned if name in used]
+            out += [
+                "%s imports repro.%s" % (rel, name) for name in banned if name in used
+            ]
     return out
 
 
