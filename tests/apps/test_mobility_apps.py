@@ -97,6 +97,32 @@ class TestMobilityExperiment:
 SMALL_RUN = RunSpec(procedure="service_request", procedures_target=150, max_duration_s=0.1)
 
 
+def fig03_rows(rate):
+    """Fig. 3's rows at one rate, keyed by scheme name."""
+    rows = figures.fig03_plt_and_video(rates=(rate,), spec=SMALL_RUN)
+    return {row["scheme"]: row for row in rows}
+
+
+class TestVideoAndWeb:
+    def test_video_startup_includes_player_constant(self):
+        row = fig03_rows(60e3)["neutrino"]
+        assert figures.PLAYER_STARTUP_S == pytest.approx(0.45)
+        assert row["video_startup_p50_s"] > figures.PLAYER_STARTUP_S
+        assert row["est_video_startup_60s_s"] >= row["video_startup_p50_s"]
+
+    def test_plt_includes_page_constant(self):
+        row = fig03_rows(60e3)["neutrino"]
+        assert figures.PAGE_FETCH_S == pytest.approx(1.9)
+        assert row["plt_p50_s"] > figures.PAGE_FETCH_S
+        assert row["est_plt_60s_s"] >= row["plt_p50_s"]
+
+    def test_epc_startup_worse_when_saturated(self):
+        by = fig03_rows(260e3)
+        epc, neutrino = by["existing_epc"], by["neutrino"]
+        assert epc["video_startup_p50_s"] > neutrino["video_startup_p50_s"]
+        assert epc["sr_pct_p50_ms"] > 5 * neutrino["sr_pct_p50_ms"]
+
+
 def test_fig03_rows_are_one_service_request_point_plus_app_constants(
     monkeypatch, tmp_path
 ):
