@@ -99,7 +99,7 @@ class _Figure(NamedTuple):
 _FIGURES: Dict[str, _Figure] = {
     "fig03": _Figure(
         "Fig. 3", figures.fig03_plt_and_video,
-        quick=dict(rates=(180e3, 240e3, 300e3)),
+        quick=dict(rates=(180e3, 240e3, 300e3)), procedure="service_request",
     ),
     "fig07": _Figure(
         "Fig. 7 — service request PCT (median ms)", figures.fig07_service_request,
@@ -415,7 +415,7 @@ def main(argv: List[str] = None) -> int:
             "--obs-stream", default=None, metavar="FILE|-",
             help="write the epoch-aligned NDJSON heartbeat stream here "
             "('-' = stdout); heartbeats piggyback on the lockstep epoch "
-            "messages of sharded runs — zero extra round trips",
+            "messages at any shard count — zero extra round trips",
         )
         p.add_argument(
             "--span-keep", type=int, default=None, metavar="K",
@@ -669,7 +669,7 @@ def _run_scale(args, spec=None) -> int:
     from .scale import ScaleResult, run_replicates, run_scenario
 
     if args.shards == "auto":
-        shards = 0  # run_sharded resolves to one per core
+        shards = 0  # run_scenario resolves to one per core
     else:
         try:
             shards = int(args.shards)
@@ -679,23 +679,14 @@ def _run_scale(args, spec=None) -> int:
                 % args.shards, file=sys.stderr,
             )
             return 2
-    if shards != 1:
-        # reject combinations the sharded coordinator cannot honour,
-        # loudly, before any simulation work starts
-        if args.seeds:
-            print(
-                "error: --shards and --seeds are incompatible (the "
-                "replicate sweep parallelises over seeds; run one seed "
-                "per invocation when sharding)", file=sys.stderr,
-            )
-            return 2
-        if args.mode == "individual":
-            print(
-                "error: --shards requires --mode cohort or batched "
-                "(the individual conformance driver is single-process "
-                "by design)", file=sys.stderr,
-            )
-            return 2
+    if shards != 1 and args.seeds:
+        # rejected loudly, before any simulation work starts
+        print(
+            "error: --shards and --seeds are incompatible (the "
+            "replicate sweep parallelises over seeds; run one seed "
+            "per invocation when sharding)", file=sys.stderr,
+        )
+        return 2
     if args.seeds and (args.obs_stream or args.ledger or args.trace_out):
         print(
             "error: --obs-stream/--ledger/--trace-out describe one run; "
@@ -780,21 +771,11 @@ def _run_scale(args, spec=None) -> int:
         result.orch_compare = orch_compare(result, baseline)
 
     trace_path = None
-    flow_events = None
     if args.obs == "trace":
-        from .obs.export import (
-            chrome_trace_events,
-            stitch_chrome_trace,
-            validate_chrome_trace,
-        )
+        from .obs.export import stitch_chrome_trace, validate_chrome_trace
 
         trace_path = args.trace_out or "scale-%s.trace.json" % args.scenario
-        obs_shards = getattr(result, "obs_shards", None)
-        if obs_shards is not None:
-            data = stitch_chrome_trace(obs_shards)
-            flow_events = data["metadata"]["flow_events"]
-        else:
-            data = chrome_trace_events(obs.tracer.take_table())
+        data = stitch_chrome_trace(result.obs_shards)
         validate_chrome_trace(data)
         with open(trace_path, "w") as fp:
             json.dump(data, fp)
@@ -862,12 +843,10 @@ def _run_scale(args, spec=None) -> int:
             )
         )
     if trace_path is not None:
-        line = "trace: wrote %s" % trace_path
-        if flow_events is not None:
-            line += " (%d shard tracks, %d cross-shard flow events)" % (
-                result.n_shards, flow_events,
-            )
-        print(line)
+        print(
+            "trace: wrote %s (%d shard tracks, %d cross-shard flow events)"
+            % (trace_path, result.n_shards, data["metadata"]["flow_events"])
+        )
     if args.ledger:
         print("ledger: wrote %s" % args.ledger)
     # the exit code is the merged auditor verdict across every shard

@@ -2,8 +2,8 @@
 
 ``repro.orch`` turns the epoch-aligned heartbeat feed (``repro.obs``)
 into lifecycle decisions — CPF scale-out/scale-in, rolling upgrades,
-auto-heal — applied deterministically at epoch boundaries through the
-deployment's existing choke points.  See DESIGN.md §15.
+auto-heal — applied deterministically at exact tick instants through
+the deployment's existing choke points.  See DESIGN.md §15.
 """
 
 from .controller import Orchestrator, cpf_index, orch_compare, worst_attach_p99

@@ -3,8 +3,8 @@
 :class:`Orchestrator` is a pure sim-clock state machine: it consumes
 the epoch-aligned heartbeat feed (per-shard ``health_row`` dicts, whose
 ``load`` table the engines populate when a policy is active) and emits
-lifecycle *actions* — plain picklable dicts the engines apply at epoch
-boundaries:
+lifecycle *actions* — plain picklable dicts the engines apply at the
+tick instant:
 
 ========================  ====================================================
 ``scale_out``             ring a brand-new CPF into ``region`` (name chosen
@@ -20,12 +20,13 @@ boundaries:
                           onto up-to-date backups; optionally restart it
 ========================  ====================================================
 
-Where the controller runs differs by topology — in-process (one engine,
-ticks are sim timeouts) or at the shard coordinator (ticks piggyback on
-lockstep epochs; actions ship inside the next step message) — but its
-inputs are identical either way: (policy, duration, a deterministic
-health sequence).  Its outputs are therefore bit-reproducible, and the
-append-only ``log`` is the pinned action-log witness.
+The controller runs at the shard coordinator at every shard count: the
+lockstep epoch that reaches a ``tick_s`` multiple ends exactly on it,
+the tick reads the shards' health rows at that instant, and the
+actions ship inside the next step message.  Its inputs are (policy,
+duration, a deterministic health sequence at fixed instants), so its
+outputs are bit-reproducible, and the append-only ``log`` is the pinned
+action-log witness.
 
 New-CPF naming (the mid-run-joiner contract): orchestrator-added CPFs
 are named ``cpf-<tile>-<k>`` with ``k`` one past the region's all-time
@@ -60,7 +61,8 @@ class Orchestrator:
         self.policy = policy
         self.duration = duration
         #: append-only action log — every entry is the emitted action
-        #: plus the (epoch, t) it was decided at; the golden witness.
+        #: plus the tick it was decided at (``epoch``: the 1-based tick
+        #: index; ``t``: its instant); the golden witness.
         self.log: List[Dict[str, Any]] = []
         self.ticks = 0
         self.heartbeats_seen = 0
@@ -91,9 +93,10 @@ class Orchestrator:
     # -- the tick ----------------------------------------------------------
 
     def observe(
-        self, epoch: int, t: float, healths: Sequence[Dict[str, Any]]
+        self, tick: int, t: float, healths: Sequence[Dict[str, Any]]
     ) -> List[Dict[str, Any]]:
-        """One control tick: fold shard health, decide, log, return actions."""
+        """Tick ``tick`` (1-based) at instant ``t``: fold shard health,
+        decide, log, return actions."""
         load: Dict[str, Dict[str, Any]] = {}
         for health in sorted(healths, key=lambda h: h.get("shard", 0)):
             for region, row in (health.get("load") or {}).items():
@@ -104,10 +107,10 @@ class Orchestrator:
         if self.policy.upgrading:
             self._upgrade(t, load, actions)
         if self.policy.healing:
-            self._heal(epoch, load, actions)
+            self._heal(tick, load, actions)
         self.ticks += 1
         for action in actions:
-            self.log.append(dict(action, epoch=epoch, t=t))
+            self.log.append(dict(action, epoch=tick, t=t))
         return actions
 
     # -- autoscale ---------------------------------------------------------
@@ -231,7 +234,7 @@ class Orchestrator:
 
     # -- auto-heal ---------------------------------------------------------
 
-    def _heal(self, epoch: int, load, actions) -> None:
+    def _heal(self, tick: int, load, actions) -> None:
         p = self.policy
         down_now = set()
         for region in sorted(load):
@@ -239,10 +242,10 @@ class Orchestrator:
                 down_now.add(name)
                 if name in self._upgrading:
                     continue  # our own drain, not a crash
-                first = self._down_since.setdefault(name, epoch)
+                first = self._down_since.setdefault(name, tick)
                 if name in self._healed:
                     continue
-                if epoch - first + 1 >= p.heal_after_ticks:
+                if tick - first + 1 >= p.heal_after_ticks:
                     self._healed.add(name)
                     actions.append(
                         {

@@ -43,8 +43,9 @@ __all__ = ["OrchPolicy"]
 class OrchPolicy:
     """One deterministic controller configuration (see module doc)."""
 
-    #: controller cadence in simulated seconds (epoch-aligned: sharded
-    #: runs tick at the first lockstep boundary >= each multiple).
+    #: controller cadence in simulated seconds: the controller ticks at
+    #: exactly each multiple, at every shard count (a lockstep epoch
+    #: ends on it).
     tick_s: float = 0.05
 
     # -- autoscale ---------------------------------------------------------

@@ -11,7 +11,7 @@ percentile sketches.  Entry point: ``python -m repro scale <scenario>``.
 from .cohort import CohortDriver
 from .engine import ScaleResult, run_replicates, run_scenario
 from .scenarios import SCENARIOS, ScenarioSpec, get_scenario
-from .shard import ShardMap, run_sharded, shard_lookahead
+from .shard import ShardMap, shard_lookahead
 from .topology import CityTopology, build_city
 
 __all__ = [
@@ -25,6 +25,5 @@ __all__ = [
     "run_scenario",
     "run_replicates",
     "ShardMap",
-    "run_sharded",
     "shard_lookahead",
 ]

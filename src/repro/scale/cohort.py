@@ -303,7 +303,19 @@ class IndividualDriver(CohortDriver):
         self.bs_idx[i] = self.bs_index(bs_name)
 
     def _hydrate(self, i: int) -> UE:
-        return self._ues[i]
+        ue = self._ues.get(i)
+        if ue is None:
+            # an immigrant: built from the columns its install filled,
+            # as the cohort builds every UE, then kept like the others
+            ue = self._ues[i] = super()._hydrate(i)
+        return ue
+
+    def tombstone(self, i: int) -> None:
+        """UE ``i`` emigrated: its object leaves this shard with it."""
+        super().tombstone(i)
+        ue = self._ues.pop(i, None)
+        if ue is not None:
+            self.dep.release_ue(ue.ue_id)
 
     def _writeback(self, i: int, ue: UE) -> None:
         # mirror the scalars so driver-side reads (busy checks, tile

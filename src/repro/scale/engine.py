@@ -127,20 +127,20 @@ class ScaleResult:
     #: compare=False: the lane is an execution strategy, not a result —
     #: cohort-vs-batched conformance compares everything else.
     lane: Dict[str, int] = field(default_factory=dict, compare=False)
-    #: shard count the run was partitioned into (1 = single process).
+    #: shard count the run was partitioned into (1 = unsharded).
     n_shards: int = 1
-    #: measured execution cost — total wall-clock seconds and
-    #: ``peak_rss_kb``, the peak RSS of this process (and, sharded, the
-    #: critical-path shard wall and ``total_rss_kb``, the summed peak RSS
-    #: of the worker processes: 0 when every shard runs in this
-    #: process, so ``peak_rss_kb + total_rss_kb`` counts each process
-    #: once).  compare=False: wall-clock is machine-dependent, never
-    #: part of the result contract.
+    #: measured execution cost — total wall-clock seconds,
+    #: ``peak_rss_kb`` (the peak RSS of this process), the critical-path
+    #: shard wall and ``total_rss_kb``, the summed peak RSS of the worker
+    #: processes: 0 when every shard runs in this process, so
+    #: ``peak_rss_kb + total_rss_kb`` counts each process once.
+    #: compare=False: wall-clock is machine-dependent, never part of the
+    #: result contract.
     perf: Dict[str, float] = field(default_factory=dict, compare=False)
-    #: per-shard breakdown (owned parents, local UEs, migrations, wall,
-    #: ``rss_kb`` — the peak RSS of the process hosting the shard —,
-    #: violations sample, final health row) — empty for single-process
-    #: runs.
+    #: per-shard breakdown, one row per shard (one for an unsharded
+    #: run): owned parents, local UEs, migrations, wall, ``rss_kb`` —
+    #: the peak RSS of the process hosting the shard —, violations
+    #: sample, final health row.
     shards: List[Dict[str, Any]] = field(default_factory=list, compare=False)
     #: path of the run ledger written for this run ("" = none) — see
     #: :mod:`repro.obs.ledger`.  compare=False: an artifact pointer,
@@ -320,7 +320,7 @@ def place_population(
 
     The one consumer of the ``scale.place`` stream and a pure function
     of (spec, mobility) — which is what makes placement execution-blind:
-    the unsharded engine and the shard partitioner replay the identical
+    a lone shard's engine and the shard partitioner replay the identical
     draw sequence.  ``to_index`` is called once per distinct BS, in
     first-appearance order.
     """
@@ -374,26 +374,14 @@ def _check_mode(mode: str, modes: Tuple[str, ...]) -> None:
         )
 
 
-def _attach_orch(result: "ScaleResult", controller) -> None:
-    """Ad-hoc result attrs, like ``result.obs_snapshot``: the policy
-    echo, the full action log (the golden witness), and tick stats."""
-    result.orch_policy = controller.policy.to_dict()
-    result.orch_log = list(controller.log)
-    result.orch_summary = controller.summary()
-
-
 class _Engine:
     """One scenario run's mutable state (drivers, churn, sinks)."""
 
-    #: population models this engine can drive (the shard engine narrows it).
+    #: population models this engine can drive.
     modes: Tuple[str, ...] = ("cohort", "individual", "batched")
 
-    #: shard identity for health rows; the shard engine overrides both.
+    #: shard identity for health rows; the shard engine overrides it.
     shard_idx = 0
-    #: whether this engine hosts its own controller tick loop (True for
-    #: single-process runs; sharded runs tick at the coordinator and
-    #: ship actions inside step messages instead).
-    _local_controller = True
 
     def __init__(
         self,
@@ -401,7 +389,6 @@ class _Engine:
         mode: str = "cohort",
         obs=None,
         verbose_trace: bool = False,
-        stream=None,
         homes: Optional[Tuple[array, array, List[str]]] = None,
     ):
         _check_mode(mode, self.modes)
@@ -441,8 +428,6 @@ class _Engine:
         # Orchestration state must exist before driver construction:
         # the batched lane's eligibility check reads ``orch_mutating``.
         self._obs = obs
-        self._stream = stream
-        self._controller = None
         self.orch_policy = None
         self.orch_mutating = False
         if spec.orch_policy:
@@ -560,14 +545,14 @@ class _Engine:
 
     # -- orchestration actions (repro.orch) --------------------------------
     #
-    # Actions arrive from the controller — in-process (the ``_orch_loop``
-    # tick below) or via the shard coordinator's step messages — and are
-    # applied at epoch boundaries through the deployment's existing
-    # choke points (ring ops + the rebalance/repair path).  In sharded
-    # runs *every* shard applies every action (ring/node state must flip
-    # identically in every ghost topology, and re-placement of local UEs
-    # is per-shard work) but only the owner of the action's region
-    # counts and traces it — exactly the fault-mirroring rule.
+    # Actions arrive from the controller at the coordinator, inside the
+    # step message after its tick, and are applied at the tick instant
+    # through the deployment's existing choke points (ring ops + the
+    # rebalance/repair path).  *Every* shard applies every action
+    # (ring/node state must flip identically in every ghost topology,
+    # and re-placement of local UEs is per-shard work) but only the
+    # owner of the action's region counts and traces it — exactly the
+    # fault-mirroring rule.
 
     def apply_actions(self, actions: List[Dict[str, Any]]) -> None:
         for action in actions:
@@ -733,31 +718,6 @@ class _Engine:
         """Injector listener: instant crash detection for the controller."""
         if op.startswith("fail_"):
             self._count("orch_crash_detected")
-
-    def _orch_loop(self):
-        """In-process controller ticks (single-process runs only).
-
-        Each tick reads the local health row, lets the controller
-        decide, applies the actions at the tick boundary, and — when a
-        heartbeat stream is attached — emits the same epoch-aligned
-        heartbeat row a sharded run would.
-        """
-        controller = self._controller
-        tick = controller.policy.tick_s
-        epoch = 0
-        next_tick = tick
-        while next_tick <= self.duration:
-            if next_tick > self.sim.now:
-                yield next_tick - self.sim.now
-            epoch += 1
-            healths = [self.health_row()]
-            actions = controller.observe(epoch, self.sim.now, healths)
-            self.apply_actions(actions)
-            if self._stream is not None:
-                self._stream.heartbeat(
-                    epoch, self.sim.now, self.duration, healths
-                )
-            next_tick += tick
 
     # -- population --------------------------------------------------------
 
@@ -1286,35 +1246,12 @@ class _Engine:
             procs.append(self.sim.process(self._churn(), name="scale.churn"))
         if self.orch_policy is not None:
             self.injector.add_listener(self._on_fault_op)
-            if self._local_controller:
-                from ..orch import Orchestrator
-
-                self._controller = Orchestrator(self.orch_policy, self.duration)
-                if self._stream is not None:
-                    self._controller.attach_stream(self._stream)
-                procs.append(
-                    self.sim.process(self._orch_loop(), name="orch.tick")
-                )
-
-    def run(self) -> ScaleResult:
-        self.prepare()
-        end = self.sim.run()
-        result = self.finish(end)
-        if self._obs is not None:
-            from ..obs import fold_snapshots
-
-            # the same fold a sharded run applies to its k shards
-            result.obs_snapshot = fold_snapshots([self._obs.snapshot()])
-        if self._controller is not None:
-            _attach_orch(result, self._controller)
-        return result
 
     def finish(self, end: float) -> ScaleResult:
         """Flush the lane trace and assemble the result after the sim ran.
 
         Raises what the first of the engine's own processes to die
-        raised: a run whose arrival, churn or controller loop crashed
-        has no result.
+        raised: a run whose arrival or churn loop crashed has no result.
         """
         for proc in self._procs:
             proc.value  # re-raises a stored failure
@@ -1365,40 +1302,43 @@ def run_scenario(
 ) -> ScaleResult:
     """Run one scenario (by name or :class:`ScenarioSpec`) to completion.
 
-    ``shards > 1`` partitions the city by level-2 parent across that
-    many shard engines (see :mod:`repro.scale.shard`) and merges the
-    results deterministically; ``shards=1`` is exactly the single-process
-    path, bit for bit.  ``stream`` (a
-    :class:`~repro.obs.stream.HeartbeatStream`) enables the
-    epoch-aligned NDJSON heartbeat feed on sharded runs; single-process
-    runs emit only the final summary row.
+    Every run goes through the lockstep epoch loop of
+    :mod:`repro.scale.shard`: the city is partitioned by level-2 parent
+    across ``shards`` shard engines (``0`` = one per core) and the
+    results merge deterministically; one shard is the unsharded run.
+    ``shard_backend`` picks the vehicle: ``"process"`` runs shard 0 in
+    this process and forks one worker per other shard, ``"inline"`` runs
+    every engine round-robin in-process (bit-identical results — the CI
+    witness path), and ``"auto"`` picks processes when more than one
+    core is available.  A worker that dies or stays silent for
+    :data:`~repro.scale.shard.WORKER_DEADLINE_S` fails the run with a
+    ``RuntimeError`` naming its shard.
+
+    ``obs`` (an :class:`~repro.obs.Observability` *template*: each shard
+    builds its own instance from its mode and ``span_keep``) enables
+    per-shard tracing or metrics; the result carries the per-shard
+    snapshots as ``obs_shards`` (the input of
+    :func:`~repro.obs.export.stitch_chrome_trace`) and their fold as
+    ``obs_snapshot``.  ``stream`` (a
+    :class:`~repro.obs.stream.HeartbeatStream`) turns on the
+    epoch-aligned NDJSON heartbeat feed and its final summary row.  A
+    spec with an ``orch_policy`` runs under the controller and carries
+    ``orch_policy`` / ``orch_log`` / ``orch_summary``.
     """
+    from .shard import coordinate
+
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     spec = spec.with_overrides(n_ue=n_ue, duration_s=duration_s, seed=seed)
-    if shards != 1:
-        from .shard import run_sharded
-
-        return run_sharded(
-            spec,
-            mode=mode,
-            shards=shards,
-            backend=shard_backend,
-            obs=obs,
-            stream=stream,
-            verbose_trace=verbose_trace,
-        )
-    result = _Engine(
-        spec, mode=mode, obs=obs, verbose_trace=verbose_trace, stream=stream
-    ).run()
-    if stream is not None:
-        stream.summary(result)
-    return result
+    return coordinate(
+        spec, mode, shards, shard_backend,
+        obs=obs, stream=stream, verbose_trace=verbose_trace,
+    )
 
 
 def _replicate_task(task: Tuple[ScenarioSpec, str]) -> ScaleResult:
     """Module-level so process pools can pickle it."""
     spec, mode = task
-    return _Engine(spec, mode=mode).run()
+    return run_scenario(spec, mode=mode)
 
 
 def replicate_key(task: Tuple[ScenarioSpec, str]) -> Dict[str, Any]:

@@ -1,7 +1,9 @@
-"""Multi-process sharded city: one simulator kernel per level-2 region group.
+"""The city run: one simulator kernel per level-2 region group.
 
-The single-process harness tops out around 100k UEs on one core.  This
-module partitions the city **by level-2 (CTA) parent** across shard
+Every scale run, sharded or not, goes through this module's lockstep
+epoch loop; an unsharded run is the one-shard case of it.  The
+single-process harness tops out around 100k UEs on one core, so the
+loop partitions the city **by level-2 (CTA) parent** across shard
 engines — each shard runs its own :class:`~repro.sim.core.Simulator`
 with the unchanged cohort / batched-lane drivers over the *full* ghost
 topology, but its driver is built from — and so drives traffic only
@@ -64,8 +66,18 @@ the serial inline backend and the process backend run the identical
 engine call sequence by construction and produce identical digests —
 which is how CI pins the witness on single-core runners.  A sharded
 trajectory is *not* identical to the unsharded one (ghost regions do
-not see other shards' load); ``--shards 1`` bypasses all of this and is
-bit-identical to today.
+not see other shards' load).  One shard is the degenerate case of the
+k-shard rules, and five of them reduce to nothing there (DESIGN §13):
+no ``shard:0`` RNG fork, no ``shard`` key on its trace, the population
+placed by the engine itself, no cross-shard hop wrapper or emigration
+hook, and no collection of the freed engine.  Its run therefore equals
+one uninterrupted ``Simulator.run`` of the same engine, bit for bit.
+
+**The controller** (:class:`~repro.orch.Orchestrator`) lives at the
+coordinator at every shard count.  The epoch that reaches a ``tick_s``
+multiple ends exactly on it, the controller observes the shards' health
+rows at that instant, and its actions ship in the next step message
+and apply at that same instant.
 
 Fault plans are partitioned so region-attributable ops (``*_cpf`` /
 ``*_cta``) are *owned* (counted + traced) by the shard owning the
@@ -100,14 +112,12 @@ from .engine import (
     _Engine,
     _city_for,
     _mobility_for,
-    _attach_orch,
     _check_mode,
     peak_rss_kb,
     place_population,
     _region_pct_ms,
-    run_scenario,
 )
-from .scenarios import ScenarioSpec, get_scenario
+from .scenarios import ScenarioSpec
 
 __all__ = [
     "Migration",
@@ -116,13 +126,13 @@ __all__ = [
     "WorkerSpawnError",
     "city_parents",
     "partition_population",
-    "run_sharded",
     "shard_lookahead",
 ]
 
 #: safety valve: epochs allowed past the traffic horizon before the
 #: coordinator declares the run wedged (busy-polls and in-flight
-#: procedures drain within a handful of epochs in practice).
+#: procedures drain within a handful of epochs in practice), at any
+#: shard count.
 _DRAIN_EPOCHS_MAX = 100_000
 
 #: per-shard auditor violation samples carried into the merged result.
@@ -232,7 +242,7 @@ def partition_population(
 ) -> List[Tuple[array, array, List[str]]]:
     """Home every UE, replaying the global placement draw sequence once.
 
-    Places the population exactly as the single-process engine does
+    Places the population exactly as a lone shard's engine does
     (:func:`~repro.scale.engine.place_population`), then routes each
     ``(gid, bs)`` to the owner of its tile's parent.  Returns each
     shard's homes — ``(gid array, bs-name-index array, BS name table)``,
@@ -259,13 +269,11 @@ def partition_population(
 
 
 class ShardEngine(_Engine):
-    """One shard's engine: full ghost topology, local traffic only."""
+    """One shard's engine: full ghost topology, local traffic only.
 
-    #: sharded runs tick at the coordinator (actions arrive in step
-    #: messages); the engine-side loop must stay dormant.
-    _local_controller = False
-    #: the individual conformance driver is single-process by design
-    modes = ("cohort", "batched")
+    ``homes`` is None for the only shard of a run, which places the
+    whole population itself.
+    """
 
     def __init__(
         self,
@@ -273,7 +281,7 @@ class ShardEngine(_Engine):
         mode: str,
         shard_idx: int,
         shards: int,
-        homes: Tuple[array, array, List[str]],
+        homes: Optional[Tuple[array, array, List[str]]],
         delta: float,
         obs=None,
         verbose_trace: bool = False,
@@ -284,15 +292,17 @@ class ShardEngine(_Engine):
         super().__init__(
             spec, mode=mode, obs=obs, verbose_trace=verbose_trace, homes=homes
         )
-        # a completed full handover may have crossed the shard boundary
-        self.driver.procedure_done = self._after_procedure
         self.shard_map = ShardMap(
             sorted({t[:-1] for t in self.topo.tiles}), shards
         )
-        # Per-shard traffic streams: an independent fork per shard index.
-        # The deployment already took its rng fork from the *global*
-        # registry above, so ghost topologies stay identical everywhere.
-        self.rngs = RngRegistry(spec.seed).fork("shard:%d" % shard_idx)
+        if shards > 1:
+            # a completed full handover may have crossed the shard boundary
+            self.driver.procedure_done = self._after_procedure
+            # Per-shard traffic streams: an independent fork per shard
+            # index (a lone shard keeps the spec's own).  The deployment
+            # already took its rng fork from the *global* registry above,
+            # so ghost topologies stay identical everywhere.
+            self.rngs = RngRegistry(spec.seed).fork("shard:%d" % shard_idx)
         self._outbox: List[Migration] = []
         #: deterministic trace-link allocator for migration flow events.
         self._next_link = 0
@@ -320,7 +330,8 @@ class ShardEngine(_Engine):
         # counts and records it, and the merged fault_counters and trace
         # see it exactly once.
         self.injector.mirror(self._mirror_events)
-        self._wrap_hop()
+        if self.n_shards > 1:  # one shard has no boundary to count
+            self._wrap_hop()
 
     def _wrap_hop(self) -> None:
         """Count hops whose endpoints' parents live in different shards.
@@ -471,7 +482,8 @@ class ShardEngine(_Engine):
 
     def finish_payload(self) -> Dict[str, Any]:
         """Everything the coordinator needs to merge this shard's run."""
-        result = self.finish(self.sim.now)
+        # the instant of the last event, not the last epoch boundary
+        result = self.finish(self.sim.last_event_s)
         auditor = self.dep.auditor
         samples = [
             {
@@ -494,8 +506,9 @@ class ShardEngine(_Engine):
             "parents": self.shard_map.owned_parents(self.shard_idx),
             "violations_sample": samples,
             # the placement column: the ids grow with immigrants
-            "n_local": len(self._homes[1]),
-            "end": self.sim.now,
+            "n_local": (
+                self.spec.n_ue if self._homes is None else len(self._homes[1])
+            ),
             "health": self.health_row(),
             # handed over, not copied: the engine is freed next
             "obs": self._obs.hand_over() if self._obs is not None else None,
@@ -539,10 +552,13 @@ class _InlineHost:
     :meth:`step_send` only takes the step; :meth:`step_recv` runs it.
     The coordinator sends every shard its step before it collects any
     reply, so the workers advance while this process advances its own.
+    ``collect`` frees the finished engine at once, for the payloads that
+    follow; the only shard of a run leaves it to the collector.
     """
 
-    def __init__(self, make_engine):
+    def __init__(self, make_engine, collect: bool = True):
         self._make_engine = make_engine
+        self._collect = collect
         self.engine: Optional[ShardEngine] = None
         self.wall = 0.0
         self.cpu = 0.0
@@ -596,7 +612,8 @@ class _InlineHost:
         with self._timed():
             payload = self.engine.finish_payload()
             self.engine = None
-            gc.collect()  # an engine is a web of cycles
+            if self._collect:
+                gc.collect()  # an engine is a web of cycles
         payload["wall_s"] = self.wall
         payload["cpu_s"] = self.cpu
         # the peak of the process hosting this shard: shards hosted by
@@ -819,7 +836,11 @@ def _merge_payloads(
                 lane[k] = max(lane.get(k, 0), v)
             else:
                 lane[k] = lane.get(k, 0) + v
-    merged_trace = merge_traces([p["records"] for p in payloads])
+    if shards > 1:
+        merged = merge_traces([p["records"] for p in payloads])
+        digest, trace_events = merged.digest(), len(merged)
+    else:  # one shard's trace is the run's, with no ``shard`` key
+        digest, trace_events = results[0].digest, results[0].trace_events
     shard_rows = [
         {
             "shard": k,
@@ -856,7 +877,7 @@ def _merge_payloads(
         n_ue=spec.n_ue,
         duration_s=spec.duration_s,
         seed=spec.seed,
-        end_time_s=max(p["end"] for p in payloads),
+        end_time_s=max(r.end_time_s for r in results),
         regions_final=sum(p["owned_regions"] for p in payloads),
         serves=sum(r.serves for r in results),
         writes=sum(r.writes for r in results),
@@ -868,8 +889,8 @@ def _merge_payloads(
         counters=counters,
         fault_counters=fault_counters,
         region_pct_ms=_region_pct_ms(_merge_sketches(payloads)),
-        digest=merged_trace.digest(),
-        trace_events=len(merged_trace),
+        digest=digest,
+        trace_events=trace_events,
         lane=lane,
         n_shards=shards,
         perf=perf,
@@ -905,22 +926,28 @@ def _epoch_loop(hosts, duration: float, delta: float, stream=None, orch=None) ->
     ``stream.drain_every`` epochs while draining), never wall clocks.
 
     ``orch`` (a :class:`~repro.orch.Orchestrator`) hosts the closed-loop
-    controller at the coordinator: at the first epoch boundary at or
-    past each ``tick_s`` multiple the step asks for health (the same
-    piggyback as heartbeats), the controller decides on the folded rows,
-    and the resulting actions ship *inside the next epoch's step
-    message* so every shard applies them at the identical boundary.
-    Fast-forward is clamped to the tick horizon — and suspended entirely
-    while actions are pending — so the controller's observation times
-    stay a pure function of (policy, run), never of heap contents.
+    controller.  The epoch that reaches a ``tick_s`` multiple ends
+    exactly on it (a shorter epoch stays within the lookahead), its step
+    asks for health (the same piggyback as heartbeats), and the
+    controller observes the folded rows at that instant.  The actions
+    ship *inside the next epoch's step message*, so every shard applies
+    them at that same instant, before it simulates past it.  Fast-forward
+    stops short of the next tick and is suspended while actions are
+    pending, so the tick instants are a pure function of the policy —
+    the same at every shard count.
+
+    Returns the epoch count; a run still busy :data:`_DRAIN_EPOCHS_MAX`
+    epochs past its horizon raises ``RuntimeError``.
     """
     for host in hosts:
         host.start()
     inboxes: List[List[Migration]] = [[] for _ in hosts]
     t = 0.0
     epochs = 0
+    ticks = 0
     last_mark = 0
     last_beat = 0
+    # the tick instants are the repeated-addition multiples <= duration
     tick_s = orch.policy.tick_s if orch is not None else float("inf")
     next_tick = tick_s
     pending_actions: List[dict] = []
@@ -928,14 +955,12 @@ def _epoch_loop(hosts, duration: float, delta: float, stream=None, orch=None) ->
     while True:
         epochs += 1
         if epochs > max_epochs:
-            raise RuntimeError(
-                "sharded run failed to drain after %d epochs" % epochs
-            )
+            raise RuntimeError("run failed to drain after %d epochs" % epochs)
         t += delta
-        tick = orch is not None and next_tick <= duration and t >= next_tick
+        tick = next_tick <= duration and t >= next_tick
         if tick:
-            while next_tick <= t:
-                next_tick += tick_s
+            t = next_tick
+            next_tick += tick_s
         want = False
         if stream is not None:
             if t < duration:
@@ -976,85 +1001,58 @@ def _epoch_loop(hosts, duration: float, delta: float, stream=None, orch=None) ->
             last_beat = epochs
             stream.heartbeat(epochs, t, duration, healths)
         if tick:
-            pending_actions = orch.observe(epochs, t, healths)
+            ticks += 1
+            pending_actions = orch.observe(ticks, t, healths)
         # drained: no shard has anything queued and no record is in flight
         if t >= duration and nxt == float("inf") and not pending_actions:
             return epochs
         if pending_actions:
-            # actions must land at the very next boundary; skipping
-            # epochs here would apply them late (and could let a shard
-            # simulate past a window the actions inject events into)
+            # actions must apply at this very instant; skipping epochs
+            # here could let a shard simulate past a window the actions
+            # inject events into
             continue
         # fast-forward: leave t at the last boundary whose *successor*
         # (the next epoch's until, assigned at the top of the loop) is
-        # still strictly below the earliest possible arrival — and, with
-        # a controller, strictly below the next tick, so the tick fires
-        # at the first grid boundary >= its schedule regardless of how
-        # empty the heaps are
-        horizon = (
-            next_tick if (orch is not None and next_tick <= duration) else None
-        )
+        # still strictly below the earliest possible arrival — and
+        # strictly below the next tick, so that epoch ends on the tick
+        # however empty the heaps are
+        horizon = next_tick if next_tick <= duration else float("inf")
         if nxt == float("inf"):
-            while t + delta < duration and (
-                horizon is None or t + delta < horizon
-            ):
+            while t + delta < duration and t + delta < horizon:
                 t += delta
         else:
             limit = nxt + delta
             step = t + delta
-            while step + delta < limit and (horizon is None or step < horizon):
+            while step + delta < limit and step < horizon:
                 t = step
                 step = t + delta
 
 
-def run_sharded(
-    scenario,
-    n_ue: Optional[int] = None,
-    duration_s: Optional[float] = None,
-    seed: Optional[int] = None,
-    mode: str = "cohort",
-    shards: int = 2,
-    backend: str = "auto",
+def coordinate(
+    spec: ScenarioSpec,
+    mode: str,
+    shards: int,
+    backend: str,
     obs=None,
     stream=None,
     verbose_trace: bool = False,
 ) -> ScaleResult:
-    """Run one scenario partitioned across ``shards`` shard engines.
+    """The body of :func:`~repro.scale.engine.run_scenario`, the one
+    entry point, which documents the arguments.
 
-    ``shards=0`` means one per core (:func:`default_jobs`); ``shards=1``
-    is exactly the single-process engine.  ``backend`` selects the
-    execution vehicle: ``"process"`` runs shard 0 in this process and
-    forks one long-lived worker for each other shard, ``"inline"`` runs
-    every engine round-robin in-process (bit-identical results — the CI
-    witness path), and ``"auto"`` picks processes when more than one
-    core is available.  A worker that dies or stays silent for
-    :data:`WORKER_DEADLINE_S`, at startup or mid-run, fails the run with
-    a ``RuntimeError`` naming its shard; whatever fails, every worker is
-    reaped before the exception propagates.
-
-    ``obs`` (an :class:`~repro.obs.Observability` *template* — each
-    shard builds its own instance from its mode/span_keep) enables
-    per-shard tracing or metrics; trace mode runs under bounded span
-    retention (``obs.span_keep``; unset,
-    :data:`~repro.obs.DEFAULT_SPAN_KEEP`, sharded or not) and
-    attaches the per-shard snapshots as ``result.obs_shards`` for
-    :func:`~repro.obs.export.stitch_chrome_trace`.  ``stream`` (a
-    :class:`~repro.obs.stream.HeartbeatStream`) turns on the
-    epoch-aligned NDJSON heartbeat feed.
+    This process always hosts shard 0.  The process backend forks one
+    long-lived worker for each other shard (k shards in k processes),
+    the inline backend runs every engine round-robin here, and both
+    drive the identical :class:`_InlineHost` calls.  Whatever fails,
+    every worker is reaped before the exception propagates.
     """
-    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    spec = spec.with_overrides(n_ue=n_ue, duration_s=duration_s, seed=seed)
     if backend not in ("auto", "inline", "process"):
         raise ValueError("backend must be auto/inline/process, got %r" % backend)
     if shards == 0:
         shards = default_jobs()
     if shards < 0:
         raise ValueError("shards must be >= 0, got %d" % shards)
-    if shards == 1:
-        return run_scenario(
-            spec, mode=mode, obs=obs, stream=stream, verbose_trace=verbose_trace
-        )
-    _check_mode(mode, ShardEngine.modes)
+    _check_mode(mode, _Engine.modes)
     wall0 = time.perf_counter()
     parents = city_parents(spec)
     shard_map = ShardMap(parents, shards)  # validates shards <= len(parents)
@@ -1076,9 +1074,8 @@ def run_sharded(
         (obs_mode, span_keep, verbose_trace, spec, mode, k, shards, delta)
         for k in range(shards)
     ]
-    # this process always hosts shard 0; the process backend gives each
-    # other shard a worker of its own (k shards in k processes), forked
-    # before the population is placed so that none inherits its homes
+    # workers are forked before the population is placed, so that none
+    # inherits another shard's homes
     workers: List[_ProcessHost] = []
     if backend == "process" or (backend == "auto" and default_jobs() > 1):
         try:
@@ -1088,11 +1085,17 @@ def run_sharded(
                 raise
     hosts: List[Any] = list(workers)
     try:
-        homes = partition_population(spec, shard_map)
+        # a lone shard places the whole population itself
+        homes = partition_population(spec, shard_map) if shards > 1 else [None]
         for worker in workers:
             worker.send_homes(homes[worker.shard_idx])
         # a host's recipe holds its homes until its engine is built
-        hosts = [_InlineHost(partial(_shard_engine, *recipes[0], homes[0]))]
+        hosts = [
+            _InlineHost(
+                partial(_shard_engine, *recipes[0], homes[0]),
+                collect=shards > 1,
+            )
+        ]
         hosts += workers or [
             _InlineHost(partial(_shard_engine, *recipe, shard_homes))
             for recipe, shard_homes in zip(recipes[1:], homes[1:])
@@ -1130,7 +1133,11 @@ def run_sharded(
         #: shard order — the stitcher's input
         result.obs_shards = snapshots
     if orch is not None:
-        _attach_orch(result, orch)
+        # ad-hoc result attrs, like ``obs_snapshot``: the policy echo,
+        # the full action log (the golden witness) and the tick stats
+        result.orch_policy = orch.policy.to_dict()
+        result.orch_log = list(orch.log)
+        result.orch_summary = orch.summary()
     if stream is not None:
         stream.summary(result)
     return result

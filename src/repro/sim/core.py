@@ -498,6 +498,9 @@ class Simulator:
 
     def __init__(self):
         self._now = 0.0
+        #: instant of the last timed event a bounded :meth:`run` executed
+        #: (such a run leaves ``now`` at its ``until``, past that event)
+        self.last_event_s = 0.0
         self._seq = 0
         self._heap: List[Tuple[float, int, Callable, tuple]] = []
         self._immediate: Deque[Tuple[int, Callable, tuple]] = deque()
@@ -632,9 +635,10 @@ class Simulator:
                     fn(*args)
                 else:
                     return self._now
-        if until < self._now:
+        now0 = self._now
+        if until < now0:
             raise ValueError(
-                "until=%r is before current time %r" % (until, self._now)
+                "until=%r is before current time %r" % (until, now0)
             )
         while True:
             if immediate:  # immediate entries are always due now (<= until)
@@ -653,6 +657,10 @@ class Simulator:
                 fn(*args)
             else:
                 break
+        # a heap pop moved the clock: timed events always lie past the
+        # instant a bounded run resumes from
+        if self._now != now0:
+            self.last_event_s = self._now
         self._now = until
         return self._now
 

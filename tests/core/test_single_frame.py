@@ -12,10 +12,11 @@ import pytest
 
 from repro.core import ControlPlaneConfig, Deployment
 from repro.messages.procedures import PROCEDURES
-from repro.scale.engine import _Engine
 from repro.scale.lane import LaneRuntime
 from repro.scale.scenarios import get_scenario
 from repro.sim import Simulator
+
+from tests.scale.engine_run import run_engine
 
 STEADY = sorted(
     name
@@ -91,8 +92,7 @@ def test_walk_runs_in_one_frame(monkeypatch):
     spec = get_scenario("commute-wave").with_overrides(
         n_ue=3000, duration_s=3.0, seed=3
     )
-    engine = _Engine(spec, mode="batched")
-    result = engine.run()
+    engine, result = run_engine(spec, mode="batched")
     # no scenario moves within a region often enough: start one by hand
     driver = engine.driver
     i = next(i for i in range(driver.n) if driver.attached[i] and not driver.busy[i])

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.obs import Observability
-from repro.scale.engine import _Engine
 from repro.scale.scenarios import get_scenario
+
+from tests.scale.engine_run import run_engine
 
 #: (scenario, n_ue, duration_s, seed) — the one-site test's steady city, a
 #: commute wave whose fast handovers include the intra-level-2 fetch leg,
@@ -17,14 +18,18 @@ LANE_CASES = {
 
 
 def run_traced(case, mode):
-    """One lane case under ``mode``, every span kept: ``(obs, result)``."""
+    """One lane case under ``mode``, every span kept: ``(snapshot,
+    result)``, the snapshot being what the run's one shard shipped
+    (its span table under ``spans``)."""
     scenario, n_ue, duration_s, seed = LANE_CASES[case]
     spec = get_scenario(scenario).with_overrides(
         n_ue=n_ue, duration_s=duration_s, seed=seed
     )
-    obs = Observability("trace", span_keep=0)
-    engine = _Engine(spec, mode=mode, obs=obs, verbose_trace=True)
-    return obs, engine.run()
+    _, result = run_engine(
+        spec, mode=mode, obs=Observability("trace", span_keep=0),
+        verbose_trace=True,
+    )
+    return result.obs_shards[0], result
 
 
 @pytest.fixture(scope="session")

@@ -47,14 +47,20 @@ from .conftest import LANE_CASES, run_traced
 from .reference_obs import ReferenceObservability, reference_hop
 
 
-def canonical_forest(tracer):
+def observed(obs):
+    """An observer's snapshot with its retained spans under ``spans``:
+    the form a scale run ships (``result.obs_shards[k]``)."""
+    return dict(obs.snapshot(), spans=obs.tracer.spans)
+
+
+def canonical_forest(snap):
     """Span ids erased: ``{(root key, path of names): sorted span rows}``.
 
     A root is keyed by ``(ue, proc, start)`` — a UE runs one procedure
     at a time — and a span by the names on its path from the root.
     Rows are ``(name, phase, start, end, status, attrs)``.
     """
-    spans = tracer.spans
+    spans = list(snap["spans"])
     by_id = {s.span_id: s for s in spans}
     forest = {}
     for s in spans:
@@ -76,13 +82,12 @@ def canonical_forest(tracer):
     return forest
 
 
-def canonical_metrics(obs):
+def canonical_metrics(snap):
     """Counters and gauges as they are; histogram cells as their bins.
 
     Bins, count, min and max are order-free functions of the samples, so
     they compare exactly across executors; the running sum does not.
     """
-    snap = obs.snapshot()
     metrics = snap["metrics"]
     return {
         "spans": (snap["spans_started"], snap["spans_finished"]),
@@ -96,7 +101,7 @@ def canonical_metrics(obs):
 
 
 def assert_same_observation(got, want, label):
-    got_forest, want_forest = canonical_forest(got.tracer), canonical_forest(want.tracer)
+    got_forest, want_forest = canonical_forest(got), canonical_forest(want)
     assert sorted(got_forest, key=repr) == sorted(want_forest, key=repr), label
     for key, rows in want_forest.items():
         assert got_forest[key] == rows, (label, key)
@@ -130,7 +135,7 @@ def test_fault_plan_traces_match_the_parent_emitters(stem, monkeypatch):
     )
     assert a.digest == b.digest == EXPECTED_DIGESTS[stem]
     assert live.tracer.started > 0
-    assert_same_observation(live, reference, stem)
+    assert_same_observation(observed(live), observed(reference), stem)
 
 
 @pytest.mark.parametrize("preset", ["existing_epc", "dpcm", "skycore", "neutrino"])
@@ -143,7 +148,7 @@ def test_fig07_slice_traces_match_the_parent_emitters(preset, monkeypatch):
         monkeypatch,
     )
     assert (a.p50_ms, a.count) == (b.p50_ms, b.count)
-    assert_same_observation(live, reference, "fig07/" + preset)
+    assert_same_observation(observed(live), observed(reference), "fig07/" + preset)
 
 
 def test_fig10_slice_traces_match_the_parent_emitters(monkeypatch):
@@ -154,7 +159,7 @@ def test_fig10_slice_traces_match_the_parent_emitters(monkeypatch):
         monkeypatch,
     )
     assert "recovery.failover" in {s.name for s in live.tracer.spans}
-    assert_same_observation(live, reference, "fig10/neutrino")
+    assert_same_observation(observed(live), observed(reference), "fig10/neutrino")
 
 
 # ----------------------------------------------------- (b) discrete vs lane
@@ -183,7 +188,7 @@ def test_commute_wave_walks_the_fetch_leg_on_the_lane(monkeypatch):
         return inner(self, w, *args)
 
     monkeypatch.setattr(LaneRuntime, "_fetch_state", counted)
-    obs, _ = run_traced("commute-wave", "batched")
+    snap, _ = run_traced("commute-wave", "batched")
     assert fetched
-    fetch_spans = [s for s in obs.tracer.spans if s.name == "cpf.fetch"]
+    fetch_spans = [s for s in snap["spans"] if s.name == "cpf.fetch"]
     assert len(fetch_spans) >= len(fetched)

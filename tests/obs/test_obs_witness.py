@@ -103,17 +103,18 @@ def test_tracing_allocates_no_scheduler_entry_on_the_corpus(stem):
 
 
 def test_tracing_allocates_no_scheduler_entry_on_a_batched_city():
-    from repro.scale.engine import _Engine
     from repro.scale.scenarios import get_scenario
+
+    from tests.scale.engine_run import run_engine
 
     spec = get_scenario("steady-city").with_overrides(
         n_ue=20_000, duration_s=0.5, seed=3
     )
     seqs = {}
     for label, obs in (("plain", None), ("traced", Observability("trace"))):
-        engine = _Engine(spec, mode="batched", obs=obs)
-        result = engine.run()
+        engine, result = run_engine(spec, mode="batched", obs=obs)
         assert result.lane["admitted"] > 0
         seqs[label] = (engine.sim._seq, result.lane["admitted"])
-    assert obs.tracer.started == obs.tracer.finished > 0
+    snap = result.obs_snapshot
+    assert snap["spans_started"] == snap["spans_finished"] > 0
     assert seqs["traced"] == seqs["plain"]

@@ -42,7 +42,7 @@ import pytest
 from repro.obs import DEFAULT_SPAN_KEEP, Observability
 from repro.obs.export import stitch_chrome_trace
 from repro.obs.tracer import Span, SpanRetention, SpanTable, Tracer
-from repro.scale.shard import run_sharded
+from repro.scale.engine import run_scenario
 
 from tests.scale.test_sharded import _fault_window_spec, run2
 
@@ -79,8 +79,8 @@ def test_stitched_trace_is_byte_identical(backend):
 
 @pytest.mark.parametrize("backend", ["inline", "process"])
 def test_migration_bearing_stitched_trace_is_byte_identical(backend):
-    res = run_sharded(
-        _fault_window_spec(), shards=2, backend=backend,
+    res = run_scenario(
+        _fault_window_spec(), shards=2, shard_backend=backend,
         obs=Observability("trace"), verbose_trace=True,
     )
     digest, data = trace_hash(res)
@@ -100,8 +100,8 @@ def test_bounded_trace_is_a_subset_of_the_full_one():
     keep-everything trace, each as it was in the run, and every one of
     its flow events."""
     traces = [
-        trace_hash(run_sharded(
-            _fault_window_spec(), shards=2, backend="inline",
+        trace_hash(run_scenario(
+            _fault_window_spec(), shards=2, shard_backend="inline",
             obs=Observability("trace", span_keep=keep), verbose_trace=True,
         ))[1]
         for keep in (None, 0)
@@ -294,9 +294,9 @@ def test_an_anchor_costs_one_row_as_migrations_grow(monkeypatch):
     lone_anchors = []
     for duration in (1.0, 2.0):
         del kept_at_finish[:]
-        res = run_sharded(
+        res = run_scenario(
             "commute-wave", n_ue=8000, duration_s=duration, seed=1,
-            mode="batched", shards=2, backend="inline",
+            mode="batched", shards=2, shard_backend="inline",
             obs=Observability("trace"),
         )
         lone_total = 0
@@ -327,9 +327,9 @@ def test_shipped_table_costs_under_150_bytes_a_span():
     spans per shard, where the few kilobytes of interned names a table
     carries whatever its length would dominate the per-span figure.
     """
-    res = run_sharded(
+    res = run_scenario(
         "commute-wave", n_ue=2000, duration_s=1.0, seed=1, mode="batched",
-        shards=2, backend="inline", obs=Observability("trace"),
+        shards=2, shard_backend="inline", obs=Observability("trace"),
     )
     for snap in res.obs_shards:
         blob = pickle.dumps(snap["spans"])

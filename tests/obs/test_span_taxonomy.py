@@ -15,7 +15,7 @@ import re
 from repro.core import ControlPlaneConfig
 from repro.experiments.harness import RunSpec, run_pct_point
 from repro.obs import Observability
-from repro.scale.shard import run_sharded
+from repro.scale.engine import run_scenario
 
 from tests.core.test_kernel_witnesses import _FIG10_SPEC
 from tests.scale.test_sharded import _fault_window_spec
@@ -49,8 +49,8 @@ def generic(name):
 def test_design_span_table_equals_what_the_emitters_produce(lane_runs):
     seen = set()
     for by_mode in lane_runs.values():
-        for obs, _ in by_mode.values():
-            seen |= {(generic(s.name), s.phase) for s in obs.tracer.spans}
+        for snap, _ in by_mode.values():
+            seen |= {(generic(s.name), s.phase) for s in snap["spans"]}
 
     obs = Observability("trace", span_keep=0)
     run_pct_point(
@@ -58,8 +58,8 @@ def test_design_span_table_equals_what_the_emitters_produce(lane_runs):
     )
     seen |= {(generic(s.name), s.phase) for s in obs.tracer.spans}
 
-    sharded = run_sharded(
-        _fault_window_spec(), shards=2, backend="inline",
+    sharded = run_scenario(
+        _fault_window_spec(), shards=2, shard_backend="inline",
         obs=Observability("trace"), verbose_trace=True,
     )
     assert sharded.counters.get("migrations_out", 0) > 0

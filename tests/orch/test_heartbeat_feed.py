@@ -12,9 +12,8 @@ Three layers, bottom up:
   golden — epoch sequences pinned per shard count, one beat at the
   drain-horizon crossing, ``drain_every`` pulses through long tails;
 * wiring: the controller subscribes to the same feed and its
-  ``heartbeats_seen`` matches what the stream emitted — every tick in
-  single-process runs (the in-process loop emits one beat per tick),
-  the progress marks in sharded runs.
+  ``heartbeats_seen`` matches what the stream emitted: the progress
+  marks, at every shard count (one cadence, one loop).
 """
 
 import io
@@ -31,8 +30,8 @@ _SMALL = dict(n_ue=300, duration_s=1.0, seed=11)
 #: pinned heartbeat cadence (epoch numbers) for the small orchestrated
 #: upgrade run — the last beat is the drain-horizon crossing.
 GOLDEN_EPOCHS = {
-    2: [7, 9, 10, 12, 20, 25, 26, 34, 40, 42, 45, 52, 59, 61, 64, 67],
-    4: [4, 9, 10, 13, 16, 18, 24, 26, 37, 42, 46, 49, 55, 62, 64, 67],
+    2: [7, 9, 10, 12, 18, 24, 25, 35, 40, 42, 46, 52, 59, 61, 64, 67],
+    4: [4, 8, 9, 12, 14, 16, 21, 24, 34, 40, 44, 46, 52, 59, 61, 64],
 }
 
 
@@ -152,13 +151,22 @@ class TestFeedDeterminism:
 
 
 class TestControllerSubscription:
-    def test_single_process_one_beat_per_tick(self):
-        stream = HeartbeatStream(fp=None)
-        rows = _collect(stream)
-        res = run_scenario(_spec(), stream=stream)
-        beats = [r for r in rows if r["type"] == "heartbeat"]
-        assert res.orch_summary["ticks"] == len(beats)
-        assert res.orch_summary["heartbeats_seen"] == len(beats)
+    def test_one_cadence_at_one_and_two_shards(self):
+        """An unsharded run beats at the progress marks too: one beat
+        per mark it crosses, then one at the drain-horizon crossing,
+        whatever the shard count."""
+        for shards in (1, 2):
+            stream = HeartbeatStream(fp=None)
+            rows = _collect(stream)
+            res = run_scenario(_spec(), shards=shards,
+                               shard_backend="inline", stream=stream)
+            beats = [r for r in rows if r["type"] == "heartbeat"]
+            assert res.orch_summary["heartbeats_seen"] == len(beats)
+            assert res.orch_summary["ticks"] >= len(beats)
+            marks = [int(r["progress"] * stream.marks) for r in beats]
+            assert marks == sorted(set(marks)), shards
+            assert [r["draining"] for r in beats].count(True) == 1
+            assert rows[-1]["type"] == "summary"
 
     def test_sharded_controller_sees_the_progress_marks(self):
         stream = HeartbeatStream(fp=None)

@@ -25,8 +25,10 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.scale.engine import _Engine, run_scenario
+from repro.scale.engine import run_scenario
 from repro.scale.scenarios import get_scenario
+
+from tests.scale.engine_run import run_engine
 
 _SETTINGS = dict(
     deadline=None,
@@ -124,8 +126,7 @@ def orch_specs(draw):
 
 
 def _check_safety(spec):
-    engine = _Engine(spec, mode="cohort")
-    res = engine.run()
+    engine, res = run_engine(spec)
     label = "seed=%d policy=%r faults=%r" % (
         spec.seed, spec.orch_policy, spec.fault_events,
     )
@@ -162,6 +163,26 @@ def test_orchestrated_runs_are_reproducible(spec):
     assert a.digest == b.digest
     assert a.orch_log == b.orch_log
     assert a.orch_summary == b.orch_summary
+
+
+def test_heal_waits_the_same_ticks_at_one_and_two_shards():
+    """``heal_after_ticks`` counts controller ticks, not lockstep
+    epochs: a CPF that crashes at 0.36 s is healed at tick 10 (0.5 s)
+    at every shard count.  Counting epochs healed it at 0.45 s when
+    sharded, a tick early."""
+    spec = _orch_spec(
+        5, {"tick_s": 0.05, "heal_after_ticks": 3},
+        fault_events=[(0.3, "fail_cpf", "cpf-121110-0")],
+    )
+    logs = {}
+    for shards in (1, 2):
+        res = run_scenario(spec, shards=shards, shard_backend="inline")
+        assert res.violations == 0
+        logs[shards] = res.orch_log
+    assert logs[1] == logs[2]
+    (heal,) = logs[1]
+    assert (heal["kind"], heal["cpf"], heal["epoch"]) == ("heal", "cpf-121110-0", 10)
+    assert heal["t"] == pytest.approx(0.5)
 
 
 # -------------------------------------------------------- pinned corpus

@@ -17,8 +17,9 @@ from repro.core.cpf import CPF
 from repro.core.cta import CTA
 from repro.core.upf import UPF
 from repro.obs import Observability
-from repro.scale.engine import _Engine
 from repro.scale.scenarios import get_scenario
+
+from .engine_run import run_engine
 
 SITES = (
     (CPF, "serve"),
@@ -32,8 +33,7 @@ def run(mode, obs=None):
     spec = get_scenario("steady-city").with_overrides(
         n_ue=400, duration_s=0.5, seed=3
     )
-    engine = _Engine(spec, mode=mode, obs=obs)
-    return engine, engine.run()
+    return run_engine(spec, mode=mode, obs=obs)
 
 
 def spy_on(monkeypatch):
@@ -92,9 +92,8 @@ def test_obs_counters_see_lane_messages():
     """Metrics mode keeps the lane, and the lane feeds every counter."""
     per_mode = {}
     for mode in ("cohort", "batched"):
-        obs = Observability("metrics")
-        engine, result = run(mode, obs=obs)
-        metrics = obs.metrics.snapshot()
+        engine, result = run(mode, obs=Observability("metrics"))
+        metrics = result.obs_shards[0]["metrics"]
         counters = {
             (c["name"], tuple(sorted(c["labels"].items()))): c["value"]
             for c in metrics["counters"]

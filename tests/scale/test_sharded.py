@@ -5,7 +5,8 @@ The contract under test (``repro.scale.shard``):
 * **fixed-shard-count determinism** — for a given shard count the
   merged EventTrace digest is bit-stable across runs *and* across
   backends (inline vs process), pinned below like the kernel witnesses;
-* ``--shards 1`` is exactly the single-process engine;
+* ``--shards 1`` is exactly one uninterrupted kernel run of the same
+  engine, and a run that never drains fails loudly at any shard count;
 * the batched lane's conformance (digest-identical to the cohort
   driver) survives sharding;
 * a UE whose full handover crosses the shard boundary mid-fault-window
@@ -33,7 +34,7 @@ from repro.faults.runner import config_from_name
 from repro.scale import shard as sh
 from repro.scale.engine import _Engine, run_scenario
 from repro.scale.scenarios import get_scenario
-from repro.scale.shard import ShardMap, WorkerSpawnError, run_sharded, shard_lookahead
+from repro.scale.shard import ShardMap, WorkerSpawnError, shard_lookahead
 
 N = 400
 DURATION_S = 0.5
@@ -56,14 +57,14 @@ PINNED_CHURN_DIGESTS = {
 
 
 def run2(mode="cohort", backend="inline", shards=2, seed=SEED, **kw):
-    return run_sharded(
+    return run_scenario(
         "steady-city",
         n_ue=N,
         duration_s=DURATION_S,
         seed=seed,
         mode=mode,
         shards=shards,
-        backend=backend,
+        shard_backend=backend,
         verbose_trace=True,
         **kw,
     )
@@ -137,14 +138,41 @@ def test_sharded_runs_are_reproducible():
 
 
 def test_shards_one_is_exactly_the_single_process_engine():
-    plain = run_scenario(
-        "steady-city", n_ue=N, duration_s=DURATION_S, seed=SEED,
-        verbose_trace=True,
+    """One shard through the epoch loop equals one uninterrupted
+    ``Simulator.run`` of the same engine in every compared field: the
+    end time of its last event, and a digest over a trace with no
+    ``shard`` key."""
+    spec = get_scenario("steady-city").with_overrides(
+        n_ue=N, duration_s=DURATION_S, seed=SEED
     )
-    one = run2(shards=1)
-    assert one.n_shards == 1
-    assert one.digest == plain.digest
-    assert one == plain
+    for mode in ("cohort", "batched", "individual"):
+        engine = _Engine(spec, mode=mode, verbose_trace=True)
+        engine.prepare()
+        plain = engine.finish(engine.sim.run())
+        one = run2(mode=mode, shards=1)
+        assert one.n_shards == 1
+        assert one.digest == plain.digest
+        assert one == plain
+
+
+def test_a_run_that_never_drains_fails_loudly(monkeypatch):
+    """A process that reschedules itself forever must not spin an
+    unsharded run forever: the drain guard bounds one shard too."""
+    real_prepare = sh.ShardEngine.prepare
+
+    def prepare(self):
+        real_prepare(self)
+
+        def forever():
+            while True:
+                yield 0.01
+
+        self.sim.process(forever(), name="livelock")
+
+    monkeypatch.setattr(sh.ShardEngine, "prepare", prepare)
+    monkeypatch.setattr(sh, "_DRAIN_EPOCHS_MAX", 50)
+    with pytest.raises(RuntimeError, match="failed to drain"):
+        run2(shards=1)
 
 
 def test_process_backend_matches_inline_bit_for_bit(monkeypatch):
@@ -620,11 +648,39 @@ def test_a_failed_hosted_build_reaps_the_spawned_workers(monkeypatch):
     assert not any(handle.process.is_alive() for handle in spawned)
 
 
-def test_rejects_individual_mode_and_oversharding():
+def test_rejects_unknown_mode_and_oversharding():
     with pytest.raises(ValueError, match="cohort"):
-        run2(mode="individual")
+        run2(mode="flyweight")
     with pytest.raises(ValueError, match="level-2"):
         run2(shards=99)
+
+
+def test_individual_mode_shards_like_the_cohort():
+    """N persistent UE objects migrate across shards exactly as the
+    flyweight cohort does, on both backends: an emigrant's object
+    leaves its shard, and an immigrant keeps serving from the state its
+    install carried (36 migrations here, immigrants serving again)."""
+    spec = get_scenario("commute-wave").with_overrides(
+        n_ue=2000, duration_s=3.0, seed=1
+    )
+
+    def run(mode, backend="inline"):
+        return run_scenario(
+            spec, mode=mode, shards=2, shard_backend=backend,
+            verbose_trace=True,
+        )
+
+    cohort, individual = run("cohort"), run("individual")
+    assert individual.counters.get("migrations_out", 0) >= 30
+    assert individual.violations == 0
+    assert individual.mode == "individual"
+    assert dataclasses.replace(individual, mode="cohort") == cohort
+    assert individual.digest == cohort.digest
+    try:
+        procs = run("individual", backend="process")
+    except WorkerSpawnError as err:  # pragma: no cover
+        pytest.skip("no worker processes on this platform: %s" % err)
+    assert procs == individual
 
 
 # ------------------------------------------- cross-shard handover under faults
@@ -685,7 +741,7 @@ def test_cross_shard_handover_mid_fault_window_keeps_ryw():
     assert sent == received > 0
 
     # and the merged run is clean end to end
-    merged = run_sharded(spec, shards=2, backend="inline", verbose_trace=True)
+    merged = run_scenario(spec, shards=2, shard_backend="inline", verbose_trace=True)
     assert merged.violations == 0
     assert merged.counters.get("migrations_out", 0) == sent
 
@@ -718,8 +774,8 @@ def test_foreign_fault_ops_are_mirrored_bare():
 def test_migrated_ue_serves_again_at_destination():
     """An immigrant is not a tombstone: after install it keeps serving
     (its slot re-enters the destination's arrival buckets)."""
-    res = run_sharded(
-        _fault_window_spec(), shards=2, backend="inline", verbose_trace=True
+    res = run_scenario(
+        _fault_window_spec(), shards=2, shard_backend="inline", verbose_trace=True
     )
     assert res.counters.get("migrations_in", 0) > 0
     # channel accounting: one record per migration, plus any
@@ -784,7 +840,7 @@ def sharded_storm_specs(draw):
 @given(spec=sharded_storm_specs())
 @settings(**_SETTINGS)
 def test_ryw_holds_through_sharded_storms(spec):
-    res = run_sharded(spec, shards=2, backend="inline")
+    res = run_scenario(spec, shards=2, shard_backend="inline")
     assert res.violations == 0, (
         "RYW violated across the shard boundary (seed=%d faults=%r links=%r)"
         % (spec.seed, spec.fault_events, spec.link_faults)
@@ -797,8 +853,8 @@ def test_ryw_holds_through_sharded_storms(spec):
 @settings(max_examples=3, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_sharded_storm_runs_are_reproducible(spec):
-    a = run_sharded(spec, shards=2, backend="inline", verbose_trace=True)
-    b = run_sharded(spec, shards=2, backend="inline", verbose_trace=True)
+    a = run_scenario(spec, shards=2, shard_backend="inline", verbose_trace=True)
+    b = run_scenario(spec, shards=2, shard_backend="inline", verbose_trace=True)
     assert a.digest == b.digest
     assert a == b
 
@@ -810,9 +866,9 @@ def test_obs_metrics_snapshots_merge_across_shards():
     from repro.obs import Observability
 
     obs = Observability("metrics")
-    res = run_sharded(
+    res = run_scenario(
         "steady-city", n_ue=N, duration_s=DURATION_S, seed=SEED,
-        shards=2, backend="inline", obs=obs,
+        shards=2, shard_backend="inline", obs=obs,
     )
     snap = res.obs_snapshot
     assert snap["shards"] == 2

@@ -30,7 +30,7 @@ from repro.obs.export import stitch_chrome_trace, validate_chrome_trace
 from repro.obs.ledger import LEDGER_SCHEMA, build_run_ledger, write_run_ledger
 from repro.obs.stream import HeartbeatStream
 from repro.scale import shard as sh
-from repro.scale.shard import run_sharded
+from repro.scale.engine import run_scenario
 
 from .test_sharded import PINNED_SHARDED_DIGEST, _fault_window_spec, run2
 
@@ -97,8 +97,8 @@ def test_stitched_trace_validates_with_per_shard_tracks():
 
 
 def test_migration_bearing_run_has_cross_shard_flow_events():
-    res = run_sharded(
-        _fault_window_spec(), shards=2, backend="inline",
+    res = run_scenario(
+        _fault_window_spec(), shards=2, shard_backend="inline",
         obs=Observability("trace"), verbose_trace=True,
     )
     assert res.counters.get("migrations_out", 0) > 0
@@ -150,8 +150,8 @@ def test_a_worker_that_frees_its_engine_ships_the_inline_payload():
     """The worker drops its engine before it pickles: its span table,
     flow tables and counts arrive equal to the inline host's."""
     inline, proc = (
-        run_sharded(
-            _fault_window_spec(), shards=2, backend=backend,
+        run_scenario(
+            _fault_window_spec(), shards=2, shard_backend=backend,
             obs=Observability("trace"), verbose_trace=True,
         )
         for backend in ("inline", "process")
@@ -177,7 +177,6 @@ def test_span_keep_knob_is_digest_transparent():
 def test_span_keep_default_does_not_depend_on_the_shard_count(span_keep, limit):
     """One default, kept in repro.obs; 0 keeps every tree."""
     from repro.obs import DEFAULT_SPAN_KEEP
-    from repro.scale.engine import run_scenario
 
     assert DEFAULT_SPAN_KEEP == 32
     limits = {}
@@ -197,8 +196,6 @@ def test_span_keep_default_does_not_depend_on_the_shard_count(span_keep, limit):
 def test_ledger_obs_section_is_the_same_at_one_and_two_shards(mode):
     """One fold summarises 1 or k shard snapshots, so an unsharded run's
     ledger carries the same ``obs`` section a sharded one does."""
-    from repro.scale.engine import run_scenario
-
     sections = {}
     for shards in (1, 2):
         res = run_scenario(
@@ -216,8 +213,8 @@ def test_ledger_obs_section_is_the_same_at_one_and_two_shards(mode):
 
 def test_bounded_retention_caps_kept_roots():
     keep = 2
-    res = run_sharded(
-        _fault_window_spec(), shards=2, backend="inline",
+    res = run_scenario(
+        _fault_window_spec(), shards=2, shard_backend="inline",
         obs=Observability("trace", span_keep=keep), verbose_trace=True,
     )
     ret = res.obs_snapshot["retention"]
@@ -301,16 +298,24 @@ def test_progress_line_mirrors_each_heartbeat():
     assert all(l.startswith("[obs-stream] t=") for l in lines)
 
 
-def test_single_process_stream_emits_summary_only():
-    from repro.scale.engine import run_scenario
-
-    buf = io.StringIO()
-    run_scenario(
-        "steady-city", n_ue=400, duration_s=0.5, seed=3,
-        stream=HeartbeatStream(buf, progress=None), verbose_trace=True,
-    )
-    rows = [json.loads(l) for l in buf.getvalue().splitlines()]
-    assert [r["type"] for r in rows] == ["summary"]
+def test_stream_beats_at_one_and_two_shards():
+    """One cadence: an unsharded run streams progress-mark heartbeats
+    and the summary row, as a sharded one does."""
+    for shards in (1, 2):
+        buf = io.StringIO()
+        res = run_scenario(
+            "steady-city", n_ue=400, duration_s=0.5, seed=3,
+            stream=HeartbeatStream(buf, progress=None), verbose_trace=True,
+            shards=shards, shard_backend="inline",
+        )
+        rows = [json.loads(l) for l in buf.getvalue().splitlines()]
+        types = [r["type"] for r in rows]
+        assert types[-1] == "summary" and types.count("summary") == 1
+        beats = rows[:-1]
+        assert beats and set(types[:-1]) == {"heartbeat"}, shards
+        assert [r["draining"] for r in beats].count(True) == 1
+        assert all(len(r["shards"]) == shards for r in beats)
+        assert rows[-1]["digest"] == res.digest
 
 
 # ------------------------------------------------------------------ ledger

@@ -247,9 +247,12 @@ class TestScaleSharded:
         err = capsys.readouterr().err
         assert "level-2 regions" in err
 
+    def test_individual_mode_shards(self, capsys):
+        assert main(self.ARGS + ["--mode", "individual"]) == 0
+        out = capsys.readouterr().out
+        assert "mode=individual" in out and "shards=2" in out
+
     def test_incompatible_combos_rejected(self, capsys):
-        assert main(self.ARGS + ["--mode", "individual"]) == 2
-        assert "individual" in capsys.readouterr().err
         assert main(self.ARGS + ["--seeds", "1,2"]) == 2
         assert "--seeds" in capsys.readouterr().err
         # per-run artifact flags make no sense across a seed sweep
