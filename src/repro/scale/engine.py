@@ -26,20 +26,28 @@ Everything is a pure function of the spec (seed included): the
 :class:`EventTrace` digest is the determinism witness, and the
 cohort-vs-individual conformance test pins that the flyweight model is
 bit-identical to N persistent UE objects.
+
+The engine is one class, :class:`ShardEngine`: one shard's kernel over
+the full ghost topology, driving the UEs homed in the level-2 parents
+its :class:`ShardMap` gives it.  An unsharded run is its one-shard case.
+It ships its tallies, trace and sketches in
+:meth:`~ShardEngine.finish_payload`; the epoch loop that steps it, its
+hosts and the one place that builds a :class:`ScaleResult` live in
+:mod:`repro.scale.shard`.
 """
 
 from __future__ import annotations
 
 import heapq
 import sys
-import time
 from array import array
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.deployment import Deployment
-from ..faults.injector import FaultInjector
+from ..faults.injector import FaultInjector, region_of
 from ..faults.plan import FaultEvent, FaultPlan, LinkPerturbation
 from ..faults.runner import config_from_name
 from ..faults.trace import EventTrace
@@ -70,7 +78,19 @@ from .topology import (
     tile_adjacency,
 )
 
-__all__ = ["ScaleResult", "run_scenario", "run_replicates"]
+__all__ = [
+    "MODES",
+    "Migration",
+    "ScaleResult",
+    "ShardEngine",
+    "ShardMap",
+    "run_replicates",
+    "run_scenario",
+    "shard_lookahead",
+]
+
+#: population models a scale run can drive.
+MODES = ("cohort", "individual", "batched")
 
 #: when a re-placement / evacuation finds the UE mid-procedure it polls
 #: the busy flag at this interval, giving up after ``_BUSY_TRIES``.
@@ -80,6 +100,15 @@ _BUSY_TRIES = 250
 #: populations at or below this keep the auditor's per-UE causal
 #: history (diagnostics); above it, detection-only mode (bounded memory).
 _HISTORY_MAX_UES = 5000
+
+#: per-shard auditor violation samples carried into the merged result.
+_VIOLATION_SAMPLES = 5
+
+#: wire size of one migration record on the inter-shard channel
+#: (gid + version + runs + clock + completion time + serving BS name).
+#: The trace-link id is *not* counted: it rides the obs channel, which
+#: a real deployment would ship out of band of the control plane.
+_MIGRATION_WIRE_BYTES = 64
 
 
 def peak_rss_kb() -> float:
@@ -273,7 +302,7 @@ def _mobility_for(spec: ScenarioSpec, topo: CityTopology) -> MobilityModel:
     if spec.mobility_model == "random_walk":
         return RandomWalkMobility(topo.adjacency)
     if spec.mobility_model == "commute":
-        downtown_parent = sorted({t[:-1] for t in topo.tiles})[0]
+        downtown_parent = topo.parents[0]
         downtown = [t for t in topo.tiles if t.startswith(downtown_parent)]
         return CommuteWaveMobility(topo.adjacency, downtown, w0, w1)
     if spec.mobility_model == "flash_crowd":
@@ -367,34 +396,119 @@ def _region_pct_ms(
     return table
 
 
-def _check_mode(mode: str, modes: Tuple[str, ...]) -> None:
-    if mode not in modes:
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
         raise ValueError(
-            "mode must be one of %s, got %r" % (", ".join(map(repr, modes)), mode)
+            "mode must be one of %s, got %r" % (", ".join(map(repr, MODES)), mode)
         )
 
 
-class _Engine:
-    """One scenario run's mutable state (drivers, churn, sinks)."""
+# --------------------------------------------------------------------------- shards
 
-    #: population models this engine can drive.
-    modes: Tuple[str, ...] = ("cohort", "individual", "batched")
 
-    #: shard identity for health rows; the shard engine overrides it.
-    shard_idx = 0
+class Migration(NamedTuple):
+    """One emigrated UE on the inter-shard channel."""
+
+    dst: int  #: destination shard
+    gid: int
+    version: int
+    runs: int
+    clock: Any
+    bs: str  #: serving BS at the destination
+    t: float  #: completion instant at the source; installs at ``t + Δ``
+    #: obs channel: trace-link id joining the emigrating procedure to
+    #: its ``shard.install_migrated`` continuation (tracing only)
+    link: Optional[str] = None
+
+
+class ShardMap:
+    """Deterministic ownership: contiguous level-2 parent chunks.
+
+    ``parents`` (sorted) is split into ``shards`` contiguous chunks —
+    front-loaded remainder — so geohash band contiguity keeps adjacent
+    parents (where cross-parent handovers concentrate) co-sharded when
+    possible.  Parents churned in *after* the split (the spare tile
+    under a fresh parent) are assigned by bisecting into the initial
+    chunk starts: a pure function of the name, identical on every shard.
+    """
+
+    def __init__(self, parents: List[str], shards: int):
+        parents = sorted(set(parents))
+        if shards < 1:
+            raise ValueError("shards must be >= 1, got %d" % shards)
+        if shards > len(parents):
+            raise ValueError(
+                "shards=%d exceeds the city's %d level-2 regions — the "
+                "level-2 parent is the shard unit (grow l2_regions or "
+                "lower --shards)" % (shards, len(parents))
+            )
+        self.parents = parents
+        self.shards = shards
+        base, extra = divmod(len(parents), shards)
+        self._chunks: List[List[str]] = []
+        self._owner: Dict[str, int] = {}
+        start = 0
+        for k in range(shards):
+            size = base + (1 if k < extra else 0)
+            chunk = parents[start:start + size]
+            self._chunks.append(chunk)
+            for parent in chunk:
+                self._owner[parent] = k
+            start += size
+        self._starts = [chunk[0] for chunk in self._chunks]
+
+    def owner_of_parent(self, parent: str) -> int:
+        owner = self._owner.get(parent)
+        if owner is None:
+            owner = max(0, bisect_right(self._starts, parent) - 1)
+            self._owner[parent] = owner
+        return owner
+
+    def owner_of_tile(self, tile: str) -> int:
+        return self.owner_of_parent(tile[:-1])
+
+    def owned_parents(self, shard: int) -> List[str]:
+        return list(self._chunks[shard])
+
+
+def shard_lookahead(spec: ScenarioSpec) -> float:
+    """Conservative lookahead Δ: the minimum cross-shard link delay.
+
+    Cross-shard context transfer rides the far inter-CPF class (the
+    level-3 ring); jitter only adds on top of the base latency, so the
+    base is a true minimum.  Degenerate configs (zero latency) fall
+    back to epoch-synchronised windows of duration/64.
+    """
+    base = float(config_from_name(spec.config).latency.cpf_cpf_far)
+    if base <= 0.0:
+        return spec.duration_s / 64.0
+    return base
+
+
+class ShardEngine:
+    """One shard's engine: full ghost topology, local traffic only.
+
+    Shard ``shard_idx`` of ``shards`` drives the UEs homed in its own
+    level-2 parents.  ``homes`` is None for the only shard of a run,
+    which places the whole population itself.
+    """
 
     def __init__(
         self,
         spec: ScenarioSpec,
         mode: str = "cohort",
+        shard_idx: int = 0,
+        shards: int = 1,
+        homes: Optional[Tuple[array, array, List[str]]] = None,
         obs=None,
         verbose_trace: bool = False,
-        homes: Optional[Tuple[array, array, List[str]]] = None,
     ):
-        _check_mode(mode, self.modes)
-        self._wall0 = time.perf_counter()
+        _check_mode(mode)
         self.spec = spec
         self.mode = mode
+        self.shard_idx = shard_idx
+        self.n_shards = shards
+        self.delta = shard_lookahead(spec)
         self.duration = spec.duration_s
         self.sim = Simulator()
         self.rngs = RngRegistry(spec.seed)
@@ -451,11 +565,39 @@ class _Engine:
         self.driver = driver_cls(self.dep, bs_names, ids)
         if mode == "batched":
             self.driver.setup_lane(self)
-        #: the engine's own processes; ``finish`` re-raises what one died of
+        #: the engine's own processes; ``finish_payload`` re-raises what
+        #: one died of
         self._procs: List[Any] = []
         self.counters: Dict[str, int] = {}
         self.sketches: Dict[Tuple[str, str], QuantileSketch] = {}
         self.dep.outcome_sink = self._observe_outcome
+
+        self.shard_map = ShardMap(self.topo.parents, shards)
+        if shards > 1:
+            # a completed full handover may have crossed the shard boundary
+            self.driver.procedure_done = self._after_procedure
+            # Per-shard traffic streams: an independent fork per shard
+            # index (a lone shard keeps the spec's own).  The deployment
+            # already took its rng fork from the *global* registry above,
+            # so ghost topologies stay identical everywhere.
+            self.rngs = RngRegistry(spec.seed).fork("shard:%d" % shard_idx)
+        self._outbox: List[Migration] = []
+        #: deterministic trace-link allocator for migration flow events.
+        self._next_link = 0
+        # Partition the fault plan *after* driver construction: lane
+        # eligibility and hazard windows must see the full event list.
+        plan = self.injector.plan
+        owned: List = []
+        mirrored: List = []
+        for event in plan.events:
+            if event.op.endswith("_cpf") or event.op.endswith("_cta"):
+                target_region = region_of(event.target) or ""
+                owner = self.shard_map.owner_of_tile(target_region)
+            else:
+                owner = 0  # link-level ops: shard 0 owns the trace record
+            (owned if owner == shard_idx else mirrored).append(event)
+        plan.events = owned
+        self._mirror_events = mirrored
 
     # -- bounded-memory measurement ---------------------------------------
 
@@ -476,8 +618,9 @@ class _Engine:
     # -- health / heartbeat feed -------------------------------------------
 
     def _owns_region(self, tile: str) -> bool:
-        """Whether this engine owns ``tile`` (sharded engines override)."""
-        return True
+        # counters and trace records for a churn event or an applied
+        # orchestration action come from one shard only
+        return self.shard_map.owner_of_tile(tile) == self.shard_idx
 
     def health_row(self) -> Dict[str, Any]:
         """Compact piggyback payload for the epoch-aligned heartbeat.
@@ -989,8 +1132,7 @@ class _Engine:
                 raise ValueError("scenario churns 'spare' but city has none")
             return self.topo.spare_tile
         if tile_spec.startswith("fill:"):
-            parents = sorted({t[:-1] for t in self.topo.tiles})
-            parent = parents[int(tile_spec.split(":")[1])]
+            parent = self.topo.parents[int(tile_spec.split(":")[1])]
             used = {t for t in self.topo.tiles if t[:-1] == parent}
             for child in CHILD_ORDER:
                 if parent + child not in used:
@@ -1246,43 +1388,206 @@ class _Engine:
             procs.append(self.sim.process(self._churn(), name="scale.churn"))
         if self.orch_policy is not None:
             self.injector.add_listener(self._on_fault_op)
+        # Node state must flip identically in every ghost topology, so a
+        # foreign-owned fault op is applied bare; the owning shard alone
+        # counts and records it, and the merged fault_counters and trace
+        # see it exactly once.
+        self.injector.mirror(self._mirror_events)
+        if self.n_shards > 1:  # one shard has no boundary to count
+            self._wrap_hop()
 
-    def finish(self, end: float) -> ScaleResult:
-        """Flush the lane trace and assemble the result after the sim ran.
+    def _wrap_hop(self) -> None:
+        """Count hops whose endpoints' parents live in different shards.
+
+        The ghost execution carries what a distributed deployment would
+        ship over the inter-shard channel (cross-parent handover and
+        repair legs); the wrapper makes that channel load observable.
+        """
+        inner = self.dep.hop
+        owner_of = self.shard_map.owner_of_parent
+        counters = self.counters
+
+        def hop(hop_class, nbytes, src=None, dst=None, parent=None, at=None):
+            if src is not None and dst is not None:
+                rs, rd = region_of(src), region_of(dst)
+                if (
+                    rs is not None
+                    and rd is not None
+                    and rs[:-1] != rd[:-1]
+                    and owner_of(rs[:-1]) != owner_of(rd[:-1])
+                ):
+                    counters["channel_messages"] = (
+                        counters.get("channel_messages", 0) + 1
+                    )
+                    counters["channel_bytes"] = (
+                        counters.get("channel_bytes", 0) + nbytes
+                    )
+            return inner(hop_class, nbytes, src, dst, parent, at)
+
+        self.dep.hop = hop
+
+    # -- migration protocol ------------------------------------------------
+
+    def _after_procedure(self, i: int) -> None:
+        """Emigrate UE ``i`` if its procedure left it under a foreign parent."""
+        driver = self.driver
+        if driver.gone[i] or not driver.attached[i]:
+            return
+        bs_name = driver.bs_of(i)
+        dst = self.shard_map.owner_of_tile(bs_name.split("-")[1])
+        if dst == self.shard_idx:
+            return
+        ue_id = driver.ue_id(i)
+        now = self.sim.now
+        link = None
+        obs = self._obs
+        if obs is not None and obs.mode == "trace":
+            # obs channel: no sim consumer reads the link and the trace
+            # records below never mention it — digest-transparent.
+            link = "m%d:%d" % (self.shard_idx, self._next_link)
+            self._next_link += 1
+            last = obs.last_root
+            span_id = (
+                last[0] if last is not None and last[1] == ue_id else None
+            )
+            obs.note_migration_out(link, span_id, now, ue_id, dst)
+        self._outbox.append(
+            Migration(
+                dst, driver.ids[i], driver.version[i], driver.runs[i],
+                self.dep.clock_of(ue_id), bs_name, now, link,
+            )
+        )
+        driver.tombstone(i)
+        self.dep.drop_placement(ue_id)
+        self._count("migrations_out")
+        self._count("channel_messages")
+        self._count("channel_bytes", _MIGRATION_WIRE_BYTES)
+        self.trace.record(
+            now,
+            "shard_migrate_out",
+            ue=ue_id,
+            to=dst,
+            bs=bs_name,
+            version=driver.version[i],
+        )
+
+    def deliver(self, records: List[Migration]) -> None:
+        """Schedule immigrant installs at their conservative arrival times."""
+        for rec in records:
+            self.sim.schedule_at(rec.t + self.delta, self._install, rec)
+
+    def _install(self, rec: Migration) -> None:
+        gid, version, bs_name = rec.gid, rec.version, rec.bs
+        driver = self.driver
+        i = driver.add_slot(gid)
+        driver.busy[i] = 0
+        driver.runs[i] = rec.runs
+        driver.version[i] = version
+        driver.bs_idx[i] = driver.bs_index(bs_name)
+        ue_id = driver.ue_id(i)
+        self._count("migrations_in")
+        try:
+            self.dep.install_migrated(ue_id, bs_name, version, rec.clock)
+        except LookupError:
+            # destination region dark at arrival: the UE re-enters
+            # detached, exactly like a procedure abort mid-recovery
+            driver.attached[i] = 0
+            self._count("migrations_in_detached")
+        else:
+            driver.attached[i] = 1
+        obs = self._obs
+        if obs is not None and obs.mode == "trace":
+            # zero-duration continuation span: the destination-side
+            # anchor the stitched flow event lands on
+            now = self.sim.now
+            span = obs.tracer.record(
+                "shard.install_migrated", None, "migrate", now, now,
+                "ok" if driver.attached[i] else "detached",
+                {"ue": ue_id, "bs": bs_name, "version": version},
+            )
+            obs.note_migration_in(rec.link, span.span_id, now, ue_id)
+        self.trace.record(
+            self.sim.now,
+            "shard_migrate_in",
+            ue=ue_id,
+            bs=bs_name,
+            version=version,
+        )
+
+    # -- epoch stepping ----------------------------------------------------
+
+    def advance(self, until: float) -> None:
+        self.sim.run(until=until)
+
+    def next_event_s(self) -> float:
+        """Earliest instant this shard could execute (hence emit) anything.
+
+        ``run(until)`` drains the immediate queue before returning, so
+        after an epoch step the answer is simply the heap head (or +inf
+        when drained).  The coordinator uses the minimum across shards
+        to fast-forward over event-free epochs, and +inf everywhere as
+        its drained test — see ``_epoch_loop``.
+        """
+        if self.sim._immediate:
+            return self.sim.now
+        heap = self.sim._heap
+        return heap[0][0] if heap else float("inf")
+
+    def take_outbox(self) -> List[Migration]:
+        out = self._outbox
+        self._outbox = []
+        return out
+
+    def finish_payload(self) -> Dict[str, Any]:
+        """This shard's tallies, trace and sketches, for the merge.
 
         Raises what the first of the engine's own processes to die
         raised: a run whose arrival or churn loop crashed has no result.
+        The trace, the sketch table and the obs snapshot are handed
+        over, not copied: the engine is freed next.
         """
         for proc in self._procs:
             proc.value  # re-raises a stored failure
         self.driver.flush_trace()
         auditor = self.dep.auditor
-        return ScaleResult(
-            scenario=self.spec.name,
-            mode=self.mode,
-            n_ue=self.spec.n_ue,
-            duration_s=self.duration,
-            seed=self.spec.seed,
-            end_time_s=end,
-            regions_final=len(self.dep.region_map.regions),
-            serves=auditor.serves,
-            writes=auditor.writes,
-            violations=len(auditor.violations),
-            completed=self.driver.completed,
-            aborted=self.driver.aborted,
-            recovered=self.driver.recovered,
-            reattached=self.driver.reattached,
-            counters=dict(self.counters),
-            fault_counters=dict(self.injector.fault_counters()),
-            region_pct_ms=_region_pct_ms(self.sketches),
-            digest=self.trace.digest(),
-            trace_events=len(self.trace),
-            lane=self.driver.lane_stats(),
-            perf={
-                "wall_s": time.perf_counter() - self._wall0,
-                "peak_rss_kb": peak_rss_kb(),
-            },
-        )
+        driver = self.driver
+        return {
+            "serves": auditor.serves,
+            "writes": auditor.writes,
+            "violations": len(auditor.violations),
+            "violations_sample": [
+                {
+                    "time": v.time,
+                    "ue": v.ue_id,
+                    "cpf": v.cpf_name,
+                    "reader_version": v.reader_version,
+                    "served_version": v.served_version,
+                    "span": v.span_id,
+                }
+                for v in auditor.violations[:_VIOLATION_SAMPLES]
+            ],
+            "completed": driver.completed,
+            "aborted": driver.aborted,
+            "recovered": driver.recovered,
+            "reattached": driver.reattached,
+            "counters": self.counters,
+            "fault_counters": self.injector.fault_counters(),
+            "lane": driver.lane_stats(),
+            # the instant of the last event, not the last epoch boundary
+            "end_time_s": self.sim.last_event_s,
+            "trace": self.trace,
+            "sketches": self.sketches,
+            "owned_regions": sum(
+                map(self._owns_region, self.dep.region_map.regions)
+            ),
+            "parents": self.shard_map.owned_parents(self.shard_idx),
+            # the placement column: the ids grow with immigrants
+            "n_local": (
+                self.spec.n_ue if self._homes is None else len(self._homes[1])
+            ),
+            "health": self.health_row(),
+            "obs": self._obs.hand_over() if self._obs is not None else None,
+        }
 
 
 # --------------------------------------------------------------------------- api

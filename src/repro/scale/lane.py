@@ -136,7 +136,7 @@ class LaneRuntime:
         self.spills = 0
         self.driver = None  # set by BatchedDriver
         cfg = dep.config
-        #: installed before the driver is built (``_Engine.__init__``).
+        #: installed before the driver is built (``ShardEngine.__init__``).
         self.obs = dep.obs
         self.links = dep.links
         self._lat: Dict[str, float] = {

@@ -4,7 +4,8 @@ Every scale run, sharded or not, goes through this module's lockstep
 epoch loop; an unsharded run is the one-shard case of it.  The
 single-process harness tops out around 100k UEs on one core, so the
 loop partitions the city **by level-2 (CTA) parent** across shard
-engines — each shard runs its own :class:`~repro.sim.core.Simulator`
+engines (:class:`~repro.scale.engine.ShardEngine`, the one engine
+class) — each shard runs its own :class:`~repro.sim.core.Simulator`
 with the unchanged cohort / batched-lane drivers over the *full* ghost
 topology, but its driver is built from — and so drives traffic only
 for — the global ids of the UEs homed in its own level-2 parents
@@ -83,9 +84,14 @@ Fault plans are partitioned so region-attributable ops (``*_cpf`` /
 ``*_cta``) are *owned* (counted + traced) by the shard owning the
 target's parent and silently mirrored everywhere else — node state
 flips identically in every ghost topology.  Ring churn works the same
-way (``_Engine._churn_add`` / ``_churn_remove``): every shard applies
-the ring change (placement rebalance is per-shard work); only the owner
-runs evacuation and counts the event.
+way (``ShardEngine._churn_add`` / ``_churn_remove``): every shard
+applies the ring change (placement rebalance is per-shard work); only
+the owner runs evacuation and counts the event.
+
+**One result.**  A shard ships its tallies, its trace and its sketch
+table (:meth:`~repro.scale.engine.ShardEngine.finish_payload`), handed
+over rather than copied, and :func:`_merge_payloads` builds the run's
+only :class:`~repro.scale.engine.ScaleResult` from them.
 """
 
 from __future__ import annotations
@@ -98,24 +104,23 @@ import traceback
 from contextlib import contextmanager
 from functools import partial
 from array import array
-from bisect import bisect_right
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..faults.injector import region_of
 from ..faults.trace import merge_traces
 from ..sim.monitor import QuantileSketch
-from ..sim.rng import RngRegistry
 from ..experiments.parallel import default_jobs, pool_context
-from ..faults.runner import config_from_name
 from .engine import (
+    Migration,
     ScaleResult,
-    _Engine,
+    ShardEngine,
+    ShardMap,
     _city_for,
     _mobility_for,
     _check_mode,
     peak_rss_kb,
     place_population,
     _region_pct_ms,
+    shard_lookahead,
 )
 from .scenarios import ScenarioSpec
 
@@ -135,15 +140,6 @@ __all__ = [
 #: shard count.
 _DRAIN_EPOCHS_MAX = 100_000
 
-#: per-shard auditor violation samples carried into the merged result.
-_VIOLATION_SAMPLES = 5
-
-#: wire size of one migration record on the inter-shard channel
-#: (gid + version + runs + clock + completion time + serving BS name).
-#: The trace-link id is *not* counted: it rides the obs channel, which
-#: a real deployment would ship out of band of the control plane.
-_MIGRATION_WIRE_BYTES = 64
-
 #: longest the coordinator waits for one answer from a shard worker
 #: (its ready handshake, an epoch step, the finish payload) before it
 #: declares the worker hung and fails the run.
@@ -153,88 +149,9 @@ WORKER_DEADLINE_S = 600.0
 # ------------------------------------------------------------------ partition
 
 
-class Migration(NamedTuple):
-    """One emigrated UE on the inter-shard channel."""
-
-    dst: int  #: destination shard
-    gid: int
-    version: int
-    runs: int
-    clock: Any
-    bs: str  #: serving BS at the destination
-    t: float  #: completion instant at the source; installs at ``t + Δ``
-    #: obs channel: trace-link id joining the emigrating procedure to
-    #: its ``shard.install_migrated`` continuation (tracing only)
-    link: Optional[str] = None
-
-
-class ShardMap:
-    """Deterministic ownership: contiguous level-2 parent chunks.
-
-    ``parents`` (sorted) is split into ``shards`` contiguous chunks —
-    front-loaded remainder — so geohash band contiguity keeps adjacent
-    parents (where cross-parent handovers concentrate) co-sharded when
-    possible.  Parents churned in *after* the split (the spare tile
-    under a fresh parent) are assigned by bisecting into the initial
-    chunk starts: a pure function of the name, identical on every shard.
-    """
-
-    def __init__(self, parents: List[str], shards: int):
-        parents = sorted(set(parents))
-        if shards < 1:
-            raise ValueError("shards must be >= 1, got %d" % shards)
-        if shards > len(parents):
-            raise ValueError(
-                "shards=%d exceeds the city's %d level-2 regions — the "
-                "level-2 parent is the shard unit (grow l2_regions or "
-                "lower --shards)" % (shards, len(parents))
-            )
-        self.parents = parents
-        self.shards = shards
-        base, extra = divmod(len(parents), shards)
-        self._chunks: List[List[str]] = []
-        self._owner: Dict[str, int] = {}
-        start = 0
-        for k in range(shards):
-            size = base + (1 if k < extra else 0)
-            chunk = parents[start:start + size]
-            self._chunks.append(chunk)
-            for parent in chunk:
-                self._owner[parent] = k
-            start += size
-        self._starts = [chunk[0] for chunk in self._chunks]
-
-    def owner_of_parent(self, parent: str) -> int:
-        owner = self._owner.get(parent)
-        if owner is None:
-            owner = max(0, bisect_right(self._starts, parent) - 1)
-            self._owner[parent] = owner
-        return owner
-
-    def owner_of_tile(self, tile: str) -> int:
-        return self.owner_of_parent(tile[:-1])
-
-    def owned_parents(self, shard: int) -> List[str]:
-        return list(self._chunks[shard])
-
-
 def city_parents(spec: ScenarioSpec) -> List[str]:
     """Sorted level-2 parents of the spec's city (the shardable units)."""
-    return sorted({t[:-1] for t in _city_for(spec).tiles})
-
-
-def shard_lookahead(spec: ScenarioSpec) -> float:
-    """Conservative lookahead Δ: the minimum cross-shard link delay.
-
-    Cross-shard context transfer rides the far inter-CPF class (the
-    level-3 ring); jitter only adds on top of the base latency, so the
-    base is a true minimum.  Degenerate configs (zero latency) fall
-    back to epoch-synchronised windows of duration/64.
-    """
-    base = float(config_from_name(spec.config).latency.cpf_cpf_far)
-    if base <= 0.0:
-        return spec.duration_s / 64.0
-    return base
+    return _city_for(spec).parents
 
 
 def partition_population(
@@ -265,261 +182,11 @@ def partition_population(
     return [(g, b, bs_names) for g, b in zip(gids, bsidx)]
 
 
-# ------------------------------------------------------------------ engine
-
-
-class ShardEngine(_Engine):
-    """One shard's engine: full ghost topology, local traffic only.
-
-    ``homes`` is None for the only shard of a run, which places the
-    whole population itself.
-    """
-
-    def __init__(
-        self,
-        spec: ScenarioSpec,
-        mode: str,
-        shard_idx: int,
-        shards: int,
-        homes: Optional[Tuple[array, array, List[str]]],
-        delta: float,
-        obs=None,
-        verbose_trace: bool = False,
-    ):
-        self.shard_idx = shard_idx
-        self.n_shards = shards
-        self.delta = delta
-        super().__init__(
-            spec, mode=mode, obs=obs, verbose_trace=verbose_trace, homes=homes
-        )
-        self.shard_map = ShardMap(
-            sorted({t[:-1] for t in self.topo.tiles}), shards
-        )
-        if shards > 1:
-            # a completed full handover may have crossed the shard boundary
-            self.driver.procedure_done = self._after_procedure
-            # Per-shard traffic streams: an independent fork per shard
-            # index (a lone shard keeps the spec's own).  The deployment
-            # already took its rng fork from the *global* registry above,
-            # so ghost topologies stay identical everywhere.
-            self.rngs = RngRegistry(spec.seed).fork("shard:%d" % shard_idx)
-        self._outbox: List[Migration] = []
-        #: deterministic trace-link allocator for migration flow events.
-        self._next_link = 0
-        # Partition the fault plan *after* driver construction: lane
-        # eligibility and hazard windows must see the full event list.
-        plan = self.injector.plan
-        owned: List = []
-        mirrored: List = []
-        for event in plan.events:
-            if event.op.endswith("_cpf") or event.op.endswith("_cta"):
-                target_region = region_of(event.target) or ""
-                owner = self.shard_map.owner_of_tile(target_region)
-            else:
-                owner = 0  # link-level ops: shard 0 owns the trace record
-            (owned if owner == shard_idx else mirrored).append(event)
-        plan.events = owned
-        self._mirror_events = mirrored
-
-    # -- wiring ------------------------------------------------------------
-
-    def prepare(self) -> None:
-        super().prepare()
-        # Node state must flip identically in every ghost topology, so a
-        # foreign-owned fault op is applied bare; the owning shard alone
-        # counts and records it, and the merged fault_counters and trace
-        # see it exactly once.
-        self.injector.mirror(self._mirror_events)
-        if self.n_shards > 1:  # one shard has no boundary to count
-            self._wrap_hop()
-
-    def _wrap_hop(self) -> None:
-        """Count hops whose endpoints' parents live in different shards.
-
-        The ghost execution carries what a distributed deployment would
-        ship over the inter-shard channel (cross-parent handover and
-        repair legs); the wrapper makes that channel load observable.
-        """
-        inner = self.dep.hop
-        owner_of = self.shard_map.owner_of_parent
-        counters = self.counters
-
-        def hop(hop_class, nbytes, src=None, dst=None, parent=None, at=None):
-            if src is not None and dst is not None:
-                rs, rd = region_of(src), region_of(dst)
-                if (
-                    rs is not None
-                    and rd is not None
-                    and rs[:-1] != rd[:-1]
-                    and owner_of(rs[:-1]) != owner_of(rd[:-1])
-                ):
-                    counters["channel_messages"] = (
-                        counters.get("channel_messages", 0) + 1
-                    )
-                    counters["channel_bytes"] = (
-                        counters.get("channel_bytes", 0) + nbytes
-                    )
-            return inner(hop_class, nbytes, src, dst, parent, at)
-
-        self.dep.hop = hop
-
-    def _owns_region(self, tile: str) -> bool:
-        # counters and trace records for a churn event or an applied
-        # orchestration action come from one shard only
-        return self.shard_map.owner_of_tile(tile) == self.shard_idx
-
-    # -- migration protocol ------------------------------------------------
-
-    def _after_procedure(self, i: int) -> None:
-        """Emigrate UE ``i`` if its procedure left it under a foreign parent."""
-        driver = self.driver
-        if driver.gone[i] or not driver.attached[i]:
-            return
-        bs_name = driver.bs_of(i)
-        dst = self.shard_map.owner_of_tile(bs_name.split("-")[1])
-        if dst == self.shard_idx:
-            return
-        ue_id = driver.ue_id(i)
-        now = self.sim.now
-        link = None
-        obs = self._obs
-        if obs is not None and obs.mode == "trace":
-            # obs channel: no sim consumer reads the link and the trace
-            # records below never mention it — digest-transparent.
-            link = "m%d:%d" % (self.shard_idx, self._next_link)
-            self._next_link += 1
-            last = obs.last_root
-            span_id = (
-                last[0] if last is not None and last[1] == ue_id else None
-            )
-            obs.note_migration_out(link, span_id, now, ue_id, dst)
-        self._outbox.append(
-            Migration(
-                dst, driver.ids[i], driver.version[i], driver.runs[i],
-                self.dep.clock_of(ue_id), bs_name, now, link,
-            )
-        )
-        driver.tombstone(i)
-        self.dep.drop_placement(ue_id)
-        self._count("migrations_out")
-        self._count("channel_messages")
-        self._count("channel_bytes", _MIGRATION_WIRE_BYTES)
-        self.trace.record(
-            now,
-            "shard_migrate_out",
-            ue=ue_id,
-            to=dst,
-            bs=bs_name,
-            version=driver.version[i],
-        )
-
-    def deliver(self, records: List[Migration]) -> None:
-        """Schedule immigrant installs at their conservative arrival times."""
-        for rec in records:
-            self.sim.schedule_at(rec.t + self.delta, self._install, rec)
-
-    def _install(self, rec: Migration) -> None:
-        gid, version, bs_name = rec.gid, rec.version, rec.bs
-        driver = self.driver
-        i = driver.add_slot(gid)
-        driver.busy[i] = 0
-        driver.runs[i] = rec.runs
-        driver.version[i] = version
-        driver.bs_idx[i] = driver.bs_index(bs_name)
-        ue_id = driver.ue_id(i)
-        self._count("migrations_in")
-        try:
-            self.dep.install_migrated(ue_id, bs_name, version, rec.clock)
-        except LookupError:
-            # destination region dark at arrival: the UE re-enters
-            # detached, exactly like a procedure abort mid-recovery
-            driver.attached[i] = 0
-            self._count("migrations_in_detached")
-        else:
-            driver.attached[i] = 1
-        obs = self._obs
-        if obs is not None and obs.mode == "trace":
-            # zero-duration continuation span: the destination-side
-            # anchor the stitched flow event lands on
-            now = self.sim.now
-            span = obs.tracer.record(
-                "shard.install_migrated", None, "migrate", now, now,
-                "ok" if driver.attached[i] else "detached",
-                {"ue": ue_id, "bs": bs_name, "version": version},
-            )
-            obs.note_migration_in(rec.link, span.span_id, now, ue_id)
-        self.trace.record(
-            self.sim.now,
-            "shard_migrate_in",
-            ue=ue_id,
-            bs=bs_name,
-            version=version,
-        )
-
-    # -- epoch stepping ----------------------------------------------------
-
-    def advance(self, until: float) -> None:
-        self.sim.run(until=until)
-
-    def next_event_s(self) -> float:
-        """Earliest instant this shard could execute (hence emit) anything.
-
-        ``run(until)`` drains the immediate queue before returning, so
-        after an epoch step the answer is simply the heap head (or +inf
-        when drained).  The coordinator uses the minimum across shards
-        to fast-forward over event-free epochs, and +inf everywhere as
-        its drained test — see ``_epoch_loop``.
-        """
-        if self.sim._immediate:
-            return self.sim.now
-        heap = self.sim._heap
-        return heap[0][0] if heap else float("inf")
-
-    def take_outbox(self) -> List[Migration]:
-        out = self._outbox
-        self._outbox = []
-        return out
-
-    def finish_payload(self) -> Dict[str, Any]:
-        """Everything the coordinator needs to merge this shard's run."""
-        # the instant of the last event, not the last epoch boundary
-        result = self.finish(self.sim.last_event_s)
-        auditor = self.dep.auditor
-        samples = [
-            {
-                "time": v.time,
-                "ue": v.ue_id,
-                "cpf": v.cpf_name,
-                "reader_version": v.reader_version,
-                "served_version": v.served_version,
-                "span": v.span_id,
-            }
-            for v in auditor.violations[:_VIOLATION_SAMPLES]
-        ]
-        return {
-            "result": result,
-            "records": list(self.trace.records),
-            "sketches": dict(self.sketches),
-            "owned_regions": sum(
-                map(self._owns_region, self.dep.region_map.regions)
-            ),
-            "parents": self.shard_map.owned_parents(self.shard_idx),
-            "violations_sample": samples,
-            # the placement column: the ids grow with immigrants
-            "n_local": (
-                self.spec.n_ue if self._homes is None else len(self._homes[1])
-            ),
-            "health": self.health_row(),
-            # handed over, not copied: the engine is freed next
-            "obs": self._obs.hand_over() if self._obs is not None else None,
-        }
-
-
 # ------------------------------------------------------------------ backends
 
 
 def _shard_engine(
-    obs_mode, span_keep, verbose_trace, spec, mode, shard_idx, shards, delta, homes
+    obs_mode, span_keep, verbose_trace, spec, mode, shard_idx, shards, homes
 ) -> ShardEngine:
     """Build one shard's engine (the recipe of both backends).
 
@@ -535,7 +202,7 @@ def _shard_engine(
 
         obs = Observability(obs_mode, span_keep=span_keep)
     return ShardEngine(
-        spec, mode, shard_idx, shards, homes, delta,
+        spec, mode, shard_idx, shards, homes,
         obs=obs, verbose_trace=verbose_trace,
     )
 
@@ -801,16 +468,6 @@ def _shard_worker(conn, *recipe):
 # ------------------------------------------------------------------ merge
 
 
-def _merge_sketches(payloads) -> Dict[Tuple[str, str], QuantileSketch]:
-    keys = {key for p in payloads for key in p["sketches"]}
-    return {
-        key: QuantileSketch.merge(
-            [p["sketches"].get(key) for p in payloads], name="%s/%s" % key
-        )
-        for key in keys
-    }
-
-
 def _merge_payloads(
     spec: ScenarioSpec,
     mode: str,
@@ -822,40 +479,52 @@ def _merge_payloads(
     wall0: float,
     workers_rss_kb: float,
 ) -> ScaleResult:
-    results: List[ScaleResult] = [p["result"] for p in payloads]
+    """The run's one :class:`ScaleResult`, from its shards' payloads.
+
+    Tallies add up.  Sketches fold in shard order into the first
+    shard's table, so a cell held by one shard is that shard's sketch
+    and one payload's table is the run's, moved rather than merged.
+    """
     counters: Dict[str, int] = {}
     fault_counters: Dict[str, int] = {}
     lane: Dict[str, int] = {}
-    for r in results:
-        for k, v in r.counters.items():
-            counters[k] = counters.get(k, 0) + v
-        for k, v in r.fault_counters.items():
-            fault_counters[k] = fault_counters.get(k, 0) + v
-        for k, v in r.lane.items():
-            if k in ("enabled", "lazy_bootstrap"):
-                lane[k] = max(lane.get(k, 0), v)
+    sketches: Dict[Tuple[str, str], QuantileSketch] = payloads[0]["sketches"]
+    for k, p in enumerate(payloads):
+        for key, v in p["counters"].items():
+            counters[key] = counters.get(key, 0) + v
+        for key, v in p["fault_counters"].items():
+            fault_counters[key] = fault_counters.get(key, 0) + v
+        for key, v in p["lane"].items():
+            if key in ("enabled", "lazy_bootstrap"):
+                lane[key] = max(lane.get(key, 0), v)
             else:
-                lane[k] = lane.get(k, 0) + v
+                lane[key] = lane.get(key, 0) + v
+        if k:
+            for key, sketch in p["sketches"].items():
+                held = sketches.get(key)
+                sketches[key] = (
+                    sketch if held is None
+                    else QuantileSketch.merge([held, sketch], name=sketch.name)
+                )
     if shards > 1:
-        merged = merge_traces([p["records"] for p in payloads])
-        digest, trace_events = merged.digest(), len(merged)
+        trace = merge_traces([p["trace"] for p in payloads])
     else:  # one shard's trace is the run's, with no ``shard`` key
-        digest, trace_events = results[0].digest, results[0].trace_events
+        trace = payloads[0]["trace"]
     shard_rows = [
         {
             "shard": k,
-            "parents": list(p["parents"]),
+            "parents": p["parents"],
             "n_local": p["n_local"],
-            "migrations_out": r.counters.get("migrations_out", 0),
-            "migrations_in": r.counters.get("migrations_in", 0),
+            "migrations_out": p["counters"].get("migrations_out", 0),
+            "migrations_in": p["counters"].get("migrations_in", 0),
             "wall_s": p["wall_s"],
             "cpu_s": p["cpu_s"],
             "rss_kb": p["rss_kb"],
-            "violations": r.violations,
+            "violations": p["violations"],
             "violations_sample": p["violations_sample"],
             "health": p.get("health"),
         }
-        for k, (p, r) in enumerate(zip(payloads, results))
+        for k, p in enumerate(payloads)
     ]
     perf: Dict[str, Any] = {
         "wall_s": time.perf_counter() - wall0,
@@ -871,26 +540,30 @@ def _merge_payloads(
         "epochs": epochs,
         "backend": backend,
     }
+
+    def total(key: str) -> int:
+        return sum(p[key] for p in payloads)
+
     return ScaleResult(
         scenario=spec.name,
         mode=mode,
         n_ue=spec.n_ue,
         duration_s=spec.duration_s,
         seed=spec.seed,
-        end_time_s=max(r.end_time_s for r in results),
-        regions_final=sum(p["owned_regions"] for p in payloads),
-        serves=sum(r.serves for r in results),
-        writes=sum(r.writes for r in results),
-        violations=sum(r.violations for r in results),
-        completed=sum(r.completed for r in results),
-        aborted=sum(r.aborted for r in results),
-        recovered=sum(r.recovered for r in results),
-        reattached=sum(r.reattached for r in results),
+        end_time_s=max(p["end_time_s"] for p in payloads),
+        regions_final=total("owned_regions"),
+        serves=total("serves"),
+        writes=total("writes"),
+        violations=total("violations"),
+        completed=total("completed"),
+        aborted=total("aborted"),
+        recovered=total("recovered"),
+        reattached=total("reattached"),
         counters=counters,
         fault_counters=fault_counters,
-        region_pct_ms=_region_pct_ms(_merge_sketches(payloads)),
-        digest=digest,
-        trace_events=trace_events,
+        region_pct_ms=_region_pct_ms(sketches),
+        digest=trace.digest(),
+        trace_events=len(trace),
         lane=lane,
         n_shards=shards,
         perf=perf,
@@ -1052,7 +725,7 @@ def coordinate(
         shards = default_jobs()
     if shards < 0:
         raise ValueError("shards must be >= 0, got %d" % shards)
-    _check_mode(mode, _Engine.modes)
+    _check_mode(mode)
     wall0 = time.perf_counter()
     parents = city_parents(spec)
     shard_map = ShardMap(parents, shards)  # validates shards <= len(parents)
@@ -1071,7 +744,7 @@ def coordinate(
     # the recipe of every shard's engine, bar its homes, for whichever
     # backend hosts it
     recipes = [
-        (obs_mode, span_keep, verbose_trace, spec, mode, k, shards, delta)
+        (obs_mode, span_keep, verbose_trace, spec, mode, k, shards)
         for k in range(shards)
     ]
     # workers are forked before the population is placed, so that none

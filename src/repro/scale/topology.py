@@ -99,6 +99,11 @@ class CityTopology:
     def tiles(self) -> List[str]:
         return [r.geohash for r in self.regions]
 
+    @property
+    def parents(self) -> List[str]:
+        """Sorted level-2 parents of the tiles (the shardable units)."""
+        return sorted({t[:-1] for t in self.tiles})
+
     def region_map(self, vnodes: int = 64) -> RegionMap:
         return RegionMap(list(self.regions), vnodes=vnodes)
 

@@ -11,7 +11,7 @@ logged at a CTA and nothing is served.
 import pytest
 
 from repro.core import ControlPlaneConfig, Deployment
-from repro.scale.engine import _Engine
+from repro.scale.engine import ShardEngine
 from repro.scale.scenarios import get_scenario
 from repro.sim import Simulator
 
@@ -41,7 +41,7 @@ def test_intra_handover_moves_the_ue_and_its_bearer():
 @pytest.mark.parametrize("mode", ["cohort", "batched"])
 def test_scale_drivers_move_the_ue_to_the_target(mode):
     spec = get_scenario("steady-city").with_overrides(n_ue=8, seed=1)
-    engine = _Engine(spec, mode=mode)
+    engine = ShardEngine(spec, mode=mode)
     engine._bootstrap_population()
     driver = engine.driver
     _, region, k = driver.bs_of(0).split("-")

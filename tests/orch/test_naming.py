@@ -18,7 +18,7 @@ import pytest
 from repro.faults.injector import region_of
 from repro.faults.plan import FaultOp
 from repro.orch import OrchPolicy, Orchestrator, cpf_index
-from repro.scale.engine import _Engine
+from repro.scale.engine import ShardEngine
 from repro.scale.scenarios import get_scenario
 
 
@@ -33,7 +33,7 @@ def _engine():
         l1_per_l2=2,
         orch_policy={"tick_s": 0.05, "scale_out_queue": 4.0},
     )
-    return _Engine(spec, mode="cohort")
+    return ShardEngine(spec, mode="cohort")
 
 
 class TestNameParsing:

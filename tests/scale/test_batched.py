@@ -19,7 +19,7 @@ from dataclasses import replace
 import pytest
 
 from repro.scale.cohort import BatchedDriver
-from repro.scale.engine import _Engine, run_scenario
+from repro.scale.engine import ShardEngine, run_scenario
 from repro.scale.scenarios import get_scenario
 
 N = 50
@@ -86,7 +86,7 @@ def test_single_ue_population():
 def test_all_busy_cohort_admits_nothing():
     """Arrivals for busy UEs never enter the lane (empty sweep)."""
     spec = get_scenario("steady-city").with_overrides(n_ue=4, seed=1)
-    engine = _Engine(spec, mode="batched")
+    engine = ShardEngine(spec, mode="batched")
     engine._bootstrap_population()
     driver = engine.driver
     assert isinstance(driver, BatchedDriver)

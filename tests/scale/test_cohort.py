@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.deployment import Deployment
 from repro.faults.runner import config_from_name
 from repro.scale.cohort import BatchedDriver, CohortDriver, IndividualDriver
-from repro.scale.engine import _Engine
+from repro.scale.engine import ShardEngine
 from repro.scale.scenarios import get_scenario
 from repro.scale.topology import build_city
 from repro.sim.core import Simulator
@@ -233,7 +233,7 @@ class TestAddressing:
         """``bucket[randrange(len(bucket))]`` over ``range(lo, hi)`` is
         draw-for-draw ``randrange(lo, hi)``: no pinned RNG sequence moves."""
         spec = get_scenario("iot-reattach-storm").with_overrides(n_ue=997, seed=2)
-        engine = _Engine(spec, mode="cohort")
+        engine = ShardEngine(spec, mode="cohort")
         ranges = sorted(class_ranges(get_model(spec.traffic_model), spec.n_ue).values())
         assert len(ranges) > 1
         ranges.append((0, None))
@@ -248,7 +248,7 @@ class TestAddressing:
 
     def test_empty_bucket_draws_nothing(self):
         spec = get_scenario("steady-city").with_overrides(n_ue=50, seed=2)
-        engine = _Engine(spec, mode="cohort")
+        engine = ShardEngine(spec, mode="cohort")
         rng = random.Random(5)
         before = rng.getstate()
         assert engine._pick_idle(rng, 20, 20) is None

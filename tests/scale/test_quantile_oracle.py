@@ -21,7 +21,7 @@ for RNG streams keyed by level-2 parent.
 import pytest
 
 from repro.scale import run_scenario
-from repro.scale.engine import _Engine
+from repro.scale.engine import ShardEngine
 from repro.sim.monitor import ALPHA, QuantileSketch
 
 QS = {"p50": 0.50, "p95": 0.95, "p99": 0.99}
@@ -31,7 +31,7 @@ QS = {"p50": 0.50, "p95": 0.95, "p99": 0.99}
 def captured(monkeypatch):
     """(region, procedure) -> every PCT the engines' outcome sinks saw."""
     cells = {}
-    init = _Engine.__init__
+    init = ShardEngine.__init__
 
     def init_and_wrap_sink(self, *args, **kwargs):
         init(self, *args, **kwargs)
@@ -46,7 +46,7 @@ def captured(monkeypatch):
 
         dep.outcome_sink = capture
 
-    monkeypatch.setattr(_Engine, "__init__", init_and_wrap_sink)
+    monkeypatch.setattr(ShardEngine, "__init__", init_and_wrap_sink)
     return cells
 
 

@@ -31,8 +31,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.faults.runner import config_from_name
-from repro.scale import shard as sh
-from repro.scale.engine import _Engine, run_scenario
+from repro.scale import engine as en, shard as sh
+from repro.scale.engine import ShardEngine, run_scenario
 from repro.scale.scenarios import get_scenario
 from repro.scale.shard import ShardMap, WorkerSpawnError, shard_lookahead
 
@@ -112,7 +112,7 @@ class TestShardMap:
         zero = dataclasses.replace(
             real, latency=dataclasses.replace(real.latency, cpf_cpf_far=0.0)
         )
-        monkeypatch.setattr(sh, "config_from_name", lambda name: zero)
+        monkeypatch.setattr(en, "config_from_name", lambda name: zero)
         assert shard_lookahead(spec) == pytest.approx(spec.duration_s / 64.0)
 
 
@@ -146,9 +146,17 @@ def test_shards_one_is_exactly_the_single_process_engine():
         n_ue=N, duration_s=DURATION_S, seed=SEED
     )
     for mode in ("cohort", "batched", "individual"):
-        engine = _Engine(spec, mode=mode, verbose_trace=True)
+        engine = ShardEngine(spec, mode=mode, verbose_trace=True)
         engine.prepare()
-        plain = engine.finish(engine.sim.run())
+        end = engine.sim.run()
+        payload = engine.finish_payload()
+        # an unbounded run leaves ``last_event_s`` unset: its return
+        # value is the instant of the last event
+        payload.update(end_time_s=end, wall_s=0.0, cpu_s=0.0, rss_kb=0.0)
+        plain = sh._merge_payloads(
+            spec, mode, 1, [payload], shard_lookahead(spec), 0, "inline",
+            0.0, 0.0,
+        )
         one = run2(mode=mode, shards=1)
         assert one.n_shards == 1
         assert one.digest == plain.digest
@@ -265,12 +273,11 @@ def test_placement_is_execution_blind(scenario, mode):
     spec = get_scenario(scenario).with_overrides(
         n_ue=700, seed=5, audit_history=False
     )
-    engine = _Engine(spec, mode=mode)
+    engine = ShardEngine(spec, mode=mode)
     engine._bootstrap_population()
     assert engine.driver.lazy == (mode == "batched")
     want = [engine.driver.bs_of(i) for i in range(spec.n_ue)]
     assert len(set(want)) > 1
-    delta = shard_lookahead(spec)
     for shards in (2, 4):
         smap = ShardMap(sh.city_parents(spec), shards)
         homes = sh.partition_population(spec, smap)
@@ -283,7 +290,7 @@ def test_placement_is_execution_blind(scenario, mode):
         installed = {}
         writes = 0
         for k in range(shards):
-            shard = sh.ShardEngine(spec, mode, k, shards, homes[k], delta)
+            shard = sh.ShardEngine(spec, mode, k, shards, homes[k])
             shard._bootstrap_population()
             driver = shard.driver
             assert driver.lazy == engine.driver.lazy
@@ -399,11 +406,11 @@ def test_a_hung_worker_fails_the_run_at_the_deadline(monkeypatch):
 @pytest.mark.parametrize("backend", [None, "inline", "process"])
 def test_a_dead_engine_process_fails_the_run(monkeypatch, backend):
     """The arrival loop dying must not pass for a quiet run: the engine
-    keeps its process handles and ``finish`` re-raises — unsharded,
+    keeps its process handles and ``finish_payload`` re-raises — unsharded,
     inline, and from inside a worker over the error ferry."""
     if backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("the patched engine reaches workers by fork only")
-    real_pick_idle = _Engine._pick_idle
+    real_pick_idle = ShardEngine._pick_idle
 
     def pick_idle(self, pick_rng, lo=0, hi=None):
         # on the process backend shard 0 runs in the coordinator: the
@@ -412,7 +419,7 @@ def test_a_dead_engine_process_fails_the_run(monkeypatch, backend):
             return real_pick_idle(self, pick_rng, lo, hi)
         raise IndexError("picked slot 12345 of 400")
 
-    monkeypatch.setattr(_Engine, "_pick_idle", pick_idle)
+    monkeypatch.setattr(ShardEngine, "_pick_idle", pick_idle)
     spawned = _capture_workers(monkeypatch)
     if backend is None:
         with pytest.raises(IndexError, match="slot 12345 of 400"):
@@ -714,24 +721,24 @@ def test_cross_shard_handover_mid_fault_window_keeps_ryw():
     def maker(k):
         return lambda: sh.ShardEngine(
             spec, mode="cohort", shard_idx=k, shards=2,
-            homes=homes[k], delta=delta, verbose_trace=True,
+            homes=homes[k], verbose_trace=True,
         )
 
     hosts = [sh._InlineHost(maker(k)) for k in range(2)]
     sh._epoch_loop(hosts, spec.duration_s, delta)
     # a finished host has freed its engine: read what it shipped
     payloads = [h.finish() for h in hosts]
-    counters = [p["result"].counters for p in payloads]
+    counters = [p["counters"] for p in payloads]
 
     lo, hi = 0.35 * spec.duration_s, 0.70 * spec.duration_s
     for k, payload in enumerate(payloads):
-        out = [r for r in payload["records"] if r.kind == "shard_migrate_out"]
+        out = [r for r in payload["trace"].records if r.kind == "shard_migrate_out"]
         in_window = [r for r in out if lo <= r.time <= hi]
         assert in_window, "shard %d: no cross-shard handover in the window" % k
         # the full cross-level-2 handover is never lane-admitted: the
         # emigrating UE took the discrete path by construction
         assert counters[k].get("moves_handover", 0) > 0
-        assert payload["result"].violations == 0
+        assert payload["violations"] == 0
         # the emigrant's state version crossed the channel intact
         assert all(dict(r.detail).get("version") is not None for r in in_window)
 
@@ -752,8 +759,7 @@ def test_foreign_fault_ops_are_mirrored_bare():
     spec = _fault_window_spec()
     smap = sh.ShardMap(sh.city_parents(spec), 2)
     homes = sh.partition_population(spec, smap)
-    delta = sh.shard_lookahead(spec)
-    engines = [sh.ShardEngine(spec, "cohort", k, 2, homes[k], delta) for k in range(2)]
+    engines = [sh.ShardEngine(spec, "cohort", k, 2, homes[k]) for k in range(2)]
     now = 0.5 * spec.duration_s  # inside the blackout
     events = engines[0].injector.plan.events + engines[0]._mirror_events
     fired = [e for e in events if e.at <= now]

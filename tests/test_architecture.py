@@ -1,8 +1,21 @@
-"""Import-layer rules of ``src/repro``, checked on the parsed source.
+"""Architecture rules of ``src/repro``, checked on the parsed source.
 
-``experiments`` runs the paper's figures on top of ``apps`` and ``obs``;
-neither of those may import it back, not even through a deferred import
-inside a function (which is how an import cycle hides).
+Import layers: ``experiments`` runs the paper's figures on top of
+``apps`` and ``obs``; neither of those may import it back, not even
+through a deferred import inside a function (which is how an import
+cycle hides).
+
+Constructs, in ``scale``:
+
+* the shard host (``scale/shard.py``) hosts, steps and merges shard
+  engines and addresses no UE itself: slot <-> global id is
+  ``CohortDriver``'s decision (``ids``, ``slot``, ``bucket``,
+  ``add_slot``), reached through the engine in ``scale/engine.py``.  It
+  defines no driver class and none of the engine's population helpers,
+  and reads attributes it knows exist (no ``getattr``);
+* the engine is one class, ``ShardEngine``: no ``_Engine`` base;
+* a run's :class:`~repro.scale.engine.ScaleResult` is built in one
+  place, the shard host's merge.
 """
 
 import ast
@@ -66,6 +79,75 @@ def violations(root: Path = SRC) -> list:
 
 def test_apps_and_obs_never_import_experiments():
     assert violations() == []
+
+
+#: population helpers of the engine the shard host must not define
+ENGINE_ONLY_DEFS = frozenset({
+    "_pick_idle", "_class_count", "_bucket", "_evacuees", "_slot_for",
+    "_bootstrap_population", "_make_driver",
+})
+
+
+def construct_violations(tree: ast.AST, module: str) -> list:
+    """Forbidden constructs in ``module`` (dotted under ``repro``)."""
+    host = module == "scale.shard"
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            if host and "Driver" in node.name:
+                out.append("%s defines class %s" % (module, node.name))
+            if module.startswith("scale.") and node.name == "_Engine":
+                out.append("%s defines class _Engine" % module)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if host and node.name in ENGINE_ONLY_DEFS:
+                out.append("%s defines %s" % (module, node.name))
+        elif isinstance(node, ast.Name):
+            if host and node.id == "getattr":
+                out.append("%s uses getattr" % module)
+        elif isinstance(node, ast.Call) and not host:
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+            if name == "ScaleResult":
+                out.append("%s builds a ScaleResult" % module)
+    return out
+
+
+def test_scale_constructs():
+    out = []
+    for path in sorted(SRC.rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        out += construct_violations(ast.parse(path.read_text()), module)
+    assert out == []
+
+
+@pytest.mark.parametrize(
+    "module, source",
+    [
+        ("scale.shard", "class ShardDriver:\n    pass\n"),
+        ("scale.shard", "class Host:\n    def _pick_idle(self):\n        pass\n"),
+        ("scale.shard", "def _slot_for(ue_id):\n    pass\n"),
+        ("scale.shard", "x = getattr(engine, 'driver', None)\n"),
+        ("scale.shard", "read = getattr\n"),
+        ("scale.engine", "class _Engine:\n    pass\n"),
+        ("scale.cohort", "class _Engine(object):\n    pass\n"),
+        ("scale.engine", "result = ScaleResult(scenario='s')\n"),
+        ("cli", "from repro.scale import engine\nr = engine.ScaleResult()\n"),
+    ],
+)
+def test_the_construct_rules_reject_each_spelling(module, source):
+    assert construct_violations(ast.parse(source), module)
+
+
+@pytest.mark.parametrize(
+    "module, source",
+    [
+        ("scale.shard", "r = ScaleResult(scenario='s')\n"),
+        ("sim.core", "class _Engine:\n    pass\n"),
+        ("scale.engine", "getattr(x, 'y')\n"),
+    ],
+)
+def test_the_construct_rules_pass_the_allowed_homes(module, source):
+    assert construct_violations(ast.parse(source), module) == []
 
 
 @pytest.mark.parametrize(
