@@ -16,7 +16,7 @@ from .cpf import CPF, HandleResult
 from .cta import CTA, FailoverPlan
 from .deployment import Deployment, Placement
 from .log import LogEntry, LogicalClock, MessageLog, ProcedureRecord
-from .state import StateEntry, StateStore, StaleStateError, UEState
+from .state import StateEntry, StateStore, StaleStateError
 from .ue import UE, ProcedureAborted, ProcedureOutcome
 from .upf import UPF, Session
 
@@ -37,7 +37,6 @@ __all__ = [
     "RYWAuditor",
     "CausalEvent",
     "Violation",
-    "UEState",
     "StateEntry",
     "StateStore",
     "StaleStateError",

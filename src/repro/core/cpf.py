@@ -23,7 +23,7 @@ from .program import (
     replay_time,
     snapshot_encode_time,
 )
-from .state import StateStore, UEState
+from .state import Snapshot, StateStore
 
 __all__ = ["CPF", "HandleResult", "SNAPSHOT_WIRE_BYTES", "handle_phases"]
 
@@ -108,14 +108,12 @@ class CPF:
         entry = self.store.get(ue_id)
         if creates_state:
             if entry is None or not entry.is_primary:
-                entry = self.store.create(
-                    ue_id, self.dep.m_tmsi_of(ue_id), is_primary=True
-                )
+                entry = self.store.create(ue_id, is_primary=True)
         else:
             if (
                 entry is None
                 or not entry.up_to_date
-                or entry.state.version < reader_version
+                or entry.version < reader_version
             ):
                 # No up-to-date state -> force Re-Attach.  The version
                 # gate is how "up-to-date" is actually checked against
@@ -126,11 +124,11 @@ class CPF:
                 return None
             entry.is_primary = True
         self.dep.auditor.record_serve(
-            ue_id, reader_version, entry.state.version, self.name, span, now
+            ue_id, reader_version, entry.version, self.name, span, now
         )
-        entry.state.apply_message()
+        entry.apply_message()
         entry.synced_clock = max(entry.synced_clock, clock)
-        return entry.state.version
+        return entry.version
 
     def handle_uplink(
         self,
@@ -224,7 +222,7 @@ class CPF:
 
     def commit(
         self, ue_id: str, proc_name: str, last_clock: int
-    ) -> Tuple[List[str], Optional[UEState]]:
+    ) -> Tuple[List[str], Optional[Snapshot]]:
         """Commit a finished procedure (§4.2.3 step 2), event-free.
 
         Bumps the write version, syncs the entry through ``last_clock``
@@ -236,10 +234,10 @@ class CPF:
         entry = self.store.get(ue_id)
         if entry is None:
             return [], None
-        entry.state.complete_procedure(proc_name)
+        entry.complete_procedure(proc_name)
         entry.synced_clock = max(entry.synced_clock, last_clock)
         mode = self.config.sync_mode
-        if mode == "per_procedure" or (mode == "on_idle" and not entry.state.active):
+        if mode == "per_procedure" or (mode == "on_idle" and not entry.active):
             return self._take_checkpoint(ue_id)
         if mode == "per_message":
             return self.dep.replicas_of(ue_id), None
@@ -260,7 +258,7 @@ class CPF:
 
     # -- replication (primary side) ------------------------------------------------
 
-    def _take_checkpoint(self, ue_id: str) -> Tuple[List[str], Optional[UEState]]:
+    def _take_checkpoint(self, ue_id: str) -> Tuple[List[str], Optional[Snapshot]]:
         """The replica set and a snapshot of ``ue_id``'s state (§4.2.2)."""
         entry = self.store.get(ue_id)
         if entry is None:
@@ -272,7 +270,7 @@ class CPF:
         if not replicas:
             return [], None
         self.checkpoints_sent += 1
-        return replicas, entry.state.copy()
+        return replicas, entry.snapshot()
 
     def _ship_all(self, ue_id, snapshot, last_clock, replicas, obs_parent) -> None:
         """Ship ``snapshot`` (if one was taken) to every replica.
@@ -300,7 +298,7 @@ class CPF:
     def _ship(
         self,
         ue_id: str,
-        snapshot: UEState,
+        snapshot: Snapshot,
         last_clock: int,
         replica_name: str,
         span: Optional[Any] = None,
@@ -351,7 +349,7 @@ class CPF:
 
     # -- replication (replica side) ---------------------------------------------
 
-    def apply_snapshot(self, ue_id: str, snapshot: UEState, last_clock: int):
+    def apply_snapshot(self, ue_id: str, snapshot: Snapshot, last_clock: int):
         """Apply a received checkpoint on the sync core; yields sim events."""
         try:
             yield self.sync_server.submit(self.config.replica_apply_s)
@@ -360,7 +358,7 @@ class CPF:
         self.install_checkpoint(ue_id, snapshot, last_clock)
         return True
 
-    def install_checkpoint(self, ue_id: str, snapshot: UEState, clock: int) -> None:
+    def install_checkpoint(self, ue_id: str, snapshot: Snapshot, clock: int) -> None:
         """Adopt a shipped or fetched snapshot (§4.2.3 step 3), event-free.
 
         The store ignores a snapshot older than the copy it holds.
@@ -381,8 +379,8 @@ class CPF:
                 return
             entry = self.store.get(ue_id)
             if entry is None:
-                entry = self.store.create(ue_id, self.dep.m_tmsi_of(ue_id), is_primary=False)
-            entry.state.apply_message()
+                entry = self.store.create(ue_id, is_primary=False)
+            entry.apply_message()
             entry.synced_clock = max(entry.synced_clock, clock)
             self.replays_applied += 1
 
@@ -406,7 +404,7 @@ class CPF:
         entry = source.store.get(ue_id)
         if entry is None or not entry.up_to_date:
             return False
-        snapshot = entry.state.copy()
+        snapshot = entry.snapshot()
         clock = entry.synced_clock
         try:
             yield self.dep.hop(hop, SNAPSHOT_WIRE_BYTES, src=source_name, dst=self.name)

@@ -19,7 +19,6 @@ Fast Handover, and multi-CTA behaviour.
 
 from __future__ import annotations
 
-import zlib
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..geo.regions import Region, RegionMap
@@ -401,11 +400,6 @@ class Deployment:
         """Latest RYW clock issued to ``ue_id`` (0 if it never wrote)."""
         return self._clocks.get(ue_id, 0)
 
-    def m_tmsi_of(self, ue_id: str) -> int:
-        # crc32, not hash(): str hashes differ per process, and shard
-        # workers must agree on a UE's M-TMSI
-        return zlib.crc32(ue_id.encode()) or 1
-
     # -- placement registry ----------------------------------------------------------
 
     def placement_of(self, ue_id: str) -> Optional[Placement]:
@@ -551,7 +545,7 @@ class Deployment:
                     if (
                         entry is not None
                         and entry.up_to_date
-                        and entry.state.version >= min_version
+                        and entry.version >= min_version
                     ):
                         return backup_name, None
         source = None
@@ -654,15 +648,14 @@ class Deployment:
         placement = self.ensure_placement(ue_id, region)
         clock = self.next_clock(ue_id)
         primary = self.cpfs[placement.primary]
-        entry = primary.store.create(ue_id, self.m_tmsi_of(ue_id), is_primary=True)
-        entry.state.complete_procedure("attach")
+        entry = primary.store.create(ue_id, is_primary=True)
+        entry.complete_procedure("attach")
         entry.synced_clock = clock
+        snapshot = entry.snapshot()
         for backup_name in placement.backups:
-            self.cpfs[backup_name].store.install_snapshot(
-                ue_id, entry.state, clock
-            )
-        self.auditor.record_write_completion(ue_id, entry.state.version)
-        return entry.state.version
+            self.cpfs[backup_name].store.install_snapshot(ue_id, snapshot, clock)
+        self.auditor.record_write_completion(ue_id, entry.version)
+        return entry.version
 
     def install_migrated(
         self, ue_id: str, bs_name: str, version: int, carried_clock: int
@@ -689,15 +682,13 @@ class Deployment:
         placement = self.ensure_placement(ue_id, region)
         clock = self.next_clock(ue_id)
         primary = self.cpfs[placement.primary]
-        entry = primary.store.create(ue_id, self.m_tmsi_of(ue_id), is_primary=True)
-        entry.state.attached = True
-        entry.state.active = False
-        entry.state.version = version
+        entry = primary.store.create(ue_id, is_primary=True)
+        entry.attached = True
+        entry.version = version
         entry.synced_clock = clock
+        snapshot = entry.snapshot()
         for backup_name in placement.backups:
-            self.cpfs[backup_name].store.install_snapshot(
-                ue_id, entry.state, clock
-            )
+            self.cpfs[backup_name].store.install_snapshot(ue_id, snapshot, clock)
         return version
 
     def bootstrap_ue(self, ue_id: str, bs_name: str) -> UE:
@@ -732,7 +723,7 @@ class Deployment:
             if cpf is None or not cpf.up:
                 continue
             entry = cpf.store.get(ue_id)
-            if entry is not None and entry.up_to_date and entry.state.attached:
+            if entry is not None and entry.up_to_date and entry.attached:
                 serving = cpf
                 break
         if serving is None:
@@ -762,7 +753,7 @@ class Deployment:
         if not delivered:
             return False, self.sim.now - start
         entry = self.cpfs[served_by].store.get(ue_id)
-        if entry is not None and not entry.state.active:
+        if entry is not None and not entry.active:
             ue = self._ues[ue_id]
             yield from ue.execute("service_request")
         return True, self.sim.now - start

@@ -1,21 +1,23 @@
 """UE control state and the per-CPF state store.
 
 The UE state a CPF keeps (paper §4.2: "BS ID, data plane endpoint
-identifiers, and user tracking area") is modeled by :class:`UEState`,
-versioned by completed procedure.  It holds only what the simulation
-reads: the serving BS lives with the UE and the bearer with the UPF
-(:mod:`repro.core.upf`), and what state costs on the wire is priced by
-message size, not by these fields.  Each CPF holds a :class:`StateStore`
-of :class:`StateEntry` records that additionally track replication
-metadata: the logical clock the entry is synced through and whether the
-entry is known up-to-date (§4.2.4's *outdated* marking).
+identifiers, and user tracking area") is one :class:`StateEntry` per
+CPF copy, versioned by completed procedure.  It holds only what the
+simulation reads: the serving BS lives with the UE and the bearer with
+the UPF (:mod:`repro.core.upf`), and what state costs on the wire is
+priced by message size, not by these fields.  The same record carries
+the copy's replication metadata: the logical clock it is synced
+through and whether it is known up-to-date (§4.2.4's *outdated*
+marking).  A city holds (1 + N) of them per UE, and more while
+superseded copies stay outdated, so the record is one slotted object.
+What moves between CPFs is a :data:`Snapshot` value, never an entry.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Record", "UEState", "StateEntry", "StateStore", "StaleStateError"]
+__all__ = ["Record", "Snapshot", "StateEntry", "StateStore", "StaleStateError"]
 
 
 class StaleStateError(Exception):
@@ -59,41 +61,54 @@ class Record:
         )
 
 
-class UEState(Record):
-    """Control state for one UE as held by its serving CPF.
+#: A UE's state as it travels between CPFs — a checkpoint, a repair
+#: fetch, a migration: ``(version, attached, active, ops_in_procedure)``.
+#: A tuple, so the copy that ships can never alias the copy it came from.
+Snapshot = Tuple[int, bool, bool, int]
+
+
+class StateEntry(Record):
+    """A CPF's copy of one UE's state, with its replication metadata.
 
     ``version`` is the number of completed control procedures — the
     write version the Read-your-Writes property is stated over.
     ``ops_in_procedure`` counts messages applied since the last
     completed procedure (mid-procedure progress; replayed from the CTA
     log after a failure).  ``active`` is ECM-CONNECTED vs idle.
+
+    ``synced_clock`` is the logical clock of the last CTA message folded
+    into this copy; ``up_to_date`` turns False once the CTA has marked
+    this replica outdated (§4.2.4); ``is_primary`` is True on the CPF
+    currently serving the UE.  The store keys the entry by UE id, so
+    the entry does not repeat it.
     """
 
     __slots__ = (
-        "ue_id", "m_tmsi", "attached", "version", "ops_in_procedure", "active",
+        "version", "attached", "active", "ops_in_procedure",
+        "synced_clock", "up_to_date", "is_primary",
     )
 
     def __init__(
         self,
-        ue_id: str,
-        m_tmsi: int,
-        attached: bool = False,
         version: int = 0,
-        ops_in_procedure: int = 0,
+        attached: bool = False,
         active: bool = False,
+        ops_in_procedure: int = 0,
+        synced_clock: int = 0,
+        up_to_date: bool = True,
+        is_primary: bool = False,
     ):
-        self.ue_id = ue_id
-        self.m_tmsi = m_tmsi
-        self.attached = attached
         self.version = version
-        self.ops_in_procedure = ops_in_procedure
+        self.attached = attached
         self.active = active
+        self.ops_in_procedure = ops_in_procedure
+        self.synced_clock = synced_clock
+        self.up_to_date = up_to_date
+        self.is_primary = is_primary
 
-    def copy(self) -> "UEState":
-        return UEState(
-            self.ue_id, self.m_tmsi, self.attached, self.version,
-            self.ops_in_procedure, self.active,
-        )
+    def snapshot(self) -> Snapshot:
+        """The state fields, as a value to ship to another CPF."""
+        return (self.version, self.attached, self.active, self.ops_in_procedure)
 
     def apply_message(self) -> None:
         """One control message's worth of state mutation."""
@@ -113,34 +128,6 @@ class UEState(Record):
         elif proc_name == "detach":
             self.attached = False
             self.active = False
-
-
-class StateEntry(Record):
-    """A CPF's copy of one UE's state plus replication metadata.
-
-    ``synced_clock`` is the logical clock of the last CTA message folded
-    into this copy; ``up_to_date`` turns False once the CTA has marked
-    this replica outdated (§4.2.4); ``is_primary`` is True on the CPF
-    currently serving the UE.
-    """
-
-    __slots__ = ("state", "synced_clock", "up_to_date", "is_primary")
-
-    def __init__(
-        self,
-        state: UEState,
-        synced_clock: int = 0,
-        up_to_date: bool = True,
-        is_primary: bool = False,
-    ):
-        self.state = state
-        self.synced_clock = synced_clock
-        self.up_to_date = up_to_date
-        self.is_primary = is_primary
-
-    @property
-    def version(self) -> int:
-        return self.state.version
 
 
 class StateStore:
@@ -166,13 +153,13 @@ class StateStore:
             raise StaleStateError(ue_id, self.cpf_name)
         return entry
 
-    def create(self, ue_id: str, m_tmsi: int, is_primary: bool) -> StateEntry:
-        entry = StateEntry(UEState(ue_id, m_tmsi), is_primary=is_primary)
+    def create(self, ue_id: str, is_primary: bool) -> StateEntry:
+        entry = StateEntry(is_primary=is_primary)
         self._entries[ue_id] = entry
         return entry
 
     def install_snapshot(
-        self, ue_id: str, snapshot: UEState, synced_clock: int
+        self, ue_id: str, snapshot: Snapshot, synced_clock: int
     ) -> StateEntry:
         """Apply a replicated snapshot (checkpoint or fetched repair).
 
@@ -183,9 +170,7 @@ class StateStore:
         existing = self._entries.get(ue_id)
         if existing is not None and existing.synced_clock > synced_clock:
             return existing
-        entry = StateEntry(
-            snapshot.copy(), synced_clock=synced_clock, up_to_date=True
-        )
+        entry = StateEntry(*snapshot, synced_clock=synced_clock)
         self._entries[ue_id] = entry
         return entry
 

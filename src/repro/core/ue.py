@@ -94,7 +94,6 @@ class UE:
         #: the UE's own count of completed writes (RYW reader version).
         self.completed_version = 0
         self.busy = False
-        self.procedures_run = 0
         #: root span of the procedure currently running (obs enabled only).
         self._obs_root = None
 
@@ -119,7 +118,6 @@ class UE:
         if outcome is None:
             outcome = ProcedureOutcome(proc_name, self.sim.now, self.ue_id)
         self.busy = True
-        self.procedures_run += 1
         ue_id = self.ue_id
         creates = program.creates
         obs = dep.obs
@@ -174,7 +172,7 @@ class UE:
                             entry = src.store.get(ue_id)
                             if entry is None or not entry.up_to_date:
                                 raise NodeFailed(src_name)
-                            snapshot, synced = entry.state.copy(), entry.synced_clock
+                            snapshot, synced = entry.snapshot(), entry.synced_clock
                             yield dep.hop(hop, step.req_size, parent=root)
                             # target: decode, install, encode the ack
                             yield tgt.server.book(step.tgt_serve)
@@ -202,7 +200,7 @@ class UE:
                                 ):
                                     yield from tgt.fetch_state_from(ue_id, fetch_from)
                                 entry = tgt.store.get(ue_id)
-                                if entry is None or entry.state.version < written:
+                                if entry is None or entry.version < written:
                                     raise NodeFailed(tgt_name)
                             migrated_to = tgt_name
                         bs = dep.bss[target_bs if at_target else self.bs_name]
@@ -359,7 +357,7 @@ class UE:
                     cta.procedure_completed(ue_id, last_clock, replicas)
             if creates is not None:
                 entry = serving.store.get(ue_id) if serving is not None else None
-                self.completed_version = entry.state.version if entry is not None else 1
+                self.completed_version = entry.version if entry is not None else 1
             else:
                 self.completed_version += 1
             dep.auditor.record_write_completion(ue_id, self.completed_version)

@@ -19,13 +19,12 @@ __all__ = ["UPF", "Session"]
 
 
 class Session:
-    """One UE's data session on the UPF."""
+    """One UE's data session on the UPF, keyed by UE id in ``sessions``:
+    where its data path ends and whether it is usable now."""
 
-    __slots__ = ("ue_id", "teid", "bs_id", "active")
+    __slots__ = ("bs_id", "active")
 
-    def __init__(self, ue_id: str, teid: int, bs_id: str):
-        self.ue_id = ue_id
-        self.teid = teid
+    def __init__(self, bs_id: str):
         self.bs_id = bs_id
         self.active = True
 
@@ -40,7 +39,6 @@ class UPF:
         self.server = Server(sim, cores=1, name=name)
         self.service_s = service_s
         self.sessions: Dict[str, Session] = {}
-        self._next_teid = 1
 
     def program(self, msg_name: str, ue_id: str, bs_id: str) -> Event:
         """Queue one S11 message; :meth:`apply` runs when the UPF is done."""
@@ -60,16 +58,14 @@ class UPF:
         lane, at the job's analytic instant.
         """
         if msg_name == "CreateSessionRequest":
-            self._next_teid += 1
-            self.sessions[ue_id] = Session(ue_id, self._next_teid, bs_id)
+            self.sessions[ue_id] = Session(bs_id)
         elif msg_name == "ModifyBearerRequest":
             session = self.sessions.get(ue_id)
             if session is None:
-                self._next_teid += 1
-                session = Session(ue_id, self._next_teid, bs_id)
-                self.sessions[ue_id] = session
-            session.bs_id = bs_id
-            session.active = True
+                self.sessions[ue_id] = Session(bs_id)
+            else:
+                session.bs_id = bs_id
+                session.active = True
         elif msg_name == "ReleaseAccessBearersRequest":
             session = self.sessions.get(ue_id)
             if session is not None:

@@ -4,9 +4,9 @@ Simulating 100k+ UEs as long-lived :class:`~repro.core.ue.UE` objects
 costs an object (plus dict) per UE for state that is four scalars.  The
 cohort keeps the whole population in flat arrays — attached flag,
 completed write version (the RYW reader version), serving-BS index,
-busy flag, procedures-run counter, emigrated flag — and materialises a
-UE object only while one of its procedures is in flight, hydrating it
-from the arrays and writing the scalars back on completion.
+busy flag, emigrated flag — and materialises a UE object only while one
+of its procedures is in flight, hydrating it from the arrays and
+writing the scalars back on completion.
 
 Which slot holds which UE is decided here and nowhere else.  A driver is
 built from the **global ids it drives** — ``range(n)`` for a whole
@@ -87,7 +87,7 @@ class CohortDriver:
     #: (only the batched driver ever defers).
     lazy = False
     #: the per-slot columns :meth:`add_slot` extends
-    _columns = ("attached", "busy", "version", "bs_idx", "runs", "gone")
+    _columns = ("attached", "busy", "version", "bs_idx", "gone")
 
     def __init__(self, dep, bs_names: List[str], ids, prefix: str = "c"):
         self.dep = dep
@@ -111,7 +111,6 @@ class CohortDriver:
         # it never wraps
         self.version = array("I", [0]) * n
         self.bs_idx = array("I", [0]) * n
-        self.runs = array("I", [0]) * n
         self.gone = bytearray(n)
         #: called with the slot after each discrete procedure
         self.procedure_done: Optional[Callable[[int], None]] = None
@@ -220,14 +219,12 @@ class CohortDriver:
         ue = UE(self.dep, self.ue_id(i), self.bs_of(i))
         ue.attached = bool(self.attached[i])
         ue.completed_version = self.version[i]
-        ue.procedures_run = self.runs[i]
         self.dep.adopt_ue(ue)
         return ue
 
     def _writeback(self, i: int, ue: UE) -> None:
         self.attached[i] = 1 if ue.attached else 0
         self.version[i] = ue.completed_version
-        self.runs[i] = ue.procedures_run
         self.bs_idx[i] = self.bs_index(ue.bs_name)
         self.dep.release_ue(ue.ue_id)
 
@@ -322,7 +319,6 @@ class IndividualDriver(CohortDriver):
         # lookups) see the same values in both modes
         self.attached[i] = 1 if ue.attached else 0
         self.version[i] = ue.completed_version
-        self.runs[i] = ue.procedures_run
         self.bs_idx[i] = self.bs_index(ue.bs_name)
 
 
@@ -515,7 +511,7 @@ class BatchedDriver(CohortDriver):
         if (
             entry is None
             or not entry.up_to_date
-            or entry.state.version < self.version[i]
+            or entry.version < self.version[i]
         ):
             return False
         tgt_bs = None
@@ -544,7 +540,7 @@ class BatchedDriver(CohortDriver):
                 if (
                     sentry is None
                     or not sentry.up_to_date
-                    or sentry.state.version < self.version[i]
+                    or sentry.version < self.version[i]
                 ):
                     return False
         else:
@@ -559,7 +555,6 @@ class BatchedDriver(CohortDriver):
             ):
                 return False
         self.busy[i] = 1
-        self.runs[i] += 1
         self.stats["admitted"] += 1
         walk = _Walk(
             i,

@@ -104,8 +104,9 @@ _HISTORY_MAX_UES = 5000
 #: per-shard auditor violation samples carried into the merged result.
 _VIOLATION_SAMPLES = 5
 
-#: wire size of one migration record on the inter-shard channel
-#: (gid + version + runs + clock + completion time + serving BS name).
+#: wire size of one migration record on the inter-shard channel: one
+#: fixed frame for gid + version + clock + completion time + serving BS
+#: name.
 #: The trace-link id is *not* counted: it rides the obs channel, which
 #: a real deployment would ship out of band of the control plane.
 _MIGRATION_WIRE_BYTES = 64
@@ -412,7 +413,6 @@ class Migration(NamedTuple):
     dst: int  #: destination shard
     gid: int
     version: int
-    runs: int
     clock: Any
     bs: str  #: serving BS at the destination
     t: float  #: completion instant at the source; installs at ``t + Δ``
@@ -844,7 +844,7 @@ class ShardEngine:
                     if (
                         entry is not None
                         and entry.up_to_date
-                        and entry.state.version >= need
+                        and entry.version >= need
                     ):
                         self.dep.promote(ue_id, backup)
                         promotions += 1
@@ -1356,7 +1356,7 @@ class ShardEngine:
             if (
                 entry is not None
                 and entry.up_to_date
-                and entry.state.version >= need_version
+                and entry.version >= need_version
             ):
                 continue
             fetched = False
@@ -1369,7 +1369,7 @@ class ShardEngine:
                 ok = yield from cpf.fetch_state_from(ue_id, source)
                 if ok:
                     entry = cpf.store.get(ue_id)
-                    if entry is not None and entry.state.version >= need_version:
+                    if entry is not None and entry.version >= need_version:
                         fetched = True
                         break
             if not fetched:
@@ -1453,7 +1453,7 @@ class ShardEngine:
             obs.note_migration_out(link, span_id, now, ue_id, dst)
         self._outbox.append(
             Migration(
-                dst, driver.ids[i], driver.version[i], driver.runs[i],
+                dst, driver.ids[i], driver.version[i],
                 self.dep.clock_of(ue_id), bs_name, now, link,
             )
         )
@@ -1481,7 +1481,6 @@ class ShardEngine:
         driver = self.driver
         i = driver.add_slot(gid)
         driver.busy[i] = 0
-        driver.runs[i] = rec.runs
         driver.version[i] = version
         driver.bs_idx[i] = driver.bs_index(bs_name)
         ue_id = driver.ue_id(i)

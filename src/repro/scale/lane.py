@@ -437,10 +437,10 @@ class LaneRuntime:
         if (
             entry is None
             or not entry.up_to_date
-            or entry.state.version < w.reader_version
+            or entry.version < w.reader_version
         ):
             self._gate_miss("fetch source stale")
-        snapshot = entry.state.copy()
+        snapshot = entry.snapshot()
         clock = entry.synced_clock
         t = self._hop(hop, SNAPSHOT_WIRE_BYTES, t)
         if not tgt.up:

@@ -25,8 +25,8 @@ shard* against its ghost copy of the destination region (every node
 exists in every shard; UE state lives only in the owning shard's
 deployment).  On completion — the driver's ``procedure_done`` callback —
 the UE is torn down locally, its slot tombstoned, and a small
-migration record — a :class:`Migration` ``(dst, gid, version, runs,
-clock, bs, t)`` — is carried over the inter-process channel and
+migration record — a :class:`Migration` ``(dst, gid, version, clock,
+bs, t)`` — is carried over the inter-process channel and
 installed in the destination shard at ``t + Δ`` via
 :meth:`~repro.core.deployment.Deployment.install_migrated`, preserving
 the RYW reader floor across the process boundary.

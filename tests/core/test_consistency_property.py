@@ -120,7 +120,7 @@ def test_primary_version_never_behind_reader(plan):
         return
     entry = dep.cpfs[primary].store.get("ue-prop")
     if entry is not None and ue.attached:
-        assert entry.state.version >= ue.completed_version
+        assert entry.version >= ue.completed_version
 
 
 @given(plan=fault_plans())

@@ -16,8 +16,8 @@ class TestAttach:
         placement = neutrino.placement_of("ue-1")
         entry = neutrino.cpfs[placement.primary].store.get("ue-1")
         assert entry.is_primary
-        assert entry.state.attached
-        assert entry.state.version == 1
+        assert entry.attached
+        assert entry.version == 1
 
     def test_attach_sets_ue_reader_version(self, sim, neutrino):
         ue = neutrino.new_ue("ue-1", "bs-20-0")
@@ -32,7 +32,7 @@ class TestAttach:
             entry = neutrino.cpfs[backup_name].store.get("ue-1")
             assert entry is not None
             assert entry.up_to_date
-            assert entry.state.version == 1
+            assert entry.version == 1
 
     def test_attach_creates_upf_session(self, sim, neutrino):
         ue = neutrino.new_ue("ue-1", "bs-20-0")
@@ -114,7 +114,7 @@ class TestHandover:
         run_proc(neutrino, ue, "service_request")
         run_proc(neutrino, ue, "handover", target_bs="bs-21-0")
         new_primary = neutrino.cpfs[neutrino.primary_of("ue-1")]
-        assert new_primary.store.get("ue-1").state.version == ue.completed_version
+        assert new_primary.store.get("ue-1").version == ue.completed_version
 
     def test_old_copies_marked_outdated(self, sim, neutrino):
         ue = neutrino.bootstrap_ue("ue-1", "bs-20-0")
@@ -166,7 +166,7 @@ class TestOtherProcedures:
         ue = neutrino.bootstrap_ue("ue-1", "bs-20-0")
         run_proc(neutrino, ue, "detach")
         entry = neutrino.cpfs[neutrino.primary_of("ue-1")].store.get("ue-1")
-        assert not entry.state.attached
+        assert not entry.attached
 
     def test_unknown_procedure_rejected(self, sim, neutrino):
         ue = neutrino.bootstrap_ue("ue-1", "bs-20-0")

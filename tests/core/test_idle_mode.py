@@ -17,8 +17,8 @@ class TestS1Release:
         ue = neutrino.bootstrap_ue("ue-1", "bs-20-0")
         run_proc(neutrino, ue, "s1_release")
         entry = neutrino.cpfs[neutrino.primary_of("ue-1")].store.get("ue-1")
-        assert entry.state.attached  # still registered...
-        assert not entry.state.active  # ...but ECM-IDLE
+        assert entry.attached  # still registered...
+        assert not entry.active  # ...but ECM-IDLE
 
     def test_release_suspends_upf_session(self, sim, neutrino):
         ue = neutrino.bootstrap_ue("ue-1", "bs-20-0")
@@ -40,7 +40,7 @@ class TestS1Release:
         sim.run(until=sim.now + 0.2)
         backup = neutrino.replicas_of("ue-1")[0]
         entry = neutrino.cpfs[backup].store.get("ue-1")
-        assert not entry.state.active
+        assert not entry.active
 
     def test_service_request_reactivates(self, sim, neutrino):
         ue = neutrino.bootstrap_ue("ue-1", "bs-20-0")
@@ -49,7 +49,7 @@ class TestS1Release:
         upf = neutrino.upf_for_region("20")
         assert upf.has_path("ue-1")
         entry = neutrino.cpfs[neutrino.primary_of("ue-1")].store.get("ue-1")
-        assert entry.state.active
+        assert entry.active
 
 
 class TestPagedDelivery:
@@ -68,7 +68,7 @@ class TestPagedDelivery:
         assert delivered
         assert neutrino.pct["service_request"].count == 1  # paging woke it
         entry = neutrino.cpfs[neutrino.primary_of("ue-1")].store.get("ue-1")
-        assert entry.state.active
+        assert entry.active
 
     def test_idle_delivery_slower_than_connected(self, sim, neutrino):
         connected = neutrino.bootstrap_ue("ue-c", "bs-20-0")

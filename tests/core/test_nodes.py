@@ -45,12 +45,15 @@ class TestUPF:
         sim.run()
         assert upf.has_path("ue-9")
 
-    def test_teids_unique(self, sim, neutrino):
+    def test_sessions_are_per_ue(self, sim, neutrino):
         upf = neutrino.upf_for_region("20")
         upf.program("CreateSessionRequest", "a", "bs-20-0")
         upf.program("CreateSessionRequest", "b", "bs-20-0")
+        upf.program("ModifyBearerRequest", "b", "bs-20-1")
         sim.run()
-        assert upf.sessions["a"].teid != upf.sessions["b"].teid
+        upf.suspend("a")
+        assert not upf.has_path("a")
+        assert upf.has_path("b", "bs-20-1") and not upf.has_path("b", "bs-20-0")
 
 
 class TestBaseStation:
@@ -106,10 +109,6 @@ class TestCTAUnits:
 
 
 class TestDeploymentHelpers:
-    def test_m_tmsi_nonzero_and_stable(self, sim, neutrino):
-        assert neutrino.m_tmsi_of("ue-1") == neutrino.m_tmsi_of("ue-1")
-        assert neutrino.m_tmsi_of("ue-1") != 0
-
     def test_duplicate_ue_rejected(self, sim, neutrino):
         neutrino.new_ue("ue-1", "bs-20-0")
         with pytest.raises(ValueError):

@@ -77,7 +77,7 @@ class TestScenario2ReplayOnBackup:
         ue = attach_and_settle(neutrino)
         self._fail_mid_procedure(neutrino, ue)
         entry = neutrino.cpfs[neutrino.primary_of("ue-1")].store.get("ue-1")
-        assert entry.state.version == ue.completed_version
+        assert entry.version == ue.completed_version
         assert entry.is_primary
 
     def test_consistency_held_through_replay(self, sim, neutrino):
@@ -118,8 +118,8 @@ class TestScenario3NoSyncedBackup:
         run_proc(neutrino, ue, "service_request")
         entry = neutrino.cpfs[neutrino.primary_of("ue-1")].store.get("ue-1")
         assert entry is not None
-        assert entry.state.attached
-        assert ue.completed_version == entry.state.version
+        assert entry.attached
+        assert ue.completed_version == entry.version
 
 
 class TestScenario4CtaFailure:

@@ -4,57 +4,59 @@ import pickle
 
 import pytest
 
-from repro.core import StateEntry, StateStore, StaleStateError, UEState
+from repro.core import StateEntry, StateStore, StaleStateError
 from repro.core.deployment import Placement
 
 
 class TestUEState:
+    """The state half of a CPF's copy: what a procedure writes."""
+
     def test_new_state_detached(self):
-        state = UEState("ue-1", 42)
-        assert not state.attached
-        assert state.version == 0
+        entry = StateEntry()
+        assert not entry.attached
+        assert entry.version == 0
 
     def test_message_bumps_ops_not_version(self):
-        state = UEState("ue-1", 42)
-        state.apply_message()
-        state.apply_message()
-        assert state.ops_in_procedure == 2
-        assert state.version == 0
+        entry = StateEntry()
+        entry.apply_message()
+        entry.apply_message()
+        assert entry.ops_in_procedure == 2
+        assert entry.version == 0
 
     def test_complete_procedure_commits(self):
-        state = UEState("ue-1", 42)
-        state.apply_message()
-        state.complete_procedure("attach")
-        assert state.version == 1
-        assert state.ops_in_procedure == 0
-        assert state.attached and state.active
+        entry = StateEntry()
+        entry.apply_message()
+        entry.complete_procedure("attach")
+        assert entry.version == 1
+        assert entry.ops_in_procedure == 0
+        assert entry.attached and entry.active
 
     def test_detach_clears_flags(self):
-        state = UEState("ue-1", 42)
-        state.complete_procedure("attach")
-        state.complete_procedure("detach")
-        assert not state.attached and not state.active
-        assert state.version == 2
+        entry = StateEntry()
+        entry.complete_procedure("attach")
+        entry.complete_procedure("detach")
+        assert not entry.attached and not entry.active
+        assert entry.version == 2
 
     def test_service_request_reactivates(self):
-        state = UEState("ue-1", 42)
-        state.complete_procedure("attach")
-        state.active = False
-        state.complete_procedure("service_request")
-        assert state.active
+        entry = StateEntry()
+        entry.complete_procedure("attach")
+        entry.active = False
+        entry.complete_procedure("service_request")
+        assert entry.active
 
     def test_copy_is_independent(self):
-        state = UEState("ue-1", 42)
-        snapshot = state.copy()
-        state.complete_procedure("attach")
-        assert snapshot.version == 0
-        assert state.version == 1
+        entry = StateEntry()
+        snapshot = entry.snapshot()
+        entry.complete_procedure("attach")
+        assert snapshot == (0, False, False, 0)
+        assert entry.version == 1
 
 
 class TestStateStore:
     def test_create_and_get(self):
         store = StateStore("cpf-1")
-        entry = store.create("ue-1", 42, is_primary=True)
+        entry = store.create("ue-1", is_primary=True)
         assert store.get("ue-1") is entry
         assert entry.is_primary
         assert "ue-1" in store
@@ -70,7 +72,7 @@ class TestStateStore:
 
     def test_require_current_raises_when_outdated(self):
         store = StateStore("cpf-1")
-        store.create("ue-1", 42, is_primary=False)
+        store.create("ue-1", is_primary=False)
         store.mark_outdated("ue-1")
         with pytest.raises(StaleStateError) as err:
             store.require_current("ue-1")
@@ -78,22 +80,19 @@ class TestStateStore:
 
     def test_install_snapshot_sets_metadata(self):
         store = StateStore("cpf-1")
-        snapshot = UEState("ue-1", 42)
-        snapshot.version = 3
+        snapshot = StateEntry(version=3).snapshot()
         entry = store.install_snapshot("ue-1", snapshot, synced_clock=17)
         assert entry.version == 3
         assert entry.synced_clock == 17
         assert entry.up_to_date
+        assert not entry.is_primary
 
     def test_install_older_snapshot_ignored(self):
         # §4.2.4(1a): the boundary clock lets replicas ignore the
         # reception of outdated state.
         store = StateStore("cpf-1")
-        fresh = UEState("ue-1", 42)
-        fresh.version = 5
-        store.install_snapshot("ue-1", fresh, synced_clock=20)
-        stale = UEState("ue-1", 42)
-        stale.version = 2
+        store.install_snapshot("ue-1", StateEntry(version=5).snapshot(), synced_clock=20)
+        stale = StateEntry(version=2).snapshot()
         entry = store.install_snapshot("ue-1", stale, synced_clock=10)
         assert entry.version == 5
         assert entry.synced_clock == 20
@@ -102,33 +101,34 @@ class TestStateStore:
         # §4.2.4(2): a state update for a previously-outdated UE makes
         # it up-to-date again.
         store = StateStore("cpf-1")
-        store.create("ue-1", 42, is_primary=False)
+        store.create("ue-1", is_primary=False)
         store.mark_outdated("ue-1")
-        snapshot = UEState("ue-1", 42)
-        snapshot.version = 1
+        snapshot = StateEntry(version=1).snapshot()
         entry = store.install_snapshot("ue-1", snapshot, synced_clock=5)
         assert entry.up_to_date
 
     def test_snapshot_install_copies(self):
+        source = StateEntry()
         store = StateStore("cpf-1")
-        snapshot = UEState("ue-1", 42)
-        store.install_snapshot("ue-1", snapshot, 1)
-        snapshot.version = 99
+        store.install_snapshot("ue-1", source.snapshot(), 1)
+        source.version = 99
         assert store.get("ue-1").version == 0
+        store.get("ue-1").complete_procedure("attach")
+        assert source.version == 99 and not source.attached
 
     def test_mark_outdated_missing_is_noop(self):
         StateStore("cpf-1").mark_outdated("nobody")
 
     def test_clear_loses_everything(self):
         store = StateStore("cpf-1")
-        store.create("a", 1, True)
-        store.create("b", 2, False)
+        store.create("a", True)
+        store.create("b", False)
         store.clear()
         assert len(store) == 0
 
     def test_drop_single(self):
         store = StateStore("cpf-1")
-        store.create("a", 1, True)
+        store.create("a", True)
         store.drop("a")
         store.drop("a")  # idempotent
         assert store.get("a") is None
@@ -136,60 +136,57 @@ class TestStateStore:
     def test_ue_ids_sorted(self):
         store = StateStore("cpf-1")
         for ue in ("c", "a", "b"):
-            store.create(ue, 1, False)
+            store.create(ue, False)
         assert store.ue_ids() == ["a", "b", "c"]
 
 
 class TestRecords:
     """The slotted per-UE records behave as the dataclasses they replace."""
 
-    def _state(self):
-        return UEState(
-            "ue-1", 42, attached=True, version=3, ops_in_procedure=1,
-            active=True,
+    def _entry(self):
+        return StateEntry(
+            version=3, attached=True, active=True, ops_in_procedure=1,
+            synced_clock=4, up_to_date=False, is_primary=True,
         )
 
     def test_copy_equals_source_and_mutates_independently(self):
-        state = self._state()
-        copy = state.copy()
-        assert copy == state and copy is not state
+        entry = self._entry()
+        copy = StateEntry(*entry.snapshot())
+        assert copy.snapshot() == entry.snapshot() and copy is not entry
         copy.apply_message()
         copy.complete_procedure("detach")
-        assert copy != state
-        assert (state.version, state.ops_in_procedure, state.attached) == (3, 1, True)
+        assert copy.snapshot() != entry.snapshot()
+        assert (entry.version, entry.ops_in_procedure, entry.attached) == (3, 1, True)
 
     def test_equality_is_field_wise_and_class_strict(self):
-        assert UEState("ue-1", 42) == UEState("ue-1", 42)
-        assert UEState("ue-1", 42) != UEState("ue-1", 43)
-        assert StateEntry(UEState("a", 1), 5) == StateEntry(UEState("a", 1), 5)
-        assert StateEntry(UEState("a", 1), 5) != StateEntry(UEState("a", 1), 6)
+        assert StateEntry(version=5) == StateEntry(version=5)
+        assert StateEntry(version=5) != StateEntry(version=6)
+        assert StateEntry(synced_clock=5) != StateEntry(synced_clock=6)
+        assert StateEntry() != StateEntry().snapshot()
         assert Placement("r", "p", ["b"]) == Placement("r", "p", ["b"])
         assert Placement("r", "p") != ("r", "p", [])
         with pytest.raises(TypeError):
-            hash(UEState("ue-1", 42))
+            hash(StateEntry())
 
     def test_repr_names_every_field_in_order(self):
-        assert repr(UEState("ue-1", 42)) == (
-            "UEState(ue_id='ue-1', m_tmsi=42, attached=False, version=0, "
-            "ops_in_procedure=0, active=False)"
-        )
-        assert repr(StateEntry(UEState("a", 1), 2, False, True)).startswith(
-            "StateEntry(state=UEState(ue_id='a', m_tmsi=1, "
+        assert repr(StateEntry()) == (
+            "StateEntry(version=0, attached=False, active=False, "
+            "ops_in_procedure=0, synced_clock=0, up_to_date=True, "
+            "is_primary=False)"
         )
         assert repr(Placement("r", "p", ["b"])) == (
             "Placement(region='r', primary='p', backups=['b'])"
         )
 
     def test_defaults(self):
-        entry = StateEntry(UEState("a", 1))
+        entry = StateEntry()
         assert (entry.synced_clock, entry.up_to_date, entry.is_primary) == (0, True, False)
         first, second = Placement("r", "p"), Placement("r", "p")
         assert first.backups == () == second.backups  # a tuple: nothing to share
 
     @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_and_repr_round_trip(self, protocol):
-        state = self._state()
-        for record in (state, StateEntry(state, 4, False, True), Placement("r", "p", ["b", "c"])):
+        for record in (self._entry(), Placement("r", "p", ["b", "c"])):
             back = pickle.loads(pickle.dumps(record, protocol))
             assert back == record and type(back) is type(record)
             assert eval(repr(record)) == record
@@ -200,7 +197,7 @@ class TestFourByteColumns:
         from repro.scale.cohort import CohortDriver
 
         driver = CohortDriver(None, [], range(1))
-        for name in ("version", "bs_idx", "runs"):
+        for name in ("version", "bs_idx"):
             column = getattr(driver, name)
             assert column.itemsize == 4
             column[0] = 2**32 - 1

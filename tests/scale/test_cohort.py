@@ -139,7 +139,6 @@ class TestIndividualDriver:
             results[cls.mode] = (
                 driver.attached[0],
                 driver.version[0],
-                driver.runs[0],
                 driver.bs_of(0),
                 driver.completed,
             )
@@ -265,7 +264,7 @@ class TestAddressing:
         assert i == 3 and driver.n == 4
         assert driver.ue_id(i) == "c-0000007" and driver.slot(7) == i
         columns = [getattr(driver, name) for name in driver._columns]
-        assert len(columns) == (7 if cls is BatchedDriver else 6)
+        assert len(columns) == (6 if cls is BatchedDriver else 5)
         assert all(len(column) == driver.n for column in columns)
         assert [b.count(i) for b in covering] == [1, 1] and i not in other
         assert list(driver.bucket(6, 8)) == [i]  # and in a bucket scanned later

@@ -75,9 +75,9 @@ def test_skipping_the_audit_hook_blinds_both_executors(monkeypatch):
         self.messages_handled += 1
         entry = self.store.get(ue_id)
         assert entry is not None and not creates_state  # warm steady city
-        entry.state.apply_message()
+        entry.apply_message()
         entry.synced_clock = max(entry.synced_clock, clock)
-        return entry.state.version
+        return entry.version
 
     monkeypatch.setattr(CPF, "serve", deaf_serve)
     for mode in ("cohort", "batched"):

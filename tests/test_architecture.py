@@ -15,13 +15,32 @@ Constructs, in ``scale``:
   and reads attributes it knows exist (no ``getattr``);
 * the engine is one class, ``ShardEngine``: no ``_Engine`` base;
 * a run's :class:`~repro.scale.engine.ScaleResult` is built in one
-  place, the shard host's merge.
+  place, the shard host's merge;
+* the batched lane (``scale/lane.py``) holds timing, not protocol: it
+  decides *when*, while what happens is a method of the component that
+  owns the state (``CTA.log_uplink``, ``CPF.serve`` / ``commit`` /
+  ``install_checkpoint``, ``UPF.apply``) and what it costs is the
+  compiled step program.  It names none of the state mutators, pricing
+  calls or records those components own;
+* tracing is not a gate: the cohort drivers (``scale/cohort.py``) never
+  read an ``obs`` attribute, so an installed ``Observability`` cannot
+  decide how a procedure runs; and ``Tracer.span``'s context manager is
+  a plain ``__enter__`` / ``__exit__`` object (``obs/tracer.py``
+  imports no ``contextlib``).
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from repro.codec.costs import CostModel
+from repro.core.consistency import RYWAuditor
+from repro.core.cpf import CPF
+from repro.core.log import MessageLog
+from repro.core.state import StateEntry, StateStore
+from repro.core.upf import Session
+from repro.messages.registry import MessageCatalog
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -88,9 +107,38 @@ ENGINE_ONLY_DEFS = frozenset({
 })
 
 
+#: what the lane leaves to the owning components: state mutators, the
+#: auditor's serve record, the UPF's session record and message pricing.
+#: Read off the components, so renaming one there renames the rule.
+LANE_FORBIDDEN = frozenset(member.__name__ for member in (
+    RYWAuditor.record_serve,
+    StateStore.install_snapshot,
+    StateEntry.apply_message,
+    StateEntry.complete_procedure,
+    CPF.complete_procedure,
+    Session,
+    CostModel.serialize_cost,
+    CostModel.deserialize_cost,
+    MessageCatalog.element_count,
+    MessageCatalog.wire_size,
+))
+
+#: ``<x>.log.append``: a CTA's message log grows only in ``CTA.log_uplink``
+LOG_APPEND = ("log", MessageLog.append.__name__)
+
+
+def _name(node: ast.AST) -> str:
+    """The identifier a ``Name`` or ``Attribute`` node ends in, else ''."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return getattr(node, "attr", "")
+
+
 def construct_violations(tree: ast.AST, module: str) -> list:
     """Forbidden constructs in ``module`` (dotted under ``repro``)."""
     host = module == "scale.shard"
+    lane = module == "scale.lane"
+    cohort = module == "scale.cohort"
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
@@ -101,14 +149,38 @@ def construct_violations(tree: ast.AST, module: str) -> list:
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if host and node.name in ENGINE_ONLY_DEFS:
                 out.append("%s defines %s" % (module, node.name))
-        elif isinstance(node, ast.Name):
-            if host and node.id == "getattr":
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = _name(node)
+            if host and name == "getattr" and isinstance(node, ast.Name):
                 out.append("%s uses getattr" % module)
-        elif isinstance(node, ast.Call) and not host:
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
-            if name == "ScaleResult":
+            if lane and (
+                name in LANE_FORBIDDEN
+                or (name == LOG_APPEND[1] and _name(node.value) == LOG_APPEND[0])
+            ):
+                out.append("%s names %s" % (module, name))
+            if cohort and name == "obs":
+                out.append("%s reads obs" % module)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            else:
+                names = [name.split(".")[0] for name in names]
+            if lane and LANE_FORBIDDEN.intersection(names):
+                out.append("%s imports %s" % (module, sorted(LANE_FORBIDDEN.intersection(names))))
+            if module == "obs.tracer" and "contextlib" in names:
+                out.append("%s imports contextlib" % module)
+        elif isinstance(node, ast.Call):
+            name = _name(node.func)
+            if name == "ScaleResult" and not host:
                 out.append("%s builds a ScaleResult" % module)
+            if (
+                cohort
+                and name == "getattr"
+                and len(node.args) > 1
+                and getattr(node.args[1], "value", None) == "obs"
+            ):
+                out.append("%s reads obs" % module)
     return out
 
 
@@ -132,6 +204,27 @@ def test_scale_constructs():
         ("scale.cohort", "class _Engine(object):\n    pass\n"),
         ("scale.engine", "result = ScaleResult(scenario='s')\n"),
         ("cli", "from repro.scale import engine\nr = engine.ScaleResult()\n"),
+        # the lane holds timing, not protocol
+        ("scale.lane", "self.dep.auditor.record_serve(ue, 1, 1, c, None, t)\n"),
+        ("scale.lane", "cta.log.append(clock, ue, msg, size)\n"),
+        ("scale.lane", "log.append(clock, ue, msg, size)\n"),
+        ("scale.lane", "tgt.store.install_snapshot(ue, snap, clock)\n"),
+        ("scale.lane", "entry.apply_message()\n"),
+        ("scale.lane", "serving.complete_procedure(ue, name, clock)\n"),
+        ("scale.lane", "mutate = entry.complete_procedure\n"),
+        ("scale.lane", "upf.sessions[ue] = Session(bs)\n"),
+        ("scale.lane", "from ..core.upf import Session as S\n"),
+        ("scale.lane", "t += costs.serialize_cost(codec, n)\n"),
+        ("scale.lane", "t += costs.deserialize_cost(codec, n)\n"),
+        ("scale.lane", "n = CATALOG.element_count(msg)\n"),
+        ("scale.lane", "size = CATALOG.wire_size(msg, codec)\n"),
+        # tracing is not a gate
+        ("scale.cohort", "if self.dep.obs is not None:\n    pass\n"),
+        ("scale.cohort", "traced = dep.obs\n"),
+        ("scale.cohort", "traced = getattr(self.dep, 'obs', None)\n"),
+        ("obs.tracer", "import contextlib\n"),
+        ("obs.tracer", "from contextlib import contextmanager\n"),
+        ("obs.tracer", "import contextlib as ctx\n"),
     ],
 )
 def test_the_construct_rules_reject_each_spelling(module, source):
@@ -144,6 +237,11 @@ def test_the_construct_rules_reject_each_spelling(module, source):
         ("scale.shard", "r = ScaleResult(scenario='s')\n"),
         ("sim.core", "class _Engine:\n    pass\n"),
         ("scale.engine", "getattr(x, 'y')\n"),
+        ("core.cpf", "entry.apply_message()\nself.store.install_snapshot(u, s, c)\n"),
+        ("scale.lane", "self.buffered.append(row)\ncta.log.ack(ue, clock, name)\n"),
+        ("scale.lane", "cpf.serve(ue, v, clock, False, t, span)\n"),
+        ("scale.engine", "obs = self.dep.obs\n"),
+        ("obs.__init__", "import contextlib\n"),
     ],
 )
 def test_the_construct_rules_pass_the_allowed_homes(module, source):

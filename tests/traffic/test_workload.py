@@ -132,14 +132,12 @@ dep.sim.run(until=5.0)
 rows = sorted(
     (o.ue_id, dep.ue(o.ue_id).bs_name, o.name, o.pct) for o in dep.outcomes
 )
-tmsi = {ue.ue_id: dep.m_tmsi_of(ue.ue_id) for ue in dep.ues()}
-print(json.dumps({"rows": rows, "tmsi": tmsi}, sort_keys=True))
+print(json.dumps({"rows": rows}, sort_keys=True))
 """
 
 
 def test_trace_replay_is_independent_of_pythonhashseed():
-    """Unknown UEs are homed — and M-TMSIs derived — by crc32, not
-    ``hash()``: str hashes are per-process, so with ``hash()`` two
+    """Unknown UEs are homed by crc32, not ``hash()``: str hashes are per-process, so with ``hash()`` two
     replays of one trace placed UEs on different base stations."""
     import json
     import os
