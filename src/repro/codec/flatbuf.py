@@ -51,6 +51,7 @@ _LEN4 = struct.Struct("<I")
 _LAYOUTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _SCALAR_ENC: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+_SCALAR_DEC: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _UELEM_WRAP: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _UNION_ENC_WRAP: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _UNION_DEC_WRAP: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -151,22 +152,28 @@ def _scalar_encoder(t: Type) -> Callable[[Any], bytes]:
 
 def _scalar_decoder(t: Type) -> Callable[[ByteReader, int], Any]:
     """(reader, pos) -> value, compiled per scalar type."""
+    dec = _SCALAR_DEC.get(t)
+    if dec is not None:
+        return dec
     kind = t.kind
     if kind == "int":
-        width = t.storage_bytes
-        if t.signed:
-            return lambda r, pos, _w=width: r.int_at(pos, _w)
-        return lambda r, pos, _w=width: r.uint_at(pos, _w)
-    if kind == "bool":
-        return lambda r, pos: bool(r.uint_at(pos, 1))
-    if kind == "float":
+        read = ByteReader.int_at if t.signed else ByteReader.uint_at
+
+        def dec(r, pos, _read=read, _w=t.storage_bytes):
+            return _read(r, pos, _w)
+
+    elif kind == "bool":
+
+        def dec(r, pos):
+            return bool(r.uint_at(pos, 1))
+
+    elif kind == "float":
         unpack = (_FD if t.bits == 64 else _FF).unpack_from
 
         def dec(r, pos, _unpack=unpack):
             return _unpack(r.data, pos)[0]
 
-        return dec
-    if kind == "enum":
+    elif kind == "enum":
         width = _scalar_width(t)
         names = t.names
 
@@ -176,8 +183,10 @@ def _scalar_decoder(t: Type) -> Callable[[ByteReader, int], Any]:
                 raise CodecError("enum index out of range")
             return _names[idx]
 
-        return dec
-    raise CodecError("not a scalar kind: %r" % kind)
+    else:
+        raise CodecError("not a scalar kind: %r" % kind)
+    _SCALAR_DEC[t] = dec
+    return dec
 
 
 #: layout item roles (encode side); string/bytes refs get dedicated
@@ -387,25 +396,12 @@ class _Builder:
         w.write(_PADS[pad] + _LEN4.pack(len(raw)) + raw + b"\x00")
         return here + pad
 
-    def write_scalar_inline(self, t: Type, v: Any) -> bytes:
-        kind = t.kind
-        if kind == "int":
-            width = t.storage_bytes
-            return (v & ((1 << (width * 8)) - 1)).to_bytes(width, "little")
-        if kind == "bool":
-            return b"\x01" if v else b"\x00"
-        if kind == "float":
-            return (_FD if t.bits == 64 else _FF).pack(v)
-        if kind == "enum":
-            return t.index[v].to_bytes(_scalar_width(t), "little")
-        raise CodecError("not an inline scalar: %r" % kind)
-
     def write_bare_scalar(self, t: Type, v: Any) -> int:
         """Out-of-line scalar for svtable-optimized unions."""
         width = _scalar_width(t)
         self.w.pad_to(max(width, 1))
         pos = self.w.tell()
-        self.w.write(self.write_scalar_inline(t, v))
+        self.w.write(_scalar_encoder(t)(v))
         return pos
 
     def write_vector(self, elem: Type, items: list) -> int:
@@ -713,29 +709,10 @@ class FlatBuffersCodec(Codec):
         return out
 
     def _decode_slot(self, r: ByteReader, slot_pos: int, t: Type) -> Any:
-        width = _scalar_width(t)
-        if width:
-            return self._decode_scalar_at(r, slot_pos, t)
+        if _scalar_width(t):
+            return _scalar_decoder(t)(r, slot_pos)
         target = slot_pos + r.uint_at(slot_pos, _UOFFSET_SIZE)
         return self._decode_ref(r, target, t)
-
-    def _decode_scalar_at(self, r: ByteReader, pos: int, t: Type) -> Any:
-        kind = t.kind
-        if kind == "int":
-            width = t.storage_bytes
-            if t.signed:
-                return r.int_at(pos, width)
-            return r.uint_at(pos, width)
-        if kind == "bool":
-            return bool(r.uint_at(pos, 1))
-        if kind == "float":
-            return (_FD if t.bits == 64 else _FF).unpack_from(r.data, pos)[0]
-        if kind == "enum":
-            idx = r.uint_at(pos, _scalar_width(t))
-            if idx >= len(t.names):
-                raise CodecError("enum index out of range")
-            return t.names[idx]
-        raise CodecError("not a scalar kind: %r" % kind)
 
     def _decode_ref(self, r: ByteReader, pos: int, t: Type) -> Any:
         kind = t.kind
@@ -757,16 +734,15 @@ class FlatBuffersCodec(Codec):
             n = r.uint_at(pos, 4)
             elem = t.element
             width = _scalar_width(elem)
-            items = []
             cursor = pos + 4
+            if width:
+                dec = _scalar_decoder(elem)
+                return [dec(r, cursor + width * i) for i in range(n)]
+            items = []
             for _ in range(n):
-                if width:
-                    items.append(self._decode_scalar_at(r, cursor, elem))
-                    cursor += width
-                else:
-                    target = cursor + r.uint_at(cursor, _UOFFSET_SIZE)
-                    items.append(self._decode_ref(r, target, elem))
-                    cursor += _UOFFSET_SIZE
+                target = cursor + r.uint_at(cursor, _UOFFSET_SIZE)
+                items.append(self._decode_ref(r, target, elem))
+                cursor += _UOFFSET_SIZE
             return items
         raise CodecError("cannot decode %r as reference" % kind)
 
@@ -774,8 +750,8 @@ class FlatBuffersCodec(Codec):
         if self.optimize_unions and _is_single_scalar_union_alt(alt_type):
             if alt_type.kind == "table":
                 inner = alt_type.fields[0]
-                return {inner.name: self._decode_scalar_at(r, pos, inner.type)}
-            return self._decode_scalar_at(r, pos, alt_type)
+                return {inner.name: _scalar_decoder(inner.type)(r, pos)}
+            return _scalar_decoder(alt_type)(r, pos)
         if self.optimize_unions and _is_single_varlen_union_alt(alt_type):
             if alt_type.kind == "table":
                 inner = alt_type.fields[0]

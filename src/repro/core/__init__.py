@@ -16,7 +16,7 @@ from .cpf import CPF, HandleResult
 from .cta import CTA, FailoverPlan
 from .deployment import Deployment, Placement
 from .log import LogEntry, LogicalClock, MessageLog, ProcedureRecord
-from .state import StateEntry, StateStore, StaleStateError
+from .state import StateEntry, StateStore
 from .ue import UE, ProcedureAborted, ProcedureOutcome
 from .upf import UPF, Session
 
@@ -39,7 +39,6 @@ __all__ = [
     "Violation",
     "StateEntry",
     "StateStore",
-    "StaleStateError",
     "LogicalClock",
     "MessageLog",
     "LogEntry",

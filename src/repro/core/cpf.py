@@ -69,7 +69,7 @@ class CPF:
         self._handle_name = name + ".handle"
         #: sync-core CPU to serialize one snapshot for shipping.
         self.snapshot_encode_s = snapshot_encode_time(self.config)
-        self.store = StateStore(name)
+        self.store = StateStore()
         self.checkpoints_sent = 0
         self.snapshots_applied = 0
         self.messages_handled = 0
@@ -105,21 +105,14 @@ class CPF:
         obs = self.dep.obs
         if obs is not None:
             obs.metrics.counter("cpf_messages", node=self.name).inc()
-        entry = self.store.get(ue_id)
         if creates_state:
+            entry = self.store.get(ue_id)
             if entry is None or not entry.is_primary:
                 entry = self.store.create(ue_id, is_primary=True)
         else:
-            if (
-                entry is None
-                or not entry.up_to_date
-                or entry.version < reader_version
-            ):
-                # No up-to-date state -> force Re-Attach.  The version
-                # gate is how "up-to-date" is actually checked against
-                # the request: NAS security counters reveal a CPF
-                # operating behind the UE's last completed write,
-                # closing repair/checkpoint races.
+            entry = self.store.current(ue_id, reader_version)
+            if entry is None:
+                # No current state -> force Re-Attach.
                 self.dep.auditor.record_reattach_forced(ue_id, self.name, now)
                 return None
             entry.is_primary = True
@@ -401,8 +394,8 @@ class CPF:
             )
         except NodeFailed:
             return False
-        entry = source.store.get(ue_id)
-        if entry is None or not entry.up_to_date:
+        entry = source.store.current(ue_id)
+        if entry is None:
             return False
         snapshot = entry.snapshot()
         clock = entry.synced_clock

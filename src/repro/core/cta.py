@@ -140,8 +140,8 @@ class CTA:
             backup = self.dep.cpfs.get(backup_name)
             if backup is None or not backup.up:
                 continue
-            entry = backup.store.get(ue_id)
-            if entry is None or not entry.up_to_date:
+            entry = backup.store.current(ue_id)
+            if entry is None:
                 continue
             # Replay every logged message newer than the backup's
             # synced clock (empty for scenario 1).

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..geo.regions import Region, RegionMap
+from ..geo.regions import Region, RegionMap, region_for_tile
 from ..messages.procedures import ProcedureSpec
 from ..messages.registry import CATALOG
 from ..sim.core import Event, Simulator
@@ -34,11 +34,30 @@ from .consistency import RYWAuditor
 from .cpf import CPF
 from .cta import CTA
 from .program import Program, compile_procedure, encode_time, procedure_spec
-from .state import Record
+from .state import Record, Snapshot, StateEntry
 from .ue import UE, ProcedureOutcome
 from .upf import UPF
 
 __all__ = ["Placement", "Deployment"]
+
+
+def _completed(proc_name: str) -> Snapshot:
+    """A fresh copy's state once ``proc_name`` completes on it."""
+    entry = StateEntry()
+    entry.complete_procedure(proc_name)
+    return entry.snapshot()
+
+
+#: what a bootstrapped UE's copies hold: one completed attach
+_ATTACHED = _completed("attach")
+
+
+def _tree_regions(depth: int, cpfs_per_region: int, bss_per_region: int) -> List[Region]:
+    """Level-1 regions of the 4-ary geo-hash tree under ``"2"``, ``depth`` deep."""
+    tiles = ["2"]
+    for _ in range(depth - 1):
+        tiles = [t + c for t in tiles for c in "0123"]
+    return [region_for_tile(t, cpfs_per_region, bss_per_region) for t in tiles]
 
 
 class Placement(Record):
@@ -142,21 +161,12 @@ class Deployment:
         regions: int = 4,
         rng: Optional[RngRegistry] = None,
     ) -> "Deployment":
-        """Four sibling level-1 regions under one level-2 region."""
+        """The first ``regions`` (1-4) sibling level-1 regions of the
+        depth-2 :meth:`build_tree`, under one level-2 region."""
         if not 1 <= regions <= 4:
             raise ValueError("grid supports 1-4 sibling regions")
-        region_objs = []
-        for i, suffix in enumerate("0123"[:regions]):
-            gh = "2" + suffix  # shared parent "2"
-            region_objs.append(
-                Region(
-                    geohash=gh,
-                    cta="cta-" + gh,
-                    cpfs=["cpf-%s-%d" % (gh, k) for k in range(cpfs_per_region)],
-                    bss=["bs-%s-%d" % (gh, k) for k in range(bss_per_region)],
-                )
-            )
-        return cls(sim, config, RegionMap(region_objs), rng)
+        tree = _tree_regions(2, cpfs_per_region, bss_per_region)
+        return cls(sim, config, RegionMap(tree[:regions]), rng)
 
     @classmethod
     def build_tree(
@@ -178,21 +188,8 @@ class Deployment:
         """
         if depth < 2 or depth > 4:
             raise ValueError("depth must be between 2 and 4")
-        suffixes = [""]
-        for _ in range(depth - 1):
-            suffixes = [s + c for s in suffixes for c in "0123"]
-        region_objs = []
-        for suffix in suffixes:
-            gh = "2" + suffix
-            region_objs.append(
-                Region(
-                    geohash=gh,
-                    cta="cta-" + gh,
-                    cpfs=["cpf-%s-%d" % (gh, k) for k in range(cpfs_per_region)],
-                    bss=["bs-%s-%d" % (gh, k) for k in range(bss_per_region)],
-                )
-            )
-        return cls(sim, config, RegionMap(region_objs), rng)
+        tree = _tree_regions(depth, cpfs_per_region, bss_per_region)
+        return cls(sim, config, RegionMap(tree), rng)
 
     # -- membership churn (ring add/remove with live nodes) -------------------------
 
@@ -277,12 +274,11 @@ class Deployment:
         for ue_id in sorted(self._placements):
             placement = self._placements[ue_id]
             try:
-                desired_primary = self.region_map.primary_for(ue_id, placement.region)
+                desired_primary, desired_backups = self.desired_replicas(
+                    ue_id, placement.region
+                )
             except KeyError:
                 continue
-            desired_backups = tuple(self.region_map.replicas_for(
-                ue_id, placement.region, self.config.n_backups, self.config.georep_level
-            ))
             if desired_primary != placement.primary or desired_backups != placement.backups:
                 out.append((ue_id, placement, desired_primary, desired_backups))
         return out
@@ -298,12 +294,10 @@ class Deployment:
         replica set so they can never serve a stale read.
         """
         old = self._placements.get(ue_id)
-        keep = {primary, *backups}
         if old is not None:
-            for name in {old.primary, *old.backups} - keep:
-                cpf = self.cpfs.get(name)
-                if cpf is not None:
-                    cpf.store.mark_outdated(ue_id)
+            self._mark_outdated(
+                ue_id, {old.primary, *old.backups} - {primary, *backups}
+            )
         placement = Placement(region, primary, self._replica_set(backups))
         self._placements[ue_id] = placement
         return placement
@@ -410,12 +404,8 @@ class Deployment:
         detached UE: there is no serving region left to re-home it to,
         and a later attach re-derives placement from its new BS)."""
         placement = self._placements.pop(ue_id, None)
-        if placement is None:
-            return
-        for name in {placement.primary, *placement.backups}:
-            cpf = self.cpfs.get(name)
-            if cpf is not None:
-                cpf.store.mark_outdated(ue_id)
+        if placement is not None:
+            self._mark_outdated(ue_id, (placement.primary, *placement.backups))
 
     def placements_items(self):
         """(ue_id, Placement) pairs — used by proactive failure detection."""
@@ -425,20 +415,44 @@ class Deployment:
         placement = self._placements.get(ue_id)
         if placement is None:
             primary = self._alive_primary(ue_id, region)
-            placement = Placement(
-                region,
-                primary,
-                self._replica_set(self.region_map.replicas_for(
-                    ue_id, region, self.config.n_backups, self.config.georep_level
-                )),
-            )
+            placement = Placement(region, primary, self._desired_backups(ue_id, region))
             self._placements[ue_id] = placement
         return placement
+
+    def desired_replicas(self, ue_id: str, region: str) -> Tuple[str, Tuple[str, ...]]:
+        """Where §4.3 places ``ue_id``'s state in ``region`` on today's rings.
+
+        The primary is the UE's hash on the region's level-1 ring, alive
+        or not; the backups are :meth:`_desired_backups`.  Raises
+        :class:`KeyError` for a region that is not in the map.
+        """
+        primary = self.region_map.primary_for(ue_id, region)
+        return primary, self._desired_backups(ue_id, region)
+
+    def _desired_backups(self, ue_id: str, region: str) -> Tuple[str, ...]:
+        """``n_backups`` CPFs on the ``georep_level`` ring outside
+        ``region`` (§4.2.2), as the tuple every placement with that
+        replica set shares."""
+        return self._replica_set(self.region_map.replicas_for(
+            ue_id, region, self.config.n_backups, self.config.georep_level
+        ))
 
     def _replica_set(self, backups: Iterable[str]) -> Tuple[str, ...]:
         """``backups`` as the tuple every placement with that replica set shares."""
         key = tuple(backups)
         return self._replica_sets.setdefault(key, key)
+
+    def _mark_outdated(self, ue_id: str, holders: Iterable[str]) -> None:
+        """Mark ``ue_id``'s copy outdated at every CPF in ``holders``.
+
+        A copy that fell out of the replica set, or that a handover left
+        an epoch behind, must never serve a read (§4.2.4) until a
+        checkpoint or a repair fetch refreshes it.
+        """
+        for name in holders:
+            cpf = self.cpfs.get(name)
+            if cpf is not None:
+                cpf.store.mark_outdated(ue_id)
 
     def _alive_primary(self, ue_id: str, region: str) -> str:
         ring = self.region_map.level1_ring(region)
@@ -476,11 +490,7 @@ class Deployment:
             else self.region_map.region_of_cpf(new_primary).geohash
         )
         self._placements[ue_id] = Placement(
-            region,
-            new_primary,
-            self._replica_set(self.region_map.replicas_for(
-                ue_id, region, self.config.n_backups, self.config.georep_level
-            )),
+            region, new_primary, self._desired_backups(ue_id, region)
         )
 
     def promote(self, ue_id: str, backup_name: str) -> None:
@@ -504,9 +514,7 @@ class Deployment:
         if new_primary is None:
             new_primary = self._alive_primary(ue_id, new_region)
         old_placement = self._placements.get(ue_id)
-        new_backups = self._replica_set(self.region_map.replicas_for(
-            ue_id, new_region, self.config.n_backups, self.config.georep_level
-        ))
+        new_backups = self._desired_backups(ue_id, new_region)
         # Every copy except the new primary's is now from an old epoch:
         # mark them outdated until the post-handover checkpoint (or a
         # repair fetch) refreshes them.  This is what prevents a Fast
@@ -515,10 +523,7 @@ class Deployment:
         if old_placement is not None:
             stale_holders |= {old_placement.primary, *old_placement.backups}
         stale_holders.discard(new_primary)
-        for name in stale_holders:
-            cpf = self.cpfs.get(name)
-            if cpf is not None:
-                cpf.store.mark_outdated(ue_id)
+        self._mark_outdated(ue_id, stale_holders)
         self._placements[ue_id] = Placement(new_region, new_primary, new_backups)
         # The old CTA's log for this UE is obsolete once the target-side
         # checkpoint lands; drop it to keep the log bounded.
@@ -540,14 +545,8 @@ class Deployment:
         for backup_name in self.replicas_of(ue_id):
             if backup_name in region_cpfs:
                 cpf = self.cpfs[backup_name]
-                if cpf.up:
-                    entry = cpf.store.get(ue_id)
-                    if (
-                        entry is not None
-                        and entry.up_to_date
-                        and entry.version >= min_version
-                    ):
-                        return backup_name, None
+                if cpf.up and cpf.store.current(ue_id, min_version) is not None:
+                    return backup_name, None
         source = None
         primary = self.primary_of(ue_id)
         if primary and self.cpfs[primary].up:
@@ -644,16 +643,7 @@ class Deployment:
         cohort model calls this directly so 100k warm UEs never exist as
         objects.
         """
-        region = self.bss[bs_name].region
-        placement = self.ensure_placement(ue_id, region)
-        clock = self.next_clock(ue_id)
-        primary = self.cpfs[placement.primary]
-        entry = primary.store.create(ue_id, is_primary=True)
-        entry.complete_procedure("attach")
-        entry.synced_clock = clock
-        snapshot = entry.snapshot()
-        for backup_name in placement.backups:
-            self.cpfs[backup_name].store.install_snapshot(ue_id, snapshot, clock)
+        entry = self._install_attached(ue_id, bs_name, _ATTACHED)
         self.auditor.record_write_completion(ue_id, entry.version)
         return entry.version
 
@@ -673,23 +663,31 @@ class Deployment:
         counted by the shard that executed the handover.
         """
         self.drop_placement(ue_id)
-        region = self.bss[bs_name].region
         # Seed the logical clock so the fresh snapshot outranks any stale
         # copy a previous visit left behind (install_snapshot keeps the
-        # newer clock), then take the next tick as the sync point.
+        # newer clock).
         if carried_clock > self._clocks.get(ue_id, 0):
             self._clocks[ue_id] = carried_clock
-        placement = self.ensure_placement(ue_id, region)
+        self._install_attached(ue_id, bs_name, (version, True, False, 0))
+        return version
+
+    def _install_attached(
+        self, ue_id: str, bs_name: str, snapshot: Snapshot
+    ) -> StateEntry:
+        """Place ``ue_id`` at ``bs_name`` holding ``snapshot`` everywhere.
+
+        The primary's copy, which this returns, is synced through the
+        UE's next clock tick and the same snapshot is shipped to every
+        backup — a whole replicated install with no sim events.
+        """
+        placement = self.ensure_placement(ue_id, self.bss[bs_name].region)
         clock = self.next_clock(ue_id)
-        primary = self.cpfs[placement.primary]
-        entry = primary.store.create(ue_id, is_primary=True)
-        entry.attached = True
-        entry.version = version
+        entry = self.cpfs[placement.primary].store.create(ue_id, is_primary=True)
+        entry.version, entry.attached, entry.active, entry.ops_in_procedure = snapshot
         entry.synced_clock = clock
-        snapshot = entry.snapshot()
         for backup_name in placement.backups:
             self.cpfs[backup_name].store.install_snapshot(ue_id, snapshot, clock)
-        return version
+        return entry
 
     def bootstrap_ue(self, ue_id: str, bs_name: str) -> UE:
         """Create a UE already attached, with state replicated (no events).
@@ -722,8 +720,8 @@ class Deployment:
             cpf = self.cpfs.get(name)
             if cpf is None or not cpf.up:
                 continue
-            entry = cpf.store.get(ue_id)
-            if entry is not None and entry.up_to_date and entry.attached:
+            entry = cpf.store.current(ue_id)
+            if entry is not None and entry.attached:
                 serving = cpf
                 break
         if serving is None:

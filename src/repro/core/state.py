@@ -17,20 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Record", "Snapshot", "StateEntry", "StateStore", "StaleStateError"]
-
-
-class StaleStateError(Exception):
-    """A CPF was asked to serve a UE whose state it holds only as outdated.
-
-    Per §4.2.4 rule (3) the CPF must refuse and force the UE to
-    Re-Attach rather than operate on stale state.
-    """
-
-    def __init__(self, ue_id: str, cpf_name: str):
-        super().__init__("CPF %s has no up-to-date state for %s" % (cpf_name, ue_id))
-        self.ue_id = ue_id
-        self.cpf_name = cpf_name
+__all__ = ["Record", "Snapshot", "StateEntry", "StateStore"]
 
 
 class Record:
@@ -133,8 +120,7 @@ class StateEntry(Record):
 class StateStore:
     """Per-CPF map of UE id -> :class:`StateEntry`."""
 
-    def __init__(self, cpf_name: str):
-        self.cpf_name = cpf_name
+    def __init__(self) -> None:
         self._entries: Dict[str, StateEntry] = {}
 
     def __len__(self) -> int:
@@ -146,11 +132,18 @@ class StateStore:
     def get(self, ue_id: str) -> Optional[StateEntry]:
         return self._entries.get(ue_id)
 
-    def require_current(self, ue_id: str) -> StateEntry:
-        """The entry, if present and up-to-date; else :class:`StaleStateError`."""
+    def current(self, ue_id: str, min_version: int = 0) -> Optional[StateEntry]:
+        """The copy this CPF may act on for ``ue_id``, else ``None``.
+
+        §4.2.4 rule (3), the one freshness gate: a copy is current when
+        it is present, not marked outdated, and at least ``min_version``
+        — the writes the UE knows it completed, which NAS security
+        counters would reveal a CPF to be behind.  Without one the CPF
+        must not serve, and the UE re-attaches.
+        """
         entry = self._entries.get(ue_id)
-        if entry is None or not entry.up_to_date:
-            raise StaleStateError(ue_id, self.cpf_name)
+        if entry is None or not entry.up_to_date or entry.version < min_version:
+            return None
         return entry
 
     def create(self, ue_id: str, is_primary: bool) -> StateEntry:

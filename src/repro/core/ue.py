@@ -169,8 +169,8 @@ class UE:
                         ):
                             # source: snapshot + encode the relocation request
                             yield src.server.book(step.cpf_serve)
-                            entry = src.store.get(ue_id)
-                            if entry is None or not entry.up_to_date:
+                            entry = src.store.current(ue_id)
+                            if entry is None:
                                 raise NodeFailed(src_name)
                             snapshot, synced = entry.snapshot(), entry.synced_clock
                             yield dep.hop(hop, step.req_size, parent=root)

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from . import geohash
 from .ring import HashRing
 
-__all__ = ["Region", "RegionMap"]
+__all__ = ["Region", "RegionMap", "region_for_tile"]
 
 
 @dataclass
@@ -40,6 +40,22 @@ class Region:
     @property
     def level2(self) -> str:
         return geohash.parent(self.geohash)
+
+
+def region_for_tile(tile: str, cpfs_per_region: int, bss_per_region: int) -> Region:
+    """The Region (node names included) for one level-1 tile.
+
+    Naming follows the repo convention ``cta-<geohash>``,
+    ``cpf-<geohash>-<k>`` and ``bs-<geohash>-<k>``, so that
+    ``repro.faults.injector.region_of`` keeps parsing regions out of
+    node names unchanged.
+    """
+    return Region(
+        geohash=tile,
+        cta="cta-" + tile,
+        cpfs=["cpf-%s-%d" % (tile, k) for k in range(cpfs_per_region)],
+        bss=["bs-%s-%d" % (tile, k) for k in range(bss_per_region)],
+    )
 
 
 class RegionMap:

@@ -507,12 +507,7 @@ class BatchedDriver(CohortDriver):
         cpf = dep.cpfs.get(primary)
         if cpf is None or not cpf.up:
             return False
-        entry = cpf.store.get(ue_id)
-        if (
-            entry is None
-            or not entry.up_to_date
-            or entry.version < self.version[i]
-        ):
+        if cpf.store.current(ue_id, self.version[i]) is None:
             return False
         tgt_bs = None
         if proc == "fast_handover":
@@ -536,12 +531,7 @@ class BatchedDriver(CohortDriver):
                 src = dep.cpfs.get(fetch_from)
                 if src is None or not src.up:
                     return False
-                sentry = src.store.get(ue_id)
-                if (
-                    sentry is None
-                    or not sentry.up_to_date
-                    or sentry.version < self.version[i]
-                ):
+                if src.store.current(ue_id, self.version[i]) is None:
                     return False
         else:
             if proc == "intra_handover":

@@ -51,6 +51,7 @@ from ..faults.injector import FaultInjector, region_of
 from ..faults.plan import FaultEvent, FaultPlan, LinkPerturbation
 from ..faults.runner import config_from_name
 from ..faults.trace import EventTrace
+from ..geo.regions import region_for_tile
 from ..sim.core import Simulator
 from ..sim.monitor import QuantileSketch
 from ..sim.rng import RngRegistry
@@ -74,7 +75,6 @@ from .topology import (
     CHILD_ORDER,
     CityTopology,
     build_city,
-    region_for_tile,
     tile_adjacency,
 )
 
@@ -707,13 +707,9 @@ class ShardEngine:
         if kind == "scale_out":
             self._orch_scale_out(action, owns)
         elif kind == "scale_in":
-            self.sim.process(
-                self._orch_scale_in(action, owns), name="orch.scale_in"
-            )
+            self.sim.process(self._orch_drain(action, owns), name="orch.scale_in")
         elif kind == "upgrade_begin":
-            self.sim.process(
-                self._orch_upgrade_begin(action, owns), name="orch.upgrade"
-            )
+            self.sim.process(self._orch_drain(action, owns), name="orch.upgrade")
         elif kind == "upgrade_replace":
             self.sim.process(
                 self._orch_upgrade_replace(action, owns), name="orch.upgrade"
@@ -745,7 +741,14 @@ class ShardEngine:
             self._orch_trace("scale_out", action)
         self.sim.process(self._rebalance(), name="orch.rebalance")
 
-    def _orch_scale_in(self, action: Dict[str, Any], owns: bool):
+    def _orch_drain(self, action: Dict[str, Any], owns: bool):
+        """Ring a CPF out, then move every key it still holds.
+
+        One drain for ``scale_in`` and ``upgrade_begin``; only a
+        scale-in then decommissions the drained CPF.
+        """
+        kind = action["kind"]
+        scale_in = kind == "scale_in"
         region_hash, name = action["region"], action["cpf"]
         region = self.dep.region_map.regions.get(region_hash)
         if region is None or name not in region.cpfs:
@@ -756,40 +759,21 @@ class ShardEngine:
             self.dep.remove_cpf(region_hash, name)
         except ValueError:
             # last CPF of the region or of its level-2 parent: the ring
-            # guards refuse, the controller's optimistic pick is dropped
+            # guards refuse.  A scale-in pick is dropped; a lone replica
+            # cannot be drained, so the upgrade's replace phase restarts
+            # it in place (brief outage, recovery path).
             if owns:
-                self._count("orch_skipped")
+                self._count("orch_skipped" if scale_in else "orch_upgrade_undrained")
             return
         if owns:
-            self._count("orch_scale_in")
-            self._orch_trace("scale_in", action)
-        # drain: move every key the victim still holds, then decommission
+            self._count("orch_scale_in" if scale_in else "orch_upgrade_drained")
+            self._orch_trace(kind, action)
         yield from self._rebalance()
         cpf = self.dep.cpfs.get(name)
-        if cpf is not None and cpf.up:
+        if scale_in and cpf is not None and cpf.up:
             cpf.fail()
             if owns:
                 self._count("orch_decommissioned")
-
-    def _orch_upgrade_begin(self, action: Dict[str, Any], owns: bool):
-        region_hash, name = action["region"], action["cpf"]
-        region = self.dep.region_map.regions.get(region_hash)
-        if region is None or name not in region.cpfs:
-            if owns:
-                self._count("orch_skipped")
-            return
-        try:
-            self.dep.remove_cpf(region_hash, name)
-        except ValueError:
-            # a lone replica cannot be drained away; the replace phase
-            # will restart it in place (brief outage, recovery path)
-            if owns:
-                self._count("orch_upgrade_undrained")
-            return
-        if owns:
-            self._count("orch_upgrade_drained")
-            self._orch_trace("upgrade_begin", action)
-        yield from self._rebalance()
 
     def _orch_upgrade_replace(self, action: Dict[str, Any], owns: bool):
         region_hash, name = action["region"], action["cpf"]
@@ -840,12 +824,7 @@ class ShardEngine:
                     bcpf = self.dep.cpfs.get(backup)
                     if bcpf is None or not bcpf.up:
                         continue
-                    entry = bcpf.store.get(ue_id)
-                    if (
-                        entry is not None
-                        and entry.up_to_date
-                        and entry.version >= need
-                    ):
+                    if bcpf.store.current(ue_id, need) is not None:
                         self.dep.promote(ue_id, backup)
                         promotions += 1
                         break
@@ -1314,15 +1293,9 @@ class ShardEngine:
             if placement is None:
                 return
             try:
-                primary = self.dep.region_map.primary_for(ue_id, placement.region)
+                primary, backups = self.dep.desired_replicas(ue_id, placement.region)
             except KeyError:
                 return  # region itself went away; evacuation owns this UE
-            backups = tuple(self.dep.region_map.replicas_for(
-                ue_id,
-                placement.region,
-                self.dep.config.n_backups,
-                self.dep.config.georep_level,
-            ))
             if primary == placement.primary and backups == placement.backups:
                 return  # already converged (re-checked after the stagger)
             self.driver.busy[i] = 1
@@ -1352,12 +1325,7 @@ class ShardEngine:
             cpf = self.dep.cpfs.get(target)
             if cpf is None or not cpf.up:
                 return False
-            entry = cpf.store.get(ue_id)
-            if (
-                entry is not None
-                and entry.up_to_date
-                and entry.version >= need_version
-            ):
+            if cpf.store.current(ue_id, need_version) is not None:
                 continue
             fetched = False
             for source in sources:

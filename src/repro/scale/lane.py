@@ -433,12 +433,8 @@ class LaneRuntime:
         # The source entry is read here, before the request's logical
         # arrival at ``t``; stable for the same reason the admission-time
         # fast-target resolution is (see walk()).
-        entry = src.store.get(w.ue_id)
-        if (
-            entry is None
-            or not entry.up_to_date
-            or entry.version < w.reader_version
-        ):
+        entry = src.store.current(w.ue_id, w.reader_version)
+        if entry is None:
             self._gate_miss("fetch source stale")
         snapshot = entry.snapshot()
         clock = entry.synced_clock

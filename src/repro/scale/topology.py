@@ -21,13 +21,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..geo import geohash
-from ..geo.regions import Region, RegionMap
+from ..geo.regions import Region, RegionMap, region_for_tile
 
 __all__ = [
     "CHILD_ORDER",
     "CityTopology",
     "build_city",
-    "region_for_tile",
     "tile_adjacency",
 ]
 
@@ -43,21 +42,6 @@ _CHILD_ORDER = CHILD_ORDER
 #: default city origin (the paper's testbed is a metro deployment; any
 #: mid-latitude point far from the antimeridian works — this is Chicago).
 DEFAULT_ORIGIN = (41.88, -87.63)
-
-
-def region_for_tile(tile: str, cpfs_per_region: int, bss_per_region: int) -> Region:
-    """The Region (node names included) for one level-1 tile.
-
-    Naming follows the repo convention ``<kind>-<geohash>-<k>`` so that
-    ``repro.faults.injector.region_of`` keeps parsing regions out of
-    node names unchanged.
-    """
-    return Region(
-        geohash=tile,
-        cta="cta-" + tile,
-        cpfs=["cpf-%s-%d" % (tile, k) for k in range(cpfs_per_region)],
-        bss=["bs-%s-%d" % (tile, k) for k in range(bss_per_region)],
-    )
 
 
 def _share_edge(a: str, b: str) -> bool:

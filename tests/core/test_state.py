@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.core import StateEntry, StateStore, StaleStateError
+from repro.core import StateEntry, StateStore
 from repro.core.deployment import Placement
 
 
@@ -55,7 +55,7 @@ class TestUEState:
 
 class TestStateStore:
     def test_create_and_get(self):
-        store = StateStore("cpf-1")
+        store = StateStore()
         entry = store.create("ue-1", is_primary=True)
         assert store.get("ue-1") is entry
         assert entry.is_primary
@@ -63,23 +63,35 @@ class TestStateStore:
         assert len(store) == 1
 
     def test_get_missing_is_none(self):
-        assert StateStore("cpf-1").get("ue-x") is None
+        assert StateStore().get("ue-x") is None
 
-    def test_require_current_raises_when_absent(self):
-        store = StateStore("cpf-1")
-        with pytest.raises(StaleStateError):
-            store.require_current("ue-1")
+    def test_current_is_none_when_absent(self):
+        assert StateStore().current("ue-1") is None
 
-    def test_require_current_raises_when_outdated(self):
-        store = StateStore("cpf-1")
+    def test_current_is_none_when_outdated(self):
+        # §4.2.4(3): a copy marked outdated never serves.
+        store = StateStore()
         store.create("ue-1", is_primary=False)
         store.mark_outdated("ue-1")
-        with pytest.raises(StaleStateError) as err:
-            store.require_current("ue-1")
-        assert err.value.cpf_name == "cpf-1"
+        assert store.get("ue-1") is not None
+        assert store.current("ue-1") is None
+
+    def test_current_is_none_below_min_version(self):
+        # An up-to-date copy behind the UE's own writes does not serve.
+        store = StateStore()
+        store.install_snapshot("ue-1", StateEntry(version=3).snapshot(), synced_clock=7)
+        assert store.current("ue-1", min_version=4) is None
+
+    def test_current_returns_a_current_copy(self):
+        store = StateStore()
+        entry = store.install_snapshot(
+            "ue-1", StateEntry(version=3).snapshot(), synced_clock=7
+        )
+        assert store.current("ue-1") is entry
+        assert store.current("ue-1", min_version=3) is entry
 
     def test_install_snapshot_sets_metadata(self):
-        store = StateStore("cpf-1")
+        store = StateStore()
         snapshot = StateEntry(version=3).snapshot()
         entry = store.install_snapshot("ue-1", snapshot, synced_clock=17)
         assert entry.version == 3
@@ -90,7 +102,7 @@ class TestStateStore:
     def test_install_older_snapshot_ignored(self):
         # §4.2.4(1a): the boundary clock lets replicas ignore the
         # reception of outdated state.
-        store = StateStore("cpf-1")
+        store = StateStore()
         store.install_snapshot("ue-1", StateEntry(version=5).snapshot(), synced_clock=20)
         stale = StateEntry(version=2).snapshot()
         entry = store.install_snapshot("ue-1", stale, synced_clock=10)
@@ -100,7 +112,7 @@ class TestStateStore:
     def test_install_refreshes_outdated_entry(self):
         # §4.2.4(2): a state update for a previously-outdated UE makes
         # it up-to-date again.
-        store = StateStore("cpf-1")
+        store = StateStore()
         store.create("ue-1", is_primary=False)
         store.mark_outdated("ue-1")
         snapshot = StateEntry(version=1).snapshot()
@@ -109,7 +121,7 @@ class TestStateStore:
 
     def test_snapshot_install_copies(self):
         source = StateEntry()
-        store = StateStore("cpf-1")
+        store = StateStore()
         store.install_snapshot("ue-1", source.snapshot(), 1)
         source.version = 99
         assert store.get("ue-1").version == 0
@@ -117,24 +129,24 @@ class TestStateStore:
         assert source.version == 99 and not source.attached
 
     def test_mark_outdated_missing_is_noop(self):
-        StateStore("cpf-1").mark_outdated("nobody")
+        StateStore().mark_outdated("nobody")
 
     def test_clear_loses_everything(self):
-        store = StateStore("cpf-1")
+        store = StateStore()
         store.create("a", True)
         store.create("b", False)
         store.clear()
         assert len(store) == 0
 
     def test_drop_single(self):
-        store = StateStore("cpf-1")
+        store = StateStore()
         store.create("a", True)
         store.drop("a")
         store.drop("a")  # idempotent
         assert store.get("a") is None
 
     def test_ue_ids_sorted(self):
-        store = StateStore("cpf-1")
+        store = StateStore()
         for ue in ("c", "a", "b"):
             store.create(ue, False)
         assert store.ue_ids() == ["a", "b", "c"]

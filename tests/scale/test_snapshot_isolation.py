@@ -142,7 +142,7 @@ def test_install_migrated():
 def test_older_clock_snapshot_over_outdated_entry_is_ignored():
     # §4.2.4(1a): the boundary clock lets a replica ignore outdated
     # state, whether its own copy is current or already marked outdated
-    store = StateStore("cpf-1")
+    store = StateStore()
     store.install_snapshot("ue-1", StateEntry(version=5).snapshot(), 20)
     store.mark_outdated("ue-1")
     held = store.get("ue-1")
@@ -154,7 +154,7 @@ def test_older_clock_snapshot_over_outdated_entry_is_ignored():
 
 @pytest.mark.parametrize("clock", [20, 21])
 def test_a_snapshot_at_or_past_the_held_clock_replaces_the_record(clock):
-    store = StateStore("cpf-1")
+    store = StateStore()
     store.install_snapshot("ue-1", StateEntry(version=5).snapshot(), 20)
     store.mark_outdated("ue-1")
     held = store.get("ue-1")

@@ -4,10 +4,10 @@ import pytest
 
 from repro.faults.injector import region_of
 from repro.geo import geohash
+from repro.geo.regions import region_for_tile
 from repro.scale.topology import (
     CHILD_ORDER,
     build_city,
-    region_for_tile,
     tile_adjacency,
 )
 

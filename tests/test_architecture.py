@@ -27,6 +27,16 @@ Constructs, in ``scale``:
   decide how a procedure runs; and ``Tracer.span``'s context manager is
   a plain ``__enter__`` / ``__exit__`` object (``obs/tracer.py``
   imports no ``contextlib``).
+
+Each §4.2 replica rule has one home, anywhere in ``src/repro``:
+
+* the freshness gate: only ``core/state.py`` reads or writes a copy's
+  ``up_to_date`` flag (as an attribute or a keyword), so every "may
+  this copy serve?" test goes through ``StateStore.current``;
+* the replica set: only ``core/deployment.py`` calls
+  ``RegionMap.replicas_for`` (``Deployment._desired_backups``);
+* outdated marking: only ``core/deployment.py`` (dropped holders) and
+  ``core/cta.py`` (the §4.2.4 ACK scan) call ``StateStore.mark_outdated``.
 """
 
 import ast
@@ -40,6 +50,7 @@ from repro.core.cpf import CPF
 from repro.core.log import MessageLog
 from repro.core.state import StateEntry, StateStore
 from repro.core.upf import Session
+from repro.geo.regions import RegionMap
 from repro.messages.registry import MessageCatalog
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -127,6 +138,16 @@ LANE_FORBIDDEN = frozenset(member.__name__ for member in (
 LOG_APPEND = ("log", MessageLog.append.__name__)
 
 
+#: a copy's outdated flag, which only ``core/state.py`` touches
+FRESHNESS_FLAG = "up_to_date"
+
+#: call -> the only modules that may make it
+CALL_HOMES = {
+    RegionMap.replicas_for.__name__: ("core.deployment",),
+    StateStore.mark_outdated.__name__: ("core.deployment", "core.cta"),
+}
+
+
 def _name(node: ast.AST) -> str:
     """The identifier a ``Name`` or ``Attribute`` node ends in, else ''."""
     if isinstance(node, ast.Name):
@@ -160,6 +181,15 @@ def construct_violations(tree: ast.AST, module: str) -> list:
                 out.append("%s names %s" % (module, name))
             if cohort and name == "obs":
                 out.append("%s reads obs" % module)
+            if (
+                name == FRESHNESS_FLAG
+                and isinstance(node, ast.Attribute)
+                and module != "core.state"
+            ):
+                out.append("%s touches %s" % (module, name))
+        elif isinstance(node, ast.keyword):
+            if node.arg == FRESHNESS_FLAG and module != "core.state":
+                out.append("%s touches %s" % (module, FRESHNESS_FLAG))
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names = [alias.name for alias in node.names]
             if isinstance(node, ast.ImportFrom):
@@ -174,6 +204,15 @@ def construct_violations(tree: ast.AST, module: str) -> list:
             name = _name(node.func)
             if name == "ScaleResult" and not host:
                 out.append("%s builds a ScaleResult" % module)
+            if name in CALL_HOMES and module not in CALL_HOMES[name]:
+                out.append("%s calls %s" % (module, name))
+            if (
+                name in ("getattr", "setattr")
+                and len(node.args) > 1
+                and getattr(node.args[1], "value", None) == FRESHNESS_FLAG
+                and module != "core.state"
+            ):
+                out.append("%s touches %s" % (module, FRESHNESS_FLAG))
             if (
                 cohort
                 and name == "getattr"
@@ -185,6 +224,7 @@ def construct_violations(tree: ast.AST, module: str) -> list:
 
 
 def test_scale_constructs():
+    assert FRESHNESS_FLAG in StateEntry.__slots__
     out = []
     for path in sorted(SRC.rglob("*.py")):
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
@@ -225,6 +265,17 @@ def test_scale_constructs():
         ("obs.tracer", "import contextlib\n"),
         ("obs.tracer", "from contextlib import contextmanager\n"),
         ("obs.tracer", "import contextlib as ctx\n"),
+        # each §4.2 replica rule has one home
+        ("core.cpf", "if entry is None or not entry.up_to_date:\n    pass\n"),
+        ("scale.lane", "entry.up_to_date = False\n"),
+        ("core.deployment", "fresh = entry.up_to_date and entry.attached\n"),
+        ("scale.engine", "fresh = getattr(entry, 'up_to_date')\n"),
+        ("scale.cohort", "setattr(entry, 'up_to_date', True)\n"),
+        ("scale.engine", "e = StateEntry(up_to_date=False)\n"),
+        ("scale.engine", "b = dep.region_map.replicas_for(ue, region, 2, 2)\n"),
+        ("core.cta", "b = self.dep.region_map.replicas_for(ue, region, 1)\n"),
+        ("scale.engine", "cpf.store.mark_outdated(ue)\n"),
+        ("core.cpf", "self.store.mark_outdated(ue)\n"),
     ],
 )
 def test_the_construct_rules_reject_each_spelling(module, source):
@@ -242,6 +293,12 @@ def test_the_construct_rules_reject_each_spelling(module, source):
         ("scale.lane", "cpf.serve(ue, v, clock, False, t, span)\n"),
         ("scale.engine", "obs = self.dep.obs\n"),
         ("obs.__init__", "import contextlib\n"),
+        ("core.state", "if entry is None or not entry.up_to_date:\n    pass\n"),
+        ("core.state", "entry = StateEntry(*snapshot, up_to_date=True)\n"),
+        ("core.deployment", "rmap.replicas_for(ue, region, n, level)\n"),
+        ("core.deployment", "cpf.store.mark_outdated(ue)\n"),
+        ("core.cta", "replica.store.mark_outdated(ue)\nup_to_date_sources = []\n"),
+        ("scale.engine", "entry = cpf.store.current(ue, need)\n"),
     ],
 )
 def test_the_construct_rules_pass_the_allowed_homes(module, source):
